@@ -16,9 +16,9 @@ Tracks three things across revisions:
   acceptance number for the scaling work.
 * **A/B bit-identity** -- the fast path must be an implementation detail:
   a mobile 500-node trial run with ``neighbor_method="brute"`` +
-  ``tree_repair="full"`` and with the defaults must produce identical
-  measurement fingerprints (config hash excluded via
-  ``fingerprint(include_key=False)``).
+  ``tree_repair="full"`` + ``tick_method="periodic"`` and with the
+  defaults must produce identical measurement fingerprints (config hash
+  excluded via ``fingerprint(include_key=False)``).
 
 Runs as pytest-benchmark timings::
 
@@ -288,15 +288,18 @@ def ab_fingerprints(
 ) -> Dict[str, object]:
     """Fingerprints of the same trial under every strategy axis.
 
-    Three arms: the fast defaults, the brute neighbour/tree reference,
-    and the columnar epoch tick on top of the fast defaults (the PR-10
-    axis, multiplicative with the scale path).  The config hashes
-    legitimately differ (the strategy flags are part of the config), so
-    the comparison uses ``fingerprint(include_key=False)`` --
+    Three arms: the fast defaults (spatial neighbours, incremental tree
+    repair, the columnar epoch tick), the brute reference on every axis
+    (all-pairs neighbours, full tree rebuilds, the per-node
+    ``"periodic"`` tick), and the columnar tick pinned explicitly.  The
+    config hashes legitimately differ (the strategy flags are part of the
+    config), so the comparison uses ``fingerprint(include_key=False)`` --
     measurements only.
     """
     fast_cfg = build_config(scenario, num_epochs=num_epochs, seed=seed)
-    brute_cfg = fast_cfg.replace(neighbor_method="brute", tree_repair="full")
+    brute_cfg = fast_cfg.replace(
+        neighbor_method="brute", tree_repair="full", tick_method="periodic"
+    )
     columnar_cfg = fast_cfg.replace(tick_method="columnar")
     runner = BatchRunner(max_workers=1, executor="serial", cache_dir="")
     fast, brute, columnar = runner.run(

@@ -38,7 +38,7 @@ from .messages import (
     UpdateMessage,
 )
 from .protocol import DisseminationProtocol
-from .range_table import RangeTableSet
+from .range_table import RangeTable, RangeTableSet
 
 
 class DirQNode(DisseminationProtocol):
@@ -83,14 +83,6 @@ class DirQNode(DisseminationProtocol):
         self.responses_sent = 0
         self.current_epoch = 0
         self._last_estimate_hour = -1
-        # Per-epoch iteration cache: (sensor_type, sensor, table, fixed δ)
-        # tuples for every mounted sensor, rebuilt only when the sensor
-        # suite, the table set, or the configured threshold changes (see
-        # _refresh_epoch_entries).
-        self._epoch_entries = None
-        self._epoch_sensors_version = -1
-        self._epoch_tables_version = -1
-        self._epoch_delta_percent: Optional[float] = None
         mac.crosslayer.subscribe(self._on_crosslayer_event)
 
     # ------------------------------------------------------------------
@@ -113,78 +105,34 @@ class DirQNode(DisseminationProtocol):
     # Epoch processing (sampling + range maintenance)
     # ------------------------------------------------------------------
 
-    def _refresh_epoch_entries(self) -> None:
-        """(Re)build the per-epoch iteration cache.
-
-        For fixed-threshold runs the absolute δ per sensor type is
-        pre-resolved here; adaptive (ATC) runs re-derive it every epoch
-        since the controller moves it between windows.
-        """
-        node = self.node
-        tables = self.tables
-        cfg = self.config
-        fixed = self.atc is None
-        entries = []
-        for sensor_type, sensor in node.sensors_sorted():
-            table = tables.table(sensor_type, create=True)
-            delta = self.current_delta(sensor_type) if fixed else 0.0
-            entries.append((sensor_type, sensor, table, delta))
-        self._epoch_entries = entries
-        self._epoch_sensors_version = node.sensors_version
-        self._epoch_tables_version = tables.version
-        self._epoch_delta_percent = cfg.delta_percent
-
     def on_epoch(self, epoch: int) -> None:
         """Sample all local sensors and run the update trigger (Fig. 1-3).
 
-        This is the simulation's innermost loop (nodes x sensor types x
-        epochs), so the Fig. 1 containment test and the Fig. 3 "no update
-        due" memo are checked inline before falling back to the full
-        :meth:`RangeTable.observe_reading` / :meth:`_maybe_send_update`
-        machinery; the fast path is bit-identical to the slow one.
+        This is the per-node reference loop, run when a trial pins
+        ``tick_method="periodic"``.  Every other DirQ trial applies the
+        same rule through :class:`repro.experiments.columnar.ColumnarTick`,
+        which ``tests/differential/`` holds bit-identical to this body.
         """
         if not self.alive:
             return
         self.current_epoch = epoch
+        for sensor_type, sensor in self.node.sensors_sorted():
+            table = self.tables.table(sensor_type, create=True)
+            self.tick_sensor(epoch, sensor_type, sensor, table)
         atc = self.atc
-        cfg = self.config
-        entries = self._epoch_entries
-        if (
-            entries is None
-            or self._epoch_sensors_version != self.node.sensors_version
-            or self._epoch_tables_version != self.tables.version
-            or (atc is None and self._epoch_delta_percent != cfg.delta_percent)
-        ):
-            self._refresh_epoch_entries()
-            entries = self._epoch_entries
-        for sensor_type, sensor, table, delta in entries:
-            reading = sensor.sample(epoch)
-            if type(reading) is not float:
-                reading = float(reading)
-            if atc is not None:
-                atc.on_reading(sensor_type, reading)
-                delta = atc.delta_absolute(sensor_type)
-            own = table.own_entry
-            if (
-                own is not None
-                and own.min_threshold <= reading <= own.max_threshold
-            ):
-                # Fig. 1: the reading is inside the own range -- no table
-                # mutation.  If the trigger already evaluated to "no update"
-                # for this table state and δ, nothing can have changed.
-                memo = table._no_update_memo
-                if (
-                    memo is not None
-                    and memo[0] == table._version
-                    and memo[1] == delta
-                ):
-                    self.updates_suppressed += 1
-                    continue
-            else:
-                table.observe_reading(reading, delta)
-            self._maybe_send_update(sensor_type, epoch, table=table, delta=delta)
-        if atc is not None and epoch > 0 and epoch % cfg.atc_window_epochs == 0:
+        if atc is not None and epoch > 0 and epoch % self.config.atc_window_epochs == 0:
             atc.end_window()
+
+    def tick_sensor(
+        self, epoch: int, sensor_type: str, sensor, table: RangeTable
+    ) -> None:
+        """One sensor's epoch: sample, ATC, own range (Fig. 1), trigger (Fig. 3)."""
+        reading = float(sensor.sample(epoch))
+        if self.atc is not None:
+            self.atc.on_reading(sensor_type, reading)
+        delta = self.current_delta(sensor_type)
+        table.observe_reading(reading, delta)
+        self._maybe_send_update(sensor_type, epoch, table=table, delta=delta)
 
     # ------------------------------------------------------------------
     # Update mechanism (upward range propagation)

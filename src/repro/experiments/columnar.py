@@ -1,6 +1,7 @@
 """Columnar epoch tick: vectorised sensing with bit-identical semantics.
 
-``tick_method="columnar"`` replaces the per-node Python sampling loop
+Every DirQ trial not pinned to ``tick_method="periodic"`` replaces the
+per-node Python sampling loop
 (:meth:`repro.core.dirq_node.DirQNode.on_epoch`) with one fused numpy pass
 over every ``(node, sensor_type)`` row of the alive set, fanning Python-
 level work out only for the rows whose reading escaped the own range or
@@ -26,18 +27,21 @@ three invariants:
 
 3. **Conservative suppression.**  A row is skipped only when the reading
    lies inside the own range *and* the table's negative-result memo is
-   provably valid -- the same two checks the brute loop's inline fast path
-   performs, evaluated against cached copies of ``own_entry`` and the
-   memo that are invalidated through :attr:`RangeTable.observer` whenever
-   *anything* (message handlers, tree repair, the fan-out itself) mutates
-   the table.  When in doubt a row falls through to the brute machinery,
-   which recomputes the truth and re-arms the memo.
+   provably valid -- exactly when :meth:`RangeTable.observe_reading`
+   would leave the table untouched and :meth:`RangeTable.pending_update`
+   would answer from its memo, evaluated against cached copies of
+   ``own_entry`` and the memo that are invalidated through
+   :attr:`RangeTable.observer` whenever *anything* (message handlers,
+   tree repair, the fan-out itself) mutates the table.  When in doubt a
+   row falls through to the brute machinery, which recomputes the truth
+   and re-arms the memo.
 
 Sensors that are not plain dataset-backed :class:`~repro.sensors.sensor.
 Sensor` instances (or ATC controllers with a non-standard smoothing
-factor) are handled as *fallback rows*: they run the verbatim brute body
-at their node-major position every epoch, so exotic test fixtures degrade
-to the reference semantics instead of breaking them.
+factor) are handled as *fallback rows*: they run the reference body
+(:meth:`~repro.core.dirq_node.DirQNode.tick_sensor`) at their node-major
+position every epoch, so exotic test fixtures degrade to the reference
+semantics instead of breaking them.
 
 Deferred state: per-row suppression tallies, sampling-counter increments,
 and the ATC rate-of-change/last-reading dictionaries are maintained in
@@ -82,9 +86,11 @@ class ColumnarTick:
         Protocol configuration (threshold mode, ATC window length).
 
     The runner must call :meth:`set_protocols` with the sorted alive DirQ
-    protocol list at start-up and after every topology change, and
+    protocol list at start-up and whenever that list changes, and
     :meth:`finalize` once after the last simulated event, before metrics
-    are harvested.
+    are harvested.  Rows are rebuilt only on an alive-list, sensor-suite
+    or table-set change (and, for a fixed δ, a changed ``delta_percent``);
+    :meth:`tick` detects all but the first itself.
     """
 
     def __init__(self, dataset: SensorDataset, dirq_config: DirQConfig):
@@ -175,8 +181,8 @@ class ColumnarTick:
         by_type: Dict[str, List[Tuple]] = {}
         for k, proto in enumerate(self._protos):
             tables = proto.tables
-            # Mirrors DirQNode._refresh_epoch_entries: one row per mounted
-            # sensor, tables created on demand.
+            # Mirrors DirQNode.on_epoch: one row per mounted sensor,
+            # tables created on demand.
             for stype, sensor in proto.node.sensors_sorted():
                 table = tables.table(stype, create=True)
                 by_type.setdefault(stype, []).append((k, proto, sensor, table))
@@ -503,7 +509,8 @@ class ColumnarTick:
                 fallback = self._fallback
                 for i in fired.tolist():
                     if i >= n:
-                        self._run_fallback(fallback[i - n], epoch)
+                        _k, stype, proto, sensor, table = fallback[i - n]
+                        proto.tick_sensor(epoch, stype, sensor, table)
                         continue
                     proto = row_protos[i]
                     table = row_tables[i]
@@ -526,30 +533,3 @@ class ColumnarTick:
                     atc.end_window()
             if n:
                 self._refresh_deltas()
-
-    @staticmethod
-    def _run_fallback(row: Tuple, epoch: int) -> None:
-        """Verbatim brute body for one (node, sensor type) pair."""
-        _k, stype, proto, sensor, table = row
-        reading = sensor.sample(epoch)
-        if type(reading) is not float:
-            reading = float(reading)
-        atc = proto.atc
-        if atc is not None:
-            atc.on_reading(stype, reading)
-            delta = atc.delta_absolute(stype)
-        else:
-            delta = proto.current_delta(stype)
-        own = table.own_entry
-        if own is not None and own.min_threshold <= reading <= own.max_threshold:
-            memo = table._no_update_memo
-            if (
-                memo is not None
-                and memo[0] == table._version
-                and memo[1] == delta
-            ):
-                proto.updates_suppressed += 1
-                return
-        else:
-            table.observe_reading(reading, delta)
-        proto._maybe_send_update(stype, epoch, table=table, delta=delta)

@@ -181,9 +181,11 @@ class ExperimentConfig:
     #: flags, "lowrank" draws a *different* (approximate) field, so it is
     #: never a silent default.
     phenomena_method: Optional[str] = None
-    #: Epoch-tick strategy: ``None`` (= "periodic", the per-node Python
-    #: loop) or "columnar" (one numpy pass per sensor type over the alive
-    #: set, fanning out Python-level work only for threshold crossings).
+    #: Epoch-tick strategy: ``None`` (= "columnar": one numpy pass per
+    #: sensor type over the alive set, fanning out Python-level work only
+    #: for threshold crossings, with LMAC's beacon fast path) or
+    #: "periodic" (the per-node reference loop, ``DirQNode.on_epoch``,
+    #: with frame beacons).  Flooding always runs the per-node loop.
     #: Bit-identical results either way -- the differential harness in
     #: ``tests/differential/`` pins the two paths against each other by
     #: trial fingerprint, energy ledger, and scenario events.

@@ -588,17 +588,18 @@ class ExperimentRunner:
         epochs_per_hour = cfg.dirq.epochs_per_hour
         window_epochs = cfg.window_epochs
 
-        # Columnar epoch tick (tick_method="columnar"): one numpy pass per
-        # sensor type instead of the per-node on_epoch loop, bit-identical
-        # by construction (see repro.experiments.columnar).  Flooding has
-        # no sampling loop to vectorise, so the flag only affects DirQ.
+        # Every DirQ trial ticks columnar: one numpy pass per sensor type
+        # instead of the per-node on_epoch loop, bit-identical by
+        # construction (see repro.experiments.columnar).  Only
+        # tick_method="periodic" pins the per-node reference loop, and
+        # flooding has no sampling loop to vectorise.
         columnar: Optional[ColumnarTick] = None
-        if is_dirq and cfg.tick_method == "columnar":
+        if is_dirq and cfg.tick_method != "periodic":
             columnar = ColumnarTick(world.dataset, cfg.dirq)
             columnar.set_protocols(alive_protocols)
-            # Columnar mode also opts the MAC layer into steady-state beacon
-            # batching: provably-identical beacon ticks skip frame and
-            # delivery-event construction (see LMACProtocol._try_fast_beacon).
+            # The columnar tick pairs with steady-state beacon batching:
+            # provably-identical beacon ticks skip frame and delivery-event
+            # construction (see LMACProtocol._try_fast_beacon).
             for mac in world.macs.values():
                 mac.fast_beacons = True
 
@@ -696,11 +697,14 @@ class ExperimentRunner:
                         len(world.alive), world.channel.num_links
                     )
                     root.set_flooding_cost(flooding_per_query)
-                alive_protocols = [
-                    world.protocols[nid] for nid in sorted(world.alive)
-                ]
-                if columnar is not None:
-                    columnar.set_protocols(alive_protocols)
+                now_alive = [world.protocols[nid] for nid in sorted(world.alive)]
+                # The columnar rows depend only on the alive list (the tick
+                # itself detects sensor-suite and table-set changes), so a
+                # re-link, which moves nodes but kills none, keeps them.
+                if now_alive != alive_protocols:
+                    alive_protocols = now_alive
+                    if columnar is not None:
+                        columnar.set_protocols(alive_protocols)
 
             # Hourly EHr estimate (DirQ only).
             if is_dirq and epoch % epochs_per_hour == 0:

@@ -358,6 +358,8 @@ class LMACProtocol(SimProcess):
         ):
             plan = self._build_beacon_plan(graph, slot, occ)
             if plan is None:
+                # Drop the stale plan as well: it can pin a superseded graph.
+                self._beacon_plan = None
                 return False
         alive_get = channel._alive.get
         receivers_get = channel._receivers.get

@@ -1,13 +1,15 @@
-"""Columnar-vs-brute A/B harness (PR 10).
+"""Columnar-vs-brute A/B harness.
 
-``tick_method="columnar"`` is a pure implementation strategy: every
+The columnar epoch tick (what every DirQ trial runs unless it pins
+``tick_method="periodic"``) is a pure implementation strategy: every
 observable of a trial -- the cost breakdown, the per-window update series,
 the query audit, the energy ledger down to per-(kind, direction) entries,
 ATC's δ history, scenario telemetry -- must be *bit-identical* to the
-brute per-node loop.  This module is the single definition of "identical":
-it runs both arms of a configuration and either returns the list of
-observables that disagree (empty = equivalent) or asserts equivalence
-with a per-observable diff.
+brute per-node loop.  The brute arm therefore always pins ``"periodic"``:
+an unset config would run columnar and compare the fast path with itself.
+This module is the single definition of "identical": it runs both arms of
+a configuration and either returns the list of observables that disagree
+(empty = equivalent) or asserts equivalence with a per-observable diff.
 
 The catch-all instrument is :meth:`TrialResult.fingerprint` with
 ``include_key=False`` (the two arms hash differently by design -- the
@@ -36,7 +38,7 @@ def run_arm(config: ExperimentConfig, tick_method: Optional[str]) -> TrialResult
     (``dirq.full_scale`` filled from the dataset) never leak between arms.
     """
     spec = TrialSpec(
-        label=f"ab[{tick_method or 'brute'}]",
+        label=f"ab[{tick_method or 'unset'}]",
         config=config.replace(tick_method=tick_method),
     )
     result = run_experiment(copy.deepcopy(spec.config))
@@ -80,7 +82,7 @@ def mismatched_observables(
     config: ExperimentConfig,
 ) -> Tuple[List[str], TrialResult, TrialResult]:
     """Run both arms; return the names of observables that differ."""
-    brute = run_arm(config, None)
+    brute = run_arm(config, "periodic")
     columnar = run_arm(config, "columnar")
     bad = [
         name

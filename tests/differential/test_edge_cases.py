@@ -77,7 +77,7 @@ class TestMinimalNetworks:
 
     def test_single_node_network_rejected_in_both_arms(self):
         """n=1 is a config error, not a columnar special case."""
-        for method in (None, "columnar"):
+        for method in ("periodic", "columnar"):
             with pytest.raises(ValueError, match="num_nodes"):
                 ExperimentConfig(num_nodes=1, tick_method=method)
 

@@ -61,14 +61,20 @@ class TestTickMethodHashContract:
 
 
 def test_periodic_is_an_explicit_brute_pin():
-    """tick_method="periodic" names the default strategy: measurements
-    equal the unset config's, only the cache key differs."""
+    """An unset tick_method runs the columnar tick: it measures the same
+    as "columnar" and keeps its golden key.  tick_method="periodic" pins
+    the per-node reference loop: same measurements under a distinct key."""
     from tests.differential.abharness import run_arm
 
-    cfg = small_network(num_nodes=10, num_epochs=120)
+    cfg = small_network(num_nodes=10, num_epochs=80)
     unset = run_arm(cfg, None)
+    columnar = run_arm(cfg, "columnar")
     periodic = run_arm(cfg, "periodic")
-    assert unset.fingerprint(include_key=False) == periodic.fingerprint(
+    assert unset.spec.key == GOLDEN_SMALL_KEY
+    assert unset.fingerprint(include_key=False) == columnar.fingerprint(
         include_key=False
     )
-    assert unset.spec.key != periodic.spec.key
+    assert periodic.fingerprint(include_key=False) == unset.fingerprint(
+        include_key=False
+    )
+    assert len({unset.spec.key, columnar.spec.key, periodic.spec.key}) == 3

@@ -17,13 +17,16 @@ from repro.scenarios.registry import build_config
 from tests.differential.abharness import assert_bit_identical, run_arm
 
 #: (scenario, epochs): epochs are scaled to keep each arm in the seconds
-#: range while still crossing several ATC windows / churn cycles; scale-500
-#: runs shorter because the 500-node build dominates.
+#: range while still crossing several ATC windows / churn cycles; the
+#: 500-node cells run shorter because their build dominates.  The two
+#: mobility cells cover re-links, which keep the columnar rows.
 REGISTRY_SLICE = (
     ("static-paper", 300),
     ("harsh-mixed", 300),
     ("scale-500", 60),
     ("energy-tiered", 300),
+    ("mobile-40", 300),
+    ("scale-500-mobile", 40),
 )
 
 
@@ -42,10 +45,10 @@ class TestWorkerInvariance:
         specs = []
         for name, epochs in self.SCENARIOS:
             cfg = build_config(name, num_epochs=epochs)
-            for arm in (None, "columnar"):
+            for arm in ("periodic", "columnar"):
                 specs.append(
                     TrialSpec(
-                        label=f"{name}[{arm or 'brute'}]",
+                        label=f"{name}[{arm}]",
                         config=cfg.replace(tick_method=arm),
                     )
                 )

@@ -167,3 +167,37 @@ class TestValidation:
             LMACProtocol(sim, channel, 0, beacon_interval=0.0)
         with pytest.raises(ValueError):
             LMACProtocol(sim, channel, 1, death_threshold=0)
+
+
+class TestBeaconPlan:
+    def test_failed_plan_rebuild_keeps_no_superseded_graph(self):
+        """A re-link replaces the channel graph; a sender whose next plan
+        build fails (its new neighbour is not yet in the steady state for
+        it) must drop its old plan, which pins the superseded graph."""
+        topology = line_topology(6)
+        sim, channel, macs = build_macs(topology)
+        for mac in macs.values():
+            mac.fast_beacons = True
+        sim.run_until(40.0)
+        old_graph = channel.graph
+        assert all(mac._beacon_plan.graph is old_graph for mac in macs.values())
+
+        failed = []
+        build = LMACProtocol._build_beacon_plan
+
+        def recording_build(mac, *args):
+            plan = build(mac, *args)
+            if plan is None:
+                failed.append(mac.node_id)
+            return plan
+
+        # Node 5 drifts from the far end of the line to beside node 0.
+        moved, _ = topology.with_positions_delta({5: (-10.0, 0.0)})
+        channel.update_topology(moved)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(LMACProtocol, "_build_beacon_plan", recording_build)
+            sim.run_until(45.0)
+        assert failed
+        for mac in macs.values():
+            plan = mac._beacon_plan
+            assert plan is None or plan.graph is channel.graph, mac.node_id
