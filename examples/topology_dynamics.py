@@ -2,10 +2,10 @@
 """Topology dynamics: node death, cross-layer adaptation, and node addition.
 
 The paper's §4.2 describes how DirQ adapts to topology changes using the
-cross-layer notifications it receives from LMAC: when a neighbour's TDMA
-slot goes silent, LMAC declares it dead and DirQ prunes the corresponding
+cross-layer notifications it receives from LMAC: when a neighbour's beacons
+stop arriving, LMAC declares it dead and DirQ prunes the corresponding
 Range Table entries and propagates the change up the tree; new nodes are
-discovered the same way and folded into the tree.
+discovered from their first frame and folded into the tree.
 
 This example scripts both events on the paper's 50-node network:
 

@@ -8,7 +8,8 @@ The package is organised bottom-up:
   OMNeT++ substitute).
 * :mod:`repro.network` -- node placement, unit-disk wireless channel,
   spanning tree.
-* :mod:`repro.mac` -- LMAC-style TDMA MAC with cross-layer notifications.
+* :mod:`repro.mac` -- LMAC beacons, neighbour discovery and death detection
+  with cross-layer notifications.
 * :mod:`repro.energy` -- the paper's unit-cost energy accounting.
 * :mod:`repro.sensors` -- spatio-temporally correlated synthetic phenomena.
 * :mod:`repro.workload` -- range-query generation, injection schedules, and

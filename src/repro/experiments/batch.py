@@ -108,7 +108,12 @@ DEFAULT_REPLICATES = 5
 #: v6: ``TrialResult`` gained the hash-exempt ``telemetry`` field (obs
 #: subsystem) that older pickles lack; measurements are unchanged, but a
 #: v5 pickle would raise on the missing attribute.
-CACHE_VERSION = 6
+#: v7: LMAC lost its slot election, so the start-up beacon phase is the
+#: per-node MAC generator's first draw instead of its second, and a
+#: revived node re-advertises its ranges to its new parent.  Lossless
+#: static results are unchanged; churn, mobility, battery and lossy runs
+#: move within noise (revival runs gain accuracy).
+CACHE_VERSION = 7
 
 #: Config-dataclass fields deliberately excluded from hash coverage, as
 #: ``"ClassName.field"`` strings.  The reprolint RL2xx rules verify that

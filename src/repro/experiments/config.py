@@ -89,8 +89,11 @@ class ExperimentConfig:
     channel_loss:
         Per-reception loss probability (0 = the paper's ideal channel;
         1 = the "all receptions fail" ablation).
-    mac_beacon_interval, mac_death_threshold, slots_per_frame:
-        LMAC parameters.
+    mac_beacon_interval, mac_death_threshold:
+        LMAC parameters: epochs between beacons, and missed beacon periods
+        before a neighbour is declared dead.  LMAC's TDMA slots are not
+        modelled (slot access is a constant delay), so there is no frame
+        length to configure.
     topology_events:
         Scripted node deaths / activations.
     scenario:
@@ -160,7 +163,6 @@ class ExperimentConfig:
     channel_loss: float = 0.0
     mac_beacon_interval: float = 10.0
     mac_death_threshold: int = 3
-    slots_per_frame: int = 32
     topology_events: List[TopologyEvent] = dataclasses.field(default_factory=list)
     initially_dead: Set[NodeId] = dataclasses.field(default_factory=set)
     scenario: Optional[ScenarioConfig] = None

@@ -257,7 +257,6 @@ class ExperimentRunner:
                 rng=np.random.default_rng(  # reprolint: disable=RL104
                     mac_rng.integers(0, 2**63)
                 ),
-                slots_per_frame=cfg.slots_per_frame,
                 beacon_interval=cfg.mac_beacon_interval,
                 death_threshold=cfg.mac_death_threshold,
             )
@@ -430,6 +429,12 @@ class ExperimentRunner:
             self._tree_canonical = False
             world.tree = world.tree.with_new_node(node_id, candidates[0])
             self._install_tree_links(world, world.tree)
+            # The parent dropped this node's entries when LMAC declared it
+            # dead, so the revived node re-advertises every range (paper
+            # §4.2), as re-parented nodes do after kills and re-links.
+            proto = world.protocols[node_id]
+            if hasattr(proto, "readvertise"):
+                proto.readvertise()
 
     def _apply_relink(self, world: SimulationWorld, mobility: MobilityModel) -> None:
         """Advance mobile nodes one re-link period and repair the overlay.
@@ -860,11 +865,6 @@ class ExperimentRunner:
         for nid in sorted(world.macs):
             mac = world.macs[nid]
             metrics.inc("mac.beacons_sent", mac.beacons_sent)
-            metrics.inc("mac.slot_conflicts", mac.slot_conflicts)
-            metrics.inc("mac.slot_elections", mac.slot_elections)
-            metrics.observe(
-                "mac.slots_occupied", mac.schedule.occupancy_stats()["first_hop"]
-            )
         for nid in sorted(world.protocols):
             proto = world.protocols[nid]
             tables = getattr(proto, "tables", None)

@@ -1,4 +1,4 @@
-"""LMAC-style TDMA MAC substrate with cross-layer notifications."""
+"""LMAC MAC substrate (beacons, discovery, death detection) with cross-layer notifications."""
 
 from .crosslayer import (
     CrossLayerBus,
@@ -6,9 +6,8 @@ from .crosslayer import (
     NeighborFound,
     NeighborLost,
 )
-from .frames import MAC_CONTROL_KIND, ControlSection, MACFrame
+from .frames import MAC_CONTROL_KIND, MACFrame
 from .lmac import LMACProtocol
-from .schedule import DEFAULT_SLOTS_PER_FRAME, SlotSchedule
 
 __all__ = [
     "CrossLayerBus",
@@ -16,9 +15,6 @@ __all__ = [
     "NeighborFound",
     "NeighborLost",
     "MAC_CONTROL_KIND",
-    "ControlSection",
     "MACFrame",
     "LMACProtocol",
-    "DEFAULT_SLOTS_PER_FRAME",
-    "SlotSchedule",
 ]

@@ -1,10 +1,10 @@
 """Cross-layer notification bus between the MAC layer and DirQ.
 
 DirQ's topology adaptation relies on information that only the MAC layer
-has: LMAC notices that a neighbouring node has died (its slot goes silent)
-or that a new node has joined (a new slot becomes occupied), and notifies
-the dissemination layer, which then updates its Range Tables and propagates
-any changes up the tree (paper §4.2).
+has: LMAC notices that a neighbouring node has died (its beacons stop
+arriving) or that a new node has joined (its first frame is heard), and
+notifies the dissemination layer, which then updates its Range Tables and
+propagates any changes up the tree (paper §4.2).
 
 The bus is a tiny synchronous publish/subscribe mechanism: the MAC layer
 publishes :class:`NeighborLost` / :class:`NeighborFound` events, and any
@@ -43,8 +43,6 @@ class NeighborLost(CrossLayerEvent):
 @dataclasses.dataclass(frozen=True)
 class NeighborFound(CrossLayerEvent):
     """LMAC has detected a new neighbour ``neighbor_id``."""
-
-    slot: int | None = None
 
 
 CrossLayerCallback = Callable[[CrossLayerEvent], None]

@@ -1,15 +1,16 @@
 """MAC frame formats.
 
-LMAC transmits one frame per owned time slot.  A frame carries a small
-control section (the sender's slot number and its view of occupied slots,
-which is how the distributed schedule self-organises) plus an optional data
-payload handed down from the upper layer (DirQ / flooding messages).
+LMAC's TDMA slots are elided (see :mod:`repro.mac.lmac`), and with them the
+control section real LMAC frames carry for slot self-organisation.  A frame
+is therefore just addressing plus an optional upper-layer payload (DirQ /
+flooding messages); a frame without a payload is a control beacon, which
+receivers use for neighbour discovery and death detection only.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, FrozenSet, Optional
+from typing import Any
 
 from ..network.addresses import BROADCAST, NodeId
 
@@ -18,29 +19,6 @@ from ..network.addresses import BROADCAST, NodeId
 #: overhead is identical whichever dissemination scheme runs on top of it;
 #: metrics exclude this kind from protocol-cost aggregation.
 MAC_CONTROL_KIND = "mac_control"
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class ControlSection:
-    """LMAC control section broadcast in a node's own slot.
-
-    Attributes
-    ----------
-    slot:
-        The slot number the sender owns (``None`` while still electing).
-    occupied_slots:
-        Slot numbers the sender believes are taken within its one-hop
-        neighbourhood (including its own).  Receivers union this into their
-        two-hop occupancy view, which is what makes the slot election
-        collision-free within two hops.
-    sequence:
-        Monotonically increasing beacon counter, used by neighbours to
-        detect missed beacons (death detection).
-    """
-
-    slot: Optional[int]
-    occupied_slots: FrozenSet[int]
-    sequence: int
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -53,9 +31,6 @@ class MACFrame:
         Transmitting node.
     destination:
         Target node id, or :data:`~repro.network.addresses.BROADCAST`.
-    control:
-        LMAC control section (always present; pure data frames piggyback the
-        latest control state, just as in the real protocol).
     payload:
         Upper-layer message, or ``None`` for a control-only beacon.
     payload_kind:
@@ -67,7 +42,6 @@ class MACFrame:
 
     source: NodeId
     destination: NodeId
-    control: ControlSection
     payload: Any = None
     payload_kind: str = MAC_CONTROL_KIND
     payload_bytes: int = 16

@@ -2,7 +2,6 @@
 
 from .addresses import BROADCAST, NodeId, is_broadcast, validate_node_id
 from .channel import ChannelStats, WirelessChannel
-from .links import NeighborEntry, NeighborTable
 from .node import SensorNode
 from .spanning_tree import (
     SpanningTree,
@@ -25,8 +24,6 @@ __all__ = [
     "validate_node_id",
     "ChannelStats",
     "WirelessChannel",
-    "NeighborEntry",
-    "NeighborTable",
     "SensorNode",
     "SpanningTree",
     "TreeBeacon",

@@ -1,22 +1,15 @@
-"""Link state, the radio-range link predicate, and neighbour tables.
+"""The radio-range link predicate.
 
-Each node keeps a :class:`NeighborTable` describing the one-hop neighbours it
-currently believes are alive.  In the paper this information is owned by the
-LMAC layer (slot occupancy implicitly names the neighbourhood) and consumed
-by DirQ through the cross-layer interface; here the table is a standalone
-structure shared by the MAC protocol and the routing layers.
-
-This module is also the home of :func:`within_range` -- the **single**
-unit-disk link predicate every connectivity path must use (see below).
+This module is the home of :func:`within_range` -- the **single** unit-disk
+link predicate every connectivity path must use (see below).  Which
+neighbours a node currently believes alive is MAC state
+(:attr:`repro.mac.lmac.LMACProtocol.neighbors`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from typing import Dict, Iterator, List, Optional, Tuple
-
-from .addresses import NodeId
+from typing import Tuple
 
 Position = Tuple[float, float]
 
@@ -43,118 +36,3 @@ def within_range(pos_a: Position, pos_b: Position, comm_range: float) -> bool:
     dx = float(pos_a[0]) - float(pos_b[0])
     dy = float(pos_a[1]) - float(pos_b[1])
     return math.sqrt(dx * dx + dy * dy) <= comm_range
-
-
-@dataclasses.dataclass
-class NeighborEntry:
-    """State kept about a single one-hop neighbour.
-
-    Attributes
-    ----------
-    node_id:
-        The neighbour's identifier.
-    last_heard:
-        Simulated time at which a transmission from this neighbour was last
-        received.
-    slot:
-        The LMAC slot the neighbour owns, if known.
-    link_quality:
-        Smoothed delivery estimate in [0, 1]; 1.0 for the ideal unit-disk
-        channel.
-    """
-
-    node_id: NodeId
-    last_heard: float = 0.0
-    slot: Optional[int] = None
-    link_quality: float = 1.0
-
-
-class NeighborTable:
-    """One node's view of its one-hop neighbourhood."""
-
-    def __init__(self, owner: NodeId):
-        self.owner = owner
-        self._entries: Dict[NodeId, NeighborEntry] = {}
-        self._ids_cache: Optional[List[NodeId]] = None
-
-    # -- mutation ------------------------------------------------------------
-
-    def observe(
-        self,
-        node_id: NodeId,
-        time: float,
-        slot: Optional[int] = None,
-        quality_sample: Optional[float] = None,
-        smoothing: float = 0.25,
-    ) -> NeighborEntry:
-        """Record that a transmission from ``node_id`` was heard at ``time``.
-
-        Creates the entry if the neighbour is new.  ``quality_sample`` (0 or
-        1 for a lost/heard expected transmission) updates the smoothed link
-        quality with an exponential moving average.
-        """
-        if node_id == self.owner:
-            raise ValueError("a node cannot be its own neighbour")
-        entry = self._entries.get(node_id)
-        if entry is None:
-            entry = NeighborEntry(node_id=node_id, last_heard=time, slot=slot)
-            self._entries[node_id] = entry
-            self._ids_cache = None
-        else:
-            if time > entry.last_heard:
-                entry.last_heard = time
-            if slot is not None:
-                entry.slot = slot
-        if quality_sample is not None:
-            q = min(max(float(quality_sample), 0.0), 1.0)
-            entry.link_quality = (1 - smoothing) * entry.link_quality + smoothing * q
-        return entry
-
-    def remove(self, node_id: NodeId) -> bool:
-        """Forget a neighbour (e.g. after the MAC declares it dead)."""
-        removed = self._entries.pop(node_id, None) is not None
-        if removed:
-            self._ids_cache = None
-        return removed
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._ids_cache = None
-
-    # -- queries ---------------------------------------------------------------
-
-    def __contains__(self, node_id: NodeId) -> bool:
-        return node_id in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[NodeId]:
-        return iter(sorted(self._entries))
-
-    def get(self, node_id: NodeId) -> Optional[NeighborEntry]:
-        return self._entries.get(node_id)
-
-    @property
-    def neighbor_ids(self) -> List[NodeId]:
-        """Sorted identifiers of all currently known neighbours.
-
-        Cached between membership changes: the MAC death scan walks this
-        every beacon period for every node.
-        """
-        cached = self._ids_cache
-        if cached is None:
-            cached = self._ids_cache = sorted(self._entries)
-        return list(cached)
-
-    def stale(self, now: float, timeout: float) -> List[NodeId]:
-        """Neighbours not heard from within ``timeout`` time units of ``now``."""
-        return sorted(
-            nid
-            for nid, e in self._entries.items()
-            if now - e.last_heard > timeout
-        )
-
-    def occupied_slots(self) -> set[int]:
-        """LMAC slots known to be owned by neighbours."""
-        return {e.slot for e in self._entries.values() if e.slot is not None}

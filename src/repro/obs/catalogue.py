@@ -31,10 +31,7 @@ METRIC_CATALOGUE: Dict[str, str] = {
     "channel.drops_dead_node": "receptions dropped at a dead receiver",
     "channel.drops_no_link": "unicasts dropped for want of a link",
     "channel.fanout": "histogram of per-transmission broadcast fan-out",
-    "mac.beacons_sent": "LMAC slot beacons transmitted",
-    "mac.slot_conflicts": "first-hop slot conflicts detected",
-    "mac.slot_elections": "slot (re-)elections performed",
-    "mac.slots_occupied": "histogram of per-node occupied first-hop slots",
+    "mac.beacons_sent": "LMAC control beacons transmitted",
     "dirq.updates_sent": "range updates transmitted toward the root",
     "dirq.updates_suppressed": "epoch ticks ending with no update needed",
     "dirq.queries_received": "query packets received by DirQ nodes",
@@ -54,8 +51,6 @@ TRACE_CATALOGUE: Dict[str, str] = {
     "channel.rx": "a reception is delivered",
     "lmac.neighbor_lost": "an LMAC neighbour timed out",
     "lmac.neighbor_found": "an LMAC neighbour was discovered",
-    "lmac.slot_conflict": "an LMAC first-hop slot conflict",
-    "lmac.slot_elected": "an LMAC slot (re-)election",
     "dirq.update": "a DirQ range update is sent",
     "dirq.estimate": "a DirQ estimate is relayed",
     "dirq.neighbor_found": "DirQ reacts to a found neighbour",

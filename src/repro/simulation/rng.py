@@ -1,7 +1,7 @@
 """Deterministic random-stream management.
 
 Every stochastic component of a simulation (topology placement, synthetic
-phenomena, query workload, MAC slot election, channel loss) draws from its
+phenomena, query workload, MAC beacon phases, channel loss) draws from its
 own named stream.  All streams are derived from a single experiment seed via
 :class:`numpy.random.SeedSequence`, so
 

@@ -20,10 +20,11 @@ from repro.scenarios import static
 from repro.scenarios.static import small_network
 
 # Same golden values tests/scenarios/test_registry_and_runner.py pins:
-# computed before tick_method (and the scenario subsystem) existed.
-GOLDEN_DEFAULT_HASH = "ddf46843e039ea619dab"
-GOLDEN_PAPER_HASH = "3dc18157e5e868d10b40"
-GOLDEN_SMALL_KEY = "523dd1a10f7090c16772"
+# computed before tick_method (and the scenario subsystem) existed, and
+# re-pinned once when ``slots_per_frame`` left the canonical payload.
+GOLDEN_DEFAULT_HASH = "ab4e5e80b500fe5c87a5"
+GOLDEN_PAPER_HASH = "c006bc9eb2b4fd852c7b"
+GOLDEN_SMALL_KEY = "beb510ed361d90b02339"
 
 
 class TestTickMethodHashContract:

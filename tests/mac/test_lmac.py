@@ -1,4 +1,4 @@
-"""Tests for the LMAC TDMA protocol: election, delivery, death detection."""
+"""Tests for LMAC: discovery, payload delivery, death detection, beacon plans."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from repro.network.addresses import BROADCAST
 from repro.network.channel import WirelessChannel
 from repro.simulation.engine import Simulator
 
-from ..helpers import line_topology, star_topology
+from ..helpers import line_topology
 
 
 def build_macs(topology, beacon_interval=5.0, death_threshold=3):
@@ -32,42 +32,13 @@ def build_macs(topology, beacon_interval=5.0, death_threshold=3):
     return sim, channel, macs
 
 
-class TestSlotElection:
-    def test_every_node_owns_a_slot_after_start(self, star4):
-        sim, _, macs = build_macs(star4)
-        sim.run_until(1.0)
-        for mac in macs.values():
-            assert mac.own_slot is not None
-
-    def test_neighbors_hold_distinct_slots_after_settling(self):
-        topo = star_topology(6)
-        sim, _, macs = build_macs(topo)
-        sim.run_until(60.0)
-        centre_slot = macs[0].own_slot
-        leaf_slots = [macs[nid].own_slot for nid in range(1, 7)]
-        assert centre_slot not in leaf_slots
-
-    def test_conflict_resolution_prefers_lower_id(self):
-        topo = star_topology(2)
-        sim, _, macs = build_macs(topo)
-        # Force a collision: both leaves claim slot 3.
-        macs[1].schedule.claim(3)
-        macs[2].schedule.claim(3)
-        sim.run_until(40.0)
-        # Leaves are two hops apart (through the centre); after the centre
-        # reports occupancy both cannot keep colliding with the centre's view,
-        # and direct conflicts with the centre are resolved lower-id-wins.
-        assert macs[0].own_slot != macs[1].own_slot
-        assert macs[0].own_slot != macs[2].own_slot
-
-
 class TestNeighborDiscovery:
     def test_beacons_populate_neighbor_tables(self, star4):
         sim, _, macs = build_macs(star4)
         sim.run_until(12.0)
-        assert macs[0].neighbors.neighbor_ids == [1, 2, 3, 4]
+        assert sorted(macs[0].neighbors) == [1, 2, 3, 4]
         for leaf in (1, 2, 3, 4):
-            assert macs[leaf].neighbors.neighbor_ids == [0]
+            assert list(macs[leaf].neighbors) == [0]
 
     def test_neighbor_found_published_on_first_contact(self, star4):
         sim, _, macs = build_macs(star4)
@@ -157,6 +128,75 @@ class TestDeathDetection:
         macs[1].wake()
         sim.run_until(60.0)
         assert 1 in macs[0].neighbors
+
+
+class _FixedPhase:
+    """Stand-in generator whose start-up beacon phase is chosen by the test."""
+
+    def __init__(self, phase):
+        self.phase = phase
+
+    def uniform(self, low, high):
+        return self.phase
+
+
+class TestMacContract:
+    def test_data_frames_keep_a_silent_beaconer_alive(self, star4):
+        sim, _, macs = build_macs(star4, beacon_interval=5.0, death_threshold=3)
+        sim.run_until(12.0)
+        lost = []
+        macs[0].crosslayer.subscribe(
+            lambda e: lost.append(e) if isinstance(e, NeighborLost) else None
+        )
+        macs[1].cancel_timer("beacon")
+        # One data frame every two beacon periods: without the reset it
+        # would be declared dead after three.
+        for t in range(15, 100, 10):
+            sim.schedule_at(float(t), lambda: macs[1].send(0, "ping", kind="query"))
+        sim.run_until(100.0)
+        assert lost == []
+        assert 1 in macs[0].neighbors
+
+    def test_same_period_deaths_are_announced_in_ascending_id_order(self, star4):
+        sim = Simulator()
+        channel = WirelessChannel(sim, star4)
+        # Leaves beacon before the centre in every period, in the order
+        # 4, 3, 1, 2, so the centre discovers them out of id order.
+        phases = {4: 0.1, 3: 0.2, 1: 0.3, 2: 0.4, 0: 0.45}
+        macs = {
+            nid: LMACProtocol(
+                sim, channel, nid, rng=_FixedPhase(phase), beacon_interval=5.0
+            )
+            for nid, phase in phases.items()
+        }
+        for mac in macs.values():
+            mac.start()
+        lost = []
+        macs[0].crosslayer.subscribe(
+            lambda e: lost.append(e) if isinstance(e, NeighborLost) else None
+        )
+        # Just after the centre's tick, before any leaf beacons again.
+        sim.run_until(10.5)
+        for leaf in (3, 1):
+            channel.set_alive(leaf, False)
+            macs[leaf].shutdown()
+        sim.run_until(40.0)
+        assert [e.neighbor_id for e in lost] == [1, 3]
+        assert lost[0].time == lost[1].time
+
+    def test_first_beacon_phase_is_the_first_rng_draw(self, star4):
+        sim = Simulator()
+        channel = WirelessChannel(sim, star4)
+        mac = LMACProtocol(
+            sim, channel, 0, rng=np.random.default_rng(7), beacon_interval=5.0
+        )
+        first = float(np.random.default_rng(7).uniform(0.0, 0.1 * 5.0))
+        expected = first + mac._mac_access_delay
+        mac.start()
+        sim.run_until(float(np.nextafter(expected, 0.0)))
+        assert mac.beacons_sent == 0
+        sim.run_until(expected)
+        assert mac.beacons_sent == 1
 
 
 class TestValidation:

@@ -1,10 +1,9 @@
-"""Tests for addressing, neighbour tables, and the sensor node model."""
+"""Tests for addressing and the sensor node model."""
 
 import pytest
 
 from repro.energy.battery import Battery
 from repro.network.addresses import BROADCAST, is_broadcast, validate_node_id
-from repro.network.links import NeighborTable
 from repro.network.node import SensorNode
 from repro.sensors.dataset import SensorDataset
 
@@ -32,57 +31,6 @@ class TestAddresses:
     def test_is_broadcast(self):
         assert is_broadcast(BROADCAST)
         assert not is_broadcast(0)
-
-
-class TestNeighborTable:
-    def test_observe_creates_and_updates_entries(self):
-        table = NeighborTable(owner=0)
-        table.observe(1, time=1.0, slot=4)
-        assert 1 in table
-        assert table.get(1).slot == 4
-        table.observe(1, time=5.0, slot=7)
-        assert table.get(1).last_heard == 5.0
-        assert table.get(1).slot == 7
-        assert len(table) == 1
-
-    def test_cannot_observe_self(self):
-        table = NeighborTable(owner=0)
-        with pytest.raises(ValueError):
-            table.observe(0, time=1.0)
-
-    def test_remove(self):
-        table = NeighborTable(owner=0)
-        table.observe(1, 1.0)
-        assert table.remove(1) is True
-        assert table.remove(1) is False
-        assert 1 not in table
-
-    def test_stale_detection(self):
-        table = NeighborTable(owner=0)
-        table.observe(1, time=1.0)
-        table.observe(2, time=9.0)
-        assert table.stale(now=10.0, timeout=5.0) == [1]
-
-    def test_link_quality_smoothing(self):
-        table = NeighborTable(owner=0)
-        table.observe(1, 1.0, quality_sample=1.0)
-        q_before = table.get(1).link_quality
-        table.observe(1, 2.0, quality_sample=0.0, smoothing=0.5)
-        assert table.get(1).link_quality < q_before
-
-    def test_occupied_slots(self):
-        table = NeighborTable(owner=0)
-        table.observe(1, 1.0, slot=3)
-        table.observe(2, 1.0, slot=9)
-        table.observe(3, 1.0)  # slot unknown
-        assert table.occupied_slots() == {3, 9}
-
-    def test_iteration_is_sorted(self):
-        table = NeighborTable(owner=0)
-        table.observe(5, 1.0)
-        table.observe(2, 1.0)
-        assert list(table) == [2, 5]
-        assert table.neighbor_ids == [2, 5]
 
 
 class TestSensorNode:

@@ -575,6 +575,54 @@ class TestObsRules:
         assert [f.code for f in findings] == ["RL505"]
         assert "secret_knob" in findings[0].message
 
+    def test_rl507_dead_catalogue_entries(self, tmp_path):
+        catalogue_dir = tmp_path / "src" / "repro" / "obs"
+        catalogue_dir.mkdir(parents=True)
+        catalogue_path = catalogue_dir / "catalogue.py"
+        catalogue_path.write_text(
+            textwrap.dedent(
+                """
+                METRIC_CATALOGUE = {
+                    "engine.events_executed": "used",
+                    "engine.ghost": "dead",
+                }
+                TRACE_CATALOGUE = {
+                    "channel.tx": "used",
+                    "ghost.category": "dead",
+                }
+                """
+            ),
+            encoding="utf-8",
+        )
+        catalogue_src, err = core.load_source_file(catalogue_path, tmp_path)
+        assert err is None and catalogue_src is not None
+        emitter = make_source(
+            tmp_path,
+            """
+            def emit(metrics, tracer, now):
+                metrics.inc("engine.events_executed")
+                tracer.record(now, "channel.tx", 1)
+            """,
+            name="src/repro/emitter.py",
+        )
+        # A call site outside src/ (a test, a script) is not an emitter.
+        outsider = make_source(
+            tmp_path,
+            """
+            def emit(metrics):
+                metrics.inc("engine.ghost")
+            """,
+        )
+        findings = rules_obs.check(
+            [catalogue_src, emitter, outsider], tmp_path, repo_mode=True
+        )
+        assert [f.code for f in findings] == ["RL507", "RL507"]
+        assert "engine.ghost" in findings[0].message
+        assert "ghost.category" in findings[1].message
+        assert [f.line for f in findings] == [4, 8]
+        # Single-file scans cannot see every emitter, so they skip RL507.
+        assert rules_obs.check([emitter], tmp_path, repo_mode=False) == []
+
     def test_registered_literals_are_clean(self, tmp_path):
         src = make_source(
             tmp_path,

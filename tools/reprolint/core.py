@@ -126,6 +126,10 @@ RULES: Dict[str, Tuple[str, str]] = {
         "obs catalogue missing or unparseable",
         "the catalogue tables are the single source of truth for RL5xx",
     ),
+    "RL507": (
+        "catalogued metric/trace name never emitted",
+        "dead catalogue entries document observables that no longer exist",
+    ),
 }
 
 _PRAGMA_RE = re.compile(
@@ -274,3 +278,16 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def dict_key_line(tree: ast.Module, key: str) -> int:
+    """Line of ``key`` in the first assigned dict literal holding it (else 1)."""
+    for node in ast.walk(tree):
+        value = None
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            value = node.value
+        if isinstance(value, ast.Dict):
+            for k in value.keys:
+                if isinstance(k, ast.Constant) and k.value == key:
+                    return k.lineno
+    return 1

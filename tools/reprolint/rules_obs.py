@@ -18,7 +18,9 @@ the single source of truth, and every call site is checked statically:
   have a matching ``ClassName.field`` rationale entry in
   ``repro.experiments.batch.HASH_EXEMPT`` -- an exclusion without a
   written justification is indistinguishable from a hashing bug;
-* RL506: the obs catalogue itself is missing or unparseable.
+* RL506: the obs catalogue itself is missing or unparseable;
+* RL507: a catalogue entry that no ``src/`` call site emits is dead
+  (repo-wide scans only; the mirror of RL404 for streams).
 
 A receiver "looks like" a metrics registry when it is a name or
 attribute called ``metrics``/``_metrics`` and the method is one of
@@ -34,7 +36,7 @@ import ast
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
-from .core import Finding, SourceFile, dotted_name
+from .core import Finding, SourceFile, dict_key_line, dotted_name
 from .rules_hashcov import parse_hash_exempt
 
 #: Repo-relative path of the catalogue module.
@@ -245,8 +247,10 @@ def check(
         if parsed is not None:
             exempt = parsed
 
+    emitted: Dict[str, Set[str]] = {"metric name": set(), "trace category": set()}
     for src in files:
         findings.extend(_check_hash_exclude(src, exempt))
+        in_src = src.rel.startswith("src/")
         for node in ast.walk(src.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -282,6 +286,8 @@ def check(
                 )
                 continue
             name = arg.value
+            if in_src:
+                emitted[kind].add(name)
             if metric_idx is not None and name not in metric_names:
                 findings.append(
                     Finding(
@@ -300,6 +306,23 @@ def check(
                         node.lineno,
                         f"trace category {name!r} is not registered in "
                         "TRACE_CATALOGUE (obs/catalogue.py)",
+                    )
+                )
+
+    if repo_mode:
+        catalogue_tree = _load_tree(files, repo_root, CATALOGUE_PATH)
+        for kind, names in (
+            ("metric name", metric_names),
+            ("trace category", trace_names),
+        ):
+            for name in sorted(names - emitted[kind]):
+                findings.append(
+                    Finding(
+                        "RL507",
+                        CATALOGUE_PATH,
+                        dict_key_line(catalogue_tree, name),
+                        f"catalogued {kind} {name!r} has no emitting call "
+                        "site under src/: remove the dead entry",
                     )
                 )
     return findings

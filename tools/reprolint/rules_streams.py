@@ -27,7 +27,7 @@ import ast
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .core import Finding, SourceFile, dotted_name
+from .core import Finding, SourceFile, dict_key_line, dotted_name
 
 #: Repo-relative path of the registry module.
 REGISTRY_PATH = "src/repro/simulation/rng.py"
@@ -182,7 +182,7 @@ def check(
                 Finding(
                     "RL404",
                     REGISTRY_PATH,
-                    1 if registry_src is None else _registry_line(
+                    1 if registry_src is None else dict_key_line(
                         registry_src.tree, name
                     ),
                     f"registered stream {name!r} has no call site in the "
@@ -190,17 +190,3 @@ def check(
                 )
             )
     return findings
-
-
-def _registry_line(tree: ast.Module, name: str) -> int:
-    for node in ast.walk(tree):
-        value = None
-        if isinstance(node, ast.Assign):
-            value = node.value
-        elif isinstance(node, ast.AnnAssign):
-            value = node.value
-        if isinstance(value, ast.Dict):
-            for key in value.keys:
-                if isinstance(key, ast.Constant) and key.value == name:
-                    return key.lineno
-    return 1
