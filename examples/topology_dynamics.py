@@ -62,6 +62,10 @@ def main() -> None:
     runner = ExperimentRunner(config)
     world = runner.build()
     tree_before = world.tree
+    # The bus keeps no history: record every node's notifications here.
+    events = {nid: [] for nid in world.macs}
+    for nid, mac in world.macs.items():
+        mac.crosslayer.subscribe(events[nid].append)
     parents_of_victims = {nid: tree_before.parent_of(nid) for nid in FAILURES}
 
     print(
@@ -99,16 +103,21 @@ def main() -> None:
     print()
     print("Cross-layer notifications observed by the dead nodes' former parents:")
     for victim, parent in parents_of_victims.items():
-        bus = world.macs[parent].crosslayer
-        lost = [e for e in bus.events_of(NeighborLost) if e.neighbor_id == victim]
+        lost = [
+            e
+            for e in events[parent]
+            if isinstance(e, NeighborLost) and e.neighbor_id == victim
+        ]
         when = f"t={lost[0].time:.0f}" if lost else "never"
         print(f"  node {parent:2d} lost child {victim:2d}: reported by LMAC at {when}")
 
     found_anywhere = sum(
         1
-        for mac in world.macs.values()
-        for e in mac.crosslayer.events_of(NeighborFound)
-        if e.neighbor_id == ACTIVATION and e.time > ACTIVATION_EPOCH
+        for received in events.values()
+        for e in received
+        if isinstance(e, NeighborFound)
+        and e.neighbor_id == ACTIVATION
+        and e.time > ACTIVATION_EPOCH
     )
     print(
         f"  node {ACTIVATION} announced itself to {found_anywhere} neighbours after joining"

@@ -53,7 +53,6 @@ class CrossLayerBus:
 
     def __init__(self) -> None:
         self._subscribers: List[CrossLayerCallback] = []
-        self._history: List[CrossLayerEvent] = []
 
     def subscribe(self, callback: CrossLayerCallback) -> None:
         """Register a callback invoked for every published event."""
@@ -70,15 +69,5 @@ class CrossLayerBus:
 
     def publish(self, event: CrossLayerEvent) -> None:
         """Deliver ``event`` to every subscriber, in subscription order."""
-        self._history.append(event)
         for callback in list(self._subscribers):
             callback(event)
-
-    @property
-    def history(self) -> List[CrossLayerEvent]:
-        """All events ever published on this bus (oldest first)."""
-        return list(self._history)
-
-    def events_of(self, event_type: type) -> List[CrossLayerEvent]:
-        """Published events of a particular type."""
-        return [e for e in self._history if isinstance(e, event_type)]

@@ -61,13 +61,16 @@ class _BeaconTarget:
 class _BeaconPlan:
     """Cached fast-beacon delivery plan for one sender (see _try_fast_beacon).
 
+    The plan is keyed by the sender's adjacency dict in the channel graph:
+    a re-link that leaves the sender's neighbourhood alone shares that dict
+    (``Topology.with_positions_delta``), so the plan survives it.
     ``dead`` holds targets that were dead at build time (free while dead;
     revival invalidates the plan), so ``targets`` -- and with it the
     per-beacon transmit cost -- is a plan constant.
     """
 
     __slots__ = (
-        "graph",
+        "adjacency",
         "degree",
         "rows",
         "charge",
@@ -222,17 +225,19 @@ class LMACProtocol(SimProcess):
             return
         if not (self.fast_beacons and self._try_fast_beacon()):
             self._emit_beacon()
-            self._check_dead_neighbors()
+        self._check_dead_neighbors()
         self.set_timer("beacon", self.beacon_interval, self._beacon_tick)
 
     def _try_fast_beacon(self) -> bool:
-        """Apply one beacon tick's steady-state effects without a frame.
+        """Apply one beacon's emission and delivery without a frame.
 
-        Returns ``True`` when the whole tick (beacon emission, delivery to
-        every receiver, and the dead-neighbour sweep) was applied directly;
-        ``False`` demands the reference path.  Eligibility is conservative:
-        the direct application is used only when it is provably
-        bit-identical to emitting a real frame, which requires
+        Returns ``True`` when the beacon (transmit charge and delivery to
+        every receiver) was applied directly; ``False`` demands the
+        reference path, :meth:`_emit_beacon`.  Either way the caller then
+        runs the same dead-neighbour sweep at the same ``now``.
+        Eligibility is conservative: the direct application is used only
+        when it is provably bit-identical to emitting a real frame, which
+        requires
 
         * a lossless channel (loss draws consume the channel RNG stream in
           transmission order) and a disabled tracer (the direct path emits
@@ -241,8 +246,6 @@ class LMACProtocol(SimProcess):
           same runner processing window as ``now`` (the runner reads the
           ledger at the epoch's 0.5 / 0.95 / boundary checkpoints, so a
           reception charge must not migrate across one);
-        * no neighbour about to be declared dead this tick (death publishes
-          a cross-layer event whose exact simulated time matters);
         * every alive receiver being a plain LMAC stack that already knows
           this sender (a first contact publishes ``NeighborFound`` at
           delivery time);
@@ -250,16 +253,23 @@ class LMACProtocol(SimProcess):
           window (its dead-neighbour sweep must order with this delivery
           exactly as the event queue would order them).
 
-        Under those conditions every effect of the tick is private
+        Under those conditions every effect of the delivery is private
         per-(receiver, sender) state or epoch-aggregated accounting, so
         applying it at tick time instead of delivery time is unobservable.
+        The sweep that follows is the same call on both paths: it touches
+        only this node's neighbour counts, and the ``NeighborLost``
+        handlers it runs touch only this node's tables and sends.  The
+        skipped delivery event carried receiver-private effects alone, so
+        dropping its sequence number reorders no other pair of events.
 
         The per-receiver eligibility data is cached in a *beacon plan*
-        (see :class:`_BeaconTarget`): every object the checks dereference
-        -- the receiver's bound method, its neighbour dict, its timer map,
-        its ledger entry -- is identity stable, so each tick only
-        revalidates identities and membership instead of rebuilding the
-        delivery list.
+        (see :class:`_BeaconTarget`), keyed by this node's adjacency dict
+        in the channel graph: every object the checks dereference -- the
+        receiver's bound method, its neighbour dict, its timer map, its
+        ledger entry -- is identity stable, so each tick only revalidates
+        identities and membership instead of rebuilding the delivery list.
+        The degree check catches edges ``WirelessChannel.add_node`` adds
+        in place to the channel's private graph copy.
         """
         channel = self.channel
         if channel.loss_probability > 0.0 or channel.tracer.enabled:
@@ -274,20 +284,17 @@ class LMACProtocol(SimProcess):
             or rx_frac >= 1.0
         ):
             return False
-        neighbors = self.neighbors
-        if neighbors and max(neighbors.values()) + 1 >= self.death_threshold:
-            return False
         nid = self.node_id
-        graph = channel.graph
+        adjacency = channel.graph._adj[nid]
         plan = self._beacon_plan
         if (
             plan is None
-            or plan.graph is not graph
-            or plan.degree != len(graph._adj[nid])
+            or plan.adjacency is not adjacency
+            or plan.degree != len(adjacency)
         ):
-            plan = self._build_beacon_plan(graph)
+            plan = self._build_beacon_plan(adjacency)
             if plan is None:
-                # Drop the stale plan as well: it can pin a superseded graph.
+                # Drop the stale plan as well: it pins a superseded dict.
                 self._beacon_plan = None
                 return False
         alive_get = channel._alive.get
@@ -344,32 +351,35 @@ class LMACProtocol(SimProcess):
             rx_entry.cost += rx_cost
             row.known[nid] = 0
         stats.deliveries += len(rows)
-        # Dead-neighbour sweep: no count reaches the threshold (checked
-        # above), so the increment is the sweep's only effect.
-        for n in neighbors:
-            neighbors[n] += 1
         return True
 
-    def _build_beacon_plan(self, graph) -> Optional["_BeaconPlan"]:
+    def _build_beacon_plan(self, adjacency) -> Optional["_BeaconPlan"]:
         """Validate every current receiver and snapshot the delivery plan.
 
-        Returns ``None`` when some alive receiver is not an LMAC stack that
-        already knows this sender (so the reference path must run).  Dead
-        graph neighbours get a sentinel entry: they cost nothing while
-        dead, and their revival invalidates the plan so the rebuilt one
-        can validate their fresh state.
+        ``adjacency`` is this node's adjacency dict in the channel graph.
+        Returns ``None`` -- before allocating any row -- when some alive
+        receiver is not an LMAC stack that already knows this sender (so
+        the reference path must run).  Dead graph neighbours get a sentinel
+        entry: they cost nothing while dead, and their revival invalidates
+        the plan so the rebuilt one can validate their fresh state.
         """
         channel = self.channel
         nid = self.node_id
         alive = channel._alive
         receivers = channel._receivers
+        lmac_receive = LMACProtocol._on_channel_receive
+        for t in adjacency:
+            receiver = receivers.get(t) if alive.get(t) else None
+            if receiver is not None and (
+                getattr(receiver, "__func__", None) is not lmac_receive
+                or nid not in receiver.__self__.neighbors
+            ):
+                return None
         ledger = channel.ledger
         rx_key = ("rx", MAC_CONTROL_KIND)
-        lmac_receive = LMACProtocol._on_channel_receive
         rows = []
         charge = []
         dead = []
-        adjacency = graph._adj[nid]
         for t in adjacency:
             if not alive.get(t):
                 # No ledger access: the reference path never charges a dead
@@ -384,17 +394,13 @@ class LMACProtocol(SimProcess):
             if receiver is None:
                 charge.append(row)
                 continue
-            if getattr(receiver, "__func__", None) is not lmac_receive:
-                return None
             mac = receiver.__self__
-            if nid not in mac.neighbors:
-                return None
             row.callback = receiver
             row.known = mac.neighbors
             row.timers_get = mac._timers.get
             rows.append(row)
         plan = _BeaconPlan()
-        plan.graph = graph
+        plan.adjacency = adjacency
         plan.degree = len(adjacency)
         plan.rows = rows
         plan.charge = charge

@@ -238,12 +238,24 @@ class WirelessChannel:
 
     @property
     def num_links(self) -> int:
-        """Links between currently-alive nodes."""
-        return sum(
-            1
-            for a, b in self.graph.edges
-            if self._alive.get(a) and self._alive.get(b)
-        )
+        """Links between currently-alive nodes.
+
+        Every edge minus those touching a dead node, found by walking only
+        the dead nodes' adjacency: the runner prices flooding with this on
+        every topology change.  Radio graphs carry no self-loops, so each
+        edge appears exactly twice in the adjacency.
+        """
+        adj = self.graph._adj
+        alive = self._alive
+        links = sum(map(len, adj.values())) // 2
+        for nid, nbrs in adj.items():
+            if alive.get(nid):
+                continue
+            for other in nbrs:
+                # A dead-dead edge is met from both ends; count it once.
+                if alive.get(other) or nid < other:
+                    links -= 1
+        return links
 
     # -- transmission -----------------------------------------------------------
 

@@ -28,10 +28,13 @@ def within_range(pos_a: Position, pos_b: Position, comm_range: float) -> bool:
       ``np.sqrt(((a - b) ** 2).sum(-1))``.  Alternative formulations such
       as :func:`math.dist`/:func:`math.hypot` round differently in the last
       ulp, which historically let a node sit exactly on the range boundary
-      and be a neighbour on one code path but not on another.  Every caller
-      (brute-force O(n^2) builder, spatial hash, ``Topology.with_node``,
+      and be a neighbour on one code path but not on another.  Every
+      scalar caller (spatial hash, ``Topology.with_node``,
       ``WirelessChannel.add_node``) must route range checks through this
-      function so the tie behaviour can never diverge again.
+      function, and the two vectorised passes (the brute-force O(n^2)
+      graph and :func:`repro.network.spatial.neighbors_of`) evaluate
+      exactly this expression in numpy, so the tie behaviour can never
+      diverge again.
     """
     dx = float(pos_a[0]) - float(pos_b[0])
     dy = float(pos_a[1]) - float(pos_b[1])

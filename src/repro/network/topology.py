@@ -15,7 +15,10 @@ for the deployment styles used by the experiments:
 
 Topologies are immutable for hashing/reproducibility except through the
 explicit :meth:`Topology.without_node` / :meth:`Topology.with_node` copies,
-which model node death and addition.
+which model node death and addition.  A mobility copy
+(:meth:`Topology.with_positions_delta`) shares every unchanged adjacency
+dict with its source, so a topology's graph must never be mutated in
+place.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from .addresses import NodeId
 from .links import within_range
-from .spatial import SpatialHash, unit_disk_edges
+from .spatial import neighbors_of, unit_disk_edges
 
 Position = Tuple[float, float]
 
@@ -197,12 +200,17 @@ class Topology:
         nodes an incremental spanning-tree repair must re-examine.
 
         With the default ``"spatial"`` method only edges incident to moved
-        nodes are recomputed (grid-hash queries on the moved set), so a
-        re-link that moves m of n nodes costs O(n + m k) instead of the
-        brute-force O(n^2).  The resulting graph is byte-identical to a full
-        rebuild: surviving edges and recomputed edges are merged and
-        inserted in lexicographic order, the same adjacency layout both full
-        builders produce.
+        nodes are recomputed (one vectorised grid pass over the moved set,
+        :func:`~repro.network.spatial.neighbors_of`), and the new graph
+        shares every unchanged adjacency dict with this one: a node outside
+        ``dirty`` keeps its dict object, each dirty node gets a fresh dict
+        in ascending id order, and a surviving edge keeps its attribute
+        dict.  Beyond the grid pass a re-link costs O(n) pointer copies
+        plus O((m + d) k) for m moved and d dirty nodes.  Given the
+        ascending adjacency layout every full build here produces, the
+        graph is byte-identical to a full rebuild.  Sharing is safe because a
+        topology's graph is never mutated in place (the channel copies it
+        before ``add_node``).
         """
         if not updates:
             return self, set()
@@ -237,35 +245,50 @@ class Topology:
             )
 
         # Spatial delta: edges between two unmoved nodes cannot have changed,
-        # so keep them and recompute only the moved-incident ones.
-        old_touch: Set[Tuple[NodeId, NodeId]] = set()
-        for nid in sorted(moved):
-            for other in self.graph.neighbors(nid):
-                old_touch.add((nid, other) if nid < other else (other, nid))
-        grid = SpatialHash(positions, cell_size=self.comm_range)
-        new_touch: Set[Tuple[NodeId, NodeId]] = set()
-        for nid in sorted(moved):
-            for other in grid.neighbors_within(nid, self.comm_range):
-                new_touch.add((nid, other) if nid < other else (other, nid))
-        # Iterate the adjacency dicts directly rather than through the
-        # EdgeView: each (a, b) with a < b appears exactly once this way,
-        # and on the per-relink hot path the view's per-edge overhead is
-        # the single largest cost at n=500.
-        adjacency = self.graph._adj
-        edges = [
-            (a, b)
-            for a, nbrs in adjacency.items()
-            if a not in moved
-            for b in nbrs
-            if a < b and b not in moved
-        ]
-        edges.extend(sorted(new_touch))
-        edges.sort()
-        graph = _graph_from_lex_edges(positions, edges)
-        dirty = set()
-        for a, b in sorted(old_touch ^ new_touch):
-            dirty.add(a)
-            dirty.add(b)
+        # so diff only the moved nodes' neighbourhoods.  ``added`` maps each
+        # endpoint of a new edge to {other end: attribute dict}, one dict
+        # per edge stored under both ends as ``nx.Graph.add_edge`` does;
+        # ``removed`` maps each endpoint of a lost edge to the other ends.
+        # An edge between two moved nodes is met from both ends, so each
+        # loop skips the edges the other end already recorded.
+        old_adj = self.graph._adj
+        added: Dict[NodeId, Dict[NodeId, Dict]] = {}
+        removed: Dict[NodeId, List[NodeId]] = {}
+        fresh_of = neighbors_of(positions, sorted(moved), self.comm_range)
+        for nid, fresh in fresh_of.items():
+            before = old_adj[nid]
+            new_here = added.get(nid, {})
+            for other in fresh:
+                if other not in before and other not in new_here:
+                    shared: Dict = {}
+                    added.setdefault(nid, {})[other] = shared
+                    added.setdefault(other, {})[nid] = shared
+            fresh_set = set(fresh)
+            gone_here = removed.get(nid, ())
+            for other in before:
+                if other not in fresh_set and other not in gone_here:
+                    removed.setdefault(nid, []).append(other)
+                    removed.setdefault(other, []).append(nid)
+        dirty = set(added)
+        dirty.update(removed)
+        if not dirty:
+            graph = self.graph
+        else:
+            adj = dict(old_adj)
+            for nid in sorted(dirty):
+                before = old_adj[nid]
+                new_here = added.get(nid, {})
+                gone_here = removed.get(nid, ())
+                order = [b for b in before if b not in gone_here]
+                order.extend(new_here)
+                order.sort()
+                adj[nid] = {
+                    b: new_here[b] if b in new_here else before[b] for b in order
+                }
+            graph = nx.Graph()
+            # networkx's setters reset the cached adj/edges/degree/nodes views.
+            graph._adj = adj
+            graph._node = dict(self.graph._node)
         return (
             Topology(graph=graph, positions=positions, comm_range=self.comm_range),
             dirty,
@@ -299,10 +322,9 @@ def _graph_from_lex_edges(
     layout the broadcast fan-out (and therefore experiment fingerprints)
     is pinned to.  The adjacency dicts are filled directly -- one shared
     attribute dict per edge, stored under both endpoints, exactly as
-    ``nx.Graph.add_edge`` does -- because this sits on the mobility hot
-    path, where networkx's per-edge bookkeeping dominates the rebuild; the
-    bit-level equivalence with the public API is pinned by the spatial
-    equivalence tests.
+    ``nx.Graph.add_edge`` does -- because networkx's per-edge bookkeeping
+    dominates a full build at scale; the bit-level equivalence with the
+    public API is pinned by the spatial equivalence tests.
     """
     g = nx.Graph()
     g.add_nodes_from(positions)

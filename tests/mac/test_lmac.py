@@ -213,14 +213,17 @@ class TestBeaconPlan:
     def test_failed_plan_rebuild_keeps_no_superseded_graph(self):
         """A re-link replaces the channel graph; a sender whose next plan
         build fails (its new neighbour is not yet in the steady state for
-        it) must drop its old plan, which pins the superseded graph."""
+        it) must drop its old plan, which pins a superseded adjacency."""
         topology = line_topology(6)
         sim, channel, macs = build_macs(topology)
         for mac in macs.values():
             mac.fast_beacons = True
         sim.run_until(40.0)
         old_graph = channel.graph
-        assert all(mac._beacon_plan.graph is old_graph for mac in macs.values())
+        assert all(
+            mac._beacon_plan.adjacency is old_graph._adj[nid]
+            for nid, mac in macs.items()
+        )
 
         failed = []
         build = LMACProtocol._build_beacon_plan
@@ -238,6 +241,88 @@ class TestBeaconPlan:
             patch.setattr(LMACProtocol, "_build_beacon_plan", recording_build)
             sim.run_until(45.0)
         assert failed
-        for mac in macs.values():
+        for nid, mac in macs.items():
             plan = mac._beacon_plan
-            assert plan is None or plan.graph is channel.graph, mac.node_id
+            assert plan is None or plan.adjacency is channel.graph._adj[nid], nid
+
+    def test_relink_that_spares_a_sender_keeps_its_plan(self):
+        topology = line_topology(6)
+        sim, channel, macs = build_macs(topology)
+        for mac in macs.values():
+            mac.fast_beacons = True
+        sim.run_until(40.0)
+        plans = {nid: mac._beacon_plan for nid, mac in macs.items()}
+        assert all(plan is not None for plan in plans.values())
+
+        # Node 5 leaves node 4's range: only 4 and 5 change neighbourhood.
+        moved, dirty = topology.with_positions_delta({5: (70.0, 0.0)})
+        assert dirty == {4, 5}
+        channel.update_topology(moved)
+        frames = []
+        emit = LMACProtocol._emit_beacon
+
+        def recording_emit(mac):
+            frames.append(mac.node_id)
+            emit(mac)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(LMACProtocol, "_emit_beacon", recording_emit)
+            sim.run_until(60.0)
+        for nid in (0, 1, 2, 3):
+            assert macs[nid]._beacon_plan is plans[nid], nid
+            assert nid not in frames, nid
+        assert macs[4]._beacon_plan is not plans[4]
+        assert macs[4]._beacon_plan.adjacency is channel.graph._adj[4]
+
+
+class TestFastDeathSweep:
+    """A fast tick runs the frame tick's dead-neighbour sweep."""
+
+    # Leaves beacon before the centre in every period.
+    PHASES = {1: 0.1, 2: 0.15, 3: 0.2, 4: 0.25, 0: 0.3}
+
+    def _run(self, star4, fast):
+        sim = Simulator()
+        channel = WirelessChannel(sim, star4)
+        macs = {
+            nid: LMACProtocol(
+                sim, channel, nid, rng=_FixedPhase(phase), beacon_interval=5.0
+            )
+            for nid, phase in self.PHASES.items()
+        }
+        events = {nid: [] for nid in macs}
+        for nid, mac in macs.items():
+            mac.fast_beacons = fast
+            mac.crosslayer.subscribe(events[nid].append)
+            mac.start()
+        sim.run_until(12.0)
+        for leaf in (3, 1):
+            channel.set_alive(leaf, False)
+            macs[leaf].shutdown()
+        frames = []
+        emit = LMACProtocol._emit_beacon
+
+        def recording_emit(mac):
+            frames.append((mac.node_id, mac.now))
+            emit(mac)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(LMACProtocol, "_emit_beacon", recording_emit)
+            sim.run_until(40.0)
+        state = {
+            "neighbors": {nid: dict(mac.neighbors) for nid, mac in macs.items()},
+            "beacons": {nid: mac.beacons_sent for nid, mac in macs.items()},
+            "ledger": channel.ledger.breakdown_by_kind(),
+            "stats": channel.stats,
+        }
+        return events, state, frames
+
+    def test_fast_tick_declares_the_same_deaths_as_the_frame_tick(self, star4):
+        fast_events, fast_state, fast_frames = self._run(star4, fast=True)
+        frame_events, frame_state, _ = self._run(star4, fast=False)
+        lost = [e for e in fast_events[0] if isinstance(e, NeighborLost)]
+        assert [e.neighbor_id for e in lost] == [1, 3]
+        # The centre declared both deaths on a fast tick: no frame then.
+        assert all(nid != 0 or t != lost[0].time for nid, t in fast_frames)
+        assert fast_events == frame_events
+        assert fast_state == frame_state

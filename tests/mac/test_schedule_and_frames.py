@@ -47,10 +47,15 @@ class TestCrossLayerBus:
         bus.publish(NeighborLost(node_id=0, neighbor_id=1, time=0.0))
         assert seen == []
 
-    def test_history_and_filtering(self):
+    def test_subscriber_sees_events_in_publish_order(self):
         bus = CrossLayerBus()
-        bus.publish(NeighborLost(node_id=0, neighbor_id=1, time=0.0))
-        bus.publish(NeighborFound(node_id=0, neighbor_id=2, time=1.0))
-        assert len(bus.history) == 2
-        assert len(bus.events_of(NeighborLost)) == 1
-        assert bus.events_of(NeighborFound)[0].neighbor_id == 2
+        seen = []
+        bus.subscribe(seen.append)
+        published = [
+            NeighborFound(node_id=0, neighbor_id=2, time=1.0),
+            NeighborLost(node_id=0, neighbor_id=1, time=1.0),
+            NeighborFound(node_id=0, neighbor_id=1, time=2.0),
+        ]
+        for event in published:
+            bus.publish(event)
+        assert seen == published

@@ -6,6 +6,7 @@ import pytest
 from repro.energy.model import RadioEnergyModel
 from repro.network.addresses import BROADCAST
 from repro.network.channel import WirelessChannel
+from repro.network.topology import random_geometric_topology
 from repro.simulation.engine import Simulator
 
 
@@ -138,6 +139,31 @@ class TestDynamics:
         assert channel.num_links == 4
         channel.set_alive(1, False)
         assert channel.num_links == 3
+
+    def test_num_links_matches_an_edge_scan_through_churn(self):
+        topology = random_geometric_topology(
+            30, comm_range=30.0, area_size=100.0, rng=np.random.default_rng(3)
+        )
+        _, channel = make_channel(topology)
+
+        def scanned():
+            alive = channel.is_alive
+            return sum(1 for a, b in channel.graph.edges if alive(a) and alive(b))
+
+        rng = np.random.default_rng(5)
+        next_id = 100
+        for step in range(40):
+            nid = int(rng.choice(sorted(channel.graph.nodes)))
+            if step % 7 == 6:
+                x, y = channel.positions[nid]
+                channel.add_node(next_id, (x + 1.0, y))
+                next_id += 1
+            else:
+                channel.set_alive(nid, not channel.is_alive(nid))
+            assert channel.num_links == scanned(), step
+        # Adjacent dead pairs were exercised, not just isolated deaths.
+        dead = {n for n in channel.graph.nodes if not channel.is_alive(n)}
+        assert any(b in dead for a in dead for b in channel.graph[a])
 
     def test_add_node_by_range(self, line5):
         sim, channel = make_channel(line5)

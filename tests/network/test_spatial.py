@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.network.links import within_range
-from repro.network.spatial import SpatialHash, unit_disk_edges
+from repro.network.spatial import SpatialHash, neighbors_of, unit_disk_edges
 from repro.network.topology import (
     NEIGHBOR_METHODS,
     Topology,
@@ -212,6 +212,60 @@ class TestUnitDiskEquivalence:
         assert set(NEIGHBOR_METHODS) == {"spatial", "brute"}
 
 
+class TestNeighborsOf:
+    """The vectorised batch query returns exactly the hash's answers."""
+
+    @staticmethod
+    def _by_hash(positions, nodes, radius):
+        grid = SpatialHash(positions, cell_size=radius)
+        return {nid: grid.neighbors_within(nid, radius) for nid in nodes}
+
+    def test_matches_the_hash_randomized(self):
+        rng = np.random.default_rng(51)
+        for _ in range(25):
+            n = int(rng.integers(2, 120))
+            low = float(rng.uniform(-150, 0))
+            high = low + float(rng.uniform(10, 200))
+            radius = float(rng.uniform(3, 90))
+            ids = sorted(int(i) for i in rng.choice(1000, n, replace=False))
+            positions = {
+                nid: (float(x), float(y))
+                for nid, (x, y) in zip(ids, rng.uniform(low, high, (n, 2)))
+            }
+            k = int(rng.integers(1, n + 1))
+            nodes = sorted(int(i) for i in rng.choice(ids, k, replace=False))
+            assert neighbors_of(positions, nodes, radius) == self._by_hash(
+                positions, nodes, radius
+            )
+
+    def test_boundary_ties_and_coincident_nodes(self):
+        # 3-4-5 ties across cell corners, and two nodes on one spot.
+        positions = {
+            0: (0.0, 0.0),
+            1: (3.0, 4.0),
+            2: (-3.0, -4.0),
+            3: (5.0, 0.0),
+            4: (0.0, 0.0),
+            5: (10.0, 0.0),
+            6: (np.nextafter(5.0, 6.0), 0.0),
+        }
+        got = neighbors_of(positions, [0, 3], 5.0)
+        assert got == self._by_hash(positions, [0, 3], 5.0)
+        assert got[0] == [1, 2, 3, 4]
+
+    def test_results_follow_query_order_and_empty_query(self):
+        positions = {7: (0.0, 0.0), 2: (1.0, 0.0), 9: (2.0, 0.0)}
+        got = neighbors_of(positions, [9, 2], 1.5)
+        assert list(got) == [9, 2]
+        assert got == {9: [2], 2: [7, 9]}
+        assert neighbors_of(positions, [], 1.5) == {}
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+    def test_radius_must_be_positive_finite(self, bad):
+        with pytest.raises(ValueError):
+            neighbors_of({0: (0.0, 0.0)}, [0], bad)
+
+
 class TestWithPositionsDelta:
     def _random_topology(self, seed, n=60):
         return random_geometric_topology(
@@ -290,6 +344,50 @@ class TestWithPositionsDelta:
                 if set(topo.graph.neighbors(nid)) != old_neighbours[nid]
             }
             assert dirty == expected
+
+    def test_delta_shares_every_unchanged_adjacency(self):
+        topo = self._random_topology(11)
+        rng = np.random.default_rng(43)
+        for _ in range(8):
+            ids = sorted(topo.positions)
+            chosen = rng.choice(len(ids), size=8, replace=False)
+            updates = {
+                ids[int(i)]: (
+                    float(rng.uniform(0, 120)),
+                    float(rng.uniform(0, 120)),
+                )
+                for i in sorted(chosen)
+            }
+            old_adj = topo.graph._adj
+            snapshot = {
+                nid: [(b, attrs) for b, attrs in nbrs.items()]
+                for nid, nbrs in old_adj.items()
+            }
+            new, dirty = topo.with_positions_delta(updates)
+            assert dirty
+            new_adj = new.graph._adj
+            assert list(new_adj) == list(old_adj)
+            for nid in new_adj:
+                assert (new_adj[nid] is old_adj[nid]) == (nid not in dirty), nid
+            for a, b in new.graph.edges:
+                assert new_adj[a][b] is new_adj[b][a]
+                if b in old_adj[a]:
+                    assert new_adj[a][b] is old_adj[a][b]
+            # The source topology is untouched, down to the attribute dicts.
+            assert topo.graph._adj is old_adj
+            for nid, pairs in snapshot.items():
+                now = list(old_adj[nid].items())
+                assert [b for b, _ in now] == [b for b, _ in pairs]
+                assert all(x is y for (_, x), (_, y) in zip(now, pairs))
+            topo = new
+
+    def test_delta_that_changes_no_link_reuses_the_graph(self):
+        topo = self._random_topology(13)
+        x, y = topo.positions[5]
+        new, dirty = topo.with_positions_delta({5: (x, y)})
+        assert dirty == set()
+        assert new.graph is topo.graph
+        assert new is not topo
 
     def test_methods_agree_on_dirty_and_graph(self):
         topo = self._random_topology(9)
