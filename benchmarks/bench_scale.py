@@ -8,17 +8,17 @@ Tracks three things across revisions:
   resident memory.
 * **Maintenance-path throughput, fast vs brute** -- the per-relink
   pipeline (mobility delta -> neighbour recomputation -> spanning-tree
-  repair) timed with the spatial hash + incremental repair against the
-  pre-existing brute-force rebuild, on the same replayed move sequence.
+  rule) timed with the spatial hash against the pre-existing brute-force
+  recomputation, on the same replayed move sequence.
   This is where the network-axis speedup lives: the static epoch loop
   (LMAC frames, sensing) is O(n) either way, so end-to-end trial time
   dilutes the O(n^2) -> O(k) neighbour win.  The recorded speedup is the
   acceptance number for the scaling work.
 * **A/B bit-identity** -- the fast path must be an implementation detail:
   a mobile 500-node trial run with ``neighbor_method="brute"`` +
-  ``tree_repair="full"`` + ``tick_method="periodic"`` and with the
-  defaults must produce identical measurement fingerprints (config hash
-  excluded via ``fingerprint(include_key=False)``).
+  ``tick_method="periodic"`` and with the defaults must produce identical
+  measurement fingerprints (config hash excluded via
+  ``fingerprint(include_key=False)``).
 
 Runs as pytest-benchmark timings::
 
@@ -73,11 +73,11 @@ SCALE_POINTS: Tuple[Tuple[int, str], ...] = (
 SCALE_BENCH_EPOCHS = 200
 
 #: Maintenance-path benchmark shape: a 500-node mobile network replaying
-#: the same move sequence through both neighbour/tree strategies.  The two
+#: the same move sequence through both neighbour strategies.  The two
 #: fractions bracket the mobility regimes: 5 % moved per re-link is the
-#: sparse-churn case where the incremental tree repair applies, 30 % (the
-#: ``scale-500-mobile`` fraction) is heavy enough that the repair falls
-#: back to a full BFS by design and only the spatial delta pays off.
+#: sparse-churn case, where the delta touches few adjacencies, and 30 %
+#: (the ``scale-500-mobile`` fraction) is heavy mobility.  Both arms carry
+#: the tree over with the same rule, so the speedup is the delta's.
 MAINTENANCE_NODES = 500
 MAINTENANCE_STEPS = 30
 MAINTENANCE_FRACTIONS = (0.05, 0.3)
@@ -203,10 +203,11 @@ def maintenance_walk(
     """Replay ``moves`` through one maintenance strategy.
 
     The fast arm is the post-change pipeline (spatial delta, pointer-swap
-    topology adoption, incremental tree repair).  The brute arm replays
-    the pre-change pipeline: brute-force neighbour recomputation, the
-    O(V+E) graph copy plus node-set check the channel used to perform in
-    ``update_topology``, and a full BFS rebuild.
+    topology adoption).  The brute arm replays the pre-change pipeline:
+    brute-force neighbour recomputation and the O(V+E) graph copy plus
+    node-set check the channel used to perform in ``update_topology``.
+    Both arms then carry the tree over with the same rule
+    (``rebuild_spanning_tree`` with ``previous``).
 
     Returns ``(elapsed_seconds, final_tree)`` so callers can both time the
     arms and assert that they produce the identical spanning tree.
@@ -217,20 +218,16 @@ def maintenance_walk(
     start = time.perf_counter()
     for updates in moves:
         if fast:
-            topology, dirty = topology.with_positions_delta(
-                updates, method="spatial"
-            )
+            topology, _ = topology.with_positions_delta(updates, method="spatial")
             channel_graph = topology.graph
-            tree = rebuild_spanning_tree(
-                topology, alive, 0, previous=tree, dirty=dirty
-            )
+            tree = rebuild_spanning_tree(topology, alive, 0, previous=tree)
         else:
             topology = topology.with_positions(updates, method="brute")
             if set(topology.graph.nodes) != set(channel_graph.nodes):
                 raise RuntimeError("node set changed")
             channel_graph = topology.graph.copy()
             _positions = dict(topology.positions)
-            tree = rebuild_spanning_tree(topology, alive, 0)
+            tree = rebuild_spanning_tree(topology, alive, 0, previous=tree)
     return time.perf_counter() - start, tree
 
 
@@ -288,18 +285,16 @@ def ab_fingerprints(
 ) -> Dict[str, object]:
     """Fingerprints of the same trial under every strategy axis.
 
-    Three arms: the fast defaults (spatial neighbours, incremental tree
-    repair, the columnar epoch tick), the brute reference on every axis
-    (all-pairs neighbours, full tree rebuilds, the per-node
-    ``"periodic"`` tick), and the columnar tick pinned explicitly.  The
+    Three arms: the fast defaults (spatial neighbours, the columnar epoch
+    tick), the brute reference on every axis (all-pairs neighbours, the
+    per-node ``"periodic"`` tick), and the columnar tick pinned
+    explicitly.  The
     config hashes legitimately differ (the strategy flags are part of the
     config), so the comparison uses ``fingerprint(include_key=False)`` --
     measurements only.
     """
     fast_cfg = build_config(scenario, num_epochs=num_epochs, seed=seed)
-    brute_cfg = fast_cfg.replace(
-        neighbor_method="brute", tree_repair="full", tick_method="periodic"
-    )
+    brute_cfg = fast_cfg.replace(neighbor_method="brute", tick_method="periodic")
     columnar_cfg = fast_cfg.replace(tick_method="columnar")
     runner = BatchRunner(max_workers=1, executor="serial", cache_dir="")
     fast, brute, columnar = runner.run(
@@ -347,7 +342,7 @@ def test_scale_epoch_throughput(benchmark, num_nodes, scenario):
 
 
 def test_maintenance_path_speedup(benchmark):
-    """Spatial hash + incremental repair vs the pre-change brute pipeline.
+    """Spatial delta vs the pre-change brute pipeline.
 
     Both arms must produce the identical tree, and in the sparse-mobility
     regime the fast arm must be at least 5x faster at 500 nodes -- the

@@ -1,11 +1,15 @@
 #!/usr/bin/env python
 """Topology dynamics: node death, cross-layer adaptation, and node addition.
 
-The paper's §4.2 describes how DirQ adapts to topology changes using the
-cross-layer notifications it receives from LMAC: when a neighbour's beacons
-stop arriving, LMAC declares it dead and DirQ prunes the corresponding
-Range Table entries and propagates the change up the tree; new nodes are
-discovered from their first frame and folded into the tree.
+The paper's §4.2 describes how DirQ adapts to topology changes.  When the
+tree changes (a node dies, joins, or moves), every parent prunes the Range
+Table entries of a dead or moved ex-child and propagates the change up the
+tree, and every re-parented node re-advertises its ranges to its new
+parent.  LMAC's cross-layer ``NeighborLost`` notification, sent when a
+neighbour's beacons stop arriving, prunes the same way; it covers a
+neighbour the MAC wrongly declares dead, which the tree still counts as a
+child.  New nodes are discovered from their first frame and folded into
+the tree.
 
 This example scripts both events on the paper's 50-node network:
 

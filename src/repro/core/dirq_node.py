@@ -8,17 +8,19 @@ Range Tables and forwarded only to the children whose advertised ranges
 overlap the queried interval, which is what makes the dissemination
 *directed* instead of a flood.
 
-Topology dynamics (§4.2) are handled through the MAC layer's cross-layer
-notifications: when LMAC reports that a child died, its entries are removed
-from every Range Table and any resulting range change propagates up the
-tree; when the tree is repaired around a dead parent, the experiment runner
-re-installs the node's tree links and the node re-advertises its ranges to
-its new parent.
+Topology dynamics (§4.2) follow the tree: when the experiment runner
+carries the tree over a kill, revival or re-link, it re-installs every
+node's tree links, a parent prunes each dead or moved ex-child's entries
+from its Range Tables (any resulting range change propagates up the tree),
+and every re-parented node re-advertises its ranges to its new parent.
+LMAC's ``NeighborLost`` notification prunes the same way; it covers a
+neighbour the MAC wrongly declares dead on a lossy channel, which the tree
+still counts as a child.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..mac.crosslayer import CrossLayerEvent, NeighborFound, NeighborLost
 from ..mac.lmac import LMACProtocol
@@ -340,18 +342,21 @@ class DirQNode(DisseminationProtocol):
         elif isinstance(event, NeighborFound):
             self._handle_neighbor_found(event)
 
-    def _handle_neighbor_lost(self, event: NeighborLost) -> None:
-        neighbor = event.neighbor_id
-        self.sim.tracer.record(
-            self.now, "dirq.neighbor_lost", self.node_id, neighbor=neighbor
-        )
-        if neighbor in self.children:
-            self.children = [c for c in self.children if c != neighbor]
-        # Drop whatever the dead neighbour ever advertised.  This must not be
-        # conditioned on the current children list: if the tree was already
-        # repaired around the failure, the neighbour is no longer a child but
-        # its stale range entries would otherwise keep attracting queries.
-        changed_types = self.tables.remove_child_everywhere(neighbor)
+    def set_tree_links(self, parent: Optional[NodeId], children: List[NodeId]) -> None:
+        """Install new tree links, then forget every ex-child's ranges.
+
+        An ex-child's subtree now reports to another parent (or to none),
+        so its entries would only attract queries this node can no longer
+        route.  The resulting update or removal goes to the new parent.
+        """
+        ex_children = sorted(set(self.children).difference(children))
+        super().set_tree_links(parent, children)
+        for child in ex_children:
+            self._forget_child(child)
+
+    def _forget_child(self, child: NodeId) -> None:
+        """Drop ``child``'s entries and propagate any range change (§4.2)."""
+        changed_types = self.tables.remove_child_everywhere(child)
         for sensor_type in changed_types:
             table = self.tables.table(sensor_type)
             if table is not None and table.is_empty:
@@ -359,6 +364,19 @@ class DirQNode(DisseminationProtocol):
                 self._send_removal(sensor_type, self.current_epoch)
             else:
                 self._maybe_send_update(sensor_type, self.current_epoch)
+
+    def _handle_neighbor_lost(self, event: NeighborLost) -> None:
+        neighbor = event.neighbor_id
+        self.sim.tracer.record(
+            self.now, "dirq.neighbor_lost", self.node_id, neighbor=neighbor
+        )
+        if neighbor in self.children:
+            self.children = [c for c in self.children if c != neighbor]
+        # A real death or move was already pruned when the runner
+        # re-installed the tree links; this covers a live neighbour LMAC
+        # wrongly declares dead on a lossy channel, which the runner's tree
+        # still counts as a child.
+        self._forget_child(neighbor)
         # Parent loss is repaired by the tree-maintenance machinery in the
         # experiment runner (a new parent is installed via set_tree_links and
         # the node re-advertises); nothing to do locally here.

@@ -113,7 +113,12 @@ DEFAULT_REPLICATES = 5
 #: revived node re-advertises its ranges to its new parent.  Lossless
 #: static results are unchanged; churn, mobility, battery and lossy runs
 #: move within noise (revival runs gain accuracy).
-CACHE_VERSION = 7
+#: v8: one tree rule carries the tree over kills, revivals and re-links
+#: (a node keeps its parent while that parent is an alive neighbour one
+#: BFS level up), and a parent forgets an ex-child's ranges when the tree
+#: changes.  Static results are unchanged; churn, mobility and battery
+#: runs move (mobility overshoot falls to the static level).
+CACHE_VERSION = 8
 
 #: Config-dataclass fields deliberately excluded from hash coverage, as
 #: ``"ClassName.field"`` strings.  The reprolint RL2xx rules verify that

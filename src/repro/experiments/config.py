@@ -122,15 +122,13 @@ class ExperimentConfig:
     #: Fields that postdate the original hash scheme: each is omitted from
     #: the canonical hash payload while ``None`` (see
     #: ``repro.experiments.batch._canonical``), so pre-existing configs
-    #: keep their cache keys.  ``neighbor_method`` / ``tree_repair`` /
-    #: ``phenomena_method`` select implementation strategies that are
-    #: bit-identical in their defaults, but a config that pins one
-    #: explicitly must hash differently so A/B runs never alias in the
-    #: result cache.
+    #: keep their cache keys.  ``neighbor_method`` / ``phenomena_method``
+    #: select implementation strategies that are bit-identical in their
+    #: defaults, but a config that pins one explicitly must hash
+    #: differently so A/B runs never alias in the result cache.
     HASH_OMIT_WHEN_UNSET = (
         "scenario",
         "neighbor_method",
-        "tree_repair",
         "phenomena_method",
         "tick_method",
     )
@@ -173,13 +171,9 @@ class ExperimentConfig:
     #: hash) or "brute" (reference O(n^2) all-pairs).  Bit-identical
     #: topologies either way; the flag exists for A/B tests and profiling.
     neighbor_method: Optional[str] = None
-    #: Spanning-tree maintenance on mobility re-links: ``None``
-    #: (= "incremental" repair when the current tree is BFS-canonical) or
-    #: "full" (rebuild from scratch every re-link).  Bit-identical trees.
-    tree_repair: Optional[str] = None
     #: Phenomena synthesis: ``None`` (= "exact" dense-Cholesky Gaussian
     #: field) or "lowrank" (random-Fourier-feature approximation, the only
-    #: tractable option at thousands of nodes).  Unlike the other two
+    #: tractable option at thousands of nodes).  Unlike the other strategy
     #: flags, "lowrank" draws a *different* (approximate) field, so it is
     #: never a silent default.
     phenomena_method: Optional[str] = None
@@ -219,11 +213,6 @@ class ExperimentConfig:
             raise ValueError(
                 "neighbor_method must be None, 'spatial', or 'brute', "
                 f"got {self.neighbor_method!r}"
-            )
-        if self.tree_repair not in (None, "incremental", "full"):
-            raise ValueError(
-                "tree_repair must be None, 'incremental', or 'full', "
-                f"got {self.tree_repair!r}"
             )
         if self.phenomena_method not in (None, "exact", "lowrank"):
             raise ValueError(

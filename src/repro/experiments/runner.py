@@ -151,12 +151,6 @@ class ExperimentRunner:
         self.config = config
         self.streams = RandomStreams(config.seed)
         self.world: Optional[SimulationWorld] = None
-        # True while world.tree is exactly what a full sorted-BFS build
-        # would produce for the current topology and the tree's own member
-        # set -- the precondition for incremental repair on re-links.
-        # Greedy maintenance (death repair, revival attachment) breaks
-        # canonical form; every full or incremental rebuild restores it.
-        self._tree_canonical = False
 
     # ------------------------------------------------------------------
     # World construction
@@ -237,7 +231,6 @@ class ExperimentRunner:
 
         # Nodes, MAC, tree, protocols -----------------------------------------------
         world.tree = build_bfs_tree(world.topology, root=cfg.root_id)
-        self._tree_canonical = True
         mac_rng = self.streams.get("mac")
         for nid in node_ids:
             node = SensorNode(
@@ -303,9 +296,8 @@ class ExperimentRunner:
             self._apply_kill(world, nid, rebuild_tree=False)
         if cfg.initially_dead:
             world.tree = build_bfs_tree(
-                self._alive_topology(world), root=cfg.root_id
+                world.topology, root=cfg.root_id, alive=world.alive
             )
-            self._tree_canonical = True
             self._install_tree_links(world, world.tree)
 
         # Heterogeneous energy budgets (scenario-driven).  Capacities come
@@ -359,18 +351,35 @@ class ExperimentRunner:
             raise TypeError("sensors_per_node must be None, an int, or a mapping")
         return assignment
 
-    def _alive_topology(self, world: SimulationWorld) -> Topology:
-        topo = world.topology
-        for nid in sorted(set(topo.node_ids) - world.alive):
-            topo = topo.without_node(nid)
-        return topo
-
     def _install_tree_links(self, world: SimulationWorld, tree: SpanningTree) -> None:
         for nid, proto in world.protocols.items():
             if nid in tree:
                 proto.set_tree_links(tree.parent_of(nid), tree.children(nid))
             else:
                 proto.set_tree_links(None, [])
+
+    def _maintain_tree(self, world: SimulationWorld) -> None:
+        """Carry the tree over a kill, revival or re-link (paper §4.2).
+
+        Every node keeps its parent while that parent is an alive radio
+        neighbour one BFS level up (:func:`build_bfs_tree`'s rule); alive
+        nodes the root cannot reach drop out of the tree until a later
+        change reconnects them.  Parents forget their ex-children as the
+        links are installed, and every node whose parent changed or that
+        joined the tree re-advertises its ranges to its new parent.
+        """
+        old_tree = world.tree
+        world.tree = rebuild_spanning_tree(
+            world.topology, world.alive, self.config.root_id, previous=old_tree
+        )
+        self._install_tree_links(world, world.tree)
+        for nid in world.tree.node_ids:
+            if nid == self.config.root_id:
+                continue
+            if nid not in old_tree or old_tree.parent_of(nid) != world.tree.parent_of(nid):
+                proto = world.protocols[nid]
+                if hasattr(proto, "readvertise"):
+                    proto.readvertise()
 
     def _apply_kill(
         self, world: SimulationWorld, node_id: NodeId, rebuild_tree: bool = True
@@ -383,25 +392,8 @@ class ExperimentRunner:
         world.nodes[node_id].kill()
         world.channel.set_alive(node_id, False)
         world.macs[node_id].shutdown()
-        if rebuild_tree and node_id in world.tree:
-            # Greedy re-attachment is cheap but not BFS-canonical: the next
-            # re-link must fall back to a full rebuild.
-            self._tree_canonical = False
-            repaired = world.tree.repair(node_id, world.channel.neighbors)
-            reparented = [
-                nid
-                for nid in repaired.node_ids
-                if nid in world.tree
-                and world.tree.parent_of(nid) != repaired.parent_of(nid)
-            ]
-            world.tree = repaired
-            self._install_tree_links(world, repaired)
-            # Re-attached subtrees advertise their ranges to their new parents
-            # so queries keep routing correctly (paper §4.2).
-            for nid in reparented:
-                proto = world.protocols[nid]
-                if hasattr(proto, "readvertise"):
-                    proto.readvertise()
+        if rebuild_tree:
+            self._maintain_tree(world)
 
     def _apply_activation(self, world: SimulationWorld, node_id: NodeId) -> None:
         if node_id in world.alive:
@@ -418,60 +410,20 @@ class ExperimentRunner:
         world.macs[node_id].start()
         world.macs[node_id].wake()
         world.protocols[node_id].start()
-        # Attach to the alive neighbour closest to the root.
-        candidates = [
-            nb for nb in world.channel.neighbors(node_id) if nb in world.tree
-        ]
-        if candidates:
-            candidates.sort(key=lambda nb: (world.tree.depth_of(nb), nb))
-            # Greedy attachment, like death repair, leaves the tree
-            # non-canonical until the next full or incremental rebuild.
-            self._tree_canonical = False
-            world.tree = world.tree.with_new_node(node_id, candidates[0])
-            self._install_tree_links(world, world.tree)
-            # The parent dropped this node's entries when LMAC declared it
-            # dead, so the revived node re-advertises every range (paper
-            # §4.2), as re-parented nodes do after kills and re-links.
-            proto = world.protocols[node_id]
-            if hasattr(proto, "readvertise"):
-                proto.readvertise()
+        self._maintain_tree(world)
 
     def _apply_relink(self, world: SimulationWorld, mobility: MobilityModel) -> None:
         """Advance mobile nodes one re-link period and repair the overlay.
 
         Positions move, unit-disk connectivity is re-derived, and the
-        spanning tree is rebuilt deterministically over the alive nodes
-        still reachable from the root (partitioned nodes drop out of the
-        tree until a later re-link reconnects them).  Every node whose
-        parent changed re-advertises its ranges so queries keep routing
-        (paper §4.2), exactly as after a node death.
+        spanning tree is carried over to the new links.
         """
-        cfg = self.config
         moved = mobility.step()
-        world.topology, dirty = world.topology.with_positions_delta(
-            moved, method=cfg.neighbor_method
+        world.topology, _ = world.topology.with_positions_delta(
+            moved, method=self.config.neighbor_method
         )
         world.channel.update_topology(world.topology)
-        old_tree = world.tree
-        incremental = (
-            self._tree_canonical and (cfg.tree_repair or "incremental") != "full"
-        )
-        world.tree = rebuild_spanning_tree(
-            world.topology,
-            world.alive,
-            cfg.root_id,
-            previous=old_tree if incremental else None,
-            dirty=dirty if incremental else None,
-        )
-        self._tree_canonical = True
-        self._install_tree_links(world, world.tree)
-        for nid in world.tree.node_ids:
-            if nid == self.config.root_id:
-                continue
-            if nid not in old_tree or old_tree.parent_of(nid) != world.tree.parent_of(nid):
-                proto = world.protocols[nid]
-                if hasattr(proto, "readvertise"):
-                    proto.readvertise()
+        self._maintain_tree(world)
 
     # ------------------------------------------------------------------
     # The epoch loop

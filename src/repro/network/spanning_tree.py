@@ -10,20 +10,20 @@ provides
 * :func:`build_bfs_tree` -- centralized breadth-first construction from a
   :class:`~repro.network.topology.Topology` (how the experiment runner sets
   up the initial tree, mirroring the paper's "once the nodes have been
-  placed, a spanning tree is set up");
+  placed, a spanning tree is set up"), and the one rule that carries the
+  tree over kills, revivals and mobility re-links
+  (:meth:`SpanningTree.repair`);
 * :class:`TreeSetupProtocol` -- a distributed construction protocol that
-  builds the same tree by flooding a setup beacon, used by the examples and
-  integration tests to demonstrate (and cost) in-network tree setup;
-* :meth:`SpanningTree.repair` -- re-attachment of subtrees orphaned by node
-  death, driven by the MAC layer's cross-layer notifications.
+  builds a tree of the same depths by flooding a setup beacon, used by the
+  examples and integration tests to demonstrate (and cost) in-network tree
+  setup.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 import networkx as nx
 
@@ -193,99 +193,17 @@ class SpanningTree:
 
     # -- maintenance ----------------------------------------------------------------
 
-    def without_subtree(self, node_id: NodeId) -> "SpanningTree":
-        """Copy of the tree with ``node_id`` and its whole subtree removed."""
-        if node_id == self.root:
-            raise TreeError("cannot remove the root's subtree")
-        doomed = set(self.subtree(node_id))
-        parent = {n: p for n, p in self.parent.items() if n not in doomed}
-        return SpanningTree(root=self.root, parent=parent)
+    def repair(self, topology: Topology, alive: Set[NodeId]) -> "SpanningTree":
+        """This tree carried over to a changed topology or alive set.
 
-    def repair(self, dead_node: NodeId, topology_neighbors) -> "SpanningTree":
-        """Re-attach the subtrees orphaned by ``dead_node``'s death.
-
-        Parameters
-        ----------
-        dead_node:
-            The node that died.
-        topology_neighbors:
-            Callable ``node_id -> iterable of alive neighbour ids`` giving
-            current radio connectivity (typically
-            :meth:`repro.network.channel.WirelessChannel.neighbors`).
-
-        Returns
-        -------
-        SpanningTree
-            A new tree over the surviving nodes.  Orphaned nodes re-attach
-            greedily to the closest-to-root alive neighbour that is still
-            connected to the root; nodes that cannot reach the root at all
-            are dropped from the tree (they are partitioned).
+        Applies :func:`build_bfs_tree`'s rule with this tree as the
+        previous one: every node whose parent is still an alive radio
+        neighbour one BFS level up keeps it.  Alive nodes the root can no
+        longer reach are left out (they are partitioned).
         """
-        if dead_node == self.root:
+        if self.root not in alive:
             raise TreeError("cannot repair after root death; the sink is fixed")
-        if dead_node not in self.parent:
-            raise KeyError(f"unknown node {dead_node}")
-
-        survivors = [n for n in self.parent if n != dead_node]
-        # Start from the forest left after removing the dead node: every
-        # surviving node keeps its parent unless the parent was the dead node.
-        parent: Dict[NodeId, Optional[NodeId]] = {}
-        for node in survivors:
-            par = self.parent[node]
-            parent[node] = None if par == dead_node else par
-
-        attached: Set[NodeId] = set()
-
-        def root_reachable(node: NodeId) -> bool:
-            seen = set()
-            cur: Optional[NodeId] = node
-            while cur is not None:
-                if cur in attached or cur == self.root:
-                    return True
-                if cur in seen:
-                    return False
-                seen.add(cur)
-                cur = parent.get(cur)
-            return False
-
-        attached.update(n for n in survivors if root_reachable(n))
-
-        orphans = deque(sorted(n for n in survivors if n not in attached))
-        progress = True
-        while orphans and progress:
-            progress = False
-            for _ in range(len(orphans)):
-                node = orphans.popleft()
-                candidates = [
-                    nb
-                    for nb in topology_neighbors(node)
-                    if nb in attached and nb != dead_node
-                ]
-                if not candidates:
-                    orphans.append(node)
-                    continue
-                # Prefer the neighbour closest to the root for short paths,
-                # breaking ties by id for determinism.
-                candidates.sort(key=lambda nb: (self._depth_in(parent, nb), nb))
-                parent[node] = candidates[0]
-                attached.add(node)
-                progress = True
-
-        # Anything still orphaned is partitioned from the root: drop it.
-        reachable_parent = {n: p for n, p in parent.items() if n in attached}
-        reachable_parent[self.root] = None
-        return SpanningTree(root=self.root, parent=reachable_parent)
-
-    @staticmethod
-    def _depth_in(parent: Dict[NodeId, Optional[NodeId]], node: NodeId) -> int:
-        depth = 0
-        cur = parent.get(node)
-        seen = set()
-        while cur is not None and cur not in seen:
-            seen.add(cur)
-            depth += 1
-            cur = parent.get(cur)
-        return depth
+        return build_bfs_tree(topology, self.root, alive, partial=True, previous=self)
 
     def with_new_node(self, node_id: NodeId, attach_to: NodeId) -> "SpanningTree":
         """Copy of the tree with ``node_id`` added as a child of ``attach_to``."""
@@ -308,13 +226,27 @@ def build_bfs_tree(
     root: NodeId = 0,
     alive: Optional[Set[NodeId]] = None,
     partial: bool = False,
+    previous: Optional[SpanningTree] = None,
 ) -> SpanningTree:
     """Breadth-first spanning tree of ``topology`` rooted at ``root``.
 
-    Ties (several potential parents at the same depth) are broken by the
-    lowest parent id, which makes the construction deterministic and matches
-    what the distributed :class:`TreeSetupProtocol` converges to on an ideal
-    channel.
+    One rule builds the initial tree and carries it over every later
+    change (kills, revivals, mobility re-links):
+
+    * a node's depth is its BFS hop count from the root over the member
+      nodes;
+    * a node keeps its parent in ``previous`` while that parent is a
+      member radio neighbour one level up;
+    * otherwise it takes the neighbour one level up whose root path sorts
+      first.
+
+    Root paths are compared through ranks: each level is ranked by
+    ``(rank of parent, node id)``, so comparing two nodes' ranks compares
+    their root paths.  That is the order in which a FIFO breadth-first
+    search over sorted neighbour lists dequeues a level, so with
+    ``previous=None`` every node gets the parent such a search finds
+    first.  (The lowest-id parent, which :class:`TreeSetupProtocol`
+    converges to, can differ from depth 3 on; the depths agree.)
 
     Parameters
     ----------
@@ -323,276 +255,37 @@ def build_bfs_tree(
         ``None`` spans the whole topology.
     partial:
         Tolerate unreachable members by leaving them out of the tree
-        instead of raising :class:`TreeError` -- what the mobility
-        scenarios need, where a re-link can transiently partition nodes.
+        instead of raising :class:`TreeError` -- what the dynamic
+        scenarios need, where a kill or re-link can partition nodes.
+    previous:
+        The tree before the change; ``None`` builds from scratch.
     """
     if not topology.has_node(root):
         raise KeyError(f"root {root} not in topology")
     members = set(topology.node_ids) if alive is None else set(alive)
+    kept = previous.parent if previous is not None else {}
     parent: Dict[NodeId, Optional[NodeId]] = {root: None}
-    frontier = deque([root])
-    while frontier:
-        cur = frontier.popleft()
-        for nb in topology.neighbors(cur):
-            if nb in members and nb not in parent:
-                parent[nb] = cur
-                frontier.append(nb)
+    level = [root]
+    while level:
+        # ``level`` is in rank order, so the first node of it to reach a
+        # newcomer is the newcomer's lowest-rank neighbour one level up.
+        rank = {node: i for i, node in enumerate(level)}
+        first: Dict[NodeId, NodeId] = {}
+        for cur in level:
+            for nb in topology.neighbors(cur):
+                if nb in members and nb not in parent and nb not in first:
+                    first[nb] = cur
+        for node, found in first.items():
+            old = kept.get(node)
+            sticky = old in rank and topology.has_link(node, old)
+            parent[node] = old if sticky else found
+        level = sorted(first, key=lambda node: (rank[parent[node]], node))
     missing = members - set(parent)
     if missing and not partial:
         raise TreeError(
             f"topology is not connected; unreachable nodes: {sorted(missing)}"
         )
     return SpanningTree(root=root, parent=parent)
-
-
-def _tree_depths(tree: SpanningTree) -> Dict[NodeId, int]:
-    """Depth of every node in ``tree`` in one O(n) top-down pass."""
-    depths: Dict[NodeId, int] = {tree.root: 0}
-    frontier = deque([tree.root])
-    while frontier:
-        cur = frontier.popleft()
-        d = depths[cur] + 1
-        for child in tree.children(cur):
-            depths[child] = d
-            frontier.append(child)
-    return depths
-
-
-def update_bfs_tree(
-    previous: Optional[SpanningTree],
-    topology: Topology,
-    root: NodeId = 0,
-    alive: Optional[Set[NodeId]] = None,
-    dirty: Iterable[NodeId] = (),
-    partial: bool = False,
-    rebuild_threshold: float = 0.25,
-) -> SpanningTree:
-    """Incrementally repair a BFS spanning tree after a topology delta.
-
-    Produces a tree **identical** to ``build_bfs_tree(topology, root, alive,
-    partial)`` -- same parents, not just same depths -- while re-examining
-    only the neighbourhood of the change, so a mobility re-link that moves a
-    handful of nodes costs O(affected) instead of O(V + E).
-
-    Parameters
-    ----------
-    previous:
-        The tree to repair.  **Must be BFS-canonical** for the pre-delta
-        topology and membership, i.e. exactly what ``build_bfs_tree``
-        produced -- a tree patched by the greedy :meth:`SpanningTree.repair`
-        or :meth:`SpanningTree.with_new_node` is not, and callers must fall
-        back to a full build in that case (the experiment runner tracks
-        this with a canonical-tree flag).  ``None`` falls back to a full
-        build.
-    dirty:
-        Nodes whose radio neighbourhood may have changed -- the endpoints
-        of every added/removed link (``Topology.with_positions_delta``
-        returns exactly this set).  Membership changes relative to
-        ``previous`` (killed/revived nodes) are detected here and need not
-        be included.
-    rebuild_threshold:
-        Fall back to a full build when the changed set exceeds this
-        fraction of the membership; past that point the full O(V + E) BFS
-        is cheaper than the repair bookkeeping.
-
-    Why equality holds
-    ------------------
-    ``build_bfs_tree`` pops a FIFO frontier of sorted-neighbour lists, so a
-    node's parent is its smallest-*pathkey* neighbour one level up, where a
-    node's pathkey is the id tuple of its root path (root's key is
-    ``(root,)``, a child's key is the parent's key plus its own id).  The
-    repair recomputes depths with a bounded Dijkstra pass (a non-orphaned
-    node's old depth is a valid upper bound; only nodes adjacent to the
-    change can improve) and then re-derives parents by minimum pathkey for
-    exactly the nodes whose candidate sets or candidate keys changed,
-    cascading down while keys keep changing.  Every other node keeps a
-    parent whose candidate set and keys are untouched, so its canonical
-    parent is unchanged.
-    """
-    if not topology.has_node(root):
-        raise KeyError(f"root {root} not in topology")
-    members = set(topology.node_ids) if alive is None else set(alive)
-    members.add(root)
-
-    def full_build() -> SpanningTree:
-        return build_bfs_tree(topology, root=root, alive=alive, partial=partial)
-
-    if previous is None or previous.root != root:
-        return full_build()
-
-    prev_members = set(previous.parent)
-    dirty_members = (set(dirty) & members) | (members ^ prev_members)
-    if len(dirty_members) > rebuild_threshold * max(1, len(members)):
-        return full_build()
-    if not dirty_members:
-        return previous
-
-    graph = topology.graph
-    old_depth = _tree_depths(previous)
-
-    # -- Phase 1: orphan detection (old depth no longer certainly valid) ----
-    # A node keeps its old depth as a valid upper bound iff some alive
-    # neighbour one level up (by old depth) keeps its own.  Processing
-    # candidates in ascending old depth makes every verdict final: a node's
-    # potential supporters all have smaller old depth, already decided.
-    orphaned: Set[NodeId] = set()
-    decided: Set[NodeId] = set()
-    cand_heap: List[Tuple[int, NodeId]] = []
-    for v in sorted(dirty_members):
-        if v in old_depth:
-            heapq.heappush(cand_heap, (old_depth[v], v))
-    removed = prev_members - members
-    for r in sorted(removed):
-        for child in previous.children(r):
-            if child in members:
-                heapq.heappush(cand_heap, (old_depth[child], child))
-    while cand_heap:
-        d, v = heapq.heappop(cand_heap)
-        if v in decided or v == root:
-            continue
-        decided.add(v)
-        supported = False
-        for u in topology.neighbors(v):
-            if (
-                u in members
-                and u not in orphaned
-                and old_depth.get(u) == d - 1
-            ):
-                supported = True
-                break
-        if supported:
-            continue
-        orphaned.add(v)
-        for w in topology.neighbors(v):
-            if (
-                w in members
-                and w not in decided
-                and old_depth.get(w) == d + 1
-            ):
-                heapq.heappush(cand_heap, (d + 1, w))
-
-    # -- Phase 2: depth repair (bounded Dijkstra, unit weights) -------------
-    # Non-orphans start at their old depth (a proven upper bound); orphans
-    # and new members start unknown.  Seeds are the only places a shortest
-    # path can change: dirty nodes (new-edge endpoints can shorten paths)
-    # and known nodes bordering the unknown region (they re-reach it).
-    new_depth: Dict[NodeId, int] = {root: 0}
-    for v, d in old_depth.items():
-        if v in members and v not in orphaned:
-            new_depth[v] = d
-    unknown = set(orphaned)
-    unknown.update(members - set(old_depth))
-    unknown.discard(root)
-
-    seeds: Set[NodeId] = {v for v in sorted(dirty_members) if v in new_depth}
-    for v in sorted(unknown):
-        for u in graph.neighbors(v):
-            if u in new_depth:
-                seeds.add(u)
-    dist_heap: List[Tuple[int, NodeId]] = [
-        (new_depth[v], v) for v in sorted(seeds)
-    ]
-    heapq.heapify(dist_heap)
-    while dist_heap:
-        d, v = heapq.heappop(dist_heap)
-        if d != new_depth.get(v):
-            continue  # stale entry
-        nd = d + 1
-        for u in graph.neighbors(v):
-            if u in members and new_depth.get(u, len(members) + 1) > nd:
-                new_depth[u] = nd
-                heapq.heappush(dist_heap, (nd, u))
-
-    missing = members - set(new_depth)
-    if missing and not partial:
-        # Mirror the full builder exactly, message included.
-        raise TreeError(
-            f"topology is not connected; unreachable nodes: {sorted(missing)}"
-        )
-
-    # -- Phase 3: canonical parent reassignment with key cascade ------------
-    new_parent: Dict[NodeId, Optional[NodeId]] = {root: None}
-    keychanged: Set[NodeId] = set()
-    keys: Dict[NodeId, Tuple[NodeId, ...]] = {root: (root,)}
-
-    def pathkey(v: NodeId) -> Tuple[NodeId, ...]:
-        # Walk up through reassigned parents where available, previous
-        # parents otherwise (a node outside the repair set keeps its old
-        # parent, which stays canonical), memoizing the whole chain.
-        chain: List[NodeId] = []
-        cur: Optional[NodeId] = v
-        while cur is not None and cur not in keys:
-            chain.append(cur)
-            cur = (
-                new_parent[cur] if cur in new_parent else previous.parent[cur]
-            )
-        key = keys[cur] if cur is not None else ()
-        for node in reversed(chain):
-            key = key + (node,)
-            keys[node] = key
-        return keys[v]
-
-    dropped = (prev_members - set(new_depth)) | removed
-    need: Dict[int, Set[NodeId]] = {}
-
-    def enqueue(v: NodeId) -> None:
-        d = new_depth.get(v)
-        if d is not None and v != root:
-            need.setdefault(d, set()).add(v)
-
-    for v in sorted(new_depth):
-        if old_depth.get(v) != new_depth[v]:
-            enqueue(v)  # depth changed or newly reachable
-            if v in prev_members:
-                for child in previous.children(v):
-                    enqueue(child)
-    for v in sorted(dirty_members):
-        enqueue(v)
-    for v in sorted(dropped):
-        if v in prev_members:
-            for child in previous.children(v):
-                enqueue(child)
-
-    while need:
-        d = min(need)
-        bucket = need.pop(d)
-        for v in sorted(bucket):
-            best: Optional[NodeId] = None
-            best_key: Optional[Tuple[NodeId, ...]] = None
-            for u in topology.neighbors(v):
-                if u in members and new_depth.get(u) == d - 1:
-                    key = pathkey(u)
-                    if best_key is None or key < best_key:
-                        best, best_key = u, key
-            if best is None:
-                # Unreachable at this depth would have been caught above;
-                # a reachable node always has a parent one level up.
-                raise TreeError(f"node {v} has no parent candidate at depth {d}")
-            new_parent[v] = best
-            changed = (
-                v not in prev_members
-                or old_depth.get(v) != d
-                or previous.parent.get(v) != best
-                or best in keychanged
-            )
-            if changed:
-                keychanged.add(v)
-                keys[v] = pathkey(best) + (v,)
-                for w in graph.neighbors(v):
-                    if (
-                        w in members
-                        and new_depth.get(w) == d + 1
-                        and w not in need.get(d + 1, ())
-                    ):
-                        enqueue(w)
-
-    # Everyone not re-examined keeps its previous parent: its candidate set
-    # and every candidate's pathkey are untouched by the delta, so the
-    # canonical (minimum-key) choice cannot have moved.
-    for v in sorted(new_depth):
-        if v not in new_parent:
-            new_parent[v] = previous.parent[v]
-    return SpanningTree(root=root, parent=new_parent)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -609,7 +302,7 @@ class TreeSetupProtocol:
     The root broadcasts a :class:`TreeBeacon` with hop count 0; every node
     adopts the first sender offering the smallest hop count (ties broken by
     lowest sender id) as its parent and rebroadcasts with ``hops + 1``.  On
-    an ideal channel this converges to the same tree as
+    an ideal channel this converges to a tree of the same depths as
     :func:`build_bfs_tree`; its purpose here is to let examples and tests
     demonstrate and *cost* the setup phase the paper only mentions in
     passing.

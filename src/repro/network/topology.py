@@ -14,8 +14,8 @@ for the deployment styles used by the experiments:
   used to validate the analytical model of §5 against simulation.
 
 Topologies are immutable for hashing/reproducibility except through the
-explicit :meth:`Topology.without_node` / :meth:`Topology.with_node` copies,
-which model node death and addition.  A mobility copy
+explicit :meth:`Topology.with_node` copy, which models node addition (node
+death is an alive set, not a topology edit).  A mobility copy
 (:meth:`Topology.with_positions_delta`) shares every unchanged adjacency
 dict with its source, so a topology's graph must never be mutated in
 place.
@@ -128,15 +128,6 @@ class Topology:
 
     # -- topology edits (return copies) ---------------------------------------
 
-    def without_node(self, node_id: NodeId) -> "Topology":
-        """Copy of this topology with ``node_id`` (and its links) removed."""
-        if node_id not in self.graph:
-            raise KeyError(f"unknown node {node_id}")
-        g = self.graph.copy()
-        g.remove_node(node_id)
-        positions = {k: v for k, v in self.positions.items() if k != node_id}
-        return Topology(graph=g, positions=positions, comm_range=self.comm_range)
-
     def with_node(
         self,
         node_id: NodeId,
@@ -197,7 +188,7 @@ class Topology:
 
         Returns ``(new topology, dirty)`` where ``dirty`` is the set of
         endpoints of every link added or removed by the move -- exactly the
-        nodes an incremental spanning-tree repair must re-examine.
+        nodes whose radio neighbourhood changed.
 
         With the default ``"spatial"`` method only edges incident to moved
         nodes are recomputed (one vectorised grid pass over the moved set,

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..energy.battery import Battery
 from ..network.addresses import NodeId
-from ..network.spanning_tree import SpanningTree, build_bfs_tree, update_bfs_tree
+from ..network.spanning_tree import SpanningTree, build_bfs_tree
 from ..network.topology import Position, Topology
 from ..workload.injection import burst_schedule, diurnal_schedule
 from .spec import (
@@ -397,28 +397,20 @@ def rebuild_spanning_tree(
     alive: Set[NodeId],
     root: NodeId,
     previous: Optional[SpanningTree] = None,
-    dirty: Optional[Set[NodeId]] = None,
 ) -> SpanningTree:
-    """Deterministic BFS tree over the alive nodes reachable from the root.
+    """Spanning tree over the alive nodes reachable from the root.
 
     A partition-tolerant :func:`~repro.network.spanning_tree.build_bfs_tree`:
     alive nodes with no alive path to the root are simply left out of the
     tree (their protocols get ``set_tree_links(None, [])`` and rejoin at
-    the next re-link that reconnects them).  Ties are broken by the lowest
-    parent id, matching the static construction.
-
-    When ``previous`` (a BFS-canonical tree for the pre-delta topology) and
-    ``dirty`` (the nodes whose neighbourhood changed, as reported by
-    ``Topology.with_positions_delta``) are supplied, the tree is repaired
-    incrementally via :func:`~repro.network.spanning_tree.update_bfs_tree`
-    -- an identical result, computed in time proportional to the change
-    instead of the network size.
+    the next change that reconnects them).  With ``previous`` (the tree
+    before a kill, revival or re-link, rooted at ``root``) the tree is
+    carried over by :meth:`SpanningTree.repair`, so every node whose parent
+    is still an alive neighbour one level up keeps it.
     """
-    if previous is not None and dirty is not None:
-        return update_bfs_tree(
-            previous, topology, root=root, alive=alive, dirty=dirty, partial=True
-        )
-    return build_bfs_tree(topology, root=root, alive=alive, partial=True)
+    if previous is None:
+        return build_bfs_tree(topology, root=root, alive=alive, partial=True)
+    return previous.repair(topology, alive)
 
 
 __all__ = [

@@ -81,8 +81,8 @@ def scaled_network(
 
     Pass ``phenomena_method="lowrank"`` above ~1 000 nodes: the exact dense
     Gaussian field needs O(n^2) memory and O(n^3) setup per sensor type,
-    which is the remaining scalability wall once connectivity and tree
-    maintenance are incremental.
+    which is the remaining scalability wall once connectivity deltas are
+    incremental and tree maintenance is one BFS pass.
     """
     if num_nodes < 2:
         raise ValueError("num_nodes must be >= 2")

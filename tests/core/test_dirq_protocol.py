@@ -237,3 +237,70 @@ class TestHeterogeneousSensorTypes:
         world.root.inject_query(q)
         world.settle(7.0)
         assert world.audit.record(0).received == {1, 2}
+
+
+class TestTreeChanges:
+    """A parent forgets a child that moves to another parent (§4.2)."""
+
+    @staticmethod
+    def diamond_world(sensor_assignment=None):
+        # 0 - 1 - 3 and 0 - 2 - 3: node 3 starts under node 1.
+        import networkx as nx
+
+        from repro.network.topology import Topology
+
+        topo = Topology(
+            graph=nx.Graph([(0, 1), (0, 2), (1, 3), (2, 3)]),
+            positions={0: (0, 0), 1: (1, 1), 2: (1, -1), 3: (2, 0)},
+            comm_range=None,
+        )
+        data = constant_dataset(
+            topo.node_ids, {0: 0.0, 1: 10.0, 2: 20.0, 3: 50.0}, num_epochs=60
+        )
+        world = build_mini_world(
+            topo, data, config=fixed_config(), sensor_assignment=sensor_assignment
+        )
+        assert world.tree.parent_of(3) == 1
+        return world
+
+    @staticmethod
+    def move_3_under_2(world):
+        # The links the runner installs, in ascending id order.
+        world.protocols[1].set_tree_links(0, [])
+        world.protocols[2].set_tree_links(0, [3])
+        world.protocols[3].set_tree_links(2, [])
+
+    def test_moved_child_is_forgotten_and_old_parent_updates_upward(self):
+        world = self.diamond_world()
+        world.run_epochs(0, 3)
+        root_view = world.root.tables.table("temperature")
+        assert root_view.child_entry(1).max_threshold >= 50.0
+        sent_before = world.ledger.node(1).count(direction="tx", kind="update")
+
+        self.move_3_under_2(world)
+        assert world.protocols[1].tables.table("temperature").child_entry(3) is None
+        world.protocols[3].readvertise()
+        world.run_epochs(4, 8)
+
+        # Node 1 told the root its subtree shrank back to its own reading.
+        assert world.ledger.node(1).count(direction="tx", kind="update") == (
+            sent_before + 1
+        )
+        assert root_view.child_entry(1).max_threshold < 50.0
+        assert root_view.child_entry(2).max_threshold >= 50.0
+
+    def test_old_parent_without_sensors_sends_a_removal(self):
+        # Node 1 only relays node 3's type; losing node 3 empties its table.
+        world = self.diamond_world(
+            sensor_assignment={0: ["temperature"], 2: ["temperature"], 3: ["temperature"]}
+        )
+        world.run_epochs(0, 3)
+        assert world.root.tables.table("temperature").child_entry(1) is not None
+
+        self.move_3_under_2(world)
+        assert world.protocols[1].tables.table("temperature") is None
+        world.protocols[3].readvertise()
+        world.run_epochs(4, 8)
+
+        assert world.root.tables.table("temperature").child_entry(1) is None
+        assert world.root.tables.table("temperature").child_entry(2) is not None

@@ -1,13 +1,15 @@
-"""Measurements that no re-link or death-sweep optimisation may move.
+"""Measurements of the dynamic cells, pinned digest by digest.
 
-The A/B harness cannot see a regression in the topology delta: both of its
-arms run the same ``Topology.with_positions_delta`` and the same LMAC.
-These cells re-link, kill, revive or drain batteries, so they cover the
-structural-sharing delta, beacon plans kept across re-links and the
-dead-neighbour sweep on the beacon fast path.  The digests are
-``TrialResult.fingerprint(include_key=False)`` at seed 1, recorded while
-every re-link still rebuilt the whole graph and every fast beacon tick
-refused a due death; they must never move with either again.
+The A/B harness cannot see a regression in the topology delta or in tree
+maintenance: both of its arms run the same ``Topology.with_positions_delta``,
+the same tree rule and the same LMAC.  These cells re-link, kill, revive or
+drain batteries, so they cover the structural-sharing delta, beacon plans
+kept across re-links, the dead-neighbour sweep on the beacon fast path, and
+the one tree rule with parents that forget their ex-children.  The digests
+are ``TrialResult.fingerprint(include_key=False)`` at seed 1, recorded when
+kills, revivals and re-links first shared that rule; a change that moves
+any of them changes what a dynamic trial measures and must re-pin them
+under a new ``CACHE_VERSION``.
 """
 
 from __future__ import annotations
@@ -21,16 +23,16 @@ from .abharness import run_arm
 
 #: (cell, protocol) -> full measurement digest.
 DYNAMIC_DIGESTS = {
-    ("mobile-40", "dirq"): "d518637fd18b237d4391c67bfd76471fda2b93eb5af946b8f7eb38ecd983176d",
-    ("mobile-40", "atc"): "fff77c78aa3155501bbda9e3bc91938003673611e6d9931a6c696ba99ee2f402",
-    ("mobile-40", "flooding"): "8c16254fead24e2957dc0011b59a3d2481ed72286484a364e876637b5aaa4265",
-    ("mobile-all", "dirq"): "6c34e0b7d6cbbfb5e5391352dc96a8358a38efdf63b5f49a09ee78d82943cdea",
-    ("group-mobile", "dirq"): "dac32ba3c49a64f2fa7855cca4fde55acf4daf0ab62bc962d8aa3c2f1798ad03",
-    ("scale-500-mobile", "dirq"): "8d85685df9082279bc2df2c285aaf9cafd3f8f6df1914851851aefdb6561cb16",
-    ("churn-revive", "dirq"): "2774001705049d9606e758f6ee66392aded421988235adb270e54d3f782d0a7d",
-    ("energy-tiered", "dirq"): "cdaadfd7ea4cefa32c7c3cd9d0bff5bf19d18566a832aa5f0abafba813d1e374",
-    ("area-blast-revive", "dirq"): "d3d9b3fccd18f9ed2981d8a7737dd716fd4fbf8dc74ee6faeccea145897cb3bf",
-    ("churn-heavy", "atc"): "697656724b8f35f091e691571456b9a2400a8e12f4ca4cb6432c5073b77e3ac4",
+    ("mobile-40", "dirq"): "3a5527af5da61b58ebd7b572abed33424d050fa836c8fe42047b4fc341e02247",
+    ("mobile-40", "atc"): "62af05a8bf487e04b03bddad68286b4fbc792065fe4f7e2fc29fc3a91c9961d7",
+    ("mobile-40", "flooding"): "92825f9273a99a193da557b073aeb958651d9a61655a031523d3cae279f926c2",
+    ("mobile-all", "dirq"): "f3acec4e01592d39513a636faecc2614f47a9d6949633198a25f92e3b16690ff",
+    ("group-mobile", "dirq"): "dd6b6882227599b2ccc2e38f08617c90417d9ea4b6bc2cb7c78eed4f6bcbdb6b",
+    ("scale-500-mobile", "dirq"): "1e72290b9d15a1593e427729aa2d541ebb7324e96a99162387b427cadf2af190",
+    ("churn-revive", "dirq"): "939c33dcce0c5091f03c8ebe62681e089c8bf53d8cad69beb2fae52e7dc9a0f4",
+    ("energy-tiered", "dirq"): "b3af497d32e74c938f87516deb4c1d3557698eedc7b53785982840a33db73b0c",
+    ("area-blast-revive", "dirq"): "47b48e453965c5d05c7d4a308ce88bef0677cc911077b1aa1a868b132a32e53d",
+    ("churn-heavy", "atc"): "fe48ca29be5318b5364b4e3283ec5380013bfd227151e613de0232d1827712bd",
 }
 
 #: Cells shorter than the default 400 epochs (the 500-node cell is slow).

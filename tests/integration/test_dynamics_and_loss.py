@@ -134,3 +134,31 @@ class TestLossyChannel:
             1, lossy.ledger.total_count(direction="tx")
         )
         assert rx_per_tx_lossy < rx_per_tx_lossless
+
+
+class TestChildEntriesFollowTheTree:
+    """Every child entry sits at the child's current parent."""
+
+    @staticmethod
+    def stale_child_entries(world):
+        """``(entries at a non-parent, all child entries)`` over alive nodes."""
+        stale = total = 0
+        for nid in sorted(world.alive):
+            for table in world.protocols[nid].tables.tables():
+                for child in table.child_ids:
+                    total += 1
+                    if child not in world.tree or world.tree.parent_of(child) != nid:
+                        stale += 1
+        return stale, total
+
+    @pytest.mark.parametrize("cell,seed", [("mobile-40", 1), ("churn-revive", 2)])
+    def test_no_child_entry_outlives_a_tree_change(self, cell, seed):
+        from repro.experiments.runner import ExperimentRunner
+        from repro.scenarios.registry import build_config
+
+        runner = ExperimentRunner(build_config(cell, 400, seed))
+        result = runner.run()
+        assert result.num_relinks or result.scenario_events
+        stale, total = self.stale_child_entries(runner.world)
+        assert total > 0
+        assert stale == 0, f"{stale} of {total} child entries sit at a non-parent"

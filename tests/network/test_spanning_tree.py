@@ -109,23 +109,16 @@ class TestRepair:
             comm_range=None,
         )
         tree = build_bfs_tree(topo, root=0)
-        assert tree.parent_of(2) in (1, 3)
+        assert tree.parent_of(2) == 1
 
-        def alive_neighbors(node):
-            return [n for n in topo.neighbors(node) if n != 1]
-
-        repaired = tree.repair(1, alive_neighbors)
+        repaired = tree.repair(topo, {0, 2, 3})
         assert 1 not in repaired
         assert repaired.parent_of(2) == 3
         assert repaired.parent_of(3) == 0
 
     def test_repair_drops_partitioned_nodes(self, line5):
         tree = build_bfs_tree(line5, root=0)
-
-        def alive_neighbors(node):
-            return [n for n in line5.neighbors(node) if n != 2]
-
-        repaired = tree.repair(2, alive_neighbors)
+        repaired = tree.repair(line5, {0, 1, 3, 4})
         # Nodes 3 and 4 can only reach the root through node 2: partitioned.
         assert 3 not in repaired
         assert 4 not in repaired
@@ -134,12 +127,7 @@ class TestRepair:
     def test_repair_of_root_is_rejected(self, line5):
         tree = build_bfs_tree(line5, root=0)
         with pytest.raises(TreeError):
-            tree.repair(0, line5.neighbors)
-
-    def test_without_subtree(self, line5):
-        tree = build_bfs_tree(line5, root=0)
-        pruned = tree.without_subtree(3)
-        assert sorted(pruned.node_ids) == [0, 1, 2]
+            tree.repair(line5, {1, 2, 3, 4})
 
     def test_with_new_node(self, line5):
         tree = build_bfs_tree(line5, root=0)

@@ -93,18 +93,6 @@ class TestGridAndTree:
 
 
 class TestTopologyEditing:
-    def test_without_node_removes_node_and_links(self, line5):
-        smaller = line5.without_node(2)
-        assert not smaller.has_node(2)
-        assert smaller.num_nodes == 4
-        assert not smaller.has_link(1, 2)
-        # Original is untouched (immutability).
-        assert line5.has_node(2)
-
-    def test_without_unknown_node_raises(self, line5):
-        with pytest.raises(KeyError):
-            line5.without_node(99)
-
     def test_with_node_unit_disk_attachment(self, line5):
         bigger = line5.with_node(10, (5.0, 5.0))
         assert bigger.has_node(10)

@@ -121,18 +121,21 @@ class TestSpanningTreeProperties:
         if victim not in topo.node_ids:
             return
         tree = build_bfs_tree(topo, root=0)
-
-        def alive_neighbors(node):
-            return [n for n in topo.neighbors(node) if n != victim]
-
-        repaired = tree.repair(victim, alive_neighbors)
+        alive = set(topo.node_ids) - {victim}
+        repaired = tree.repair(topo, alive)
         assert victim not in repaired
         assert repaired.root == 0
-        # Every surviving attached node reaches the root over surviving links.
+        depth = nx.single_source_shortest_path_length(topo.graph.subgraph(alive), 0)
+        # Exactly the survivors the root can still reach stay attached.
+        assert set(repaired.node_ids) == set(depth)
         for node in repaired.node_ids:
             parent = repaired.parent_of(node)
-            if parent is not None:
-                assert topo.has_link(node, parent)
-            path = repaired.path_to_root(node)
-            assert path[-1] == 0
-            assert victim not in path
+            if parent is None:
+                continue
+            # Every parent is a surviving radio neighbour one level up, and
+            # a parent that still qualifies is kept.
+            assert topo.has_link(node, parent)
+            assert depth[parent] == depth[node] - 1
+            old = tree.parent_of(node)
+            if old in alive and depth.get(old) == depth[node] - 1:
+                assert parent == old

@@ -3,10 +3,11 @@ fast-vs-brute bit identity, and 500-node determinism.
 
 Three promises are pinned here:
 
-* the ``neighbor_method`` / ``tree_repair`` / ``phenomena_method`` config
-  fields are omitted from the hash when unset, so every pre-existing
-  cache key and fingerprint survives the scaling work unchanged;
-* the spatial/incremental fast path is an implementation detail -- a
+* the ``neighbor_method`` / ``phenomena_method`` config fields are
+  omitted from the hash when unset, so every pre-existing cache key and
+  fingerprint survives the scaling work unchanged, and the deleted
+  ``tree_repair`` field fails loudly;
+* the spatial-hash fast path is an implementation detail -- a
   brute-force run of the same trial yields bit-identical measurements;
 * 500-node trials with mobility and churn are deterministic across
   repetition and across BatchRunner worker counts.
@@ -74,7 +75,6 @@ class TestConfigFieldValidation:
         "field,good,bad",
         [
             ("neighbor_method", "brute", "quadtree"),
-            ("tree_repair", "incremental", "lazy"),
             ("phenomena_method", "lowrank", "sparse"),
         ],
     )
@@ -83,6 +83,12 @@ class TestConfigFieldValidation:
         ExperimentConfig(**{field: None})  # accepted (the default)
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{field: bad})
+
+    def test_deleted_tree_repair_field_fails_loudly(self):
+        # One tree rule replaced the strategy flag; a config that still
+        # pins it must not silently run (or hash) as something else.
+        with pytest.raises(TypeError, match="tree_repair"):
+            ExperimentConfig(tree_repair="full")
 
 
 class TestHashCompatibility:
@@ -96,13 +102,10 @@ class TestHashCompatibility:
         assert config_hash(base.replace(neighbor_method="brute")) != (
             config_hash(base)
         )
-        assert config_hash(base.replace(tree_repair="full")) != (
-            config_hash(base)
-        )
         assert config_hash(base.replace(phenomena_method="lowrank")) != (
             config_hash(base)
         )
-        # Explicit spatial/incremental hash differently from unset too:
+        # An explicit default hashes differently from unset too:
         # None means "the default, whatever it becomes", a set value is a
         # recorded experimental choice.
         assert config_hash(base.replace(neighbor_method="spatial")) != (
@@ -115,9 +118,7 @@ class TestFastBrutePathIdentity:
         fast_cfg = build_config(
             "scale-500-mobile", num_epochs=SCALE_TEST_EPOCHS, seed=1
         )
-        brute_cfg = fast_cfg.replace(
-            neighbor_method="brute", tree_repair="full"
-        )
+        brute_cfg = fast_cfg.replace(neighbor_method="brute")
         fast, brute = serial_runner().run(
             [
                 TrialSpec(label="fast", config=fast_cfg),
