@@ -8,17 +8,18 @@ Tracks three things across revisions:
   resident memory.
 * **Maintenance-path throughput, fast vs brute** -- the per-relink
   pipeline (mobility delta -> neighbour recomputation -> spanning-tree
-  rule) timed with the spatial hash against the pre-existing brute-force
-  recomputation, on the same replayed move sequence.
+  rule) timed with the spatial hash against the all-pairs full rebuild
+  kept as a test oracle (``tests/differential/reference.py``), on the
+  same replayed move sequence.
   This is where the network-axis speedup lives: the static epoch loop
   (LMAC frames, sensing) is O(n) either way, so end-to-end trial time
   dilutes the O(n^2) -> O(k) neighbour win.  The recorded speedup is the
   acceptance number for the scaling work.
 * **A/B bit-identity** -- the fast path must be an implementation detail:
-  a mobile 500-node trial run with ``neighbor_method="brute"`` +
-  ``tick_method="periodic"`` and with the defaults must produce identical
-  measurement fingerprints (config hash excluded via
-  ``fingerprint(include_key=False)``).
+  a mobile 500-node trial run through the all-pairs oracles
+  (``brute_network``) with ``tick_method="periodic"`` and with the
+  defaults must produce identical measurement fingerprints (config hash
+  excluded via ``fingerprint(include_key=False)``).
 
 Runs as pytest-benchmark timings::
 
@@ -56,6 +57,7 @@ from repro.network.spanning_tree import build_bfs_tree
 from repro.network.topology import Topology, random_geometric_topology
 from repro.scenarios.models import rebuild_spanning_tree
 from repro.scenarios.registry import build_config
+from tests.differential.reference import brute_network, full_rebuild_delta
 
 from .conftest import BENCH_SEED, emit
 
@@ -202,10 +204,10 @@ def maintenance_walk(
 ):
     """Replay ``moves`` through one maintenance strategy.
 
-    The fast arm is the post-change pipeline (spatial delta, pointer-swap
-    topology adoption).  The brute arm replays the pre-change pipeline:
-    brute-force neighbour recomputation and the O(V+E) graph copy plus
-    node-set check the channel used to perform in ``update_topology``.
+    The fast arm is the production pipeline (spatial delta, pointer-swap
+    topology adoption).  The brute arm replays the pre-hash pipeline: the
+    all-pairs full-rebuild oracle and the O(V+E) graph copy plus node-set
+    check the channel used to perform in ``update_topology``.
     Both arms then carry the tree over with the same rule
     (``rebuild_spanning_tree`` with ``previous``).
 
@@ -218,11 +220,11 @@ def maintenance_walk(
     start = time.perf_counter()
     for updates in moves:
         if fast:
-            topology, _ = topology.with_positions_delta(updates, method="spatial")
+            topology, _ = topology.with_positions_delta(updates)
             channel_graph = topology.graph
             tree = rebuild_spanning_tree(topology, alive, 0, previous=tree)
         else:
-            topology = topology.with_positions(updates, method="brute")
+            topology, _ = full_rebuild_delta(topology, updates)
             if set(topology.graph.nodes) != set(channel_graph.nodes):
                 raise RuntimeError("node set changed")
             channel_graph = topology.graph.copy()
@@ -286,24 +288,25 @@ def ab_fingerprints(
     """Fingerprints of the same trial under every strategy axis.
 
     Three arms: the fast defaults (spatial neighbours, the columnar epoch
-    tick), the brute reference on every axis (all-pairs neighbours, the
-    per-node ``"periodic"`` tick), and the columnar tick pinned
-    explicitly.  The
-    config hashes legitimately differ (the strategy flags are part of the
-    config), so the comparison uses ``fingerprint(include_key=False)`` --
-    measurements only.
+    tick), the brute reference on every axis (the all-pairs oracles of
+    ``brute_network``, the per-node ``"periodic"`` tick), and the columnar
+    tick pinned explicitly.  The config hashes legitimately differ (the
+    tick flag is part of the config), so the comparison uses
+    ``fingerprint(include_key=False)`` -- measurements only.
     """
     fast_cfg = build_config(scenario, num_epochs=num_epochs, seed=seed)
-    brute_cfg = fast_cfg.replace(neighbor_method="brute", tick_method="periodic")
+    brute_cfg = fast_cfg.replace(tick_method="periodic")
     columnar_cfg = fast_cfg.replace(tick_method="columnar")
     runner = BatchRunner(max_workers=1, executor="serial", cache_dir="")
-    fast, brute, columnar = runner.run(
+    fast, columnar = runner.run(
         [
             TrialSpec(label="ab fast", config=fast_cfg),
-            TrialSpec(label="ab brute", config=brute_cfg),
             TrialSpec(label="ab columnar", config=columnar_cfg),
         ]
     )
+    with pytest.MonkeyPatch.context() as patch:
+        brute_network(patch)
+        (brute,) = runner.run([TrialSpec(label="ab brute", config=brute_cfg)])
     prints = {
         "fast": fast.fingerprint(include_key=False),
         "brute": brute.fingerprint(include_key=False),

@@ -5,11 +5,11 @@ The paper's §4.2 describes how DirQ adapts to topology changes.  When the
 tree changes (a node dies, joins, or moves), every parent prunes the Range
 Table entries of a dead or moved ex-child and propagates the change up the
 tree, and every re-parented node re-advertises its ranges to its new
-parent.  LMAC's cross-layer ``NeighborLost`` notification, sent when a
-neighbour's beacons stop arriving, prunes the same way; it covers a
-neighbour the MAC wrongly declares dead, which the tree still counts as a
-child.  New nodes are discovered from their first frame and folded into
-the tree.
+parent.  LMAC's cross-layer notification -- its ``on_neighbor_lost`` hook,
+called when a neighbour's beacons stop arriving -- prunes the same way; it
+covers a neighbour the MAC wrongly declares dead, which the tree still
+counts as a child.  New nodes are discovered from their first frame and
+folded into the tree.
 
 This example scripts both events on the paper's 50-node network:
 
@@ -17,8 +17,9 @@ This example scripts both events on the paper's 50-node network:
 * at epoch 800 a node that was switched off at deployment time is powered on.
 
 It then reports the query delivery quality (fraction of true source nodes
-reached) in the phases before, between, and after the events, plus the
-cross-layer notifications observed by the dead nodes' former parents.
+reached) in the phases before, between, and after the events, the
+cross-layer notifications observed by the dead nodes' former parents, and
+how many neighbours discovered the joined node.
 
 Run with::
 
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from repro.experiments.config import ExperimentConfig, TopologyEvent
 from repro.experiments.runner import ExperimentRunner
-from repro.mac.crosslayer import NeighborFound, NeighborLost
 from repro.metrics.accuracy import delivery_completeness, mean_overshoot
 from repro.metrics.report import format_table
 
@@ -39,6 +39,17 @@ ACTIVATION = 42
 FAILURE_EPOCH = 400
 ACTIVATION_EPOCH = 800
 NUM_EPOCHS = 1_200
+
+
+def record_losses(mac, lost_at) -> None:
+    """Note when ``mac`` first declares each neighbour dead, then let DirQ react."""
+    dirq_hook = mac.on_neighbor_lost
+
+    def hook(neighbor) -> None:
+        lost_at.setdefault(neighbor, mac.now)
+        dirq_hook(neighbor)
+
+    mac.on_neighbor_lost = hook
 
 
 def main() -> None:
@@ -66,10 +77,9 @@ def main() -> None:
     runner = ExperimentRunner(config)
     world = runner.build()
     tree_before = world.tree
-    # The bus keeps no history: record every node's notifications here.
-    events = {nid: [] for nid in world.macs}
+    lost_at = {nid: {} for nid in world.macs}
     for nid, mac in world.macs.items():
-        mac.crosslayer.subscribe(events[nid].append)
+        record_losses(mac, lost_at[nid])
     parents_of_victims = {nid: tree_before.parent_of(nid) for nid in FAILURES}
 
     print(
@@ -107,24 +117,24 @@ def main() -> None:
     print()
     print("Cross-layer notifications observed by the dead nodes' former parents:")
     for victim, parent in parents_of_victims.items():
-        lost = [
-            e
-            for e in events[parent]
-            if isinstance(e, NeighborLost) and e.neighbor_id == victim
-        ]
-        when = f"t={lost[0].time:.0f}" if lost else "never"
-        print(f"  node {parent:2d} lost child {victim:2d}: reported by LMAC at {when}")
+        if parent in FAILURES:
+            print(
+                f"  node {parent:2d} lost child {victim:2d}: "
+                "not reported, the parent died too"
+            )
+            continue
+        when = lost_at[parent].get(victim)
+        reported = "never" if when is None else f"t={when:.0f}"
+        print(
+            f"  node {parent:2d} lost child {victim:2d}: reported by LMAC at {reported}"
+        )
 
-    found_anywhere = sum(
-        1
-        for received in events.values()
-        for e in received
-        if isinstance(e, NeighborFound)
-        and e.neighbor_id == ACTIVATION
-        and e.time > ACTIVATION_EPOCH
+    known_by = sum(
+        1 for nid in sorted(world.alive) if ACTIVATION in world.macs[nid].neighbors
     )
     print(
-        f"  node {ACTIVATION} announced itself to {found_anywhere} neighbours after joining"
+        f"  node {ACTIVATION} is in the LMAC neighbour tables of {known_by} alive "
+        "nodes after joining"
     )
 
     print()

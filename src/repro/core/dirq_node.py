@@ -13,16 +13,15 @@ carries the tree over a kill, revival or re-link, it re-installs every
 node's tree links, a parent prunes each dead or moved ex-child's entries
 from its Range Tables (any resulting range change propagates up the tree),
 and every re-parented node re-advertises its ranges to its new parent.
-LMAC's ``NeighborLost`` notification prunes the same way; it covers a
-neighbour the MAC wrongly declares dead on a lossy channel, which the tree
-still counts as a child.
+LMAC's death detection prunes the same way through its
+``on_neighbor_lost`` hook; it covers a neighbour the MAC wrongly declares
+dead on a lossy channel, which the tree still counts as a child.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..mac.crosslayer import CrossLayerEvent, NeighborFound, NeighborLost
 from ..mac.lmac import LMACProtocol
 from ..network.addresses import NodeId
 from ..network.node import SensorNode
@@ -85,7 +84,7 @@ class DirQNode(DisseminationProtocol):
         self.responses_sent = 0
         self.current_epoch = 0
         self._last_estimate_hour = -1
-        mac.crosslayer.subscribe(self._on_crosslayer_event)
+        mac.on_neighbor_lost = self._handle_neighbor_lost
 
     # ------------------------------------------------------------------
     # Threshold handling
@@ -334,14 +333,6 @@ class DirQNode(DisseminationProtocol):
     # Cross-layer topology adaptation (paper §4.2)
     # ------------------------------------------------------------------
 
-    def _on_crosslayer_event(self, event: CrossLayerEvent) -> None:
-        if not self.alive:
-            return
-        if isinstance(event, NeighborLost):
-            self._handle_neighbor_lost(event)
-        elif isinstance(event, NeighborFound):
-            self._handle_neighbor_found(event)
-
     def set_tree_links(self, parent: Optional[NodeId], children: List[NodeId]) -> None:
         """Install new tree links, then forget every ex-child's ranges.
 
@@ -365,8 +356,9 @@ class DirQNode(DisseminationProtocol):
             else:
                 self._maybe_send_update(sensor_type, self.current_epoch)
 
-    def _handle_neighbor_lost(self, event: NeighborLost) -> None:
-        neighbor = event.neighbor_id
+    def _handle_neighbor_lost(self, neighbor: NodeId) -> None:
+        if not self.alive:
+            return
         self.sim.tracer.record(
             self.now, "dirq.neighbor_lost", self.node_id, neighbor=neighbor
         )
@@ -380,11 +372,6 @@ class DirQNode(DisseminationProtocol):
         # Parent loss is repaired by the tree-maintenance machinery in the
         # experiment runner (a new parent is installed via set_tree_links and
         # the node re-advertises); nothing to do locally here.
-
-    def _handle_neighbor_found(self, event: NeighborFound) -> None:
-        self.sim.tracer.record(
-            self.now, "dirq.neighbor_found", self.node_id, neighbor=event.neighbor_id
-        )
 
     # ------------------------------------------------------------------
     # Introspection helpers used by tests and examples

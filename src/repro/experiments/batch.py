@@ -377,7 +377,7 @@ class TrialResult:
         how many workers executed the batch; runtime and cache provenance
         are excluded.  ``include_key=False`` drops the config hash from the
         payload, for A/B comparisons between configs that differ only in an
-        implementation-strategy flag (e.g. ``neighbor_method``) and must
+        implementation-strategy flag (e.g. ``tick_method``) and must
         produce identical measurements.
         """
         payload = {

@@ -103,8 +103,9 @@ class ExperimentConfig:
         part of the config hash; when unset the field is omitted from the
         hash payload so pre-scenario cache keys stay valid.
     initially_dead:
-        Nodes present in the dataset and topology but switched off at t=0
-        (they can be activated later to model post-deployment additions).
+        Nodes present in the dataset and topology but switched off at t=0.
+        A ``TopologyEvent.ACTIVATE`` switches one on: that is how a trial
+        models a post-deployment join, since the node set never changes.
     send_responses:
         Whether source nodes send responses (excluded from cost figures).
     trace:
@@ -122,13 +123,13 @@ class ExperimentConfig:
     #: Fields that postdate the original hash scheme: each is omitted from
     #: the canonical hash payload while ``None`` (see
     #: ``repro.experiments.batch._canonical``), so pre-existing configs
-    #: keep their cache keys.  ``neighbor_method`` / ``phenomena_method``
-    #: select implementation strategies that are bit-identical in their
-    #: defaults, but a config that pins one explicitly must hash
-    #: differently so A/B runs never alias in the result cache.
+    #: keep their cache keys.  ``phenomena_method`` / ``tick_method``
+    #: select strategies whose defaults are the production path, but a
+    #: config that pins one explicitly must hash differently so A/B runs
+    #: never alias in the result cache.  A config that sets a deleted
+    #: strategy field raises ``TypeError`` (see docs/scaling.md).
     HASH_OMIT_WHEN_UNSET = (
         "scenario",
-        "neighbor_method",
         "phenomena_method",
         "tick_method",
     )
@@ -167,15 +168,11 @@ class ExperimentConfig:
     send_responses: bool = False
     trace: bool = False
     root_id: NodeId = 0
-    #: Unit-disk connectivity strategy: ``None`` (= "spatial", the grid
-    #: hash) or "brute" (reference O(n^2) all-pairs).  Bit-identical
-    #: topologies either way; the flag exists for A/B tests and profiling.
-    neighbor_method: Optional[str] = None
     #: Phenomena synthesis: ``None`` (= "exact" dense-Cholesky Gaussian
     #: field) or "lowrank" (random-Fourier-feature approximation, the only
-    #: tractable option at thousands of nodes).  Unlike the other strategy
-    #: flags, "lowrank" draws a *different* (approximate) field, so it is
-    #: never a silent default.
+    #: tractable option at thousands of nodes).  Unlike ``tick_method``,
+    #: "lowrank" draws a *different* (approximate) field, so it is never a
+    #: silent default.
     phenomena_method: Optional[str] = None
     #: Epoch-tick strategy: ``None`` (= "columnar": one numpy pass per
     #: sensor type over the alive set, fanning out Python-level work only
@@ -209,11 +206,6 @@ class ExperimentConfig:
             raise ValueError("channel_loss must be in [0, 1]")
         if self.root_id in self.initially_dead:
             raise ValueError("the root cannot start dead")
-        if self.neighbor_method not in (None, "spatial", "brute"):
-            raise ValueError(
-                "neighbor_method must be None, 'spatial', or 'brute', "
-                f"got {self.neighbor_method!r}"
-            )
         if self.phenomena_method not in (None, "exact", "lowrank"):
             raise ValueError(
                 "phenomena_method must be None, 'exact', or 'lowrank', "

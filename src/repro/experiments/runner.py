@@ -173,7 +173,6 @@ class ExperimentRunner:
             area_size=cfg.area_size,
             rng=self.streams.get("topology"),
             root_id=cfg.root_id,
-            method=cfg.neighbor_method,
         )
         world.ledger = NetworkLedger()
         world.channel = WirelessChannel(
@@ -419,9 +418,7 @@ class ExperimentRunner:
         spanning tree is carried over to the new links.
         """
         moved = mobility.step()
-        world.topology, _ = world.topology.with_positions_delta(
-            moved, method=self.config.neighbor_method
-        )
+        world.topology, _ = world.topology.with_positions_delta(moved)
         world.channel.update_topology(world.topology)
         self._maintain_tree(world)
 

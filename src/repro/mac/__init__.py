@@ -1,19 +1,9 @@
-"""LMAC MAC substrate (beacons, discovery, death detection) with cross-layer notifications."""
+"""LMAC MAC substrate: beacons, discovery, death detection and payload transport."""
 
-from .crosslayer import (
-    CrossLayerBus,
-    CrossLayerEvent,
-    NeighborFound,
-    NeighborLost,
-)
 from .frames import MAC_CONTROL_KIND, MACFrame
 from .lmac import LMACProtocol
 
 __all__ = [
-    "CrossLayerBus",
-    "CrossLayerEvent",
-    "NeighborFound",
-    "NeighborLost",
     "MAC_CONTROL_KIND",
     "MACFrame",
     "LMACProtocol",

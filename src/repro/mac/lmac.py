@@ -5,14 +5,13 @@ uses exactly three of its services, which is all this module models:
 
 * **Neighbour discovery.**  Every node broadcasts a control beacon once per
   ``beacon_interval`` epochs.  The first frame heard from an unknown node
-  makes it a neighbour and publishes :class:`~repro.mac.crosslayer.
-  NeighborFound` on the node's cross-layer bus.
+  makes it a neighbour.
 * **Death detection.**  Each neighbour carries a count of beacon periods
   since any frame (beacon or data) was last heard from it.  A beacon tick
   first increments every count, then declares dead -- in ascending id
-  order -- the neighbours that reached ``death_threshold``, publishing
-  :class:`~repro.mac.crosslayer.NeighborLost`.  DirQ subscribes to both
-  events to prune / extend its Range Tables (paper §4.2).
+  order -- the neighbours that reached ``death_threshold``, calling
+  :attr:`LMACProtocol.on_neighbor_lost` with each one.  DirQ installs that
+  hook to prune its Range Tables (paper §4.2).
 * **Payload transport.**  The upper layer sends unicast or broadcast
   payloads through :meth:`LMACProtocol.send`; each one is transmitted after
   a constant MAC access delay and delivered to the destination's
@@ -38,7 +37,6 @@ from ..network.addresses import BROADCAST, NodeId
 from ..network.channel import WirelessChannel
 from ..simulation.engine import Simulator
 from ..simulation.process import SimProcess
-from .crosslayer import CrossLayerBus, NeighborFound, NeighborLost
 from .frames import MAC_CONTROL_KIND, MACFrame
 
 UpperLayerHandler = Callable[[NodeId, Any], None]
@@ -48,14 +46,14 @@ UpperLayerHandler = Callable[[NodeId, Any], None]
 class _BeaconTarget:
     """One receiver's slice of a cached fast-beacon delivery plan.
 
-    Full rows (``_BeaconPlan.rows``) are LMAC receivers that already know
-    the sender; charge-only rows (``_BeaconPlan.charge``) are targets with
-    no registered receiver and use only ``target``/``rx_entry``.  Every
-    referenced object is identity-stable, so per-tick revalidation is
-    identity and membership checks only.
+    Full rows (``_BeaconPlan.rows``) are LMAC receivers; charge-only rows
+    (``_BeaconPlan.charge``) are targets with no registered receiver and
+    use only ``target``/``rx_entry``.  Every referenced object is
+    identity-stable, so per-tick revalidation is identity and liveness
+    checks only.
     """
 
-    __slots__ = ("target", "callback", "known", "timers_get", "rx_entry")
+    __slots__ = ("target", "callback", "neighbors", "timers_get", "rx_entry")
 
 
 class _BeaconPlan:
@@ -71,7 +69,6 @@ class _BeaconPlan:
 
     __slots__ = (
         "adjacency",
-        "degree",
         "rows",
         "charge",
         "dead",
@@ -99,8 +96,6 @@ class LMACProtocol(SimProcess):
         Epochs between control beacons (the elided-frames coarsening knob).
     death_threshold:
         Consecutive missed beacons after which a neighbour is declared dead.
-    crosslayer:
-        Per-node cross-layer bus; a fresh one is created when omitted.
     """
 
     def __init__(
@@ -111,7 +106,6 @@ class LMACProtocol(SimProcess):
         rng: Optional[np.random.Generator] = None,
         beacon_interval: float = 10.0,
         death_threshold: int = 3,
-        crosslayer: Optional[CrossLayerBus] = None,
     ):
         super().__init__(sim, name=f"lmac[{node_id}]")
         self.channel = channel
@@ -123,7 +117,10 @@ class LMACProtocol(SimProcess):
         self.rng = rng
         #: Known neighbours -> beacon periods since a frame was last heard.
         self.neighbors: dict[NodeId, int] = {}
-        self.crosslayer = crosslayer if crosslayer is not None else CrossLayerBus()
+        #: Called with each neighbour the death sweep declares dead (the
+        #: cross-layer notification of paper §4.2); ``None`` when no upper
+        #: layer listens.
+        self.on_neighbor_lost: Optional[Callable[[NodeId], None]] = None
         self.beacon_interval = float(beacon_interval)
         self.death_threshold = int(death_threshold)
         if self.beacon_interval <= 0:
@@ -246,9 +243,7 @@ class LMACProtocol(SimProcess):
           same runner processing window as ``now`` (the runner reads the
           ledger at the epoch's 0.5 / 0.95 / boundary checkpoints, so a
           reception charge must not migrate across one);
-        * every alive receiver being a plain LMAC stack that already knows
-          this sender (a first contact publishes ``NeighborFound`` at
-          delivery time);
+        * every alive receiver being a plain LMAC stack;
         * no receiver's own beacon timer firing inside the propagation
           window (its dead-neighbour sweep must order with this delivery
           exactly as the event queue would order them).
@@ -256,20 +251,25 @@ class LMACProtocol(SimProcess):
         Under those conditions every effect of the delivery is private
         per-(receiver, sender) state or epoch-aggregated accounting, so
         applying it at tick time instead of delivery time is unobservable.
-        The sweep that follows is the same call on both paths: it touches
-        only this node's neighbour counts, and the ``NeighborLost``
-        handlers it runs touch only this node's tables and sends.  The
-        skipped delivery event carried receiver-private effects alone, so
-        dropping its sequence number reorders no other pair of events.
+        A receiver's one write is ``neighbors[sender] = 0`` whether or not
+        it knew the sender (a first contact's ``lmac.neighbor_found``
+        record needs the tracer, which is off); a first contact may enter
+        the table ahead of another sender's in-flight one, but the only
+        walk of the table, the death sweep, sorts what it declares.  The
+        sweep that follows is the same call on both paths: it touches
+        only this node's neighbour counts, and the
+        :attr:`on_neighbor_lost` hook it calls touches only this node's
+        tables and sends.  The skipped delivery event carried
+        receiver-private effects alone, so dropping its sequence number
+        reorders no other pair of events.
 
         The per-receiver eligibility data is cached in a *beacon plan*
         (see :class:`_BeaconTarget`), keyed by this node's adjacency dict
-        in the channel graph: every object the checks dereference -- the
+        in the channel graph (no graph is mutated in place, so the dict's
+        identity pins its contents): every object a row holds -- the
         receiver's bound method, its neighbour dict, its timer map, its
         ledger entry -- is identity stable, so each tick only revalidates
-        identities and membership instead of rebuilding the delivery list.
-        The degree check catches edges ``WirelessChannel.add_node`` adds
-        in place to the channel's private graph copy.
+        identities and liveness instead of rebuilding the delivery list.
         """
         channel = self.channel
         if channel.loss_probability > 0.0 or channel.tracer.enabled:
@@ -287,11 +287,7 @@ class LMACProtocol(SimProcess):
         nid = self.node_id
         adjacency = channel.graph._adj[nid]
         plan = self._beacon_plan
-        if (
-            plan is None
-            or plan.adjacency is not adjacency
-            or plan.degree != len(adjacency)
-        ):
+        if plan is None or plan.adjacency is not adjacency:
             plan = self._build_beacon_plan(adjacency)
             if plan is None:
                 # Drop the stale plan as well: it pins a superseded dict.
@@ -300,10 +296,9 @@ class LMACProtocol(SimProcess):
         alive_get = channel._alive.get
         receivers_get = channel._receivers.get
         rx_deadline = now + prop
-        # Any liveness, registration or acquaintance change among the
-        # planned targets invalidates the plan (rare); in exchange the
-        # steady-state passes below never re-derive the target count or
-        # re-check row kinds.
+        # Any liveness or registration change among the planned targets
+        # invalidates the plan (rare); in exchange the steady-state passes
+        # below never re-derive the target count or re-check row kinds.
         for t in plan.dead:
             if alive_get(t):
                 self._beacon_plan = None
@@ -316,11 +311,7 @@ class LMACProtocol(SimProcess):
         rows = plan.rows
         for row in rows:
             t = row.target
-            if (
-                not alive_get(t)
-                or receivers_get(t) is not row.callback
-                or nid not in row.known
-            ):
+            if not alive_get(t) or receivers_get(t) is not row.callback:
                 self._beacon_plan = None
                 return False
             handle = row.timers_get("beacon")
@@ -349,7 +340,7 @@ class LMACProtocol(SimProcess):
             rx_entry = row.rx_entry
             rx_entry.count += 1
             rx_entry.cost += rx_cost
-            row.known[nid] = 0
+            row.neighbors[nid] = 0
         stats.deliveries += len(rows)
         return True
 
@@ -358,10 +349,10 @@ class LMACProtocol(SimProcess):
 
         ``adjacency`` is this node's adjacency dict in the channel graph.
         Returns ``None`` -- before allocating any row -- when some alive
-        receiver is not an LMAC stack that already knows this sender (so
-        the reference path must run).  Dead graph neighbours get a sentinel
-        entry: they cost nothing while dead, and their revival invalidates
-        the plan so the rebuilt one can validate their fresh state.
+        receiver is not an LMAC stack (so the reference path must run).
+        Dead graph neighbours get a sentinel entry: they cost nothing while
+        dead, and their revival invalidates the plan so the rebuilt one can
+        validate their fresh state.
         """
         channel = self.channel
         nid = self.node_id
@@ -370,9 +361,9 @@ class LMACProtocol(SimProcess):
         lmac_receive = LMACProtocol._on_channel_receive
         for t in adjacency:
             receiver = receivers.get(t) if alive.get(t) else None
-            if receiver is not None and (
-                getattr(receiver, "__func__", None) is not lmac_receive
-                or nid not in receiver.__self__.neighbors
+            if (
+                receiver is not None
+                and getattr(receiver, "__func__", None) is not lmac_receive
             ):
                 return None
         ledger = channel.ledger
@@ -396,12 +387,11 @@ class LMACProtocol(SimProcess):
                 continue
             mac = receiver.__self__
             row.callback = receiver
-            row.known = mac.neighbors
+            row.neighbors = mac.neighbors
             row.timers_get = mac._timers.get
             rows.append(row)
         plan = _BeaconPlan()
         plan.adjacency = adjacency
-        plan.degree = len(adjacency)
         plan.rows = rows
         plan.charge = charge
         plan.dead = dead
@@ -430,26 +420,16 @@ class LMACProtocol(SimProcess):
             self._declare_dead(neighbor)
 
     def _declare_dead(self, neighbor: NodeId) -> None:
-        missed = self.neighbors.pop(neighbor)
+        del self.neighbors[neighbor]
         self.sim.tracer.record(
             self.now, "lmac.neighbor_lost", self.node_id, neighbor=neighbor
         )
-        self.crosslayer.publish(
-            NeighborLost(
-                node_id=self.node_id,
-                neighbor_id=neighbor,
-                time=self.now,
-                missed_beacons=missed,
-            )
-        )
+        if self.on_neighbor_lost is not None:
+            self.on_neighbor_lost(neighbor)
 
     # -- receiving -------------------------------------------------------------------------
 
-    def _on_channel_receive(self, sender: NodeId, frame: Any) -> None:
-        if not isinstance(frame, MACFrame):
-            # Foreign traffic (e.g. the tree-setup protocol driving the
-            # channel directly) is ignored by the MAC layer.
-            return
+    def _on_channel_receive(self, sender: NodeId, frame: MACFrame) -> None:
         # No liveness re-check here: the channel's delivery loop verifies the
         # receiver is alive immediately before invoking this hook, and the
         # alive map cannot change within one delivery event (death happens
@@ -466,10 +446,8 @@ class LMACProtocol(SimProcess):
                     self._upper_handler(sender, frame.payload)
 
     def _observe_neighbor(self, sender: NodeId) -> None:
-        """First frame from ``sender``: make it a neighbour and announce it."""
+        """First frame from ``sender`` on the frame path: make it a neighbour."""
         self.neighbors[sender] = 0
-        now = self.sim.clock.now
-        self.sim.tracer.record(now, "lmac.neighbor_found", self.node_id, neighbor=sender)
-        self.crosslayer.publish(
-            NeighborFound(node_id=self.node_id, neighbor_id=sender, time=now)
+        self.sim.tracer.record(
+            self.sim.clock.now, "lmac.neighbor_found", self.node_id, neighbor=sender
         )

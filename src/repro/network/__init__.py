@@ -3,13 +3,7 @@
 from .addresses import BROADCAST, NodeId, is_broadcast, validate_node_id
 from .channel import ChannelStats, WirelessChannel
 from .node import SensorNode
-from .spanning_tree import (
-    SpanningTree,
-    TreeBeacon,
-    TreeError,
-    TreeSetupProtocol,
-    build_bfs_tree,
-)
+from .spanning_tree import SpanningTree, TreeError, build_bfs_tree
 from .topology import (
     Topology,
     grid_topology,
@@ -26,9 +20,7 @@ __all__ = [
     "WirelessChannel",
     "SensorNode",
     "SpanningTree",
-    "TreeBeacon",
     "TreeError",
-    "TreeSetupProtocol",
     "build_bfs_tree",
     "Topology",
     "grid_topology",

@@ -2,8 +2,8 @@
 
 Nodes are identified by small non-negative integers.  The root/sink of the
 network is conventionally node 0 (configurable in the experiment configs).
-``BROADCAST`` is the destination used for one-hop MAC broadcasts, matching
-the paper's flooding and tree-setup operations.
+``BROADCAST`` is the destination used for one-hop MAC broadcasts: LMAC
+beacons and the flooding baseline.
 """
 
 from __future__ import annotations

@@ -21,16 +21,21 @@ always agree about how many receptions actually happened.
 
 Determinism contract
 --------------------
-Batched and per-receiver delivery are **stream-equivalent**: the vectorised
-loss draw consumes exactly one uniform per target, in the same target order
-the per-receiver reference path would draw them, from the same named
-channel stream.  Flipping ``batched_delivery`` therefore changes the event
-count but not a single loss outcome, delivery time, or ledger entry --
-``tests/experiments/test_fastpath_determinism.py`` pins the two paths
-against each other by `TrialResult` fingerprint.  Lossy channels require an
-rng at construction (there is no silent fallback RNG that could decouple a
-trial from its seed), and ``loss_probability`` accepts the full [0, 1]
-range including the 1.0 endpoint.
+Batched delivery is **stream-equivalent** to one event per receiver: the
+vectorised loss draw consumes exactly one uniform per target, in the same
+target order per-receiver draws would, from the same named channel stream.
+Batching therefore changes the event count but not a single loss outcome,
+delivery time, or ledger entry -- ``tests/differential/reference.py`` keeps
+the per-receiver formulation as a test oracle, and
+``tests/experiments/test_fastpath_determinism.py`` pins the two against
+each other by `TrialResult` fingerprint.  Lossy channels require an rng at
+construction (there is no silent fallback RNG that could decouple a trial
+from its seed), and ``loss_probability`` accepts the full [0, 1] range
+including the 1.0 endpoint.
+
+The channel never mutates a graph: it shares the topology's graph by
+reference, and membership is fixed at construction (a node joins a trial
+by activation, :meth:`WirelessChannel.set_alive`).
 """
 
 from __future__ import annotations
@@ -47,8 +52,6 @@ from ..simulation.engine import Simulator
 from ..simulation.events import EventPriority
 from ..simulation.trace import NULL_TRACER, Tracer
 from .addresses import BROADCAST, NodeId, validate_node_id
-from .links import within_range
-from .spatial import SpatialHash
 from .topology import Topology
 
 ReceiveCallback = Callable[[NodeId, Any], None]
@@ -75,9 +78,8 @@ class WirelessChannel:
     sim:
         The simulation engine used to schedule deliveries.
     topology:
-        Connectivity (who can hear whom).  The channel keeps its own mutable
-        view so node death/addition can be applied without rebuilding the
-        world.
+        Connectivity (who can hear whom).  Its graph is shared by
+        reference; node death is a liveness flag, not a graph edit.
     energy_model:
         Cost model used to charge transmissions/receptions; defaults to the
         paper's unit-cost model.
@@ -96,11 +98,6 @@ class WirelessChannel:
         Random generator for loss draws.  Required whenever
         ``loss_probability > 0`` (validated at construction time so a lossy
         channel can never silently behave as an ideal one).
-    batched_delivery:
-        When True (the default) a transmission's whole fan-out rides on one
-        delivery event.  ``False`` selects the reference formulation -- one
-        event per receiver -- kept for A/B determinism tests: both paths
-        must produce bit-identical experiment results.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  The only
         live observation is the per-broadcast fan-out histogram (guarded
@@ -119,7 +116,6 @@ class WirelessChannel:
         propagation_delay: float = 1e-3,
         rng: Optional[np.random.Generator] = None,
         tracer: Optional[Tracer] = None,
-        batched_delivery: bool = True,
         metrics: Optional[MetricsRegistry] = None,
     ):
         if not (0.0 <= loss_probability <= 1.0):
@@ -131,15 +127,11 @@ class WirelessChannel:
         if propagation_delay < 0:
             raise ValueError("propagation_delay must be non-negative")
         self.sim = sim
-        # Copy-on-write adoption: Topology is immutable (every edit returns a
-        # copy), so the channel can share its graph by reference and only pay
-        # for a private copy when the channel itself mutates connectivity
-        # (add_node).  At n=5000 this turns every mobility re-link's
-        # update_topology from an O(V+E) graph copy into a pointer swap.
+        # Topology is immutable (a move returns a copy), so the channel
+        # shares its graph by reference: at n=5000 this turns every
+        # mobility re-link's update_topology from an O(V+E) graph copy into
+        # a pointer swap.
         self.graph = topology.graph
-        self._owns_graph = False
-        self.positions = dict(topology.positions)
-        self.comm_range = topology.comm_range
         self.energy_model = energy_model
         self.ledger = ledger if ledger is not None else NetworkLedger()
         self.loss_probability = float(loss_probability)
@@ -147,7 +139,6 @@ class WirelessChannel:
         self.rng = rng
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.batched_delivery = bool(batched_delivery)
         self.stats = ChannelStats()
         self._receivers: Dict[NodeId, ReceiveCallback] = {}
         self._alive: Dict[NodeId, bool] = {nid: True for nid in self.graph.nodes}
@@ -163,10 +154,6 @@ class WirelessChannel:
         if node_id not in self.graph:
             raise KeyError(f"node {node_id} is not part of the channel topology")
         self._receivers[node_id] = receiver
-        self._alive.setdefault(node_id, True)
-
-    def unregister(self, node_id: NodeId) -> None:
-        self._receivers.pop(node_id, None)
 
     # -- topology dynamics ------------------------------------------------------
 
@@ -179,56 +166,20 @@ class WirelessChannel:
     def is_alive(self, node_id: NodeId) -> bool:
         return self._alive.get(node_id, False)
 
-    def _ensure_private_graph(self) -> None:
-        """Copy the (possibly shared) graph before the channel mutates it."""
-        if not self._owns_graph:
-            self.graph = self.graph.copy()
-            self._owns_graph = True
-
-    def add_node(self, node_id: NodeId, position, neighbors=None) -> None:
-        """Add a node to the channel's connectivity view.
-
-        When ``neighbors`` is omitted the node is auto-wired to every *alive*
-        node within ``comm_range`` (via a grid-hash range query rather than a
-        scan of all positions): linking through a dead node would let a later
-        resurrection inherit connectivity the radio never had.
-        """
-        if node_id in self.graph:
-            raise ValueError(f"node {node_id} already present")
-        self._ensure_private_graph()
-        self.graph.add_node(node_id)
-        self.positions[node_id] = (float(position[0]), float(position[1]))
-        if neighbors is None:
-            if self.comm_range is None:
-                raise ValueError("neighbors required when comm_range is unset")
-            here = self.positions[node_id]
-            grid = SpatialHash(self.positions, cell_size=self.comm_range)
-            for other in grid.query(here, self.comm_range, exclude=node_id):
-                if self._alive.get(other):
-                    self.graph.add_edge(node_id, other)
-        else:
-            for other in neighbors:
-                self.graph.add_edge(node_id, other)
-        self._alive[node_id] = True
-
     def update_topology(self, topology: Topology) -> None:
-        """Adopt new positions/links after node movement (mobility scenarios).
+        """Adopt the new links after node movement (mobility scenarios).
 
         The node set must be unchanged: mobility moves nodes, it never adds
-        or removes them (use :meth:`add_node` / :meth:`set_alive` for
-        that).  Liveness flags and registered receivers are preserved --
-        only who-can-hear-whom changes.  The new graph is adopted by
-        reference (copy-on-write, see ``__init__``).
+        or removes them (use :meth:`set_alive` for that).  Liveness flags
+        and registered receivers are preserved -- only who-can-hear-whom
+        changes.  The new graph is adopted by reference (see ``__init__``).
         """
         if set(topology.graph.nodes) != set(self.graph.nodes):
             raise ValueError(
                 "update_topology requires the same node set; "
-                "use add_node/set_alive for membership changes"
+                "use set_alive for membership changes"
             )
         self.graph = topology.graph
-        self._owns_graph = False
-        self.positions = dict(topology.positions)
-        self.comm_range = topology.comm_range
 
     def neighbors(self, node_id: NodeId) -> list[NodeId]:
         """Alive one-hop neighbours of ``node_id``."""
@@ -375,13 +326,6 @@ class WirelessChannel:
         delivery stats consistent.
         """
         rx_cost = self.energy_model.receive_cost(payload_bytes)
-        if not self.batched_delivery:
-            # Reference formulation: one event per receiver, in the same
-            # order the batched event walks them.  Both paths must yield
-            # bit-identical results (guarded by the determinism tests).
-            for target in targets:
-                self._schedule_single_delivery(sender, target, frame, kind, rx_cost)
-            return
 
         def deliver() -> None:
             alive = self._alive
@@ -424,31 +368,4 @@ class WirelessChannel:
             deliver,
             priority=EventPriority.MAC,
             label=label,
-        )
-
-    def _schedule_single_delivery(
-        self, sender: NodeId, target: NodeId, frame: Any, kind: str, rx_cost: float
-    ) -> None:
-        """Unbatched reference delivery of one frame to one target."""
-
-        def deliver() -> None:
-            if not self._alive.get(target):
-                self.stats.drops_dead_node += 1
-                return
-            self.ledger.node(target).charge_rx(kind, rx_cost)
-            receiver = self._receivers.get(target)
-            if receiver is None:
-                return
-            self.stats.deliveries += 1
-            if self.tracer.enabled:
-                self.tracer.record(
-                    self.sim.now, "channel.rx", target, sender=sender, kind=kind
-                )
-            receiver(sender, frame)
-
-        self.sim.schedule_after(
-            self.propagation_delay,
-            deliver,
-            priority=EventPriority.MAC,
-            label=f"deliver[{kind}] {sender}->{target}",
         )

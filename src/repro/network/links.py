@@ -24,17 +24,16 @@ def within_range(pos_a: Position, pos_b: Position, comm_range: float) -> bool:
       inclusive convention so ties are a defined, testable behaviour.
     * **One float formulation**: the distance is evaluated as
       ``sqrt(dx*dx + dy*dy)`` in float64, the same operation order (and
-      therefore the same rounding) as the vectorised brute-force builder
-      ``np.sqrt(((a - b) ** 2).sum(-1))``.  Alternative formulations such
-      as :func:`math.dist`/:func:`math.hypot` round differently in the last
+      therefore the same rounding) as numpy's
+      ``np.sqrt(dx * dx + dy * dy)``.  Alternative formulations such as
+      :func:`math.dist`/:func:`math.hypot` round differently in the last
       ulp, which historically let a node sit exactly on the range boundary
       and be a neighbour on one code path but not on another.  Every
-      scalar caller (spatial hash, ``Topology.with_node``,
-      ``WirelessChannel.add_node``) must route range checks through this
-      function, and the two vectorised passes (the brute-force O(n^2)
-      graph and :func:`repro.network.spatial.neighbors_of`) evaluate
-      exactly this expression in numpy, so the tie behaviour can never
-      diverge again.
+      scalar caller (the spatial hash, and the all-pairs test oracle in
+      ``tests/differential/reference.py``) must route range checks through
+      this function, and the one vectorised pass,
+      :func:`repro.network.spatial.neighbors_of`, evaluates exactly this
+      expression in numpy, so the tie behaviour can never diverge again.
     """
     dx = float(pos_a[0]) - float(pos_b[0])
     dy = float(pos_a[1]) - float(pos_b[1])

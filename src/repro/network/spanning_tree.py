@@ -12,11 +12,7 @@ provides
   up the initial tree, mirroring the paper's "once the nodes have been
   placed, a spanning tree is set up"), and the one rule that carries the
   tree over kills, revivals and mobility re-links
-  (:meth:`SpanningTree.repair`);
-* :class:`TreeSetupProtocol` -- a distributed construction protocol that
-  builds a tree of the same depths by flooding a setup beacon, used by the
-  examples and integration tests to demonstrate (and cost) in-network tree
-  setup.
+  (:meth:`SpanningTree.repair`).
 """
 
 from __future__ import annotations
@@ -245,8 +241,7 @@ def build_bfs_tree(
     their root paths.  That is the order in which a FIFO breadth-first
     search over sorted neighbour lists dequeues a level, so with
     ``previous=None`` every node gets the parent such a search finds
-    first.  (The lowest-id parent, which :class:`TreeSetupProtocol`
-    converges to, can differ from depth 3 on; the depths agree.)
+    first.
 
     Parameters
     ----------
@@ -286,75 +281,3 @@ def build_bfs_tree(
             f"topology is not connected; unreachable nodes: {sorted(missing)}"
         )
     return SpanningTree(root=root, parent=parent)
-
-
-@dataclasses.dataclass(frozen=True)
-class TreeBeacon:
-    """Setup beacon flooded during distributed tree construction."""
-
-    origin: NodeId
-    hops: int
-
-
-class TreeSetupProtocol:
-    """Distributed spanning-tree setup by beacon flooding.
-
-    The root broadcasts a :class:`TreeBeacon` with hop count 0; every node
-    adopts the first sender offering the smallest hop count (ties broken by
-    lowest sender id) as its parent and rebroadcasts with ``hops + 1``.  On
-    an ideal channel this converges to a tree of the same depths as
-    :func:`build_bfs_tree`; its purpose here is to let examples and tests
-    demonstrate and *cost* the setup phase the paper only mentions in
-    passing.
-
-    The protocol is driven directly against a
-    :class:`~repro.network.channel.WirelessChannel`.
-    """
-
-    MESSAGE_KIND = "tree_setup"
-
-    def __init__(self, channel, root: NodeId = 0):
-        self.channel = channel
-        self.root = root
-        self.best_hops: Dict[NodeId, int] = {root: 0}
-        self.parent: Dict[NodeId, Optional[NodeId]] = {root: None}
-
-    def run(self) -> SpanningTree:
-        """Execute the setup flood and return the resulting tree."""
-        for nid in self.channel.graph.nodes:
-            if self.channel.is_alive(nid):
-                self.channel.register(nid, self._make_receiver(nid))
-        self.channel.broadcast(
-            self.root, TreeBeacon(origin=self.root, hops=0), self.MESSAGE_KIND
-        )
-        self.channel.sim.run()
-        alive = {n for n in self.channel.graph.nodes if self.channel.is_alive(n)}
-        missing = alive - set(self.parent)
-        if missing:
-            raise TreeError(
-                f"tree setup did not reach nodes {sorted(missing)}; "
-                "topology may be disconnected"
-            )
-        return SpanningTree(root=self.root, parent=dict(self.parent))
-
-    def _make_receiver(self, node_id: NodeId):
-        def receive(sender: NodeId, frame) -> None:
-            if not isinstance(frame, TreeBeacon):
-                return
-            hops = frame.hops + 1
-            best = self.best_hops.get(node_id)
-            current_parent = self.parent.get(node_id)
-            better = best is None or hops < best or (
-                hops == best and current_parent is not None and sender < current_parent
-            )
-            if node_id == self.root or not better:
-                return
-            first_adoption = best is None
-            self.best_hops[node_id] = hops
-            self.parent[node_id] = sender
-            if first_adoption:
-                self.channel.broadcast(
-                    node_id, TreeBeacon(origin=node_id, hops=hops), self.MESSAGE_KIND
-                )
-
-        return receive

@@ -1,8 +1,8 @@
 """Grid-bucket spatial hash for O(k) unit-disk neighbour queries.
 
-The brute-force unit-disk builder compares every pair of nodes: O(n^2)
-distance checks per rebuild, which is what makes 5 000-node topologies (and
-every mobility re-link at that scale) intractable.  This module provides the
+Deriving unit-disk links from all pairs of nodes costs O(n^2) distance
+checks per rebuild, which is what makes 5 000-node topologies (and every
+mobility re-link at that scale) intractable.  This module provides the
 standard fix: hash every node into a square grid cell of side
 ``cell_size`` (the radio range, by default), so a range query only inspects
 the 3x3 block of cells around the query point -- O(k) work for k nodes in
@@ -19,9 +19,9 @@ is pinned:
   ``Dict[cell, Set[node]]`` bucket structure);
 * every query returns a **sorted list** of node ids;
 * the range check is the shared inclusive predicate
-  :func:`repro.network.links.within_range` -- bit-identical to the
-  brute-force builder's vectorised formulation, so the spatial and brute
-  paths can never disagree on a boundary tie.
+  :func:`repro.network.links.within_range`, which the all-pairs test
+  oracle (``tests/differential/reference.py``) uses too, so the two can
+  never disagree on a boundary tie.
 
 :func:`neighbors_of` answers many queries at once with numpy over the same
 grid (the mobility re-link asks for every moved node's neighbourhood); it
@@ -212,7 +212,7 @@ def unit_disk_edges(
 
     Each edge is returned once as ``(low id, high id)``.  Inserting edges
     into a fresh graph in exactly this order reproduces the adjacency
-    layout of the brute-force double loop (ascending outer id, ascending
+    layout of an all-pairs double loop (ascending outer id, ascending
     inner id), which broadcast fan-out order -- and therefore experiment
     fingerprints -- depend on.
     """

@@ -13,12 +13,13 @@ for the deployment styles used by the experiments:
 * :func:`kary_tree_topology` -- a complete k-ary tree laid out in the plane,
   used to validate the analytical model of §5 against simulation.
 
-Topologies are immutable for hashing/reproducibility except through the
-explicit :meth:`Topology.with_node` copy, which models node addition (node
-death is an alive set, not a topology edit).  A mobility copy
+Topologies are immutable: node death and post-deployment joins are an
+alive set, not a topology edit, and a mobility copy
 (:meth:`Topology.with_positions_delta`) shares every unchanged adjacency
 dict with its source, so a topology's graph must never be mutated in
-place.
+place.  Unit-disk connectivity is derived one way, with the grid hash of
+:mod:`repro.network.spatial`; ``tests/differential/reference.py`` keeps
+the all-pairs derivation as its test oracle.
 """
 
 from __future__ import annotations
@@ -31,29 +32,9 @@ import networkx as nx
 import numpy as np
 
 from .addresses import NodeId
-from .links import within_range
 from .spatial import neighbors_of, unit_disk_edges
 
 Position = Tuple[float, float]
-
-#: Connectivity derivation strategies for the unit-disk model.  ``"spatial"``
-#: (the default) uses the grid-bucket hash in :mod:`repro.network.spatial` --
-#: O(n k) for average degree k; ``"brute"`` is the original O(n^2) all-pairs
-#: path, kept for A/B bit-identity tests.  Both produce byte-identical graphs
-#: (same edge set via the shared :func:`~repro.network.links.within_range`
-#: predicate, same lexicographic adjacency layout).
-NEIGHBOR_METHODS = ("spatial", "brute")
-DEFAULT_NEIGHBOR_METHOD = "spatial"
-
-
-def _resolve_neighbor_method(method: Optional[str]) -> str:
-    resolved = DEFAULT_NEIGHBOR_METHOD if method is None else method
-    if resolved not in NEIGHBOR_METHODS:
-        raise ValueError(
-            f"unknown neighbor method {resolved!r}; expected one of "
-            f"{NEIGHBOR_METHODS}"
-        )
-    return resolved
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,61 +109,21 @@ class Topology:
 
     # -- topology edits (return copies) ---------------------------------------
 
-    def with_node(
-        self,
-        node_id: NodeId,
-        position: Position,
-        neighbors: Optional[Iterable[NodeId]] = None,
-    ) -> "Topology":
-        """Copy of this topology with a new node added.
-
-        When ``neighbors`` is omitted and the topology has a ``comm_range``,
-        links are derived from the unit-disk rule; otherwise the explicit
-        neighbour list is used.
-        """
-        if node_id in self.graph:
-            raise ValueError(f"node {node_id} already exists")
-        g = self.graph.copy()
-        g.add_node(node_id)
-        positions = dict(self.positions)
-        positions[node_id] = (float(position[0]), float(position[1]))
-        if neighbors is None:
-            if self.comm_range is None:
-                raise ValueError(
-                    "neighbors must be given for topologies without comm_range"
-                )
-            for other, pos in self.positions.items():
-                if within_range(pos, positions[node_id], self.comm_range):
-                    g.add_edge(node_id, other)
-        else:
-            for other in neighbors:
-                if other not in g:
-                    raise KeyError(f"unknown neighbor {other}")
-                g.add_edge(node_id, other)
-        return Topology(graph=g, positions=positions, comm_range=self.comm_range)
-
-    def with_positions(
-        self,
-        updates: Dict[NodeId, Position],
-        method: Optional[str] = None,
-    ) -> "Topology":
+    def with_positions(self, updates: Dict[NodeId, Position]) -> "Topology":
         """Copy of this topology with some nodes moved.
 
         Connectivity is re-derived from the unit-disk rule over the updated
         placement, so this is the substrate of the mobility scenarios: node
         movement changes links, never the node set.  Requires a
         ``comm_range`` (synthetic topologies without one have no rule to
-        re-derive links from).  ``method`` selects the derivation strategy
-        (see :data:`NEIGHBOR_METHODS`); callers that also need the set of
-        nodes whose neighbourhood changed should use
-        :meth:`with_positions_delta` instead.
+        re-derive links from).  Callers that also need the set of nodes
+        whose neighbourhood changed should use :meth:`with_positions_delta`
+        instead.
         """
-        return self.with_positions_delta(updates, method=method)[0]
+        return self.with_positions_delta(updates)[0]
 
     def with_positions_delta(
-        self,
-        updates: Dict[NodeId, Position],
-        method: Optional[str] = None,
+        self, updates: Dict[NodeId, Position]
     ) -> Tuple["Topology", Set[NodeId]]:
         """Move nodes and report which nodes' neighbourhoods changed.
 
@@ -190,8 +131,8 @@ class Topology:
         endpoints of every link added or removed by the move -- exactly the
         nodes whose radio neighbourhood changed.
 
-        With the default ``"spatial"`` method only edges incident to moved
-        nodes are recomputed (one vectorised grid pass over the moved set,
+        Only edges incident to moved nodes are recomputed (one vectorised
+        grid pass over the moved set,
         :func:`~repro.network.spatial.neighbors_of`), and the new graph
         shares every unchanged adjacency dict with this one: a node outside
         ``dirty`` keeps its dict object, each dirty node gets a fresh dict
@@ -200,8 +141,7 @@ class Topology:
         plus O((m + d) k) for m moved and d dirty nodes.  Given the
         ascending adjacency layout every full build here produces, the
         graph is byte-identical to a full rebuild.  Sharing is safe because a
-        topology's graph is never mutated in place (the channel copies it
-        before ``add_node``).
+        topology's graph is never mutated in place.
         """
         if not updates:
             return self, set()
@@ -212,28 +152,9 @@ class Topology:
         unknown = [nid for nid in updates if nid not in self.graph]
         if unknown:
             raise KeyError(f"unknown nodes {sorted(unknown)}")
-        resolved = _resolve_neighbor_method(method)
         positions = dict(self.positions)
         for nid, (x, y) in updates.items():
             positions[nid] = (float(x), float(y))
-
-        moved = set(updates)
-        if resolved == "brute":
-            graph = _unit_disk_graph(positions, self.comm_range, method="brute")
-            dirty: Set[NodeId] = set()
-            for nid in sorted(moved):
-                old_nb = set(self.graph.neighbors(nid))
-                new_nb = set(graph.neighbors(nid))
-                changed = old_nb ^ new_nb
-                if changed:
-                    dirty.add(nid)
-                    dirty.update(changed)
-            return (
-                Topology(
-                    graph=graph, positions=positions, comm_range=self.comm_range
-                ),
-                dirty,
-            )
 
         # Spatial delta: edges between two unmoved nodes cannot have changed,
         # so diff only the moved nodes' neighbourhoods.  ``added`` maps each
@@ -245,7 +166,7 @@ class Topology:
         old_adj = self.graph._adj
         added: Dict[NodeId, Dict[NodeId, Dict]] = {}
         removed: Dict[NodeId, List[NodeId]] = {}
-        fresh_of = neighbors_of(positions, sorted(moved), self.comm_range)
+        fresh_of = neighbors_of(positions, sorted(updates), self.comm_range)
         for nid, fresh in fresh_of.items():
             before = old_adj[nid]
             new_here = added.get(nid, {})
@@ -284,10 +205,6 @@ class Topology:
             Topology(graph=graph, positions=positions, comm_range=self.comm_range),
             dirty,
         )
-
-    def with_position(self, node_id: NodeId, position: Position) -> "Topology":
-        """Copy of this topology with one node moved (see :meth:`with_positions`)."""
-        return self.with_positions({node_id: position})
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -328,38 +245,16 @@ def _graph_from_lex_edges(
 
 
 def _unit_disk_graph(
-    positions: Dict[NodeId, Position],
-    comm_range: float,
-    method: Optional[str] = None,
+    positions: Dict[NodeId, Position], comm_range: float
 ) -> nx.Graph:
     """Build the unit-disk connectivity graph for the given positions.
 
-    Both methods produce byte-identical graphs: the same edge set (the
-    inclusive :func:`~repro.network.links.within_range` predicate evaluates
-    ``sqrt(dx*dx + dy*dy)`` with the same rounding as the vectorised
-    ``np.sqrt`` below) inserted in the same lexicographic order, which pins
-    the adjacency layout that broadcast fan-out -- and therefore experiment
-    fingerprints -- depend on.
+    The grid hash finds the edges with the inclusive
+    :func:`~repro.network.links.within_range` predicate, and they are
+    inserted in lexicographic order, which pins the adjacency layout that
+    broadcast fan-out -- and therefore experiment fingerprints -- depend on.
     """
-    resolved = _resolve_neighbor_method(method)
-    if resolved == "spatial":
-        return _graph_from_lex_edges(
-            positions, unit_disk_edges(positions, comm_range)
-        )
-    g = nx.Graph()
-    g.add_nodes_from(positions)
-    ids = sorted(positions)
-    coords = np.array([positions[i] for i in ids], dtype=float)
-    if len(ids) > 1:
-        # Pairwise distances, vectorised; the reference O(n^2) path.
-        diffs = coords[:, None, :] - coords[None, :, :]
-        dist = np.sqrt((diffs**2).sum(axis=-1))
-        within = dist <= comm_range
-        for i_idx in range(len(ids)):
-            for j_idx in range(i_idx + 1, len(ids)):
-                if within[i_idx, j_idx]:
-                    g.add_edge(ids[i_idx], ids[j_idx])
-    return g
+    return _graph_from_lex_edges(positions, unit_disk_edges(positions, comm_range))
 
 
 def random_geometric_topology(
@@ -371,7 +266,6 @@ def random_geometric_topology(
     root_id: NodeId = 0,
     root_position: Optional[Position] = None,
     max_attempts: int = 200,
-    method: Optional[str] = None,
 ) -> Topology:
     """Scatter nodes uniformly in a square field with unit-disk connectivity.
 
@@ -396,10 +290,6 @@ def random_geometric_topology(
         mimics a sink placed deliberately by the deployment team.
     max_attempts:
         Safety bound on connectivity re-draws.
-    method:
-        Connectivity derivation strategy (see :data:`NEIGHBOR_METHODS`);
-        both strategies yield byte-identical topologies, so this only
-        selects the time/space profile of the build.
 
     Raises
     ------
@@ -426,7 +316,7 @@ def random_geometric_topology(
         positions[root_id] = (float(root_pos[0]), float(root_pos[1]))
         for idx, nid in enumerate(other_ids):
             positions[nid] = (float(coords[idx, 0]), float(coords[idx, 1]))
-        graph = _unit_disk_graph(positions, comm_range, method=method)
+        graph = _unit_disk_graph(positions, comm_range)
         topo = Topology(graph=graph, positions=positions, comm_range=comm_range)
         if not ensure_connected or topo.is_connected():
             return topo
@@ -446,11 +336,10 @@ def grid_topology(
 ) -> Topology:
     """Regular ``rows x cols`` grid.
 
-    By default the radio range is set to 1.5x the grid spacing so that each
-    node hears its 4-neighbourhood but not diagonal nodes at distance
-    ``spacing * sqrt(2)`` > 1.5 would... note 1.5 > sqrt(2) ~ 1.414, so
-    diagonals are included; pass ``comm_range=spacing * 1.1`` for a strict
-    4-neighbour grid.
+    By default the radio range is 1.1x the grid spacing, so each node hears
+    its 4-neighbourhood but not its diagonal neighbours (at ``spacing *
+    sqrt(2)``); pass a ``comm_range`` of at least ``spacing * sqrt(2)`` to
+    include the diagonals.
     """
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")

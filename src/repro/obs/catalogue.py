@@ -53,7 +53,6 @@ TRACE_CATALOGUE: Dict[str, str] = {
     "lmac.neighbor_found": "an LMAC neighbour was discovered",
     "dirq.update": "a DirQ range update is sent",
     "dirq.estimate": "a DirQ estimate is relayed",
-    "dirq.neighbor_found": "DirQ reacts to a found neighbour",
     "dirq.neighbor_lost": "DirQ reacts to a lost neighbour",
     "dirq.query_injected": "the root injects a query",
     "dirq.query_received": "a node receives a query",

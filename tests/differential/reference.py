@@ -1,0 +1,137 @@
+"""Reference implementations kept as test oracles.
+
+Each mechanism below DirQ has one production path in ``src/``.  The
+formulations it replaced survive here, where tests (and the A/B arms of
+``benchmarks/bench_scale.py``) compare the production path against them:
+
+* **Connectivity.**  :func:`all_pairs_graph` checks every pair with the
+  shared :func:`~repro.network.links.within_range` predicate and inserts
+  the edges through networkx's public API; :func:`full_rebuild_delta`
+  re-derives every link after a move instead of only the moved nodes'.
+  :func:`brute_network` routes a whole trial through both.
+* **Delivery.**  :class:`PerReceiverChannel` schedules one delivery event
+  per receiver instead of one per transmission.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from typing import Dict, List, Set, Tuple
+
+import networkx as nx
+
+from repro.network import topology as topology_module
+from repro.network.addresses import NodeId
+from repro.network.channel import WirelessChannel
+from repro.network.links import Position, within_range
+from repro.network.topology import Topology
+from repro.simulation.events import EventPriority
+
+
+def brute_edges(
+    positions: Dict[NodeId, Position], comm_range: float
+) -> List[Tuple[NodeId, NodeId]]:
+    """Every unit-disk edge, found by checking all pairs in ascending order."""
+    ids = sorted(positions)
+    return [
+        (a, b)
+        for i, a in enumerate(ids)
+        for b in ids[i + 1 :]
+        if within_range(positions[a], positions[b], comm_range)
+    ]
+
+
+def all_pairs_graph(positions: Dict[NodeId, Position], comm_range: float) -> nx.Graph:
+    """The unit-disk graph the grid hash must reproduce, adjacency order included."""
+    graph = nx.Graph()
+    graph.add_nodes_from(positions)
+    graph.add_edges_from(brute_edges(positions, comm_range))
+    return graph
+
+
+def full_rebuild_delta(
+    topology: Topology, updates: Dict[NodeId, Position]
+) -> Tuple[Topology, Set[NodeId]]:
+    """:meth:`Topology.with_positions_delta` by rebuilding every link.
+
+    ``dirty`` is derived independently: the moved nodes whose neighbour
+    set changed, plus every neighbour they gained or lost.
+    """
+    if not updates:
+        return topology, set()
+    if topology.comm_range is None:
+        raise ValueError("with_positions requires a comm_range to re-derive links")
+    positions = dict(topology.positions)
+    for nid, (x, y) in updates.items():
+        positions[nid] = (float(x), float(y))
+    graph = all_pairs_graph(positions, topology.comm_range)
+    dirty: Set[NodeId] = set()
+    for nid in updates:
+        changed = set(topology.graph[nid]) ^ set(graph[nid])
+        if changed:
+            dirty.add(nid)
+            dirty.update(changed)
+    return (
+        Topology(graph=graph, positions=positions, comm_range=topology.comm_range),
+        dirty,
+    )
+
+
+def brute_network(monkeypatch) -> Counter:
+    """Build and re-link every topology through the all-pairs oracles.
+
+    Patches the unit-disk graph construction and
+    :meth:`Topology.with_positions_delta` for the rest of the test (or
+    ``MonkeyPatch`` context), so a whole trial can run a brute arm.
+    Returns call counts per oracle, so a caller can check the patch was
+    exercised.
+    """
+    calls: Counter = Counter()
+
+    def graph(positions, comm_range):
+        calls["graph"] += 1
+        return all_pairs_graph(positions, comm_range)
+
+    def delta(topology, updates):
+        calls["delta"] += 1
+        return full_rebuild_delta(topology, updates)
+
+    monkeypatch.setattr(topology_module, "_unit_disk_graph", graph)
+    monkeypatch.setattr(Topology, "with_positions_delta", delta)
+    return calls
+
+
+class PerReceiverChannel(WirelessChannel):
+    """A channel that delivers each reception as its own event.
+
+    Batched delivery must be indistinguishable from this: the same
+    receivers in the same order, the same loss draws, and the same ledger.
+    """
+
+    def _schedule_delivery(self, sender, targets, frame, kind, payload_bytes):
+        rx_cost = self.energy_model.receive_cost(payload_bytes)
+        for target in targets:
+            self._schedule_one(sender, target, frame, kind, rx_cost)
+
+    def _schedule_one(self, sender, target, frame, kind, rx_cost):
+        def deliver() -> None:
+            if not self._alive.get(target):
+                self.stats.drops_dead_node += 1
+                return
+            self.ledger.node(target).charge_rx(kind, rx_cost)
+            receiver = self._receivers.get(target)
+            if receiver is None:
+                return
+            self.stats.deliveries += 1
+            if self.tracer.enabled:
+                self.tracer.record(
+                    self.sim.now, "channel.rx", target, sender=sender, kind=kind
+                )
+            receiver(sender, frame)
+
+        self.sim.schedule_after(
+            self.propagation_delay,
+            deliver,
+            priority=EventPriority.MAC,
+            label=f"deliver[{kind}] {sender}->{target}",
+        )

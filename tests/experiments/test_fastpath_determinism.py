@@ -3,8 +3,9 @@
 The scheduler rewrite, the batched channel fan-out and the runner's epoch
 fast path are pure optimisations: a sweep must produce bit-identical
 fingerprints whether deliveries are batched (the fast path) or scheduled
-one event per receiver (the reference formulation the simulator used
-before), and repeated runs must reproduce exactly.
+one event per receiver (the reference formulation, kept as a test oracle
+in ``tests/differential/reference.py``), and repeated runs must reproduce
+exactly.
 """
 
 import pytest
@@ -12,7 +13,8 @@ import pytest
 import repro.experiments.runner as runner_module
 from repro.experiments.batch import BatchRunner
 from repro.experiments.scenarios import smoke_sweep
-from repro.network.channel import WirelessChannel
+
+from ..differential.reference import PerReceiverChannel
 
 
 def _serial_runner() -> BatchRunner:
@@ -31,15 +33,9 @@ class TestFastPathDeterminism:
     def test_batched_and_unbatched_delivery_bit_identical(
         self, monkeypatch, fast_fingerprints
     ):
-        """The old one-event-per-receiver path and the new batched path
-        must agree bit-for-bit on the whole smoke sweep."""
-
-        class UnbatchedChannel(WirelessChannel):
-            def __init__(self, *args, **kwargs):
-                kwargs.setdefault("batched_delivery", False)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(runner_module, "WirelessChannel", UnbatchedChannel)
+        """The one-event-per-receiver path and the batched path must agree
+        bit-for-bit on the whole smoke sweep."""
+        monkeypatch.setattr(runner_module, "WirelessChannel", PerReceiverChannel)
         specs = smoke_sweep(num_nodes=10, num_epochs=100)
         reference = [r.fingerprint() for r in _serial_runner().run(specs)]
         assert reference == fast_fingerprints
@@ -52,19 +48,15 @@ class TestFastPathDeterminism:
     def test_lossy_trial_bit_identical_across_delivery_modes(self, monkeypatch):
         """Loss draws are vectorised per transmission; the stream must match
         the per-receiver formulation draw for draw."""
-        from repro.experiments.runner import run_experiment
+        from repro.experiments.runner import ExperimentRunner, run_experiment
         from repro.experiments.scenarios import small_network
 
         cfg = small_network(num_nodes=12, num_epochs=150).replace(channel_loss=0.2)
         fast = run_experiment(cfg)
-
-        class UnbatchedChannel(WirelessChannel):
-            def __init__(self, *args, **kwargs):
-                kwargs.setdefault("batched_delivery", False)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(runner_module, "WirelessChannel", UnbatchedChannel)
-        reference = run_experiment(cfg)
+        monkeypatch.setattr(runner_module, "WirelessChannel", PerReceiverChannel)
+        runner = ExperimentRunner(cfg)
+        reference = runner.run()
+        assert isinstance(runner.world.channel, PerReceiverChannel)
         assert (
             reference.ledger.breakdown_by_kind() == fast.ledger.breakdown_by_kind()
         )

@@ -6,7 +6,6 @@ import pytest
 from repro.experiments.config import ExperimentConfig, TopologyEvent
 from repro.experiments.runner import run_experiment
 from repro.metrics.accuracy import delivery_completeness
-from repro.mac.crosslayer import NeighborLost
 
 
 @pytest.fixture(scope="module")
@@ -72,13 +71,20 @@ class TestCrossLayerNotifications:
         world = runner.build()
         tree_before = world.tree
         parent_of_victim = tree_before.parent_of(9)
-        events = []
-        world.macs[parent_of_victim].crosslayer.subscribe(events.append)
+        mac = world.macs[parent_of_victim]
+        dirq_hook = mac.on_neighbor_lost
+        assert dirq_hook == world.protocols[parent_of_victim]._handle_neighbor_lost
+        lost = []
+
+        def observe(neighbor):
+            lost.append(neighbor)
+            dirq_hook(neighbor)
+
+        mac.on_neighbor_lost = observe
         runner.run()
-        # The victim's old parent must have received a NeighborLost event
-        # from its MAC layer and dropped the child from its range tables.
-        lost = [e for e in events if isinstance(e, NeighborLost)]
-        assert any(e.neighbor_id == 9 for e in lost)
+        # The victim's old parent must have heard of the death from its MAC
+        # layer and dropped the child from its range tables.
+        assert 9 in lost
         parent_proto = world.protocols[parent_of_victim]
         for table in parent_proto.tables.tables():
             assert 9 not in table.child_ids

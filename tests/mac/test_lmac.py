@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.mac.crosslayer import NeighborFound, NeighborLost
 from repro.mac.frames import MAC_CONTROL_KIND
 from repro.mac.lmac import LMACProtocol
 from repro.network.addresses import BROADCAST
@@ -32,6 +31,13 @@ def build_macs(topology, beacon_interval=5.0, death_threshold=3):
     return sim, channel, macs
 
 
+def record_losses(mac):
+    """Log ``(neighbour, time)`` for every death ``mac`` declares."""
+    lost = []
+    mac.on_neighbor_lost = lambda neighbor: lost.append((neighbor, mac.now))
+    return lost
+
+
 class TestNeighborDiscovery:
     def test_beacons_populate_neighbor_tables(self, star4):
         sim, _, macs = build_macs(star4)
@@ -39,14 +45,6 @@ class TestNeighborDiscovery:
         assert sorted(macs[0].neighbors) == [1, 2, 3, 4]
         for leaf in (1, 2, 3, 4):
             assert list(macs[leaf].neighbors) == [0]
-
-    def test_neighbor_found_published_on_first_contact(self, star4):
-        sim, _, macs = build_macs(star4)
-        events = []
-        macs[0].crosslayer.subscribe(lambda e: events.append(e))
-        sim.run_until(12.0)
-        found = [e for e in events if isinstance(e, NeighborFound)]
-        assert {e.neighbor_id for e in found} == {1, 2, 3, 4}
 
     def test_control_beacons_use_mac_control_kind(self, star4):
         sim, channel, _ = build_macs(star4)
@@ -97,23 +95,17 @@ class TestDeathDetection:
         sim.run_until(12.0)
         assert 1 in macs[0].neighbors
 
-        lost = []
-        macs[0].crosslayer.subscribe(
-            lambda e: lost.append(e) if isinstance(e, NeighborLost) else None
-        )
+        lost = record_losses(macs[0])
         channel.set_alive(1, False)
         macs[1].shutdown()
         # Three missed beacon intervals plus margin.
         sim.run_until(12.0 + 5.0 * 5)
-        assert any(e.neighbor_id == 1 for e in lost)
+        assert [neighbor for neighbor, _ in lost] == [1]
         assert 1 not in macs[0].neighbors
 
     def test_alive_neighbors_are_not_declared_dead(self, star4):
         sim, _, macs = build_macs(star4)
-        lost = []
-        macs[0].crosslayer.subscribe(
-            lambda e: lost.append(e) if isinstance(e, NeighborLost) else None
-        )
+        lost = record_losses(macs[0])
         sim.run_until(60.0)
         assert lost == []
 
@@ -144,10 +136,7 @@ class TestMacContract:
     def test_data_frames_keep_a_silent_beaconer_alive(self, star4):
         sim, _, macs = build_macs(star4, beacon_interval=5.0, death_threshold=3)
         sim.run_until(12.0)
-        lost = []
-        macs[0].crosslayer.subscribe(
-            lambda e: lost.append(e) if isinstance(e, NeighborLost) else None
-        )
+        lost = record_losses(macs[0])
         macs[1].cancel_timer("beacon")
         # One data frame every two beacon periods: without the reset it
         # would be declared dead after three.
@@ -171,18 +160,15 @@ class TestMacContract:
         }
         for mac in macs.values():
             mac.start()
-        lost = []
-        macs[0].crosslayer.subscribe(
-            lambda e: lost.append(e) if isinstance(e, NeighborLost) else None
-        )
+        lost = record_losses(macs[0])
         # Just after the centre's tick, before any leaf beacons again.
         sim.run_until(10.5)
         for leaf in (3, 1):
             channel.set_alive(leaf, False)
             macs[leaf].shutdown()
         sim.run_until(40.0)
-        assert [e.neighbor_id for e in lost] == [1, 3]
-        assert lost[0].time == lost[1].time
+        assert [neighbor for neighbor, _ in lost] == [1, 3]
+        assert lost[0][1] == lost[1][1]
 
     def test_first_beacon_phase_is_the_first_rng_draw(self, star4):
         sim = Simulator()
@@ -212,8 +198,8 @@ class TestValidation:
 class TestBeaconPlan:
     def test_failed_plan_rebuild_keeps_no_superseded_graph(self):
         """A re-link replaces the channel graph; a sender whose next plan
-        build fails (its new neighbour is not yet in the steady state for
-        it) must drop its old plan, which pins a superseded adjacency."""
+        build fails (its new neighbour is a plain callback, not an LMAC
+        stack) must drop its old plan, which pins a superseded adjacency."""
         topology = line_topology(6)
         sim, channel, macs = build_macs(topology)
         for mac in macs.values():
@@ -234,16 +220,19 @@ class TestBeaconPlan:
                 failed.append(mac.node_id)
             return plan
 
-        # Node 5 drifts from the far end of the line to beside node 0.
+        # Node 5 hands its receptions to a plain callback and drifts from
+        # the far end of the line to beside node 0.
+        channel.register(5, lambda sender, frame: None)
         moved, _ = topology.with_positions_delta({5: (-10.0, 0.0)})
         channel.update_topology(moved)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(LMACProtocol, "_build_beacon_plan", recording_build)
             sim.run_until(45.0)
-        assert failed
+        assert failed == [0]
         for nid, mac in macs.items():
             plan = mac._beacon_plan
             assert plan is None or plan.adjacency is channel.graph._adj[nid], nid
+        assert macs[0]._beacon_plan is None
 
     def test_relink_that_spares_a_sender_keeps_its_plan(self):
         topology = line_topology(6)
@@ -290,15 +279,7 @@ class TestFastDeathSweep:
             )
             for nid, phase in self.PHASES.items()
         }
-        events = {nid: [] for nid in macs}
-        for nid, mac in macs.items():
-            mac.fast_beacons = fast
-            mac.crosslayer.subscribe(events[nid].append)
-            mac.start()
-        sim.run_until(12.0)
-        for leaf in (3, 1):
-            channel.set_alive(leaf, False)
-            macs[leaf].shutdown()
+        lost = {nid: record_losses(mac) for nid, mac in macs.items()}
         frames = []
         emit = LMACProtocol._emit_beacon
 
@@ -308,6 +289,13 @@ class TestFastDeathSweep:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(LMACProtocol, "_emit_beacon", recording_emit)
+            for mac in macs.values():
+                mac.fast_beacons = fast
+                mac.start()
+            sim.run_until(12.0)
+            for leaf in (3, 1):
+                channel.set_alive(leaf, False)
+                macs[leaf].shutdown()
             sim.run_until(40.0)
         state = {
             "neighbors": {nid: dict(mac.neighbors) for nid, mac in macs.items()},
@@ -315,14 +303,25 @@ class TestFastDeathSweep:
             "ledger": channel.ledger.breakdown_by_kind(),
             "stats": channel.stats,
         }
-        return events, state, frames
+        return lost, state, frames
 
     def test_fast_tick_declares_the_same_deaths_as_the_frame_tick(self, star4):
-        fast_events, fast_state, fast_frames = self._run(star4, fast=True)
-        frame_events, frame_state, _ = self._run(star4, fast=False)
-        lost = [e for e in fast_events[0] if isinstance(e, NeighborLost)]
-        assert [e.neighbor_id for e in lost] == [1, 3]
+        fast_lost, fast_state, fast_frames = self._run(star4, fast=True)
+        frame_lost, frame_state, _ = self._run(star4, fast=False)
+        assert [neighbor for neighbor, _ in fast_lost[0]] == [1, 3]
         # The centre declared both deaths on a fast tick: no frame then.
-        assert all(nid != 0 or t != lost[0].time for nid, t in fast_frames)
-        assert fast_events == frame_events
+        died_at = fast_lost[0][0][1]
+        assert all(nid != 0 or t != died_at for nid, t in fast_frames)
+        assert fast_lost == frame_lost
+        assert fast_state == frame_state
+
+    def test_first_contacts_take_the_fast_path(self, star4):
+        """Discovery needs no frame: a first contact's one effect is the
+        table entry a known sender's beacon refreshes."""
+        fast_lost, fast_state, fast_frames = self._run(star4, fast=True)
+        frame_lost, frame_state, frame_frames = self._run(star4, fast=False)
+        first_period = sorted(nid for nid, t in frame_frames if t < 1.0)
+        assert first_period == [0, 1, 2, 3, 4]
+        assert [frame for frame in fast_frames if frame[1] < 12.0] == []
+        assert fast_lost == frame_lost
         assert fast_state == frame_state

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.network.spanning_tree import (
-    SpanningTree,
-    TreeError,
-    TreeSetupProtocol,
-    build_bfs_tree,
-)
-from repro.network.channel import WirelessChannel
-from repro.simulation.engine import Simulator
+from repro.network.spanning_tree import SpanningTree, TreeError, build_bfs_tree
 
 from ..helpers import line_topology, star_topology
 
@@ -136,21 +129,3 @@ class TestRepair:
         assert 10 in grown.children(2)
         with pytest.raises(TreeError):
             grown.with_new_node(10, attach_to=0)
-
-
-class TestDistributedSetup:
-    def test_distributed_setup_matches_bfs_on_ideal_channel(self, small_topology):
-        sim = Simulator()
-        channel = WirelessChannel(sim, small_topology)
-        protocol = TreeSetupProtocol(channel, root=0)
-        tree = protocol.run()
-        reference = build_bfs_tree(small_topology, root=0)
-        for node in reference.node_ids:
-            assert tree.depth_of(node) == reference.depth_of(node)
-
-    def test_setup_messages_are_costed(self, star4):
-        sim = Simulator()
-        channel = WirelessChannel(sim, star4)
-        TreeSetupProtocol(channel, root=0).run()
-        # Every node broadcast the beacon exactly once.
-        assert channel.ledger.total_count(direction="tx", kind="tree_setup") == 5

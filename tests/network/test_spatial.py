@@ -3,9 +3,10 @@
 Two layers: unit tests of the ``SpatialHash`` container contract
 (deterministic sorted drains, inclusive range predicate, cell geometry)
 and randomized equivalence properties pinning the spatial neighbour
-derivation to the brute-force reference -- same edge sets, same adjacency
-insertion order, same inclusive boundary behaviour -- because experiment
-fingerprints depend on that byte-level agreement.
+derivation to the all-pairs oracles of ``tests/differential/reference.py``
+-- same edge sets, same adjacency insertion order, same dirty sets, same
+inclusive boundary behaviour -- because experiment fingerprints depend on
+that byte-level agreement.
 """
 
 from __future__ import annotations
@@ -18,22 +19,23 @@ import pytest
 from repro.network.links import within_range
 from repro.network.spatial import SpatialHash, neighbors_of, unit_disk_edges
 from repro.network.topology import (
-    NEIGHBOR_METHODS,
     Topology,
     _unit_disk_graph,
     random_geometric_topology,
 )
 
+from ..differential.reference import (
+    all_pairs_graph,
+    brute_edges,
+    full_rebuild_delta,
+)
 
-def brute_edges(positions, comm_range):
-    """Reference O(n^2) edge derivation with the shared predicate."""
-    ids = sorted(positions)
-    return [
-        (a, b)
-        for i, a in enumerate(ids)
-        for b in ids[i + 1 :]
-        if within_range(positions[a], positions[b], comm_range)
-    ]
+#: The two ways to move nodes: the production delta and the full-rebuild
+#: oracle.  Both must match the all-pairs graph and the exact dirty set.
+DELTAS = {
+    "spatial": Topology.with_positions_delta,
+    "brute": full_rebuild_delta,
+}
 
 
 class TestSpatialHashContainer:
@@ -178,8 +180,8 @@ class TestUnitDiskEquivalence:
                 int(i): (float(x), float(y))
                 for i, (x, y) in enumerate(rng.uniform(0, 100, (n, 2)))
             }
-            spatial = _unit_disk_graph(positions, comm, method="spatial")
-            brute = _unit_disk_graph(positions, comm, method="brute")
+            spatial = _unit_disk_graph(positions, comm)
+            brute = all_pairs_graph(positions, comm)
             assert list(spatial.nodes) == list(brute.nodes)
             assert sorted(spatial.edges) == sorted(brute.edges)
             for node in spatial.nodes:
@@ -189,7 +191,7 @@ class TestUnitDiskEquivalence:
 
     def test_shared_edge_attribute_invariant(self):
         positions = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0)}
-        g = _unit_disk_graph(positions, 2.0, method="spatial")
+        g = _unit_disk_graph(positions, 2.0)
         for a, b in g.edges:
             assert g[a][b] is g[b][a]
 
@@ -204,12 +206,6 @@ class TestUnitDiskEquivalence:
         assert unit_disk_edges(positions, 10.0) == brute_edges(
             positions, 10.0
         )
-
-    def test_method_validation(self):
-        positions = {0: (0.0, 0.0), 1: (1.0, 0.0)}
-        with pytest.raises(ValueError, match="neighbor method"):
-            _unit_disk_graph(positions, 2.0, method="kdtree")
-        assert set(NEIGHBOR_METHODS) == {"spatial", "brute"}
 
 
 class TestNeighborsOf:
@@ -290,7 +286,7 @@ class TestWithPositionsDelta:
         with pytest.raises(ValueError, match="comm_range"):
             bare.with_positions_delta({0: (1.0, 1.0)})
 
-    @pytest.mark.parametrize("method", ["spatial", "brute"])
+    @pytest.mark.parametrize("method", sorted(DELTAS))
     def test_chained_moves_match_full_rebuild(self, method):
         topo = self._random_topology(5)
         reference = topo
@@ -306,13 +302,13 @@ class TestWithPositionsDelta:
                 )
                 for i in sorted(chosen)
             }
-            topo, _ = topo.with_positions_delta(updates, method=method)
+            topo, _ = DELTAS[method](topo, updates)
             moved_positions = {
                 nid: updates.get(nid, pos)
                 for nid, pos in reference.positions.items()
             }
             reference = Topology(
-                graph=_unit_disk_graph(moved_positions, 30.0, "brute"),
+                graph=all_pairs_graph(moved_positions, 30.0),
                 positions=moved_positions,
                 comm_range=30.0,
             )
@@ -320,7 +316,7 @@ class TestWithPositionsDelta:
             for node in topo.graph.nodes:
                 assert list(topo.graph[node]) == list(reference.graph[node])
 
-    @pytest.mark.parametrize("method", ["spatial", "brute"])
+    @pytest.mark.parametrize("method", sorted(DELTAS))
     def test_dirty_set_is_exactly_the_changed_neighbourhoods(self, method):
         topo = self._random_topology(7)
         rng = np.random.default_rng(23)
@@ -337,7 +333,7 @@ class TestWithPositionsDelta:
             old_neighbours = {
                 nid: set(topo.graph.neighbors(nid)) for nid in topo.graph
             }
-            topo, dirty = topo.with_positions_delta(updates, method=method)
+            topo, dirty = DELTAS[method](topo, updates)
             expected = {
                 nid
                 for nid in topo.graph
@@ -398,12 +394,8 @@ class TestWithPositionsDelta:
             ids[int(i)]: (float(rng.uniform(0, 120)), float(rng.uniform(0, 120)))
             for i in sorted(chosen)
         }
-        spatial_topo, spatial_dirty = topo.with_positions_delta(
-            updates, method="spatial"
-        )
-        brute_topo, brute_dirty = topo.with_positions_delta(
-            updates, method="brute"
-        )
+        spatial_topo, spatial_dirty = topo.with_positions_delta(updates)
+        brute_topo, brute_dirty = full_rebuild_delta(topo, updates)
         assert spatial_dirty == brute_dirty
         assert sorted(spatial_topo.graph.edges) == sorted(
             brute_topo.graph.edges
@@ -422,9 +414,9 @@ class TestInclusiveRangeContract:
         )
 
     def test_predicate_matches_numpy_rounding(self):
-        # The predicate must round exactly like the vectorised reference
-        # (same sqrt(dx*dx + dy*dy) evaluation order), or spatial and
-        # brute derivations would disagree on knife-edge pairs.
+        # The predicate must round exactly like numpy (same
+        # sqrt(dx*dx + dy*dy) evaluation order), or the scalar hash and the
+        # vectorised neighbors_of would disagree on knife-edge pairs.
         rng = np.random.default_rng(41)
         pts = rng.uniform(0, 100, (200, 2))
         comm = 30.0

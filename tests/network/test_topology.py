@@ -65,11 +65,15 @@ class TestGridAndTree:
         assert topo.is_connected()
 
     def test_grid_strict_4_neighbourhood(self):
-        topo = grid_topology(3, 3, spacing=10.0, comm_range=11.0)
-        # Interior node 4 has exactly 4 neighbours.
-        assert len(topo.neighbors(4)) == 4
-        # Corner node 0 has exactly 2.
-        assert len(topo.neighbors(0)) == 2
+        # The default range (1.1x the spacing) excludes the diagonals too.
+        for topo in (
+            grid_topology(3, 3, spacing=10.0, comm_range=11.0),
+            grid_topology(3, 3, spacing=10.0),
+        ):
+            # Interior node 4 has exactly 4 neighbours.
+            assert topo.neighbors(4) == [1, 3, 5, 7]
+            # Corner node 0 has exactly 2.
+            assert topo.neighbors(0) == [1, 3]
 
     def test_kary_tree_node_count(self):
         topo = kary_tree_topology(branching=2, depth=3)
@@ -93,21 +97,6 @@ class TestGridAndTree:
 
 
 class TestTopologyEditing:
-    def test_with_node_unit_disk_attachment(self, line5):
-        bigger = line5.with_node(10, (5.0, 5.0))
-        assert bigger.has_node(10)
-        # Within 12m of nodes 0 (0,0) and 1 (10,0).
-        assert bigger.has_link(10, 0)
-        assert bigger.has_link(10, 1)
-
-    def test_with_node_explicit_neighbors(self, line5):
-        bigger = line5.with_node(10, (100.0, 100.0), neighbors=[4])
-        assert bigger.has_link(10, 4)
-
-    def test_with_existing_node_raises(self, line5):
-        with pytest.raises(ValueError):
-            line5.with_node(3, (0.0, 0.0))
-
     def test_degree_and_neighbors(self, star4):
         assert star4.degree(0) == 4
         assert star4.neighbors(0) == [1, 2, 3, 4]

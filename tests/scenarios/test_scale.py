@@ -3,12 +3,13 @@ fast-vs-brute bit identity, and 500-node determinism.
 
 Three promises are pinned here:
 
-* the ``neighbor_method`` / ``phenomena_method`` config fields are
-  omitted from the hash when unset, so every pre-existing cache key and
-  fingerprint survives the scaling work unchanged, and the deleted
-  ``tree_repair`` field fails loudly;
-* the spatial-hash fast path is an implementation detail -- a
-  brute-force run of the same trial yields bit-identical measurements;
+* the ``phenomena_method`` config field is omitted from the hash when
+  unset, so every pre-existing cache key and fingerprint survives the
+  scaling work unchanged, and the deleted ``tree_repair`` and
+  ``neighbor_method`` fields fail loudly;
+* the spatial-hash fast path is an implementation detail -- a run of the
+  same trial through the all-pairs oracles of
+  ``tests/differential/reference.py`` yields bit-identical measurements;
 * 500-node trials with mobility and churn are deterministic across
   repetition and across BatchRunner worker counts.
 """
@@ -24,6 +25,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.scenarios.registry import build_config, scenario_names
 from repro.scenarios.static import scaled_network
 
+from ..differential.reference import brute_network
 from .test_registry_and_runner import (
     GOLDEN_DEFAULT_HASH,
     GOLDEN_SCENARIO_HASHES,
@@ -74,7 +76,6 @@ class TestConfigFieldValidation:
     @pytest.mark.parametrize(
         "field,good,bad",
         [
-            ("neighbor_method", "brute", "quadtree"),
             ("phenomena_method", "lowrank", "sparse"),
         ],
     )
@@ -90,6 +91,11 @@ class TestConfigFieldValidation:
         with pytest.raises(TypeError, match="tree_repair"):
             ExperimentConfig(tree_repair="full")
 
+    def test_deleted_neighbor_method_field_fails_loudly(self):
+        # Connectivity is derived one way; all-pairs is a test oracle.
+        with pytest.raises(TypeError, match="neighbor_method"):
+            ExperimentConfig(neighbor_method="brute")
+
 
 class TestHashCompatibility:
     def test_unset_strategy_fields_leave_hashes_unchanged(self):
@@ -99,38 +105,31 @@ class TestHashCompatibility:
 
     def test_set_strategy_fields_enter_the_hash(self):
         base = ExperimentConfig()
-        assert config_hash(base.replace(neighbor_method="brute")) != (
-            config_hash(base)
-        )
         assert config_hash(base.replace(phenomena_method="lowrank")) != (
             config_hash(base)
         )
         # An explicit default hashes differently from unset too:
         # None means "the default, whatever it becomes", a set value is a
         # recorded experimental choice.
-        assert config_hash(base.replace(neighbor_method="spatial")) != (
+        assert config_hash(base.replace(phenomena_method="exact")) != (
             config_hash(base)
         )
 
 
 class TestFastBrutePathIdentity:
-    def test_mobile_trial_fingerprints_match(self):
-        fast_cfg = build_config(
-            "scale-500-mobile", num_epochs=SCALE_TEST_EPOCHS, seed=1
+    def test_mobile_trial_fingerprints_match(self, monkeypatch):
+        spec = TrialSpec(
+            label="ab",
+            config=build_config(
+                "scale-500-mobile", num_epochs=SCALE_TEST_EPOCHS, seed=1
+            ),
         )
-        brute_cfg = fast_cfg.replace(neighbor_method="brute")
-        fast, brute = serial_runner().run(
-            [
-                TrialSpec(label="fast", config=fast_cfg),
-                TrialSpec(label="brute", config=brute_cfg),
-            ]
-        )
-        # Config hashes differ (the strategy is recorded), so the keyed
-        # fingerprints differ; the measurements must not.
-        assert fast.fingerprint() != brute.fingerprint()
-        assert fast.fingerprint(include_key=False) == brute.fingerprint(
-            include_key=False
-        )
+        (fast,) = serial_runner().run([spec])
+        calls = brute_network(monkeypatch)
+        (brute,) = serial_runner().run([spec])
+        # The brute arm built the deployment and every re-link all-pairs.
+        assert calls["graph"] >= 1 and calls["delta"] >= 1
+        assert fast.fingerprint() == brute.fingerprint()
 
 
 class TestLargeNDeterminism:
