@@ -276,7 +276,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.experiments.scenarios import smoke_sweep
 
         specs = smoke_sweep(num_nodes=10, num_epochs=80)
-        runner = BatchRunner(max_workers=1, executor="serial", cache_dir="")
+        runner = BatchRunner(max_workers=1, cache_dir="")
         first = [r.fingerprint() for r in runner.run(specs)]
         second = [r.fingerprint() for r in runner.run(specs)]
         if first != second:

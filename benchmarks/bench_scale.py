@@ -297,7 +297,7 @@ def ab_fingerprints(
     fast_cfg = build_config(scenario, num_epochs=num_epochs, seed=seed)
     brute_cfg = fast_cfg.replace(tick_method="periodic")
     columnar_cfg = fast_cfg.replace(tick_method="columnar")
-    runner = BatchRunner(max_workers=1, executor="serial", cache_dir="")
+    runner = BatchRunner(max_workers=1, cache_dir="")
     fast, columnar = runner.run(
         [
             TrialSpec(label="ab fast", config=fast_cfg),

@@ -160,7 +160,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.smoke:
         # Scenario trials must be bit-exact on repetition.
-        runner = BatchRunner(max_workers=1, executor="serial", cache_dir="")
+        runner = BatchRunner(max_workers=1, cache_dir="")
         specs = [
             TrialSpec(
                 label=name,

@@ -12,11 +12,12 @@ adds the campaign layer on top of it:
   (audit, aggregated ledger, cost breakdown, windowed series).  It mirrors
   the summary API of :class:`~repro.experiments.runner.ExperimentResult`
   but carries no live simulator objects, so it can cross process
-  boundaries and be cached on disk.
+  boundaries and be cached.
 * :class:`BatchRunner` -- fans a list of specs across worker processes via
   :mod:`concurrent.futures`, deduplicates identical configurations, and
-  optionally caches results on disk keyed by :func:`config_hash`, so
-  re-running a sweep only executes the missing trials.
+  optionally caches results keyed by :func:`config_hash` in the ``results``
+  table of a :class:`~repro.experiments.store.ResultsStore`, so re-running
+  a sweep only executes the missing trials.
 
 Determinism contract
 --------------------
@@ -34,7 +35,7 @@ what lets cached single trials compose into replicate groups.
 Cache versioning
 ----------------
 Cached results are only trusted when their recorded :data:`CACHE_VERSION`
-matches the module's.  The constant must be bumped whenever the on-disk
+matches the module's.  The constant must be bumped whenever the stored
 payload layout *or the simulation semantics* change (e.g. v2: reception
 energy charged at delivery rather than transmission), because a cache entry
 is a claim that "this config, simulated today, would produce exactly this
@@ -48,7 +49,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import pickle
 import time
 from concurrent.futures import (
     FIRST_EXCEPTION,
@@ -71,7 +71,7 @@ from ..simulation.rng import RandomStreams
 from .config import ExperimentConfig, ProtocolName
 from .runner import ExperimentResult, run_experiment
 
-#: Environment variable providing a default on-disk cache directory.
+#: Environment variable providing a default cache directory.
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 
 #: Cache directory the CLIs fall back to when neither ``--cache-dir`` nor
@@ -82,8 +82,8 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 def resolve_cache_dir(arg: Optional[str] = None) -> str:
     """The CLI cache-directory resolution: flag, else env, else default.
 
-    Shared by every cache-using CLI (smoke/replicate/scenario/cache) so
-    they can never disagree about where the cache lives.
+    Shared by every cache-using CLI (replicate/scenario/grid/campaign/
+    cache) so they can never disagree about where the cache lives.
     """
     if arg is not None:
         return arg
@@ -93,7 +93,7 @@ def resolve_cache_dir(arg: Optional[str] = None) -> str:
 #: figure modules and :meth:`BatchRunner.run_replicated`).
 DEFAULT_REPLICATES = 5
 
-#: Bumped whenever the on-disk format or the simulation semantics change in
+#: Bumped whenever the stored format or the simulation semantics change in
 #: a way that invalidates cached results.  v2: reception energy is charged
 #: at delivery time (refund-on-drop fix), which changes ledger totals for
 #: runs where nodes die with frames in flight.  v3: ``TrialResult`` gained
@@ -148,8 +148,8 @@ def _canonical(obj: object) -> object:
     naming fields that are dropped from the canonical form while ``None``.
     This is the hash-compatibility convention for *extending* an existing
     config dataclass: a new optional field listed there leaves the
-    canonical payload -- hence every cache key, manifest, and fingerprint
-    -- of all pre-extension configs byte-identical.
+    canonical payload -- hence every cache key and fingerprint -- of all
+    pre-extension configs byte-identical.
 
     A ``HASH_EXCLUDE`` class attribute names fields dropped from the
     canonical form *unconditionally* (today: ``ExperimentConfig.
@@ -297,8 +297,8 @@ class TrialResult:
     #: profile, trace summary -- present only when the config's
     #: ``instrument`` flag asked for it.  Excluded from
     #: :meth:`fingerprint` and stripped before the result is cached
-    #: (:meth:`BatchRunner._cache_store`), so instrumentation can never
-    #: leak into a determinism artefact.
+    #: (:meth:`~repro.experiments.store.ResultsStore.save_result`), so
+    #: instrumentation can never leak into a determinism artefact.
     telemetry: Optional[dict] = None
 
     @classmethod
@@ -466,15 +466,19 @@ class BatchRunner:
         executes inline (no pool), which is also the fallback for
         single-trial batches.
     cache_dir:
-        Directory of the on-disk result cache.  ``None`` consults the
+        Directory of the result cache.  ``None`` consults the
         ``REPRO_CACHE_DIR`` environment variable; an empty string
         force-disables caching (ignoring the environment).  Results are
-        stored as ``<config-hash>.pkl``; a re-run of a sweep only executes
-        trials missing from the cache.
+        stored in the ``results`` table of ``<cache_dir>/campaigns.sqlite``
+        (:class:`~repro.experiments.store.ResultsStore`), the file the
+        campaign CLIs keep their campaigns in; a re-run of a sweep only
+        executes trials missing from the cache.  Every read and write
+        happens in the thread that calls :meth:`run`; workers never touch
+        the store.
     executor:
-        ``"process"`` (default), ``"thread"``, or ``"serial"``.  Threads
-        exist for debugging (shared tracebacks); the simulator is pure
-        Python, so real speed-ups need processes.
+        ``"process"`` (default) or ``"thread"``.  Threads exist for
+        debugging (shared tracebacks); the simulator is pure Python, so
+        real speed-ups need processes.
     telemetry:
         Optional run-telemetry sink (duck-typed to
         :class:`repro.obs.progress.RunTelemetry`): ``on_start(total,
@@ -485,7 +489,7 @@ class BatchRunner:
         are cached and cannot affect execution.
     """
 
-    EXECUTORS = ("process", "thread", "serial")
+    EXECUTORS = ("process", "thread")
 
     def __init__(
         self,
@@ -510,66 +514,6 @@ class BatchRunner:
         self.telemetry = telemetry
         self.last_stats = BatchStats()
 
-    # -- cache ---------------------------------------------------------------
-
-    def _cache_path(self, key: str) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"{key}.pkl"
-
-    def _cache_load(self, spec: TrialSpec) -> Optional[TrialResult]:
-        path = self._cache_path(spec.key)
-        if path is None or not path.is_file():
-            return None
-        try:
-            with path.open("rb") as fh:
-                payload = pickle.load(fh)
-            if payload.get("version") != CACHE_VERSION:
-                return None
-            result = payload["result"]
-        except Exception:
-            return None  # corrupt entry: fall through to re-execution
-        result.from_cache = True
-        return result
-
-    def _cache_store(self, result: TrialResult) -> None:
-        path = self._cache_path(result.spec.key)
-        if path is None:
-            return
-        # Telemetry never forks the cache: the stored payload is identical
-        # whether or not the trial was instrumented, so an instrumented run
-        # warms the cache for uninstrumented re-runs (and vice versa).
-        if result.telemetry is not None:
-            result = dataclasses.replace(result, telemetry=None)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        with tmp.open("wb") as fh:
-            pickle.dump({"version": CACHE_VERSION, "result": result}, fh)
-        os.replace(tmp, path)  # atomic against concurrent sweeps
-        self._write_manifest(result.spec)
-
-    def _write_manifest(self, spec: TrialSpec) -> None:
-        """Write the human/tool-readable ``<key>.json`` sidecar of an entry.
-
-        The manifest makes the pickle cache inspectable and prunable
-        (``python -m repro.experiments.cache``): it records the cache
-        version, the spec's label/group/tags, and the full canonical
-        config.  Deliberately timestamp-free (file mtime carries the age)
-        so manifests are deterministic.
-        """
-        manifest = {
-            "version": CACHE_VERSION,
-            "key": spec.key,
-            "label": spec.label,
-            "group": spec.group,
-            "tags": _canonical(spec.tags),
-            "config": _canonical(spec.config),
-        }
-        path = self.cache_dir / f"{spec.key}.json"
-        tmp = self.cache_dir / f"{spec.key}.json.tmp"
-        tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-        os.replace(tmp, path)
-
     # -- execution -----------------------------------------------------------
 
     def run(
@@ -583,9 +527,9 @@ class BatchRunner:
         once and share a result.  ``progress`` is invoked exactly once per
         *input spec* (cache hits and deduplicated twins included), always
         with the result rebound to the spec it reports on -- a callback
-        never sees a twin's label or tags.  Executed results are cached on
-        disk *before* their progress callback fires, so a callback that
-        raises (or an interruption during one) cannot lose finished work.
+        never sees a twin's label or tags.  Executed results are cached
+        *before* their progress callback fires, so a callback that raises
+        (or an interruption during one) cannot lose finished work.
 
         Interruption contract: if a trial fails or the run is interrupted
         (``KeyboardInterrupt``), every trial that already finished is still
@@ -600,6 +544,7 @@ class BatchRunner:
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.on_start(len(spec_list), workers=self.max_workers)
+        cache = None
         by_key: Dict[str, TrialResult] = {}
         pending: List[TrialSpec] = []
         # key -> every input spec that asked for it, in input order; the
@@ -619,17 +564,24 @@ class BatchRunner:
         def on_result(result: TrialResult) -> None:
             stats.executed += 1
             by_key[result.spec.key] = result
-            self._cache_store(result)
+            if cache is not None:
+                cache.save_result(result)
             notify(result)
 
         try:
+            if self.cache_dir is not None and spec_list:
+                # Lazy: the store imports CACHE_VERSION and _canonical from
+                # this module.
+                from .store import DEFAULT_STORE_NAME, ResultsStore
+
+                cache = ResultsStore(self.cache_dir / DEFAULT_STORE_NAME)
             for spec in spec_list:
                 if spec.key in waiters:
                     stats.deduplicated += 1
                     waiters[spec.key].append(spec)
                     continue
                 waiters[spec.key] = [spec]
-                cached = self._cache_load(spec)
+                cached = None if cache is None else cache.load_result(spec.key)
                 if cached is not None:
                     stats.cached += 1
                     by_key[spec.key] = cached
@@ -648,6 +600,8 @@ class BatchRunner:
                     telemetry.on_failure()
                 raise
         finally:
+            if cache is not None:
+                cache.close()
             stats.runtime_seconds = time.perf_counter() - start
             self.last_stats = stats
         # A result produced (or cached) under one spec may be consumed by a
@@ -690,15 +644,6 @@ class BatchRunner:
         results = self.run(expanded, progress=progress)
         return group_replicates(results, metrics=metrics, confidence=confidence)
 
-    def run_map(self, specs: Iterable[TrialSpec]) -> Dict[str, TrialResult]:
-        """Execute a sweep and return results keyed by spec label."""
-        spec_list = list(specs)
-        labels = [s.label for s in spec_list]
-        if len(set(labels)) != len(labels):
-            raise ValueError("run_map requires unique spec labels")
-        results = self.run(spec_list)
-        return dict(zip(labels, results))
-
     def _execute(
         self,
         pending: Sequence[TrialSpec],
@@ -717,7 +662,7 @@ class BatchRunner:
         if not pending:
             return
         workers = min(self.max_workers, len(pending))
-        if self.executor == "serial" or workers == 1:
+        if workers == 1:
             for spec in pending:
                 try:
                     result = _execute_trial(spec)
@@ -784,14 +729,6 @@ def run_sweep(
 ) -> List[TrialResult]:
     """Convenience wrapper: run ``specs`` on ``runner`` (or a default one)."""
     return (runner if runner is not None else BatchRunner()).run(specs)
-
-
-def run_sweep_map(
-    specs: Iterable[TrialSpec],
-    runner: Optional[BatchRunner] = None,
-) -> Dict[str, TrialResult]:
-    """Like :func:`run_sweep` but keyed by spec label (labels must be unique)."""
-    return (runner if runner is not None else BatchRunner()).run_map(specs)
 
 
 def run_sweep_replicated(

@@ -1,235 +1,62 @@
-"""Cache inspection and pruning for the on-disk trial-result cache.
+"""Inspection and pruning of the trial cache.
 
-Every :class:`~repro.experiments.batch.BatchRunner` cache entry is a
-``<config-hash>.pkl`` pickle plus a ``<config-hash>.json`` manifest (cache
-version, spec label/group/tags, full canonical config) written next to it,
-so the cache is inspectable without unpickling anything.
+The :class:`~repro.experiments.batch.BatchRunner` cache is the ``results``
+table of ``<cache-dir>/campaigns.sqlite``
+(:class:`~repro.experiments.store.ResultsStore`): one row per ``(config
+hash, CACHE_VERSION)`` with the spec's label, scenario and campaign beside
+the pickled result, so the cache is inspectable without unpickling
+anything.
 
-``python -m repro.experiments.cache --list`` tabulates the entries;
-``--prune`` removes entries whose recorded version no longer matches
+``python -m repro.experiments.cache --list`` tabulates the rows;
+``--prune`` deletes the rows of other versions than
 :data:`~repro.experiments.batch.CACHE_VERSION` (they would be silently
-re-executed anyway), orphaned manifests, and -- with ``--older-than N`` --
-entries untouched for more than N days.  ``--all`` empties the cache.
+re-executed anyway), and ``--prune --all`` deletes every cached trial.
+Campaign rows are never pruned.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
-import pickle
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..metrics.report import format_table
-from ..utils.clock import wall_now
 from .batch import CACHE_VERSION, resolve_cache_dir
-
-#: Entry states reported by :func:`scan_cache`.
-STATUS_OK = "ok"
-STATUS_STALE = "stale"  # version != CACHE_VERSION (or unreadable payload)
-STATUS_NO_MANIFEST = "no-manifest"  # legacy .pkl without a .json sidecar
-STATUS_ORPHAN = "orphan-manifest"  # .json without its .pkl
+from .store import DEFAULT_STORE_NAME, ResultsStore
 
 
-@dataclasses.dataclass
-class CacheEntry:
-    """One cache entry (or stray manifest) found on disk."""
-
-    key: str
-    pkl_path: Optional[Path]
-    manifest_path: Optional[Path]
-    label: str
-    version: Optional[int]
-    size_bytes: int
-    mtime: float
-    status: str
-    #: Scenario name from the manifest tags ("" when the entry was not
-    #: produced by a scenario/grid spec) -- what makes grid-sized caches
-    #: inspectable by scenario.
-    scenario: str = ""
-    #: Campaign id from the manifest tags ("" for ad-hoc entries), so
-    #: store-backed and ad-hoc cache entries are distinguishable at a
-    #: glance.
-    campaign: str = ""
-
-    @property
-    def paths(self) -> List[Path]:
-        return [p for p in (self.pkl_path, self.manifest_path) if p is not None]
+def _status(row: Dict[str, object]) -> str:
+    return "ok" if row["cache_version"] == CACHE_VERSION else "stale"
 
 
-def _read_manifest(path: Path) -> Optional[dict]:
-    try:
-        payload = json.loads(path.read_text())
-    except Exception:
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
-def _is_manifest(payload: Optional[dict]) -> bool:
-    """Whether a parsed JSON payload is one of our cache manifests.
-
-    Guards ``--prune`` against unrelated JSON files sitting in the cache
-    directory (CLI exports, editor configs, ...): only files carrying the
-    manifest's version+key fields are ever treated as cache metadata.
-    """
-    return (
-        payload is not None
-        and "version" in payload
-        and isinstance(payload.get("key"), str)
-    )
-
-
-def _read_pickle_version(path: Path) -> Optional[int]:
-    try:
-        with path.open("rb") as fh:
-            payload = pickle.load(fh)
-        return int(payload.get("version"))
-    except Exception:
-        return None
-
-
-def scan_cache(cache_dir: Path) -> List[CacheEntry]:
-    """All cache entries under ``cache_dir``, sorted by key.
-
-    The manifest is the preferred metadata source; legacy entries without
-    one fall back to unpickling just enough to read the version stamp.
-    """
-    entries: List[CacheEntry] = []
-    if not cache_dir.is_dir():
-        return entries
-    pickles = {p.stem: p for p in sorted(cache_dir.glob("*.pkl"))}
-    manifests = {p.stem: p for p in sorted(cache_dir.glob("*.json"))}
-    for key in sorted(set(pickles) | set(manifests)):
-        pkl = pickles.get(key)
-        man = manifests.get(key)
-        manifest = _read_manifest(man) if man is not None else None
-        if not _is_manifest(manifest):
-            # Unrelated JSON that merely shares a stem: never treat it as
-            # cache metadata, never select it for deletion.
-            manifest, man = None, None
-        label = str(manifest.get("label", "")) if manifest else ""
-        tags = manifest.get("tags") if manifest else None
-        scenario = (
-            str(tags.get("scenario", "")) if isinstance(tags, dict) else ""
-        )
-        campaign = (
-            str(tags.get("campaign", "")) if isinstance(tags, dict) else ""
-        )
-        if pkl is None:
-            if manifest is None:
-                continue  # unrelated JSON file, not ours to touch
-            entries.append(
-                CacheEntry(
-                    key=key,
-                    pkl_path=None,
-                    manifest_path=man,
-                    label=label,
-                    version=manifest.get("version"),
-                    size_bytes=man.stat().st_size,
-                    mtime=man.stat().st_mtime,
-                    status=STATUS_ORPHAN,
-                    scenario=scenario,
-                    campaign=campaign,
-                )
-            )
-            continue
-        if manifest is not None:
-            version = manifest.get("version")
-        else:
-            version = _read_pickle_version(pkl)
-        if version == CACHE_VERSION:
-            status = STATUS_OK if manifest is not None else STATUS_NO_MANIFEST
-        else:
-            status = STATUS_STALE
-        size = pkl.stat().st_size + (man.stat().st_size if man else 0)
-        entries.append(
-            CacheEntry(
-                key=key,
-                pkl_path=pkl,
-                manifest_path=man,
-                label=label,
-                version=version if isinstance(version, int) else None,
-                size_bytes=size,
-                mtime=pkl.stat().st_mtime,
-                status=status,
-                scenario=scenario,
-                campaign=campaign,
-            )
-        )
-    return entries
-
-
-def prune_targets(
-    entries: Sequence[CacheEntry],
-    older_than_days: Optional[float] = None,
-    prune_all: bool = False,
-    now: Optional[float] = None,
-) -> List[CacheEntry]:
-    """Entries :func:`main`'s ``--prune`` would remove.
-
-    Always: stale versions and orphaned manifests.  ``older_than_days``
-    adds entries whose files were last touched before the cutoff;
-    ``prune_all`` selects everything.  ``now`` is the reference time for
-    age computation; callers (and tests) inject it, the CLI defaults it
-    once at the entry point.
-    """
-    if prune_all:
-        return list(entries)
-    now = wall_now() if now is None else now
-    out = []
-    for entry in entries:
-        if entry.status in (STATUS_STALE, STATUS_ORPHAN):
-            out.append(entry)
-        elif (
-            older_than_days is not None
-            and now - entry.mtime > older_than_days * 86400.0
-        ):
-            out.append(entry)
-    return out
-
-
-def _format_listing(
-    entries: Sequence[CacheEntry], cache_dir: Path, now: float
-) -> str:
-    rows = [
-        (
-            e.key,
-            e.label or "-",
-            e.scenario or "-",
-            e.campaign or "-",
-            "-" if e.version is None else e.version,
-            e.status,
-            f"{e.size_bytes / 1024:.1f}",
-            f"{max(0.0, now - e.mtime) / 86400.0:.1f}",
-        )
-        for e in entries
-    ]
-    total_kb = sum(e.size_bytes for e in entries) / 1024
+def _format_listing(rows: List[Dict[str, object]], path: Path) -> str:
+    total_kb = sum(int(row["size_bytes"]) for row in rows) / 1024
     return format_table(
         headers=[
             "key", "label", "scenario", "campaign", "version", "status",
-            "size kB", "age days",
+            "size kB",
         ],
-        rows=rows,
+        rows=[
+            (
+                row["key"],
+                row["label"] or "-",
+                row["scenario"] or "-",
+                row["campaign"] or "-",
+                row["cache_version"],
+                _status(row),
+                f"{int(row['size_bytes']) / 1024:.1f}",
+            )
+            for row in rows
+        ],
         title=(
-            f"cache {cache_dir}: {len(entries)} entries, {total_kb:.1f} kB "
+            f"cache {path}: {len(rows)} entries, {total_kb:.1f} kB "
             f"(current version {CACHE_VERSION})"
         ),
     )
 
 
-def main(
-    argv: Optional[Sequence[str]] = None, *, now: Optional[float] = None
-) -> int:
-    """CLI entry point.
-
-    ``now`` injects the reference wall-clock time for ``--list`` ages and
-    ``--prune --older-than`` cutoffs (tests pass a frozen clock; the real
-    CLI defaults it from :func:`repro.utils.clock.wall_now` exactly once,
-    here).
-    """
+def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Inspect / prune the BatchRunner result cache."
     )
@@ -237,65 +64,43 @@ def main(
         "--cache-dir",
         default=None,
         help=(
-            "cache directory (default: $REPRO_CACHE_DIR or .repro-cache)"
+            f"directory of {DEFAULT_STORE_NAME} "
+            "(default: $REPRO_CACHE_DIR or .repro-cache)"
         ),
     )
     parser.add_argument(
         "--list",
         action="store_true",
-        help="tabulate the cache entries (the default action)",
+        help="tabulate the cached trials (the default action)",
     )
     parser.add_argument(
         "--prune",
         action="store_true",
-        help=(
-            "remove stale-version entries and orphaned manifests "
-            "(plus --older-than / --all selections)"
-        ),
-    )
-    parser.add_argument(
-        "--older-than",
-        type=float,
-        default=None,
-        metavar="DAYS",
-        help="with --prune: also remove entries untouched for DAYS days",
+        help="delete the cached trials of other cache versions",
     )
     parser.add_argument(
         "--all",
         action="store_true",
-        help="with --prune: remove every entry",
+        help="with --prune: delete every cached trial (campaigns stay)",
     )
     args = parser.parse_args(argv)
-    if not args.prune and (args.older_than is not None or args.all):
-        parser.error("--older-than/--all only make sense with --prune")
+    if args.all and not args.prune:
+        parser.error("--all only makes sense with --prune")
 
-    cache_dir = Path(resolve_cache_dir(args.cache_dir))
-    now = wall_now() if now is None else float(now)
-
-    entries = scan_cache(cache_dir)
-    if not args.prune:
-        if entries:
-            print(_format_listing(entries, cache_dir, now))
-        else:
-            print(f"cache {cache_dir}: empty (or missing)")
+    path = Path(resolve_cache_dir(args.cache_dir)) / DEFAULT_STORE_NAME
+    if not path.is_file():
+        print(f"cache {path}: empty (or missing)")
         return 0
-
-    targets = prune_targets(
-        entries, older_than_days=args.older_than, prune_all=args.all, now=now
-    )
-    freed = 0
-    for entry in targets:
-        for path in entry.paths:
-            try:
-                freed += path.stat().st_size
-                path.unlink()
-            except FileNotFoundError:
-                continue  # a concurrent prune/cleanup got there first
-    kept = len(entries) - len(targets)
-    print(
-        f"pruned {len(targets)} of {len(entries)} entries "
-        f"({freed / 1024:.1f} kB freed), {kept} kept"
-    )
+    with ResultsStore(path) as store:
+        rows = store.cached_results()
+        if not args.prune:
+            if rows:
+                print(_format_listing(rows, path))
+            else:
+                print(f"cache {path}: empty (or missing)")
+            return 0
+        pruned = store.prune_results(everything=args.all)
+    print(f"pruned {pruned} of {len(rows)} entries, {len(rows) - pruned} kept")
     return 0
 
 

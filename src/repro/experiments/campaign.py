@@ -13,9 +13,10 @@ recorded, and run only the gaps through a
 upserted into the store atomically the moment it completes (the runner's
 per-spec progress callback), so a killed process -- Ctrl-C, crash, a downed
 host -- loses at most the trials that were in flight, and the next
-``--resume`` executes exactly the remainder.  Because the store row is
-keyed by config hash, N processes or hosts pointing at one shared store
-(and cache directory) drain one trial queue with zero duplicated work.
+``--resume`` executes exactly the remainder.  The list of missing trials is
+taken once, when the run starts: a later or resumed run skips every trial
+already recorded, but two runs started together on one store repeat each
+other's work.
 
 Determinism contract
 --------------------
@@ -213,7 +214,7 @@ class CampaignSpec:
 
         Two invocations declaring the same parameter space resolve to the
         same campaign (and hence resume each other); changing any knob
-        yields a fresh campaign that shares only the pickle-cache trials.
+        yields a fresh campaign that shares only the cached trials.
         """
         slug = re.sub(r"[^A-Za-z0-9_.-]+", "-", self.name.strip())
         digest = hashlib.sha256(self.spec_json.encode("utf-8")).hexdigest()[:12]
@@ -327,8 +328,8 @@ def run_missing(
     (atomically, via the runner's per-spec progress hook -- *before* the
     caller's ``progress`` fires), so interruption at any point loses at
     most the in-flight trials; trials already present in the runner's
-    pickle cache (e.g. run earlier by the scenario or grid CLI) are served
-    from it without re-execution and recorded in the store all the same.
+    cache (e.g. run earlier by the scenario or grid CLI) are served from it
+    without re-execution and recorded in the store all the same.
 
     On interruption (``KeyboardInterrupt`` or a failing trial) the partial
     accounting is still written to ``runner.last_stats`` and every finished
@@ -438,12 +439,6 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         seed=args.seed,
         sweep=_parse_sweep_args(args.sweep),
     )
-
-
-def _resolve_store_path(args: argparse.Namespace) -> Path:
-    if args.store is not None:
-        return Path(args.store)
-    return Path(resolve_cache_dir(args.cache_dir)) / DEFAULT_STORE_NAME
 
 
 def _print_run_summary(action: str, stats: CampaignStats) -> None:
@@ -609,18 +604,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="with --query: filter rows to one replicate index",
     )
     parser.add_argument(
-        "--store",
-        default=None,
-        help=(
-            "results store path (default: "
-            f"<cache-dir>/{DEFAULT_STORE_NAME})"
-        ),
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         help=(
-            "trial pickle cache directory (default: $REPRO_CACHE_DIR or "
+            "directory of the results store "
+            f"<cache-dir>/{DEFAULT_STORE_NAME}, which holds the campaigns "
+            "and the trial cache (default: $REPRO_CACHE_DIR or "
             ".repro-cache); campaigns compose with the scenario/grid CLIs "
             "through it"
         ),
@@ -653,7 +642,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    store_path = _resolve_store_path(args)
+    cache_dir = resolve_cache_dir(args.cache_dir)
+    store_path = Path(cache_dir) / DEFAULT_STORE_NAME
     with ResultsStore(store_path) as store:
         # --status with no campaign reference: list everything and exit.
         if args.status and args.campaign is None and args.scenarios is None:
@@ -716,7 +706,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             telemetry = RunTelemetry()
             runner = BatchRunner(
                 max_workers=args.workers,
-                cache_dir=resolve_cache_dir(args.cache_dir),
+                cache_dir=cache_dir,
                 telemetry=telemetry,
             )
             action = "new" if args.new else "resume"
@@ -730,7 +720,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     f"{done}/{spec.total_trials} trials stored in "
                     f"{store_path}; finish it with\n"
                     f"  python -m repro.experiments.campaign --resume "
-                    f"--campaign {campaign_id} --store {store_path}",
+                    f"--campaign {campaign_id} --cache-dir {cache_dir}",
                     file=sys.stderr,
                 )
                 return 130

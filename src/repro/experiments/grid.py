@@ -93,7 +93,7 @@ DEFAULT_JSON_PATH = "artifacts/grid.json"
 #: of the run (protocol-agnostic, unlike ``total_dirq_cost``).  This is the
 #: store's metric set by construction -- the campaign store persists
 #: exactly these scalars as columns, which is what lets ``--from-campaign``
-#: render the same matrices without touching the pickle cache.
+#: render the same matrices without unpickling a cached trial.
 GRID_METRICS = dict(STORE_METRICS)
 
 #: Metrics rendered as scenario×protocol matrices (one table each).
@@ -353,11 +353,7 @@ def _csv(value: str) -> List[str]:
 
 def _main_from_campaign(args) -> int:
     """The ``--from-campaign`` path: matrices straight from the store."""
-    store_path = (
-        Path(args.store)
-        if args.store is not None
-        else Path(resolve_cache_dir(args.cache_dir)) / DEFAULT_STORE_NAME
-    )
+    store_path = Path(resolve_cache_dir(args.cache_dir)) / DEFAULT_STORE_NAME
     if not store_path.is_file():
         print(f"error: results store {store_path} does not exist", file=sys.stderr)
         return 2
@@ -522,9 +518,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--cache-dir",
         default=None,
         help=(
-            "result cache directory (default: $REPRO_CACHE_DIR or "
-            ".repro-cache); cells shared with repro.scenarios.run are "
-            "served from cache"
+            "directory of the results store "
+            f"<cache-dir>/{DEFAULT_STORE_NAME} (default: $REPRO_CACHE_DIR "
+            "or .repro-cache); cells shared with repro.scenarios.run are "
+            "served from its trial cache, and --from-campaign reads its "
+            "campaigns"
         ),
     )
     parser.add_argument(
@@ -549,17 +547,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="ID_OR_NAME",
         help=(
-            "render the matrices from a campaign's results store instead "
-            "of running trials (no pickle cache touched; recovery renders "
+            "render the matrices from a campaign's stored metrics instead "
+            "of running trials (no cached trial is read; recovery renders "
             "as '-')"
-        ),
-    )
-    parser.add_argument(
-        "--store",
-        default=None,
-        help=(
-            "with --from-campaign: results store path (default: "
-            f"<cache-dir>/{DEFAULT_STORE_NAME})"
         ),
     )
     args = parser.parse_args(argv)
@@ -569,8 +559,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     if args.from_campaign is not None:
         return _main_from_campaign(args)
-    if args.store is not None:
-        parser.error("--store only makes sense with --from-campaign")
     if args.scenarios is None:
         parser.error("--scenarios is required (or use --list)")
     if args.replicates < 1:

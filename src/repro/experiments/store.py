@@ -1,28 +1,30 @@
-"""Queryable SQLite store of campaign trial results.
+"""The SQLite store: the trial cache and the campaign results, in one file.
 
-The pickle cache (:mod:`repro.experiments.batch`) remembers *individual
-trials* keyed by config hash; it answers "have I simulated this exact
-config?" but keeps no record of *campaigns* -- which sweeps ran, over what
-parameter space, and what came out.  :class:`ResultsStore` is that durable
-record: one SQLite file holding
+One file, ``<cache-dir>/campaigns.sqlite``, holds
 
+* a ``results`` table -- the trial cache of
+  :class:`~repro.experiments.batch.BatchRunner`: one pickled
+  :class:`~repro.experiments.batch.TrialResult` per ``(config hash,
+  CACHE_VERSION)``, with the spec's label, scenario and campaign beside it
+  for ``python -m repro.experiments.cache --list``.  It answers "have I
+  simulated this exact config?";
 * a ``campaigns`` table -- one row per registered
   :class:`~repro.experiments.campaign.CampaignSpec` (its canonical JSON,
   its deterministic id, and the expanded trial count), and
-* a ``trials`` table -- one row per finished trial with its identity
-  columns (campaign, scenario, protocol, sweep point, replicate, config
-  hash, seed) and the scalar metrics of :data:`STORE_METRICS` as real,
-  SQL-queryable columns, plus the trial fingerprint and the full canonical
-  config JSON.
+* a ``trials`` table -- one row per finished campaign trial with its
+  identity columns (campaign, scenario, protocol, sweep point, replicate,
+  config hash, seed) and the scalar metrics of :data:`STORE_METRICS` as
+  real, SQL-queryable columns, plus the trial fingerprint and the full
+  canonical config JSON.
 
 Durability contract
 -------------------
-:meth:`ResultsStore.record_trial` upserts **one row per finished trial in
-its own transaction**, so a killed process (crash, OOM, Ctrl-C, a downed
-host) loses at most the trials that were in flight; everything recorded is
-immediately visible to ``run_missing`` on the next resume -- including a
-resume running on a different host against a shared file.  Rows are keyed
-``(campaign_id, key)`` and re-recording is idempotent.
+:meth:`ResultsStore.save_result` and :meth:`ResultsStore.record_trial`
+each write **one row in its own transaction**, so a killed process
+(crash, OOM, Ctrl-C) loses at most the trials that were in flight;
+everything written is immediately visible to the next run or resume.
+Rows are keyed ``(key, cache_version)`` and ``(campaign_id, key)``, and
+re-writing one is idempotent.
 
 Determinism contract
 --------------------
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 import sqlite3
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
@@ -49,9 +52,8 @@ from ..metrics.stats import (
 )
 from .batch import CACHE_VERSION, _canonical
 
-#: Default store filename (created inside the cache directory unless an
-#: explicit ``--store`` path is given, so campaign state lives next to the
-#: pickle cache it composes with).
+#: The store's filename inside a cache directory: the one file where every
+#: CLI keeps both its trial cache and its campaigns.
 DEFAULT_STORE_NAME = "campaigns.sqlite"
 
 #: Scalar metrics persisted as real columns of the ``trials`` table --
@@ -65,6 +67,15 @@ STORE_METRICS["total_energy"] = lambda r: float(r.ledger.total_cost())
 METRIC_COLUMNS = tuple(STORE_METRICS)
 
 _SCHEMA = """
+CREATE TABLE IF NOT EXISTS results (
+    key           TEXT NOT NULL,
+    cache_version INTEGER NOT NULL,
+    label         TEXT NOT NULL,
+    scenario      TEXT NOT NULL,
+    campaign      TEXT NOT NULL,
+    result        BLOB NOT NULL,
+    PRIMARY KEY (key, cache_version)
+);
 CREATE TABLE IF NOT EXISTS campaigns (
     campaign_id   TEXT PRIMARY KEY,
     name          TEXT NOT NULL,
@@ -114,12 +125,16 @@ class CampaignRow:
 
 
 class ResultsStore:
-    """The SQLite results repository backing resumable campaigns.
+    """The trial cache and the campaign results of one SQLite file.
 
     A store is cheap to open and safe to share between processes (SQLite
-    WAL journal, one short transaction per finished trial); N workers or
-    N hosts pointing ``run_missing`` at the same file drain one trial
-    queue with zero duplicated work.
+    WAL journal, one short transaction per finished trial).  Sharing it
+    does not divide the work: ``run_missing`` lists the missing trials
+    once, when it starts, so two runs started together both execute the
+    trials neither had recorded yet.  What holds is that a later or
+    resumed run skips every trial already recorded.
+
+    A connection is bound to the thread that opened it.
     """
 
     def __init__(self, path) -> None:
@@ -144,6 +159,79 @@ class ResultsStore:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    # -- the trial cache -----------------------------------------------------
+
+    def load_result(self, key: str):
+        """The cached trial of config hash ``key``, or ``None``.
+
+        ``None`` also covers a row of another :data:`CACHE_VERSION` and a
+        blob that no longer unpickles: either way the trial runs again.
+        """
+        row = self._conn.execute(
+            "SELECT result FROM results WHERE key = ? AND cache_version = ?",
+            (key, CACHE_VERSION),
+        ).fetchone()
+        if row is None:
+            return None
+        try:
+            result = pickle.loads(row["result"])
+        except Exception:
+            return None
+        result.from_cache = True
+        return result
+
+    def save_result(self, result) -> None:
+        """Cache one executed trial (one transaction).
+
+        Telemetry is stripped first, so an instrumented run serves
+        uninstrumented re-runs and the other way round.
+        """
+        if result.telemetry is not None:
+            result = dataclasses.replace(result, telemetry=None)
+        spec = result.spec
+        with self._conn:
+            self._conn.execute(
+                "INSERT OR REPLACE INTO results "
+                "(key, cache_version, label, scenario, campaign, result) "
+                "VALUES (?, ?, ?, ?, ?, ?)",
+                (
+                    spec.key,
+                    CACHE_VERSION,
+                    spec.label,
+                    str(spec.tags.get("scenario", "")),
+                    str(spec.tags.get("campaign", "")),
+                    pickle.dumps(result),
+                ),
+            )
+
+    def cached_results(self) -> List[Dict[str, object]]:
+        """Every cached trial without its blob, ordered by key and version.
+
+        Each row carries ``key``, ``cache_version``, ``label``,
+        ``scenario``, ``campaign`` and ``size_bytes``.
+        """
+        rows = self._conn.execute(
+            "SELECT key, cache_version, label, scenario, campaign, "
+            "length(result) AS size_bytes FROM results "
+            "ORDER BY key, cache_version"
+        ).fetchall()
+        return [dict(row) for row in rows]
+
+    def prune_results(self, everything: bool = False) -> int:
+        """Delete the cached trials of other versions (all with
+        ``everything``); campaign rows stay.  Returns the rows deleted."""
+        with self._conn:
+            if everything:
+                cursor = self._conn.execute("DELETE FROM results")
+            else:
+                cursor = self._conn.execute(
+                    "DELETE FROM results WHERE cache_version != ?",
+                    (CACHE_VERSION,),
+                )
+        if cursor.rowcount:
+            self._conn.execute("VACUUM")  # hand the freed pages back
+        return cursor.rowcount
 
     # -- campaigns -----------------------------------------------------------
 

@@ -81,37 +81,6 @@ def format_series(
     )
 
 
-def format_batch_summary(stats, results) -> str:
-    """Render a batch execution summary (one row per trial).
-
-    ``stats`` is a :class:`~repro.experiments.batch.BatchStats` and
-    ``results`` a sequence of :class:`~repro.experiments.batch.TrialResult`;
-    both are duck-typed so this formatting layer stays free of experiment
-    imports.
-    """
-    title = (
-        f"batch: {stats.total} trials | executed {stats.executed}, "
-        f"cached {stats.cached}, deduplicated {stats.deduplicated} | "
-        f"workers {stats.workers} | wall {stats.runtime_seconds:.2f}s"
-    )
-    rows = [
-        (
-            r.spec.label,
-            "cache" if r.from_cache else "run",
-            r.runtime_seconds,
-            r.num_queries,
-            r.cost_ratio,
-        )
-        for r in results
-    ]
-    return format_table(
-        headers=["trial", "origin", "runtime s", "queries", "cost ratio"],
-        rows=rows,
-        float_format="{:.3f}",
-        title=title,
-    )
-
-
 def format_mean_ci(summary, float_format: str = "{:.3f}") -> str:
     """Render a replicate summary as a ``mean ± half-width [n=N]`` cell.
 

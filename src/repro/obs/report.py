@@ -1,16 +1,11 @@
-"""Observability report CLI: per-trial phase/metric breakdowns and
-campaign progress summaries.
+"""Observability report CLI: per-trial phase/metric breakdowns.
 
-Two modes:
-
-* **Trial mode** (``--scenario``): run one fully-instrumented trial of a
-  registered scenario (or the ``headline`` paper configuration) and
-  render its phase profile and metric snapshot.  ``--trace-out`` writes
-  the Chrome trace-event JSON (loadable in Perfetto /
-  ``chrome://tracing``), ``--trace-jsonl`` the raw tracer records.
-* **Campaign mode** (``--campaign``): summarise what a
-  :class:`~repro.experiments.store.ResultsStore` has recorded for a
-  campaign -- per-cell counts and replicate-folded metrics.
+``--scenario`` runs one fully-instrumented trial of a registered scenario
+(or the ``headline`` paper configuration) and renders its phase profile
+and metric snapshot.  ``--trace-out`` writes the Chrome trace-event JSON
+(loadable in Perfetto / ``chrome://tracing``), ``--trace-jsonl`` the raw
+tracer records.  A campaign's stored results are summarised by
+``python -m repro.experiments.campaign --status --campaign X``.
 
 Output contract: the ``--json`` export contains only **deterministic**
 data (metric counters/histograms, phase *call counts*, trace category
@@ -22,7 +17,6 @@ Usage::
 
     python -m repro.obs.report --scenario harsh-mixed --epochs 300 \
         --trace-out artifacts/harsh.trace.json --json artifacts/harsh.json
-    python -m repro.obs.report --campaign my-campaign --store results.sqlite
 """
 
 from __future__ import annotations
@@ -36,12 +30,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..experiments.batch import TrialResult, TrialSpec
 from ..experiments.config import ExperimentConfig, paper_defaults
 from ..experiments.runner import ExperimentRunner
-from ..experiments.store import DEFAULT_STORE_NAME, METRIC_COLUMNS, ResultsStore
 from ..metrics.report import (
     format_key_values,
     format_markdown_table,
-    format_progress,
-    format_replicate_table,
     format_table,
 )
 from ..scenarios.registry import build_config, scenario_names
@@ -220,80 +211,22 @@ def run_trial_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_campaign_report(args: argparse.Namespace) -> int:
-    store_path = Path(args.store) if args.store else Path(DEFAULT_STORE_NAME)
-    if not store_path.exists():
-        print(f"error: no results store at {store_path}", file=sys.stderr)
-        return 2
-    with ResultsStore(store_path) as store:
-        try:
-            row = store.resolve_campaign(args.campaign)
-        except KeyError as error:
-            print(f"error: {error.args[0]}", file=sys.stderr)
-            return 2
-        done = store.count(row.campaign_id)
-        print(
-            format_key_values(
-                f"campaign {row.campaign_id}",
-                [
-                    ("name", row.name),
-                    ("stored trials", f"{done}/{row.total_trials}"),
-                    ("progress", format_progress(done, row.total_trials)),
-                ],
-            )
-        )
-        groups = store.replicate_groups(row.campaign_id)
-        if groups:
-            print()
-            print(
-                format_replicate_table(
-                    groups, metrics=list(METRIC_COLUMNS), title=None
-                )
-            )
-        if args.json:
-            payload = store.export_jsonable(row.campaign_id)
-            out = Path(args.json)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-            print(f"deterministic JSON written to {out}")
-        if args.markdown:
-            table = format_replicate_table(
-                groups, metrics=list(METRIC_COLUMNS), title=None
-            )
-            out = Path(args.markdown)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(
-                f"# Campaign report: `{row.campaign_id}`\n\n"
-                f"{done}/{row.total_trials} trials stored.\n\n"
-                f"```\n{table}\n```\n"
-            )
-            print(f"markdown report written to {out}")
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description=(
-            "Observability reports: run one instrumented trial and render "
+            "Observability report: run one instrumented trial and render "
             "its phase/metric breakdown (with optional Chrome trace "
-            "export), or summarise a campaign's results store."
+            "export)."
         )
     )
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
+    parser.add_argument(
         "--scenario",
-        default=None,
+        required=True,
         help=(
-            "trial mode: a registered scenario name "
+            "a registered scenario name "
             f"({', '.join(scenario_names())}) or '{HEADLINE}' for the "
             "paper's §7 configuration"
         ),
-    )
-    mode.add_argument(
-        "--campaign",
-        default=None,
-        metavar="ID_OR_NAME",
-        help="campaign mode: summarise this campaign's results store",
     )
     parser.add_argument(
         "--epochs", type=int, default=300, help="trial length (default: 300)"
@@ -320,12 +253,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="write the raw tracer records as JSON lines",
     )
     parser.add_argument(
-        "--store",
-        default=None,
-        metavar="PATH",
-        help=f"results store path (campaign mode; default: {DEFAULT_STORE_NAME})",
-    )
-    parser.add_argument(
         "--json",
         default=None,
         metavar="PATH",
@@ -337,10 +264,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="PATH",
         help="write a markdown report",
     )
-    args = parser.parse_args(argv)
-    if args.scenario is not None:
-        return run_trial_report(args)
-    return run_campaign_report(args)
+    return run_trial_report(parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

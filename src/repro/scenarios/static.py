@@ -130,10 +130,10 @@ def smoke_sweep(
 ) -> List[TrialSpec]:
     """A small mixed sweep exercising every protocol mode.
 
-    Used by the CI smoke run (``python -m repro.experiments.smoke``) and by
-    tests that need a representative multi-trial batch that finishes in
-    seconds: two fixed thresholds, the ATC, and the flooding baseline over
-    the same miniature network.
+    Used by the CI smoke run (``python -m repro.experiments.replicate
+    --figure smoke``) and by tests that need a representative multi-trial
+    batch that finishes in seconds: two fixed thresholds, the ATC, and the
+    flooding baseline over the same miniature network.
     """
     base = small_network(
         num_nodes=num_nodes, num_epochs=num_epochs, seed=seed

@@ -3,10 +3,10 @@
 Simulation results must be a pure function of their configuration, so
 reprolint rule RL102 forbids ``time.time()`` / ``datetime.now()``
 everywhere in ``src/repro`` -- except here.  Code that genuinely needs
-wall-clock time (cache-entry ages, CLI timestamps) accepts an injectable
-``now`` parameter and lets its *entry point* default it from
-:func:`wall_now`, which keeps the core logic deterministic and testable
-with a frozen clock (see ``repro.experiments.cache``).
+wall-clock time (CLI timestamps, ages) accepts an injectable ``now``
+parameter and lets its *entry point* default it from :func:`wall_now`,
+which keeps the core logic deterministic and testable with a frozen
+clock.
 
 Simulated time is unrelated: that is :mod:`repro.simulation.clock`.
 """

@@ -9,12 +9,13 @@ The two properties the batch layer must guarantee:
   cache executes zero new trials and returns identical results.
 * **Interruption durability** -- a failing trial or a ``KeyboardInterrupt``
   mid-sweep never discards trials that already finished: they are drained
-  to the on-disk cache before the exception propagates, so a resumed sweep
+  to the cache before the exception propagates, so a resumed sweep
   re-executes only what was genuinely in flight.
 """
 
 import concurrent.futures
 import dataclasses
+import sqlite3
 import threading
 
 import pytest
@@ -30,7 +31,7 @@ from repro.experiments.batch import (
 )
 from repro.experiments.config import ExperimentConfig, TopologyEvent
 from repro.experiments.scenarios import small_network, smoke_sweep
-from repro.metrics.report import format_batch_summary
+from repro.experiments.store import DEFAULT_STORE_NAME, ResultsStore
 from repro.simulation.rng import RandomStreams
 
 
@@ -51,6 +52,12 @@ def tiny_config(seed: int = 3, **changes) -> ExperimentConfig:
         seed=seed,
     )
     return cfg.replace(**changes) if changes else cfg
+
+
+def cached_keys(cache_dir):
+    """Config hashes of the trials cached under ``cache_dir``."""
+    with ResultsStore(cache_dir / DEFAULT_STORE_NAME) as store:
+        return {row["key"] for row in store.cached_results()}
 
 
 def tiny_specs():
@@ -203,10 +210,27 @@ class TestBatchRunnerCache:
         spec = tiny_specs()[0]
         runner = BatchRunner(max_workers=1, cache_dir=tmp_path)
         runner.run([spec])
-        (tmp_path / f"{spec.key}.pkl").write_bytes(b"not a pickle")
+        with sqlite3.connect(tmp_path / DEFAULT_STORE_NAME) as conn:
+            conn.execute(
+                "UPDATE results SET result = ? WHERE key = ?",
+                (b"not a pickle", spec.key),
+            )
         rerun = BatchRunner(max_workers=1, cache_dir=tmp_path)
         rerun.run([spec])
         assert rerun.last_stats.executed == 1
+
+    def test_sweep_leaves_only_the_store_in_the_cache_dir(self, tmp_path):
+        """One persistence layer: no per-trial file is written."""
+        specs = smoke_sweep(num_nodes=10, num_epochs=60)
+        BatchRunner(max_workers=2, cache_dir=tmp_path).run(specs)
+        names = {path.name for path in tmp_path.iterdir()}
+        assert DEFAULT_STORE_NAME in names
+        assert names <= {
+            DEFAULT_STORE_NAME,
+            f"{DEFAULT_STORE_NAME}-wal",
+            f"{DEFAULT_STORE_NAME}-shm",
+        }
+        assert cached_keys(tmp_path) == {spec.key for spec in specs}
 
     def test_cache_hit_rebinds_result_to_requesting_sweeps_spec(self, tmp_path):
         """A result cached by one sweep must not leak its tags into another.
@@ -292,9 +316,7 @@ class TestBatchRunnerInterruption:
         )
         with pytest.raises(RuntimeError, match="delta=5"):
             runner.run(specs)
-        assert (tmp_path / f"{specs[0].key}.pkl").is_file()
-        assert (tmp_path / f"{specs[2].key}.pkl").is_file()
-        assert not (tmp_path / f"{specs[1].key}.pkl").exists()
+        assert cached_keys(tmp_path) == {specs[0].key, specs[2].key}
         assert runner.last_stats.executed == 2
         # The resume only re-runs the trial that actually failed.
         resumed = BatchRunner(
@@ -337,8 +359,7 @@ class TestBatchRunnerInterruption:
         )
         with pytest.raises(KeyboardInterrupt):
             runner.run(specs)
-        for spec in specs:
-            assert (tmp_path / f"{spec.key}.pkl").is_file()
+        assert cached_keys(tmp_path) == {spec.key for spec in specs}
         assert runner.last_stats.executed == len(specs)
         second = BatchRunner(max_workers=1, cache_dir=tmp_path)
         second.run(specs)
@@ -359,19 +380,11 @@ class TestBatchRunnerInterruption:
         with pytest.raises(KeyboardInterrupt):
             runner.run(specs, progress=bomb)
         assert len(reported) == 1
-        assert (tmp_path / f"{reported[0]}.pkl").is_file()
+        assert cached_keys(tmp_path) == {reported[0]}
         assert runner.last_stats.executed == 1
 
 
 class TestBatchRunnerApi:
-    def test_run_map_keys_by_label_and_rejects_duplicates(self):
-        specs = smoke_sweep(num_nodes=10, num_epochs=60)
-        results = BatchRunner(max_workers=2).run_map(specs)
-        assert set(results) == {s.label for s in specs}
-        dup = [specs[0], TrialSpec(label=specs[0].label, config=tiny_config())]
-        with pytest.raises(ValueError):
-            BatchRunner(max_workers=1).run_map(dup)
-
     def test_progress_callback_sees_every_trial(self, tmp_path):
         specs = tiny_specs()
         seen = []
@@ -408,11 +421,3 @@ class TestBatchRunnerApi:
             BatchRunner(executor="gpu")
         with pytest.raises(ValueError):
             BatchRunner(max_workers=0)
-
-    def test_format_batch_summary_renders_stats_and_rows(self):
-        runner = BatchRunner(max_workers=1)
-        results = runner.run(tiny_specs()[:2])
-        text = format_batch_summary(runner.last_stats, results)
-        assert "2 trials" in text
-        assert "delta=3" in text and "delta=5" in text
-        assert "cost ratio" in text

@@ -1,13 +1,15 @@
-"""Tests for the cache manifest sidecars and ``python -m repro.experiments.cache``."""
+"""Tests for the trial cache table and ``python -m repro.experiments.cache``."""
 
 import json
 import pickle
+import sqlite3
 
 import pytest
 
 from repro.experiments import cache as cache_cli
 from repro.experiments.batch import CACHE_VERSION, BatchRunner, TrialSpec
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.store import DEFAULT_STORE_NAME, ResultsStore
 
 
 @pytest.fixture(autouse=True)
@@ -27,28 +29,19 @@ def tiny_spec(seed=3, label="tiny") -> TrialSpec:
     return TrialSpec(label=label, config=config, group="test", tags={"k": 1})
 
 
-class TestManifestSidecar:
-    def test_manifest_written_next_to_pickle(self, tmp_path):
-        spec = tiny_spec()
-        BatchRunner(max_workers=1, cache_dir=tmp_path).run([spec])
-        pkl = tmp_path / f"{spec.key}.pkl"
-        manifest_path = tmp_path / f"{spec.key}.json"
-        assert pkl.is_file() and manifest_path.is_file()
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["version"] == CACHE_VERSION
-        assert manifest["key"] == spec.key
-        assert manifest["label"] == "tiny"
-        assert manifest["group"] == "test"
-        assert manifest["tags"] == {"k": 1}
-        assert manifest["config"]["num_nodes"] == 8
+def cached_rows(cache_dir):
+    with ResultsStore(cache_dir / DEFAULT_STORE_NAME) as store:
+        return store.cached_results()
 
-    def test_manifest_is_deterministic(self, tmp_path):
-        spec = tiny_spec()
-        BatchRunner(max_workers=1, cache_dir=tmp_path / "a").run([spec])
-        BatchRunner(max_workers=1, cache_dir=tmp_path / "b").run([spec])
-        a = (tmp_path / "a" / f"{spec.key}.json").read_bytes()
-        b = (tmp_path / "b" / f"{spec.key}.json").read_bytes()
-        assert a == b
+
+def restamp(cache_dir, key, version):
+    """Rewrite the version stamp of one cached row, as an older build would
+    have left it."""
+    with sqlite3.connect(cache_dir / DEFAULT_STORE_NAME) as conn:
+        conn.execute(
+            "UPDATE results SET cache_version = ? WHERE key = ?",
+            (version, key),
+        )
 
 
 class TestScanAndPrune:
@@ -59,67 +52,68 @@ class TestScanAndPrune:
 
     def test_scan_reports_ok_entry(self, tmp_path):
         spec = self.populate(tmp_path)
-        (entry,) = cache_cli.scan_cache(tmp_path)
-        assert entry.key == spec.key
-        assert entry.status == cache_cli.STATUS_OK
-        assert entry.version == CACHE_VERSION
-        assert entry.label == "tiny"
+        (row,) = cached_rows(tmp_path)
+        assert row["key"] == spec.key
+        assert row["cache_version"] == CACHE_VERSION
+        assert row["label"] == "tiny"
+        assert row["scenario"] == row["campaign"] == ""
+        assert row["size_bytes"] > 0
 
-    def test_scan_flags_stale_orphan_and_legacy(self, tmp_path):
-        self.populate(tmp_path)
-        # Stale entry: old version stamp in pickle + manifest.
-        (tmp_path / "aaaa.pkl").write_bytes(
-            pickle.dumps({"version": CACHE_VERSION - 1, "result": None})
-        )
-        (tmp_path / "aaaa.json").write_text(
-            json.dumps(
-                {"version": CACHE_VERSION - 1, "key": "aaaa", "label": "old"}
-            )
-        )
-        # Orphan manifest without a pickle.
-        (tmp_path / "bbbb.json").write_text(
-            json.dumps({"version": CACHE_VERSION, "key": "bbbb"})
-        )
-        # Legacy pickle without a manifest.
-        (tmp_path / "cccc.pkl").write_bytes(
-            pickle.dumps({"version": CACHE_VERSION, "result": None})
-        )
-        statuses = {e.key: e.status for e in cache_cli.scan_cache(tmp_path)}
-        assert statuses["aaaa"] == cache_cli.STATUS_STALE
-        assert statuses["bbbb"] == cache_cli.STATUS_ORPHAN
-        assert statuses["cccc"] == cache_cli.STATUS_NO_MANIFEST
-        assert sum(1 for s in statuses.values() if s == cache_cli.STATUS_OK) == 1
-
-    def test_prune_removes_stale_and_orphans_keeps_ok(self, tmp_path):
+    def test_scan_flags_stale_orphan_and_legacy(self, tmp_path, capsys):
+        """A row of another cache version lists as stale."""
         spec = self.populate(tmp_path)
-        (tmp_path / "aaaa.pkl").write_bytes(
-            pickle.dumps({"version": CACHE_VERSION - 1, "result": None})
-        )
-        (tmp_path / "bbbb.json").write_text(
-            json.dumps({"version": 1, "key": "bbbb"})
-        )
+        other = tiny_spec(seed=4, label="old")
+        BatchRunner(max_workers=1, cache_dir=tmp_path).run([other])
+        restamp(tmp_path, other.key, CACHE_VERSION - 1)
+        assert cache_cli.main(["--list", "--cache-dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        old_line = next(line for line in lines if other.key in line)
+        ok_line = next(line for line in lines if spec.key in line)
+        assert "stale" in old_line and str(CACHE_VERSION - 1) in old_line
+        assert " ok " in ok_line
+
+    def test_stale_version_row_is_a_miss_and_pruned(self, tmp_path):
+        spec = self.populate(tmp_path)
+        restamp(tmp_path, spec.key, CACHE_VERSION - 1)
+        runner = BatchRunner(max_workers=1, cache_dir=tmp_path)
+        (result,) = runner.run([spec])
+        assert runner.last_stats.executed == 1
+        assert runner.last_stats.cached == 0
+        assert not result.from_cache
+        versions = sorted(row["cache_version"] for row in cached_rows(tmp_path))
+        assert versions == [CACHE_VERSION - 1, CACHE_VERSION]
         assert cache_cli.main(["--prune", "--cache-dir", str(tmp_path)]) == 0
-        remaining = sorted(p.name for p in tmp_path.iterdir())
-        assert remaining == [f"{spec.key}.json", f"{spec.key}.pkl"]
+        (row,) = cached_rows(tmp_path)
+        assert (row["key"], row["cache_version"]) == (spec.key, CACHE_VERSION)
+
+    def test_prune_removes_stale_and_orphans_keeps_ok(self, tmp_path, capsys):
+        """--prune deletes the stale rows and keeps the current ones."""
+        spec = self.populate(tmp_path)
+        other = tiny_spec(seed=4, label="old")
+        BatchRunner(max_workers=1, cache_dir=tmp_path).run([other])
+        restamp(tmp_path, other.key, CACHE_VERSION - 1)
+        assert cache_cli.main(["--prune", "--cache-dir", str(tmp_path)]) == 0
+        assert "pruned 1 of 2 entries" in capsys.readouterr().out
+        assert [row["key"] for row in cached_rows(tmp_path)] == [spec.key]
 
     def test_foreign_json_next_to_valid_pickle_is_ignored(self, tmp_path):
-        """A same-stem non-manifest JSON must not poison (or die with) its .pkl."""
-        spec = self.populate(tmp_path)
-        foreign = tmp_path / f"{spec.key}.json"
-        foreign.write_text(json.dumps({"unrelated": True}))
-        (entry,) = cache_cli.scan_cache(tmp_path)
-        # Version falls back to the pickle stamp: still a valid entry.
-        assert entry.status == cache_cli.STATUS_NO_MANIFEST
-        assert entry.version == CACHE_VERSION
-        assert cache_cli.main(["--prune", "--cache-dir", str(tmp_path)]) == 0
-        assert (tmp_path / f"{spec.key}.pkl").is_file()
-        assert foreign.is_file()
-        assert cache_cli.main(["--prune", "--all", "--cache-dir", str(tmp_path)]) == 0
-        assert not (tmp_path / f"{spec.key}.pkl").exists()
-        assert foreign.is_file()
+        """A ``<key>.pkl`` + ``<key>.json`` pair that an older build left in
+        the cache dir is neither read nor deleted."""
+        spec = tiny_spec()
+        result = BatchRunner(max_workers=1, cache_dir="").run([spec])[0]
+        pkl = tmp_path / f"{spec.key}.pkl"
+        pkl.write_bytes(pickle.dumps({"version": CACHE_VERSION, "result": result}))
+        manifest = tmp_path / f"{spec.key}.json"
+        manifest.write_text(json.dumps({"version": CACHE_VERSION, "key": spec.key}))
+        runner = BatchRunner(max_workers=1, cache_dir=tmp_path)
+        runner.run([spec])
+        assert runner.last_stats.executed == 1
+        for argv in (["--prune"], ["--prune", "--all"]):
+            assert cache_cli.main(argv + ["--cache-dir", str(tmp_path)]) == 0
+        assert pkl.is_file() and manifest.is_file()
 
     def test_prune_never_touches_unrelated_json(self, tmp_path):
-        """Non-manifest JSON in the cache dir (CLI exports, configs) is not ours."""
+        """Files next to the store (CLI exports, configs) are not ours."""
         self.populate(tmp_path)
         export = tmp_path / "scenario-churn-heavy.json"
         export.write_text(json.dumps({"groups": [], "replicates": 2}))
@@ -129,72 +123,41 @@ class TestScanAndPrune:
             cache_cli.main(["--prune", "--all", "--cache-dir", str(tmp_path)]) == 0
         )
         assert export.is_file() and broken.is_file()
-        assert not list(tmp_path.glob("*.pkl"))
+        assert cached_rows(tmp_path) == []
 
     def test_prune_all_empties_the_cache(self, tmp_path):
+        """--prune --all deletes every cached trial but keeps campaigns."""
+        from repro.experiments.campaign import CampaignSpec, run_missing
+
+        spec = CampaignSpec(
+            name="keepme",
+            scenarios=("static-paper",),
+            protocols=("dirq",),
+            num_epochs=60,
+        )
+        runner = BatchRunner(max_workers=1, cache_dir=tmp_path)
+        with ResultsStore(tmp_path / DEFAULT_STORE_NAME) as store:
+            run_missing(spec, store, runner=runner)
         self.populate(tmp_path)
+        assert len(cached_rows(tmp_path)) == 2
         assert (
             cache_cli.main(["--prune", "--all", "--cache-dir", str(tmp_path)]) == 0
         )
-        assert list(tmp_path.iterdir()) == []
-
-    def test_prune_older_than(self, tmp_path):
-        import os
-        import time
-
-        spec = self.populate(tmp_path)
-        old = time.time() - 10 * 86400
-        for path in tmp_path.iterdir():
-            os.utime(path, (old, old))
-        entries = cache_cli.scan_cache(tmp_path)
-        targets = cache_cli.prune_targets(entries, older_than_days=5)
-        assert [t.key for t in targets] == [spec.key]
-        assert cache_cli.prune_targets(entries, older_than_days=30) == []
-
-    def test_prune_older_than_with_injected_clock(self, tmp_path):
-        """--prune --older-than is a pure function of the injected ``now``.
-
-        File mtimes are pinned to a fixed epoch and the reference time is
-        passed via ``main(now=...)``, so the test never reads the host
-        clock (reprolint RL102 discipline: wall time enters exactly once,
-        at the CLI entry point).
-        """
-        import os
-
-        spec = self.populate(tmp_path)
-        epoch = 1_000_000_000.0
-        for path in tmp_path.iterdir():
-            os.utime(path, (epoch, epoch))
-
-        # Seven days later: a 10-day cutoff keeps the entry...
-        now = epoch + 7 * 86400
-        args = [
-            "--prune", "--older-than", "10", "--cache-dir", str(tmp_path)
-        ]
-        assert cache_cli.main(args, now=now) == 0
-        assert (tmp_path / f"{spec.key}.pkl").is_file()
-        # ... and a 5-day cutoff removes it, at the same frozen instant.
-        args = ["--prune", "--older-than", "5", "--cache-dir", str(tmp_path)]
-        assert cache_cli.main(args, now=now) == 0
-        assert not (tmp_path / f"{spec.key}.pkl").exists()
-
-    def test_list_ages_use_injected_clock(self, tmp_path, capsys):
-        import os
-
-        self.populate(tmp_path)
-        epoch = 1_000_000_000.0
-        for path in tmp_path.iterdir():
-            os.utime(path, (epoch, epoch))
-        args = ["--list", "--cache-dir", str(tmp_path)]
-        assert cache_cli.main(args, now=epoch + 3 * 86400) == 0
-        out = capsys.readouterr().out
-        assert "3.0" in out  # the age column, in days
+        assert cached_rows(tmp_path) == []
+        with ResultsStore(tmp_path / DEFAULT_STORE_NAME) as store:
+            assert store.campaign(spec.campaign_id) is not None
+            assert store.count(spec.campaign_id) == 1
 
     def test_list_cli_output(self, tmp_path, capsys):
         self.populate(tmp_path)
         assert cache_cli.main(["--list", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "tiny" in out and "ok" in out
+        header = next(line for line in out.splitlines() if "key" in line)
+        assert header.split() == [
+            "key", "label", "scenario", "campaign", "version", "status",
+            "size", "kB",
+        ]
 
     def test_list_shows_scenario_name_when_present(self, tmp_path, capsys):
         """Grid/scenario cache entries are inspectable by scenario name."""
@@ -203,8 +166,8 @@ class TestScanAndPrune:
         spec = scenario_spec("churn-heavy", num_epochs=60)
         BatchRunner(max_workers=1, cache_dir=tmp_path).run([spec])
         self.populate(tmp_path)  # a non-scenario entry alongside
-        entries = {e.key: e for e in cache_cli.scan_cache(tmp_path)}
-        assert entries[spec.key].scenario == "churn-heavy"
+        rows = {row["key"]: row for row in cached_rows(tmp_path)}
+        assert rows[spec.key]["scenario"] == "churn-heavy"
         assert cache_cli.main(["--list", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "scenario" in out  # the column header
@@ -214,9 +177,8 @@ class TestScanAndPrune:
         assert " - " in tiny_line
 
     def test_list_shows_campaign_id_when_present(self, tmp_path, capsys):
-        """Store-backed and ad-hoc cache entries are distinguishable."""
+        """Campaign and ad-hoc cache entries are distinguishable."""
         from repro.experiments.campaign import CampaignSpec, run_missing
-        from repro.experiments.store import ResultsStore
 
         spec = CampaignSpec(
             name="cachetest",
@@ -225,12 +187,12 @@ class TestScanAndPrune:
             num_epochs=60,
         )
         runner = BatchRunner(max_workers=1, cache_dir=tmp_path)
-        with ResultsStore(tmp_path / "s.sqlite") as store:
+        with ResultsStore(tmp_path / DEFAULT_STORE_NAME) as store:
             run_missing(spec, store, runner=runner)
         self.populate(tmp_path)  # an ad-hoc entry alongside
-        entries = {e.key: e for e in cache_cli.scan_cache(tmp_path)}
+        rows = {row["key"]: row for row in cached_rows(tmp_path)}
         (trial,) = spec.trial_specs()
-        assert entries[trial.key].campaign == spec.campaign_id
+        assert rows[trial.key]["campaign"] == spec.campaign_id
         assert cache_cli.main(["--list", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "campaign" in out  # the column header
@@ -240,12 +202,14 @@ class TestScanAndPrune:
         assert tiny_line.count(" - ") >= 2  # scenario and campaign
 
     def test_list_empty_cache(self, tmp_path, capsys):
-        assert cache_cli.main(["--cache-dir", str(tmp_path / "none")]) == 0
+        missing = tmp_path / "none"
+        assert cache_cli.main(["--cache-dir", str(missing)]) == 0
         assert "empty" in capsys.readouterr().out
+        assert not missing.exists()  # listing creates nothing
+        assert cache_cli.main(["--prune", "--cache-dir", str(missing)]) == 0
+        assert not missing.exists()
 
     def test_prune_selectors_require_prune(self, tmp_path):
-        with pytest.raises(SystemExit):
-            cache_cli.main(["--older-than", "30", "--cache-dir", str(tmp_path)])
         with pytest.raises(SystemExit):
             cache_cli.main(["--all", "--cache-dir", str(tmp_path)])
 

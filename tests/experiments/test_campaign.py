@@ -5,7 +5,7 @@ The two properties this layer exists for:
 
 * **Resume with zero re-work** -- a campaign killed at an arbitrary trial
   resumes executing exactly the missing trials (store rows survive, nothing
-  recorded is ever re-run), even with the pickle cache disabled.
+  recorded is ever re-run), even with the trial cache disabled.
 * **Deterministic exports** -- the JSON export of a campaign is
   byte-identical whether it ran uninterrupted on one worker or was
   interrupted and resumed on four.
@@ -25,6 +25,7 @@ from repro.experiments.campaign import (
     run_missing,
 )
 from repro.experiments.store import (
+    DEFAULT_STORE_NAME,
     METRIC_COLUMNS,
     ResultsStore,
 )
@@ -148,7 +149,7 @@ class TestResultsStore:
     def populate(self, tmp_path, template, spec=None):
         spec = spec or tiny_campaign()
         store = ResultsStore(tmp_path / "s.sqlite")
-        runner = BatchRunner(max_workers=1, executor="serial", cache_dir=None)
+        runner = BatchRunner(max_workers=1, cache_dir=None)
         real = batch_mod._execute_trial
         batch_mod._execute_trial = fake_executor(template)
         try:
@@ -251,10 +252,9 @@ class TestRunMissingResume:
 
     def run(self, spec, store, template, workers=1, progress=None,
             counter=None):
-        """run_missing with a fake executor (threads, no pickle cache)."""
-        executor = "serial" if workers == 1 else "thread"
+        """run_missing with a fake executor (threads, no trial cache)."""
         runner = BatchRunner(
-            max_workers=workers, executor=executor, cache_dir=None
+            max_workers=workers, executor="thread", cache_dir=None
         )
         real = batch_mod._execute_trial
         base = fake_executor(template)
@@ -343,14 +343,14 @@ class TestRunMissingResume:
 
     def test_campaign_composes_with_scenario_cli_cache(self, tmp_path):
         """A trial cached by repro.scenarios.run is not re-run -- but it IS
-        recorded in the store."""
+        recorded in the store, the same file that holds the cache."""
         cache_dir = tmp_path / "cache"
         cli_spec = scenario_spec("static-paper", num_epochs=60)
         BatchRunner(max_workers=1, cache_dir=cache_dir).run([cli_spec])
 
         spec = tiny_campaign(protocols=("dirq",), replicates=1)
         runner = BatchRunner(max_workers=1, cache_dir=cache_dir)
-        with ResultsStore(tmp_path / "s.sqlite") as store:
+        with ResultsStore(cache_dir / DEFAULT_STORE_NAME) as store:
             stats = run_missing(spec, store, runner=runner)
             assert stats.executed == 0
             assert stats.cached == 1
@@ -360,6 +360,8 @@ class TestRunMissingResume:
             # twin's label.
             assert row["scenario"] == "static-paper"
             assert row["label"] == "static-paper/dirq"
+            assert [r["key"] for r in store.cached_results()] == [cli_spec.key]
+        assert [p.name for p in cache_dir.iterdir()] == [DEFAULT_STORE_NAME]
 
     def test_campaign_status_counts_cells(self, tmp_path, trial_template):
         spec = tiny_campaign()
@@ -387,7 +389,6 @@ class TestCampaignCli:
             "--replicates", "2",
             "--epochs", "60",
             "--workers", "1",
-            "--store", str(tmp_path / "s.sqlite"),
             "--cache-dir", str(tmp_path / "cache"),
         ]
 
@@ -413,14 +414,21 @@ class TestCampaignCli:
         assert "clitest" in md.read_text()
 
         # --status/--query by campaign name, plus the CI guard.
+        cache_dir = ["--cache-dir", str(tmp_path / "cache")]
+        status_export = tmp_path / "status.json"
         assert campaign_cli.main(
             ["--status", "--campaign", "clitest", "--require-complete",
-             "--store", str(tmp_path / "s.sqlite")]
+             "--export", str(status_export)] + cache_dir
         ) == 0
         assert "2/2" in capsys.readouterr().out
+        with ResultsStore(tmp_path / "cache" / DEFAULT_STORE_NAME) as store:
+            campaign_id = store.resolve_campaign("clitest").campaign_id
+            assert json.loads(status_export.read_text()) == (
+                store.export_jsonable(campaign_id)
+            )
         assert campaign_cli.main(
-            ["--query", "--campaign", "clitest", "--replicate", "1",
-             "--store", str(tmp_path / "s.sqlite")]
+            ["--query", "--campaign", "clitest", "--replicate", "1"]
+            + cache_dir
         ) == 0
         out = capsys.readouterr().out
         assert "1 stored trials" in out and "cost_ratio" in out
@@ -428,15 +436,19 @@ class TestCampaignCli:
     def test_resume_unknown_campaign_fails(self, tmp_path, capsys):
         assert campaign_cli.main(["--resume"] + self.base_args(tmp_path)) == 2
         assert "not registered" in capsys.readouterr().err
+        assert campaign_cli.main(
+            ["--status", "--campaign", "ghost",
+             "--cache-dir", str(tmp_path / "cache")]
+        ) == 2
+        assert "unknown campaign 'ghost'" in capsys.readouterr().err
 
     def test_status_of_empty_store_lists_nothing(self, tmp_path, capsys):
-        store = str(tmp_path / "s.sqlite")
-        assert campaign_cli.main(["--status", "--store", store]) == 0
+        cache_dir = ["--cache-dir", str(tmp_path / "cache")]
+        assert campaign_cli.main(["--status"] + cache_dir) == 0
         assert "no campaigns" in capsys.readouterr().out
         assert (
-            campaign_cli.main(
-                ["--status", "--store", store, "--require-complete"]
-            ) == 1
+            campaign_cli.main(["--status", "--require-complete"] + cache_dir)
+            == 1
         )
 
     def test_require_complete_fails_on_partial_campaign(
@@ -470,7 +482,7 @@ class TestCampaignCli:
         assert grid_cli.main(
             [
                 "--from-campaign", "clitest",
-                "--store", str(tmp_path / "s.sqlite"),
+                "--cache-dir", str(tmp_path / "cache"),
                 "--json", str(json_path),
                 "--baseline", "none",
             ]
@@ -496,6 +508,7 @@ class TestCampaignCli:
         ) == 0
         capsys.readouterr()
         assert grid_cli.main(
-            ["--from-campaign", "clitest", "--store", str(tmp_path / "s.sqlite")]
+            ["--from-campaign", "clitest",
+             "--cache-dir", str(tmp_path / "cache")]
         ) == 2
         assert "sweep points" in capsys.readouterr().err

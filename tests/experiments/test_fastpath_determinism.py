@@ -19,7 +19,7 @@ from ..differential.reference import PerReceiverChannel
 
 def _serial_runner() -> BatchRunner:
     # Serial + in-process so monkeypatching the runner module is effective.
-    return BatchRunner(max_workers=1, executor="serial", cache_dir="")
+    return BatchRunner(max_workers=1, cache_dir="")
 
 
 @pytest.fixture(scope="module")

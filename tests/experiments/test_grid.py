@@ -17,7 +17,7 @@ EPOCHS = 100
 
 def runner(cache_dir="", workers=1):
     if workers == 1:
-        return BatchRunner(max_workers=1, executor="serial", cache_dir=cache_dir)
+        return BatchRunner(max_workers=1, cache_dir=cache_dir)
     return BatchRunner(max_workers=workers, cache_dir=cache_dir)
 
 

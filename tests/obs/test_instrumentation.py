@@ -87,7 +87,7 @@ def test_full_instrumentation_keeps_fingerprints_bit_identical(
     full = instrumented(plain, "full")
     assert plain.key == full.key  # shared cache identity
 
-    runner = BatchRunner(max_workers=1, executor="serial", cache_dir=None)
+    runner = BatchRunner(max_workers=1, cache_dir=None)
     r_plain = runner.run([plain])[0]
     r_full = runner.run([full])[0]
     assert r_plain.fingerprint() == r_full.fingerprint()
@@ -103,9 +103,7 @@ def test_full_instrumentation_keeps_fingerprints_bit_identical(
 class TestTelemetryNeverForksTheCache:
     def test_cached_result_is_telemetry_free_both_directions(self, tmp_path):
         spec = smoke_sweep(num_nodes=10, num_epochs=40)[0]
-        runner = BatchRunner(
-            max_workers=1, executor="serial", cache_dir=tmp_path
-        )
+        runner = BatchRunner(max_workers=1, cache_dir=tmp_path)
         first = runner.run([instrumented(spec, "full")])[0]
         assert not first.from_cache
         assert first.telemetry is not None
@@ -115,7 +113,7 @@ class TestTelemetryNeverForksTheCache:
         assert plain.from_cache
         assert plain.telemetry is None
         # ...and an instrumented request is served from cache too (the
-        # stored pickle was stripped, so no telemetry comes back).
+        # stored result was stripped, so no telemetry comes back).
         again = runner.run([instrumented(spec, "full")])[0]
         assert again.from_cache
         assert again.telemetry is None
@@ -131,9 +129,8 @@ class TestWorkerCountDeterminism:
         ]
 
         def run(workers):
-            executor = "serial" if workers == 1 else "thread"
             runner = BatchRunner(
-                max_workers=workers, executor=executor, cache_dir=None
+                max_workers=workers, executor="thread", cache_dir=None
             )
             results = runner.run(specs)
             return {

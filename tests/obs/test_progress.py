@@ -88,7 +88,6 @@ class TestCampaignTelemetryAccounting:
             first = RunTelemetry()
             runner = BatchRunner(
                 max_workers=1,
-                executor="serial",
                 cache_dir=None,
                 telemetry=first,
             )
@@ -104,7 +103,6 @@ class TestCampaignTelemetryAccounting:
             second = RunTelemetry()
             runner = BatchRunner(
                 max_workers=1,
-                executor="serial",
                 cache_dir=None,
                 telemetry=second,
             )

@@ -1,12 +1,9 @@
-"""The ``python -m repro.obs.report`` CLI, both modes."""
+"""The ``python -m repro.obs.report`` CLI."""
 
 import json
 
 import pytest
 
-from repro.experiments.batch import BatchRunner
-from repro.experiments.campaign import CampaignSpec, run_missing
-from repro.experiments.store import ResultsStore
 from repro.obs import report
 from repro.obs.trace_export import validate_chrome_trace
 
@@ -90,55 +87,9 @@ class TestTrialMode:
         assert "phase profile" not in out
 
 
-class TestCampaignMode:
-    def test_summarises_store(self, tmp_path, capsys):
-        spec = CampaignSpec(
-            name="report-demo",
-            scenarios=("static-paper",),
-            protocols=("dirq",),
-            replicates=2,
-            num_epochs=40,
-            seed=1,
-        )
-        store_path = tmp_path / "s.sqlite"
-        with ResultsStore(store_path) as store:
-            run_missing(
-                spec,
-                store,
-                runner=BatchRunner(
-                    max_workers=1, executor="serial", cache_dir=None
-                ),
-            )
-        json_path = tmp_path / "c.json"
-        rc = report.main(
-            [
-                "--campaign",
-                "report-demo",
-                "--store",
-                str(store_path),
-                "--json",
-                str(json_path),
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert spec.campaign_id in out
-        assert "2/2" in out
-        payload = json.loads(json_path.read_text())
-        with ResultsStore(store_path) as store:
-            assert payload == store.export_jsonable(spec.campaign_id)
-
-    def test_missing_store_and_unknown_campaign_fail_cleanly(
-        self, tmp_path, capsys
-    ):
-        rc = report.main(
-            ["--campaign", "x", "--store", str(tmp_path / "absent.sqlite")]
-        )
-        assert rc == 2
-        assert "no results store" in capsys.readouterr().err
-
-        store_path = tmp_path / "s.sqlite"
-        with ResultsStore(store_path):
-            pass
-        rc = report.main(["--campaign", "ghost", "--store", str(store_path)])
-        assert rc == 2
+def test_scenario_is_required(capsys):
+    """The report runs one trial; a campaign summary is
+    ``campaign --status --campaign X``."""
+    with pytest.raises(SystemExit):
+        report.main(["--epochs", "30"])
+    assert "required: --scenario" in capsys.readouterr().err

@@ -54,7 +54,7 @@ GOLDEN_SCENARIO_HASHES = {
 
 
 def serial_runner() -> BatchRunner:
-    return BatchRunner(max_workers=1, executor="serial", cache_dir="")
+    return BatchRunner(max_workers=1, cache_dir="")
 
 
 class TestHashCompatibility:

@@ -37,7 +37,7 @@ SCALE_TEST_EPOCHS = 40
 
 
 def serial_runner() -> BatchRunner:
-    return BatchRunner(max_workers=1, executor="serial", cache_dir="")
+    return BatchRunner(max_workers=1, cache_dir="")
 
 
 class TestScaledNetwork:

@@ -41,7 +41,6 @@ DOC_FILES = sorted(
 
 #: Modules with an argparse entry point: ``--help`` must exit 0.
 ARGPARSE_CLIS = {
-    "repro.experiments.smoke",
     "repro.experiments.replicate",
     "repro.experiments.cache",
     "repro.experiments.campaign",
