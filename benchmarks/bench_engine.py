@@ -120,7 +120,7 @@ def columnar_pairs(num_epochs: int = 2_000, pairs: int = 1) -> dict:
 
     from repro.experiments.batch import TrialResult, TrialSpec
     from repro.experiments.runner import run_experiment
-    from repro.experiments.scenarios import paper_network
+    from repro.scenarios.static import paper_network
 
     base = paper_network(num_epochs=num_epochs, seed=1).with_atc()
     arms = {
@@ -185,7 +185,7 @@ def test_engine_epoch_drain_fast_path(benchmark):
 def test_trial_wall_clock_smoke(benchmark):
     """A miniature end-to-end trial through the whole optimised stack."""
     from repro.experiments.runner import run_experiment
-    from repro.experiments.scenarios import small_network
+    from repro.scenarios.static import small_network
 
     def run():
         return run_experiment(small_network(num_nodes=12, num_epochs=150))
@@ -273,7 +273,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.smoke:
         from repro.experiments.batch import BatchRunner
-        from repro.experiments.scenarios import smoke_sweep
+        from repro.scenarios.static import smoke_sweep
 
         specs = smoke_sweep(num_nodes=10, num_epochs=80)
         runner = BatchRunner(max_workers=1, cache_dir="")

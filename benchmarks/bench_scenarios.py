@@ -50,7 +50,7 @@ BENCH_SCENARIOS = (
     "harsh-grid",
 )
 
-#: Epochs per timed trial -- smaller than the figure benchmarks because the
+#: Epochs per timed trial -- smaller than the preset benchmarks because the
 #: comparison of interest is *relative* (dynamics vs static), not absolute.
 SCENARIO_BENCH_EPOCHS = 600
 

@@ -1,70 +1,17 @@
 """Shared benchmark configuration.
 
-Every benchmark prints the rows / series the corresponding paper artefact
-reports, so the console output of ``pytest benchmarks/ --benchmark-only``
-doubles as the reproduction record (EXPERIMENTS.md summarises the same
-numbers).
-
-The simulations here are scaled down from the paper's 20 000 epochs so the
-whole harness finishes in a few minutes; the ``repro.experiments`` modules
-accept ``num_epochs=20_000`` for full-length runs.
+The pytest-benchmark files time the substrates, the engine, the scenario
+registry, the scale scenarios and the campaign presets of ``python -m
+repro run``, and print what they measured; ``bench_presets.py`` also
+asserts the paper's claims on the presets.
 """
 
 from __future__ import annotations
 
 import os
 
-import pytest
-
-from repro.experiments.batch import BatchRunner
-
-#: Epoch budget used by the figure benchmarks.  Override with
-#: ``REPRO_BENCH_EPOCHS=20000`` for paper-length runs.
-BENCH_EPOCHS = int(os.environ.get("REPRO_BENCH_EPOCHS", "1200"))
-
 #: Seed shared by every benchmark run.
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "1"))
-
-#: Worker processes for the figure sweeps (``BatchRunner``); defaults to
-#: the machine's CPU count.
-BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", str(os.cpu_count() or 1)))
-
-#: Result cache directory; empty/unset disables caching so timings stay
-#: honest.  Set ``REPRO_BENCH_CACHE=.bench-cache`` to iterate on reports
-#: without re-simulating.
-BENCH_CACHE = os.environ.get("REPRO_BENCH_CACHE") or None
-
-#: Replicates per sweep point.  The default of 1 keeps the recorded timing
-#: anchors comparable across revisions; set ``REPRO_BENCH_REPLICATES=5`` to
-#: produce benchmark reports with confidence intervals (the sweeps then run
-#: that many times as many trials).
-BENCH_REPLICATES = int(os.environ.get("REPRO_BENCH_REPLICATES", "1"))
-
-
-@pytest.fixture(scope="session")
-def bench_epochs() -> int:
-    return BENCH_EPOCHS
-
-
-@pytest.fixture(scope="session")
-def bench_seed() -> int:
-    return BENCH_SEED
-
-
-@pytest.fixture(scope="session")
-def bench_replicates() -> int:
-    return BENCH_REPLICATES
-
-
-@pytest.fixture(scope="session")
-def bench_runner() -> BatchRunner:
-    """The shared trial-parallel runner every figure sweep goes through.
-
-    ``cache_dir=""`` force-disables caching when ``REPRO_BENCH_CACHE`` is
-    unset, so a stray ``REPRO_CACHE_DIR`` in the environment cannot turn
-    benchmark timings into cache reads.
-    """
-    return BatchRunner(max_workers=BENCH_WORKERS, cache_dir=BENCH_CACHE or "")
 
 
 def emit(title: str, body: str) -> None:

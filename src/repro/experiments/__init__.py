@@ -1,8 +1,9 @@
-"""Experiment harness: configuration, runners, and per-figure reproductions.
+"""Experiment harness: configuration, runners, campaigns and figure reports.
 
-Single trials run through :func:`run_experiment`; sweeps (the figure
-reproductions, ablations, and anything declared as a list of
-:class:`TrialSpec`) run trial-parallel through :class:`BatchRunner`.
+Single trials run through :func:`run_experiment`; sweeps are campaigns
+(:mod:`repro.experiments.campaign`, run by ``python -m repro``) whose
+:class:`TrialSpec` cells execute trial-parallel through
+:class:`BatchRunner`.
 """
 
 from .batch import (
@@ -11,8 +12,6 @@ from .batch import (
     TrialResult,
     TrialSpec,
     config_hash,
-    run_sweep,
-    run_sweep_replicated,
 )
 from ..metrics.stats import ReplicateGroup, ReplicateSummary, group_replicates
 from .config import ExperimentConfig, ProtocolName, TopologyEvent, paper_defaults
@@ -47,8 +46,6 @@ __all__ = [
     "TrialResult",
     "TrialSpec",
     "config_hash",
-    "run_sweep",
-    "run_sweep_replicated",
     "ReplicateGroup",
     "ReplicateSummary",
     "group_replicates",

@@ -1,13 +1,11 @@
-"""Batched, parallel experiment orchestration.
+"""Batched, parallel trial execution over the trial cache.
 
-The figure reproductions are sweeps: one full simulation per (setting,
-coverage, seed, ...) point.  The serial runner executes one
-:class:`~repro.experiments.config.ExperimentConfig` at a time; this module
-adds the campaign layer on top of it:
+Every sweep is a campaign (:mod:`repro.experiments.campaign`), and a
+campaign runs its trials through this module:
 
 * :class:`TrialSpec` -- one declarative point of a sweep: a label, an
   immutable snapshot of the experiment configuration, and free-form tags
-  (``{"delta": 3.0, "coverage": 0.4}``) the sweep assembles its figure from.
+  (``{"scenario": ..., "protocol": ...}``) the report groups by.
 * :class:`TrialResult` -- the picklable measurement record of one trial
   (audit, aggregated ledger, cost breakdown, windowed series).  It mirrors
   the summary API of :class:`~repro.experiments.runner.ExperimentResult`
@@ -15,9 +13,9 @@ adds the campaign layer on top of it:
   boundaries and be cached.
 * :class:`BatchRunner` -- fans a list of specs across worker processes via
   :mod:`concurrent.futures`, deduplicates identical configurations, and
-  optionally caches results keyed by :func:`config_hash` in the ``results``
-  table of a :class:`~repro.experiments.store.ResultsStore`, so re-running
-  a sweep only executes the missing trials.
+  caches results keyed by :func:`config_hash` in the ``results`` table of
+  a :class:`~repro.experiments.store.ResultsStore`, so re-running a sweep
+  only executes the missing trials.
 
 Determinism contract
 --------------------
@@ -62,7 +60,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from ..energy.ledger import NetworkLedger
 from ..metrics.accuracy import mean_accuracy, mean_overshoot
-from ..metrics.stats import DEFAULT_CONFIDENCE, group_replicates
 from ..metrics.audit import QueryAudit, QueryRecord
 from ..metrics.cost import CostBreakdown
 from ..metrics.series import WindowPoint
@@ -74,24 +71,16 @@ from .runner import ExperimentResult, run_experiment
 #: Environment variable providing a default cache directory.
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 
-#: Cache directory the CLIs fall back to when neither ``--cache-dir`` nor
-#: the environment provides one.
+#: Cache directory ``python -m repro`` falls back to when neither
+#: ``--cache-dir`` nor the environment provides one.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 def resolve_cache_dir(arg: Optional[str] = None) -> str:
-    """The CLI cache-directory resolution: flag, else env, else default.
-
-    Shared by every cache-using CLI (replicate/scenario/grid/campaign/
-    cache) so they can never disagree about where the cache lives.
-    """
+    """The CLI cache-directory resolution: flag, else env, else default."""
     if arg is not None:
         return arg
     return os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR
-
-#: Replicates per sweep point for the figure reproductions (shared by the
-#: figure modules and :meth:`BatchRunner.run_replicated`).
-DEFAULT_REPLICATES = 5
 
 #: Bumped whenever the stored format or the simulation semantics change in
 #: a way that invalidates cached results.  v2: reception energy is charged
@@ -470,9 +459,9 @@ class BatchRunner:
         ``REPRO_CACHE_DIR`` environment variable; an empty string
         force-disables caching (ignoring the environment).  Results are
         stored in the ``results`` table of ``<cache_dir>/campaigns.sqlite``
-        (:class:`~repro.experiments.store.ResultsStore`), the file the
-        campaign CLIs keep their campaigns in; a re-run of a sweep only
-        executes trials missing from the cache.  Every read and write
+        (:class:`~repro.experiments.store.ResultsStore`), the file that
+        also keeps the campaigns; a re-run of a sweep only executes trials
+        missing from the cache.  Every read and write
         happens in the thread that calls :meth:`run`; workers never touch
         the store.
     executor:
@@ -617,33 +606,6 @@ class BatchRunner:
             return result
         return dataclasses.replace(result, spec=spec)
 
-    def run_replicated(
-        self,
-        specs,
-        n: int = DEFAULT_REPLICATES,
-        metrics=None,
-        confidence: float = DEFAULT_CONFIDENCE,
-        progress: Optional[Callable[[TrialResult], None]] = None,
-    ):
-        """Run every spec ``n`` times and return one replicate group per spec.
-
-        ``specs`` is a :class:`TrialSpec` or an iterable of them.  Each spec
-        expands via :meth:`TrialSpec.replicates` (replicate 0 is the base
-        configuration, so previously-cached single trials compose into their
-        group without re-running), the expanded sweep executes through
-        :meth:`run` (deduplication, caching, and worker fan-out included),
-        and the results fold into :class:`~repro.metrics.stats.
-        ReplicateGroup` objects carrying a
-        :class:`~repro.metrics.stats.ReplicateSummary` per scalar metric and
-        per-group cache-hit accounting (``group.cache_hits`` /
-        ``group.executed``).  :attr:`last_stats` reflects the expanded run.
-        """
-        if isinstance(specs, TrialSpec):
-            specs = [specs]
-        expanded = [rep for spec in specs for rep in spec.replicates(n)]
-        results = self.run(expanded, progress=progress)
-        return group_replicates(results, metrics=metrics, confidence=confidence)
-
     def _execute(
         self,
         pending: Sequence[TrialSpec],
@@ -721,27 +683,3 @@ class BatchRunner:
                 futures.pop(future)
                 if future.exception() is None:
                     on_result(future.result())
-
-
-def run_sweep(
-    specs: Iterable[TrialSpec],
-    runner: Optional[BatchRunner] = None,
-) -> List[TrialResult]:
-    """Convenience wrapper: run ``specs`` on ``runner`` (or a default one)."""
-    return (runner if runner is not None else BatchRunner()).run(specs)
-
-
-def run_sweep_replicated(
-    specs: Iterable[TrialSpec],
-    runner: Optional[BatchRunner] = None,
-    replicates: int = DEFAULT_REPLICATES,
-):
-    """Run ``specs`` with ``replicates`` seeds each; one group per spec.
-
-    The shared front door for the figure modules: expansion, execution, and
-    grouping all happen in :meth:`BatchRunner.run_replicated`, so every
-    figure inherits identical replication semantics.
-    """
-    return (runner if runner is not None else BatchRunner()).run_replicated(
-        specs, n=replicates
-    )

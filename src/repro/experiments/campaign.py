@@ -2,9 +2,12 @@
 
 A :class:`CampaignSpec` declares a whole experiment campaign -- scenarios ×
 protocol variants × config sweep axes × replicates -- and expands it
-**deterministically** into the same :class:`~repro.experiments.batch.
-TrialSpec` cells the grid and scenario CLIs build, so campaign trials share
-cache keys (and therefore cached results) with every other front end.
+**deterministically** into :class:`~repro.experiments.batch.TrialSpec`
+cells.  The ``dirq`` cell of a scenario is exactly the config the scenario
+registry builds, so every campaign that names a cell shares its cache key
+(and therefore its cached result) with every other campaign that does.
+:data:`PRESETS` names the campaigns behind the paper's figures and this
+repository's ablations; :func:`preset` builds one.
 
 :func:`run_missing` is the whole execution model: expand the spec, ask the
 :class:`~repro.experiments.store.ResultsStore` which trials are already
@@ -12,8 +15,8 @@ recorded, and run only the gaps through a
 :class:`~repro.experiments.batch.BatchRunner`.  Every finished trial is
 upserted into the store atomically the moment it completes (the runner's
 per-spec progress callback), so a killed process -- Ctrl-C, crash, a downed
-host -- loses at most the trials that were in flight, and the next
-``--resume`` executes exactly the remainder.  The list of missing trials is
+host -- loses at most the trials that were in flight, and re-running the
+campaign executes exactly the remainder.  The list of missing trials is
 taken once, when the run starts: a later or resumed run skips every trial
 already recorded, but two runs started together on one store repeat each
 other's work.
@@ -27,57 +30,108 @@ the store export orders rows by identity -- so the final JSON export of a
 campaign is byte-identical whether it ran uninterrupted on one worker or
 was interrupted and resumed across many.
 
-CLI
----
-``python -m repro.experiments.campaign`` with one of ``--new`` /
-``--resume`` / ``--status`` / ``--query``; see ``--help`` and
-``docs/campaigns.md``.
+The command line is ``python -m repro {run,status,report,cache}``
+(:mod:`repro.__main__`); see ``docs/campaigns.md``.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import re
-import sys
 import time
-from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..metrics.report import (
-    format_progress,
-    format_replicate_table,
-    format_table,
-)
-from ..scenarios.registry import (
-    DEFAULT_SCENARIO_EPOCHS,
-    get_scenario,
-    scenario_names,
-)
-from .batch import (
-    BatchRunner,
-    TrialSpec,
-    _canonical,
-    resolve_cache_dir,
-)
+from ..scenarios.registry import DEFAULT_SCENARIO_EPOCHS, get_scenario
+from .batch import BatchRunner, TrialResult, TrialSpec, _canonical
 from .config import ExperimentConfig
-from .grid import PROTOCOLS
-from .store import DEFAULT_STORE_NAME, METRIC_COLUMNS, ResultsStore
+from .store import ResultsStore
+
+Transform = Callable[[ExperimentConfig], ExperimentConfig]
+
+#: The named protocol variants a campaign can cross scenarios with: name
+#: -> (config transform, description).  ``dirq`` is the identity -- the
+#: registry configs already run fixed-δ DirQ -- which is what makes the
+#: ``dirq`` cell of every campaign share its cache key with every other.
+_PROTOCOL_DEFS: Dict[str, Tuple[Transform, str]] = {
+    "dirq": (lambda cfg: cfg, "registry config as-is (fixed-δ DirQ)"),
+    "atc": (
+        lambda cfg: cfg.with_atc(),
+        "config.with_atc() -- Adaptive Threshold Control",
+    ),
+    "flooding": (
+        lambda cfg: cfg.with_flooding(),
+        "config.with_flooding() -- flooding baseline",
+    ),
+}
+
+PROTOCOLS: Dict[str, Transform] = {
+    name: transform for name, (transform, _) in _PROTOCOL_DEFS.items()
+}
+
+#: Parameterised variants, ``<form>=<number>``: form -> (transform
+#: factory, description).
+_PARAMETERISED: Dict[str, Tuple[Callable[[float], Transform], str]] = {
+    "delta": (
+        lambda x: lambda cfg: cfg.with_fixed_delta(x),
+        "config.with_fixed_delta(X) -- fixed threshold of X % full scale",
+    ),
+    "atc-target": (
+        lambda x: lambda cfg: cfg.with_atc(target_cost_ratio=x),
+        "config.with_atc(target_cost_ratio=X) -- ATC with another target",
+    ),
+}
+
+#: ``(variant, description)`` rows of the protocol catalogue.
+PROTOCOL_CATALOGUE: Tuple[Tuple[str, str], ...] = tuple(
+    (name, description) for name, (_, description) in _PROTOCOL_DEFS.items()
+) + tuple(
+    (f"{form}=X", description)
+    for form, (_, description) in _PARAMETERISED.items()
+)
+
+
+def protocol_transform(name: str) -> Transform:
+    """The config transform of protocol variant ``name``.
+
+    Raises ``KeyError`` for an unknown variant and ``ValueError`` for a
+    parameterised one whose value is not a number the transform accepts
+    (``delta=0``, ``delta=x``, ``atc-target=1.5``).
+    """
+    if name in PROTOCOLS:
+        return PROTOCOLS[name]
+    form, sep, text = name.partition("=")
+    if not sep or form not in _PARAMETERISED:
+        raise KeyError(
+            f"unknown protocol {name!r}; known: "
+            + ", ".join(variant for variant, _ in PROTOCOL_CATALOGUE)
+        )
+    try:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{text!r} is not finite")
+        transform = _PARAMETERISED[form][0](value)
+        transform(ExperimentConfig())  # the config layer validates X
+    except ValueError as error:
+        raise ValueError(f"protocol {name!r}: {error}") from None
+    return transform
+
 
 #: Config fields a sweep axis may range over: every scalar
 #: :class:`ExperimentConfig` field.  ``seed`` is excluded (replication owns
-#: seed derivation), compound fields (``dirq``, ``scenario``, ...) are
-#: excluded because sweep values must stay canonical-JSON scalars, and
-#: hash-exempt fields (``instrument``) are excluded because every value of
-#: such an axis hashes to the same cache key -- the "axis" would collapse
-#: onto one trial.
+#: seed derivation), ``protocol`` too (the protocol variants own it, as
+#: they own ``dirq``; a swept protocol would run under another variant's
+#: tag), compound fields (``dirq``, ``scenario``, ...) are excluded because
+#: sweep values must stay canonical-JSON scalars, and hash-exempt fields
+#: (``instrument``) are excluded because every value of such an axis hashes
+#: to the same cache key -- the "axis" would collapse onto one trial.
 _SWEEPABLE_FIELDS = frozenset(
-    f.name
-    for f in dataclasses.fields(ExperimentConfig)
-    if f.name not in ("seed",)
+    f.name for f in dataclasses.fields(ExperimentConfig)
 ) - {
+    "seed",
+    "protocol",
     "dirq",
     "scenario",
     "topology_events",
@@ -98,9 +152,10 @@ class CampaignSpec:
     ``sweep`` maps :class:`ExperimentConfig` field names to the values that
     axis ranges over (e.g. ``{"target_coverage": (0.2, 0.4, 0.6)}``); the
     cross product of all axes is applied to every (scenario, protocol)
-    pair.  ``num_epochs`` is special-cased through the scenario factory so
-    length-proportional scenario dynamics keep their shape, exactly as the
-    scenario CLI's ``--epochs`` does.
+    pair.  ``protocols`` names variants of :data:`PROTOCOLS` or the
+    parameterised ``delta=X`` / ``atc-target=X``.  ``num_epochs`` is
+    special-cased through the scenario factory so length-proportional
+    scenario dynamics keep their shape.
     """
 
     name: str
@@ -139,11 +194,7 @@ class CampaignSpec:
         for scenario in self.scenarios:
             get_scenario(scenario)  # raises KeyError with the catalogue
         for proto in self.protocols:
-            if proto not in PROTOCOLS:
-                raise KeyError(
-                    f"unknown protocol {proto!r}; "
-                    f"known: {', '.join(sorted(PROTOCOLS))}"
-                )
+            protocol_transform(proto)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.num_epochs < 1:
@@ -250,17 +301,17 @@ class CampaignSpec:
 
         Row-major over scenarios → protocols → sweep points → replicates.
         The ``dirq``, sweep-free cell of a scenario is byte-identical to
-        what :func:`repro.scenarios.registry.scenario_spec` (and the grid)
-        builds, so campaign trials share cache entries with both; the
-        ``campaign`` tag rides along in the spec tags (never the config),
-        leaving cache keys untouched.
+        what :func:`repro.scenarios.registry.scenario_spec` builds, so
+        campaign trials share cache entries with it; the ``campaign`` tag
+        rides along in the spec tags (never the config), leaving cache keys
+        untouched.
         """
         campaign_id = self.campaign_id
         specs: List[TrialSpec] = []
         for scenario in self.scenarios:
             definition = get_scenario(scenario)
             for proto in self.protocols:
-                transform = PROTOCOLS[proto]
+                transform = protocol_transform(proto)
                 for point in self.sweep_points():
                     num_epochs = int(point.get("num_epochs", self.num_epochs))
                     config = transform(definition.factory(num_epochs, self.seed))
@@ -287,7 +338,69 @@ class CampaignSpec:
                         },
                     )
                     specs.extend(base.replicates(self.replicates))
+        # The store keys a campaign's trials by config hash, so two cells
+        # of one config (``atc`` and ``atc-target=0.5``, ``dirq`` and
+        # ``delta=5``) would share one row and never both count as done.
+        labels: Dict[str, str] = {}
+        for trial in specs:
+            other = labels.setdefault(trial.key, trial.label)
+            if other != trial.label:
+                raise ValueError(
+                    f"cells {other!r} and {trial.label!r} configure "
+                    "identical trials"
+                )
         return specs
+
+
+# ---------------------------------------------------------------------------
+# Presets: the paper's figures and the ablations
+# ---------------------------------------------------------------------------
+
+#: Epochs and replicates of a ``python -m repro run`` unless overridden --
+#: short of the paper's 20 000 epochs, so a preset finishes in minutes on
+#: one core (``--epochs 20000`` runs paper length).
+PRESET_EPOCHS = 600
+PRESET_REPLICATES = 5
+
+#: The named campaigns: name -> (protocol variants, sweep axes), each on
+#: the §7 network (``static-paper``).  A preset's campaign carries the
+#: preset's name, which is how the report finds its figure section.
+PRESETS: Dict[str, Tuple[Tuple[str, ...], Tuple[Tuple[str, tuple], ...]]] = {
+    "fig5": (
+        ("delta=1", "delta=3", "delta=5", "delta=7", "delta=9"),
+        (("target_coverage", (0.4, 0.6)),),
+    ),
+    "fig6": (("delta=3", "delta=5", "delta=9", "atc"), ()),
+    "fig7": (
+        ("delta=3", "delta=5", "delta=9", "atc"),
+        (("target_coverage", (0.2,)),),
+    ),
+    "headline": (("atc", "flooding"), ()),
+    "loss": (("atc",), (("channel_loss", (0.0, 0.05, 0.1, 0.2, 0.5, 1.0)),)),
+    "atc-target": (
+        ("atc-target=0.35", "atc-target=0.5", "atc-target=0.65"),
+        (),
+    ),
+}
+
+
+def preset(
+    name: str,
+    num_epochs: int = PRESET_EPOCHS,
+    replicates: int = PRESET_REPLICATES,
+    seed: int = 1,
+) -> CampaignSpec:
+    """The campaign of preset ``name`` (a key of :data:`PRESETS`)."""
+    protocols, sweep = PRESETS[name]
+    return CampaignSpec(
+        name=name,
+        scenarios=("static-paper",),
+        protocols=protocols,
+        replicates=replicates,
+        num_epochs=num_epochs,
+        seed=seed,
+        sweep=sweep,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +422,6 @@ class CampaignStats:
     stored: int = 0
     runtime_seconds: float = 0.0
 
-    @property
-    def complete_after(self) -> int:
-        return self.complete_before + self.stored
-
 
 def run_missing(
     spec: CampaignSpec,
@@ -328,7 +437,7 @@ def run_missing(
     (atomically, via the runner's per-spec progress hook -- *before* the
     caller's ``progress`` fires), so interruption at any point loses at
     most the in-flight trials; trials already present in the runner's
-    cache (e.g. run earlier by the scenario or grid CLI) are served from it
+    cache (e.g. run earlier by another campaign) are served from it
     without re-execution and recorded in the store all the same.
 
     On interruption (``KeyboardInterrupt`` or a failing trial) the partial
@@ -338,10 +447,10 @@ def run_missing(
     """
     runner = runner if runner is not None else BatchRunner()
     campaign_id = spec.campaign_id
+    all_specs = spec.trial_specs()
     store.register_campaign(
         campaign_id, spec.name, spec.spec_json, spec.total_trials
     )
-    all_specs = spec.trial_specs()
     done = store.completed_keys(campaign_id)
     missing = [s for s in all_specs if s.key not in done]
     stats = CampaignStats(
@@ -390,396 +499,24 @@ def campaign_status(
     ]
 
 
-# ---------------------------------------------------------------------------
-# CLI
-# ---------------------------------------------------------------------------
+def stored_results(
+    spec: CampaignSpec, store: ResultsStore
+) -> Tuple[List[TrialResult], int]:
+    """The cached results of a campaign's recorded trials; executes nothing.
 
-
-def _parse_sweep_value(text: str) -> object:
-    lowered = text.strip().lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for parser in (int, float):
-        try:
-            return parser(text)
-        except ValueError:
+    Results come in expansion order, each rebound to its campaign spec, so
+    they group exactly as a run's do.  The second value counts recorded
+    trials whose cached result is gone (pruned from the trial cache).
+    """
+    done = store.completed_keys(spec.campaign_id)
+    results: List[TrialResult] = []
+    lost = 0
+    for trial in spec.trial_specs():
+        if trial.key not in done:
             continue
-    return text.strip()
-
-
-def _parse_sweep_args(args: Optional[Sequence[str]]):
-    """``--sweep field=v1,v2`` flags -> the spec's sweep tuple."""
-    sweep = []
-    for item in args or ():
-        if "=" not in item:
-            raise ValueError(
-                f"--sweep expects field=v1,v2,... got {item!r}"
-            )
-        field, _, values_text = item.partition("=")
-        values = tuple(
-            _parse_sweep_value(v) for v in values_text.split(",") if v.strip()
-        )
-        sweep.append((field.strip(), values))
-    return tuple(sweep)
-
-
-def _csv(value: str) -> List[str]:
-    return [part.strip() for part in value.split(",") if part.strip()]
-
-
-def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
-    if args.scenarios is None:
-        raise ValueError("--scenarios is required to define a campaign")
-    return CampaignSpec(
-        name=args.name,
-        scenarios=tuple(_csv(args.scenarios)),
-        protocols=tuple(_csv(args.protocols)),
-        replicates=args.replicates,
-        num_epochs=args.epochs,
-        seed=args.seed,
-        sweep=_parse_sweep_args(args.sweep),
-    )
-
-
-def _print_run_summary(action: str, stats: CampaignStats) -> None:
-    print(
-        f"campaign {stats.campaign_id} ({action}): "
-        f"{stats.complete_before}/{stats.total} trials already stored | "
-        f"scheduled {stats.scheduled}: executed {stats.executed}, "
-        f"cache-served {stats.cached}, deduplicated {stats.deduplicated} | "
-        f"stored now {stats.complete_after}/{stats.total} | "
-        f"wall {stats.runtime_seconds:.2f}s"
-    )
-
-
-def _print_status(spec: CampaignSpec, store: ResultsStore) -> int:
-    rows = campaign_status(spec, store)
-    done = sum(r[2] for r in rows)
-    total = sum(r[3] for r in rows)
-    print(
-        format_table(
-            headers=["scenario", "protocol", "done", "total", "progress"],
-            rows=[
-                (scenario, protocol, d, t, format_progress(d, t))
-                for scenario, protocol, d, t in rows
-            ],
-            title=(
-                f"campaign {spec.campaign_id}: "
-                f"{format_progress(done, total)} trials complete"
-            ),
-        )
-    )
-    return done
-
-
-def _write_exports(
-    args: argparse.Namespace, spec: CampaignSpec, store: ResultsStore
-) -> None:
-    if args.export:
-        payload = store.export_jsonable(spec.campaign_id)
-        path = Path(args.export)
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        print(f"JSON export written to {path}")
-    if args.markdown:
-        groups = store.replicate_groups(spec.campaign_id)
-        table = format_replicate_table(
-            groups,
-            metrics=list(METRIC_COLUMNS),
-            title=None,
-        )
-        text = (
-            f"# Campaign `{spec.campaign_id}`\n\n"
-            f"{len(spec.scenarios)} scenarios × {len(spec.protocols)} "
-            f"protocols × {len(spec.sweep_points())} sweep points × "
-            f"{spec.replicates} replicates = {spec.total_trials} trials "
-            f"({spec.num_epochs} epochs, seed {spec.seed}).\n\n"
-            f"```\n{table}\n```\n"
-        )
-        Path(args.markdown).write_text(text)
-        print(f"markdown report written to {args.markdown}")
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description=(
-            "Resumable experiment campaigns: declare a scenario × protocol "
-            "× sweep × replicate space, run only the trials missing from "
-            "the results store, and query/export what is recorded."
-        )
-    )
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
-        "--new",
-        action="store_true",
-        help="register the declared campaign and run it to completion",
-    )
-    mode.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "re-open a registered campaign (--campaign, or the same "
-            "defining flags) and run only the missing trials"
-        ),
-    )
-    mode.add_argument(
-        "--status",
-        action="store_true",
-        help=(
-            "report per-cell completion of a campaign (--campaign), or "
-            "list every registered campaign"
-        ),
-    )
-    mode.add_argument(
-        "--query",
-        action="store_true",
-        help=(
-            "print stored trial rows of a campaign (--campaign), "
-            "filterable by --scenario/--protocol/--replicate"
-        ),
-    )
-    parser.add_argument(
-        "--campaign",
-        default=None,
-        metavar="ID_OR_NAME",
-        help="registered campaign id (or unique name) to operate on",
-    )
-    parser.add_argument(
-        "--name", default="campaign", help="campaign name (default: campaign)"
-    )
-    parser.add_argument(
-        "--scenarios",
-        default=None,
-        help=(
-            "comma-separated registered scenario names "
-            f"(registry: {', '.join(scenario_names())})"
-        ),
-    )
-    parser.add_argument(
-        "--protocols",
-        default="dirq",
-        help=(
-            "comma-separated protocol variants "
-            f"(default: dirq; known: {', '.join(sorted(PROTOCOLS))})"
-        ),
-    )
-    parser.add_argument(
-        "--replicates",
-        type=int,
-        default=1,
-        help="independent seeds per cell (default: 1)",
-    )
-    parser.add_argument(
-        "--epochs",
-        type=int,
-        default=DEFAULT_SCENARIO_EPOCHS,
-        help=f"epochs per trial (default: {DEFAULT_SCENARIO_EPOCHS})",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=1, help="base master seed (default: 1)"
-    )
-    parser.add_argument(
-        "--sweep",
-        action="append",
-        default=None,
-        metavar="FIELD=V1,V2,...",
-        help=(
-            "add a config sweep axis (repeatable), e.g. "
-            "--sweep target_coverage=0.2,0.4,0.6"
-        ),
-    )
-    parser.add_argument(
-        "--scenario",
-        default=None,
-        help="with --query: filter rows to one scenario",
-    )
-    parser.add_argument(
-        "--protocol",
-        default=None,
-        help="with --query: filter rows to one protocol variant",
-    )
-    parser.add_argument(
-        "--replicate",
-        type=int,
-        default=None,
-        help="with --query: filter rows to one replicate index",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help=(
-            "directory of the results store "
-            f"<cache-dir>/{DEFAULT_STORE_NAME}, which holds the campaigns "
-            "and the trial cache (default: $REPRO_CACHE_DIR or "
-            ".repro-cache); campaigns compose with the scenario/grid CLIs "
-            "through it"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes (default: CPU count)",
-    )
-    parser.add_argument(
-        "--export",
-        default=None,
-        metavar="PATH",
-        help="write the deterministic JSON export of the stored results",
-    )
-    parser.add_argument(
-        "--markdown",
-        default=None,
-        metavar="PATH",
-        help="write the replicate-summary table as a markdown report",
-    )
-    parser.add_argument(
-        "--require-complete",
-        action="store_true",
-        help=(
-            "exit non-zero unless every declared trial is in the store "
-            "(CI guard)"
-        ),
-    )
-    args = parser.parse_args(argv)
-
-    cache_dir = resolve_cache_dir(args.cache_dir)
-    store_path = Path(cache_dir) / DEFAULT_STORE_NAME
-    with ResultsStore(store_path) as store:
-        # --status with no campaign reference: list everything and exit.
-        if args.status and args.campaign is None and args.scenarios is None:
-            rows = [
-                (
-                    row.campaign_id,
-                    row.name,
-                    store.count(row.campaign_id),
-                    row.total_trials,
-                    format_progress(
-                        store.count(row.campaign_id), row.total_trials
-                    ),
-                )
-                for row in store.campaigns()
-            ]
-            if not rows:
-                print(f"store {store_path}: no campaigns registered")
-                return 1 if args.require_complete else 0
-            print(
-                format_table(
-                    headers=["campaign", "name", "done", "total", "progress"],
-                    rows=rows,
-                    title=f"store {store_path}: {len(rows)} campaigns",
-                )
-            )
-            incomplete = any(done != total for _, _, done, total, _ in rows)
-            return 1 if (args.require_complete and incomplete) else 0
-
-        # Resolve the campaign spec: by reference from the store, or from
-        # the defining flags.
-        try:
-            if args.campaign is not None:
-                row = store.resolve_campaign(args.campaign)
-                spec = CampaignSpec.from_jsonable(row.spec_jsonable)
-            else:
-                spec = _spec_from_args(args)
-        except (KeyError, ValueError) as error:
-            print(f"error: {error.args[0]}", file=sys.stderr)
-            return 2
-
-        campaign_id = spec.campaign_id
-        if args.new and store.campaign(campaign_id) is not None:
-            print(
-                f"error: campaign {campaign_id} already exists; "
-                "use --resume (or --status) instead",
-                file=sys.stderr,
-            )
-            return 2
-        if args.resume and store.campaign(campaign_id) is None:
-            print(
-                f"error: campaign {campaign_id} is not registered in "
-                f"{store_path}; use --new to create it",
-                file=sys.stderr,
-            )
-            return 2
-
-        if args.new or args.resume:
-            from ..obs.progress import RunTelemetry
-
-            telemetry = RunTelemetry()
-            runner = BatchRunner(
-                max_workers=args.workers,
-                cache_dir=cache_dir,
-                telemetry=telemetry,
-            )
-            action = "new" if args.new else "resume"
-            try:
-                stats = run_missing(spec, store, runner=runner)
-            except KeyboardInterrupt:
-                done = store.count(campaign_id)
-                print()
-                print(
-                    f"interrupted: campaign {campaign_id} has "
-                    f"{done}/{spec.total_trials} trials stored in "
-                    f"{store_path}; finish it with\n"
-                    f"  python -m repro.experiments.campaign --resume "
-                    f"--campaign {campaign_id} --cache-dir {cache_dir}",
-                    file=sys.stderr,
-                )
-                return 130
-            _print_run_summary(action, stats)
-            print(telemetry.render())
-            print()
-            _print_status(spec, store)
-            _write_exports(args, spec, store)
-        elif args.status:
-            done = _print_status(spec, store)
-            _write_exports(args, spec, store)
-            if args.require_complete and done != spec.total_trials:
-                print(
-                    f"FAIL: --require-complete but only {done}/"
-                    f"{spec.total_trials} trials stored",
-                    file=sys.stderr,
-                )
-                return 1
-            return 0
-        elif args.query:
-            rows = store.query(
-                campaign_id,
-                scenario=args.scenario,
-                protocol=args.protocol,
-                replicate=args.replicate,
-            )
-            print(
-                format_table(
-                    headers=["scenario", "protocol", "sweep", "rep"]
-                    + list(METRIC_COLUMNS),
-                    rows=[
-                        [
-                            row["scenario"],
-                            row["protocol"],
-                            row["sweep_json"],
-                            row["replicate"],
-                        ]
-                        + [float(row[name]) for name in METRIC_COLUMNS]
-                        for row in rows
-                    ],
-                    float_format="{:.3f}",
-                    title=(
-                        f"campaign {campaign_id}: {len(rows)} stored trials"
-                    ),
-                )
-            )
-            _write_exports(args, spec, store)
-
-        if args.require_complete:
-            done = store.count(campaign_id)
-            if done != spec.total_trials:
-                print(
-                    f"FAIL: --require-complete but only {done}/"
-                    f"{spec.total_trials} trials stored",
-                    file=sys.stderr,
-                )
-                return 1
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+        cached = store.load_result(trial.key)
+        if cached is None:
+            lost += 1
+        else:
+            results.append(dataclasses.replace(cached, spec=trial))
+    return results, lost

@@ -8,230 +8,76 @@ between the RECEIVE and SHOULD curves grows with δ (stale, padded range
 information routes queries to irrelevant subtrees), and the effect is less
 pronounced at higher coverage.
 
-``sweep_specs()`` declares one :class:`~repro.experiments.batch.TrialSpec`
-per (δ, coverage) combination; ``run()`` fans them across worker processes
-through a :class:`~repro.experiments.batch.BatchRunner` and returns one
-:class:`~repro.metrics.accuracy.Fig5Point` per combination.
+The ``fig5`` campaign preset runs one cell per (δ, coverage) point
+(``python -m repro run fig5``); :func:`render` turns its replicate groups
+into the figure's tables.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from statistics import fmean
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from ..metrics.accuracy import Fig5Point, fig5_percentages
-from ..metrics.report import format_replicate_table, format_table
-from ..metrics.stats import ReplicateGroup, groups_to_jsonable
-from .batch import DEFAULT_REPLICATES, BatchRunner, TrialSpec, run_sweep_replicated
-from .config import ExperimentConfig
-from .scenarios import paper_network
+from ..core.config import ThresholdMode
+from ..metrics.accuracy import fig5_percentages
+from ..metrics.report import format_table
+from ..metrics.stats import ReplicateGroup
+from .config import ProtocolName
+
+#: The :class:`~repro.metrics.accuracy.Fig5Point` fields of one table row.
+_PERCENTAGES = (
+    "should_receive_pct",
+    "receive_pct",
+    "source_pct",
+    "should_not_receive_pct",
+    "mean_overshoot_pct",
+)
 
 
-#: Thresholds evaluated by default.  The paper sweeps 1-9 %; the highlighted
-#: values in its Figs. 6-7 are 3, 5 and 9 %.
-DEFAULT_DELTAS: Sequence[float] = (1.0, 3.0, 5.0, 7.0, 9.0)
+def render(groups: Sequence[ReplicateGroup]) -> str:
+    """The Fig. 5 tables, one per coverage, over the fixed-δ cells.
 
-#: Node-involvement targets of Fig. 5(a) and Fig. 5(b).
-DEFAULT_COVERAGES: Sequence[float] = (0.4, 0.6)
-
-
-@dataclasses.dataclass(frozen=True)
-class Fig5Result:
-    """All points of the Fig. 5 reproduction plus completeness diagnostics.
-
-    With ``replicates > 1`` every point is a per-field mean over the
-    replicate group and :attr:`stats` carries one
-    :class:`~repro.metrics.stats.ReplicateGroup` per (δ, coverage) point
-    with confidence intervals for the scalar metrics.
+    Every percentage is the replicate mean of the per-trial query averages.
     """
-
-    points: List[Fig5Point]
-    completeness: Dict[tuple, float]
-    num_epochs: int
-    num_nodes: int
-    stats: Optional[List[ReplicateGroup]] = None
-    replicates: int = 1
-
-    def points_for(self, coverage: float) -> List[Fig5Point]:
-        return sorted(
-            (p for p in self.points if abs(p.target_coverage - coverage) < 1e-9),
-            key=lambda p: p.delta_percent,
-        )
-
-    def coverages(self) -> List[float]:
-        return sorted({p.target_coverage for p in self.points})
-
-    def to_json(self) -> str:
-        """Machine-readable export: points, completeness, replicate stats."""
-        payload = {
-            "figure": "fig5",
-            "num_epochs": self.num_epochs,
-            "num_nodes": self.num_nodes,
-            "replicates": self.replicates,
-            "points": [dataclasses.asdict(p) for p in self.points],
-            "completeness": {
-                f"delta={delta:g}/coverage={coverage:g}": value
-                for (delta, coverage), value in sorted(self.completeness.items())
-            },
-            "groups": groups_to_jsonable(self.stats or []),
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
-
-
-def sweep_specs(
-    base: ExperimentConfig,
-    deltas: Sequence[float] = DEFAULT_DELTAS,
-    coverages: Sequence[float] = DEFAULT_COVERAGES,
-) -> List[TrialSpec]:
-    """The Fig. 5 sweep as data: one trial per (δ, coverage) point."""
-    return [
-        TrialSpec(
-            label=f"fig5 delta={delta:g}% coverage={coverage:g}",
-            config=base.replace(target_coverage=coverage).with_fixed_delta(delta),
-            group="fig5",
-            tags={"delta": delta, "coverage": coverage},
-        )
-        for coverage in coverages
-        for delta in deltas
-    ]
-
-
-def _mean_fig5_point(points: Sequence[Fig5Point]) -> Fig5Point:
-    """Field-wise mean of one point's replicates (δ/coverage are shared)."""
-    return Fig5Point(
-        delta_percent=points[0].delta_percent,
-        target_coverage=points[0].target_coverage,
-        should_receive_pct=fmean(p.should_receive_pct for p in points),
-        receive_pct=fmean(p.receive_pct for p in points),
-        source_pct=fmean(p.source_pct for p in points),
-        should_not_receive_pct=fmean(p.should_not_receive_pct for p in points),
-        mean_overshoot_pct=fmean(p.mean_overshoot_pct for p in points),
-        num_queries=round(fmean(p.num_queries for p in points)),
-    )
-
-
-def run(
-    deltas: Sequence[float] = DEFAULT_DELTAS,
-    coverages: Sequence[float] = DEFAULT_COVERAGES,
-    num_epochs: int = 2_000,
-    seed: int = 1,
-    base_config: Optional[ExperimentConfig] = None,
-    runner: Optional[BatchRunner] = None,
-    replicates: int = DEFAULT_REPLICATES,
-) -> Fig5Result:
-    """Run the Fig. 5 sweep.
-
-    Parameters
-    ----------
-    deltas:
-        Fixed threshold values (percent of full scale) to evaluate.
-    coverages:
-        Query involvement targets (the paper's 40 % and 60 %).
-    num_epochs:
-        Simulation length per run (the paper used 20 000; the benchmark
-        harness uses a smaller value because each point is a full run).
-    seed:
-        Master seed shared by all runs, so every (δ, coverage) point sees
-        the same topology and phenomena.
-    base_config:
-        Alternative starting configuration (defaults to the paper network).
-    runner:
-        Batch runner executing the sweep; a default (process-parallel,
-        cache per ``REPRO_CACHE_DIR``) one is created if omitted.
-    replicates:
-        Independent seeds per sweep point.  Reported points are replicate
-        means and :attr:`Fig5Result.stats` carries per-point confidence
-        intervals; ``replicates=1`` reproduces the single-trial behaviour
-        (and cache keys) of earlier revisions exactly.
-    """
-    base = (
-        base_config
-        if base_config is not None
-        else paper_network(num_epochs=num_epochs, seed=seed)
-    )
-    base = base.replace(num_epochs=num_epochs, seed=seed)
-    num_nodes = base.num_nodes
-    specs = sweep_specs(base, deltas=deltas, coverages=coverages)
-    groups = run_sweep_replicated(specs, runner, replicates)
-
-    points: List[Fig5Point] = []
-    completeness: Dict[tuple, float] = {}
+    rows: Dict[float, List[tuple]] = {}
+    title = ""
     for group in groups:
-        delta = group.tags["delta"]
-        coverage = group.tags["coverage"]
-        rep_points = [
-            fig5_percentages(r.audit.records, num_nodes - 1, delta, coverage)
+        config = group.results[0].config
+        if (
+            config.protocol != ProtocolName.DIRQ
+            or config.dirq.threshold_mode != ThresholdMode.FIXED
+        ):
+            continue
+        delta = config.dirq.delta_percent
+        coverage = config.target_coverage
+        points = [
+            fig5_percentages(
+                r.audit.records, config.num_nodes - 1, delta, coverage
+            )
             for r in group.results
         ]
-        points.append(_mean_fig5_point(rep_points))
-        completeness[(delta, coverage)] = group.metrics[
-            "source_completeness"
-        ].mean
-    return Fig5Result(
-        points=points,
-        completeness=completeness,
-        num_epochs=num_epochs,
-        num_nodes=num_nodes,
-        stats=groups,
-        replicates=replicates,
+        rows.setdefault(coverage, []).append(
+            (delta,)
+            + tuple(fmean(getattr(p, f) for p in points) for f in _PERCENTAGES)
+            + (group.metrics["source_completeness"].mean,)
+        )
+        title = f"({config.num_nodes} nodes, {config.num_epochs} epochs)"
+    return "\n\n".join(
+        format_table(
+            headers=[
+                "delta %",
+                "SHOULD recv %",
+                "RECEIVE %",
+                "sources %",
+                "should NOT %",
+                "overshoot pp",
+                "src completeness",
+            ],
+            rows=sorted(rows[coverage]),
+            title=(
+                f"Fig. 5 -- percentage of relevant nodes = "
+                f"{int(coverage * 100)}% {title}"
+            ),
+        )
+        for coverage in sorted(rows)
     )
-
-
-def report(result: Fig5Result) -> str:
-    """Render the Fig. 5 reproduction as text tables (one per coverage)."""
-    sections = []
-    for coverage in result.coverages():
-        rows = [
-            (
-                p.delta_percent,
-                p.should_receive_pct,
-                p.receive_pct,
-                p.source_pct,
-                p.should_not_receive_pct,
-                p.mean_overshoot_pct,
-                result.completeness.get((p.delta_percent, coverage), float("nan")),
-            )
-            for p in result.points_for(coverage)
-        ]
-        sections.append(
-            format_table(
-                headers=[
-                    "delta %",
-                    "SHOULD recv %",
-                    "RECEIVE %",
-                    "sources %",
-                    "should NOT %",
-                    "overshoot pp",
-                    "src completeness",
-                ],
-                rows=rows,
-                title=(
-                    f"Fig. 5 -- percentage of relevant nodes = {int(coverage * 100)}% "
-                    f"({result.num_nodes} nodes, {result.num_epochs} epochs)"
-                ),
-            )
-        )
-    if result.stats and result.replicates > 1:
-        sections.append(
-            format_replicate_table(
-                result.stats,
-                title=(
-                    f"Fig. 5 replication statistics "
-                    f"(95% CI over n={result.replicates} seeds)"
-                ),
-            )
-        )
-    return "\n\n".join(sections)
-
-
-def main(num_epochs: int = 2_000) -> str:  # pragma: no cover - script entry
-    result = run(num_epochs=num_epochs)
-    text = report(result)
-    print(text)
-    return text
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

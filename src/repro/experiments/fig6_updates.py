@@ -10,164 +10,26 @@ the budget, large ones far below, and the ATC series settles inside the
 0.45–0.55 band -- which is precisely where DirQ's total cost sits at 45-55 %
 of flooding.
 
-``sweep_specs()`` declares one :class:`~repro.experiments.batch.TrialSpec`
-per threshold setting; ``run()`` executes them through a
-:class:`~repro.experiments.batch.BatchRunner` and returns a
-:class:`~repro.metrics.series.SeriesSet` with the reference levels attached.
+The ``fig6`` campaign preset runs one cell per threshold setting
+(``python -m repro run fig6``); :func:`render` turns its replicate groups
+into the windowed series, the U_max band and the cost table.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from statistics import mean
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..core.analytical import update_budget_per_hour
-from ..metrics.report import format_replicate_table, format_series, format_table
+from ..metrics.report import format_series, format_table
 from ..metrics.series import SeriesSet, WindowPoint
-from ..metrics.stats import ReplicateGroup, groups_to_jsonable, mean_series
-from .batch import DEFAULT_REPLICATES, BatchRunner, TrialResult, TrialSpec, run_sweep_replicated
-from .config import ExperimentConfig
-from .scenarios import paper_network
+from ..metrics.stats import ReplicateGroup, mean_series
+from .batch import TrialResult
 
-DEFAULT_DELTAS: Sequence[float] = (3.0, 5.0, 9.0)
 ATC_LABEL = "atc"
 
 
-@dataclasses.dataclass(frozen=True)
-class Fig6Result:
-    """The Fig. 6 series plus the per-setting cost ratios."""
-
-    series: SeriesSet
-    cost_ratios: Dict[str, float]
-    mean_updates: Dict[str, float]
-    window_epochs: int
-    umax_per_window: float
-    stats: Optional[List[ReplicateGroup]] = None
-    replicates: int = 1
-
-    def to_json(self) -> str:
-        """Machine-readable export: series, references, replicate stats."""
-        payload = {
-            "figure": "fig6",
-            "window_epochs": self.window_epochs,
-            "umax_per_window": self.umax_per_window,
-            "replicates": self.replicates,
-            "series": {
-                name: [
-                    (p.window_start, p.value) for p in self.series.series[name]
-                ]
-                for name in self.series.names()
-            },
-            "references": dict(sorted(self.series.references.items())),
-            "cost_ratios": dict(sorted(self.cost_ratios.items())),
-            "mean_updates": dict(sorted(self.mean_updates.items())),
-            "groups": groups_to_jsonable(self.stats or []),
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
-
-    def atc_band_occupancy(self, skip_windows: int = 2) -> float:
-        """Fraction of (post-transient) ATC windows inside the 0.45-0.55 band."""
-        return self.series.fraction_within(
-            ATC_LABEL,
-            0.45 * self.umax_per_window,
-            0.55 * self.umax_per_window,
-            skip_windows=skip_windows,
-        )
-
-
-def sweep_specs(
-    base: ExperimentConfig,
-    deltas: Sequence[float] = DEFAULT_DELTAS,
-    include_atc: bool = True,
-) -> List[TrialSpec]:
-    """The Fig. 6 sweep as data: one trial per threshold setting."""
-    specs = [
-        TrialSpec(
-            label=f"delta={delta:g}%",
-            config=base.with_fixed_delta(delta),
-            group="fig6",
-            tags={"delta": delta},
-        )
-        for delta in deltas
-    ]
-    if include_atc:
-        specs.append(
-            TrialSpec(
-                label=ATC_LABEL, config=base.with_atc(), group="fig6", tags={}
-            )
-        )
-    return specs
-
-
-def run(
-    deltas: Sequence[float] = DEFAULT_DELTAS,
-    num_epochs: int = 3_000,
-    target_coverage: float = 0.4,
-    seed: int = 1,
-    include_atc: bool = True,
-    base_config: Optional[ExperimentConfig] = None,
-    runner: Optional[BatchRunner] = None,
-    replicates: int = DEFAULT_REPLICATES,
-) -> Fig6Result:
-    """Run the Fig. 6 sweep (one simulation per threshold setting).
-
-    With ``replicates > 1`` each setting runs on ``replicates`` independent
-    seeds: the reported series is the per-window mean over the replicate
-    group, scalar rows are replicate means, and :attr:`Fig6Result.stats`
-    carries the confidence intervals.  ``replicates=1`` reproduces the
-    single-trial behaviour (and cache keys) of earlier revisions exactly.
-    """
-    base = (
-        base_config
-        if base_config is not None
-        else paper_network(num_epochs=num_epochs, seed=seed)
-    )
-    base = base.replace(
-        num_epochs=num_epochs, seed=seed, target_coverage=target_coverage
-    )
-
-    specs = sweep_specs(base, deltas=deltas, include_atc=include_atc)
-    groups = run_sweep_replicated(specs, runner, replicates)
-
-    series = SeriesSet(window_epochs=base.window_epochs)
-    cost_ratios: Dict[str, float] = {}
-    mean_updates: Dict[str, float] = {}
-    umax_per_window = 0.0
-
-    for group in groups:
-        label = group.label
-        starts = [p.window_start for p in group.results[0].update_series]
-        values = mean_series(
-            [[p.value for p in r.update_series] for r in group.results]
-        )
-        series.add_series(
-            label,
-            [WindowPoint(window_start=s, value=v) for s, v in zip(starts, values)],
-        )
-        cost_ratios[label] = group.metrics["cost_ratio"].mean
-        mean_updates[label] = group.metrics["updates_per_window"].mean
-        if umax_per_window == 0.0:
-            umax_per_window = float(
-                mean(_umax_per_window(r, base) for r in group.results)
-            )
-
-    series.add_reference("Umax/window", umax_per_window)
-    series.add_reference("0.55*Umax", 0.55 * umax_per_window)
-    series.add_reference("0.45*Umax", 0.45 * umax_per_window)
-    return Fig6Result(
-        series=series,
-        cost_ratios=cost_ratios,
-        mean_updates=mean_updates,
-        window_epochs=base.window_epochs,
-        umax_per_window=umax_per_window,
-        stats=groups,
-        replicates=replicates,
-    )
-
-
-def _umax_per_window(result: TrialResult, config: ExperimentConfig) -> float:
+def umax_per_window(result: TrialResult) -> float:
     """U_max expressed per metrics window (the Fig. 6 horizontal line).
 
     U_max/Hr is the number of update messages per hour at which DirQ's total
@@ -175,6 +37,7 @@ def _umax_per_window(result: TrialResult, config: ExperimentConfig) -> float:
     equals the flooding cost of the expected query load; see
     :func:`repro.core.analytical.update_budget_per_hour`.
     """
+    config = result.config
     queries_per_window = config.window_epochs / config.query_period
     avg_query_cost = (
         sum(result.per_query_costs) / len(result.per_query_costs)
@@ -188,57 +51,59 @@ def _umax_per_window(result: TrialResult, config: ExperimentConfig) -> float:
     )
 
 
-def report(result: Fig6Result) -> str:
-    """Render the Fig. 6 reproduction as text."""
+def render(groups: Sequence[ReplicateGroup]) -> str:
+    """The Fig. 6 series (one per protocol variant), U_max band and costs.
+
+    A series is the per-window replicate mean; U_max is the replicate mean
+    of the first cell's.
+    """
+    first = groups[0].results[0].config
+    series = SeriesSet(window_epochs=first.window_epochs)
+    rows = {}
+    umax = float(mean(umax_per_window(r) for r in groups[0].results))
+    for group in groups:
+        name = str(group.tags["protocol"])
+        starts = [p.window_start for p in group.results[0].update_series]
+        values = mean_series(
+            [[p.value for p in r.update_series] for r in group.results]
+        )
+        series.add_series(
+            name,
+            [WindowPoint(window_start=s, value=v) for s, v in zip(starts, values)],
+        )
+        rows[name] = (
+            name,
+            group.metrics["updates_per_window"].mean,
+            group.metrics["cost_ratio"].mean,
+        )
     lines: List[str] = [
         "Fig. 6 -- Update Messages transmitted per "
-        f"{result.window_epochs} epochs (40% relevant nodes)",
+        f"{first.window_epochs} epochs "
+        f"({int(first.target_coverage * 100)}% relevant nodes)",
         "",
-        f"U_max per window       : {result.umax_per_window:.1f}",
-        f"0.45 * U_max            : {0.45 * result.umax_per_window:.1f}",
-        f"0.55 * U_max            : {0.55 * result.umax_per_window:.1f}",
+        f"U_max per window       : {umax:.1f}",
+        f"0.45 * U_max            : {0.45 * umax:.1f}",
+        f"0.55 * U_max            : {0.55 * umax:.1f}",
         "",
     ]
-    for name in result.series.names():
-        starts, values = result.series.as_arrays(name)
+    for name in series.names():
+        starts, values = series.as_arrays(name)
         lines.append(format_series(name, list(starts), list(values)))
     lines.append("")
     lines.append(
         format_table(
             headers=["setting", "mean updates/window", "total cost / flooding"],
-            rows=[
-                (name, result.mean_updates[name], result.cost_ratios[name])
-                for name in result.series.names()
-            ],
+            rows=[rows[name] for name in series.names()],
             float_format="{:.3f}",
         )
     )
-    if ATC_LABEL in result.series.names():
+    if ATC_LABEL in rows:
+        occupancy = series.fraction_within(
+            ATC_LABEL, 0.45 * umax, 0.55 * umax, skip_windows=2
+        )
         lines.append("")
         lines.append(
             "ATC windows inside the 0.45-0.55 U_max band "
-            f"(after transient): {result.atc_band_occupancy():.0%}"
-        )
-    if result.stats and result.replicates > 1:
-        lines.append("")
-        lines.append(
-            format_replicate_table(
-                result.stats,
-                title=(
-                    f"Fig. 6 replication statistics "
-                    f"(95% CI over n={result.replicates} seeds)"
-                ),
-            )
+            f"(after transient): {occupancy:.0%}"
         )
     return "\n".join(lines)
-
-
-def main(num_epochs: int = 3_000) -> str:  # pragma: no cover - script entry
-    result = run(num_epochs=num_epochs)
-    text = report(result)
-    print(text)
-    return text
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

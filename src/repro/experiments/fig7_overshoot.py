@@ -6,187 +6,64 @@ points of the node population) over the 20 000-epoch run for δ = 3 %, 5 %,
 9 % and for the ATC, and reports an average ATC overshoot of ≈3.6 %.  The
 shape to reproduce: overshoot grows with δ, and the ATC's overshoot stays
 bounded and below the largest fixed threshold it is willing to use.
+
+The ``fig7`` campaign preset runs one cell per threshold setting
+(``python -m repro run fig7``); :func:`render` turns its replicate groups
+into the overshoot series and averages.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from ..metrics.accuracy import overshoot_series
-from ..metrics.report import format_replicate_table, format_series, format_table
-from ..metrics.stats import ReplicateGroup, groups_to_jsonable, mean_series
-from .batch import DEFAULT_REPLICATES, BatchRunner, TrialSpec, run_sweep_replicated
-from .config import ExperimentConfig
-from .scenarios import paper_network
+from ..metrics.report import format_series, format_table
+from ..metrics.stats import ReplicateGroup, mean_series
 
-DEFAULT_DELTAS: Sequence[float] = (3.0, 5.0, 9.0)
-ATC_LABEL = "atc"
-
-
-@dataclasses.dataclass(frozen=True)
-class Fig7Result:
-    """Overshoot time series and averages per threshold setting."""
-
-    series: Dict[str, List[Tuple[int, float]]]
-    average_overshoot: Dict[str, float]
-    cost_ratios: Dict[str, float]
-    window_epochs: int
-    target_coverage: float
-    stats: Optional[List[ReplicateGroup]] = None
-    replicates: int = 1
-
-    def names(self) -> List[str]:
-        return sorted(self.series)
-
-    def to_json(self) -> str:
-        """Machine-readable export: series, averages, replicate stats."""
-        payload = {
-            "figure": "fig7",
-            "window_epochs": self.window_epochs,
-            "target_coverage": self.target_coverage,
-            "replicates": self.replicates,
-            "series": {name: self.series[name] for name in self.names()},
-            "average_overshoot": dict(sorted(self.average_overshoot.items())),
-            "cost_ratios": dict(sorted(self.cost_ratios.items())),
-            "groups": groups_to_jsonable(self.stats or []),
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+#: Averaging window of the series: the paper smooths visually over a few
+#: hundred epochs, and with one query every 20 epochs a 400-epoch window
+#: averages 20 queries per point.
+WINDOW_EPOCHS = 400
 
 
-def sweep_specs(
-    base: ExperimentConfig,
-    deltas: Sequence[float] = DEFAULT_DELTAS,
-    include_atc: bool = True,
-) -> List[TrialSpec]:
-    """The Fig. 7 sweep as data: one trial per threshold setting."""
-    specs = [
-        TrialSpec(
-            label=f"delta={delta:g}%",
-            config=base.with_fixed_delta(delta),
-            group="fig7",
-            tags={"delta": delta},
-        )
-        for delta in deltas
-    ]
-    if include_atc:
-        specs.append(
-            TrialSpec(
-                label=ATC_LABEL, config=base.with_atc(), group="fig7", tags={}
-            )
-        )
-    return specs
+def render(groups: Sequence[ReplicateGroup]) -> str:
+    """The Fig. 7 overshoot series (one per protocol variant) and averages.
 
-
-def run(
-    deltas: Sequence[float] = DEFAULT_DELTAS,
-    num_epochs: int = 3_000,
-    target_coverage: float = 0.2,
-    seed: int = 1,
-    include_atc: bool = True,
-    window_epochs: int = 400,
-    base_config: Optional[ExperimentConfig] = None,
-    runner: Optional[BatchRunner] = None,
-    replicates: int = DEFAULT_REPLICATES,
-) -> Fig7Result:
-    """Run the Fig. 7 sweep (one simulation per threshold setting).
-
-    ``window_epochs`` controls the averaging window of the reported series;
-    the paper smooths visually over a few hundred epochs, and with one query
-    every 20 epochs a 400-epoch window averages 20 queries per point.
-
-    With ``replicates > 1`` each setting runs on ``replicates`` independent
-    seeds: the reported series is the per-window replicate mean, averages
-    are replicate means, and :attr:`Fig7Result.stats` carries confidence
-    intervals.  ``replicates=1`` reproduces the single-trial behaviour (and
-    cache keys) of earlier revisions exactly.
+    A series is the per-window replicate mean; averages are replicate means.
     """
-    base = (
-        base_config
-        if base_config is not None
-        else paper_network(num_epochs=num_epochs, seed=seed)
-    )
-    base = base.replace(
-        num_epochs=num_epochs, seed=seed, target_coverage=target_coverage
-    )
-
-    specs = sweep_specs(base, deltas=deltas, include_atc=include_atc)
-    groups = run_sweep_replicated(specs, runner, replicates)
-
-    series: Dict[str, List[Tuple[int, float]]] = {}
-    averages: Dict[str, float] = {}
-    ratios: Dict[str, float] = {}
+    series = {}
+    rows = {}
     for group in groups:
-        label = group.label
+        name = str(group.tags["protocol"])
         rep_series = [
-            overshoot_series(r.audit.records, window_epochs, num_epochs)
+            overshoot_series(r.audit.records, WINDOW_EPOCHS, r.config.num_epochs)
             for r in group.results
         ]
         windows = [w for w, _ in rep_series[0]]
-        values = mean_series([[v for _, v in s] for s in rep_series])
-        series[label] = list(zip(windows, values))
-        averages[label] = group.metrics["mean_overshoot_pp"].mean
-        ratios[label] = group.metrics["cost_ratio"].mean
-    return Fig7Result(
-        series=series,
-        average_overshoot=averages,
-        cost_ratios=ratios,
-        window_epochs=window_epochs,
-        target_coverage=target_coverage,
-        stats=groups,
-        replicates=replicates,
-    )
-
-
-def report(result: Fig7Result) -> str:
-    """Render the Fig. 7 reproduction as text."""
+        series[name] = (
+            windows,
+            mean_series([[v for _, v in s] for s in rep_series]),
+        )
+        rows[name] = (
+            name,
+            group.metrics["mean_overshoot_pp"].mean,
+            group.metrics["cost_ratio"].mean,
+        )
+    coverage = groups[0].results[0].config.target_coverage
     lines: List[str] = [
         "Fig. 7 -- Overshoot (percentage points of the node population), "
-        f"{int(result.target_coverage * 100)}% relevant nodes",
+        f"{int(coverage * 100)}% relevant nodes",
         "",
     ]
-    for name in result.names():
-        points = result.series[name]
-        lines.append(
-            format_series(
-                name,
-                [w for w, _ in points],
-                [v for _, v in points],
-            )
-        )
+    for name in sorted(series):
+        lines.append(format_series(name, *series[name]))
     lines.append("")
     lines.append(
         format_table(
             headers=["setting", "average overshoot pp", "total cost / flooding"],
-            rows=[
-                (name, result.average_overshoot[name], result.cost_ratios[name])
-                for name in result.names()
-            ],
+            rows=[rows[name] for name in sorted(rows)],
             float_format="{:.3f}",
             title="Averages (paper: ATC average overshoot ~3.6%)",
         )
     )
-    if result.stats and result.replicates > 1:
-        lines.append("")
-        lines.append(
-            format_replicate_table(
-                result.stats,
-                title=(
-                    f"Fig. 7 replication statistics "
-                    f"(95% CI over n={result.replicates} seeds)"
-                ),
-            )
-        )
     return "\n".join(lines)
-
-
-def main(num_epochs: int = 3_000) -> str:  # pragma: no cover - script entry
-    result = run(num_epochs=num_epochs)
-    text = report(result)
-    print(text)
-    return text
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -1,106 +1,32 @@
 """Reproduction of the paper's headline claim (abstract / §7.2).
 
 "Our results show that DirQ spends between 45% and 55% the cost of
-flooding" while suffering only a small accuracy overshoot.  This experiment
-runs DirQ with the Adaptive Threshold Control and the flooding baseline on
-the *same* topology, dataset and query workload (same seed), and compares
-their total costs and accuracy.
+flooding" while suffering only a small accuracy overshoot.  The
+``headline`` campaign preset (``python -m repro run headline``) runs DirQ
+with the Adaptive Threshold Control and the flooding baseline on the
+*same* topology, dataset and query workload -- replicate ``i`` of both
+cells shares one derived seed -- and :func:`render` compares their total
+costs (:func:`paired_comparison`) and accuracy.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from statistics import fmean
-from typing import List, Optional
+from typing import Sequence
 
 from ..metrics.cost import CostComparison, compare_costs
-from ..metrics.report import format_key_values, format_replicate_table
-from ..metrics.stats import ReplicateGroup, groups_to_jsonable
-from .batch import DEFAULT_REPLICATES, BatchRunner, TrialResult, TrialSpec, run_sweep_replicated
-from .config import ExperimentConfig
-from .scenarios import paper_network
-
-DIRQ_LABEL = "dirq-atc"
-FLOODING_LABEL = "flooding"
+from ..metrics.report import format_key_values
+from ..metrics.stats import ReplicateGroup
 
 
-@dataclasses.dataclass(frozen=True)
-class HeadlineResult:
-    """DirQ-vs-flooding comparison on an identical workload.
+def paired_comparison(
+    dirq: ReplicateGroup, flooding: ReplicateGroup
+) -> CostComparison:
+    """Replicate means of the paired (same-workload) DirQ/flooding comparisons.
 
-    With ``replicates > 1`` the comparison aggregates per-replicate
-    comparisons (replicate ``i`` of DirQ and of flooding share the same
-    derived seed, hence the same workload); :attr:`dirq` / :attr:`flooding`
-    hold replicate 0 (the base seed) and :attr:`stats` the per-protocol
-    confidence intervals.
+    The ratio is the mean of the per-replicate ratios, not the quotient of
+    the two mean totals.
     """
-
-    dirq: TrialResult
-    flooding: TrialResult
-    comparison: CostComparison
-    dirq_overshoot_pp: float
-    dirq_completeness: float
-    stats: Optional[List[ReplicateGroup]] = None
-    replicates: int = 1
-
-    @property
-    def cost_ratio(self) -> float:
-        return self.comparison.ratio
-
-    def to_json(self) -> str:
-        """Machine-readable export of the comparison plus replicate stats."""
-        payload = {
-            "figure": "headline",
-            "replicates": self.replicates,
-            "comparison": dataclasses.asdict(self.comparison),
-            "dirq_overshoot_pp": self.dirq_overshoot_pp,
-            "dirq_completeness": self.dirq_completeness,
-            "within_band": self.comparison.within_band(),
-            "groups": groups_to_jsonable(self.stats or []),
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
-
-
-def sweep_specs(base: ExperimentConfig) -> List[TrialSpec]:
-    """The headline comparison as data: DirQ (ATC) vs flooding, same seed."""
-    return [
-        TrialSpec(label=DIRQ_LABEL, config=base.with_atc(), group="headline"),
-        TrialSpec(
-            label=FLOODING_LABEL, config=base.with_flooding(), group="headline"
-        ),
-    ]
-
-
-def run(
-    num_epochs: int = 3_000,
-    target_coverage: float = 0.4,
-    seed: int = 1,
-    base_config: Optional[ExperimentConfig] = None,
-    runner: Optional[BatchRunner] = None,
-    replicates: int = DEFAULT_REPLICATES,
-) -> HeadlineResult:
-    """Run DirQ (ATC) and flooding on the same workload and compare costs.
-
-    With ``replicates > 1``, replicate ``i`` of both protocols shares one
-    derived seed (one workload), the reported comparison averages the
-    per-replicate comparisons, and :attr:`HeadlineResult.stats` carries the
-    confidence intervals.  ``replicates=1`` reproduces the single-trial
-    behaviour (and cache keys) of earlier revisions exactly.
-    """
-    base = (
-        base_config
-        if base_config is not None
-        else paper_network(num_epochs=num_epochs, seed=seed)
-    )
-    base = base.replace(
-        num_epochs=num_epochs, seed=seed, target_coverage=target_coverage
-    )
-    groups = run_sweep_replicated(sweep_specs(base), runner, replicates)
-    by_label = {g.label: g for g in groups}
-    dirq_group = by_label[DIRQ_LABEL]
-    flooding_group = by_label[FLOODING_LABEL]
-
     comparisons = [
         compare_costs(
             dirq_ledger=d.ledger,
@@ -108,9 +34,9 @@ def run(
             num_queries=f.num_queries,
             flooding_is_total=True,
         )
-        for d, f in zip(dirq_group.results, flooding_group.results)
+        for d, f in zip(dirq.results, flooding.results)
     ]
-    comparison = CostComparison(
+    return CostComparison(
         dirq_total=fmean(c.dirq_total for c in comparisons),
         flooding_total=fmean(c.flooding_total for c in comparisons),
         num_queries=round(fmean(c.num_queries for c in comparisons)),
@@ -118,75 +44,49 @@ def run(
         flooding_per_query=fmean(c.flooding_per_query for c in comparisons),
         ratio=fmean(c.ratio for c in comparisons),
     )
-    return HeadlineResult(
-        dirq=dirq_group.results[0],
-        flooding=flooding_group.results[0],
-        comparison=comparison,
-        dirq_overshoot_pp=dirq_group.metrics["mean_overshoot_pp"].mean,
-        dirq_completeness=dirq_group.metrics["source_completeness"].mean,
-        stats=groups,
-        replicates=replicates,
-    )
 
 
-def report(result: HeadlineResult) -> str:
-    """Render the headline comparison as text.
+def render(groups: Sequence[ReplicateGroup]) -> str:
+    """The cost breakdown of the ``atc`` cell against the ``flooding`` one.
 
     Every printed number is a replicate mean, so the breakdown rows sum to
     the printed DirQ total.  The ratio is the mean of per-replicate (paired
     same-workload) ratios, which is why it is labelled as such rather than
     being the quotient of the two printed totals.
     """
-    if result.stats is not None:
-        dirq_results = next(
-            g.results for g in result.stats if g.label == DIRQ_LABEL
-        )
-        query_cost = fmean(r.breakdown.query_cost for r in dirq_results)
-        update_cost = fmean(r.breakdown.update_cost for r in dirq_results)
-        estimate_cost = fmean(r.breakdown.estimate_cost for r in dirq_results)
-    else:
-        breakdown = result.dirq.breakdown
-        query_cost = breakdown.query_cost
-        update_cost = breakdown.update_cost
-        estimate_cost = breakdown.estimate_cost
+    by_protocol = {group.tags["protocol"]: group for group in groups}
+    dirq, flooding = by_protocol["atc"], by_protocol["flooding"]
+    comparison = paired_comparison(dirq, flooding)
     ratio_label = (
         "DirQ / flooding ratio (mean of paired per-replicate ratios)"
-        if result.replicates > 1
+        if dirq.n > 1
         else "DirQ / flooding ratio"
     )
-    text = format_key_values(
+    return format_key_values(
         "Headline: DirQ (ATC) vs flooding on the same workload "
         "(paper: DirQ costs 45-55% of flooding)",
         [
-            ("queries", result.comparison.num_queries),
-            ("flooding total cost", result.comparison.flooding_total),
-            ("DirQ total cost", result.comparison.dirq_total),
-            ("  query dissemination", query_cost),
-            ("  range updates", update_cost),
-            ("  EHr estimates", estimate_cost),
-            (ratio_label, result.comparison.ratio),
-            ("within 45-55% band", result.comparison.within_band()),
-            ("DirQ mean overshoot (pp)", result.dirq_overshoot_pp),
-            ("DirQ source completeness", result.dirq_completeness),
+            ("queries", comparison.num_queries),
+            ("flooding total cost", comparison.flooding_total),
+            ("DirQ total cost", comparison.dirq_total),
+            (
+                "  query dissemination",
+                fmean(r.breakdown.query_cost for r in dirq.results),
+            ),
+            (
+                "  range updates",
+                fmean(r.breakdown.update_cost for r in dirq.results),
+            ),
+            (
+                "  EHr estimates",
+                fmean(r.breakdown.estimate_cost for r in dirq.results),
+            ),
+            (ratio_label, comparison.ratio),
+            ("within 45-55% band", comparison.within_band()),
+            ("DirQ mean overshoot (pp)", dirq.metrics["mean_overshoot_pp"].mean),
+            (
+                "DirQ source completeness",
+                dirq.metrics["source_completeness"].mean,
+            ),
         ],
     )
-    if result.stats and result.replicates > 1:
-        text += "\n\n" + format_replicate_table(
-            result.stats,
-            title=(
-                f"Headline replication statistics "
-                f"(95% CI over n={result.replicates} seeds)"
-            ),
-        )
-    return text
-
-
-def main(num_epochs: int = 3_000) -> str:  # pragma: no cover - script entry
-    result = run(num_epochs=num_epochs)
-    text = report(result)
-    print(text)
-    return text
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -6,8 +6,8 @@ One file, ``<cache-dir>/campaigns.sqlite``, holds
   :class:`~repro.experiments.batch.BatchRunner`: one pickled
   :class:`~repro.experiments.batch.TrialResult` per ``(config hash,
   CACHE_VERSION)``, with the spec's label, scenario and campaign beside it
-  for ``python -m repro.experiments.cache --list``.  It answers "have I
-  simulated this exact config?";
+  for ``python -m repro cache``.  It answers "have I simulated this exact
+  config?";
 * a ``campaigns`` table -- one row per registered
   :class:`~repro.experiments.campaign.CampaignSpec` (its canonical JSON,
   its deterministic id, and the expanded trial count), and
@@ -42,24 +42,18 @@ import json
 import pickle
 import sqlite3
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Set
 
-from ..metrics.stats import (
-    DEFAULT_CONFIDENCE,
-    DEFAULT_METRICS,
-    ReplicateGroup,
-    ReplicateSummary,
-)
+from ..metrics.stats import DEFAULT_METRICS
 from .batch import CACHE_VERSION, _canonical
 
-#: The store's filename inside a cache directory: the one file where every
-#: CLI keeps both its trial cache and its campaigns.
+#: The store's filename inside a cache directory: the one file that keeps
+#: both the trial cache and the campaigns.
 DEFAULT_STORE_NAME = "campaigns.sqlite"
 
 #: Scalar metrics persisted as real columns of the ``trials`` table --
 #: every default replicate metric plus the protocol-agnostic total radio
-#: energy.  The grid layer renders its matrices from this same set, which
-#: is what lets grid matrices be reproduced from a campaign store alone.
+#: energy.  The campaign report's replicate table shows this same set.
 STORE_METRICS: Dict[str, Callable[[object], float]] = dict(DEFAULT_METRICS)
 STORE_METRICS["total_energy"] = lambda r: float(r.ledger.total_cost())
 
@@ -354,87 +348,20 @@ class ResultsStore:
         ).fetchone()
         return int(n)
 
-    def query(
-        self,
-        campaign_id: str,
-        scenario: Optional[str] = None,
-        protocol: Optional[str] = None,
-        replicate: Optional[int] = None,
-    ) -> List[Dict[str, object]]:
-        """Stored trial rows, filtered and deterministically ordered.
+    def query(self, campaign_id: str) -> List[Dict[str, object]]:
+        """Stored trial rows of a campaign, deterministically ordered.
 
         Rows come back as plain dicts (identity columns + metric columns +
         fingerprint), ordered by ``(scenario, protocol, sweep, replicate,
-        key)`` -- independent of insertion order, so a query over a
-        resumed campaign matches the uninterrupted one.
+        key)`` -- independent of insertion order, so the rows of a resumed
+        campaign match the uninterrupted one's.
         """
-        clauses = ["campaign_id = ?"]
-        params: List[object] = [campaign_id]
-        if scenario is not None:
-            clauses.append("scenario = ?")
-            params.append(scenario)
-        if protocol is not None:
-            clauses.append("protocol = ?")
-            params.append(protocol)
-        if replicate is not None:
-            clauses.append("replicate = ?")
-            params.append(int(replicate))
         rows = self._conn.execute(
-            "SELECT * FROM trials WHERE " + " AND ".join(clauses) +
+            "SELECT * FROM trials WHERE campaign_id = ?"
             " ORDER BY scenario, protocol, sweep_json, replicate, key",
-            params,
+            (campaign_id,),
         ).fetchall()
         return [dict(row) for row in rows]
-
-    # -- derived views -------------------------------------------------------
-
-    def replicate_groups(
-        self,
-        campaign_id: str,
-        confidence: float = DEFAULT_CONFIDENCE,
-    ) -> List[ReplicateGroup]:
-        """Replicate-folded summaries of the stored scalars, one per cell.
-
-        Rebuilds :class:`~repro.metrics.stats.ReplicateGroup` objects from
-        the stored metric columns alone (``group.results`` holds the raw
-        row dicts), so mean-and-CI tables and grid matrices render from
-        the store without unpickling a single cached trial.
-        """
-        buckets: Dict[tuple, List[Dict[str, object]]] = {}
-        for row in self.query(campaign_id):
-            cell = (row["scenario"], row["protocol"], row["sweep_json"])
-            buckets.setdefault(cell, []).append(row)
-        groups: List[ReplicateGroup] = []
-        for cell, rows in buckets.items():
-            scenario, protocol, sweep_json = cell
-            first = rows[0]
-            summaries = {
-                name: ReplicateSummary.from_values(
-                    name,
-                    [float(row[name]) for row in rows],
-                    confidence=confidence,
-                )
-                for name in METRIC_COLUMNS
-            }
-            tags: Dict[str, object] = {
-                "campaign": campaign_id,
-                "scenario": scenario,
-                "protocol": protocol,
-                "sweep": json.loads(sweep_json),
-            }
-            groups.append(
-                ReplicateGroup(
-                    label=str(first["base_label"]),
-                    base_key=str(first["base_key"]),
-                    group="campaign",
-                    tags=tags,
-                    results=rows,
-                    metrics=summaries,
-                    cache_hits=sum(int(row["from_cache"]) for row in rows),
-                    executed=sum(1 - int(row["from_cache"]) for row in rows),
-                )
-            )
-        return groups
 
     def export_jsonable(self, campaign_id: str) -> Dict[str, object]:
         """The deterministic JSON payload of a campaign's stored results.

@@ -1,9 +1,9 @@
 """Plain-text report formatting for experiment results.
 
-The benchmark harness prints the same rows and series the paper reports
-(Figs. 5-7, the §5.3 worked example, and the headline cost ratio); the
-helpers here render them as aligned text tables so the console output of
-``pytest benchmarks/ --benchmark-only`` doubles as the reproduction record.
+The campaign report (``python -m repro run`` / ``report``) prints the same
+rows and series the paper reports (Figs. 5-7 and the headline cost ratio),
+and ``python -m repro.experiments.table_analytical`` the §5.3 worked
+example; the helpers here render them as aligned text tables.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def format_replicate_table(
 def format_progress(done: int, total: int, width: int = 20) -> str:
     """Render completion as ``[####----] done/total`` (empty-safe).
 
-    The campaign CLI prints one of these per scenario×protocol cell; with
+    ``python -m repro status`` prints one of these per campaign cell; with
     ``total == 0`` the bar renders full, since there is nothing left to do.
     """
     if total <= 0:
@@ -138,27 +138,6 @@ def format_progress(done: int, total: int, width: int = 20) -> str:
         fraction = max(0.0, min(1.0, done / total))
     filled = int(round(fraction * width))
     return f"[{'#' * filled}{'-' * (width - filled)}] {done}/{total}"
-
-
-def format_matrix(
-    row_header: str,
-    row_labels: Sequence[str],
-    col_labels: Sequence[str],
-    cell,
-    title: Optional[str] = None,
-) -> str:
-    """Render a labelled matrix as an aligned text table.
-
-    ``cell(row_label, col_label)`` returns the cell's rendered string (use
-    ``"-"`` for absent cells).  This is the scenario×protocol grid shape:
-    one row per scenario, one column per protocol variant.
-    """
-    rows = [
-        [row] + [str(cell(row, col)) for col in col_labels] for row in row_labels
-    ]
-    return format_table(
-        headers=[row_header] + list(col_labels), rows=rows, title=title
-    )
 
 
 def format_markdown_table(
@@ -180,19 +159,6 @@ def format_markdown_table(
             )
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines)
-
-
-def format_markdown_matrix(
-    row_header: str,
-    row_labels: Sequence[str],
-    col_labels: Sequence[str],
-    cell,
-) -> str:
-    """Markdown twin of :func:`format_matrix`."""
-    rows = [
-        [row] + [str(cell(row, col)) for col in col_labels] for row in row_labels
-    ]
-    return format_markdown_table([row_header] + list(col_labels), rows)
 
 
 def format_key_values(title: str, pairs: Sequence[tuple[str, object]]) -> str:

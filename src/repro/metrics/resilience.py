@@ -7,12 +7,13 @@ disruption.  This module provides the two measurement primitives:
 
 * **Degradation** -- side-by-side comparison of a scenario's replicate
   group against the static baseline's, per scalar metric
-  (:func:`degradation_rows`), rendered through the same report-table
-  machinery as the replicate CIs.
+  (:func:`degradation_rows`), for every cell of a campaign whose baseline
+  twin ran too (:func:`cell_degradation`).
 * **Recovery time** -- epochs from a churn/battery-death event until the
   windowed query accuracy returns to within ``tolerance`` of its
   pre-event level (:func:`recovery_epochs`), summarised across replicates
-  by :func:`recovery_summary`.
+  by :func:`recovery_summary`; :func:`replicate_groups` adds it to each
+  replicate group of a campaign.
 
 Everything is duck-typed against the ``TrialResult`` / ``ReplicateGroup``
 APIs (``audit``, ``scenario_events``, ``metrics``), keeping the metrics
@@ -25,15 +26,31 @@ from __future__ import annotations
 
 import dataclasses
 from statistics import mean
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .accuracy import query_accuracy
 from .audit import QueryRecord
 from .report import format_table
-from .stats import DEFAULT_CONFIDENCE, ReplicateSummary
+from .stats import (
+    DEFAULT_CONFIDENCE,
+    ReplicateGroup,
+    ReplicateSummary,
+    group_replicates,
+)
 
-#: Default accuracy slack (absolute) for declaring a recovery.
+#: Default accuracy slack (absolute) for declaring a recovery, and the
+#: window (epochs) the accuracy is measured over.
 DEFAULT_RECOVERY_TOLERANCE = 0.1
+DEFAULT_RECOVERY_WINDOW = 100
 
 
 def windowed_accuracy(
@@ -100,7 +117,7 @@ def recovery_epochs(
 
 def recovery_time(
     result,
-    window_epochs: int = 100,
+    window_epochs: int = DEFAULT_RECOVERY_WINDOW,
     tolerance: float = DEFAULT_RECOVERY_TOLERANCE,
 ) -> Optional[int]:
     """Recovery time of one trial, anchored at its first scenario kill."""
@@ -114,7 +131,7 @@ def recovery_time(
 
 def recovery_summary(
     results: Iterable[object],
-    window_epochs: int = 100,
+    window_epochs: int = DEFAULT_RECOVERY_WINDOW,
     tolerance: float = DEFAULT_RECOVERY_TOLERANCE,
     confidence: float = DEFAULT_CONFIDENCE,
 ) -> Optional[ReplicateSummary]:
@@ -136,6 +153,22 @@ def recovery_summary(
     )
 
 
+def replicate_groups(
+    results: Iterable[object], metrics: Mapping[str, Callable[[object], float]]
+) -> List[ReplicateGroup]:
+    """One replicate group per cell of ``results``, with recovery when defined.
+
+    Each group summarises ``metrics``, plus ``recovery_epochs`` at the
+    default window and tolerance when any replicate recovered.
+    """
+    groups = group_replicates(results, metrics=metrics)
+    for group in groups:
+        recovery = recovery_summary(group.results)
+        if recovery is not None:
+            group.metrics[recovery.metric] = recovery
+    return groups
+
+
 # ---------------------------------------------------------------------------
 # Degradation vs a static baseline
 # ---------------------------------------------------------------------------
@@ -150,15 +183,6 @@ class DegradationRow:
     scenario_mean: float
     delta: float
     delta_percent: Optional[float]  # None when the baseline mean is ~0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "metric": self.metric,
-            "baseline_mean": self.baseline_mean,
-            "scenario_mean": self.scenario_mean,
-            "delta": self.delta,
-            "delta_percent": self.delta_percent,
-        }
 
 
 #: Metrics compared by default (present in ``stats.DEFAULT_METRICS``).
@@ -202,124 +226,63 @@ def degradation_rows(
     return rows
 
 
+# ---------------------------------------------------------------------------
+# Campaign-wide degradation
+# ---------------------------------------------------------------------------
+
+
+def cell_degradation(
+    cells: Mapping[Tuple[str, str], object],
+    baseline: str,
+    metrics: Optional[Sequence[str]] = None,
+) -> List[Tuple[str, str, List[DegradationRow]]]:
+    """Per-cell degradation against the baseline scenario's twin cell.
+
+    ``cells`` maps ``(scenario, cell)`` -- ``cell`` names the protocol
+    variant and sweep point -- to a ``ReplicateGroup``-shaped object
+    (insertion order is report order); every non-baseline cell is compared
+    to ``cells[(baseline, cell)]`` -- the static reference *under the same
+    protocol and sweep point*, so the deltas isolate the scenario's effect.
+    Cells whose baseline twin is absent are skipped.
+    """
+    out: List[Tuple[str, str, List[DegradationRow]]] = []
+    for (scenario, cell), group in cells.items():
+        if scenario == baseline:
+            continue
+        base = cells.get((baseline, cell))
+        if base is None:
+            continue
+        out.append((scenario, cell, degradation_rows(group, base, metrics=metrics)))
+    return out
+
+
 def format_degradation_table(
-    rows: Sequence[DegradationRow],
+    entries: Sequence[Tuple[str, str, Sequence[DegradationRow]]],
     title: Optional[str] = None,
     float_format: str = "{:.3f}",
 ) -> str:
-    """Render degradation rows as an aligned text table."""
-    if not rows:
-        return title or "(no shared metrics to compare)"
+    """Render :func:`cell_degradation` output: one row per (cell, metric).
+
+    Each row carries the baseline and scenario means, their difference and
+    the percentage change (``-`` when the baseline mean is ~0).
+    """
     body = [
         (
+            f"{scenario}/{cell}",
             row.metric,
             row.baseline_mean,
             row.scenario_mean,
             row.delta,
             "-" if row.delta_percent is None else f"{row.delta_percent:+.1f}%",
         )
+        for scenario, cell, rows in entries
         for row in rows
     ]
+    if not body:
+        return title or "(no shared metrics to compare)"
     return format_table(
-        headers=["metric", "baseline", "scenario", "delta", "delta %"],
+        headers=["cell", "metric", "baseline", "scenario", "delta", "delta %"],
         rows=body,
         float_format=float_format,
         title=title,
     )
-
-
-def resilience_to_jsonable(
-    rows: Sequence[DegradationRow],
-    recovery: Optional[ReplicateSummary] = None,
-    baseline_label: str = "",
-) -> Dict[str, object]:
-    """Deterministic JSON payload of a resilience comparison."""
-    return {
-        "baseline": baseline_label,
-        "degradation": [row.to_dict() for row in rows],
-        "recovery": None if recovery is None else recovery.to_dict(),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Matrix-shaped (scenario × protocol) degradation
-# ---------------------------------------------------------------------------
-
-
-def grid_degradation(
-    cells: Mapping[Tuple[str, str], object],
-    baseline: str,
-    metrics: Optional[Sequence[str]] = None,
-) -> List[Tuple[str, str, List[DegradationRow]]]:
-    """Per-cell degradation against the same-protocol baseline-scenario cell.
-
-    ``cells`` maps ``(scenario, protocol)`` to a ``ReplicateGroup``-shaped
-    object (insertion order is report order); every non-baseline cell is
-    compared to ``cells[(baseline, protocol)]`` -- the static reference
-    *under the same protocol*, so the deltas isolate the scenario's effect
-    from the protocol's.  Cells whose baseline twin is absent are skipped.
-    """
-    out: List[Tuple[str, str, List[DegradationRow]]] = []
-    for (scenario, protocol), group in cells.items():
-        if scenario == baseline:
-            continue
-        base = cells.get((baseline, protocol))
-        if base is None:
-            continue
-        out.append(
-            (scenario, protocol, degradation_rows(group, base, metrics=metrics))
-        )
-    return out
-
-
-def format_grid_degradation_table(
-    entries: Sequence[Tuple[str, str, Sequence[DegradationRow]]],
-    title: Optional[str] = None,
-) -> str:
-    """Render :func:`grid_degradation` output, one row per (scenario, protocol).
-
-    Columns are the union of the metrics present in the entries (first-seen
-    order), each cell the percentage delta vs the baseline cell (``-`` when
-    the baseline mean is ~0 or the metric is absent).
-    """
-    if not entries:
-        return title or "(no cells to compare)"
-    metric_names: List[str] = []
-    for _, _, rows in entries:
-        for row in rows:
-            if row.metric not in metric_names:
-                metric_names.append(row.metric)
-    body = []
-    for scenario, protocol, rows in entries:
-        by_metric = {row.metric: row for row in rows}
-        cells = []
-        for name in metric_names:
-            row = by_metric.get(name)
-            if row is None or row.delta_percent is None:
-                cells.append("-")
-            else:
-                cells.append(f"{row.delta_percent:+.1f}%")
-        body.append([scenario, protocol] + cells)
-    return format_table(
-        headers=["scenario", "protocol"] + [f"Δ{m} %" for m in metric_names],
-        rows=body,
-        title=title,
-    )
-
-
-def grid_degradation_to_jsonable(
-    entries: Sequence[Tuple[str, str, Sequence[DegradationRow]]],
-    baseline: str,
-) -> Dict[str, object]:
-    """Deterministic JSON payload of a grid degradation comparison."""
-    return {
-        "baseline": baseline,
-        "cells": [
-            {
-                "scenario": scenario,
-                "protocol": protocol,
-                "rows": [row.to_dict() for row in rows],
-            }
-            for scenario, protocol, rows in entries
-        ],
-    }

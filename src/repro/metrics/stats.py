@@ -38,7 +38,6 @@ Statistical definitions
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
@@ -388,13 +387,6 @@ def group_replicates(
 def groups_to_jsonable(groups: Sequence[ReplicateGroup]) -> List[Dict[str, object]]:
     """The deterministic JSON payload of a list of replicate groups."""
     return [g.to_dict() for g in groups]
-
-
-def groups_to_json(groups: Sequence[ReplicateGroup], **extra: object) -> str:
-    """Serialise groups (plus optional metadata fields) as canonical JSON."""
-    payload: Dict[str, object] = dict(extra)
-    payload["groups"] = groups_to_jsonable(groups)
-    return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def mean_series(series_per_replicate: Sequence[Sequence[float]]) -> List[float]:

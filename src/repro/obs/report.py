@@ -5,7 +5,7 @@
 and metric snapshot.  ``--trace-out`` writes the Chrome trace-event JSON
 (loadable in Perfetto / ``chrome://tracing``), ``--trace-jsonl`` the raw
 tracer records.  A campaign's stored results are summarised by
-``python -m repro.experiments.campaign --status --campaign X``.
+``python -m repro status X`` and ``python -m repro report X``.
 
 Output contract: the ``--json`` export contains only **deterministic**
 data (metric counters/histograms, phase *call counts*, trace category

@@ -12,12 +12,10 @@ The package turns one-off experiment configs into a library of scenarios:
   deterministic tree re-linking, bursty/diurnal/ramp traffic profiles,
   heterogeneous battery budgets);
 * :mod:`repro.scenarios.static` -- the canonical static networks (the §7
-  ``paper_network`` and friends; ``repro.experiments.scenarios`` re-exports
-  them from here);
+  ``paper_network`` and friends);
 * :mod:`repro.scenarios.registry` -- the name -> config factory catalogue
-  (``churn-heavy``, ``mobile-40``, ``diurnal-60``, ...);
-* ``python -m repro.scenarios.run`` -- the replicated scenario CLI with
-  resilience metrics and deterministic JSON export.
+  (``churn-heavy``, ``mobile-40``, ``diurnal-60``, ...), which campaigns
+  (``python -m repro run --scenarios ...``) name their scenarios from.
 
 Import-order contract
 ---------------------

@@ -1,7 +1,7 @@
 """The scenario registry: one vocabulary of named scenarios for everything.
 
-Figures, benchmarks, CI jobs, and the ``python -m repro.scenarios.run``
-CLI all refer to scenarios by name (``churn-heavy``, ``mobile-40``,
+Campaigns (``python -m repro run --scenarios ...``), presets, benchmarks
+and CI jobs all refer to scenarios by name (``churn-heavy``, ``mobile-40``,
 ``diurnal-60``, ...); the registry maps each name to a factory producing a
 fully-specified :class:`~repro.experiments.config.ExperimentConfig` (and,
 via :func:`scenario_spec`, a cache-keyed
@@ -16,9 +16,8 @@ parameters live in the returned config, so they enter ``config_hash`` and
 two different scenarios can never share a cache entry.
 
 The static ``static-paper`` entry is the §7 network itself
-(:func:`repro.scenarios.static.paper_network`) -- the registry is the
-canonical home of that definition, and ``repro.experiments.scenarios``
-re-exports it from here.
+(:func:`repro.scenarios.static.paper_network`), the scenario every campaign
+preset runs on.
 """
 
 from __future__ import annotations
@@ -37,8 +36,9 @@ from .spec import (
 )
 from .static import paper_network, scaled_network
 
-#: Default epochs per scenario trial for the CLI and smoke jobs (the
-#: factories accept any length; the paper campaign uses 20 000).
+#: Default epochs per scenario trial of the library calls (``build_config``,
+#: ``scenario_spec``, ``CampaignSpec``); the factories accept any length,
+#: and the paper uses 20 000.
 DEFAULT_SCENARIO_EPOCHS = 400
 
 ScenarioFactory = Callable[[int, int], ExperimentConfig]

@@ -1,10 +1,10 @@
 """Canonical static experiment configurations (the paper's networks).
 
 This module is the **single definition** of "the §7 network" and its
-smaller test/benchmark variants.  It used to live in
-``repro.experiments.scenarios``; that module now lazily re-exports
-everything from here so existing imports keep working while figures,
-benchmarks, the scenario registry and CI all build on one definition.
+smaller test/benchmark variants; the scenario registry, the campaign
+presets, benchmarks and examples all build on it.  The ``repro.experiments``
+package re-exports its names lazily (``from repro.experiments import
+paper_network``).
 
 (Deliberately import-light: only the experiment config/batch layers are
 touched, and only after they are fully importable -- see the package
@@ -130,10 +130,9 @@ def smoke_sweep(
 ) -> List[TrialSpec]:
     """A small mixed sweep exercising every protocol mode.
 
-    Used by the CI smoke run (``python -m repro.experiments.replicate
-    --figure smoke``) and by tests that need a representative multi-trial
-    batch that finishes in seconds: two fixed thresholds, the ATC, and the
-    flooding baseline over the same miniature network.
+    Used by tests that need a representative multi-trial batch that
+    finishes in seconds: two fixed thresholds, the ATC, and the flooding
+    baseline over the same miniature network.
     """
     base = small_network(
         num_nodes=num_nodes, num_epochs=num_epochs, seed=seed

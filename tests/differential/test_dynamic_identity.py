@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.grid import PROTOCOLS
+from repro.experiments.campaign import PROTOCOLS
 from repro.scenarios.registry import build_config
 
 from .abharness import run_arm

@@ -27,11 +27,12 @@ from repro.experiments.batch import (
     TrialResult,
     TrialSpec,
     config_hash,
-    run_sweep,
 )
+from repro.experiments.campaign import preset
 from repro.experiments.config import ExperimentConfig, TopologyEvent
-from repro.experiments.scenarios import small_network, smoke_sweep
-from repro.experiments.store import DEFAULT_STORE_NAME, ResultsStore
+from repro.scenarios.static import smoke_sweep
+from repro.experiments.store import DEFAULT_STORE_NAME, STORE_METRICS, ResultsStore
+from repro.metrics.resilience import replicate_groups
 from repro.simulation.rng import RandomStreams
 
 
@@ -158,7 +159,7 @@ class TestBatchRunnerDeterminism:
         assert results[1].spec.label == "twin"
 
     def test_trial_result_mirrors_experiment_result_summaries(self):
-        (result,) = run_sweep([tiny_specs()[0]], BatchRunner(max_workers=1))
+        (result,) = BatchRunner(max_workers=1).run([tiny_specs()[0]])
         assert isinstance(result, TrialResult)
         assert result.num_queries == len(result.records) > 0
         assert result.total_dirq_cost > 0
@@ -236,47 +237,44 @@ class TestBatchRunnerCache:
         """A result cached by one sweep must not leak its tags into another.
 
         ``with_atc()`` and ``with_atc(target_cost_ratio=0.5)`` hash equally
-        (0.5 is the default), so the loss ablation at loss 0 and the ATC
-        target sweep at 0.5 share a cache entry; the consuming sweep must
-        still see its own spec tags.
+        (0.5 is the default), so the ``loss`` preset at loss 0 and the
+        ``atc-target`` preset at 0.5 share a cache entry; the consuming
+        campaign must still see its own spec tags.
         """
-        from repro.experiments import ablations
+        loss = preset("loss", num_epochs=200, replicates=1, seed=3)
+        target = preset("atc-target", num_epochs=200, replicates=1, seed=3)
+        loss_zero = loss.trial_specs()[0]
+        target_half = target.trial_specs()[1]
+        assert loss_zero.key == target_half.key
 
         first = BatchRunner(max_workers=1, cache_dir=tmp_path)
-        ablations.run_loss_ablation(
-            loss_rates=(0.0,), num_epochs=200, seed=3, runner=first,
-            replicates=1,
-        )
+        first.run([loss_zero])
         assert first.last_stats.executed == 1
 
         second = BatchRunner(max_workers=1, cache_dir=tmp_path)
-        points = ablations.run_atc_target_sweep(
-            targets=(0.5,), num_epochs=200, seed=3, runner=second,
-            replicates=1,
-        )
+        (result,) = second.run([target_half])
         assert second.last_stats.cached == 1
         assert second.last_stats.executed == 0
-        assert points[0].target_ratio == 0.5
+        assert result.spec.tags["protocol"] == "atc-target=0.5"
+        assert result.spec.tags["sweep"] == {}
 
     def test_fig5_sweep_cached_rerun_executes_zero_trials(self, tmp_path):
-        base = small_network(num_nodes=12, num_epochs=120)
-        kwargs = dict(
-            deltas=(3.0, 9.0),
-            coverages=(0.4,),
-            num_epochs=120,
-            base_config=base,
-            replicates=1,
-        )
+        specs = preset("fig5", num_epochs=120, replicates=1).trial_specs()
+
+        def report(runner):
+            return fig5_accuracy.render(
+                replicate_groups(runner.run(specs), STORE_METRICS)
+            )
+
         first = BatchRunner(max_workers=2, cache_dir=tmp_path)
-        result_a = fig5_accuracy.run(runner=first, **kwargs)
-        assert first.last_stats.executed == 2
+        report_a = report(first)
+        assert first.last_stats.executed == 10
 
         second = BatchRunner(max_workers=2, cache_dir=tmp_path)
-        result_b = fig5_accuracy.run(runner=second, **kwargs)
+        report_b = report(second)
         assert second.last_stats.executed == 0
-        assert second.last_stats.cached == 2
-        assert result_a.points == result_b.points
-        assert result_a.completeness == result_b.completeness
+        assert second.last_stats.cached == 10
+        assert report_a == report_b
 
 
 class TestBatchRunnerInterruption:

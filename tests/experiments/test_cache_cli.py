@@ -1,4 +1,4 @@
-"""Tests for the trial cache table and ``python -m repro.experiments.cache``."""
+"""Tests for the trial cache table and ``python -m repro cache``."""
 
 import json
 import pickle
@@ -6,7 +6,7 @@ import sqlite3
 
 import pytest
 
-from repro.experiments import cache as cache_cli
+from repro.__main__ import main
 from repro.experiments.batch import CACHE_VERSION, BatchRunner, TrialSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.store import DEFAULT_STORE_NAME, ResultsStore
@@ -27,6 +27,10 @@ def tiny_spec(seed=3, label="tiny") -> TrialSpec:
         seed=seed,
     )
     return TrialSpec(label=label, config=config, group="test", tags={"k": 1})
+
+
+def cache_cli(argv):
+    return main(["cache", *argv])
 
 
 def cached_rows(cache_dir):
@@ -65,7 +69,7 @@ class TestScanAndPrune:
         other = tiny_spec(seed=4, label="old")
         BatchRunner(max_workers=1, cache_dir=tmp_path).run([other])
         restamp(tmp_path, other.key, CACHE_VERSION - 1)
-        assert cache_cli.main(["--list", "--cache-dir", str(tmp_path)]) == 0
+        assert cache_cli(["--cache-dir", str(tmp_path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         old_line = next(line for line in lines if other.key in line)
         ok_line = next(line for line in lines if spec.key in line)
@@ -82,7 +86,7 @@ class TestScanAndPrune:
         assert not result.from_cache
         versions = sorted(row["cache_version"] for row in cached_rows(tmp_path))
         assert versions == [CACHE_VERSION - 1, CACHE_VERSION]
-        assert cache_cli.main(["--prune", "--cache-dir", str(tmp_path)]) == 0
+        assert cache_cli(["--prune", "--cache-dir", str(tmp_path)]) == 0
         (row,) = cached_rows(tmp_path)
         assert (row["key"], row["cache_version"]) == (spec.key, CACHE_VERSION)
 
@@ -92,7 +96,7 @@ class TestScanAndPrune:
         other = tiny_spec(seed=4, label="old")
         BatchRunner(max_workers=1, cache_dir=tmp_path).run([other])
         restamp(tmp_path, other.key, CACHE_VERSION - 1)
-        assert cache_cli.main(["--prune", "--cache-dir", str(tmp_path)]) == 0
+        assert cache_cli(["--prune", "--cache-dir", str(tmp_path)]) == 0
         assert "pruned 1 of 2 entries" in capsys.readouterr().out
         assert [row["key"] for row in cached_rows(tmp_path)] == [spec.key]
 
@@ -109,7 +113,7 @@ class TestScanAndPrune:
         runner.run([spec])
         assert runner.last_stats.executed == 1
         for argv in (["--prune"], ["--prune", "--all"]):
-            assert cache_cli.main(argv + ["--cache-dir", str(tmp_path)]) == 0
+            assert cache_cli(argv + ["--cache-dir", str(tmp_path)]) == 0
         assert pkl.is_file() and manifest.is_file()
 
     def test_prune_never_touches_unrelated_json(self, tmp_path):
@@ -120,7 +124,7 @@ class TestScanAndPrune:
         broken = tmp_path / "not-json.json"
         broken.write_text("{nope")
         assert (
-            cache_cli.main(["--prune", "--all", "--cache-dir", str(tmp_path)]) == 0
+            cache_cli(["--prune", "--all", "--cache-dir", str(tmp_path)]) == 0
         )
         assert export.is_file() and broken.is_file()
         assert cached_rows(tmp_path) == []
@@ -141,7 +145,7 @@ class TestScanAndPrune:
         self.populate(tmp_path)
         assert len(cached_rows(tmp_path)) == 2
         assert (
-            cache_cli.main(["--prune", "--all", "--cache-dir", str(tmp_path)]) == 0
+            cache_cli(["--prune", "--all", "--cache-dir", str(tmp_path)]) == 0
         )
         assert cached_rows(tmp_path) == []
         with ResultsStore(tmp_path / DEFAULT_STORE_NAME) as store:
@@ -150,7 +154,7 @@ class TestScanAndPrune:
 
     def test_list_cli_output(self, tmp_path, capsys):
         self.populate(tmp_path)
-        assert cache_cli.main(["--list", "--cache-dir", str(tmp_path)]) == 0
+        assert cache_cli(["--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "tiny" in out and "ok" in out
         header = next(line for line in out.splitlines() if "key" in line)
@@ -168,7 +172,7 @@ class TestScanAndPrune:
         self.populate(tmp_path)  # a non-scenario entry alongside
         rows = {row["key"]: row for row in cached_rows(tmp_path)}
         assert rows[spec.key]["scenario"] == "churn-heavy"
-        assert cache_cli.main(["--list", "--cache-dir", str(tmp_path)]) == 0
+        assert cache_cli(["--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "scenario" in out  # the column header
         assert "churn-heavy" in out
@@ -193,7 +197,7 @@ class TestScanAndPrune:
         rows = {row["key"]: row for row in cached_rows(tmp_path)}
         (trial,) = spec.trial_specs()
         assert rows[trial.key]["campaign"] == spec.campaign_id
-        assert cache_cli.main(["--list", "--cache-dir", str(tmp_path)]) == 0
+        assert cache_cli(["--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "campaign" in out  # the column header
         assert spec.campaign_id in out
@@ -203,19 +207,19 @@ class TestScanAndPrune:
 
     def test_list_empty_cache(self, tmp_path, capsys):
         missing = tmp_path / "none"
-        assert cache_cli.main(["--cache-dir", str(missing)]) == 0
-        assert "empty" in capsys.readouterr().out
+        assert cache_cli(["--cache-dir", str(missing)]) == 0
+        assert "no store at" in capsys.readouterr().out
         assert not missing.exists()  # listing creates nothing
-        assert cache_cli.main(["--prune", "--cache-dir", str(missing)]) == 0
+        assert cache_cli(["--prune", "--cache-dir", str(missing)]) == 0
         assert not missing.exists()
 
     def test_prune_selectors_require_prune(self, tmp_path):
         with pytest.raises(SystemExit):
-            cache_cli.main(["--all", "--cache-dir", str(tmp_path)])
+            cache_cli(["--all", "--cache-dir", str(tmp_path)])
 
     def test_cached_result_survives_a_prune_pass(self, tmp_path):
         spec = self.populate(tmp_path)
-        cache_cli.main(["--prune", "--cache-dir", str(tmp_path)])
+        cache_cli(["--prune", "--cache-dir", str(tmp_path)])
         runner = BatchRunner(max_workers=1, cache_dir=tmp_path)
         runner.run([spec])
         assert runner.last_stats.cached == 1 and runner.last_stats.executed == 0

@@ -1,5 +1,5 @@
-"""Tests for resumable campaigns: spec expansion, the results store, resume
-semantics, and the ``python -m repro.experiments.campaign`` CLI.
+"""Tests for resumable campaigns: spec expansion, presets, the results store,
+resume semantics, and the campaign half of ``python -m repro``.
 
 The two properties this layer exists for:
 
@@ -12,23 +12,29 @@ The two properties this layer exists for:
 """
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.experiments import batch as batch_mod
-from repro.experiments import campaign as campaign_cli
 from repro.experiments.batch import BatchRunner
 from repro.experiments.campaign import (
+    PRESETS,
     CampaignSpec,
     campaign_status,
+    preset,
     run_missing,
+    stored_results,
 )
 from repro.experiments.store import (
     DEFAULT_STORE_NAME,
     METRIC_COLUMNS,
+    STORE_METRICS,
     ResultsStore,
 )
+from repro.metrics.resilience import replicate_groups
 from repro.scenarios.registry import scenario_spec
 
 
@@ -93,7 +99,7 @@ class TestCampaignSpec:
 
     def test_dirq_cell_shares_cache_key_with_scenario_cli(self):
         """The campaign tag lives in the spec tags, not the config, so the
-        plain dirq cell hashes exactly like the scenario CLI's spec."""
+        plain dirq cell hashes exactly like the registry's ``scenario_spec``."""
         spec = tiny_campaign(protocols=("dirq",), replicates=1)
         (trial,) = spec.trial_specs()
         assert trial.key == scenario_spec("static-paper", num_epochs=60).key
@@ -143,6 +149,85 @@ class TestCampaignSpec:
             tiny_campaign(sweep={"target_coverage": (0.2, 0.2)})
         with pytest.raises(ValueError, match="scalars"):
             tiny_campaign(sweep={"target_coverage": ([0.2],)})
+        # The protocol variants own the protocol: a swept one would run
+        # flooding under the ``atc`` tag.
+        with pytest.raises(ValueError, match="cannot sweep 'protocol'"):
+            CampaignSpec(
+                name="x",
+                scenarios=("static-paper",),
+                protocols=("atc",),
+                sweep={"protocol": ("flooding",)},
+            )
+
+    def test_parameterised_variants_fail_at_construction(self):
+        for variant in ("delta=0", "delta=x", "atc-target=1.5"):
+            with pytest.raises(ValueError, match=variant):
+                tiny_campaign(protocols=(variant,))
+        with pytest.raises(KeyError, match="unknown protocol 'bogus'"):
+            tiny_campaign(protocols=("bogus",))
+
+    def test_aliased_variants_are_refused(self, tmp_path, capsys):
+        """Two cells of one config would share one store row."""
+        for protocols in (("atc", "atc-target=0.5"), ("dirq", "delta=5")):
+            with pytest.raises(ValueError, match="identical trials"):
+                tiny_campaign(protocols=protocols).trial_specs()
+        argv = [
+            "run", "--scenarios", "static-paper", "--protocols",
+            "atc,atc-target=0.5", "--cache-dir", str(tmp_path),
+        ]
+        assert main(argv) == 2
+        assert "identical trials" in capsys.readouterr().err
+        assert not (tmp_path / DEFAULT_STORE_NAME).exists()
+
+    def test_parameterised_variants_apply_their_transform(self):
+        spec = tiny_campaign(
+            protocols=("delta=3", "atc-target=0.35"), replicates=1
+        )
+        fixed, atc = spec.trial_specs()
+        base = scenario_spec("static-paper", num_epochs=60).config
+        assert fixed.config == base.with_fixed_delta(3.0)
+        assert atc.config == base.with_atc(target_cost_ratio=0.35)
+        assert fixed.tags["protocol"] == "delta=3"
+
+
+class TestPresets:
+    """Each preset runs exactly the cells of the figure sweep it replaced.
+
+    The digests are ``sha256(",".join(sorted(keys)))[:16]`` over the base
+    (replicate-0) config hashes at 600 epochs, seed 1 -- the values the
+    figure sweeps of the previous command-line tools expanded to, so every
+    trial they cached still serves the presets.
+    """
+
+    PINS = {
+        "fig5": "2f431d1cf04926cb",
+        "fig6": "6f741cd2d2c78217",
+        "fig7": "15f22f5f38471042",
+        "headline": "91a310322fad9d85",
+    }
+
+    @staticmethod
+    def digest(names):
+        keys = [
+            trial.key
+            for name in names
+            for trial in preset(name, replicates=1).trial_specs()
+        ]
+        return hashlib.sha256(",".join(sorted(keys)).encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_figure_preset_keys_are_pinned(self, name):
+        assert self.digest([name]) == self.PINS[name]
+
+    def test_ablation_presets_together_are_pinned(self):
+        # Nine keys, one shared: atc at loss 0 is atc-target=0.5.
+        assert self.digest(["loss", "atc-target"]) == "083582e97e4e2508"
+
+    def test_every_preset_runs_on_the_paper_network(self):
+        for name in PRESETS:
+            spec = preset(name)
+            assert spec.name == name and spec.scenarios == ("static-paper",)
+            assert (spec.num_epochs, spec.replicates, spec.seed) == (600, 5, 1)
 
 
 class TestResultsStore:
@@ -186,8 +271,6 @@ class TestResultsStore:
             assert all(
                 isinstance(r[name], float) for r in rows for name in METRIC_COLUMNS
             )
-            only = store.query(spec.campaign_id, protocol="dirq", replicate=1)
-            assert len(only) == 1 and only[0]["replicate"] == 1
             # Re-recording is an upsert, not a duplicate row.
             assert store.count(spec.campaign_id) == 4
 
@@ -211,9 +294,18 @@ class TestResultsStore:
                 store.resolve_campaign("tiny")
 
     def test_replicate_groups_fold_cells(self, tmp_path, trial_template):
-        spec, store, _ = self.populate(tmp_path, trial_template)
-        with store:
-            groups = store.replicate_groups(spec.campaign_id)
+        spec = tiny_campaign()
+        runner = BatchRunner(max_workers=1, cache_dir=tmp_path)
+        with ResultsStore(tmp_path / DEFAULT_STORE_NAME) as store:
+            real = batch_mod._execute_trial
+            batch_mod._execute_trial = fake_executor(trial_template)
+            try:
+                run_missing(spec, store, runner=runner)
+            finally:
+                batch_mod._execute_trial = real
+            results, lost = stored_results(spec, store)
+            assert lost == 0
+            groups = replicate_groups(results, STORE_METRICS)
             assert len(groups) == 2  # one per (scenario, protocol)
             assert all(g.n == 2 for g in groups)
             assert {g.tags["protocol"] for g in groups} == {
@@ -342,8 +434,8 @@ class TestRunMissingResume:
         assert resumed == reference
 
     def test_campaign_composes_with_scenario_cli_cache(self, tmp_path):
-        """A trial cached by repro.scenarios.run is not re-run -- but it IS
-        recorded in the store, the same file that holds the cache."""
+        """A trial cached by a plain ``scenario_spec`` run is not re-run --
+        but it IS recorded in the store, the same file that holds the cache."""
         cache_dir = tmp_path / "cache"
         cli_spec = scenario_spec("static-paper", num_epochs=60)
         BatchRunner(max_workers=1, cache_dir=cache_dir).run([cli_spec])
@@ -381,6 +473,8 @@ class TestRunMissingResume:
 
 
 class TestCampaignCli:
+    """``python -m repro run/status/report`` over one campaign store."""
+
     def base_args(self, tmp_path):
         return [
             "--name", "clitest",
@@ -392,68 +486,75 @@ class TestCampaignCli:
             "--cache-dir", str(tmp_path / "cache"),
         ]
 
+    def store(self, tmp_path):
+        return ResultsStore(tmp_path / "cache" / DEFAULT_STORE_NAME)
+
     def test_new_resume_status_query_roundtrip(self, tmp_path, capsys):
         args = self.base_args(tmp_path)
         export = tmp_path / "out.json"
         md = tmp_path / "out.md"
-        assert campaign_cli.main(["--new"] + args) == 0
+        assert main(["run"] + args) == 0
         out = capsys.readouterr().out
-        assert "executed 2" in out and "2/2 trials" in out
+        assert "executed 2," in out and "2/2 trials" in out
 
-        # --new on an existing campaign refuses; --resume is a no-op run.
-        assert campaign_cli.main(["--new"] + args) == 2
-        assert "already exists" in capsys.readouterr().err
-        assert campaign_cli.main(
-            ["--resume", "--export", str(export), "--markdown", str(md)]
-            + args
+        # Re-running the same command resumes: nothing is left to execute.
+        assert main(
+            ["run", "--json", str(export), "--markdown", str(md)] + args
         ) == 0
         out = capsys.readouterr().out
-        assert "executed 0" in out
+        assert "executed 0," in out
         payload = json.loads(export.read_text())
         assert payload["completed_trials"] == 2
+        assert [t["replicate"] for t in payload["trials"]] == [0, 1]
         assert "clitest" in md.read_text()
 
-        # --status/--query by campaign name, plus the CI guard.
+        # status by campaign name; the export is the store's plus groups.
         cache_dir = ["--cache-dir", str(tmp_path / "cache")]
-        status_export = tmp_path / "status.json"
-        assert campaign_cli.main(
-            ["--status", "--campaign", "clitest", "--require-complete",
-             "--export", str(status_export)] + cache_dir
-        ) == 0
+        assert main(["status", "clitest"] + cache_dir) == 0
         assert "2/2" in capsys.readouterr().out
-        with ResultsStore(tmp_path / "cache" / DEFAULT_STORE_NAME) as store:
+        with self.store(tmp_path) as store:
             campaign_id = store.resolve_campaign("clitest").campaign_id
-            assert json.loads(status_export.read_text()) == (
-                store.export_jsonable(campaign_id)
-            )
-        assert campaign_cli.main(
-            ["--query", "--campaign", "clitest", "--replicate", "1"]
-            + cache_dir
-        ) == 0
-        out = capsys.readouterr().out
-        assert "1 stored trials" in out and "cost_ratio" in out
+            expected = store.export_jsonable(campaign_id)
+        groups = payload.pop("groups")
+        assert payload == expected
+        assert [g["n"] for g in groups] == [2]
+        assert set(METRIC_COLUMNS) <= set(groups[0]["metrics"])
+
+        # run <campaign> re-opens a registered campaign by name or id.
+        assert main(["run", campaign_id, "--workers", "1"] + cache_dir) == 0
+        assert "executed 0," in capsys.readouterr().out
 
     def test_resume_unknown_campaign_fails(self, tmp_path, capsys):
-        assert campaign_cli.main(["--resume"] + self.base_args(tmp_path)) == 2
-        assert "not registered" in capsys.readouterr().err
-        assert campaign_cli.main(
-            ["--status", "--campaign", "ghost",
-             "--cache-dir", str(tmp_path / "cache")]
-        ) == 2
+        cache_dir = ["--cache-dir", str(tmp_path / "cache")]
+        assert main(["run", "ghost"] + cache_dir) == 2
+        assert "no store" in capsys.readouterr().err
+        ResultsStore(tmp_path / "cache" / DEFAULT_STORE_NAME).close()
+        assert main(["run", "ghost"] + cache_dir) == 2
         assert "unknown campaign 'ghost'" in capsys.readouterr().err
+        for command in ("status", "report"):
+            assert main([command, "ghost"] + cache_dir) == 2
+            assert "unknown campaign 'ghost'" in capsys.readouterr().err
 
     def test_status_of_empty_store_lists_nothing(self, tmp_path, capsys):
-        cache_dir = ["--cache-dir", str(tmp_path / "cache")]
-        assert campaign_cli.main(["--status"] + cache_dir) == 0
+        """status/report/cache on a missing store create nothing."""
+        missing = tmp_path / "ghost" / "typo"
+        cache_dir = ["--cache-dir", str(missing)]
+        assert main(["status"] + cache_dir) == 0
+        assert "no store at" in capsys.readouterr().out
+        assert main(["cache"] + cache_dir) == 0
+        assert "no store at" in capsys.readouterr().out
+        assert main(["report", "any"] + cache_dir) == 2
+        assert "no store at" in capsys.readouterr().err
+        assert not (tmp_path / "ghost").exists()
+
+        ResultsStore(tmp_path / "empty" / DEFAULT_STORE_NAME).close()
+        assert main(["status", "--cache-dir", str(tmp_path / "empty")]) == 0
         assert "no campaigns" in capsys.readouterr().out
-        assert (
-            campaign_cli.main(["--status", "--require-complete"] + cache_dir)
-            == 1
-        )
 
     def test_require_complete_fails_on_partial_campaign(
         self, tmp_path, capsys, trial_template, monkeypatch
     ):
+        """SIGINT exits 130; the re-run executes the remainder only."""
         args = self.base_args(tmp_path)
         calls = []
 
@@ -464,51 +565,78 @@ class TestCampaignCli:
             return dataclasses.replace(trial_template, spec=spec)
 
         monkeypatch.setattr(batch_mod, "_execute_trial", interrupt_after_first)
-        assert campaign_cli.main(["--new"] + args) == 130
-        assert "resume" in capsys.readouterr().err
-        assert (
-            campaign_cli.main(["--status", "--require-complete"] + args) == 1
-        )
-        assert "FAIL" in capsys.readouterr().err
-
-    def test_grid_renders_from_campaign_store(self, tmp_path, capsys):
-        """--from-campaign renders matrices without executing trials."""
-        from repro.experiments import grid as grid_cli
-
-        args = self.base_args(tmp_path)
-        assert campaign_cli.main(["--new"] + args) == 0
-        capsys.readouterr()
-        json_path = tmp_path / "grid.json"
-        assert grid_cli.main(
-            [
-                "--from-campaign", "clitest",
-                "--cache-dir", str(tmp_path / "cache"),
-                "--json", str(json_path),
-                "--baseline", "none",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "0 trials executed" in out
-        assert "mean_accuracy" in out
-        payload = json.loads(json_path.read_text())
-        assert [c["scenario"] for c in payload["cells"]] == ["static-paper"]
-        assert payload["cells"][0]["n"] == 2
-
-    def test_grid_from_campaign_rejects_swept_campaigns(
-        self, tmp_path, capsys, trial_template, monkeypatch
-    ):
-        from repro.experiments import grid as grid_cli
+        assert main(["run"] + args) == 130
+        assert "re-running the same command resumes" in capsys.readouterr().err
+        assert main(["status", "clitest", "--cache-dir", args[-1]]) == 0
+        assert "1/2" in capsys.readouterr().out
 
         monkeypatch.setattr(
             batch_mod, "_execute_trial", fake_executor(trial_template)
         )
+        assert main(["run", "--require-cached"] + args) == 1
+        err = capsys.readouterr().err
+        assert "FAIL" in err and "1 trials executed" in err
+        assert main(["run", "--require-cached"] + args) == 0
+
+    def test_grid_renders_from_campaign_store(self, tmp_path, capsys):
+        """report renders the run's report from the store alone."""
         args = self.base_args(tmp_path)
-        assert campaign_cli.main(
-            ["--new", "--sweep", "target_coverage=0.2,0.4"] + args
+        assert main(["run"] + args) == 0
+        ran = capsys.readouterr().out
+        assert main(["report", "clitest", "--cache-dir", args[-1]]) == 0
+        out = capsys.readouterr().out
+        assert "0 trials executed" in out
+        assert "mean_accuracy" in out and "recovery_epochs" in out
+        assert out.split("\n\n", 1)[1] == ran.split("\n\n", 1)[1]
+
+    def test_report_json_equals_run_json_and_executes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        args = self.base_args(tmp_path)
+        ran, reported = tmp_path / "run.json", tmp_path / "report.json"
+        assert main(["run", "--json", str(ran)] + args) == 0
+
+        def no_execution(spec):
+            raise AssertionError(f"report executed {spec.label}")
+
+        monkeypatch.setattr(batch_mod, "_execute_trial", no_execution)
+        assert main(
+            ["report", "clitest", "--json", str(reported), "--cache-dir", args[-1]]
         ) == 0
+        assert reported.read_bytes() == ran.read_bytes()
+
+    def test_run_reexecutes_pruned_trials(self, tmp_path, capsys):
+        """A recorded trial whose cached result is gone runs again."""
+        args = self.base_args(tmp_path)
+        first = tmp_path / "first.json"
+        assert main(["run", "--json", str(first)] + args) == 0
+        assert main(["cache", "--prune", "--all", "--cache-dir", args[-1]]) == 0
         capsys.readouterr()
-        assert grid_cli.main(
-            ["--from-campaign", "clitest",
-             "--cache-dir", str(tmp_path / "cache")]
-        ) == 2
-        assert "sweep points" in capsys.readouterr().err
+        assert main(["report", "clitest", "--cache-dir", args[-1]]) == 2
+        assert "2 recorded trials" in capsys.readouterr().err
+        again = tmp_path / "again.json"
+        assert main(["run", "--json", str(again)] + args) == 0
+        assert "executed 2," in capsys.readouterr().out
+        assert again.read_bytes() == first.read_bytes()
+        assert main(["report", "clitest", "--cache-dir", args[-1]]) == 0
+
+    def test_report_renders_swept_campaigns(
+        self, tmp_path, capsys, trial_template, monkeypatch
+    ):
+        """A swept campaign reports one row per sweep point."""
+        monkeypatch.setattr(
+            batch_mod, "_execute_trial", fake_executor(trial_template)
+        )
+        args = self.base_args(tmp_path)
+        assert main(["run", "--sweep", "target_coverage=0.2,0.4"] + args) == 0
+        capsys.readouterr()
+        assert main(["report", "clitest", "--cache-dir", args[-1]]) == 0
+        out = capsys.readouterr().out
+        assert "static-paper/dirq target_coverage=0.2" in out
+        assert "static-paper/dirq target_coverage=0.4" in out
+
+    def test_preset_name_is_reserved(self, tmp_path, capsys):
+        args = self.base_args(tmp_path)
+        args[args.index("--name") + 1] = "fig5"
+        assert main(["run"] + args) == 2
+        assert "preset" in capsys.readouterr().err

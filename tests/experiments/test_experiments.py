@@ -1,16 +1,20 @@
 """Tests for the experiment configuration, runner, and figure harnesses.
 
 These use deliberately small networks and epoch counts so the whole module
-runs in seconds; the benchmarks exercise the paper-scale settings.
+runs in seconds; the figure presets run on the paper's network for 100
+epochs.
 """
 
+import json
+
 import pytest
+
+from repro.__main__ import main
 
 from repro.core.config import ThresholdMode
 from repro.experiments.config import ExperimentConfig, ProtocolName, TopologyEvent
 from repro.experiments.runner import ExperimentRunner, run_experiment
-from repro.experiments.scenarios import paper_network, small_network
-from repro.experiments import fig5_accuracy, fig6_updates, fig7_overshoot, headline
+from repro.scenarios.static import paper_network
 from repro.experiments import table_analytical
 from repro.metrics.accuracy import delivery_completeness
 
@@ -201,69 +205,95 @@ class TestRunnerDynamics:
         assert delivery_completeness(result.audit.records) > 0.7
 
 
+@pytest.fixture(scope="module")
+def preset_run(tmp_path_factory):
+    """Run a preset briefly through ``python -m repro``; (output, export)."""
+    cache_dir = tmp_path_factory.mktemp("presets")
+
+    def run(name, capsys):
+        export = cache_dir / f"{name}.json"
+        argv = [
+            "run", name, "--epochs", "100", "--replicates", "2",
+            "--workers", "1", "--cache-dir", str(cache_dir),
+            "--json", str(export),
+        ]
+        assert main(argv) == 0
+        return capsys.readouterr().out, json.loads(export.read_text())
+
+    return run
+
+
+def printed_value(out, label):
+    """The number a report prints after ``label`` and a colon."""
+    (line,) = [l for l in out.splitlines() if l.strip().startswith(label)]
+    return float(line.rpartition(":")[2])
+
+
+def group_means(payload, metric):
+    """``{protocol: replicate mean of metric}`` over the export's groups."""
+    return {
+        g["tags"]["protocol"]: g["metrics"][metric]["mean"]
+        for g in payload["groups"]
+    }
+
+
 class TestFigureHarnesses:
-    def test_fig5_run_produces_points_per_delta_and_coverage(self):
-        result = fig5_accuracy.run(
-            deltas=(3.0, 9.0),
-            coverages=(0.4,),
-            num_epochs=150,
-            base_config=small_network(num_nodes=14, num_epochs=150),
-            replicates=2,
-        )
-        assert len(result.points) == 2
+    def test_fig5_run_produces_points_per_delta_and_coverage(
+        self, preset_run, capsys
+    ):
+        out, payload = preset_run("fig5", capsys)
         # One replicate group per (delta, coverage) point, n=2 each.
-        assert [g.n for g in result.stats] == [2, 2]
+        assert [g["n"] for g in payload["groups"]] == [2] * 10
+        for coverage in (40, 60):
+            table = out.split(f"relevant nodes = {coverage}%")[1]
+            rows = table.split("\n\n")[0].splitlines()[3:]
+            assert [row.split()[0] for row in rows] == [
+                "1.00", "3.00", "5.00", "7.00", "9.00",
+            ]
         assert all(
-            g.metrics["cost_ratio"].ci_halfwidth is not None
-            for g in result.stats
+            g["metrics"]["cost_ratio"]["ci_halfwidth"] is not None
+            for g in payload["groups"]
         )
-        text = fig5_accuracy.report(result)
-        assert "RECEIVE" in text and "delta" in text
-        assert "± " in text and "[n=2]" in text
-        assert '"figure": "fig5"' in result.to_json()
+        assert "RECEIVE" in out and "should NOT" in out
+        assert "± " in out and "[n=2]" in out
 
-    def test_fig6_run_produces_series_and_references(self):
-        result = fig6_updates.run(
-            deltas=(5.0,),
-            num_epochs=200,
-            base_config=small_network(num_nodes=14, num_epochs=200),
-            replicates=2,
+    def test_fig6_run_produces_series_and_references(self, preset_run, capsys):
+        out, payload = preset_run("fig6", capsys)
+        umax = printed_value(out, "U_max per window")
+        assert umax > 0
+        assert printed_value(out, "0.45 * U_max") == pytest.approx(
+            0.45 * umax, abs=0.1
         )
-        assert "atc" in result.series.names()
-        assert result.umax_per_window > 0
-        assert "delta=5%" in result.cost_ratios
-        assert {g.label for g in result.stats} == {"delta=5%", "atc"}
-        text = fig6_updates.report(result)
-        assert "U_max" in text and "[n=2]" in text
+        assert "atc: mean=" in out and "delta=5: mean=" in out
+        assert "ATC windows inside the 0.45-0.55 U_max band" in out
+        assert "[n=2]" in out
+        ratios = group_means(payload, "cost_ratio")
+        assert set(ratios) == {"delta=3", "delta=5", "delta=9", "atc"}
+        assert all(ratio > 0 for ratio in ratios.values())
 
-    def test_fig7_run_produces_overshoot_series(self):
-        result = fig7_overshoot.run(
-            deltas=(5.0,),
-            num_epochs=200,
-            include_atc=False,
-            window_epochs=100,
-            base_config=small_network(num_nodes=14, num_epochs=200),
-            replicates=2,
-        )
-        assert "delta=5%" in result.series
-        assert result.stats[0].n == 2
-        assert "Overshoot" in fig7_overshoot.report(result)
-        assert '"figure": "fig7"' in result.to_json()
+    def test_fig7_run_produces_overshoot_series(self, preset_run, capsys):
+        out, payload = preset_run("fig7", capsys)
+        assert "Overshoot" in out and "20% relevant nodes" in out
+        assert "delta=5: mean=" in out and "average overshoot pp" in out
+        assert all(g["n"] == 2 for g in payload["groups"])
+        overshoot = group_means(payload, "mean_overshoot_pp")
+        assert set(overshoot) == {"delta=3", "delta=5", "delta=9", "atc"}
+        assert all(0 <= value < 100 for value in overshoot.values())
 
-    def test_headline_comparison(self):
-        result = headline.run(
-            num_epochs=200,
-            base_config=small_network(num_nodes=14, num_epochs=200),
-            replicates=2,
+    def test_headline_comparison(self, preset_run, capsys):
+        out, payload = preset_run("headline", capsys)
+        assert printed_value(out, "flooding total cost") > 0
+        ratio = printed_value(
+            out, "DirQ / flooding ratio (mean of paired per-replicate ratios)"
         )
-        assert result.comparison.flooding_total > 0
-        assert 0 < result.cost_ratio < 2.0
+        assert 0 < ratio < 2.0
+        assert 0 < group_means(payload, "cost_ratio")["atc"] < 2.0
+        assert "within 45-55% band" in out
         # Replicate i of DirQ and flooding must share one workload seed.
-        assert (
-            result.stats[0].results[1].config.seed
-            == result.stats[1].results[1].config.seed
-        )
-        assert "flooding" in headline.report(result)
+        seeds = {}
+        for trial in payload["trials"]:
+            seeds.setdefault(trial["replicate"], set()).add(trial["seed"])
+        assert all(len(s) == 1 for s in seeds.values())
 
     def test_analytical_experiment_consistency(self):
         rows, checks, example = table_analytical.run()

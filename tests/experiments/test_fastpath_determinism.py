@@ -12,7 +12,7 @@ import pytest
 
 import repro.experiments.runner as runner_module
 from repro.experiments.batch import BatchRunner
-from repro.experiments.scenarios import smoke_sweep
+from repro.scenarios.static import smoke_sweep
 
 from ..differential.reference import PerReceiverChannel
 
@@ -49,7 +49,7 @@ class TestFastPathDeterminism:
         """Loss draws are vectorised per transmission; the stream must match
         the per-receiver formulation draw for draw."""
         from repro.experiments.runner import ExperimentRunner, run_experiment
-        from repro.experiments.scenarios import small_network
+        from repro.scenarios.static import small_network
 
         cfg = small_network(num_nodes=12, num_epochs=150).replace(channel_loss=0.2)
         fast = run_experiment(cfg)

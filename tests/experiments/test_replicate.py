@@ -1,19 +1,22 @@
-"""Tests for replicated sweeps: ``BatchRunner.run_replicated`` + the CLI.
+"""Tests for replicated sweeps: ``TrialSpec.replicates`` + ``BatchRunner.run``
++ ``group_replicates``, and replicated preset runs of ``python -m repro``.
 
 Covers the replication layer's end-to-end contract: cached single trials
 compose into replicate groups without re-running (replicate 0 is the base
-config), group summaries are bit-identical at any worker count, and the
-``python -m repro.experiments.replicate`` CLI emits ± cells plus a JSON
-export and is fully cache-served on a re-run.
+config), group summaries are bit-identical at any worker count, and a
+preset run emits ± cells plus a JSON export and is fully cache-served on a
+re-run.
 """
 
 import json
 
 import pytest
 
-from repro.experiments import replicate
+from repro.__main__ import main
 from repro.experiments.batch import BatchRunner, TrialSpec
+from repro.experiments.campaign import PRESETS, preset
 from repro.experiments.config import ExperimentConfig
+from repro.metrics.stats import group_replicates
 
 
 @pytest.fixture(autouse=True)
@@ -42,11 +45,19 @@ def tiny_spec(label="base", seed=3, **tags) -> TrialSpec:
     )
 
 
+def run_replicated(runner, specs, n):
+    """Every spec ``n`` times through ``runner``; one group per spec."""
+    if isinstance(specs, TrialSpec):
+        specs = [specs]
+    expanded = [rep for spec in specs for rep in spec.replicates(n)]
+    return group_replicates(runner.run(expanded))
+
+
 class TestRunReplicated:
     def test_one_group_per_spec_with_n_replicates(self, tmp_path):
         runner = BatchRunner(max_workers=1, cache_dir=tmp_path)
-        groups = runner.run_replicated(
-            [tiny_spec("a"), tiny_spec("b", seed=11)], n=3
+        groups = run_replicated(
+            runner, [tiny_spec("a"), tiny_spec("b", seed=11)], n=3
         )
         assert [g.label for g in groups] == ["a", "b"]
         assert [g.n for g in groups] == [3, 3]
@@ -57,7 +68,7 @@ class TestRunReplicated:
 
     def test_accepts_a_single_spec(self):
         runner = BatchRunner(max_workers=1, cache_dir="")
-        (group,) = runner.run_replicated(tiny_spec(), n=2)
+        (group,) = run_replicated(runner, tiny_spec(), n=2)
         assert group.n == 2
 
     def test_cached_single_trial_composes_into_group(self, tmp_path):
@@ -67,7 +78,7 @@ class TestRunReplicated:
         assert first.last_stats.executed == 1
 
         second = BatchRunner(max_workers=1, cache_dir=tmp_path)
-        (group,) = second.run_replicated(spec, n=3)
+        (group,) = run_replicated(second, spec, n=3)
         # Replicate 0 is the base config: only the 2 new seeds execute.
         assert second.last_stats.cached == 1
         assert second.last_stats.executed == 2
@@ -76,12 +87,14 @@ class TestRunReplicated:
 
     def test_groups_bit_identical_across_worker_counts(self):
         specs = [tiny_spec("a"), tiny_spec("b", seed=11)]
-        serial = BatchRunner(max_workers=1, cache_dir="").run_replicated(
-            specs, n=2
+        serial = run_replicated(
+            BatchRunner(max_workers=1, cache_dir=""), specs, n=2
         )
-        threaded = BatchRunner(
-            max_workers=3, cache_dir="", executor="thread"
-        ).run_replicated(specs, n=2)
+        threaded = run_replicated(
+            BatchRunner(max_workers=3, cache_dir="", executor="thread"),
+            specs,
+            n=2,
+        )
         assert [g.to_dict() for g in serial] == [g.to_dict() for g in threaded]
         fingerprints = lambda groups: [
             r.fingerprint() for g in groups for r in g.results
@@ -90,7 +103,7 @@ class TestRunReplicated:
 
     def test_replicate_summaries_have_intervals(self):
         runner = BatchRunner(max_workers=1, cache_dir="")
-        (group,) = runner.run_replicated(tiny_spec(), n=3)
+        (group,) = run_replicated(runner, tiny_spec(), n=3)
         summary = group.metrics["total_dirq_cost"]
         assert summary.n == 3
         assert summary.ci_halfwidth is not None
@@ -100,8 +113,8 @@ class TestRunReplicated:
 class TestReplicateCli:
     def run_cli(self, tmp_path, *extra):
         argv = [
-            "--figure",
-            "smoke",
+            "run",
+            "headline",
             "--replicates",
             "2",
             "--epochs",
@@ -114,16 +127,16 @@ class TestReplicateCli:
             str(tmp_path / "out.json"),
             *extra,
         ]
-        return replicate.main(argv)
+        return main(argv)
 
     def test_emits_ci_cells_and_json_export(self, tmp_path, capsys):
         assert self.run_cli(tmp_path) == 0
         out = capsys.readouterr().out
         assert "± " in out and "[n=2]" in out
         payload = json.loads((tmp_path / "out.json").read_text())
-        assert payload["figure"] == "smoke"
-        assert payload["replicates"] == 2
-        assert len(payload["groups"]) == 4  # two deltas, atc, flooding
+        assert payload["name"] == "headline"
+        assert payload["spec"]["replicates"] == 2
+        assert len(payload["groups"]) == 2  # atc, flooding
         for group in payload["groups"]:
             assert group["n"] == 2
             assert group["metrics"]["cost_ratio"]["ci_halfwidth"] is not None
@@ -136,16 +149,15 @@ class TestReplicateCli:
         capsys.readouterr()
         assert self.run_cli(tmp_path, "--require-cached") == 0
         out = capsys.readouterr().out
-        assert "executed 0" in out
+        assert "executed 0," in out
         assert (tmp_path / "out.json").read_bytes() == first
 
     def test_require_cached_fails_on_cold_cache(self, tmp_path, capsys):
         assert self.run_cli(tmp_path, "--require-cached") == 1
 
     def test_specs_for_covers_every_figure(self):
-        for figure in replicate.FIGURES:
-            specs, title = replicate.specs_for(figure, epochs=100, seed=1)
-            assert specs, figure
-            assert title
-        with pytest.raises(ValueError):
-            replicate.specs_for("fig99", epochs=100, seed=1)
+        for name in PRESETS:
+            spec = preset(name, num_epochs=100)
+            assert spec.trial_specs(), name
+        with pytest.raises(KeyError):
+            preset("fig99")

@@ -10,11 +10,11 @@ from repro.metrics.resilience import (
     DegradationRow,
     degradation_rows,
     first_disruption_epoch,
+    cell_degradation,
     format_degradation_table,
     recovery_epochs,
     recovery_summary,
     recovery_time,
-    resilience_to_jsonable,
     windowed_accuracy,
 )
 from repro.metrics.stats import ReplicateSummary
@@ -155,17 +155,32 @@ class TestDegradation:
         rows = degradation_rows(scenario, baseline, metrics=["b", "a"])
         assert [r.metric for r in rows] == ["b", "a"]
 
-    def test_format_table_and_json(self):
+    def test_format_table(self):
         rows = [
             DegradationRow("mean_accuracy", 1.0, 0.8, -0.2, -20.0),
             DegradationRow("x", 0.0, 1.0, 1.0, None),
         ]
-        text = format_degradation_table(rows, title="t")
-        assert "mean_accuracy" in text and "-20.0%" in text
-        payload = resilience_to_jsonable(rows, baseline_label="static")
-        assert payload["baseline"] == "static"
-        assert payload["degradation"][0]["delta_percent"] == -20.0
-        assert payload["recovery"] is None
+        text = format_degradation_table([("churn", "atc", rows)], title="t")
+        lines = text.splitlines()
+        assert lines[0] == "t"
+        accuracy = next(line for line in lines if "mean_accuracy" in line)
+        assert accuracy.split() == [
+            "churn/atc", "mean_accuracy", "1.000", "0.800", "-0.200", "-20.0%",
+        ]
+        assert next(line for line in lines if " x " in line).endswith("-")
+
+    def test_cell_degradation_pairs_twin_cells(self):
+        def cell(value):
+            return self.group(mean_accuracy=value)
+
+        cells = {
+            ("static", "atc"): cell(1.0),
+            ("churn", "atc"): cell(0.5),
+            ("churn", "dirq"): cell(0.5),  # no static twin: skipped
+        }
+        ((scenario, variant, rows),) = cell_degradation(cells, "static")
+        assert (scenario, variant) == ("churn", "atc")
+        assert rows[0].delta_percent == pytest.approx(-50.0)
 
     def test_empty_rows_format(self):
         assert "no shared metrics" in format_degradation_table([])

@@ -17,7 +17,7 @@ from repro.metrics.stats import (
     DEFAULT_METRICS,
     ReplicateSummary,
     group_replicates,
-    groups_to_json,
+    groups_to_jsonable,
     mean_series,
     student_t_critical,
     summarize,
@@ -213,8 +213,8 @@ class TestGroupReplicates:
         (group,) = group_replicates(_fake_group(2))
         payload = group.to_dict()
         assert "cache_hits" not in payload and "executed" not in payload
-        text = groups_to_json([group], figure="test")
-        assert json.loads(text)["figure"] == "test"
+        (exported,) = json.loads(json.dumps(groups_to_jsonable([group])))
+        assert exported == payload
 
     def test_format_replicate_table_renders_cells(self):
         groups = group_replicates(_fake_group(3))

@@ -8,7 +8,6 @@ scenario-free configuration.
 import pytest
 
 import repro.scenarios.static as static
-from repro.experiments import scenarios as experiment_scenarios
 from repro.experiments.batch import BatchRunner, TrialSpec, config_hash
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner, run_experiment
@@ -118,10 +117,14 @@ class TestRegistry:
         assert spec.tags["scenario_kind"] == "churn"
 
     def test_paper_network_has_one_definition(self):
-        # The experiments-layer module lazily re-exports the canonical
-        # definitions from repro.scenarios.static.
-        assert experiment_scenarios.paper_network is static.paper_network
-        assert experiment_scenarios.smoke_sweep is static.smoke_sweep
+        # static-paper is the canonical §7 network, which the top-level
+        # package re-exports too.
+        import repro
+
+        assert repro.paper_network is static.paper_network
+        assert build_config("static-paper", 300, 4) == static.paper_network(
+            num_epochs=300, seed=4
+        )
 
     def test_experiments_package_reexports_lazily(self):
         import repro.experiments as E

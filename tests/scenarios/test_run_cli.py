@@ -1,10 +1,10 @@
-"""End-to-end tests for ``python -m repro.scenarios.run``."""
+"""End-to-end tests of scenario campaigns through ``python -m repro run``."""
 
 import json
 
 import pytest
 
-from repro.scenarios import run as run_cli
+from repro.__main__ import main
 
 
 @pytest.fixture(autouse=True)
@@ -13,9 +13,10 @@ def _isolate_cache_env(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
 
 
-def invoke(tmp_path, extra=(), json_name="out.json"):
+def invoke(tmp_path, extra=(), json_name="out.json", scenarios="churn-heavy,static-paper"):
     argv = [
-        "--scenario", "churn-heavy",
+        "run",
+        "--scenarios", scenarios,
         "--replicates", "2",
         "--epochs", "120",
         "--workers", "1",
@@ -23,59 +24,40 @@ def invoke(tmp_path, extra=(), json_name="out.json"):
         "--json", str(tmp_path / json_name),
         *extra,
     ]
-    return run_cli.main(argv)
+    return main(argv)
 
 
 class TestRunCLI:
     def test_list_prints_catalogue(self, capsys):
-        assert run_cli.main(["--list"]) == 0
+        assert main(["run", "--list"]) == 0
         out = capsys.readouterr().out
         for name in ("churn-heavy", "mobile-40", "diurnal-60", "energy-tiered"):
             assert name in out
 
     def test_unknown_scenario_fails_cleanly(self, tmp_path, capsys):
-        code = run_cli.main(
-            ["--scenario", "nope", "--cache-dir", str(tmp_path / "cache")]
+        code = main(
+            ["run", "--scenarios", "nope", "--cache-dir", str(tmp_path / "cache")]
         )
         assert code == 2
         assert "unknown scenario" in capsys.readouterr().err
 
-    def test_unknown_baseline_fails_cleanly(self, tmp_path, capsys):
-        code = run_cli.main(
-            [
-                "--scenario", "churn-heavy",
-                "--baseline", "typo",
-                "--cache-dir", str(tmp_path / "cache"),
-            ]
-        )
-        assert code == 2
-        assert "unknown scenario" in capsys.readouterr().err
-
-    def test_scenario_requires_name_or_list(self, capsys):
+    def test_scenario_requires_name_or_list(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
-            run_cli.main([])
-
-    def test_recovery_flags_validated_before_running(self):
-        with pytest.raises(SystemExit):
-            run_cli.main(["--scenario", "churn-heavy", "--recovery-window", "0"])
-        with pytest.raises(SystemExit):
-            run_cli.main(
-                ["--scenario", "churn-heavy", "--recovery-tolerance", "-0.1"]
-            )
+            main([])
+        assert main(["run", "--cache-dir", str(tmp_path / "cache")]) == 2
+        assert "name a preset" in capsys.readouterr().err
 
     def test_full_run_writes_tables_and_json(self, tmp_path, capsys):
         assert invoke(tmp_path) == 0
         out = capsys.readouterr().out
-        assert "churn-heavy" in out
-        assert "resilience: churn-heavy vs static-paper" in out
-        assert "recovery after first disruption" in out
+        assert "churn-heavy/dirq" in out
+        assert "degradation vs static-paper" in out
+        assert "recovery_epochs after the first disruption" in out
         payload = json.loads((tmp_path / "out.json").read_text())
-        assert payload["scenario"] == "churn-heavy"
-        assert payload["replicates"] == 2
+        assert payload["spec"]["scenarios"] == ["churn-heavy", "static-paper"]
+        assert payload["spec"]["replicates"] == 2
         labels = [g["label"] for g in payload["groups"]]
-        assert labels == ["churn-heavy", "static-paper"]
-        assert payload["resilience"]["baseline"] == "static-paper"
-        assert payload["resilience"]["degradation"]
+        assert labels == ["churn-heavy/dirq", "static-paper/dirq"]
         for group in payload["groups"]:
             assert group["n"] == 2
 
@@ -87,20 +69,18 @@ class TestRunCLI:
         assert (tmp_path / "a.json").read_bytes() == (
             tmp_path / "b.json"
         ).read_bytes()
-        assert "executed 0" in capsys.readouterr().out
+        assert "executed 0," in capsys.readouterr().out
 
     def test_require_cached_fails_on_cold_cache(self, tmp_path, capsys):
         assert invoke(tmp_path, extra=["--require-cached"]) == 1
         assert "FAIL" in capsys.readouterr().err
 
     def test_baseline_none_skips_comparison_but_keeps_recovery(self, tmp_path, capsys):
-        assert invoke(tmp_path, extra=["--baseline", "none"]) == 0
+        assert invoke(tmp_path, scenarios="churn-heavy") == 0
         out = capsys.readouterr().out
-        assert "resilience:" not in out
+        assert "degradation" not in out
         payload = json.loads((tmp_path / "out.json").read_text())
-        assert [g["label"] for g in payload["groups"]] == ["churn-heavy"]
-        # Recovery is scenario-only and must survive without a baseline.
-        resilience = payload["resilience"]
-        assert resilience["baseline"] == ""
-        assert resilience["degradation"] == []
-        assert resilience["recovery"] is not None
+        (group,) = payload["groups"]
+        assert group["label"] == "churn-heavy/dirq"
+        # Recovery is a per-cell metric and needs no baseline.
+        assert group["metrics"]["recovery_epochs"]["n"] >= 1

@@ -41,11 +41,7 @@ DOC_FILES = sorted(
 
 #: Modules with an argparse entry point: ``--help`` must exit 0.
 ARGPARSE_CLIS = {
-    "repro.experiments.replicate",
-    "repro.experiments.cache",
-    "repro.experiments.campaign",
-    "repro.experiments.grid",
-    "repro.scenarios.run",
+    "repro",
     "repro.obs.report",
     "benchmarks.bench_engine",
     "benchmarks.bench_scenarios",

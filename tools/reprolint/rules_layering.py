@@ -52,8 +52,6 @@ LAYERS: Sequence[Tuple[str, int]] = (
     ("repro.experiments", 70),
     ("repro.scenarios.static", 80),
     ("repro.scenarios.registry", 80),
-    ("repro.scenarios.run", 80),
-    ("repro.experiments.grid", 90),
     ("repro.experiments.campaign", 90),
     ("repro.obs.report", 90),
     ("repro", 100),
