@@ -25,6 +25,7 @@ counts, interruptions, and ``run`` versus ``report``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -186,8 +187,14 @@ def _sweep(items: Optional[Sequence[str]]):
     return tuple(sweep)
 
 
-def _run_spec(args, store_path: Path) -> CampaignSpec:
-    """The campaign ``run`` names: ad-hoc, a preset, or a registered one."""
+def _run_spec(
+    args, store_path: Path, store: Optional[ResultsStore]
+) -> CampaignSpec:
+    """The campaign ``run`` names: ad-hoc, a preset, or a registered one.
+
+    ``store`` is the open store at ``store_path``, or ``None`` when there
+    is none yet.
+    """
     epochs = PRESET_EPOCHS if args.epochs is None else args.epochs
     replicates = PRESET_REPLICATES if args.replicates is None else args.replicates
     seed = 1 if args.seed is None else args.seed
@@ -219,13 +226,12 @@ def _run_spec(args, store_path: Path) -> CampaignSpec:
         raise ValueError(
             "a registered campaign's --epochs, --replicates and --seed are fixed"
         )
-    if not store_path.is_file():
+    if store is None:
         raise KeyError(
             f"{args.target!r} is no preset ({', '.join(PRESETS)}) and there is "
             f"no store at {store_path}"
         )
-    with ResultsStore(store_path) as store:
-        row = store.resolve_campaign(args.target)
+    row = store.resolve_campaign(args.target)
     return CampaignSpec.from_jsonable(row.spec_jsonable)
 
 
@@ -283,24 +289,31 @@ def cmd_run(args, store_path: Path) -> int:
     if args.list:
         _print_catalogue()
         return 0
-    try:
-        spec = _run_spec(args, store_path)
-        trials = spec.trial_specs()  # refuses cells that alias one config
-    except (KeyError, ValueError) as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    cache_dir = store_path.parent
-    telemetry = RunTelemetry()
-    runner = BatchRunner(
-        max_workers=args.workers, cache_dir=cache_dir, telemetry=telemetry
-    )
-    with ResultsStore(store_path) as store:
+    with contextlib.ExitStack() as stack:
+        # One connection serves the whole command: both runners below
+        # reuse it.  A run refused before it has trials creates no store.
+        store = None
+        if store_path.is_file():
+            store = stack.enter_context(ResultsStore(store_path))
+        try:
+            spec = _run_spec(args, store_path, store)
+            trials = spec.trial_specs()  # refuses cells that alias one config
+        except (KeyError, ValueError) as error:
+            print(f"error: {error.args[0]}", file=sys.stderr)
+            return 2
+        if store is None:
+            store = stack.enter_context(ResultsStore(store_path))
+        cache_dir = store_path.parent
+        telemetry = RunTelemetry()
+        runner = BatchRunner(
+            max_workers=args.workers, cache_dir=cache_dir, telemetry=telemetry
+        )
         try:
             stats = run_missing(spec, store, runner=runner)
             # Every recorded trial, from the cache; one whose cached result
             # was pruned executes again here.
             loader = BatchRunner(max_workers=args.workers, cache_dir=cache_dir)
-            results = loader.run(trials)
+            results = loader.run(trials, store=store)
         except KeyboardInterrupt:
             print(
                 f"\ninterrupted: campaign {spec.campaign_id} has "

@@ -20,7 +20,7 @@ dead on a lossy channel, which the tree still counts as a child.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..mac.lmac import LMACProtocol
 from ..network.addresses import NodeId
@@ -376,10 +376,6 @@ class DirQNode(DisseminationProtocol):
     # ------------------------------------------------------------------
     # Introspection helpers used by tests and examples
     # ------------------------------------------------------------------
-
-    def table_snapshot(self) -> Dict[str, Optional[tuple]]:
-        """Mapping sensor type -> current aggregate (for diagnostics)."""
-        return {t.sensor_type: t.aggregate() for t in self.tables.tables()}
 
     def known_sensor_types(self) -> list[str]:
         """Sensor types this node believes exist in its subtree."""

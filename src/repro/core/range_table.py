@@ -260,10 +260,6 @@ class RangeTable:
         if self.observer is not None:
             self.observer()
 
-    def routing_entry_for(self, child: NodeId) -> Optional[RangeEntry]:
-        """Entry used to decide whether to forward a query to ``child``."""
-        return self._children.get(child)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RangeTable(node={self.owner}, type={self.sensor_type!r}, "

@@ -81,10 +81,30 @@ class NetworkLedger:
 
     The channel holds one :class:`NetworkLedger`; protocols never write to it
     directly, they simply send messages and the channel charges the costs.
+
+    A ledger pickles as flat ``(node, direction, kind, count, cost)`` rows in
+    its own iteration order -- one flat tuple, far cheaper to unpickle than
+    the node and entry objects -- and unpickles as an
+    :class:`UnreadLedger`, which builds the :class:`NodeLedger` objects
+    from those rows only when something first reads them.  The live class
+    defines no attribute hooks, so its charge path is untouched.
     """
 
     def __init__(self) -> None:
         self._nodes: Dict[int, NodeLedger] = {}
+
+    def __reduce__(self):
+        return UnreadLedger, (self._rows(),)
+
+    def _rows(self) -> tuple:
+        flat: list = []
+        for nid, ledger in self._nodes.items():
+            if not ledger._entries:
+                # A node without entries stays in the node set.
+                flat += (nid, None, None, 0, 0.0)
+            for (direction, kind), entry in ledger._entries.items():
+                flat += (nid, direction, kind, entry.count, entry.cost)
+        return tuple(flat)
 
     def node(self, node_id: int) -> NodeLedger:
         """Ledger for ``node_id``, created on first access."""
@@ -141,3 +161,38 @@ class NetworkLedger:
     def snapshot(self) -> Dict[str, float]:
         """Cheap network-wide snapshot: kind -> cost.  Useful for windowed series."""
         return {kind: cost for kind, (_, cost) in self.breakdown_by_kind().items()}
+
+
+class UnreadLedger(NetworkLedger):
+    """An unpickled :class:`NetworkLedger` that still holds only its rows.
+
+    The first read of ``_nodes`` -- through any ledger method -- builds the
+    node ledgers and turns the object into a plain :class:`NetworkLedger`.
+    Pickling it before that emits the rows it holds.  (Ledgers pickled
+    before the row format unpickle as plain ledgers.)
+    """
+
+    def __init__(self, rows: tuple) -> None:
+        self._flat_rows = rows
+
+    def _rows(self) -> tuple:
+        return self._flat_rows
+
+    @property
+    def _nodes(self) -> Dict[int, NodeLedger]:
+        nodes = self._rebuild()
+        del self._flat_rows
+        self.__class__ = NetworkLedger
+        self._nodes = nodes
+        return nodes
+
+    def _rebuild(self) -> Dict[int, NodeLedger]:
+        rows = iter(self._flat_rows)
+        nodes: Dict[int, NodeLedger] = {}
+        for nid, direction, kind, count, cost in zip(rows, rows, rows, rows, rows):
+            ledger = nodes.get(nid)
+            if ledger is None:
+                ledger = nodes[nid] = NodeLedger(nid)
+            if direction is not None:
+                ledger._entries[direction, kind] = EnergyEntry(count, cost)
+        return nodes

@@ -10,7 +10,10 @@ campaign runs its trials through this module:
   (audit, aggregated ledger, cost breakdown, windowed series).  It mirrors
   the summary API of :class:`~repro.experiments.runner.ExperimentResult`
   but carries no live simulator objects, so it can cross process
-  boundaries and be cached.
+  boundaries and be cached.  The worker that executes a trial also
+  computes its store summary (fingerprint and store metrics) once, and
+  the record carries it, so serving the trial from the cache reads one
+  row and unpickles it -- nothing is recomputed.
 * :class:`BatchRunner` -- fans a list of specs across worker processes via
   :mod:`concurrent.futures`, deduplicates identical configurations, and
   caches results keyed by :func:`config_hash` in the ``results`` table of
@@ -38,12 +41,16 @@ payload layout *or the simulation semantics* change (e.g. v2: reception
 energy charged at delivery rather than transmission), because a cache entry
 is a claim that "this config, simulated today, would produce exactly this
 result" -- stale-version entries are silently re-executed, never migrated.
+Changing what :meth:`TrialResult.fingerprint` digests needs a bump too.
+Adding a store metric does not: a carried summary computed for other
+metric names is recomputed when the trial is recorded.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -56,7 +63,16 @@ from concurrent.futures import (
     wait,
 )
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+)
 
 from ..energy.ledger import NetworkLedger
 from ..metrics.accuracy import mean_accuracy, mean_overshoot
@@ -67,6 +83,9 @@ from ..network.addresses import NodeId
 from ..simulation.rng import RandomStreams
 from .config import ExperimentConfig, ProtocolName
 from .runner import ExperimentResult, run_experiment
+
+if TYPE_CHECKING:
+    from .store import StoreSummary
 
 #: Environment variable providing a default cache directory.
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
@@ -130,6 +149,24 @@ HASH_EXEMPT: frozenset = frozenset({"ExperimentConfig.instrument"})
 # ---------------------------------------------------------------------------
 
 
+#: Exact types :func:`_canonical` returns unchanged.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _dataclass_layout(cls: type) -> Optional[tuple]:
+    """``None`` for a non-dataclass type, else the dataclass's hashed field
+    names (``HASH_EXCLUDE`` removed) and its ``HASH_OMIT_WHEN_UNSET`` set --
+    read once per type rather than once per value."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    exclude = getattr(cls, "HASH_EXCLUDE", ())
+    names = tuple(
+        f.name for f in dataclasses.fields(cls) if f.name not in exclude
+    )
+    return names, frozenset(getattr(cls, "HASH_OMIT_WHEN_UNSET", ()))
+
+
 def _canonical(obj: object) -> object:
     """Reduce ``obj`` to a JSON-serialisable, order-stable structure.
 
@@ -147,14 +184,17 @@ def _canonical(obj: object) -> object:
     entry on purpose.  Every excluded field must be justified in
     :data:`HASH_EXEMPT`.
     """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        omit = getattr(type(obj), "HASH_OMIT_WHEN_UNSET", ())
-        exclude = getattr(type(obj), "HASH_EXCLUDE", ())
+    cls = type(obj)
+    if cls in _SCALARS:
+        return obj
+    layout = _dataclass_layout(cls)
+    if layout is not None:
+        names, omit = layout
         return {
-            f.name: _canonical(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-            if f.name not in exclude
-            and not (f.name in omit and getattr(obj, f.name) is None)
+            name: _canonical(value)
+            for name in names
+            for value in (getattr(obj, name),)
+            if not (value is None and name in omit)
         }
     if isinstance(obj, dict):
         return {
@@ -289,6 +329,15 @@ class TrialResult:
     #: (:meth:`~repro.experiments.store.ResultsStore.save_result`), so
     #: instrumentation can never leak into a determinism artefact.
     telemetry: Optional[dict] = None
+    #: What the store's ``trials`` row needs of this trial -- its
+    #: fingerprint and every store metric -- computed once, where the
+    #: trial executed (:func:`~repro.experiments.store.store_summary`).
+    #: It travels with the result through rebinding, the trial cache and
+    #: process pools, so recording a cache-served trial reads nothing
+    #: else; :meth:`fingerprint` never returns it.
+    summary: Optional[StoreSummary] = dataclasses.field(
+        default=None, compare=False, repr=False
+    )
 
     @classmethod
     def from_experiment(
@@ -423,14 +472,26 @@ def _execute_trial(spec: TrialSpec) -> TrialResult:
     config = copy.deepcopy(spec.config)
     start = time.perf_counter()
     result = run_experiment(config)
-    return TrialResult.from_experiment(
+    trial = TrialResult.from_experiment(
         spec, result, runtime_seconds=time.perf_counter() - start
     )
+    # Lazy: the store imports CACHE_VERSION and _canonical from this module.
+    from .store import store_summary
+
+    trial.summary = store_summary(trial)
+    return trial
 
 
 # ---------------------------------------------------------------------------
 # The batch runner
 # ---------------------------------------------------------------------------
+
+
+def _same_file(a: Path, b: Path) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # ``b`` does not exist yet, so it is not ``a``
+        return False
 
 
 @dataclasses.dataclass
@@ -509,8 +570,14 @@ class BatchRunner:
         self,
         specs: Iterable[TrialSpec],
         progress: Optional[Callable[[TrialResult], None]] = None,
+        store=None,
     ) -> List[TrialResult]:
         """Execute a sweep and return one result per spec, in input order.
+
+        ``store`` is an open :class:`~repro.experiments.store.ResultsStore`
+        of the caller's: when it is this runner's cache file, the runner
+        reads and writes the cache through it (and leaves it open) instead
+        of opening the file a second time.
 
         Identical configurations (equal :attr:`TrialSpec.key`) are executed
         once and share a result.  ``progress`` is invoked exactly once per
@@ -533,7 +600,7 @@ class BatchRunner:
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.on_start(len(spec_list), workers=self.max_workers)
-        cache = None
+        cache = own_cache = None
         by_key: Dict[str, TrialResult] = {}
         pending: List[TrialSpec] = []
         # key -> every input spec that asked for it, in input order; the
@@ -563,7 +630,11 @@ class BatchRunner:
                 # this module.
                 from .store import DEFAULT_STORE_NAME, ResultsStore
 
-                cache = ResultsStore(self.cache_dir / DEFAULT_STORE_NAME)
+                path = self.cache_dir / DEFAULT_STORE_NAME
+                if store is not None and _same_file(store.path, path):
+                    cache = store
+                else:
+                    cache = own_cache = ResultsStore(path)
             for spec in spec_list:
                 if spec.key in waiters:
                     stats.deduplicated += 1
@@ -589,8 +660,8 @@ class BatchRunner:
                     telemetry.on_failure()
                 raise
         finally:
-            if cache is not None:
-                cache.close()
+            if own_cache is not None:
+                own_cache.close()
             stats.runtime_seconds = time.perf_counter() - start
             self.last_stats = stats
         # A result produced (or cached) under one spec may be consumed by a

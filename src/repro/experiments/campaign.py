@@ -438,7 +438,9 @@ def run_missing(
     caller's ``progress`` fires), so interruption at any point loses at
     most the in-flight trials; trials already present in the runner's
     cache (e.g. run earlier by another campaign) are served from it
-    without re-execution and recorded in the store all the same.
+    without re-execution and recorded in the store all the same.  When the
+    runner's cache file is ``store``'s, the runner uses ``store`` rather
+    than a second connection.
 
     On interruption (``KeyboardInterrupt`` or a failing trial) the partial
     accounting is still written to ``runner.last_stats`` and every finished
@@ -468,7 +470,7 @@ def run_missing(
 
     start = time.perf_counter()
     try:
-        runner.run(missing, progress=on_trial)
+        runner.run(missing, progress=on_trial, store=store)
     finally:
         batch_stats = runner.last_stats
         stats.executed = batch_stats.executed

@@ -7,7 +7,9 @@ One file, ``<cache-dir>/campaigns.sqlite``, holds
   :class:`~repro.experiments.batch.TrialResult` per ``(config hash,
   CACHE_VERSION)``, with the spec's label, scenario and campaign beside it
   for ``python -m repro cache``.  It answers "have I simulated this exact
-  config?";
+  config?".  The pickle holds the ledger as flat rows and the trial's
+  :class:`StoreSummary`, so a cache hit costs one row read and a cheap
+  unpickle;
 * a ``campaigns`` table -- one row per registered
   :class:`~repro.experiments.campaign.CampaignSpec` (its canonical JSON,
   its deterministic id, and the expanded trial count), and
@@ -59,6 +61,34 @@ STORE_METRICS["total_energy"] = lambda r: float(r.ledger.total_cost())
 
 #: Column order of the metric columns (stable: dict insertion order).
 METRIC_COLUMNS = tuple(STORE_METRICS)
+
+
+@dataclasses.dataclass(frozen=True)
+class StoreSummary:
+    """The ``trials`` row values of one trial, tagged with what they were
+    computed for: the spec's config hash and the metric names.
+
+    A :class:`~repro.experiments.batch.TrialResult` carries one from the
+    worker that executed it, through the trial cache, to every
+    :meth:`ResultsStore.record_trial` of it.
+    """
+
+    key: str
+    fingerprint: str
+    metrics: Dict[str, float]
+
+
+def store_summary(result) -> StoreSummary:
+    """Compute ``result``'s summary: its fingerprint and every store metric."""
+    return StoreSummary(
+        key=result.spec.key,
+        fingerprint=result.fingerprint(),
+        metrics={
+            name: float(extractor(result))
+            for name, extractor in STORE_METRICS.items()
+        },
+    )
+
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS results (
@@ -302,6 +332,15 @@ class ResultsStore:
         spec = result.spec
         tags = spec.tags
         sweep = tags.get("sweep") or {}
+        summary = result.summary
+        if (
+            summary is None
+            or summary.key != spec.key
+            or summary.metrics.keys() != STORE_METRICS.keys()
+        ):
+            # A row written before summaries existed, a result rebound to
+            # another config, or a metric added since it was computed.
+            summary = store_summary(result)
         row = {
             "campaign_id": campaign_id,
             "key": spec.key,
@@ -316,15 +355,14 @@ class ResultsStore:
             "label": spec.label,
             "seed": int(spec.config.seed),
             "num_epochs": int(spec.config.num_epochs),
-            "fingerprint": result.fingerprint(),
+            "fingerprint": summary.fingerprint,
             "runtime_seconds": float(result.runtime_seconds),
             "from_cache": int(bool(result.from_cache)),
             "config_json": json.dumps(
                 _canonical(spec.config), sort_keys=True, separators=(",", ":")
             ),
         }
-        for name, extractor in STORE_METRICS.items():
-            row[name] = float(extractor(result))
+        row.update(summary.metrics)
         columns = list(row)
         placeholders = ", ".join("?" for _ in columns)
         quoted = ", ".join(f'"{c}"' for c in columns)

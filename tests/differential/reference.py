@@ -11,10 +11,14 @@ formulations it replaced survive here, where tests (and the A/B arms of
   :func:`brute_network` routes a whole trial through both.
 * **Delivery.**  :class:`PerReceiverChannel` schedules one delivery event
   per receiver instead of one per transmission.
+* **Config hashing.**  :func:`canonical_walk` reads every dataclass's
+  fields and hash attributes per value, where
+  :func:`repro.experiments.batch._canonical` reads them once per type.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from typing import Dict, List, Set, Tuple
 
@@ -135,3 +139,28 @@ class PerReceiverChannel(WirelessChannel):
             priority=EventPriority.MAC,
             label=f"deliver[{kind}] {sender}->{target}",
         )
+
+
+def canonical_walk(obj: object) -> object:
+    """The canonical hash payload of ``obj``, one reflective walk per value."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        omit = getattr(type(obj), "HASH_OMIT_WHEN_UNSET", ())
+        exclude = getattr(type(obj), "HASH_EXCLUDE", ())
+        return {
+            f.name: canonical_walk(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+            if f.name not in exclude
+            and not (f.name in omit and getattr(obj, f.name) is None)
+        }
+    if isinstance(obj, dict):
+        return {
+            str(k): canonical_walk(v)
+            for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))
+        }
+    if isinstance(obj, (set, frozenset)):
+        return sorted((canonical_walk(v) for v in obj), key=repr)
+    if isinstance(obj, (list, tuple)):
+        return [canonical_walk(v) for v in obj]
+    if obj is None or isinstance(obj, (str, int, float, bool)):
+        return obj
+    return repr(obj)

@@ -1,9 +1,12 @@
 """Tests for energy models, ledgers, and batteries."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.energy.battery import Battery
-from repro.energy.ledger import NetworkLedger, NodeLedger
+from repro.energy.ledger import NetworkLedger, NodeLedger, UnreadLedger
 from repro.energy.model import RadioEnergyModel, UnitCostModel
 
 
@@ -91,6 +94,52 @@ class TestNetworkLedger:
         net.reset()
         assert net.node_ids == [0]
         assert net.total_cost() == 0.0
+
+
+class TestLedgerPickle:
+    @staticmethod
+    def ledger() -> NetworkLedger:
+        net = NetworkLedger()
+        net.node(5).charge_tx("query", 0.1)
+        net.node(5).charge_tx("query", 0.2)
+        net.node(2).charge_rx("update", 0.7)
+        net.node(2)._entries[("tx", "mac")]  # an entry never charged
+        net.node(9)  # a node never charged
+        return net
+
+    @staticmethod
+    def contents(net: NetworkLedger):
+        return [
+            (nid, list(ledger.breakdown().items()))
+            for nid, ledger in net._nodes.items()
+        ]
+
+    def test_rows_round_trip_in_iteration_order(self):
+        net = self.ledger()
+        loaded = pickle.loads(pickle.dumps(net))
+        assert type(loaded) is UnreadLedger
+        assert self.contents(loaded) == self.contents(net)
+        assert type(loaded) is NetworkLedger
+        assert loaded.node_ids == [2, 5, 9]
+        assert loaded.breakdown_by_kind() == net.breakdown_by_kind()
+        # A rebuilt ledger charges on like the live one.
+        for ledger in (net, loaded):
+            ledger.node(9).charge_rx("query", 1.0)
+        assert self.contents(loaded) == self.contents(net)
+
+    def test_unread_ledger_re_emits_its_rows(self):
+        once = pickle.loads(pickle.dumps(self.ledger()))
+        twice = pickle.loads(pickle.dumps(once))
+        assert type(once) is UnreadLedger
+        assert vars(twice) == vars(once)
+        assert self.contents(twice) == self.contents(self.ledger())
+
+    def test_copies_are_independent(self):
+        net = self.ledger()
+        clone = copy.deepcopy(net)
+        clone.node(5).charge_tx("query", 1.0)
+        assert net.node(5).count() == 2
+        assert clone.node(5).count() == 3
 
 
 class TestBattery:
