@@ -29,10 +29,15 @@ import contextlib
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .experiments import fig5_accuracy, fig6_updates, fig7_overshoot, headline
-from .experiments.batch import CACHE_VERSION, BatchRunner, resolve_cache_dir
+from .experiments.batch import (
+    CACHE_VERSION,
+    BatchRunner,
+    TrialResult,
+    resolve_cache_dir,
+)
 from .experiments.campaign import (
     PRESET_EPOCHS,
     PRESET_REPLICATES,
@@ -290,8 +295,8 @@ def cmd_run(args, store_path: Path) -> int:
         _print_catalogue()
         return 0
     with contextlib.ExitStack() as stack:
-        # One connection serves the whole command: both runners below
-        # reuse it.  A run refused before it has trials creates no store.
+        # One connection serves the whole command: the runner below reuses
+        # it.  A run refused before it has trials creates no store.
         store = None
         if store_path.is_file():
             store = stack.enter_context(ResultsStore(store_path))
@@ -308,12 +313,19 @@ def cmd_run(args, store_path: Path) -> int:
         runner = BatchRunner(
             max_workers=args.workers, cache_dir=cache_dir, telemetry=telemetry
         )
+        # Each trial is read once: run_missing hands over the ones it runs
+        # or serves, and the runner then reads the ones recorded before
+        # this run (a trial whose cached result was pruned executes again).
+        by_key: Dict[str, TrialResult] = {}
+
+        def keep(result: TrialResult) -> None:
+            by_key[result.spec.key] = result
+
         try:
-            stats = run_missing(spec, store, runner=runner)
-            # Every recorded trial, from the cache; one whose cached result
-            # was pruned executes again here.
-            loader = BatchRunner(max_workers=args.workers, cache_dir=cache_dir)
-            results = loader.run(trials, store=store)
+            stats = run_missing(spec, store, runner=runner, progress=keep)
+            recorded = [trial for trial in trials if trial.key not in by_key]
+            runner.telemetry = None  # the header's line reports the run alone
+            runner.run(recorded, progress=keep, store=store)
         except KeyboardInterrupt:
             print(
                 f"\ninterrupted: campaign {spec.campaign_id} has "
@@ -323,7 +335,8 @@ def cmd_run(args, store_path: Path) -> int:
                 file=sys.stderr,
             )
             return 130
-        executed = stats.executed + loader.last_stats.executed
+        executed = stats.executed + runner.last_stats.executed
+        results = [by_key[trial.key] for trial in trials]
         header = (
             f"campaign {spec.campaign_id}: {stats.complete_before}/"
             f"{stats.total} trials already stored | scheduled "

@@ -29,12 +29,9 @@ from .messages import (
     DIRQ_COST_KINDS,
     ESTIMATE_KIND,
     FLOOD_KIND,
-    FLOODING_COST_KINDS,
     QUERY_KIND,
-    RESPONSE_KIND,
     UPDATE_KIND,
     EstimateMessage,
-    QueryResponse,
     RangeQuery,
     UpdateMessage,
 )
@@ -72,12 +69,9 @@ __all__ = [
     "DIRQ_COST_KINDS",
     "ESTIMATE_KIND",
     "FLOOD_KIND",
-    "FLOODING_COST_KINDS",
     "QUERY_KIND",
-    "RESPONSE_KIND",
     "UPDATE_KIND",
     "EstimateMessage",
-    "QueryResponse",
     "RangeQuery",
     "UpdateMessage",
     "DisseminationProtocol",

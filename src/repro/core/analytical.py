@@ -50,7 +50,7 @@ import dataclasses
 from typing import Dict
 
 from ..network.spanning_tree import SpanningTree
-from ..network.topology import Topology, kary_tree_topology
+from ..network.topology import kary_tree_topology
 
 
 # ---------------------------------------------------------------------------

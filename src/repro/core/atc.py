@@ -84,10 +84,6 @@ class RootBudgetPlanner:
                 (1 - self._smoothing) * self._avg_query_cost + self._smoothing * cost
             )
 
-    @property
-    def average_query_cost(self) -> Optional[float]:
-        return self._avg_query_cost
-
     def plan(
         self,
         hour_index: int,

@@ -31,10 +31,8 @@ from .config import DirQConfig
 from .messages import (
     ESTIMATE_KIND,
     QUERY_KIND,
-    RESPONSE_KIND,
     UPDATE_KIND,
     EstimateMessage,
-    QueryResponse,
     RangeQuery,
     UpdateMessage,
 )
@@ -51,10 +49,6 @@ class DirQNode(DisseminationProtocol):
         See :class:`~repro.core.protocol.DisseminationProtocol`.
     config:
         Protocol configuration (threshold mode, δ, hour length, ...).
-    send_responses:
-        When True, source nodes send a :class:`QueryResponse` back towards
-        the root.  Disabled by default because data extraction is outside
-        the paper's scope and its cost is not part of any reproduced figure.
     """
 
     def __init__(
@@ -64,12 +58,10 @@ class DirQNode(DisseminationProtocol):
         mac: LMACProtocol,
         config: DirQConfig,
         audit=None,
-        send_responses: bool = False,
     ):
         super().__init__(sim, node, mac, audit)
         self.config = config
         self.tables = RangeTableSet(node.node_id)
-        self.send_responses = send_responses
         self.atc: Optional[AdaptiveThresholdController] = (
             AdaptiveThresholdController(config, node.sensor_types)
             if config.adaptive
@@ -81,7 +73,6 @@ class DirQNode(DisseminationProtocol):
         self.queries_received = 0
         self.queries_forwarded = 0
         self.estimates_relayed = 0
-        self.responses_sent = 0
         self.current_epoch = 0
         self._last_estimate_hour = -1
         mac.on_neighbor_lost = self._handle_neighbor_lost
@@ -242,8 +233,6 @@ class DirQNode(DisseminationProtocol):
             self._handle_query(sender, payload)
         elif isinstance(payload, EstimateMessage):
             self._handle_estimate(sender, payload)
-        elif isinstance(payload, QueryResponse):
-            self._handle_response(sender, payload)
 
     # -- updates from children ------------------------------------------------
 
@@ -284,20 +273,6 @@ class DirQNode(DisseminationProtocol):
             table.own_entry.min_threshold, table.own_entry.max_threshold
         ):
             self.record_source_claim(query.query_id)
-            if self.send_responses and self.parent is not None:
-                response = QueryResponse(
-                    query_id=query.query_id,
-                    source=self.node_id,
-                    sensor_type=query.sensor_type,
-                    value=(
-                        table.reference_reading
-                        if table.reference_reading is not None
-                        else 0.0
-                    ),
-                    epoch=self.current_epoch,
-                )
-                self.mac.send(self.parent, response, RESPONSE_KIND, 24)
-                self.responses_sent += 1
         for child in self.children:
             entry = table.child_entry(child)
             if entry is None:
@@ -322,12 +297,6 @@ class DirQNode(DisseminationProtocol):
                 child, message, ESTIMATE_KIND, self.config.estimate_payload_bytes
             )
             self.estimates_relayed += 1
-
-    # -- responses travelling towards the root ---------------------------------------
-
-    def _handle_response(self, sender: NodeId, response: QueryResponse) -> None:
-        if self.parent is not None:
-            self.mac.send(self.parent, response, RESPONSE_KIND, 24)
 
     # ------------------------------------------------------------------
     # Cross-layer topology adaptation (paper §4.2)

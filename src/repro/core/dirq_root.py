@@ -20,10 +20,9 @@ extra responsibilities taken from §3, §4 and §6 of the paper:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..mac.lmac import LMACProtocol
-from ..network.addresses import NodeId
 from ..network.node import SensorNode
 from ..simulation.engine import Simulator
 from .atc import BudgetPlan, RootBudgetPlanner
@@ -33,7 +32,6 @@ from .messages import (
     ESTIMATE_KIND,
     QUERY_KIND,
     EstimateMessage,
-    QueryResponse,
     RangeQuery,
 )
 
@@ -43,7 +41,7 @@ class DirQRoot(DirQNode):
 
     Parameters
     ----------
-    sim, node, mac, config, audit, send_responses:
+    sim, node, mac, config, audit:
         As for :class:`~repro.core.dirq_node.DirQNode`.
     predictor:
         Object with a ``predict()`` method returning the expected number of
@@ -61,15 +59,13 @@ class DirQRoot(DirQNode):
         config: DirQConfig,
         audit=None,
         predictor=None,
-        send_responses: bool = False,
     ):
         if not node.is_root:
             raise ValueError("DirQRoot must run on the node marked is_root=True")
-        super().__init__(sim, node, mac, config, audit, send_responses)
+        super().__init__(sim, node, mac, config, audit)
         self.predictor = predictor
         self.planner = RootBudgetPlanner(config)
         self.queries_injected = 0
-        self.responses_received: List[QueryResponse] = []
         self.estimates_sent = 0
         self.hour_index = -1
         self.last_plan: Optional[BudgetPlan] = None
@@ -222,10 +218,3 @@ class DirQRoot(DirQNode):
             node_budget=node_budget,
         )
         return message
-
-    # ------------------------------------------------------------------
-    # Responses
-    # ------------------------------------------------------------------
-
-    def _handle_response(self, sender: NodeId, response: QueryResponse) -> None:
-        self.responses_received.append(response)

@@ -14,7 +14,7 @@ traffic kind is :data:`~repro.core.messages.FLOOD_KIND`.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Set
 
 from ..mac.lmac import LMACProtocol
 from ..network.addresses import NodeId

@@ -1,6 +1,7 @@
 """DirQ protocol messages.
 
-The paper's protocol exchanges four kinds of application-layer messages:
+The paper's protocol exchanges three kinds of application-layer messages
+(data extraction is outside its scope, so there are no responses):
 
 * **Range queries** (:class:`RangeQuery`) -- one-shot queries such as
   *"acquire all temperature readings currently between 22 °C and 25 °C"*,
@@ -11,10 +12,6 @@ The paper's protocol exchanges four kinds of application-layer messages:
 * **Estimate messages** (:class:`EstimateMessage`, "EHr") -- the root's
   hourly broadcast of the number of queries expected over the next hour,
   which the Adaptive Threshold Control mechanism conditions on (§4, §6).
-* **Query responses** (:class:`QueryResponse`) -- acknowledgements from
-  source nodes.  The paper explicitly excludes data extraction from its
-  scope; responses exist here so examples can demonstrate end-to-end
-  operation, but they are not counted in any reproduced cost figure.
 
 The module also defines the ledger *kind* strings used to attribute channel
 costs to traffic classes (§5's cost breakdown).
@@ -31,16 +28,12 @@ from ..network.addresses import NodeId
 QUERY_KIND = "query"
 UPDATE_KIND = "update"
 ESTIMATE_KIND = "estimate"
-RESPONSE_KIND = "response"
 FLOOD_KIND = "flood"
 
 #: Kinds that make up the paper's DirQ cost function C_TD = C_QD + C_UD
 #: (§5.2).  Estimate traffic is included as part of the update mechanism's
-#: overhead; response traffic is excluded (out of the paper's scope).
+#: overhead.
 DIRQ_COST_KINDS = (QUERY_KIND, UPDATE_KIND, ESTIMATE_KIND)
-
-#: Kinds that make up the flooding baseline's cost C_F (§5.1).
-FLOODING_COST_KINDS = (FLOOD_KIND,)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,14 +146,3 @@ class EstimateMessage:
             raise ValueError("expected_queries must be non-negative")
         if self.node_update_budget is not None and self.node_update_budget < 0:
             raise ValueError("node_update_budget must be non-negative")
-
-
-@dataclasses.dataclass(frozen=True)
-class QueryResponse:
-    """Acknowledgement from a source node (outside the paper's cost scope)."""
-
-    query_id: int
-    source: NodeId
-    sensor_type: str
-    value: float
-    epoch: int = 0

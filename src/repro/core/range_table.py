@@ -74,8 +74,6 @@ class RangeTable:
         #: Aggregate advertised in the last transmitted Update Message, or
         #: ``None`` if no update has been sent yet for this sensor type.
         self.last_transmitted: Optional[Tuple[float, float]] = None
-        #: Reference reading R_Aq from which the own entry was derived.
-        self.reference_reading: Optional[float] = None
         #: Cached result of :meth:`aggregate`; the update trigger runs every
         #: epoch for every sensor type, while entries change only rarely, so
         #: the min/max scan is memoised and invalidated on mutation.
@@ -113,18 +111,9 @@ class RangeTable:
             raise ValueError(f"sensor reading must be finite, got {reading}")
         if self.own_entry is not None and self.own_entry.contains(reading):
             return False
-        self.reference_reading = float(reading)
         self.own_entry = RangeEntry(reading - delta, reading + delta)
         self._touch()
         return True
-
-    def clear_own_entry(self) -> bool:
-        """Remove the own entry (the node lost its sensor of this type)."""
-        changed = self.own_entry is not None
-        self.own_entry = None
-        self.reference_reading = None
-        self._touch()
-        return changed
 
     # -- child entries -------------------------------------------------------------------
 

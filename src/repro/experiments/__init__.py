@@ -14,15 +14,13 @@ from .batch import (
     config_hash,
 )
 from ..metrics.stats import ReplicateGroup, ReplicateSummary, group_replicates
-from .config import ExperimentConfig, ProtocolName, TopologyEvent, paper_defaults
+from .config import ExperimentConfig, ProtocolName, TopologyEvent
 from .runner import ExperimentResult, ExperimentRunner, run_experiment
 
 #: Scenario conveniences, resolved lazily from repro.scenarios.static: that
 #: module imports this package's config/batch layers, so importing it here
 #: eagerly would recurse into this very __init__.
 _SCENARIO_EXPORTS = (
-    "heterogeneous_scenario",
-    "node_failure_scenario",
     "paper_network",
     "small_network",
     "smoke_sweep",
@@ -52,12 +50,9 @@ __all__ = [
     "ExperimentConfig",
     "ProtocolName",
     "TopologyEvent",
-    "paper_defaults",
     "ExperimentResult",
     "ExperimentRunner",
     "run_experiment",
-    "heterogeneous_scenario",
-    "node_failure_scenario",
     "paper_network",
     "small_network",
     "smoke_sweep",

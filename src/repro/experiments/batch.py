@@ -7,7 +7,7 @@ campaign runs its trials through this module:
   immutable snapshot of the experiment configuration, and free-form tags
   (``{"scenario": ..., "protocol": ...}``) the report groups by.
 * :class:`TrialResult` -- the picklable measurement record of one trial
-  (audit, aggregated ledger, cost breakdown, windowed series).  It mirrors
+  (audit, aggregated ledger, cost breakdown, windowed series).  It shares
   the summary API of :class:`~repro.experiments.runner.ExperimentResult`
   but carries no live simulator objects, so it can cross process
   boundaries and be cached.  The worker that executes a trial also
@@ -28,7 +28,7 @@ running, so a trial's result depends only on its declared configuration --
 never on worker count, execution order, or leftover mutations from sibling
 trials.  :meth:`TrialResult.fingerprint` condenses the deterministic
 payload into a hash for bit-exactness assertions.  Replications
-(:meth:`TrialSpec.replicates`) derive their seeds with
+(:func:`replicate_specs`) derive their seeds with
 :meth:`RandomStreams.derive_seed`, so replicate ``i`` of a spec is itself a
 pure function of the base config; replicate 0 keeps the base seed, which is
 what lets cached single trials compose into replicate groups.
@@ -75,14 +75,13 @@ from typing import (
 )
 
 from ..energy.ledger import NetworkLedger
-from ..metrics.accuracy import mean_accuracy, mean_overshoot
 from ..metrics.audit import QueryAudit, QueryRecord
 from ..metrics.cost import CostBreakdown
 from ..metrics.series import WindowPoint
 from ..network.addresses import NodeId
 from ..simulation.rng import RandomStreams
-from .config import ExperimentConfig, ProtocolName
-from .runner import ExperimentResult, run_experiment
+from .config import ExperimentConfig
+from .runner import ExperimentResult, HeadlineSummaries, run_experiment
 
 if TYPE_CHECKING:
     from .store import StoreSummary
@@ -156,15 +155,20 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 @functools.cache
 def _dataclass_layout(cls: type) -> Optional[tuple]:
     """``None`` for a non-dataclass type, else the dataclass's hashed field
-    names (``HASH_EXCLUDE`` removed) and its ``HASH_OMIT_WHEN_UNSET`` set --
-    read once per type rather than once per value."""
+    names (``HASH_EXCLUDE`` removed), its ``HASH_OMIT_WHEN_UNSET`` set and
+    its ``HASH_RETIRED`` pairs -- read once per type rather than once per
+    value."""
     if not dataclasses.is_dataclass(cls):
         return None
     exclude = getattr(cls, "HASH_EXCLUDE", ())
     names = tuple(
         f.name for f in dataclasses.fields(cls) if f.name not in exclude
     )
-    return names, frozenset(getattr(cls, "HASH_OMIT_WHEN_UNSET", ()))
+    return (
+        names,
+        frozenset(getattr(cls, "HASH_OMIT_WHEN_UNSET", ())),
+        getattr(cls, "HASH_RETIRED", ()),
+    )
 
 
 def _canonical(obj: object) -> object:
@@ -183,19 +187,25 @@ def _canonical(obj: object) -> object:
     outcome, so configs differing only there must alias onto one cache
     entry on purpose.  Every excluded field must be justified in
     :data:`HASH_EXEMPT`.
+
+    A ``HASH_RETIRED`` class attribute lists ``(name, value)`` pairs of
+    deleted fields, emitted after the live ones: the payload -- hence every
+    cache key -- stays what it was while the field existed at that value.
     """
     cls = type(obj)
     if cls in _SCALARS:
         return obj
     layout = _dataclass_layout(cls)
     if layout is not None:
-        names, omit = layout
-        return {
+        names, omit, retired = layout
+        payload = {
             name: _canonical(value)
             for name in names
             for value in (getattr(obj, name),)
             if not (value is None and name in omit)
         }
+        payload.update(retired)
+        return payload
     if isinstance(obj, dict):
         return {
             str(k): _canonical(v)
@@ -257,47 +267,57 @@ class TrialSpec:
         self.config = copy.deepcopy(self.config)
         self.key = config_hash(self.config)
 
-    def replicates(self, count: int) -> List["TrialSpec"]:
-        """Derive ``count`` replications with independent seeds.
 
-        Replicate 0 **is** the base configuration (same seed, hence the same
-        :attr:`key`), so a trial cached by an earlier un-replicated run is
-        reused when the sweep is later replicated; replicates 1..count-1 get
-        independent seeds from :meth:`RandomStreams.derive_seed` and are
-        reproducible from the spec alone.  Every derived spec is stamped
-        with ``base_key`` / ``base_label`` / ``replicate`` tags, which is
-        what :func:`repro.metrics.stats.group_replicates` folds groups by.
-        """
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        specs = []
-        for i in range(count):
-            seed = (
-                self.config.seed
-                if i == 0
-                else RandomStreams.derive_seed(self.config.seed, f"rep-{i}")
+def replicate_specs(
+    label: str,
+    config: ExperimentConfig,
+    count: int,
+    group: str = "",
+    tags: Optional[Dict[str, object]] = None,
+) -> List[TrialSpec]:
+    """``count`` replications of ``config`` with independent seeds.
+
+    Replicate 0 **is** the base configuration (same seed, hence the key
+    ``config_hash(config)``), so a trial cached by an earlier
+    un-replicated run is reused when the sweep is later replicated;
+    replicates 1..count-1 get independent seeds from
+    :meth:`RandomStreams.derive_seed` and are reproducible from the base
+    alone.  Every spec is stamped with ``base_key`` / ``base_label`` /
+    ``replicate`` tags on top of ``tags``, which is what
+    :func:`repro.metrics.stats.group_replicates` folds groups by.  Only
+    the replicates snapshot ``config``: no base spec is built.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    base_key = config_hash(config)
+    specs = []
+    for i in range(count):
+        seed = (
+            config.seed
+            if i == 0
+            else RandomStreams.derive_seed(config.seed, f"rep-{i}")
+        )
+        specs.append(
+            TrialSpec(
+                label=label if i == 0 else f"{label} rep={i}",
+                config=config.replace(seed=seed),
+                group=group,
+                tags={
+                    **(tags or {}),
+                    "replicate": i,
+                    "base_key": base_key,
+                    "base_label": label,
+                },
             )
-            specs.append(
-                TrialSpec(
-                    label=self.label if i == 0 else f"{self.label} rep={i}",
-                    config=self.config.replace(seed=seed),
-                    group=self.group,
-                    tags={
-                        **self.tags,
-                        "replicate": i,
-                        "base_key": self.key,
-                        "base_label": self.label,
-                    },
-                )
-            )
-        return specs
+        )
+    return specs
 
 
 @dataclasses.dataclass
-class TrialResult:
+class TrialResult(HeadlineSummaries):
     """Picklable measurements of one trial.
 
-    Mirrors the summary API of :class:`ExperimentResult` (overshoot,
+    Shares the summary API of :class:`ExperimentResult` (overshoot,
     accuracy, cost ratio, update series) without holding live simulator
     objects, so it can cross process boundaries and live in the cache.
     """
@@ -375,36 +395,6 @@ class TrialResult:
     @property
     def records(self) -> List[QueryRecord]:
         return self.audit.records
-
-    # -- headline summaries (same semantics as ExperimentResult) -------------
-
-    @property
-    def mean_overshoot_percent(self) -> float:
-        return mean_overshoot(self.audit.records)
-
-    @property
-    def mean_accuracy(self) -> float:
-        return mean_accuracy(self.audit.records)
-
-    @property
-    def total_dirq_cost(self) -> float:
-        return self.breakdown.total_dirq_cost
-
-    @property
-    def total_flooding_cost(self) -> float:
-        if self.config.protocol == ProtocolName.FLOODING:
-            return self.breakdown.flood_cost
-        return self.flooding_cost_per_query * self.num_queries
-
-    @property
-    def cost_ratio(self) -> float:
-        flooding = self.total_flooding_cost
-        if flooding <= 0:
-            return float("inf")
-        return self.total_dirq_cost / flooding
-
-    def updates_per_window(self) -> List[float]:
-        return [p.value for p in self.update_series]
 
     # -- determinism ---------------------------------------------------------
 

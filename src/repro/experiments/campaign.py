@@ -45,7 +45,13 @@ import time
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..scenarios.registry import DEFAULT_SCENARIO_EPOCHS, get_scenario
-from .batch import BatchRunner, TrialResult, TrialSpec, _canonical
+from .batch import (
+    BatchRunner,
+    TrialResult,
+    TrialSpec,
+    _canonical,
+    replicate_specs,
+)
 from .config import ExperimentConfig
 from .store import ResultsStore
 
@@ -325,19 +331,21 @@ class CampaignSpec:
                         label += " " + " ".join(
                             f"{k}={v}" for k, v in point.items()
                         )
-                    base = TrialSpec(
-                        label=label,
-                        config=config,
-                        group="campaign",
-                        tags={
-                            "campaign": campaign_id,
-                            "scenario": scenario,
-                            "scenario_kind": definition.kind,
-                            "protocol": proto,
-                            "sweep": dict(point),
-                        },
+                    specs.extend(
+                        replicate_specs(
+                            label,
+                            config,
+                            self.replicates,
+                            group="campaign",
+                            tags={
+                                "campaign": campaign_id,
+                                "scenario": scenario,
+                                "scenario_kind": definition.kind,
+                                "protocol": proto,
+                                "sweep": dict(point),
+                            },
+                        )
                     )
-                    specs.extend(base.replicates(self.replicates))
         # The store keys a campaign's trials by config hash, so two cells
         # of one config (``atc`` and ``atc-target=0.5``, ``dirq`` and
         # ``delta=5``) would share one row and never both count as done.

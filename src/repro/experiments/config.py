@@ -106,11 +106,6 @@ class ExperimentConfig:
         Nodes present in the dataset and topology but switched off at t=0.
         A ``TopologyEvent.ACTIVATE`` switches one on: that is how a trial
         models a post-deployment join, since the node set never changes.
-    send_responses:
-        Whether source nodes send responses (excluded from cost figures).
-    trace:
-        Enable the structured tracer (tests/examples only; benchmarks keep
-        it off).
     instrument:
         Observability level (see :mod:`repro.obs`): ``None`` (off),
         ``"metrics"`` (counters/histograms harvested into the trial's
@@ -144,6 +139,14 @@ class ExperimentConfig:
     #: (reprolint RL210 / RL505 enforce the pairing).
     HASH_EXCLUDE = ("instrument",)
 
+    #: Deleted fields the canonical hash payload still carries at the one
+    #: value they ever took in a hashed config, so every cache key and
+    #: fingerprint from before their removal survives.  ``send_responses``
+    #: switched on query responses, which no cost figure counts;
+    #: ``trace`` switched on the tracer, which ``instrument="full"`` now
+    #: does.  Passing either raises ``TypeError``, like any unknown field.
+    HASH_RETIRED = (("send_responses", False), ("trace", False))
+
     num_nodes: int = 50
     comm_range: float = 30.0
     area_size: float = 100.0
@@ -165,8 +168,6 @@ class ExperimentConfig:
     topology_events: List[TopologyEvent] = dataclasses.field(default_factory=list)
     initially_dead: Set[NodeId] = dataclasses.field(default_factory=set)
     scenario: Optional[ScenarioConfig] = None
-    send_responses: bool = False
-    trace: bool = False
     root_id: NodeId = 0
     #: Phenomena synthesis: ``None`` (= "exact" dense-Cholesky Gaussian
     #: field) or "lowrank" (random-Fourier-feature approximation, the only
@@ -253,18 +254,3 @@ class ExperimentConfig:
 
     def replace(self, **changes) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes)
-
-
-def paper_defaults(
-    num_epochs: int = 20_000,
-    target_coverage: float = 0.4,
-    seed: int = 1,
-) -> ExperimentConfig:
-    """The paper's §7 configuration (full 20 000-epoch run by default)."""
-    return ExperimentConfig(
-        num_nodes=50,
-        num_epochs=num_epochs,
-        query_period=20,
-        target_coverage=target_coverage,
-        seed=seed,
-    )

@@ -25,11 +25,10 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from ..core.analytical import flooding_cost_general
-from ..core.config import DirQConfig
 from ..core.dirq_node import DirQNode
 from ..core.dirq_root import DirQRoot
 from ..core.flooding import FloodingNode, FloodingRoot
-from ..core.messages import QUERY_KIND, RangeQuery
+from ..core.messages import QUERY_KIND
 from ..energy.battery import Battery
 from ..energy.ledger import NetworkLedger
 from ..mac.lmac import LMACProtocol
@@ -63,33 +62,14 @@ from .columnar import ColumnarTick
 from .config import ExperimentConfig, ProtocolName, TopologyEvent
 
 
-@dataclasses.dataclass
-class ExperimentResult:
-    """Everything measured during one simulation run."""
+class HeadlineSummaries:
+    """The headline summaries of one trial's record.
 
-    config: ExperimentConfig
-    audit: QueryAudit
-    ledger: NetworkLedger
-    tree: SpanningTree
-    num_queries: int
-    flooding_cost_per_query: float
-    update_series: List[WindowPoint]
-    breakdown: CostBreakdown
-    per_query_costs: List[float]
-    atc_delta_history: Dict[int, List[float]]
-    alive_at_end: Set[NodeId]
-    num_nodes: int
-    #: Effective dynamic-scenario events (churn kills/revivals, battery
-    #: deaths) as ``(epoch, kind, node_id)`` tuples, and the number of
-    #: mobility re-link rounds; both stay empty/zero for static runs.
-    scenario_events: List[tuple] = dataclasses.field(default_factory=list)
-    num_relinks: int = 0
-    #: Observability payload (metric snapshots / phase profile / trace
-    #: summary), present only when the config enabled instrumentation or
-    #: tracing.  Never hashed, never fingerprinted, never cached.
-    telemetry: Optional[dict] = None
-
-    # -- headline summaries ------------------------------------------------------
+    Shared by :class:`ExperimentResult` and
+    :class:`~repro.experiments.batch.TrialResult`, which both carry
+    ``audit``, ``breakdown``, ``config``, ``flooding_cost_per_query``,
+    ``num_queries`` and ``update_series``.
+    """
 
     @property
     def mean_overshoot_percent(self) -> float:
@@ -121,6 +101,33 @@ class ExperimentResult:
 
     def updates_per_window(self) -> List[float]:
         return [p.value for p in self.update_series]
+
+
+@dataclasses.dataclass
+class ExperimentResult(HeadlineSummaries):
+    """Everything measured during one simulation run."""
+
+    config: ExperimentConfig
+    audit: QueryAudit
+    ledger: NetworkLedger
+    tree: SpanningTree
+    num_queries: int
+    flooding_cost_per_query: float
+    update_series: List[WindowPoint]
+    breakdown: CostBreakdown
+    per_query_costs: List[float]
+    atc_delta_history: Dict[int, List[float]]
+    alive_at_end: Set[NodeId]
+    num_nodes: int
+    #: Effective dynamic-scenario events (churn kills/revivals, battery
+    #: deaths) as ``(epoch, kind, node_id)`` tuples, and the number of
+    #: mobility re-link rounds; both stay empty/zero for static runs.
+    scenario_events: List[tuple] = dataclasses.field(default_factory=list)
+    num_relinks: int = 0
+    #: Observability payload (metric snapshots / phase profile / trace
+    #: summary), present only when the config's ``instrument`` asked for
+    #: it.  Never hashed, never fingerprinted, never cached.
+    telemetry: Optional[dict] = None
 
 
 class SimulationWorld:
@@ -266,16 +273,10 @@ class ExperimentRunner:
                         predictor=QueryRatePredictor(
                             initial_estimate=cfg.dirq.epochs_per_hour / cfg.query_period
                         ),
-                        send_responses=cfg.send_responses,
                     )
                 else:
                     proto = DirQNode(
-                        world.sim,
-                        node,
-                        mac,
-                        cfg.dirq,
-                        audit=world.audit,
-                        send_responses=cfg.send_responses,
+                        world.sim, node, mac, cfg.dirq, audit=world.audit
                     )
             else:
                 if nid == cfg.root_id:

@@ -49,7 +49,3 @@ class MACFrame:
     @property
     def is_broadcast(self) -> bool:
         return self.destination == BROADCAST
-
-    @property
-    def has_payload(self) -> bool:
-        return self.payload is not None

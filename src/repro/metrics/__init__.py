@@ -17,8 +17,6 @@ from .cost import (
     compare_costs,
     cost_breakdown,
     dirq_cost,
-    flooding_cost_measured,
-    per_node_cost_share,
 )
 from .report import (
     format_key_values,
@@ -45,7 +43,6 @@ from .stats import (
     group_replicates,
     groups_to_jsonable,
     student_t_critical,
-    summarize,
 )
 
 __all__ = [
@@ -64,8 +61,6 @@ __all__ = [
     "compare_costs",
     "cost_breakdown",
     "dirq_cost",
-    "flooding_cost_measured",
-    "per_node_cost_share",
     "format_key_values",
     "format_mean_ci",
     "format_replicate_table",
@@ -85,7 +80,6 @@ __all__ = [
     "group_replicates",
     "groups_to_jsonable",
     "student_t_critical",
-    "summarize",
     "SeriesSet",
     "UpdateRateRecorder",
     "WindowedCounter",

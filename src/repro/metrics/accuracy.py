@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from statistics import mean
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from .audit import QueryRecord
 

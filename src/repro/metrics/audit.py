@@ -65,11 +65,6 @@ class QueryRecord:
         """Nodes that should have received the query but did not."""
         return self.should_receive - self.received
 
-    @property
-    def missed_sources(self) -> Set[NodeId]:
-        """True source nodes the query never reached."""
-        return self.sources - self.received
-
 
 class QueryAudit:
     """Collects :class:`QueryRecord` objects for a whole experiment."""

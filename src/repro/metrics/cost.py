@@ -10,7 +10,6 @@ that comparison and by the Fig. 6 update-rate series.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
 
 from ..core.messages import (
     DIRQ_COST_KINDS,
@@ -32,13 +31,6 @@ class CostBreakdown:
     flood_cost: float
     total_dirq_cost: float
 
-    @property
-    def update_fraction(self) -> float:
-        """Share of DirQ's cost spent on the update mechanism."""
-        if self.total_dirq_cost == 0:
-            return 0.0
-        return (self.update_cost + self.estimate_cost) / self.total_dirq_cost
-
 
 def cost_breakdown(ledger: NetworkLedger) -> CostBreakdown:
     """Aggregate a ledger into per-traffic-class costs."""
@@ -58,11 +50,6 @@ def cost_breakdown(ledger: NetworkLedger) -> CostBreakdown:
 def dirq_cost(ledger: NetworkLedger) -> float:
     """Total DirQ cost C_TD = C_QD + C_UD (+ estimate overhead)."""
     return ledger.total_cost(DIRQ_COST_KINDS)
-
-
-def flooding_cost_measured(ledger: NetworkLedger) -> float:
-    """Total cost of the flooding traffic recorded in a ledger."""
-    return ledger.total_cost([FLOOD_KIND])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,12 +106,3 @@ def compare_costs(
         flooding_per_query=per_query_flood,
         ratio=ratio,
     )
-
-
-def per_node_cost_share(ledger: NetworkLedger, kinds=DIRQ_COST_KINDS) -> Dict[int, float]:
-    """Fraction of the total cost borne by each node (hot-spot analysis)."""
-    per_node = ledger.per_node_cost(kinds)
-    total = sum(per_node.values())
-    if total <= 0:
-        return {nid: 0.0 for nid in per_node}
-    return {nid: cost / total for nid, cost in per_node.items()}

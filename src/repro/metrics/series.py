@@ -11,7 +11,7 @@ reporting.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -65,20 +65,6 @@ class WindowedCounter:
     def points(self) -> List[WindowPoint]:
         return list(self._points)
 
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([p.value for p in self._points], dtype=float)
-
-    @property
-    def window_starts(self) -> np.ndarray:
-        return np.array([p.window_start for p in self._points], dtype=int)
-
-    def total(self) -> float:
-        return float(self.values.sum()) if self._points else 0.0
-
-    def mean(self) -> float:
-        return float(self.values.mean()) if self._points else 0.0
-
 
 class UpdateRateRecorder:
     """Records the Fig. 6 series: update transmissions per window.
@@ -116,21 +102,17 @@ class UpdateRateRecorder:
 
 @dataclasses.dataclass
 class SeriesSet:
-    """A named bundle of windowed series plus optional reference levels.
+    """A named bundle of windowed series.
 
     Used by the Fig. 6 experiment to hold one series per threshold setting
-    (δ = 3 %, 5 %, 9 %, ATC) together with the U_max/Hr reference lines.
+    (δ = 3 %, 5 %, 9 %, ATC).
     """
 
     window_epochs: int
     series: Dict[str, List[WindowPoint]] = dataclasses.field(default_factory=dict)
-    references: Dict[str, float] = dataclasses.field(default_factory=dict)
 
     def add_series(self, name: str, points: Sequence[WindowPoint]) -> None:
         self.series[name] = list(points)
-
-    def add_reference(self, name: str, level: float) -> None:
-        self.references[name] = float(level)
 
     def names(self) -> List[str]:
         return sorted(self.series)
@@ -141,10 +123,6 @@ class SeriesSet:
             np.array([p.window_start for p in points], dtype=int),
             np.array([p.value for p in points], dtype=float),
         )
-
-    def mean_of(self, name: str) -> float:
-        _, values = self.as_arrays(name)
-        return float(values.mean()) if values.size else 0.0
 
     def fraction_within(
         self, name: str, low: float, high: float, skip_windows: int = 0

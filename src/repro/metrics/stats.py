@@ -10,7 +10,7 @@ for every scalar metric of a trial, so every reported number can carry an
 error bar.
 
 Grouping is keyed by the **base config hash**: a replicated sweep expands
-each :class:`~repro.experiments.batch.TrialSpec` via ``spec.replicates(n)``,
+each :class:`~repro.experiments.batch.TrialSpec` via ``replicate_specs``,
 which stamps every derived spec with ``tags["base_key"] = spec.key``.
 Replicate 0 *is* the base configuration (same seed, same hash), so a single
 trial cached by an earlier un-replicated run composes into a replicate
@@ -30,9 +30,9 @@ Statistical definitions
   level (default 95 %).  Degenerate groups (``n == 1``) report **no**
   interval (``ci_halfwidth is None``) instead of a zero-width or undefined
   one.
-* :func:`student_t_critical` evaluates the critical value from the
-  regularised incomplete beta function (pure ``math``, no scipy), accurate
-  to well below the precision any report cell renders.
+* :func:`student_t_critical` is ``scipy.stats.t.ppf``.  The runner has
+  already imported ``scipy.stats`` (:mod:`repro.sensors.phenomena` uses
+  ``scipy.signal``, which loads it), so the call costs no import.
 """
 
 from __future__ import annotations
@@ -42,82 +42,12 @@ import math
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
+import scipy.stats
+
 from .accuracy import delivery_completeness
 
 #: Confidence level used when none is specified.
 DEFAULT_CONFIDENCE = 0.95
-
-
-# ---------------------------------------------------------------------------
-# Student-t critical values (no scipy: regularised incomplete beta + bisection)
-# ---------------------------------------------------------------------------
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (Lentz's method)."""
-    max_iterations = 300
-    eps = 3.0e-14
-    fpmin = 1.0e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iterations + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            break
-    return h
-
-
-def _betainc(a: float, b: float, x: float) -> float:
-    """Regularised incomplete beta function ``I_x(a, b)``."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_bt = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log(1.0 - x)
-    )
-    bt = math.exp(ln_bt)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _betacf(a, b, x) / a
-    return 1.0 - bt * _betacf(b, a, 1.0 - x) / b
-
-
-def _t_two_sided_tail(df: int, t: float) -> float:
-    """P(|T| > t) for a Student-t variable with ``df`` degrees of freedom."""
-    if t <= 0.0:
-        return 1.0
-    x = df / (df + t * t)
-    return _betainc(df / 2.0, 0.5, x)
 
 
 @lru_cache(maxsize=None)
@@ -130,21 +60,7 @@ def student_t_critical(df: int, confidence: float = DEFAULT_CONFIDENCE) -> float
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    tail = 1.0 - confidence
-    lo, hi = 0.0, 1.0
-    while _t_two_sided_tail(df, hi) > tail:
-        hi *= 2.0
-        if hi > 1e12:  # pragma: no cover - defensive
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _t_two_sided_tail(df, mid) > tail:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return float(scipy.stats.t.ppf(0.5 + confidence / 2.0, df))
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +154,6 @@ class ReplicateSummary:
         )
 
 
-def summarize(
-    metric: str,
-    values: Sequence[float],
-    confidence: float = DEFAULT_CONFIDENCE,
-) -> ReplicateSummary:
-    """Convenience alias for :meth:`ReplicateSummary.from_values`."""
-    return ReplicateSummary.from_values(metric, values, confidence=confidence)
-
-
 # ---------------------------------------------------------------------------
 # Replicate groups over TrialResults
 # ---------------------------------------------------------------------------
@@ -294,12 +201,6 @@ class ReplicateGroup:
     def n(self) -> int:
         return len(self.results)
 
-    def summary(self, metric: str) -> ReplicateSummary:
-        return self.metrics[metric]
-
-    def values(self, metric: str, extractor: Callable[[object], float]) -> List[float]:
-        return [float(extractor(r)) for r in self.results]
-
     def to_dict(self) -> Dict[str, object]:
         """Deterministic, JSON-serialisable payload (no provenance fields)."""
         return {
@@ -330,7 +231,7 @@ def group_replicates(
 ) -> List[ReplicateGroup]:
     """Group trial results by base config hash and summarise each metric.
 
-    Results produced by ``TrialSpec.replicates(n)`` carry a ``base_key`` tag
+    Results produced by ``replicate_specs`` carry a ``base_key`` tag
     and fold into one group per base spec; results without one are treated
     as their own (degenerate, n=1) group keyed by their config hash.  The
     base *label* is part of the bucket key too: two sweep points whose

@@ -47,7 +47,7 @@ class SensorNode:
         self._sensors: Dict[str, Any] = {}
         self._sensor_types_cache: Optional[List[str]] = None
         self._sensors_sorted_cache: Optional[List[Tuple[str, Any]]] = None
-        #: Bumped on attach/detach so protocol layers can cache sensor-derived
+        #: Bumped on attach so protocol layers can cache sensor-derived
         #: state and cheaply detect when it must be rebuilt.
         self.sensors_version = 0
         # Protocol stack; assigned by the experiment runner / examples.
@@ -73,15 +73,6 @@ class SensorNode:
         self._sensors_sorted_cache = None
         self.sensors_version += 1
 
-    def detach_sensor(self, sensor_type: str) -> bool:
-        """Remove the sensor of the given type; returns True if present."""
-        removed = self._sensors.pop(sensor_type, None) is not None
-        if removed:
-            self._sensor_types_cache = None
-            self._sensors_sorted_cache = None
-            self.sensors_version += 1
-        return removed
-
     def has_sensor(self, sensor_type: str) -> bool:
         return sensor_type in self._sensors
 
@@ -95,7 +86,7 @@ class SensorNode:
         """Sorted sensor types mounted on this node.
 
         The protocol layer iterates this every epoch; the sorted list is
-        cached and invalidated on attach/detach so the hot loop does not
+        cached and invalidated on attach so the hot loop does not
         re-sort an unchanged sensor suite 20 000 times.
         """
         cached = self._sensor_types_cache
@@ -107,7 +98,7 @@ class SensorNode:
         """``(sensor_type, sensor)`` pairs in sorted type order (cached).
 
         The per-epoch sampling loop walks this list; it is rebuilt only when
-        a sensor is attached or detached.
+        a sensor is attached.
         """
         cached = self._sensors_sorted_cache
         if cached is None:
@@ -123,10 +114,6 @@ class SensorNode:
             raise KeyError(f"node {self.node_id} has no {sensor_type!r} sensor")
         value = sensor.sample(epoch)
         return value if type(value) is float else float(value)
-
-    def sample_all(self, epoch: int) -> Dict[str, float]:
-        """Acquire a reading from every mounted sensor."""
-        return {stype: float(s.sample(epoch)) for stype, s in self._sensors.items()}
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -5,8 +5,8 @@ information flows up the tree, queries flow down it (paper §4).  This module
 provides
 
 * :class:`SpanningTree` -- the tree itself (parent/children maps) with the
-  traversal helpers the routing layers and the metrics need (subtree
-  enumeration, path to root, depth, forwarding sets);
+  traversal helpers the routing layers and the metrics need (path to
+  root, depth, forwarding sets);
 * :func:`build_bfs_tree` -- centralized breadth-first construction from a
   :class:`~repro.network.topology.Topology` (how the experiment runner sets
   up the initial tree, mirroring the paper's "once the nodes have been
@@ -18,10 +18,7 @@ provides
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from typing import Dict, Iterable, List, Optional, Set
-
-import networkx as nx
 
 from .addresses import NodeId
 from .topology import Topology
@@ -141,22 +138,6 @@ class SpanningTree:
             cur = self.parent[cur]
         return path
 
-    def subtree(self, node_id: NodeId) -> List[NodeId]:
-        """All nodes in the subtree rooted at ``node_id`` (inclusive), BFS order."""
-        if node_id not in self.parent:
-            raise KeyError(f"unknown node {node_id}")
-        out: List[NodeId] = []
-        queue = deque([node_id])
-        while queue:
-            cur = queue.popleft()
-            out.append(cur)
-            queue.extend(self._children[cur])
-        return out
-
-    def descendants(self, node_id: NodeId) -> List[NodeId]:
-        """Subtree of ``node_id`` excluding the node itself."""
-        return self.subtree(node_id)[1:]
-
     def forwarding_set(self, sources: Iterable[NodeId]) -> Set[NodeId]:
         """All nodes involved in routing a query from the root to ``sources``.
 
@@ -177,15 +158,6 @@ class SpanningTree:
         for nodes in by_level.values():
             nodes.sort()
         return by_level
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Directed graph with edges parent -> child (for analysis/plots)."""
-        g = nx.DiGraph()
-        g.add_nodes_from(self.parent)
-        for node, par in self.parent.items():
-            if par is not None:
-                g.add_edge(par, node)
-        return g
 
     # -- maintenance ----------------------------------------------------------------
 

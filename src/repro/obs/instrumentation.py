@@ -13,8 +13,8 @@ experiment runner:
 =============================  =======  ========  ======
 ``ExperimentConfig``           metrics  profiler  tracer
 =============================  =======  ========  ======
-``instrument=None`` (default)  off      off       ``trace`` flag
-``instrument="metrics"``       on       off       ``trace`` flag
+``instrument=None`` (default)  off      off       off
+``instrument="metrics"``       on       off       off
 ``instrument="full"``          on       on        on
 =============================  =======  ========  ======
 
@@ -63,23 +63,16 @@ def build_instrumentation(config) -> Instrumentation:
 
     ``config`` is an :class:`~repro.experiments.config.ExperimentConfig`
     (typed loosely to keep this module import-free of the experiments
-    layer); only its ``instrument`` and ``trace`` attributes are read.
+    layer); only its ``instrument`` attribute is read.  The tracer is on
+    only at ``"full"``.
     """
-    instrument = getattr(config, "instrument", None)
-    trace = bool(getattr(config, "trace", False))
-    if instrument is None and not trace:
+    instrument = config.instrument
+    if instrument is None:
         return NULL_INSTRUMENTATION
+    if instrument == "metrics":
+        return Instrumentation(metrics=MetricsRegistry(enabled=True))
     return Instrumentation(
-        metrics=(
-            MetricsRegistry(enabled=True)
-            if instrument in ("metrics", "full")
-            else NULL_METRICS
-        ),
-        phases=(
-            PhaseTimer(enabled=True) if instrument == "full" else NULL_PHASES
-        ),
-        tracer=(
-            Tracer(enabled=True) if (trace or instrument == "full")
-            else NULL_TRACER
-        ),
+        metrics=MetricsRegistry(enabled=True),
+        phases=PhaseTimer(enabled=True),
+        tracer=Tracer(enabled=True),
     )

@@ -1,10 +1,10 @@
 """Observability report CLI: per-trial phase/metric breakdowns.
 
 ``--scenario`` runs one fully-instrumented trial of a registered scenario
-(or the ``headline`` paper configuration) and renders its phase profile
-and metric snapshot.  ``--trace-out`` writes the Chrome trace-event JSON
-(loadable in Perfetto / ``chrome://tracing``), ``--trace-jsonl`` the raw
-tracer records.  A campaign's stored results are summarised by
+(or ``headline``, the ``headline`` preset's ATC trial) and renders its
+phase profile and metric snapshot.  ``--trace-out`` writes the Chrome
+trace-event JSON (loadable in Perfetto / ``chrome://tracing``),
+``--trace-jsonl`` the raw tracer records.  A campaign's stored results are summarised by
 ``python -m repro status X`` and ``python -m repro report X``.
 
 Output contract: the ``--json`` export contains only **deterministic**
@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..experiments.batch import TrialResult, TrialSpec
-from ..experiments.config import ExperimentConfig, paper_defaults
+from ..experiments.config import ExperimentConfig
 from ..experiments.runner import ExperimentRunner
 from ..metrics.report import (
     format_key_values,
@@ -39,8 +39,8 @@ from ..scenarios.registry import build_config, scenario_names
 from .catalogue import METRIC_CATALOGUE
 from .trace_export import chrome_trace, write_chrome_trace, write_jsonl
 
-#: The non-registry scenario alias: the paper's §7 headline configuration
-#: (50 nodes, DirQ with Adaptive Threshold Control).
+#: The non-registry scenario alias: the ``headline`` preset's ATC trial
+#: (``static-paper`` with Adaptive Threshold Control).
 HEADLINE = "headline"
 
 
@@ -48,7 +48,7 @@ def _build_trial_config(
     scenario: str, num_epochs: int, seed: int, instrument: Optional[str]
 ) -> ExperimentConfig:
     if scenario == HEADLINE:
-        config = paper_defaults(num_epochs=num_epochs, seed=seed).with_atc()
+        config = build_config("static-paper", num_epochs, seed).with_atc()
     else:
         config = build_config(scenario, num_epochs=num_epochs, seed=seed)
     return config.replace(instrument=instrument)

@@ -49,9 +49,7 @@ from .spec import (
 _LAZY_EXPORTS = {
     "paper_network": "static",
     "small_network": "static",
-    "node_failure_scenario": "static",
     "smoke_sweep": "static",
-    "heterogeneous_scenario": "static",
     "ScenarioDef": "registry",
     "register_scenario": "registry",
     "scenario_names": "registry",
@@ -59,7 +57,6 @@ _LAZY_EXPORTS = {
     "get_scenario": "registry",
     "build_config": "registry",
     "scenario_spec": "registry",
-    "scenario_sweep": "registry",
     "DEFAULT_SCENARIO_EPOCHS": "registry",
 }
 

@@ -118,15 +118,6 @@ def scenario_spec(
     )
 
 
-def scenario_sweep(
-    names: List[str],
-    num_epochs: int = DEFAULT_SCENARIO_EPOCHS,
-    seed: int = 1,
-) -> List[TrialSpec]:
-    """One spec per named scenario (shared epochs/seed)."""
-    return [scenario_spec(name, num_epochs=num_epochs, seed=seed) for name in names]
-
-
 # ---------------------------------------------------------------------------
 # The catalogue
 # ---------------------------------------------------------------------------

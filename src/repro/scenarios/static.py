@@ -17,9 +17,8 @@ import math
 from typing import List, Optional
 
 from ..core.config import DirQConfig
-from ..network.addresses import NodeId
 from ..experiments.batch import TrialSpec
-from ..experiments.config import ExperimentConfig, TopologyEvent
+from ..experiments.config import ExperimentConfig
 
 
 def paper_network(
@@ -101,28 +100,6 @@ def scaled_network(
     )
 
 
-def node_failure_scenario(
-    num_epochs: int = 1_200,
-    failures: Optional[List[NodeId]] = None,
-    failure_epoch: int = 400,
-    seed: int = 11,
-) -> ExperimentConfig:
-    """Topology-dynamics scenario: a batch of nodes dies mid-run.
-
-    Used by the cross-layer adaptation ablation (E7 in DESIGN.md): accuracy
-    should recover within a few epochs of the failures because LMAC reports
-    the dead neighbours and DirQ prunes / re-advertises its ranges.
-    """
-    cfg = paper_network(num_epochs=num_epochs, seed=seed)
-    dead = failures if failures is not None else [7, 19, 33]
-    events = [
-        TopologyEvent(epoch=failure_epoch, kind=TopologyEvent.KILL, node_id=nid)
-        for nid in dead
-        if nid != cfg.root_id
-    ]
-    return cfg.replace(topology_events=events)
-
-
 def smoke_sweep(
     num_nodes: int = 12,
     num_epochs: int = 120,
@@ -155,13 +132,3 @@ def smoke_sweep(
         )
     )
     return specs
-
-
-def heterogeneous_scenario(
-    num_epochs: int = 1_000,
-    sensors_per_node: int = 2,
-    seed: int = 13,
-) -> ExperimentConfig:
-    """Heterogeneous-network scenario (Fig. 4): random sensor subsets per node."""
-    cfg = paper_network(num_epochs=num_epochs, seed=seed, query_sensor_type=None)
-    return cfg.replace(sensors_per_node=sensors_per_node)

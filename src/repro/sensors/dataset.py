@@ -15,7 +15,7 @@ import numpy as np
 
 from ..network.addresses import NodeId
 from .phenomena import generate_fields
-from .types import DEFAULT_SENSOR_TYPES, SensorTypeSpec, default_type_specs
+from .types import SensorTypeSpec, default_type_specs
 
 
 class SensorDataset:
@@ -159,17 +159,6 @@ class SensorDataset:
         values = self.readings[sensor_type][epoch]
         mask = (values >= low) & (values <= high)
         return [self.node_ids[i] for i in np.nonzero(mask)[0]]
-
-    def restrict_types(self, sensor_types: Sequence[str]) -> "SensorDataset":
-        """Copy of the dataset containing only the requested sensor types."""
-        missing = [t for t in sensor_types if t not in self.readings]
-        if missing:
-            raise KeyError(f"dataset lacks sensor types {missing}")
-        return SensorDataset(
-            node_ids=self.node_ids,
-            readings={t: self.readings[t] for t in sensor_types},
-            specs={t: self.specs[t] for t in sensor_types if t in self.specs},
-        )
 
     def _check_epoch(self, epoch: int) -> None:
         if not (0 <= epoch < self.num_epochs):

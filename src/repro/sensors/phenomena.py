@@ -23,7 +23,7 @@ a handful of NumPy/SciPy array operations, which keeps the 20 000-epoch,
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 from scipy.signal import lfilter

@@ -49,7 +49,6 @@ from typing import Any, Callable, Optional
 
 from .clock import SimClock
 from .events import Event, EventHandle, EventPriority
-from .trace import Tracer
 
 
 class SimulationError(RuntimeError):
@@ -63,14 +62,10 @@ class Simulator:
     ----------
     start_time:
         Initial simulated time (defaults to 0.0).
-    tracer:
-        Optional :class:`~repro.simulation.trace.Tracer`; when omitted a
-        disabled tracer is used.  Kept as a convenience for callers that
-        only trace -- internally it is wrapped into ``instrumentation``.
     instrumentation:
         Optional :class:`~repro.obs.instrumentation.Instrumentation`
-        bundling tracer + metrics + phase timer behind one handle.  Takes
-        precedence over ``tracer`` when both are given.
+        bundling tracer + metrics + phase timer behind one handle; when
+        omitted every instrument is off.
 
     Examples
     --------
@@ -90,24 +85,15 @@ class Simulator:
     #: ``queue_size < 2 * pending + COMPACT_MIN_CANCELLED``.
     COMPACT_MIN_CANCELLED = 64
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        tracer: Optional[Tracer] = None,
-        instrumentation=None,
-    ):
+    def __init__(self, start_time: float = 0.0, instrumentation=None):
         self.clock = SimClock(start_time)
         # Imported lazily: repro.simulation/__init__ eagerly imports this
         # module, and repro.obs.instrumentation imports simulation.trace,
         # so a module-level import here would cycle during package init.
-        from ..obs.instrumentation import NULL_INSTRUMENTATION, Instrumentation
+        from ..obs.instrumentation import NULL_INSTRUMENTATION
 
         if instrumentation is None:
-            instrumentation = (
-                Instrumentation(tracer=tracer)
-                if tracer is not None
-                else NULL_INSTRUMENTATION
-            )
+            instrumentation = NULL_INSTRUMENTATION
         self.instrumentation = instrumentation
         self.tracer = instrumentation.tracer
         self._heap: list = []
@@ -162,13 +148,6 @@ class Simulator:
     def compactions(self) -> int:
         """Heap compaction passes performed so far."""
         return self._compactions
-
-    def peek_time(self) -> Optional[float]:
-        """Simulated time of the next pending event, or ``None`` if empty."""
-        self._discard_cancelled_head()
-        if not self._heap:
-            return None
-        return self._heap[0][0]
 
     # -- scheduling --------------------------------------------------------
 

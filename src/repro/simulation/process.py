@@ -51,10 +51,6 @@ class SimProcess:
         self._started = True
         self.on_start()
 
-    @property
-    def started(self) -> bool:
-        return self._started
-
     def on_start(self) -> None:
         """Hook invoked when the process starts.  Default: no-op."""
 

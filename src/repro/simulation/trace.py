@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,23 +103,6 @@ class Tracer:
     def count(self, category: str) -> int:
         """Total records ever seen for ``category`` (including dropped)."""
         return self._counts[category]
-
-    def filter(
-        self,
-        category: Optional[str] = None,
-        node: Optional[int] = None,
-        since: float = float("-inf"),
-        until: float = float("inf"),
-    ) -> Iterator[TraceRecord]:
-        """Iterate retained records matching the given criteria."""
-        for rec in self._records:
-            if category is not None and rec.category != category:
-                continue
-            if node is not None and rec.node != node:
-                continue
-            if not (since <= rec.time <= until):
-                continue
-            yield rec
 
     def clear(self) -> None:
         """Drop all retained records and reset counters."""

@@ -1,19 +1,5 @@
 """Shared utility helpers."""
 
 from .clock import wall_now
-from .validation import (
-    require_fraction,
-    require_non_negative,
-    require_positive,
-    require_subset,
-    require_unique,
-)
 
-__all__ = [
-    "require_fraction",
-    "wall_now",
-    "require_non_negative",
-    "require_positive",
-    "require_subset",
-    "require_unique",
-]
+__all__ = ["wall_now"]

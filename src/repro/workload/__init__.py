@@ -11,8 +11,6 @@ from .injection import (
     burst_schedule,
     diurnal_schedule,
     periodic_schedule,
-    poisson_schedule,
-    queries_per_window,
 )
 from .predictor import QueryRatePredictor
 
@@ -26,7 +24,5 @@ __all__ = [
     "burst_schedule",
     "diurnal_schedule",
     "periodic_schedule",
-    "poisson_schedule",
-    "queries_per_window",
     "QueryRatePredictor",
 ]

@@ -19,7 +19,7 @@ enough to run every 20 epochs for 20 000-epoch experiments.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set
 
 import numpy as np
 
@@ -179,12 +179,3 @@ class QueryWorkloadGenerator:
             target_coverage=float(target_coverage),
             achieved_coverage=float(achieved),
         )
-
-    def generate_batch(
-        self,
-        epochs: Sequence[int],
-        target_coverage: float,
-        sensor_type: Optional[str] = None,
-    ) -> List[GeneratedQuery]:
-        """Generate one calibrated query per injection epoch."""
-        return [self.generate(e, target_coverage, sensor_type) for e in epochs]

@@ -1,15 +1,15 @@
 """Query injection schedules.
 
-The paper injects a query every 20 epochs (§7).  Experiments and examples
-may also want bursty or Poisson arrivals (e.g. to exercise the EHr
-predictor under non-stationary load), so several schedules are provided
-behind one small interface: a schedule is simply an iterable of injection
-epochs within ``[0, num_epochs)``.
+The paper injects a query every 20 epochs (§7).  Scenarios may also want
+diurnal or bursty arrivals (e.g. to exercise the EHr predictor under
+non-stationary load), so several schedules are provided behind one small
+interface: a schedule is simply a list of injection epochs within
+``[0, num_epochs)``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -30,21 +30,6 @@ def periodic_schedule(
     if start < 0:
         raise ValueError("start must be non-negative")
     return list(range(start, num_epochs, period))
-
-
-def poisson_schedule(
-    num_epochs: int, rate_per_epoch: float, rng: np.random.Generator
-) -> List[int]:
-    """Poisson arrivals with the given mean rate (multiple per epoch allowed)."""
-    if num_epochs <= 0:
-        raise ValueError("num_epochs must be positive")
-    if rate_per_epoch < 0:
-        raise ValueError("rate_per_epoch must be non-negative")
-    counts = rng.poisson(rate_per_epoch, size=num_epochs)
-    epochs: List[int] = []
-    for epoch, count in enumerate(counts):
-        epochs.extend([epoch] * int(count))
-    return epochs
 
 
 def diurnal_schedule(
@@ -95,14 +80,3 @@ def burst_schedule(
             raise ValueError(f"burst epoch {epoch} outside [0, {num_epochs})")
         out.extend([int(epoch)] * queries_per_burst)
     return sorted(out)
-
-
-def queries_per_window(schedule: Sequence[int], window: int, num_epochs: int) -> List[int]:
-    """Histogram of injections per ``window`` epochs (diagnostics/benchmarks)."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    num_windows = (num_epochs + window - 1) // window
-    counts = [0] * num_windows
-    for epoch in schedule:
-        counts[min(epoch // window, num_windows - 1)] += 1
-    return counts

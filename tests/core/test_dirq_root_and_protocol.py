@@ -4,10 +4,10 @@ import pytest
 
 from repro.core.config import DirQConfig, ThresholdMode
 from repro.core.dirq_root import DirQRoot
-from repro.core.messages import QueryResponse, RangeQuery
+from repro.core.messages import RangeQuery
 from repro.core.protocol import DisseminationProtocol
 
-from ..helpers import build_mini_world, constant_dataset, line_topology, star_topology
+from ..helpers import build_mini_world, constant_dataset, star_topology
 
 
 @pytest.fixture
@@ -83,17 +83,6 @@ class TestDirQRoot:
         assert second.hour_index == first.hour_index + 1
         # The completed hour's realised count (1 query) feeds the predictor.
         assert world.root.predictor.history[-1] == 1
-
-    def test_responses_collected_at_root(self):
-        topo = line_topology(3)
-        data = constant_dataset(topo.node_ids, {0: 1.0, 1: 2.0, 2: 3.0}, num_epochs=30)
-        world = build_mini_world(topo, data)
-        # Rebuild protocols with responses enabled is heavy; instead deliver a
-        # response payload directly through the MAC path.
-        response = QueryResponse(query_id=7, source=2, sensor_type="temperature", value=3.0)
-        world.protocols[1].on_payload(2, response)   # forwarder relays upward
-        world.settle(1.0)
-        assert world.root.responses_received == [response]
 
     def test_root_can_be_a_source_itself(self, star_world):
         world = star_world

@@ -6,7 +6,6 @@ from repro.core.atc import AdaptiveThresholdController, RootBudgetPlanner
 from repro.core.config import DirQConfig, ThresholdMode
 from repro.core.messages import (
     EstimateMessage,
-    QueryResponse,
     RangeQuery,
     UpdateMessage,
 )
@@ -50,10 +49,6 @@ class TestOtherMessages:
             EstimateMessage(expected_queries=-1.0, hour_index=0)
         with pytest.raises(ValueError):
             EstimateMessage(expected_queries=1.0, hour_index=0, node_update_budget=-2.0)
-
-    def test_query_response_fields(self):
-        r = QueryResponse(query_id=4, source=9, sensor_type="light", value=312.0)
-        assert r.source == 9 and r.value == 312.0
 
 
 class TestDirQConfig:
@@ -104,7 +99,8 @@ class TestRootBudgetPlanner:
         planner = RootBudgetPlanner(DirQConfig())
         planner.observe_query_cost(100.0)
         planner.observe_query_cost(0.0)
-        assert 0.0 < planner.average_query_cost < 100.0
+        plan = planner.plan(0, 10, flooding_cost_per_query=400.0, network_size=10)
+        assert 0.0 < plan.query_cost_per_query < 100.0
 
     def test_budget_clamped_at_zero(self):
         cfg = DirQConfig(atc_target_cost_ratio=0.5)

@@ -27,14 +27,12 @@ class TestOwnEntryMaintenance:
         changed = table.observe_reading(25.0, delta=2.0)
         assert changed
         assert table.own_entry.as_tuple == (23.0, 27.0)
-        assert table.reference_reading == 25.0
 
     def test_reading_inside_thresholds_leaves_table_unchanged(self):
         table = RangeTable(1, "t")
         table.observe_reading(25.0, delta=2.0)
         assert table.observe_reading(26.9, delta=2.0) is False
         assert table.own_entry.as_tuple == (23.0, 27.0)
-        assert table.reference_reading == 25.0
 
     def test_reading_outside_thresholds_recomputes_entry(self):
         table = RangeTable(1, "t")
@@ -56,13 +54,6 @@ class TestOwnEntryMaintenance:
         table = RangeTable(1, "t")
         with pytest.raises(ValueError):
             table.observe_reading(1.0, delta=-0.5)
-
-    def test_clear_own_entry(self):
-        table = RangeTable(1, "t")
-        table.observe_reading(25.0, delta=2.0)
-        assert table.clear_own_entry() is True
-        assert table.own_entry is None
-        assert table.clear_own_entry() is False
 
 
 class TestChildEntries:

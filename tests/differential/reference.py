@@ -146,12 +146,15 @@ def canonical_walk(obj: object) -> object:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         omit = getattr(type(obj), "HASH_OMIT_WHEN_UNSET", ())
         exclude = getattr(type(obj), "HASH_EXCLUDE", ())
-        return {
+        payload = {
             f.name: canonical_walk(getattr(obj, f.name))
             for f in dataclasses.fields(obj)
             if f.name not in exclude
             and not (f.name in omit and getattr(obj, f.name) is None)
         }
+        # Deleted fields keep their one value in the payload.
+        payload.update(getattr(type(obj), "HASH_RETIRED", ()))
+        return payload
     if isinstance(obj, dict):
         return {
             str(k): canonical_walk(v)

@@ -40,3 +40,14 @@ def test_every_preset_cell(name):
 def test_excluded_and_pinned_fields():
     assert_same_payload(ExperimentConfig(instrument="full"))
     assert_same_payload(ExperimentConfig(tick_method="periodic"))
+
+
+def test_retired_fields_keep_their_one_value():
+    """Deleted fields stay in the payload at the value every hashed config
+    had, so no key moves; a config that passes one is refused."""
+    payload = _canonical(ExperimentConfig())
+    assert payload["send_responses"] is False
+    assert payload["trace"] is False
+    for name, _ in ExperimentConfig.HASH_RETIRED:
+        with pytest.raises(TypeError):
+            ExperimentConfig(**{name: False})

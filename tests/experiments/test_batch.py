@@ -27,6 +27,7 @@ from repro.experiments.batch import (
     TrialResult,
     TrialSpec,
     config_hash,
+    replicate_specs,
 )
 from repro.experiments.campaign import preset
 from repro.experiments.config import ExperimentConfig, TopologyEvent
@@ -104,7 +105,7 @@ class TestTrialSpec:
 
     def test_replicates_derive_independent_reproducible_seeds(self):
         spec = TrialSpec(label="base", config=tiny_config())
-        reps = spec.replicates(3)
+        reps = replicate_specs("base", tiny_config(), 3)
         seeds = [r.config.seed for r in reps]
         assert len(set(seeds)) == 3
         # Replicate 0 IS the base configuration (same seed, same cache key),
@@ -119,9 +120,10 @@ class TestTrialSpec:
         assert all(r.tags["base_key"] == spec.key for r in reps)
         assert all(r.tags["base_label"] == "base" for r in reps)
         # Re-deriving produces the same specs (same keys).
-        assert [r.key for r in spec.replicates(3)] == [r.key for r in reps]
+        again = replicate_specs("base", tiny_config(), 3)
+        assert [r.key for r in again] == [r.key for r in reps]
         with pytest.raises(ValueError):
-            spec.replicates(0)
+            replicate_specs("base", tiny_config(), 0)
 
 
 class TestBatchRunnerDeterminism:

@@ -11,6 +11,7 @@ The two properties this layer exists for:
   interrupted and resumed on four.
 """
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -121,6 +122,36 @@ class TestCampaignSpec:
         assert sorted({t.config.num_epochs for t in trials}) == [60, 80]
         assert sorted({t.config.target_coverage for t in trials}) == [0.2, 0.4]
         assert len({t.key for t in trials}) == 4
+
+    def test_expansion_deep_copies_each_config_once(self, monkeypatch):
+        """Each trial snapshots its config once; replicates derive from the
+        fresh cell config, with no throwaway base spec."""
+        sweep = CampaignSpec(
+            name="sweep",
+            scenarios=(
+                "static-paper", "churn-revive", "mobile-40",
+                "energy-tiered", "bursty-20",
+            ),
+            protocols=("dirq", "atc", "flooding"),
+            replicates=2,
+            num_epochs=200,
+        )
+        calls = []
+        real = copy.deepcopy
+
+        def deepcopy(obj, memo=None):
+            if memo is None:
+                calls.append(type(obj).__name__)
+            return real(obj, memo)
+
+        monkeypatch.setattr(batch_mod.copy, "deepcopy", deepcopy)
+        trials = sweep.trial_specs()
+        assert len(trials) == 30
+        assert calls == ["ExperimentConfig"] * 30
+        for trial in trials:
+            assert trial.tags["base_key"] == trials[
+                trials.index(trial) - trial.tags["replicate"]
+            ].key
 
     def test_jsonable_roundtrip_preserves_identity(self):
         spec = tiny_campaign(sweep={"target_coverage": (0.2, 0.4)})

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.experiments.batch import BatchRunner, TrialSpec
+from repro.experiments.batch import BatchRunner, TrialSpec, replicate_specs
 from repro.experiments.campaign import PRESETS, preset
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.stats import group_replicates
@@ -49,7 +49,13 @@ def run_replicated(runner, specs, n):
     """Every spec ``n`` times through ``runner``; one group per spec."""
     if isinstance(specs, TrialSpec):
         specs = [specs]
-    expanded = [rep for spec in specs for rep in spec.replicates(n)]
+    expanded = [
+        rep
+        for spec in specs
+        for rep in replicate_specs(
+            spec.label, spec.config, n, group=spec.group, tags=spec.tags
+        )
+    ]
     return group_replicates(runner.run(expanded))
 
 

@@ -309,3 +309,41 @@ class TestOneConnection:
             "--cache-dir", str(tmp_path),
         ]) == 0
         assert len(connects) == 3
+
+
+class TestFrontDoorReadsEachTrialOnce:
+    """``run`` unpickles each trial of its campaign from the cache once."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        keys = []
+        real = ResultsStore.load_result
+
+        def load_result(self, key):
+            keys.append(key)
+            return real(self, key)
+
+        monkeypatch.setattr(ResultsStore, "load_result", load_result)
+        return keys
+
+    @staticmethod
+    def run(tmp_path, scenarios, *extra):
+        argv = [
+            "run", "--scenarios", scenarios, "--protocols", "dirq,atc",
+            "--replicates", "1", "--epochs", "30", "--workers", "1",
+            "--cache-dir", str(tmp_path), *extra,
+        ]
+        assert main(argv) == 0
+
+    def test_fresh_served_and_recorded_runs(self, tmp_path, loads, capsys):
+        self.run(tmp_path, "static-paper,churn-heavy")
+        assert len(loads) == len(set(loads)) == 4
+        loads.clear()
+        # A subset campaign: its two trials are cached but not yet its own.
+        self.run(tmp_path, "static-paper", "--require-cached")
+        assert len(loads) == len(set(loads)) == 2
+        loads.clear()
+        # Every trial already recorded: each is read once, none executes.
+        self.run(tmp_path, "static-paper,churn-heavy", "--require-cached")
+        assert len(loads) == len(set(loads)) == 4
+        assert "executed 0" in capsys.readouterr().out

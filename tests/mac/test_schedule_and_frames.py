@@ -8,11 +8,9 @@ class TestFrames:
     def test_broadcast_and_payload_flags(self):
         beacon = MACFrame(source=1, destination=BROADCAST)
         assert beacon.is_broadcast
-        assert not beacon.has_payload
         assert beacon.payload_kind == MAC_CONTROL_KIND
 
         data = MACFrame(
             source=1, destination=2, payload={"q": 1}, payload_kind="query"
         )
         assert not data.is_broadcast
-        assert data.has_payload

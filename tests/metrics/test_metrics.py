@@ -13,7 +13,7 @@ from repro.metrics.accuracy import (
     query_accuracy,
 )
 from repro.metrics.audit import QueryAudit
-from repro.metrics.cost import compare_costs, cost_breakdown, per_node_cost_share
+from repro.metrics.cost import compare_costs, cost_breakdown
 from repro.metrics.report import format_key_values, format_series, format_table
 from repro.metrics.series import SeriesSet, UpdateRateRecorder, WindowedCounter
 
@@ -36,7 +36,6 @@ class TestAudit:
         record = make_record(audit, 0, {1, 2}, {1, 2, 3}, {1, 2, 3, 4}, claims={1})
         assert record.spurious == {4}
         assert record.missed == set()
-        assert record.missed_sources == set()
         assert len(audit) == 1
         assert 0 in audit
 
@@ -140,7 +139,6 @@ class TestCost:
         assert breakdown.estimate_cost == 1.0
         assert breakdown.flood_cost == 1.0
         assert breakdown.total_dirq_cost == 5.0
-        assert breakdown.update_fraction == pytest.approx(3 / 5)
 
     def test_compare_costs_against_total_and_per_query(self):
         ledger = self.make_ledger()
@@ -153,10 +151,6 @@ class TestCost:
         assert cmp_perq.flooding_total == 10.0
         assert cmp_perq.dirq_per_query == pytest.approx(2.5)
 
-    def test_per_node_cost_share_sums_to_one(self):
-        shares = per_node_cost_share(self.make_ledger())
-        assert sum(shares.values()) == pytest.approx(1.0)
-
     def test_compare_costs_validation(self):
         with pytest.raises(ValueError):
             compare_costs(NetworkLedger(), 10.0, num_queries=-1)
@@ -168,8 +162,6 @@ class TestSeries:
         counter.close_window(0, running_total=10)
         counter.close_window(100, running_total=25)
         assert [p.value for p in counter.points] == [10.0, 15.0]
-        assert counter.total() == 25.0
-        assert counter.mean() == pytest.approx(12.5)
 
     def test_windowed_counter_rejects_out_of_order_windows(self):
         counter = WindowedCounter(100)
@@ -194,8 +186,6 @@ class TestSeries:
         counter.close_window(200, 32)
         series = SeriesSet(window_epochs=100)
         series.add_series("atc", counter.points)
-        series.add_reference("umax", 20.0)
-        assert series.mean_of("atc") == pytest.approx((10 + 10 + 12) / 3)
         assert series.fraction_within("atc", 9.0, 11.0) == pytest.approx(2 / 3)
         assert series.fraction_within("atc", 9.0, 11.0, skip_windows=1) == pytest.approx(0.5)
         starts, values = series.as_arrays("atc")

@@ -46,21 +46,11 @@ class TestSensorNode:
         assert node.has_sensor("temperature")
         assert node.sensor_types == ["temperature"]
         assert node.sample("temperature", 0) == 7.0
-        assert node.sample_all(0) == {"temperature": 7.0}
 
     def test_sampling_missing_sensor_raises(self):
         node = SensorNode(1, (0.0, 0.0))
         with pytest.raises(KeyError):
             node.sample("humidity", 0)
-
-    def test_detach_sensor(self, dataset):
-        from repro.sensors.sensor import Sensor
-
-        node = SensorNode(0, (0.0, 0.0))
-        node.attach_sensor(Sensor(0, "temperature", dataset))
-        assert node.detach_sensor("temperature") is True
-        assert node.detach_sensor("temperature") is False
-        assert node.sensor_types == []
 
     def test_attach_requires_sensor_type(self):
         node = SensorNode(0, (0.0, 0.0))

@@ -62,10 +62,6 @@ class TestTraversal:
         assert tree.path_to_root(4) == [4, 3, 2, 1, 0]
         assert tree.path_to_root(0) == [0]
 
-    def test_subtree_and_descendants(self, tree):
-        assert tree.subtree(2) == [2, 3, 4]
-        assert tree.descendants(2) == [3, 4]
-
     def test_leaves(self, tree):
         assert tree.leaves == [4]
 
@@ -81,11 +77,6 @@ class TestTraversal:
         levels = tree.levels()
         assert levels[0] == [0]
         assert levels[4] == [4]
-
-    def test_to_networkx_edges_point_parent_to_child(self, tree):
-        g = tree.to_networkx()
-        assert g.has_edge(0, 1)
-        assert not g.has_edge(1, 0)
 
 
 class TestRepair:

@@ -49,11 +49,13 @@ class TestBuildInstrumentation:
         assert inst.phases.enabled
         assert inst.tracer.enabled
 
-    def test_trace_flag_alone_keeps_seed_semantics(self):
-        inst = build_instrumentation(ExperimentConfig(trace=True))
-        assert inst.tracer.enabled
-        assert not inst.metrics.enabled
-        assert not inst.phases.enabled
+    def test_retired_trace_flag_is_rejected(self):
+        # The tracer turns on only with instrument="full"; the old flag is
+        # a deleted field, so passing it fails like any unknown field.
+        with pytest.raises(TypeError):
+            ExperimentConfig(trace=True)
+        with pytest.raises(TypeError):
+            ExperimentConfig().replace(trace=False)
 
     def test_config_rejects_unknown_instrument(self):
         with pytest.raises(ValueError, match="instrument"):

@@ -1,33 +1,48 @@
 """The performance half of the observability contract: metrics cost ~0.
 
-The design keeps metric accounting *out* of the hot loops -- components
-carry plain int counters harvested once per trial -- so running with the
-metrics registry enabled must stay within 2% of the uninstrumented
-engine smoke-bench workload (the same chained-event chain
-``benchmarks.bench_engine`` times).
+The design keeps metric accounting *out* of the hot loops: components
+carry plain int counters that the runner harvests once per trial, and the
+only per-event registry call is the guarded ``channel.fanout`` histogram.
+These tests pin that design by counting registry calls, not by timing
+them, so they cannot flake on a loaded host:
 
-Wall-clock assertions flake on loaded shared runners, so the comparison
-is interleaved (alternating arms so thermal/load drift hits both
-equally), uses the min over repeats (the noise-free floor), and retries
-the whole measurement before failing.
+* on the engine smoke-bench chain (the one ``benchmarks.bench_engine``
+  times), a metrics-enabled :class:`Simulator` executes the same events
+  and makes no registry call inside ``run()``;
+* on a real ATC trial, the run makes exactly one ``channel.fanout``
+  observation per broadcast before the harvest, and no other call.
 """
 
-import time
+from collections import Counter
 
+import pytest
+
+from repro.experiments.runner import ExperimentRunner
 from repro.obs.instrumentation import Instrumentation
 from repro.obs.metrics import MetricsRegistry
+from repro.scenarios.registry import build_config
 from repro.simulation.engine import Simulator
 
-#: The acceptance bound from the issue: metrics on costs < 2%.
-MAX_OVERHEAD = 0.02
-
 NUM_EVENTS = 30_000
-REPEATS = 5
-ATTEMPTS = 3
 
 
-def chained_events(instrumentation) -> float:
-    """The engine smoke-bench workload, returning its wall seconds."""
+@pytest.fixture
+def registry_calls(monkeypatch) -> Counter:
+    """Every ``MetricsRegistry`` recording call, keyed by (method, name)."""
+    calls: Counter = Counter()
+    for method in ("inc", "gauge_set", "observe"):
+        real = getattr(MetricsRegistry, method)
+
+        def counted(self, name, *args, _method=method, _real=real):
+            calls[(_method, name)] += 1
+            return _real(self, name, *args)
+
+        monkeypatch.setattr(MetricsRegistry, method, counted)
+    return calls
+
+
+def chained_events(instrumentation) -> Simulator:
+    """The engine smoke-bench workload: one event schedules the next."""
     sim = Simulator(instrumentation=instrumentation)
     count = 0
 
@@ -37,35 +52,35 @@ def chained_events(instrumentation) -> float:
         if count < NUM_EVENTS:
             sim.schedule_after(0.001, tick)
 
-    start = time.perf_counter()
     sim.schedule_at(0.0, tick)
     sim.run()
-    elapsed = time.perf_counter() - start
     assert count == NUM_EVENTS
-    return elapsed
+    return sim
 
 
-def measure_overhead() -> float:
-    """min-of-N metrics-on over metrics-off runtime, minus one."""
-    on = Instrumentation(metrics=MetricsRegistry(enabled=True))
-    chained_events(None)  # warm-up both code paths
-    chained_events(on)
-    best_off = float("inf")
-    best_on = float("inf")
-    for _ in range(REPEATS):
-        best_off = min(best_off, chained_events(None))
-        best_on = min(best_on, chained_events(on))
-    return best_on / best_off - 1.0
-
-
-def test_metrics_enabled_engine_overhead_below_two_percent():
-    overheads = []
-    for _ in range(ATTEMPTS):
-        overhead = measure_overhead()
-        overheads.append(overhead)
-        if overhead < MAX_OVERHEAD:
-            return
-    raise AssertionError(
-        f"metrics-enabled engine overhead exceeded {MAX_OVERHEAD:.0%} in "
-        f"{ATTEMPTS} attempts: {[f'{o:.2%}' for o in overheads]}"
+def test_metrics_enabled_engine_makes_no_registry_call(registry_calls):
+    plain = chained_events(None)
+    metered = chained_events(
+        Instrumentation(metrics=MetricsRegistry(enabled=True))
     )
+    assert metered.executed == plain.executed == NUM_EVENTS
+    assert registry_calls == Counter()
+
+
+def test_trial_observes_fanout_once_per_broadcast_before_harvest(
+    registry_calls, monkeypatch
+):
+    before_harvest = {}
+    real_harvest = ExperimentRunner._harvest_metrics
+
+    def harvest(self, world, **counts):
+        before_harvest.update(registry_calls)
+        before_harvest["broadcasts"] = world.channel.stats.broadcasts
+        return real_harvest(self, world, **counts)
+
+    monkeypatch.setattr(ExperimentRunner, "_harvest_metrics", harvest)
+    config = build_config("static-paper", 300, 1).with_atc()
+    ExperimentRunner(config.replace(instrument="metrics")).run()
+    broadcasts = before_harvest.pop("broadcasts")
+    assert broadcasts > 0
+    assert before_harvest == {("observe", "channel.fanout"): broadcasts}

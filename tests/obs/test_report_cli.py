@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.experiments.batch import config_hash
+from repro.experiments.campaign import preset
 from repro.obs import report
 from repro.obs.trace_export import validate_chrome_trace
 
@@ -11,6 +13,19 @@ from repro.obs.trace_export import validate_chrome_trace
 @pytest.fixture(autouse=True)
 def _isolate_cache_env(monkeypatch):
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+
+
+@pytest.mark.parametrize("num_epochs,seed", [(300, 1), (120, 7)])
+def test_headline_alias_is_the_headline_presets_atc_trial(num_epochs, seed):
+    (atc,) = [
+        trial
+        for trial in preset(
+            "headline", num_epochs=num_epochs, replicates=1, seed=seed
+        ).trial_specs()
+        if trial.tags["protocol"] == "atc"
+    ]
+    config = report._build_trial_config(report.HEADLINE, num_epochs, seed, None)
+    assert config_hash(config) == atc.key
 
 
 class TestTrialMode:

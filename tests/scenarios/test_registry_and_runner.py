@@ -17,7 +17,6 @@ from repro.scenarios.registry import (
     scenario_defs,
     scenario_names,
     scenario_spec,
-    scenario_sweep,
 )
 from repro.scenarios.spec import (
     ChurnConfig,
@@ -377,11 +376,10 @@ class TestScenarioRuns:
         assert bursty_result.num_queries != static_result.num_queries
 
     def test_scenarios_bit_identical_across_worker_counts(self):
-        specs = scenario_sweep(
-            ["churn-heavy", "mobile-40", "diurnal-60", "energy-tiered"],
-            num_epochs=120,
-            seed=9,
-        )
+        specs = [
+            scenario_spec(name, num_epochs=120, seed=9)
+            for name in ("churn-heavy", "mobile-40", "diurnal-60", "energy-tiered")
+        ]
         serial = [r.fingerprint() for r in serial_runner().run(specs)]
         parallel = [
             r.fingerprint()

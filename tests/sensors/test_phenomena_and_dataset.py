@@ -138,12 +138,6 @@ class TestSensorDataset:
         assert roc.shape == (small_dataset.num_nodes,)
         assert (roc >= 0).all()
 
-    def test_restrict_types(self, small_dataset):
-        only_t = small_dataset.restrict_types(["temperature"])
-        assert only_t.sensor_types == ["temperature"]
-        with pytest.raises(KeyError):
-            small_dataset.restrict_types(["nonexistent"])
-
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             SensorDataset(node_ids=[0, 0], readings={"t": np.zeros((5, 2))})

@@ -232,12 +232,6 @@ class TestRunUntilFastPath:
 
 
 class TestIntrospection:
-    def test_peek_time(self, sim):
-        assert sim.peek_time() is None
-        sim.schedule_at(3.0, lambda: None)
-        sim.schedule_at(1.0, lambda: None)
-        assert sim.peek_time() == 1.0
-
     def test_executed_counter_accumulates(self, sim):
         for i in range(3):
             sim.schedule_at(float(i), lambda: None)

@@ -28,7 +28,6 @@ class TestLifecycle:
         proc.start()
         proc.start()
         assert proc.started_count == 1
-        assert proc.started is True
 
     def test_requires_simulator(self):
         with pytest.raises(ValueError):

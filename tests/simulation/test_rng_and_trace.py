@@ -79,15 +79,6 @@ class TestTracer:
         # Counts still reflect every record ever seen.
         assert tracer.count("x") == 5
 
-    def test_filter_by_category_node_and_time(self):
-        tracer = Tracer()
-        tracer.record(1.0, "tx", node=1)
-        tracer.record(2.0, "tx", node=2)
-        tracer.record(3.0, "rx", node=1)
-        assert len(list(tracer.filter(category="tx"))) == 2
-        assert len(list(tracer.filter(node=1))) == 2
-        assert len(list(tracer.filter(since=2.0, until=3.0))) == 2
-
     def test_summary_and_clear(self):
         tracer = Tracer()
         tracer.record(1.0, "a")
