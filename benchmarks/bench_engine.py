@@ -24,13 +24,9 @@ workload                                       pre-PR2      PR2
 
 The 3.1x wall-clock improvement comes with bit-identical result
 fingerprints (see tests/experiments/test_fastpath_determinism.py).
-
-PR 10 adds a *columnar* arm: paired back-to-back brute/columnar runs of
-the same paper-network config in one process (``columnar_pairs``),
-asserting the arms' cost breakdowns and ledgers are identical before any
-timing is reported.  Pairing matters on the single-vCPU reference
-container — only same-pair ratios are comparable under host steal; see
-docs/vectorisation.md for the methodology and the recorded numbers.
+Production-path trial speed is measured by ``perfbench/``; the columnar
+tick's bit-identity with the per-node reference loop is checked by
+``tests/differential/``.
 """
 
 from __future__ import annotations
@@ -50,11 +46,6 @@ BASELINE_HEADLINE_20K_SECONDS = 30.8
 
 #: Post-PR2 wall-clock seconds of the same trial on the same container.
 FAST_HEADLINE_20K_SECONDS = 9.8
-
-#: Median per-pair brute/columnar CPU-time ratio of the 20 000-epoch
-#: headline trial on the reference container (PR 10; paired measurement,
-#: see docs/vectorisation.md — individual pairs ranged 1.4–2.1).
-COLUMNAR_HEADLINE_20K_RATIO = 1.8
 
 
 # ---------------------------------------------------------------------------
@@ -103,61 +94,6 @@ def epoch_drain(num_epochs: int = 20_000) -> Simulator:
         sim.run_until(float(epoch))
         sim.run_until(epoch + 0.5)
     return sim
-
-
-def columnar_pairs(num_epochs: int = 2_000, pairs: int = 1) -> dict:
-    """Paired brute/columnar timing of the headline-style trial.
-
-    Each pair runs both arms back to back in this process and times them
-    with ``time.process_time`` (CPU seconds), so host steal hits both arms
-    of a pair roughly equally and the per-pair ratio stays meaningful even
-    when absolute wall clocks swing.  Bit-identity of the arms is asserted
-    (fingerprint, cost breakdown, per-kind ledger) before any number is
-    reported.
-    """
-    import copy
-    import statistics
-
-    from repro.experiments.batch import TrialResult, TrialSpec
-    from repro.experiments.runner import run_experiment
-    from repro.scenarios.static import paper_network
-
-    base = paper_network(num_epochs=num_epochs, seed=1).with_atc()
-    arms = {
-        "brute": base.replace(tick_method="periodic"),
-        "columnar": base.replace(tick_method="columnar"),
-    }
-    timings = {"brute": [], "columnar": []}
-    prints = {}
-    for _ in range(pairs):
-        for label, cfg in arms.items():
-            spec = TrialSpec(label=f"bench[{label}]", config=cfg)
-            start = time.process_time()
-            raw = run_experiment(copy.deepcopy(spec.config))
-            timings[label].append(time.process_time() - start)
-            result = TrialResult.from_experiment(spec, raw)
-            obs = (
-                result.fingerprint(include_key=False),
-                result.breakdown,
-                result.ledger.breakdown_by_kind(),
-            )
-            if label in prints and prints[label] != obs:
-                raise AssertionError(f"{label} arm is not reproducible")
-            prints[label] = obs
-    if prints["brute"] != prints["columnar"]:
-        raise AssertionError(
-            "brute and columnar arms diverged: "
-            f"{prints['brute'][0]} vs {prints['columnar'][0]}"
-        )
-    ratios = [b / c for b, c in zip(timings["brute"], timings["columnar"])]
-    return {
-        "num_epochs": num_epochs,
-        "pairs": pairs,
-        "identical": True,
-        "brute_cpu_s": [round(t, 3) for t in timings["brute"]],
-        "columnar_cpu_s": [round(t, 3) for t in timings["columnar"]],
-        "median_pair_ratio": round(statistics.median(ratios), 3),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +224,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "deterministic": True,
             "fingerprints": first,
         }
-
-        try:
-            columnar = columnar_pairs(num_epochs=2_000, pairs=1)
-        except AssertionError as exc:
-            print(f"FAIL: columnar A/B: {exc}", file=sys.stderr)
-            return 1
-        print(
-            "columnar A/B: arms bit-identical at "
-            f"{columnar['num_epochs']} epochs, pair ratio "
-            f"{columnar['median_pair_ratio']}x "
-            f"(brute {columnar['brute_cpu_s'][0]}s CPU, "
-            f"columnar {columnar['columnar_cpu_s'][0]}s CPU)"
-        )
-        report["columnar"] = columnar
 
         if args.min_events_per_second > 0 and rate < args.min_events_per_second:
             print(

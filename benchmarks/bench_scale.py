@@ -1,6 +1,6 @@
 """Network-axis scaling: throughput and memory at N in {50, 500, 5000}.
 
-Tracks three things across revisions:
+Tracks two things across revisions:
 
 * **Epoch throughput + peak RSS per scale point** -- each point runs one
   full trial in a subprocess (so ``ru_maxrss`` is per-point, not
@@ -15,11 +15,11 @@ Tracks three things across revisions:
   (LMAC frames, sensing) is O(n) either way, so end-to-end trial time
   dilutes the O(n^2) -> O(k) neighbour win.  The recorded speedup is the
   acceptance number for the scaling work.
-* **A/B bit-identity** -- the fast path must be an implementation detail:
-  a mobile 500-node trial run through the all-pairs oracles
-  (``brute_network``) with ``tick_method="periodic"`` and with the
-  defaults must produce identical measurement fingerprints (config hash
-  excluded via ``fingerprint(include_key=False)``).
+
+Bit-identity of the fast paths with their references is the tests' job:
+``tests/scenarios/test_scale.py`` runs ``scale-500-mobile`` through the
+all-pairs oracles, and ``tests/differential/test_registry_ab.py`` through
+the per-node tick and frame beacons.
 
 Runs as pytest-benchmark timings::
 
@@ -49,7 +49,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import pytest
 
-from repro.experiments.batch import BatchRunner, TrialSpec
 from repro.experiments.runner import run_experiment
 from repro.metrics.report import format_table
 from repro.network.addresses import NodeId
@@ -57,7 +56,7 @@ from repro.network.spanning_tree import build_bfs_tree
 from repro.network.topology import Topology, random_geometric_topology
 from repro.scenarios.models import rebuild_spanning_tree
 from repro.scenarios.registry import build_config
-from tests.differential.reference import brute_network, full_rebuild_delta
+from tests.differential.reference import full_rebuild_delta
 
 from .conftest import BENCH_SEED, emit
 
@@ -87,10 +86,6 @@ MAINTENANCE_STEP_METRES = 2.0
 #: Timing repeats per arm; the minimum is recorded (the repeats replay an
 #: identical deterministic walk, so spread is scheduler noise, not work).
 MAINTENANCE_REPEATS = 3
-
-#: Scenario used for the fast-vs-brute bit-identity check.
-AB_SCENARIO = "scale-500-mobile"
-AB_EPOCHS = 60
 
 
 # ---------------------------------------------------------------------------
@@ -276,51 +271,6 @@ def maintenance_report(
 
 
 # ---------------------------------------------------------------------------
-# A/B bit-identity: fast path vs brute path
-# ---------------------------------------------------------------------------
-
-
-def ab_fingerprints(
-    scenario: str = AB_SCENARIO,
-    num_epochs: int = AB_EPOCHS,
-    seed: int = BENCH_SEED,
-) -> Dict[str, object]:
-    """Fingerprints of the same trial under every strategy axis.
-
-    Three arms: the fast defaults (spatial neighbours, the columnar epoch
-    tick), the brute reference on every axis (the all-pairs oracles of
-    ``brute_network``, the per-node ``"periodic"`` tick), and the columnar
-    tick pinned explicitly.  The config hashes legitimately differ (the
-    tick flag is part of the config), so the comparison uses
-    ``fingerprint(include_key=False)`` -- measurements only.
-    """
-    fast_cfg = build_config(scenario, num_epochs=num_epochs, seed=seed)
-    brute_cfg = fast_cfg.replace(tick_method="periodic")
-    columnar_cfg = fast_cfg.replace(tick_method="columnar")
-    runner = BatchRunner(max_workers=1, cache_dir="")
-    fast, columnar = runner.run(
-        [
-            TrialSpec(label="ab fast", config=fast_cfg),
-            TrialSpec(label="ab columnar", config=columnar_cfg),
-        ]
-    )
-    with pytest.MonkeyPatch.context() as patch:
-        brute_network(patch)
-        (brute,) = runner.run([TrialSpec(label="ab brute", config=brute_cfg)])
-    prints = {
-        "fast": fast.fingerprint(include_key=False),
-        "brute": brute.fingerprint(include_key=False),
-        "columnar": columnar.fingerprint(include_key=False),
-    }
-    return {
-        "scenario": scenario,
-        "epochs": num_epochs,
-        **prints,
-        "identical": len(set(prints.values())) == 1,
-    }
-
-
-# ---------------------------------------------------------------------------
 # pytest-benchmark timings
 # ---------------------------------------------------------------------------
 
@@ -373,22 +323,6 @@ def test_maintenance_path_speedup(benchmark):
     )
 
 
-def test_scale_ab_bit_identity(benchmark):
-    """Brute, fast, and columnar paths agree bit-for-bit on a mobile 500-node trial."""
-    report = benchmark.pedantic(
-        lambda: ab_fingerprints(), rounds=1, iterations=1
-    )
-    assert report["identical"], (
-        f"fast/brute/columnar fingerprints diverged on {report['scenario']}: "
-        f"{report['fast']} vs {report['brute']} vs {report['columnar']}"
-    )
-    emit(
-        "fast-vs-brute bit identity",
-        f"{report['scenario']}, {report['epochs']} epochs: "
-        f"fingerprint {report['fast']}",
-    )
-
-
 # ---------------------------------------------------------------------------
 # CLI mode (used by CI; also the producer of BENCH_scale.json)
 # ---------------------------------------------------------------------------
@@ -396,8 +330,8 @@ def test_scale_ab_bit_identity(benchmark):
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Network-axis scaling benchmark: throughput, memory, "
-        "maintenance speedup, and fast-vs-brute bit identity."
+        description="Network-axis scaling benchmark: throughput, memory "
+        "and maintenance speedup."
     )
     parser.add_argument(
         "--smoke",
@@ -490,23 +424,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("FAIL: maintenance arms produced different trees", file=sys.stderr)
         return 1
 
-    ab_epochs = 40 if args.smoke else AB_EPOCHS
-    ab = ab_fingerprints(num_epochs=ab_epochs, seed=args.seed)
-    print(
-        f"A/B {ab['scenario']} ({ab_epochs} epochs): "
-        f"fast {ab['fast']} brute {ab['brute']} columnar {ab['columnar']}"
-    )
-    if not ab["identical"]:
-        print("FAIL: fast/brute/columnar fingerprints differ", file=sys.stderr)
-        return 1
-    print("A/B: fast, brute, and columnar paths are bit-identical")
-
     report = {
         "epochs_per_point": num_epochs,
         "seed": args.seed,
         "points": report_points,
         "maintenance": maintenance,
-        "ab": ab,
     }
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -6,16 +6,12 @@ paper-scale experiments stay tractable.
 """
 
 import numpy as np
-import pytest
 
-from repro.core.config import DirQConfig
 from repro.core.messages import RangeQuery
 from repro.core.range_table import RangeTable
 from repro.network.channel import WirelessChannel
 from repro.network.topology import random_geometric_topology
 from repro.sensors.dataset import SensorDataset
-from repro.sensors.phenomena import PhenomenonField
-from repro.sensors.types import default_type_specs
 from repro.simulation.engine import Simulator
 
 

@@ -22,8 +22,6 @@ Run with::
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.analytical import flooding_cost_general
 from repro.core.config import DirQConfig, ThresholdMode
 from repro.core.dirq_root import DirQRoot

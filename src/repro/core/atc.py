@@ -40,6 +40,11 @@ from typing import Dict, Optional
 
 from .config import DirQConfig
 
+#: Weight of the newest per-epoch change in the controller's exponential
+#: rate-of-change estimate; the columnar tick
+#: (:mod:`repro.experiments.columnar`) applies the same recurrence.
+ROC_SMOOTHING = 0.05
+
 
 @dataclasses.dataclass
 class BudgetPlan:
@@ -154,7 +159,6 @@ class AdaptiveThresholdController:
         #: Exponential estimate of the local per-epoch rate of change, per type.
         self._rate_of_change: Dict[str, float] = {}
         self._last_reading: Dict[str, float] = {}
-        self._roc_smoothing = 0.05
         self._seeded: Dict[str, bool] = {}
 
     # -- inputs ------------------------------------------------------------------------
@@ -193,7 +197,7 @@ class AdaptiveThresholdController:
             self._rate_of_change[sensor_type] = change
         else:
             self._rate_of_change[sensor_type] = (
-                (1 - self._roc_smoothing) * roc + self._roc_smoothing * change
+                (1 - ROC_SMOOTHING) * roc + ROC_SMOOTHING * change
             )
         if not self._seeded.get(sensor_type) and self._hour_budget:
             self._seed_delta(sensor_type)

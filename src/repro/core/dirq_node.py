@@ -37,7 +37,7 @@ from .messages import (
     UpdateMessage,
 )
 from .protocol import DisseminationProtocol
-from .range_table import RangeTable, RangeTableSet
+from .range_table import RangeTableSet
 
 
 class DirQNode(DisseminationProtocol):
@@ -100,31 +100,26 @@ class DirQNode(DisseminationProtocol):
     def on_epoch(self, epoch: int) -> None:
         """Sample all local sensors and run the update trigger (Fig. 1-3).
 
-        This is the per-node reference loop, run when a trial pins
-        ``tick_method="periodic"``.  Every other DirQ trial applies the
-        same rule through :class:`repro.experiments.columnar.ColumnarTick`,
-        which ``tests/differential/`` holds bit-identical to this body.
+        For each sensor: sample, feed the ATC, fold the reading into the
+        own range (Fig. 1) and evaluate the trigger (Fig. 3).  This is the
+        readable reference of the epoch rule.  Trials apply the same rule
+        through :class:`repro.experiments.columnar.ColumnarTick`, which
+        ``tests/differential/`` holds bit-identical to this body.
         """
         if not self.alive:
             return
         self.current_epoch = epoch
+        atc = self.atc
         for sensor_type, sensor in self.node.sensors_sorted():
             table = self.tables.table(sensor_type, create=True)
-            self.tick_sensor(epoch, sensor_type, sensor, table)
-        atc = self.atc
+            reading = float(sensor.sample(epoch))
+            if atc is not None:
+                atc.on_reading(sensor_type, reading)
+            delta = self.current_delta(sensor_type)
+            table.observe_reading(reading, delta)
+            self._maybe_send_update(sensor_type, epoch, table=table, delta=delta)
         if atc is not None and epoch > 0 and epoch % self.config.atc_window_epochs == 0:
             atc.end_window()
-
-    def tick_sensor(
-        self, epoch: int, sensor_type: str, sensor, table: RangeTable
-    ) -> None:
-        """One sensor's epoch: sample, ATC, own range (Fig. 1), trigger (Fig. 3)."""
-        reading = float(sensor.sample(epoch))
-        if self.atc is not None:
-            self.atc.on_reading(sensor_type, reading)
-        delta = self.current_delta(sensor_type)
-        table.observe_reading(reading, delta)
-        self._maybe_send_update(sensor_type, epoch, table=table, delta=delta)
 
     # ------------------------------------------------------------------
     # Update mechanism (upward range propagation)

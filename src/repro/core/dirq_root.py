@@ -130,8 +130,6 @@ class DirQRoot(DirQNode):
             raise RuntimeError("cannot inject a query at a dead root")
         self.queries_injected += 1
         self._queries_this_hour += 1
-        if self.predictor is not None and hasattr(self.predictor, "observe_query"):
-            self.predictor.observe_query(query.epoch)
         table = self.tables.table(query.sensor_type)
         forwarded = 0
         if table is None:

@@ -109,10 +109,6 @@ class UpdateMessage:
                 f"update from {self.sender}: min_threshold exceeds max_threshold"
             )
 
-    @property
-    def range_tuple(self) -> Tuple[float, float]:
-        return (self.min_threshold, self.max_threshold)
-
 
 @dataclasses.dataclass(frozen=True)
 class EstimateMessage:

@@ -34,13 +34,6 @@ class Battery:
         """True once all energy has been consumed."""
         return self.remaining <= 0.0
 
-    @property
-    def fraction_remaining(self) -> float:
-        """Remaining energy as a fraction of capacity (1.0 for infinite)."""
-        if self.capacity == float("inf"):
-            return 1.0
-        return max(0.0, self.remaining / self.capacity)
-
     def draw(self, amount: float) -> bool:
         """Consume ``amount`` energy.
 

@@ -404,9 +404,9 @@ class TrialResult(HeadlineSummaries):
         Two runs of the same spec must produce equal fingerprints no matter
         how many workers executed the batch; runtime and cache provenance
         are excluded.  ``include_key=False`` drops the config hash from the
-        payload, for A/B comparisons between configs that differ only in an
-        implementation-strategy flag (e.g. ``tick_method``) and must
-        produce identical measurements.
+        payload, leaving only what the trial measured: the measurement pins
+        of ``tests/differential/`` and perfbench's reference digests use it,
+        so a digest survives any change that moves no measurement.
         """
         payload = {
             "key": self.spec.key if include_key else None,

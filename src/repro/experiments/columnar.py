@@ -1,15 +1,14 @@
 """Columnar epoch tick: vectorised sensing with bit-identical semantics.
 
-Every DirQ trial not pinned to ``tick_method="periodic"`` replaces the
-per-node Python sampling loop
-(:meth:`repro.core.dirq_node.DirQNode.on_epoch`) with one fused numpy pass
-over every ``(node, sensor_type)`` row of the alive set, fanning Python-
-level work out only for the rows whose reading escaped the own range or
-whose "no update due" memo is stale.  The fast path must be
-*bit-identical* to the brute loop -- the differential harness in
-``tests/differential/`` pins fingerprints, energy ledgers, update series,
-and scenario events against each other -- so the restructuring leans on
-three invariants:
+Every DirQ trial runs this tick in place of the per-node Python sampling
+loop (:meth:`repro.core.dirq_node.DirQNode.on_epoch`, the readable
+reference): one fused numpy pass over every ``(node, sensor_type)`` row of
+the alive set, fanning Python-level work out only for the rows whose
+reading escaped the own range or whose "no update due" memo is stale.  It
+must be *bit-identical* to the reference loop -- the differential harness
+in ``tests/differential/`` runs that loop as its oracle and pins
+fingerprints, energy ledgers, update series, and scenario events against
+it -- so the restructuring leans on three invariants:
 
 1. **Commutativity of the read pass.**  Sampling and ATC rate-of-change
    tracking touch only per-``(node, sensor_type)`` private state (the
@@ -36,12 +35,10 @@ three invariants:
    row falls through to the brute machinery, which recomputes the truth
    and re-arms the memo.
 
-Sensors that are not plain dataset-backed :class:`~repro.sensors.sensor.
-Sensor` instances (or ATC controllers with a non-standard smoothing
-factor) are handled as *fallback rows*: they run the reference body
-(:meth:`~repro.core.dirq_node.DirQNode.tick_sensor`) at their node-major
-position every epoch, so exotic test fixtures degrade to the reference
-semantics instead of breaking them.
+Every row reads the world's dataset directly, so every mounted sensor
+must be a plain dataset-backed :class:`~repro.sensors.sensor.Sensor` (the
+only kind the runner mounts); :meth:`ColumnarTick._rebuild` raises
+``TypeError`` for any other.
 
 Deferred state: per-row suppression tallies, sampling-counter increments,
 and the ATC rate-of-change/last-reading dictionaries are maintained in
@@ -58,6 +55,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.atc import ROC_SMOOTHING
 from ..core.config import DirQConfig
 from ..sensors.dataset import SensorDataset
 from ..sensors.sensor import Sensor
@@ -110,7 +108,6 @@ class ColumnarTick:
         self._row_tables: List = []
         self._row_stypes: List[str] = []
         self._row_atcs: List = []
-        self._fallback: List[Tuple] = []  # (k, stype, proto, sensor, table)
         self._count_buckets: List[Tuple] = []
         self._offsets = None
         self._lo = None
@@ -119,12 +116,11 @@ class ColumnarTick:
         self._memo_ok = None
         self._inside = None
         self._suppress = None
-        # Row indices (vec rows then fallback sentinels) pre-sorted into the
-        # brute fan-out order (alive-list position, sensor type); per epoch
-        # the fired subset is selected by permuting the not-suppressed mask.
+        # Row indices pre-sorted into the brute fan-out order (alive-list
+        # position, sensor type); per epoch the fired subset is selected by
+        # permuting the not-suppressed mask.
         self._order = None
-        self._notsup_ext = None  # size n + len(fallback); tail always True
-        self._notsup = None  # view of the first n entries
+        self._notsup = None
         self._pending_suppressed = None
         self._pending_epochs = 0
         self._cur = None
@@ -194,47 +190,35 @@ class ColumnarTick:
         row_atcs: List = []
         row_sensors: List = []
         row_ks: List[int] = []
-        fallback: List[Tuple] = []
-        fixed_rows: List[Tuple] = []  # (i, proto) for fixed-δ resolution
-        smoothing: Optional[float] = None
         for stype in sorted(by_type):
-            matrix = dataset.readings.get(stype)
             start = len(row_protos)
             cols: List[int] = []
             for k, proto, sensor, table in by_type[stype]:
-                ok = (
-                    matrix is not None
-                    and type(sensor) is Sensor
-                    and sensor.dataset is dataset
-                    and sensor.sensor_type == stype
-                )
-                atc = proto.atc
-                if ok and adaptive:
-                    ok = atc is not None
-                    if ok:
-                        if smoothing is None:
-                            smoothing = atc._roc_smoothing
-                        ok = atc._roc_smoothing == smoothing
-                if not ok:
-                    fallback.append((k, stype, proto, sensor, table))
-                    continue
-                i = len(row_protos)
+                if (
+                    type(sensor) is not Sensor
+                    or sensor.dataset is not dataset
+                    or sensor.sensor_type != stype
+                ):
+                    raise TypeError(
+                        f"node {proto.node_id} mounts {sensor!r} as "
+                        f"{stype!r}: the columnar tick reads only "
+                        "Sensor instances backed by the world's dataset"
+                    )
                 cols.append(dataset.column_of(sensor.node_id))
                 row_protos.append(proto)
                 row_tables.append(table)
                 row_stypes.append(stype)
-                row_atcs.append(atc)
+                row_atcs.append(proto.atc)
                 row_sensors.append(sensor)
                 row_ks.append(k)
-                if not adaptive:
-                    fixed_rows.append((i, proto))
-            end = len(row_protos)
-            if end > start:
-                segments.append(
-                    _TypeSegment(
-                        matrix, np.array(cols, dtype=np.intp), start, end
-                    )
+            segments.append(
+                _TypeSegment(
+                    dataset.readings[stype],
+                    np.array(cols, dtype=np.intp),
+                    start,
+                    len(row_protos),
                 )
+            )
 
         n = len(row_protos)
         self._n = n
@@ -243,17 +227,13 @@ class ColumnarTick:
         self._row_tables = row_tables
         self._row_stypes = row_stypes
         self._row_atcs = row_atcs
-        self._fallback = fallback
-        # Brute fan-out order: vec rows (type-major in the arrays) and
-        # fallback rows merged by (alive-list position, sensor type).
+        # Brute fan-out order: rows are type-major in the arrays, the loop
+        # visits them by (alive-list position, sensor type).
         keys = [(row_ks[i], row_stypes[i]) for i in range(n)]
-        keys.extend((row[0], row[1]) for row in fallback)
         self._order = np.array(
-            sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp
+            sorted(range(n), key=keys.__getitem__), dtype=np.intp
         )
-        notsup_ext = np.ones(len(keys), dtype=bool)
-        self._notsup_ext = notsup_ext
-        self._notsup = notsup_ext[:n]
+        self._notsup = np.ones(n, dtype=bool)
         self._count_buckets = [
             (s._counts, s._count_key)
             for s in row_sensors
@@ -274,7 +254,6 @@ class ColumnarTick:
         self._pending_suppressed = np.zeros(n, dtype=np.int64)
         self._cur = np.empty(n, dtype=float)
         self._tmp = np.empty(n, dtype=float)
-        self._smoothing = 0.05 if smoothing is None else smoothing
         if adaptive:
             last = np.full(n, np.nan)
             roc = np.full(n, np.nan)
@@ -298,16 +277,14 @@ class ColumnarTick:
             self._last = None
             self._roc = None
             self._unseeded = []
-            for i, proto in fixed_rows:
-                self._delta[i] = proto.current_delta(self._row_stypes[i])
+            for i, proto in enumerate(row_protos):
+                self._delta[i] = proto.current_delta(row_stypes[i])
 
         dirty = self._dirty
         dirty.clear()
         for i, table in enumerate(row_tables):
             table.observer = lambda i=i, dirty=dirty: dirty.add(i)
             self._refresh_row(i)
-        for row in fallback:
-            row[4].observer = None
 
         protos = self._protos
         self._scan = [
@@ -428,7 +405,7 @@ class ColumnarTick:
             if self._adaptive:
                 prev = self._last
                 tmp = self._tmp
-                s = self._smoothing
+                s = ROC_SMOOTHING
                 if self._nan_free:
                     # Steady state: every row has >= 2 readings, so the
                     # brute recurrence applies unconditionally.
@@ -464,9 +441,8 @@ class ColumnarTick:
             self._pending_suppressed += suppress
             self._pending_epochs += 1
             np.logical_not(suppress, out=self._notsup)
-            # Select the fired rows already permuted into brute order
-            # (fallback sentinel entries at the tail are always True).
-            fired = fired[self._notsup_ext[fired]]
+            # Select the fired rows already permuted into brute order.
+            fired = fired[self._notsup[fired]]
 
         if len(fired):
             vals = self._last if self._adaptive else self._cur
@@ -482,49 +458,24 @@ class ColumnarTick:
             # rows (update_child on a parent) stay dirty: a later row's
             # send re-adds any index discarded earlier in this loop.
             discard = self._dirty.discard
-            if not self._fallback:
-                # Hot path: one vectorised gather turns the fired rows'
-                # readings and inside flags into builtin floats/bools
-                # (ndarray.tolist round-trips float64 exactly, matching
-                # what Sensor.sample hands the brute loop), so the Python
-                # loop below touches no numpy scalars.
-                rvals = vals[fired].tolist()
-                rins = self._inside[fired].tolist()
-                for pos, i in enumerate(fired.tolist()):
-                    proto = row_protos[i]
-                    table = row_tables[i]
-                    reading = rvals[pos]
-                    d = delta[i]
-                    if not rins[pos]:
-                        table.observe_reading(reading, d)
-                    proto._maybe_send_update(
-                        row_stypes[i], epoch, table=table, delta=d
-                    )
-                    refresh(i)
-                    discard(i)
-            else:
-                # Fallback sentinels (indices >= n) cannot be gathered from
-                # the row arrays; keep the per-row extraction.
-                inside = self._inside
-                fallback = self._fallback
-                for i in fired.tolist():
-                    if i >= n:
-                        _k, stype, proto, sensor, table = fallback[i - n]
-                        proto.tick_sensor(epoch, stype, sensor, table)
-                        continue
-                    proto = row_protos[i]
-                    table = row_tables[i]
-                    # ndarray.item returns a builtin float, exactly what
-                    # Sensor.sample hands the brute loop.
-                    reading = vals.item(i)
-                    d = delta[i]
-                    if not inside[i]:
-                        table.observe_reading(reading, d)
-                    proto._maybe_send_update(
-                        row_stypes[i], epoch, table=table, delta=d
-                    )
-                    refresh(i)
-                    discard(i)
+            # One vectorised gather turns the fired rows' readings and
+            # inside flags into builtin floats/bools (ndarray.tolist
+            # round-trips float64 exactly, matching what Sensor.sample
+            # hands the brute loop), so the loop touches no numpy scalars.
+            rvals = vals[fired].tolist()
+            rins = self._inside[fired].tolist()
+            for pos, i in enumerate(fired.tolist()):
+                proto = row_protos[i]
+                table = row_tables[i]
+                reading = rvals[pos]
+                d = delta[i]
+                if not rins[pos]:
+                    table.observe_reading(reading, d)
+                proto._maybe_send_update(
+                    row_stypes[i], epoch, table=table, delta=d
+                )
+                refresh(i)
+                discard(i)
 
         if self._adaptive and epoch > 0 and epoch % self._window == 0:
             for p in self._protos:

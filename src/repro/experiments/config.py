@@ -118,15 +118,14 @@ class ExperimentConfig:
     #: Fields that postdate the original hash scheme: each is omitted from
     #: the canonical hash payload while ``None`` (see
     #: ``repro.experiments.batch._canonical``), so pre-existing configs
-    #: keep their cache keys.  ``phenomena_method`` / ``tick_method``
-    #: select strategies whose defaults are the production path, but a
-    #: config that pins one explicitly must hash differently so A/B runs
-    #: never alias in the result cache.  A config that sets a deleted
-    #: strategy field raises ``TypeError`` (see docs/scaling.md).
+    #: keep their cache keys.  ``phenomena_method`` selects a strategy
+    #: whose default is the production path, but a config that pins one
+    #: explicitly must hash differently so the two never alias in the
+    #: result cache.  A config that sets a deleted strategy field raises
+    #: ``TypeError`` (see docs/scaling.md).
     HASH_OMIT_WHEN_UNSET = (
         "scenario",
         "phenomena_method",
-        "tick_method",
     )
 
     #: Fields *always* excluded from the canonical hash payload, whatever
@@ -171,19 +170,9 @@ class ExperimentConfig:
     root_id: NodeId = 0
     #: Phenomena synthesis: ``None`` (= "exact" dense-Cholesky Gaussian
     #: field) or "lowrank" (random-Fourier-feature approximation, the only
-    #: tractable option at thousands of nodes).  Unlike ``tick_method``,
-    #: "lowrank" draws a *different* (approximate) field, so it is never a
-    #: silent default.
+    #: tractable option at thousands of nodes).  "lowrank" draws a
+    #: *different* (approximate) field, so it is never a silent default.
     phenomena_method: Optional[str] = None
-    #: Epoch-tick strategy: ``None`` (= "columnar": one numpy pass per
-    #: sensor type over the alive set, fanning out Python-level work only
-    #: for threshold crossings, with LMAC's beacon fast path) or
-    #: "periodic" (the per-node reference loop, ``DirQNode.on_epoch``,
-    #: with frame beacons).  Flooding always runs the per-node loop.
-    #: Bit-identical results either way -- the differential harness in
-    #: ``tests/differential/`` pins the two paths against each other by
-    #: trial fingerprint, energy ledger, and scenario events.
-    tick_method: Optional[str] = None
     #: Observability level: ``None`` (off), "metrics", or "full".  Listed
     #: in HASH_EXCLUDE above -- never part of hashes or fingerprints.
     instrument: Optional[str] = None
@@ -211,11 +200,6 @@ class ExperimentConfig:
             raise ValueError(
                 "phenomena_method must be None, 'exact', or 'lowrank', "
                 f"got {self.phenomena_method!r}"
-            )
-        if self.tick_method not in (None, "periodic", "columnar"):
-            raise ValueError(
-                "tick_method must be None, 'periodic', or 'columnar', "
-                f"got {self.tick_method!r}"
             )
         if self.instrument not in (None, "metrics", "full"):
             raise ValueError(

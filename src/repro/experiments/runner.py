@@ -545,18 +545,12 @@ class ExperimentRunner:
 
         # Every DirQ trial ticks columnar: one numpy pass per sensor type
         # instead of the per-node on_epoch loop, bit-identical by
-        # construction (see repro.experiments.columnar).  Only
-        # tick_method="periodic" pins the per-node reference loop, and
-        # flooding has no sampling loop to vectorise.
+        # construction (see repro.experiments.columnar).  Flooding has no
+        # sampling loop to vectorise.
         columnar: Optional[ColumnarTick] = None
-        if is_dirq and cfg.tick_method != "periodic":
+        if is_dirq:
             columnar = ColumnarTick(world.dataset, cfg.dirq)
             columnar.set_protocols(alive_protocols)
-            # The columnar tick pairs with steady-state beacon batching:
-            # provably-identical beacon ticks skip frame and delivery-event
-            # construction (see LMACProtocol._try_fast_beacon).
-            for mac in world.macs.values():
-                mac.fast_beacons = True
 
         # Phase profiling ("full" instrumentation only).  ``begin`` both
         # opens a phase and closes the previous one, so the loop below

@@ -16,7 +16,6 @@ from ..core.analytical import (
     AnalyticalRow,
     analytical_table,
     build_kary_tree,
-    f_max,
     flooding_cost,
     flooding_cost_by_enumeration,
     max_query_cost_by_enumeration,

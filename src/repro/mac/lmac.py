@@ -25,6 +25,18 @@ occupancy bookkeeping.  Waiting for the node's own slot is modelled as the
 constant ``_mac_access_delay``, and beacons -- which in LMAC ride in every
 owned slot -- are coarsened to one per ``beacon_interval`` epochs.  The
 per-node RNG draws exactly one value: the start-up beacon phase.
+
+Beacon fast path
+----------------
+Every beacon tick first tries :meth:`LMACProtocol._try_fast_beacon`: when
+the beacon's effects are provably only the steady-state bookkeeping
+(lossless channel, tracer off, delivery inside the same runner window,
+LMAC receivers whose own beacons do not fire in the propagation window),
+it applies the charges and neighbour-table writes directly, with no frame
+and no delivery event.  Otherwise the tick sends a frame beacon
+(:meth:`LMACProtocol._emit_beacon`), the readable reference that the
+differential harness's oracle (``tests/differential/reference.py``)
+forces on every tick.
 """
 
 from __future__ import annotations
@@ -133,12 +145,7 @@ class LMACProtocol(SimProcess):
         self.beacons_sent = 0
         # Beacons carry no state, so one immutable frame serves them all.
         self._beacon = MACFrame(source=node_id, destination=BROADCAST, payload_bytes=8)
-        #: Opt-in steady-state beacon batching (columnar tick mode).  When
-        #: enabled, a beacon tick whose every observable effect is provably
-        #: the steady-state bookkeeping applies those effects directly --
-        #: no frame object, no delivery event, no per-receiver dispatch.
-        #: See _try_fast_beacon for the eligibility proof obligations.
-        self.fast_beacons = False
+        # Delivery plan of the beacon fast path (see _try_fast_beacon).
         self._beacon_plan: Optional[_BeaconPlan] = None
         self._mac_access_delay = 1e-4
         # Per-kind transmit labels, built once: send() runs for every frame
@@ -220,7 +227,7 @@ class LMACProtocol(SimProcess):
     def _beacon_tick(self) -> None:
         if not self.channel.is_alive(self.node_id):
             return
-        if not (self.fast_beacons and self._try_fast_beacon()):
+        if not self._try_fast_beacon():
             self._emit_beacon()
         self._check_dead_neighbors()
         self.set_timer("beacon", self.beacon_interval, self._beacon_tick)

@@ -124,7 +124,7 @@ class ReplicateSummary:
         return f"{mean} ± {float_format.format(self.ci_halfwidth)} [n={self.n}]"
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable payload; round-trips through :meth:`from_dict`."""
+        """JSON-serialisable payload (the campaign exports' group cells)."""
         return {
             "metric": self.metric,
             "n": self.n,
@@ -135,23 +135,6 @@ class ReplicateSummary:
             "maximum": self.maximum,
             "confidence": self.confidence,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "ReplicateSummary":
-        return cls(
-            metric=str(payload["metric"]),
-            n=int(payload["n"]),
-            mean=float(payload["mean"]),
-            std=float(payload["std"]),
-            ci_halfwidth=(
-                None
-                if payload["ci_halfwidth"] is None
-                else float(payload["ci_halfwidth"])
-            ),
-            minimum=float(payload["minimum"]),
-            maximum=float(payload["maximum"]),
-            confidence=float(payload["confidence"]),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -150,15 +150,6 @@ class SpanningTree:
             involved.update(self.path_to_root(src))
         return involved
 
-    def levels(self) -> Dict[int, List[NodeId]]:
-        """Mapping depth -> sorted nodes at that depth."""
-        by_level: Dict[int, List[NodeId]] = {}
-        for node in self.parent:
-            by_level.setdefault(self.depth_of(node), []).append(node)
-        for nodes in by_level.values():
-            nodes.sort()
-        return by_level
-
     # -- maintenance ----------------------------------------------------------------
 
     def repair(self, topology: Topology, alive: Set[NodeId]) -> "SpanningTree":

@@ -97,38 +97,11 @@ class SpatialHash:
     def insert(self, node_id: NodeId, position: Position) -> None:
         """Add a node (raises if it is already indexed)."""
         if node_id in self._cell_of:
-            raise ValueError(f"node {node_id} already indexed; use move()")
+            raise ValueError(f"node {node_id} already indexed")
         pos = (float(position[0]), float(position[1]))
         cell = self.cell_for(pos)
         self._buckets.setdefault(cell, set()).add(node_id)
         self._cell_of[node_id] = cell
-        self._positions[node_id] = pos
-
-    def remove(self, node_id: NodeId) -> None:
-        """Drop a node from the index (raises if unknown)."""
-        cell = self._cell_of.pop(node_id, None)
-        if cell is None:
-            raise KeyError(f"unknown node {node_id}")
-        bucket = self._buckets[cell]
-        bucket.discard(node_id)
-        if not bucket:
-            del self._buckets[cell]
-        del self._positions[node_id]
-
-    def move(self, node_id: NodeId, position: Position) -> None:
-        """Update a node's position (cheap when it stays in its cell)."""
-        old_cell = self._cell_of.get(node_id)
-        if old_cell is None:
-            raise KeyError(f"unknown node {node_id}")
-        pos = (float(position[0]), float(position[1]))
-        new_cell = self.cell_for(pos)
-        if new_cell != old_cell:
-            bucket = self._buckets[old_cell]
-            bucket.discard(node_id)
-            if not bucket:
-                del self._buckets[old_cell]
-            self._buckets.setdefault(new_cell, set()).add(node_id)
-            self._cell_of[node_id] = new_cell
         self._positions[node_id] = pos
 
     # -- structure -----------------------------------------------------------

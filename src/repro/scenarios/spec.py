@@ -334,17 +334,3 @@ class ScenarioConfig:
                 "churn/mobility/traffic/energy (use scenario=None for a "
                 "fully static run)"
             )
-
-    @property
-    def dimensions(self) -> Tuple[str, ...]:
-        """The dynamic dimensions this scenario exercises, in canonical order."""
-        out = []
-        if self.churn is not None:
-            out.append("churn")
-        if self.mobility is not None:
-            out.append("mobility")
-        if self.traffic is not None:
-            out.append("traffic")
-        if self.energy is not None:
-            out.append("energy")
-        return tuple(out)

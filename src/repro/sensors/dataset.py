@@ -134,17 +134,6 @@ class SensorDataset:
         arr = self.readings[sensor_type]
         return float(arr.min()), float(arr.max())
 
-    def rate_of_change(self, sensor_type: str) -> np.ndarray:
-        """Mean absolute per-epoch change for every node (dataset order).
-
-        This is the per-node "rate of variation of the measured physical
-        parameter" that the ATC mechanism conditions on.
-        """
-        arr = self.readings[sensor_type]
-        if arr.shape[0] < 2:
-            return np.zeros(arr.shape[1])
-        return np.abs(np.diff(arr, axis=0)).mean(axis=0)
-
     def matching_nodes(
         self, sensor_type: str, epoch: int, low: float, high: float
     ) -> List[NodeId]:

@@ -100,7 +100,6 @@ class Simulator:
         self._seq = 0
         self._executed = 0
         self._running = False
-        self._stop_requested = False
         #: Cancelled events still sitting in the heap.
         self._cancelled_in_heap = 0
         #: Lifetime totals harvested into metrics at trial end: the hot
@@ -261,10 +260,6 @@ class Simulator:
             self.clock._advance(until)
         return executed
 
-    def stop(self) -> None:
-        """Request the current :meth:`run`/:meth:`run_until` loop to stop."""
-        self._stop_requested = True
-
     # -- internals ---------------------------------------------------------
 
     def _discard_cancelled_head(self) -> None:
@@ -305,7 +300,6 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
-        self._stop_requested = False
         executed = 0
         # The heap list object is stable: _compact rewrites it in place, so
         # this local alias stays valid even if a callback triggers compaction.
@@ -314,8 +308,6 @@ class Simulator:
         clock = self.clock
         try:
             while True:
-                if self._stop_requested:
-                    break
                 if max_events is not None and executed >= max_events:
                     break
                 while heap and heap[0][3].cancelled:

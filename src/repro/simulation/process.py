@@ -102,11 +102,6 @@ class SimProcess:
             return False
         return handle.cancel()
 
-    def timer_pending(self, name: str) -> bool:
-        """Whether a timer with this name is currently armed."""
-        handle = self._timers.get(name)
-        return handle is not None and not handle.cancelled
-
     def cancel_all_timers(self) -> int:
         """Cancel every pending timer; returns how many were cancelled."""
         cancelled = 0

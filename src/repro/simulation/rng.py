@@ -117,9 +117,5 @@ class RandomStreams:
             raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
         return int(seed) ^ _stable_stream_key(name)
 
-    def spawn(self, name: str) -> "RandomStreams":
-        """Derive a child factory (e.g. one per replication of a sweep)."""
-        return RandomStreams(self.derive_seed(self._seed, name))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomStreams(seed={self._seed}, streams={sorted(self._cache)})"

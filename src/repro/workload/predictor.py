@@ -52,13 +52,8 @@ class QueryRatePredictor:
         self._level: Optional[float] = None
         self._trend = 0.0
         self._history: Deque[float] = deque(maxlen=history)
-        self._queries_seen = 0
 
     # -- observation ---------------------------------------------------------
-
-    def observe_query(self, epoch: int | None = None) -> None:
-        """Count one injected query (optional; used for diagnostics only)."""
-        self._queries_seen += 1
 
     def record(self, queries_in_hour: float) -> None:
         """Record the realised number of queries in the hour that just ended."""
@@ -94,10 +89,6 @@ class QueryRatePredictor:
     def history(self) -> list[float]:
         """Realised per-hour counts, oldest first."""
         return list(self._history)
-
-    @property
-    def total_queries_seen(self) -> int:
-        return self._queries_seen
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

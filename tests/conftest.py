@@ -14,7 +14,6 @@ from .helpers import (
     build_mini_world,
     constant_dataset,
     line_topology,
-    ramp_dataset,
     star_topology,
 )
 

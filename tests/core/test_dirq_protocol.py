@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import DirQConfig
-from repro.core.messages import RangeQuery, UpdateMessage
+from repro.core.messages import RangeQuery
 from repro.workload.ground_truth import evaluate_query
 
 from ..helpers import (
@@ -11,7 +11,6 @@ from ..helpers import (
     constant_dataset,
     line_topology,
     ramp_dataset,
-    star_topology,
 )
 
 

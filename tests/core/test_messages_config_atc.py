@@ -33,10 +33,6 @@ class TestRangeQuery:
 
 
 class TestOtherMessages:
-    def test_update_message_range_tuple(self):
-        msg = UpdateMessage(3, "humidity", 40.0, 55.0, epoch=7)
-        assert msg.range_tuple == (40.0, 55.0)
-
     def test_update_message_validation(self):
         with pytest.raises(ValueError):
             UpdateMessage(3, "humidity", 55.0, 40.0)

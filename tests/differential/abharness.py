@@ -1,47 +1,54 @@
-"""Columnar-vs-brute A/B harness.
+"""Production-vs-reference A/B harness.
 
-The columnar epoch tick (what every DirQ trial runs unless it pins
-``tick_method="periodic"``) is a pure implementation strategy: every
-observable of a trial -- the cost breakdown, the per-window update series,
-the query audit, the energy ledger down to per-(kind, direction) entries,
-ATC's δ history, scenario telemetry -- must be *bit-identical* to the
-brute per-node loop.  The brute arm therefore always pins ``"periodic"``:
-an unset config would run columnar and compare the fast path with itself.
+Every trial runs the columnar epoch tick and LMAC's beacon fast path.
+Both are pure implementation strategies: every observable of a trial --
+the cost breakdown, the per-window update series, the query audit, the
+energy ledger down to per-(kind, direction) entries, ATC's δ history,
+scenario telemetry -- must be *bit-identical* to the readable references,
+the per-node ``on_epoch`` loop and frame beacons.  The reference arm runs
+the same config under :func:`tests.differential.reference.reference_tick`,
+so both arms share one cache key and differ only in the code that ran.
 This module is the single definition of "identical": it runs both arms of
 a configuration and either returns the list of observables that disagree
 (empty = equivalent) or asserts equivalence with a per-observable diff.
 
-The catch-all instrument is :meth:`TrialResult.fingerprint` with
-``include_key=False`` (the two arms hash differently by design -- the
-flag enters the cache key when set -- but must measure identically), the
-same digest the batch cache and the campaign store use for bit-identity
-guarantees.  The granular comparisons exist so a regression fails on the
-*first* observable that diverges, with both values printed, instead of on
-an opaque digest.
+The catch-all instrument is :meth:`TrialResult.fingerprint`, key
+included since both arms share it: the same digest the batch cache and
+the campaign store use for bit-identity guarantees.  The granular
+comparisons exist so a regression fails on the *first* observable that
+diverges, with both values printed, instead of on an opaque digest.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import List, Optional, Tuple
+from typing import List, Tuple
+
+import pytest
 
 from repro.experiments.batch import TrialResult, TrialSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 
+from .reference import reference_tick
 
-def run_arm(config: ExperimentConfig, tick_method: Optional[str]) -> TrialResult:
+
+def run_arm(config: ExperimentConfig, reference: bool = False) -> TrialResult:
     """Run one arm of the A/B pair and distil it into a `TrialResult`.
 
-    Mirrors the batch worker entry point: the spec snapshots the config,
-    and the runner gets a private deep copy so mutations during the build
-    (``dirq.full_scale`` filled from the dataset) never leak between arms.
+    ``reference=True`` runs the trial under :func:`reference_tick`; the
+    default runs the production path.  Mirrors the batch worker entry
+    point: the spec snapshots the config, and the runner gets a private
+    deep copy so mutations during the build (``dirq.full_scale`` filled
+    from the dataset) never leak between arms.
     """
     spec = TrialSpec(
-        label=f"ab[{tick_method or 'unset'}]",
-        config=config.replace(tick_method=tick_method),
+        label="reference" if reference else "production", config=config
     )
-    result = run_experiment(copy.deepcopy(spec.config))
+    with pytest.MonkeyPatch.context() as patch:
+        if reference:
+            reference_tick(patch)
+        result = run_experiment(copy.deepcopy(spec.config))
     return TrialResult.from_experiment(spec, result)
 
 
@@ -82,24 +89,22 @@ def mismatched_observables(
     config: ExperimentConfig,
 ) -> Tuple[List[str], TrialResult, TrialResult]:
     """Run both arms; return the names of observables that differ."""
-    brute = run_arm(config, "periodic")
-    columnar = run_arm(config, "columnar")
+    reference = run_arm(config, reference=True)
+    production = run_arm(config)
     bad = [
         name
         for name, extract in OBSERVABLES
-        if extract(brute) != extract(columnar)
+        if extract(reference) != extract(production)
     ]
-    if brute.fingerprint(include_key=False) != columnar.fingerprint(
-        include_key=False
-    ):
+    if reference.fingerprint() != production.fingerprint():
         bad.append("fingerprint")
-    return bad, brute, columnar
+    return bad, reference, production
 
 
 def assert_bit_identical(config: ExperimentConfig, context: str = "") -> None:
-    """Assert columnar == brute on every observable, diffing the first."""
+    """Assert production == reference on every observable, diffing the first."""
     prefix = f"{context}: " if context else ""
-    bad, brute, columnar = mismatched_observables(config)
+    bad, reference, production = mismatched_observables(config)
     if not bad:
         return
     name = bad[0]
@@ -107,11 +112,11 @@ def assert_bit_identical(config: ExperimentConfig, context: str = "") -> None:
     detail = ""
     if extract is not None:
         detail = (
-            f"\n  brute:    {extract(brute)!r}"
-            f"\n  columnar: {extract(columnar)!r}"
+            f"\n  reference:  {extract(reference)!r}"
+            f"\n  production: {extract(production)!r}"
         )
     raise AssertionError(
-        f"{prefix}columnar tick diverged from the brute loop on "
+        f"{prefix}production path diverged from the reference on "
         f"{bad} (config={describe(config)}){detail}"
     )
 

@@ -1,9 +1,15 @@
 """Reference implementations kept as test oracles.
 
-Each mechanism below DirQ has one production path in ``src/``.  The
-formulations it replaced survive here, where tests (and the A/B arms of
-``benchmarks/bench_scale.py``) compare the production path against them:
+Each mechanism has one production path in ``src/``.  The formulations it
+replaced survive here, or are selected from here, where tests compare the
+production path against them:
 
+* **Epoch tick and beacons.**  :func:`reference_tick` runs a whole trial
+  on the readable references that stay in ``src/``: the per-node
+  :meth:`DirQNode.on_epoch` loop (through :class:`PerNodeTick`) instead of
+  the columnar tick, and a frame beacon
+  (:meth:`LMACProtocol._emit_beacon`) on every beacon tick instead of the
+  beacon fast path.
 * **Connectivity.**  :func:`all_pairs_graph` checks every pair with the
   shared :func:`~repro.network.links.within_range` predicate and inserts
   the edges through networkx's public API; :func:`full_rebuild_delta`
@@ -24,12 +30,47 @@ from typing import Dict, List, Set, Tuple
 
 import networkx as nx
 
+from repro.experiments import runner as runner_module
+from repro.mac.lmac import LMACProtocol
 from repro.network import topology as topology_module
 from repro.network.addresses import NodeId
 from repro.network.channel import WirelessChannel
 from repro.network.links import Position, within_range
 from repro.network.topology import Topology
 from repro.simulation.events import EventPriority
+
+
+class PerNodeTick:
+    """The runner's per-node epoch loop, in :class:`ColumnarTick`'s shape.
+
+    Each epoch calls ``on_epoch`` on every protocol of the sorted alive
+    list the runner installs; it defers nothing, so ``finalize`` has
+    nothing to flush.
+    """
+
+    def __init__(self, dataset, dirq_config):
+        self._protocols: List = []
+
+    def set_protocols(self, protocols: List) -> None:
+        self._protocols = list(protocols)
+
+    def tick(self, epoch: int) -> None:
+        for proto in self._protocols:
+            proto.on_epoch(epoch)
+
+    def finalize(self) -> None:
+        pass
+
+
+def reference_tick(monkeypatch) -> None:
+    """Run every trial on the per-node tick and frame beacons.
+
+    Patches the runner's :class:`ColumnarTick` to :class:`PerNodeTick`
+    and makes every :meth:`LMACProtocol._try_fast_beacon` decline, for the
+    rest of the test (or ``MonkeyPatch`` context).
+    """
+    monkeypatch.setattr(runner_module, "ColumnarTick", PerNodeTick)
+    monkeypatch.setattr(LMACProtocol, "_try_fast_beacon", lambda mac: False)
 
 
 def brute_edges(

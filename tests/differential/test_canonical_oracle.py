@@ -39,7 +39,7 @@ def test_every_preset_cell(name):
 
 def test_excluded_and_pinned_fields():
     assert_same_payload(ExperimentConfig(instrument="full"))
-    assert_same_payload(ExperimentConfig(tick_method="periodic"))
+    assert_same_payload(ExperimentConfig(phenomena_method="lowrank"))
 
 
 def test_retired_fields_keep_their_one_value():

@@ -42,5 +42,5 @@ EPOCHS = {"scale-500-mobile": 60}
 @pytest.mark.parametrize("cell,protocol", sorted(DYNAMIC_DIGESTS), ids=str)
 def test_dynamic_cell_measurements_are_pinned(cell, protocol):
     config = PROTOCOLS[protocol](build_config(cell, EPOCHS.get(cell, 400), 1))
-    result = run_arm(config, None)
+    result = run_arm(config)
     assert result.fingerprint(include_key=False) == DYNAMIC_DIGESTS[(cell, protocol)]

@@ -1,10 +1,11 @@
 """Batch-sampling edge cases for the columnar tick.
 
 The columnar pass gathers rows for the *alive* protocol set and rebuilds
-on topology change; these tests pin the awkward boundaries: nodes dying
-and reviving mid-run (scripted and churn-driven), nodes that mount no
-sensor of the queried type, the minimal legal network, and the lowrank
-phenomena field (the large-N synthesis path) under columnar reads.
+on topology change; these tests pin the awkward boundaries against the
+per-node reference: nodes dying and reviving mid-run (scripted and
+churn-driven), nodes that mount no sensor of the queried type, the minimal
+legal network, the lowrank phenomena field (the large-N synthesis path)
+under columnar reads, and a sensor the columnar pass cannot read.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.config import ExperimentConfig, TopologyEvent
+from repro.experiments.runner import ExperimentRunner
 from repro.scenarios.spec import ChurnConfig, ScenarioConfig
 from repro.scenarios.static import small_network
 from repro.sensors.types import HUMIDITY, LIGHT, TEMPERATURE
@@ -76,10 +78,32 @@ class TestMinimalNetworks:
         assert_bit_identical(cfg, context="n=2")
 
     def test_single_node_network_rejected_in_both_arms(self):
-        """n=1 is a config error, not a columnar special case."""
-        for method in ("periodic", "columnar"):
-            with pytest.raises(ValueError, match="num_nodes"):
-                ExperimentConfig(num_nodes=1, tick_method=method)
+        """n=1 is a config error, not a columnar special case: the config
+        both arms would run is refused before either runs."""
+        with pytest.raises(ValueError, match="num_nodes"):
+            ExperimentConfig(num_nodes=1)
+
+
+class _ScaledSensor:
+    """A sensor that is not dataset-backed: it rescales another's reading."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.sensor_type = inner.sensor_type
+
+    def sample(self, epoch):
+        return 2.0 * self.inner.sample(epoch)
+
+
+def test_a_sensor_the_columnar_pass_cannot_read_fails_loudly():
+    """The columnar rows gather from the world's dataset, so a mounted
+    sensor of any other kind is refused when the rows are built, instead
+    of falling back to the per-node body."""
+    runner = ExperimentRunner(small_network(num_nodes=6, num_epochs=20))
+    node = runner.build().nodes[3]
+    node.attach_sensor(_ScaledSensor(node.sensors_sorted()[0][1]))
+    with pytest.raises(TypeError, match="node 3"):
+        runner.run()
 
 
 class TestPhenomenaField:
@@ -102,14 +126,11 @@ class TestPhenomenaField:
         """Guard the guard: lowrank is an *approximation*, so the two
         synthesis methods must not silently alias (if they did, the
         lowrank A/B above would not be testing a distinct code path)."""
-        exact = run_arm(
-            small_network(num_nodes=16, num_epochs=200), "columnar"
-        )
+        exact = run_arm(small_network(num_nodes=16, num_epochs=200))
         lowrank = run_arm(
             small_network(num_nodes=16, num_epochs=200).replace(
                 phenomena_method="lowrank"
-            ),
-            "columnar",
+            )
         )
         assert exact.fingerprint(include_key=False) != lowrank.fingerprint(
             include_key=False

@@ -17,14 +17,13 @@ the sequence.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.dirq_node import DirQNode
 from repro.experiments.runner import run_experiment
 from repro.scenarios.static import small_network
 from repro.sensors.types import HUMIDITY, LIGHT, PRESSURE, TEMPERATURE
 
 from tests.differential.abharness import assert_bit_identical
+from tests.differential.reference import reference_tick
 
 NUM_NODES = 12
 
@@ -47,7 +46,7 @@ def _config():
     )
 
 
-def _crossing_sequence(monkeypatch, config, tick_only=False):
+def _crossing_sequence(monkeypatch, config, reference=False, tick_only=False):
     """Run one arm, recording every (epoch, node, sensor_type) call.
 
     Epoch-tick crossings pass ``table=``/``delta=`` (both the brute loop
@@ -75,6 +74,8 @@ def _crossing_sequence(monkeypatch, config, tick_only=False):
         return original(self, sensor_type, epoch, **kwargs)
 
     monkeypatch.setattr(DirQNode, "_maybe_send_update", spy)
+    if reference:
+        reference_tick(monkeypatch)
     try:
         run_experiment(config)
     finally:
@@ -85,12 +86,8 @@ def _crossing_sequence(monkeypatch, config, tick_only=False):
 class TestCrossingOrder:
     def test_columnar_sequence_equals_brute_sequence(self, monkeypatch):
         cfg = _config()
-        brute = _crossing_sequence(
-            monkeypatch, cfg.replace(tick_method="periodic")
-        )
-        columnar = _crossing_sequence(
-            monkeypatch, cfg.replace(tick_method="columnar")
-        )
+        brute = _crossing_sequence(monkeypatch, cfg, reference=True)
+        columnar = _crossing_sequence(monkeypatch, cfg)
         assert brute, "the spy should observe at least one crossing"
         assert columnar == brute
 
@@ -98,7 +95,7 @@ class TestCrossingOrder:
         """Pin the reference semantics the columnar path must mirror:
         within an epoch, crossings are sorted by (node id, sensor type)."""
         seq = _crossing_sequence(
-            monkeypatch, _config().replace(tick_method="periodic"), tick_only=True
+            monkeypatch, _config(), reference=True, tick_only=True
         )
         per_epoch = {}
         for epoch, nid, stype in seq:

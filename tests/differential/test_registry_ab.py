@@ -1,10 +1,10 @@
-"""Columnar-vs-brute A/B over a representative registry slice.
+"""Production-vs-reference A/B over a representative registry slice.
 
 One granular test per scenario (serial, in-process, per-observable diffs)
-plus a batch-level run through :class:`BatchRunner` at 1 and 4 workers
-that pins fingerprints across worker counts and asserts the warm-cache
-re-run executes zero trials -- the same contract the CI ``differential``
-job drives.
+plus a batch-level run of the production path through
+:class:`BatchRunner` at 1 and 4 workers, whose fingerprints must equal
+the in-process reference arm's, and whose warm-cache re-run executes
+zero trials -- the same contract the CI ``differential`` job drives.
 """
 
 from __future__ import annotations
@@ -37,54 +37,48 @@ def test_registry_scenario_bit_identical(name, epochs):
 
 
 class TestWorkerInvariance:
-    """The A/B suite must hold at 1 and 4 workers, cache included."""
+    """The A/B suite must hold at 1 and 4 workers, cache included.
+
+    The reference arm runs in process (its patches do not reach worker
+    processes); the production arm runs through the batch runner.
+    """
 
     SCENARIOS = (("static-paper", 200), ("harsh-mixed", 200))
 
     def _specs(self):
-        specs = []
-        for name, epochs in self.SCENARIOS:
-            cfg = build_config(name, num_epochs=epochs)
-            for arm in ("periodic", "columnar"):
-                specs.append(
-                    TrialSpec(
-                        label=f"{name}[{arm}]",
-                        config=cfg.replace(tick_method=arm),
-                    )
-                )
-        return specs
+        return [
+            TrialSpec(label=name, config=build_config(name, num_epochs=epochs))
+            for name, epochs in self.SCENARIOS
+        ]
+
+    @pytest.fixture(scope="class")
+    def reference_prints(self):
+        return [
+            run_arm(spec.config, reference=True).fingerprint()
+            for spec in self._specs()
+        ]
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_arms_agree_at_any_worker_count(self, workers, tmp_path):
+    def test_arms_agree_at_any_worker_count(
+        self, workers, tmp_path, reference_prints
+    ):
         runner = BatchRunner(
             max_workers=workers,
             executor="process",
             cache_dir=tmp_path / f"w{workers}",
         )
         results = runner.run(self._specs())
-        prints = [r.fingerprint(include_key=False) for r in results]
-        # Results arrive in spec order: (brute, columnar) per scenario.
-        for i in range(0, len(prints), 2):
-            assert prints[i] == prints[i + 1], results[i].label
+        prints = [r.fingerprint() for r in results]
+        assert prints == reference_prints
 
         # Warm-cache re-run: served entirely from the cache, bit-identical.
         again = runner.run(self._specs())
         assert runner.last_stats.executed == 0
         assert all(r.from_cache for r in again)
-        assert [r.fingerprint(include_key=False) for r in again] == prints
-
-    def test_cache_does_not_alias_the_two_arms(self, tmp_path):
-        """The arms must hash to *different* cache keys (tick_method set
-        enters the canonical payload), so an A/B sweep can never serve one
-        arm's cached result to the other."""
-        specs = self._specs()
-        keys = [s.key for s in specs]
-        assert len(set(keys)) == len(keys)
+        assert [r.fingerprint() for r in again] == prints
 
 
 def test_repeated_columnar_runs_reproduce():
     """The fast path is deterministic run-to-run, not just brute-equal."""
     cfg = build_config("static-paper", num_epochs=200)
-    first = run_arm(cfg, "columnar").fingerprint(include_key=False)
-    second = run_arm(cfg, "columnar").fingerprint(include_key=False)
-    assert first == second
+    assert run_arm(cfg).fingerprint() == run_arm(cfg).fingerprint()

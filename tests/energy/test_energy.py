@@ -156,11 +156,6 @@ class TestBattery:
         assert b.depleted
         assert b.draw(1.0) is False
 
-    def test_fraction_remaining(self):
-        b = Battery(10.0)
-        b.draw(2.5)
-        assert b.fraction_remaining == pytest.approx(0.75)
-
     def test_recharge(self):
         b = Battery(10.0)
         b.draw(8.0)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.metrics.accuracy import delivery_completeness, mean_overshoot
+from repro.metrics.accuracy import delivery_completeness
 
 
 @pytest.fixture(scope="module")

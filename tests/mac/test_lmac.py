@@ -5,7 +5,6 @@ import pytest
 
 from repro.mac.frames import MAC_CONTROL_KIND
 from repro.mac.lmac import LMACProtocol
-from repro.network.addresses import BROADCAST
 from repro.network.channel import WirelessChannel
 from repro.simulation.engine import Simulator
 
@@ -202,8 +201,6 @@ class TestBeaconPlan:
         stack) must drop its old plan, which pins a superseded adjacency."""
         topology = line_topology(6)
         sim, channel, macs = build_macs(topology)
-        for mac in macs.values():
-            mac.fast_beacons = True
         sim.run_until(40.0)
         old_graph = channel.graph
         assert all(
@@ -237,8 +234,6 @@ class TestBeaconPlan:
     def test_relink_that_spares_a_sender_keeps_its_plan(self):
         topology = line_topology(6)
         sim, channel, macs = build_macs(topology)
-        for mac in macs.values():
-            mac.fast_beacons = True
         sim.run_until(40.0)
         plans = {nid: mac._beacon_plan for nid, mac in macs.items()}
         assert all(plan is not None for plan in plans.values())
@@ -289,8 +284,10 @@ class TestFastDeathSweep:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(LMACProtocol, "_emit_beacon", recording_emit)
+            if not fast:
+                # The frame arm: every tick declines the fast path.
+                patch.setattr(LMACProtocol, "_try_fast_beacon", lambda mac: False)
             for mac in macs.values():
-                mac.fast_beacons = fast
                 mac.start()
             sim.run_until(12.0)
             for leaf in (3, 1):

@@ -71,7 +71,7 @@ class TestSensorNode:
 
     def test_default_battery_is_infinite(self):
         node = SensorNode(0, (0.0, 0.0))
-        assert node.battery.fraction_remaining == 1.0
+        assert node.battery.remaining == node.battery.capacity == float("inf")
         assert not node.battery.depleted
 
     def test_explicit_battery(self):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.energy.model import RadioEnergyModel
-from repro.network.addresses import BROADCAST
 from repro.network.channel import WirelessChannel
 from repro.network.topology import random_geometric_topology
 from repro.simulation.engine import Simulator

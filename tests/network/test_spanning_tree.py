@@ -4,8 +4,6 @@ import pytest
 
 from repro.network.spanning_tree import SpanningTree, TreeError, build_bfs_tree
 
-from ..helpers import line_topology, star_topology
-
 
 class TestConstruction:
     def test_bfs_tree_over_line(self, line5):
@@ -72,11 +70,6 @@ class TestTraversal:
     def test_forwarding_set_of_multiple_sources(self, star4):
         tree = build_bfs_tree(star4, root=0)
         assert tree.forwarding_set([2, 3]) == {0, 2, 3}
-
-    def test_levels(self, tree):
-        levels = tree.levels()
-        assert levels[0] == [0]
-        assert levels[4] == [4]
 
 
 class TestRepair:

@@ -51,32 +51,6 @@ class TestSpatialHashContainer:
         with pytest.raises(ValueError, match="already indexed"):
             grid.insert(1, (1.0, 1.0))
 
-    def test_remove_unknown_rejected(self):
-        grid = SpatialHash(cell_size=5.0)
-        with pytest.raises(KeyError):
-            grid.remove(9)
-
-    def test_remove_drops_empty_buckets(self):
-        grid = SpatialHash({1: (1.0, 1.0), 2: (1.5, 1.5)}, cell_size=10.0)
-        assert grid.cells() == [(0, 0)]
-        grid.remove(1)
-        assert grid.bucket((0, 0)) == [2]
-        grid.remove(2)
-        assert grid.cells() == []
-
-    def test_move_within_and_across_cells(self):
-        grid = SpatialHash({7: (1.0, 1.0)}, cell_size=10.0)
-        grid.move(7, (8.0, 9.0))
-        assert grid.cell_for(grid.position(7)) == (0, 0)
-        grid.move(7, (11.0, -0.5))
-        assert grid.cells() == [(1, -1)]
-        assert grid.position(7) == (11.0, -0.5)
-
-    def test_move_unknown_rejected(self):
-        grid = SpatialHash(cell_size=5.0)
-        with pytest.raises(KeyError):
-            grid.move(3, (0.0, 0.0))
-
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_cell_size_must_be_positive_finite(self, bad):
         with pytest.raises(ValueError):

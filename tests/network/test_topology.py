@@ -1,11 +1,8 @@
 """Tests for topology generation and editing."""
 
-import math
-
 import pytest
 
 from repro.network.topology import (
-    Topology,
     grid_topology,
     kary_tree_topology,
     random_geometric_topology,

@@ -67,12 +67,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ScenarioConfig(name="empty")
 
-    def test_dimensions_property(self):
-        scenario = ScenarioConfig(
-            churn=ChurnConfig(), energy=EnergyConfig()
-        )
-        assert scenario.dimensions == ("churn", "energy")
-
 
 class TestChurnModel:
     def test_deterministic_per_seed(self):

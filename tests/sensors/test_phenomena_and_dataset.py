@@ -131,12 +131,9 @@ class TestSensorDataset:
         expected = {ds.node_ids[i] for i, v in enumerate(values) if lo <= v <= hi}
         assert set(ds.matching_nodes("temperature", 10, lo, hi)) == expected
 
-    def test_value_range_and_rate_of_change(self, small_dataset):
+    def test_value_range(self, small_dataset):
         lo, hi = small_dataset.value_range("temperature")
         assert lo < hi
-        roc = small_dataset.rate_of_change("temperature")
-        assert roc.shape == (small_dataset.num_nodes,)
-        assert (roc >= 0).all()
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):

@@ -116,13 +116,6 @@ class TestRunUntil:
         assert executed == 4
         assert sim.pending == 6
 
-    def test_stop_terminates_loop(self, sim):
-        fired = []
-        sim.schedule_at(1.0, lambda: (fired.append(1), sim.stop()))
-        sim.schedule_at(2.0, lambda: fired.append(2))
-        sim.run()
-        assert fired == [1]
-
     def test_run_is_not_reentrant(self, sim):
         def nested():
             with pytest.raises(SimulationError):

@@ -64,14 +64,6 @@ class TestTimers:
         sim.run()
         assert proc.timer_fires == []
 
-    def test_timer_pending(self, sim):
-        proc = Recorder(sim)
-        assert proc.timer_pending("tick") is False
-        proc.set_timer("tick", 1.0)
-        assert proc.timer_pending("tick") is True
-        sim.run()
-        assert proc.timer_pending("tick") is False
-
     def test_cancel_all_timers(self, sim):
         proc = Recorder(sim)
         proc.set_timer("a", 1.0)

@@ -36,13 +36,6 @@ class TestRandomStreams:
         second_draw = s2.get("phenomena").random(3)
         assert list(first_draw) == list(second_draw)
 
-    def test_spawn_creates_derived_but_deterministic_factory(self):
-        child_a = RandomStreams(3).spawn("rep-1").get("x").random(3)
-        child_b = RandomStreams(3).spawn("rep-1").get("x").random(3)
-        child_c = RandomStreams(3).spawn("rep-2").get("x").random(3)
-        assert list(child_a) == list(child_b)
-        assert list(child_a) != list(child_c)
-
     def test_invalid_inputs(self):
         with pytest.raises(TypeError):
             RandomStreams("not-an-int")

@@ -58,6 +58,8 @@ def test_a_quoted_name_that_no_longer_exists_fails_the_check(tmp_path):
     }
     assert set(missing) == {
         "ExperimentConfig.send_responses",
+        "ExperimentConfig.tick_method",
+        "LMACProtocol.fast_beacons",
         "repro.utils.validation",
         "Simulator.peek_time",
     }

@@ -23,6 +23,7 @@ from tools.reprolint import cli, core
 from tools.reprolint import (
     rules_determinism,
     rules_hashcov,
+    rules_imports,
     rules_layering,
     rules_obs,
     rules_streams,
@@ -55,6 +56,77 @@ def make_source(
 def determinism_codes(src: core.SourceFile) -> List[str]:
     findings, _ = core.apply_pragmas(rules_determinism.check([src]), [src])
     return sorted(f.code for f in findings)
+
+
+class TestUnusedImportRule:
+    """RL002: every imported name is read, exported or a fixture."""
+
+    #: Every tree of python files the repository keeps.
+    TARGETS = ("src/repro", "tools", "tests", "benchmarks", "examples")
+
+    def _findings(self, tmp_path, source, name="snippet.py"):
+        src = make_source(tmp_path, source, name=name)
+        findings, _ = core.apply_pragmas(rules_imports.check([src]), [src])
+        return [(f.line, f.message) for f in findings]
+
+    def test_unused_import_and_from_import(self, tmp_path):
+        found = self._findings(
+            tmp_path,
+            """
+            import os.path
+            import json as js
+            from typing import Dict, List
+
+            def f(x: List[int]) -> int:
+                return len(x)
+            """,
+        )
+        assert found == [
+            (2, "imported name 'os' is never used"),
+            (3, "imported name 'js' is never used"),
+            (4, "imported name 'Dict' is never used"),
+        ]
+
+    def test_reads_exports_string_annotations_and_fixtures_count(self, tmp_path):
+        assert self._findings(
+            tmp_path,
+            """
+            from __future__ import annotations
+            import os.path
+            from typing import TYPE_CHECKING
+            from .helpers import line5, build
+            if TYPE_CHECKING:
+                from decimal import Decimal
+            from fractions import Fraction
+            __all__ = ["Fraction"]
+
+            def f(value: "Decimal") -> str:
+                return os.path.basename(str(value))
+
+            def test_line(line5):
+                build(line5)
+            """,
+        ) == []
+
+    def test_init_reexports_and_pragmas_are_exempt(self, tmp_path):
+        assert self._findings(tmp_path, "import json\n", name="__init__.py") == []
+        assert self._findings(
+            tmp_path, "import json  # reprolint: disable=RL002\n"
+        ) == []
+
+    def test_repository_has_no_unused_imports(self, capsys):
+        assert cli.main(["--select", "RL002", *self.TARGETS]) == 0, (
+            capsys.readouterr().out
+        )
+        capsys.readouterr()
+
+    def test_a_planted_unused_import_fails_the_scan(self, tmp_path, capsys):
+        planted = tmp_path / "planted.py"
+        planted.write_text("import json\n\nVALUE = 1\n", encoding="utf-8")
+        assert cli.main(["--select", "RL002", str(planted)]) == 1
+        assert "RL002 imported name 'json' is never used" in (
+            capsys.readouterr().out
+        )
 
 
 class TestDeterminismRules:
@@ -654,6 +726,7 @@ def test_corpus_snippet_matches_expectation(snippet, capsys):
         assert src is not None
         src.determinism_critical = True
         findings = []
+        findings.extend(rules_imports.check([src]))
         findings.extend(rules_determinism.check([src]))
         findings.extend(rules_hashcov.check([src], dynamic=False))
         findings.extend(rules_streams.check([src], REPO_ROOT, repo_mode=False))

@@ -169,12 +169,6 @@ class TestPredictor:
         assert len(p.history) == 5
         assert p.history[-1] == 9
 
-    def test_observe_query_counter(self):
-        p = QueryRatePredictor()
-        p.observe_query(10)
-        p.observe_query(11)
-        assert p.total_queries_seen == 2
-
     def test_validation(self):
         with pytest.raises(ValueError):
             QueryRatePredictor(smoothing=0.0)

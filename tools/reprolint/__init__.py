@@ -5,6 +5,7 @@ worker count, config-hash cache keys, fingerprint golden tests) rest on
 invariants that ordinary tests only catch *after* a violation ships.
 reprolint proves them over the program structure instead:
 
+* **RL0xx every file** -- the file parses; no imported name goes unused.
 * **RL1xx determinism** -- no ambient randomness or wall-clock reads in
   simulation code; order-sensitive iteration over sets must be sorted.
 * **RL2xx hash coverage** -- every config-dataclass field is reachable

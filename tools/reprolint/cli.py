@@ -20,6 +20,7 @@ from . import core
 from . import (
     rules_determinism,
     rules_hashcov,
+    rules_imports,
     rules_layering,
     rules_obs,
     rules_streams,
@@ -102,6 +103,7 @@ def lint_paths(
         files.append(_apply_policy(src))
 
     repo_mode = any(f.rel.startswith("src/repro/") for f in files)
+    findings.extend(rules_imports.check(files))
     findings.extend(rules_determinism.check(files))
     findings.extend(rules_hashcov.check(files, dynamic=dynamic and repo_mode))
     findings.extend(rules_layering.check(files))
@@ -195,6 +197,7 @@ def run_self_test(stdout=sys.stdout) -> int:
             assert src is not None
             src.determinism_critical = True
             findings = []
+            findings.extend(rules_imports.check([src]))
             findings.extend(rules_determinism.check([src]))
             findings.extend(rules_hashcov.check([src], dynamic=False))
             findings.extend(
@@ -225,7 +228,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.reprolint",
         description=(
-            "AST contract linter: determinism (RL1xx), config hash "
+            "AST contract linter: unused imports (RL002), determinism "
+            "(RL1xx), config hash "
             "coverage (RL2xx), import layering (RL3xx), RNG stream "
             "discipline (RL4xx), observability catalogue discipline "
             "(RL5xx).  See docs/linting.md."

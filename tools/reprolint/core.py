@@ -23,6 +23,11 @@ RULES: Dict[str, Tuple[str, str]] = {
         "file does not parse",
         "a syntax error hides every other invariant",
     ),
+    "RL002": (
+        "imported name never used",
+        "a dead import hides the module's real dependencies and keeps "
+        "deleted code reachable by name",
+    ),
     "RL101": (
         "stdlib `random` imported",
         "ambient global RNG breaks bit-identical replay; use RandomStreams",

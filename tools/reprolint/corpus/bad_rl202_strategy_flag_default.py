@@ -1,5 +1,5 @@
 # reprolint-corpus: expect=RL202
-"""Known-bad: a strategy flag (tick_method-style) declared omit-when-unset
+"""Known-bad: a strategy flag (phenomena_method-style) declared omit-when-unset
 must default to None -- a concrete default would make the omission rule
 never fire consistently, silently changing every existing cache key."""
 import dataclasses
@@ -7,6 +7,6 @@ import dataclasses
 
 @dataclasses.dataclass(frozen=True)
 class SampleConfig:
-    HASH_OMIT_WHEN_UNSET = ("tick_method",)
+    HASH_OMIT_WHEN_UNSET = ("phenomena_method",)
 
-    tick_method: str = "periodic"
+    phenomena_method: str = "exact"

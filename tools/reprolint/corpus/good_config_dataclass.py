@@ -1,7 +1,7 @@
 # reprolint-corpus: expect=
 """Known-good: omit-when-unset fields with None defaults, constants.
 
-``tick_method`` mirrors the ExperimentConfig strategy-flag convention:
+``phenomena_method`` mirrors the ExperimentConfig strategy-flag convention:
 None-defaulted, listed in HASH_OMIT_WHEN_UNSET, so unset configs keep
 their pre-flag cache keys while pinned strategies hash distinctly.
 """
@@ -11,12 +11,12 @@ from typing import Optional
 
 @dataclasses.dataclass(frozen=True)
 class SampleConfig:
-    HASH_OMIT_WHEN_UNSET = ("mode", "tick_method")
+    HASH_OMIT_WHEN_UNSET = ("mode", "phenomena_method")
     MODES = ("waypoint", "group")
 
     rate: float = 0.1
     mode: Optional[str] = None
-    tick_method: Optional[str] = None
+    phenomena_method: Optional[str] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rate", float(self.rate))

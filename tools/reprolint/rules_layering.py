@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import Finding, SourceFile, dotted_name
 

@@ -27,7 +27,7 @@ import ast
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .core import Finding, SourceFile, dict_key_line, dotted_name
+from .core import Finding, SourceFile, dict_key_line
 
 #: Repo-relative path of the registry module.
 REGISTRY_PATH = "src/repro/simulation/rng.py"
