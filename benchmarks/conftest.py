@@ -1,9 +1,9 @@
-"""Shared benchmark configuration.
+"""Configuration of ``bench_presets.py``.
 
-The pytest-benchmark files time the substrates, the engine, the scenario
-registry, the scale scenarios and the campaign presets of ``python -m
-repro run``, and print what they measured; ``bench_presets.py`` also
-asserts the paper's claims on the presets.
+It times the campaign presets of ``python -m repro run`` with
+pytest-benchmark, prints their reports and asserts the paper's claims on
+them.  Speed is measured by ``perfbench/``; work is pinned by the tier-1
+suite.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The front door: ``python -m repro {run,status,report,cache}``.
+"""The front door: ``python -m repro {run,status,report,cache,trial}``.
 
 Every sweep is a campaign (:class:`~repro.experiments.campaign.CampaignSpec`)
 over one SQLite store, ``<cache-dir>/campaigns.sqlite``, which is both the
@@ -11,7 +11,11 @@ trial cache and the campaigns' results:
   the same command after an interruption executes only the remainder;
 * ``report`` renders the same report from the store and executes nothing;
 * ``status`` shows a campaign's per-cell progress, or lists every campaign;
-* ``cache`` lists or prunes the trial cache.
+* ``cache`` lists or prunes the trial cache;
+* ``trial`` runs one instrumented trial of a registered scenario (or
+  ``headline``, the ``headline`` preset's ATC trial) outside any store and
+  renders its phase profile and metric snapshot, with an optional Chrome
+  trace (loadable in Perfetto) and raw tracer records.
 
 The report has three sections: the replicate table (mean ± CI per cell of
 every stored metric, plus recovery after the first disruption), the
@@ -19,7 +23,11 @@ degradation of every cell against its ``static-paper`` twin when the
 campaign holds one, and a preset's figure.  ``--json`` writes the store's
 export plus the replicate groups the report renders -- no runtimes,
 timestamps or cache provenance -- so it is byte-identical across worker
-counts, interruptions, and ``run`` versus ``report``.
+counts, interruptions, and ``run`` versus ``report``.  A trial's
+``--json`` holds only metric counters and histograms, phase call counts,
+trace category counts and the fingerprint -- measured durations appear in
+the console and markdown output alone -- so it is byte-identical across
+re-runs.
 """
 
 from __future__ import annotations
@@ -29,13 +37,14 @@ import contextlib
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .experiments import fig5_accuracy, fig6_updates, fig7_overshoot, headline
 from .experiments.batch import (
     CACHE_VERSION,
     BatchRunner,
     TrialResult,
+    TrialSpec,
     resolve_cache_dir,
 )
 from .experiments.campaign import (
@@ -55,7 +64,14 @@ from .experiments.store import (
     STORE_METRICS,
     ResultsStore,
 )
-from .metrics.report import format_progress, format_replicate_table, format_table
+from .experiments.runner import ExperimentRunner
+from .metrics.report import (
+    format_key_values,
+    format_markdown_table,
+    format_progress,
+    format_replicate_table,
+    format_table,
+)
 from .metrics.resilience import (
     DEFAULT_RECOVERY_TOLERANCE,
     DEFAULT_RECOVERY_WINDOW,
@@ -64,11 +80,17 @@ from .metrics.resilience import (
     replicate_groups,
 )
 from .metrics.stats import DEFAULT_CONFIDENCE, groups_to_jsonable
+from .obs.catalogue import METRIC_CATALOGUE
 from .obs.progress import RunTelemetry
-from .scenarios.registry import scenario_defs
+from .obs.trace_export import chrome_trace, write_chrome_trace, write_jsonl
+from .scenarios.registry import build_config, scenario_defs, scenario_names
 
 #: Degradation compares each cell with this scenario's twin cell.
 BASELINE = "static-paper"
+
+#: ``trial``'s non-registry scenario: the ``headline`` preset's ATC trial
+#: (``static-paper`` with Adaptive Threshold Control).
+HEADLINE = "headline"
 
 #: The figure section of each preset that has one.
 FIGURES = {
@@ -455,6 +477,138 @@ def cmd_cache(args, store_path: Path) -> int:
     return 0
 
 
+def _phase_rows(table: List[Tuple[str, int, float, float, float]]):
+    return [
+        (phase, calls, f"{total:.3f}", f"{mean_ms:.3f}", f"{100.0 * share:.1f}%")
+        for phase, calls, total, mean_ms, share in table
+    ]
+
+
+def _metric_rows(snapshot: Dict[str, object]) -> List[Tuple[str, object, str]]:
+    rows: List[Tuple[str, object, str]] = []
+    for name, value in snapshot["counters"].items():
+        rows.append((name, value, METRIC_CATALOGUE.get(name, "")))
+    for name, value in snapshot["gauges"].items():
+        rows.append((name, value, METRIC_CATALOGUE.get(name, "")))
+    for name, hist in snapshot["histograms"].items():
+        summary = (
+            f"n={hist['count']} min={hist['min']} max={hist['max']} "
+            f"mean={hist['total'] / hist['count']:.2f}"
+            if hist["count"]
+            else "n=0"
+        )
+        rows.append((name, summary, METRIC_CATALOGUE.get(name, "")))
+    return sorted(rows)
+
+
+def _trial_payload(
+    result: TrialResult, telemetry: Dict[str, object]
+) -> Dict[str, object]:
+    """A trial's deterministic export: phase call counts, not their times."""
+    payload: Dict[str, object] = {
+        "label": result.label,
+        "key": result.spec.key,
+        "fingerprint": result.fingerprint(),
+        "num_queries": result.num_queries,
+    }
+    if "metrics" in telemetry:
+        payload["metrics"] = telemetry["metrics"]
+    if "phases" in telemetry:
+        payload["phase_counts"] = telemetry["phases"]["counts"]
+    if "trace" in telemetry:
+        payload["trace_counts"] = {
+            k: telemetry["trace"][k] for k in sorted(telemetry["trace"])
+        }
+    return payload
+
+
+def _write(name: str, text: str) -> None:
+    path = Path(name)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+def cmd_trial(args) -> int:
+    if args.scenario == HEADLINE:
+        config = build_config("static-paper", args.epochs, args.seed).with_atc()
+    else:
+        config = build_config(args.scenario, args.epochs, args.seed)
+    config = config.replace(instrument=args.instrument)
+    spec = TrialSpec(label=args.scenario, config=config)
+    runner = ExperimentRunner(config)
+    experiment = runner.run()
+    result = TrialResult.from_experiment(spec, experiment)
+    instrumentation = runner.world.sim.instrumentation
+    phases = instrumentation.phases if instrumentation.phases.enabled else None
+    tracer = instrumentation.tracer if instrumentation.tracer.enabled else None
+    telemetry = experiment.telemetry or {}
+
+    blocks = [
+        format_key_values(
+            f"trial {args.scenario} ({args.epochs} epochs, seed {args.seed}, "
+            f"instrument={args.instrument})",
+            [
+                ("config key", spec.key),
+                ("fingerprint", result.fingerprint()[:20]),
+                ("queries", result.num_queries),
+                ("alive at end", len(result.alive_at_end)),
+            ],
+        )
+    ]
+    markdown = [f"# Trial report: `{args.scenario}`", ""]
+    phase_headers = ["phase", "calls", "total s", "mean ms", "share"]
+    metric_headers = ["metric", "value", "description"]
+    if phases is not None:
+        rows = _phase_rows(phases.table())
+        blocks.append(
+            format_table(
+                headers=phase_headers,
+                rows=rows,
+                title="epoch-tick phase profile (host time)",
+            )
+        )
+        markdown += [
+            "## Phase profile", "", format_markdown_table(phase_headers, rows), ""
+        ]
+    if "metrics" in telemetry:
+        rows = _metric_rows(telemetry["metrics"])
+        blocks.append(
+            format_table(headers=metric_headers, rows=rows, title="metric snapshot")
+        )
+        markdown += ["## Metrics", "", format_markdown_table(metric_headers, rows), ""]
+    if "trace" in telemetry:
+        blocks.append(
+            format_table(
+                headers=["category", "records"],
+                rows=sorted(telemetry["trace"].items()),
+                title="trace record counts",
+            )
+        )
+
+    # The files come first, so a closed stdout (``| head``) cannot lose them.
+    written = []
+    if args.trace_out:
+        path = write_chrome_trace(
+            args.trace_out,
+            chrome_trace(phases=phases, tracer=tracer, label=args.scenario),
+        )
+        written.append(f"\nChrome trace written to {path} (load at ui.perfetto.dev)")
+    if args.trace_jsonl:
+        path = write_jsonl(args.trace_jsonl, instrumentation.tracer)
+        written.append(f"trace JSONL written to {path}")
+    if args.json:
+        payload = _trial_payload(result, telemetry)
+        _write(args.json, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        written.append(f"deterministic JSON written to {args.json}")
+    if args.markdown:
+        _write(args.markdown, "\n".join(markdown))
+        written.append(f"markdown report written to {args.markdown}")
+    print("\n\n".join(blocks))
+    for line in written:
+        print(line)
+    return 0
+
+
 COMMANDS = {
     "run": cmd_run,
     "status": cmd_status,
@@ -479,10 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         default=None,
         metavar="PATH",
-        help=(
-            "write the campaign's deterministic export plus the replicate "
-            "groups the report renders"
-        ),
+        help="write the deterministic JSON export (no runtimes or timestamps)",
     )
     exports.add_argument(
         "--markdown",
@@ -494,7 +645,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description=(
             "Run, inspect and report campaigns: scenario × protocol × sweep "
-            "× replicate spaces over one results store."
+            "× replicate spaces over one results store; or run one "
+            "instrumented trial."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -599,12 +751,56 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with --prune: delete every cached trial (campaigns stay)",
     )
+
+    trial = sub.add_parser(
+        "trial",
+        parents=[exports],
+        help="run one instrumented trial and render its phases and metrics",
+        description=(
+            "Run one fully instrumented trial outside any store and render "
+            "its phase profile and metric snapshot; optionally export its "
+            "Chrome trace and raw tracer records."
+        ),
+    )
+    trial.add_argument(
+        "scenario",
+        metavar="SCENARIO",
+        choices=[*scenario_names(), HEADLINE],
+        help=(
+            f"a registered scenario (see run --list) or '{HEADLINE}', the "
+            "headline preset's ATC trial"
+        ),
+    )
+    trial.add_argument(
+        "--epochs", type=int, default=300, help="trial length (default: 300)"
+    )
+    trial.add_argument("--seed", type=int, default=1, help="master seed (default: 1)")
+    trial.add_argument(
+        "--instrument",
+        default="full",
+        choices=("metrics", "full"),
+        help="instrumentation level (default: full)",
+    )
+    trial.add_argument(
+        "--trace-out",
+        default=None,
+        metavar="PATH",
+        help="write the Chrome trace-event JSON (Perfetto-loadable)",
+    )
+    trial.add_argument(
+        "--trace-jsonl",
+        default=None,
+        metavar="PATH",
+        help="write the raw tracer records as JSON lines",
+    )
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "trial":
+        return cmd_trial(args)
     if args.command == "cache" and args.all and not args.prune:
         parser.error("--all only makes sense with --prune")
     store_path = Path(resolve_cache_dir(args.cache_dir)) / DEFAULT_STORE_NAME

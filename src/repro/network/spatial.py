@@ -14,8 +14,8 @@ The hash is used by connectivity construction, which feeds broadcast target
 order and therefore experiment fingerprints, so every iteration order here
 is pinned:
 
-* buckets are **drained in sorted cell order** and members of a bucket are
-  visited in sorted id order (``reprolint`` RL110 enforces this for the
+* a query visits its block of cells in ascending order and the members of
+  a bucket in sorted id order (``reprolint`` RL110 enforces this for the
   ``Dict[cell, Set[node]]`` bucket structure);
 * every query returns a **sorted list** of node ids;
 * the range check is the shared inclusive predicate
@@ -32,7 +32,7 @@ queried node.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -43,12 +43,12 @@ Cell = Tuple[int, int]
 
 
 class SpatialHash:
-    """Mutable grid-bucket index over node positions.
+    """Grid-bucket index over node positions, built once.
 
     Parameters
     ----------
     positions:
-        Initial ``node id -> (x, y)`` placement (may be empty).
+        ``node id -> (x, y)`` placement (may be empty).
     cell_size:
         Side length of a grid cell.  Queries with ``radius <= cell_size``
         inspect at most the 3x3 block around the query cell; larger radii
@@ -66,54 +66,24 @@ class SpatialHash:
             raise ValueError("cell_size must be positive and finite")
         self.cell_size = float(cell_size)
         self._buckets: Dict[Cell, Set[NodeId]] = {}
-        self._cell_of: Dict[NodeId, Cell] = {}
         self._positions: Dict[NodeId, Position] = {}
-        if positions:
-            # Fused bulk insert: same result as insert() per node (ids are
-            # unique dict keys, so the duplicate check is vacuous), without
-            # the per-call overhead -- this constructor runs once per
-            # mobility re-link on the scaling hot path.
-            size = self.cell_size
-            buckets = self._buckets
-            cell_of = self._cell_of
-            index = self._positions
-            for nid in sorted(positions):
-                x, y = positions[nid]
-                pos = (float(x), float(y))
-                cell = (
-                    int(math.floor(pos[0] / size)),
-                    int(math.floor(pos[1] / size)),
-                )
-                members = buckets.get(cell)
-                if members is None:
-                    buckets[cell] = {nid}
-                else:
-                    members.add(nid)
-                cell_of[nid] = cell
-                index[nid] = pos
-
-    # -- mutation ------------------------------------------------------------
-
-    def insert(self, node_id: NodeId, position: Position) -> None:
-        """Add a node (raises if it is already indexed)."""
-        if node_id in self._cell_of:
-            raise ValueError(f"node {node_id} already indexed")
-        pos = (float(position[0]), float(position[1]))
-        cell = self.cell_for(pos)
-        self._buckets.setdefault(cell, set()).add(node_id)
-        self._cell_of[node_id] = cell
-        self._positions[node_id] = pos
-
-    # -- structure -----------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._cell_of)
-
-    def __contains__(self, node_id: NodeId) -> bool:
-        return node_id in self._cell_of
-
-    def position(self, node_id: NodeId) -> Position:
-        return self._positions[node_id]
+        # cell_for, inlined: a 5 000-node build hashes every node here.
+        size = self.cell_size
+        buckets = self._buckets
+        index = self._positions
+        for nid in sorted(positions or ()):
+            x, y = positions[nid]
+            pos = (float(x), float(y))
+            cell = (
+                int(math.floor(pos[0] / size)),
+                int(math.floor(pos[1] / size)),
+            )
+            members = buckets.get(cell)
+            if members is None:
+                buckets[cell] = {nid}
+            else:
+                members.add(nid)
+            index[nid] = pos
 
     def cell_for(self, position: Position) -> Cell:
         """Grid cell containing ``position`` (floor division per axis)."""
@@ -121,20 +91,6 @@ class SpatialHash:
             int(math.floor(float(position[0]) / self.cell_size)),
             int(math.floor(float(position[1]) / self.cell_size)),
         )
-
-    def cells(self) -> List[Cell]:
-        """Occupied cells, sorted (the canonical drain order)."""
-        return sorted(self._buckets)
-
-    def bucket(self, cell: Cell) -> List[NodeId]:
-        """Sorted members of one cell (empty list for vacant cells)."""
-        members = self._buckets.get(cell)
-        return sorted(members) if members else []
-
-    def items(self) -> Iterator[Tuple[Cell, List[NodeId]]]:
-        """Iterate ``(cell, sorted members)`` in sorted cell order."""
-        for cell in sorted(self._buckets):
-            yield cell, sorted(self._buckets[cell])
 
     # -- queries -------------------------------------------------------------
 

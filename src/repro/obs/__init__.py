@@ -19,12 +19,8 @@ Everything collected here lands in the hash-exempt ``telemetry`` payload
 of :class:`~repro.experiments.runner.ExperimentResult` /
 :class:`~repro.experiments.batch.TrialResult`: enabling instrumentation
 never changes a ``config_hash``, a trial fingerprint, or a cached
-artifact (see ``docs/observability.md``).
-
-The reporting CLI lives in :mod:`repro.obs.report` (``python -m
-repro.obs.report``) and is deliberately *not* imported here: the base
-``repro.obs`` package sits at the simulation layer and must stay free of
-experiment-layer imports.
+artifact (see ``docs/observability.md``).  ``python -m repro trial``
+renders one instrumented trial.
 """
 
 from __future__ import annotations

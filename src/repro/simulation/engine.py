@@ -13,7 +13,7 @@ Design choices
   comparisons never fall through to the :class:`Event` object, so ordering
   is resolved entirely by C-level tuple comparison.
 * **Lazy cancellation with compaction.**  Cancelled events remain on the
-  heap and are skipped when popped; this keeps :meth:`Simulator.cancel`
+  heap and are skipped when popped; this keeps :meth:`EventHandle.cancel`
   O(1).  Unlike a purely lazy scheme (which leaks one heap entry per
   cancelled event for the whole run), the engine counts cancelled entries
   and compacts the heap in place once they dominate it, so the queue size
@@ -197,29 +197,7 @@ class Simulator:
             raise SimulationError(f"delay must be non-negative, got {delay}")
         return self.schedule_at(self.clock.now + delay, callback, priority, label)
 
-    @staticmethod
-    def cancel(handle: EventHandle) -> bool:
-        """Cancel a previously scheduled event.  Returns ``True`` if pending."""
-        return handle.cancel()
-
     # -- execution ---------------------------------------------------------
-
-    def step(self) -> bool:
-        """Execute the single next pending event.
-
-        Returns ``True`` if an event was executed, ``False`` if the queue was
-        empty.
-        """
-        self._discard_cancelled_head()
-        if not self._heap:
-            return False
-        time, _, _, event = heapq.heappop(self._heap)
-        self._head_time = self._heap[0][0] if self._heap else None
-        self.clock._advance(time)
-        self._executed += 1
-        event.executed = True
-        event.callback()
-        return True
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event queue is exhausted.
@@ -261,16 +239,6 @@ class Simulator:
         return executed
 
     # -- internals ---------------------------------------------------------
-
-    def _discard_cancelled_head(self) -> None:
-        heap = self._heap
-        removed = 0
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-            removed += 1
-        if removed:
-            self._cancelled_in_heap -= removed
-        self._head_time = heap[0][0] if heap else None
 
     def _note_cancelled(self, event: Event) -> None:
         """Bookkeeping hook invoked by :meth:`EventHandle.cancel`.

@@ -17,39 +17,124 @@ included since both arms share it: the same digest the batch cache and
 the campaign store use for bit-identity guarantees.  The granular
 comparisons exist so a regression fails on the *first* observable that
 diverges, with both values printed, instead of on an opaque digest.
+
+Every trial the harness runs also reports its :class:`Work`: counters of
+the finished world plus the calls it counts on the way.  A change that
+moves the work but no measurement (an extra event per epoch, a beacon
+that leaves the fast path) leaves every digest alone and moves these.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import List, Tuple
+from collections import Counter
+from typing import List, NamedTuple, Tuple
 
 import pytest
 
+from repro.core.dirq_node import DirQNode
+from repro.core.flooding import FloodingNode
 from repro.experiments.batch import TrialResult, TrialSpec
+from repro.experiments.columnar import ColumnarTick
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import ExperimentRunner
+from repro.mac.lmac import LMACProtocol
 
 from .reference import reference_tick
 
 
-def run_arm(config: ExperimentConfig, reference: bool = False) -> TrialResult:
-    """Run one arm of the A/B pair and distil it into a `TrialResult`.
+class Work(NamedTuple):
+    """The deterministic work of one trial."""
+
+    events: int  # events the engine executed
+    cancelled: int  # events ever cancelled
+    transmissions: int  # channel broadcasts + unicasts
+    deliveries: int
+    drops: int  # loss, dead-node and no-link drops
+    beacons: int  # summed LMAC ``beacons_sent``
+    frame_beacons: int  # ``LMACProtocol._emit_beacon`` calls
+    updates_sent: int  # this and the next two: summed over the protocols
+    updates_suppressed: int
+    queries_forwarded: int
+    readvertise: int  # ``DirQNode.readvertise`` calls
+    tick_rows: int  # sensor acquisitions (``world.sampling.count()``)
+    on_epoch: int  # per-node ``on_epoch`` calls
+    rebuilds: int  # ``ColumnarTick`` row rebuilds
+    relinks: int  # mobility re-links (``num_relinks``)
+
+
+#: (owner, method, ``Work`` field) of every call a trial counts.
+COUNTED_CALLS = (
+    (LMACProtocol, "_emit_beacon", "frame_beacons"),
+    (DirQNode, "readvertise", "readvertise"),
+    (DirQNode, "on_epoch", "on_epoch"),
+    (FloodingNode, "on_epoch", "on_epoch"),
+    (ColumnarTick, "_rebuild", "rebuilds"),
+)
+
+
+def _counting(calls: Counter, field: str, method):
+    def counted(self, *args, **kwargs):
+        calls[field] += 1
+        return method(self, *args, **kwargs)
+
+    return counted
+
+
+def run_counting(
+    config: ExperimentConfig, reference: bool = False
+) -> Tuple[TrialResult, Work]:
+    """Run one arm of the A/B pair; its `TrialResult` and its `Work`.
 
     ``reference=True`` runs the trial under :func:`reference_tick`; the
     default runs the production path.  Mirrors the batch worker entry
     point: the spec snapshots the config, and the runner gets a private
     deep copy so mutations during the build (``dirq.full_scale`` filled
-    from the dataset) never leak between arms.
+    from the dataset) never leak between arms.  Counting a call only
+    wraps the method, so it moves no measurement.  Every reception the
+    channel delivers must be charged to the ledger exactly once.
     """
     spec = TrialSpec(
         label="reference" if reference else "production", config=config
     )
+    calls: Counter = Counter()
     with pytest.MonkeyPatch.context() as patch:
+        for owner, attr, field in COUNTED_CALLS:
+            patch.setattr(owner, attr, _counting(calls, field, getattr(owner, attr)))
         if reference:
             reference_tick(patch)
-        result = run_experiment(copy.deepcopy(spec.config))
-    return TrialResult.from_experiment(spec, result)
+        runner = ExperimentRunner(copy.deepcopy(spec.config))
+        result = runner.run()
+    world = runner.world
+    stats = world.channel.stats
+    rx = world.ledger.total_count(direction="rx")
+    assert rx == stats.deliveries, f"ledger rx {rx} != {stats.deliveries} deliveries"
+    protocols = list(world.protocols.values())
+    work = Work(
+        events=world.sim.executed,
+        cancelled=world.sim.cancelled_total,
+        transmissions=stats.broadcasts + stats.unicasts,
+        deliveries=stats.deliveries,
+        drops=stats.drops_loss + stats.drops_dead_node + stats.drops_no_link,
+        beacons=sum(mac.beacons_sent for mac in world.macs.values()),
+        frame_beacons=calls["frame_beacons"],
+        updates_sent=sum(getattr(p, "updates_sent", 0) for p in protocols),
+        updates_suppressed=sum(
+            getattr(p, "updates_suppressed", 0) for p in protocols
+        ),
+        queries_forwarded=sum(getattr(p, "queries_forwarded", 0) for p in protocols),
+        readvertise=calls["readvertise"],
+        tick_rows=world.sampling.count(),
+        on_epoch=calls["on_epoch"],
+        rebuilds=calls["rebuilds"],
+        relinks=result.num_relinks,
+    )
+    return TrialResult.from_experiment(spec, result), work
+
+
+def run_arm(config: ExperimentConfig, reference: bool = False) -> TrialResult:
+    """:func:`run_counting`'s `TrialResult` alone."""
+    return run_counting(config, reference)[0]
 
 
 #: Observable name -> extractor.  Ordered from the most diagnostic (a

@@ -9,7 +9,12 @@ the one tree rule with parents that forget their ex-children.  The digests
 are ``TrialResult.fingerprint(include_key=False)`` at seed 1, recorded when
 kills, revivals and re-links first shared that rule; a change that moves
 any of them changes what a dynamic trial measures and must re-pin them
-under a new ``CACHE_VERSION``.
+under a new ``CACHE_VERSION``.  The ``area-blast``, ``energy-lognormal``,
+``harsh-*`` and ``scale-500-churn`` cells and the ``atc`` and ``flooding``
+variants of ``churn-revive`` and ``energy-tiered`` joined later, when the
+pins grew to cover every registry scenario and every cell of the
+repository benchmark's workloads.  Each cell's work is pinned beside its
+digest (:mod:`tests.differential.work`).
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ import pytest
 from repro.experiments.campaign import PROTOCOLS
 from repro.scenarios.registry import build_config
 
-from .abharness import run_arm
+from .abharness import run_counting
+from .work import assert_work
 
 #: (cell, protocol) -> full measurement digest.
 DYNAMIC_DIGESTS = {
@@ -33,14 +39,24 @@ DYNAMIC_DIGESTS = {
     ("energy-tiered", "dirq"): "b3af497d32e74c938f87516deb4c1d3557698eedc7b53785982840a33db73b0c",
     ("area-blast-revive", "dirq"): "47b48e453965c5d05c7d4a308ce88bef0677cc911077b1aa1a868b132a32e53d",
     ("churn-heavy", "atc"): "fe48ca29be5318b5364b4e3283ec5380013bfd227151e613de0232d1827712bd",
+    ("area-blast", "dirq"): "fcb780ad8e19f70607fba53a310f9811674c827076fd417db57d70606917e99f",
+    ("energy-lognormal", "dirq"): "e16fe09f97fa41336c614fb2b5fac3a96ddde5068d548a548c676980708be44c",
+    ("harsh-grid", "dirq"): "9227748541d4ea2abc378a3b64842b839d1fe92230c1f5ef54da437f42be3b2a",
+    ("harsh-mixed", "dirq"): "1a860eaa256f653ad6dea4a95ec6d4b70d6a1f05a828bcd23ac56998254b96a8",
+    ("scale-500-churn", "dirq"): "96a29a7774eb9b41770a08123c42224c0d0112b9b5ec2f0f15d1978291d03fcc",
+    ("churn-revive", "atc"): "5b3213537e674a5360c30162681884c9071f2d4e871eb85b27e2a4b9fd5254ec",
+    ("churn-revive", "flooding"): "11ac1af4ac9f89fec8f0fe9a1d50108ec3fcacfc424687cc4ce7887d3434ef13",
+    ("energy-tiered", "atc"): "a4b7bca6128210e12fbfda0eae5968c88462186131d654f1e9c674dfc1183637",
+    ("energy-tiered", "flooding"): "543b34e3c02341c958522bdd4e6a5690eb99e72223a9db4f83d63f78db4eb2f7",
 }
 
-#: Cells shorter than the default 400 epochs (the 500-node cell is slow).
-EPOCHS = {"scale-500-mobile": 60}
+#: Cells shorter than the default 400 epochs (the 500-node cells are slow).
+EPOCHS = {"scale-500-mobile": 60, "scale-500-churn": 60}
 
 
 @pytest.mark.parametrize("cell,protocol", sorted(DYNAMIC_DIGESTS), ids=str)
 def test_dynamic_cell_measurements_are_pinned(cell, protocol):
     config = PROTOCOLS[protocol](build_config(cell, EPOCHS.get(cell, 400), 1))
-    result = run_arm(config)
+    result, work = run_counting(config)
     assert result.fingerprint(include_key=False) == DYNAMIC_DIGESTS[(cell, protocol)]
+    assert_work(cell, protocol, work)

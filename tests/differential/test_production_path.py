@@ -12,102 +12,53 @@ re-link.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 
-from repro.core.dirq_node import DirQNode
-from repro.core.flooding import FloodingNode
-from repro.experiments.columnar import ColumnarTick
-from repro.experiments.runner import ExperimentRunner
-from repro.mac.lmac import LMACProtocol
 from repro.scenarios.registry import build_config
 from repro.scenarios.static import small_network
 
-from .reference import reference_tick
-
-
-def _run_counting(monkeypatch, config, reference=False):
-    """Run one trial; return its call counts.
-
-    Counts ``ColumnarTick`` constructions and row rebuilds, per-node
-    ``on_epoch`` calls, frame beacons (``_emit_beacon`` calls) and, after
-    the run, every MAC's ``beacons_sent``.
-    """
-    counts: Counter = Counter()
-
-    def counting(key, original):
-        def wrapper(self, *args, **kwargs):
-            counts[key] += 1
-            return original(self, *args, **kwargs)
-
-        return wrapper
-
-    for owner, attr, key in (
-        (ColumnarTick, "__init__", "columnar"),
-        (ColumnarTick, "_rebuild", "rebuilds"),
-        (DirQNode, "on_epoch", "on_epoch"),
-        (FloodingNode, "on_epoch", "on_epoch"),
-        (LMACProtocol, "_emit_beacon", "frame_beacons"),
-    ):
-        monkeypatch.setattr(owner, attr, counting(key, getattr(owner, attr)))
-    if reference:
-        reference_tick(monkeypatch)
-    runner = ExperimentRunner(config)
-    runner.run()
-    counts["beacons_sent"] = sum(
-        mac.beacons_sent for mac in runner.world.macs.values()
-    )
-    return counts
+from .abharness import run_counting
 
 
 class TestProductionPath:
-    def test_default_dirq_trial_runs_columnar_with_fast_beacons(
-        self, monkeypatch
-    ):
-        counts = _run_counting(
-            monkeypatch, small_network(num_nodes=8, num_epochs=40)
-        )
-        assert counts["columnar"] == 1
-        assert counts["on_epoch"] == 0
-        assert counts["beacons_sent"] > 0
-        assert counts["frame_beacons"] == 0
+    def test_default_dirq_trial_runs_columnar_with_fast_beacons(self):
+        _, work = run_counting(small_network(num_nodes=8, num_epochs=40))
+        assert work.rebuilds == 1
+        assert work.on_epoch == 0
+        assert work.beacons > 0
+        assert work.frame_beacons == 0
 
-    def test_flooding_trials_tick_per_node_on_the_beacon_fast_path(
-        self, monkeypatch
-    ):
+    def test_flooding_trials_tick_per_node_on_the_beacon_fast_path(self):
         """Flooding has no sampling loop to vectorise, but its MAC takes
         the same beacon fast path as DirQ's."""
-        counts = _run_counting(
-            monkeypatch, small_network(num_nodes=8, num_epochs=40).with_flooding()
+        _, work = run_counting(
+            small_network(num_nodes=8, num_epochs=40).with_flooding()
         )
-        assert counts["columnar"] == 0
-        assert counts["on_epoch"] == 8 * 40
-        assert counts["beacons_sent"] > 0
-        assert counts["frame_beacons"] == 0
+        assert work.rebuilds == 0
+        assert work.on_epoch == 8 * 40
+        assert work.beacons > 0
+        assert work.frame_beacons == 0
 
     @pytest.mark.parametrize("variant", ["dirq", "atc"])
-    def test_oracle_runs_the_references(self, monkeypatch, variant):
-        """The oracle never runs the engine it checks: no columnar tick,
+    def test_oracle_runs_the_references(self, variant):
+        """The oracle never runs the engine it checks: no columnar rows,
         every alive node's ``on_epoch`` every epoch, a frame per beacon."""
         cfg = small_network(num_nodes=8, num_epochs=40)
         if variant == "atc":
             cfg = cfg.with_atc()
-        counts = _run_counting(monkeypatch, cfg, reference=True)
-        assert counts["columnar"] == 0
-        assert counts["on_epoch"] == 8 * 40
-        assert counts["beacons_sent"] > 0
-        assert counts["frame_beacons"] == counts["beacons_sent"]
+        _, work = run_counting(cfg, reference=True)
+        assert work.rebuilds == 0
+        assert work.on_epoch == 8 * 40
+        assert work.beacons > 0
+        assert work.frame_beacons == work.beacons
 
 
-def test_lossless_static_flooding_sends_no_frame_beacons(monkeypatch):
+def test_lossless_static_flooding_sends_no_frame_beacons():
     """Deterministic work count: on a lossless static network every
     beacon tick of a flooding trial takes the fast path."""
-    counts = _run_counting(
-        monkeypatch, build_config("static-paper", 400, 1).with_flooding()
-    )
-    assert counts["beacons_sent"] == 2_000
-    assert counts["frame_beacons"] == 0
+    _, work = run_counting(build_config("static-paper", 400, 1).with_flooding())
+    assert work.beacons == 2_000
+    assert work.frame_beacons == 0
 
 
 #: (scenario, rebuilds at 200 epochs, seed 3).  A re-link keeps the alive
@@ -122,7 +73,6 @@ REBUILDS = (
 
 
 @pytest.mark.parametrize("name,expected", REBUILDS, ids=lambda v: str(v))
-def test_rows_rebuild_only_on_alive_set_changes(monkeypatch, name, expected):
-    cfg = build_config(name, num_epochs=200, seed=3)
-    counts = _run_counting(monkeypatch, cfg)
-    assert counts["rebuilds"] == expected
+def test_rows_rebuild_only_on_alive_set_changes(name, expected):
+    _, work = run_counting(build_config(name, num_epochs=200, seed=3))
+    assert work.rebuilds == expected

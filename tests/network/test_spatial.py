@@ -1,7 +1,7 @@
 """Tests for the grid-bucket spatial hash (``repro.network.spatial``).
 
-Two layers: unit tests of the ``SpatialHash`` container contract
-(deterministic sorted drains, inclusive range predicate, cell geometry)
+Two layers: unit tests of the ``SpatialHash`` contract (sorted query
+results, inclusive range predicate, cell geometry)
 and randomized equivalence properties pinning the spatial neighbour
 derivation to the all-pairs oracles of ``tests/differential/reference.py``
 -- same edge sets, same adjacency insertion order, same dirty sets, same
@@ -39,18 +39,6 @@ DELTAS = {
 
 
 class TestSpatialHashContainer:
-    def test_insert_len_contains_position(self):
-        grid = SpatialHash(cell_size=10.0)
-        assert len(grid) == 0 and 1 not in grid
-        grid.insert(1, (3.0, 4.0))
-        assert len(grid) == 1 and 1 in grid
-        assert grid.position(1) == (3.0, 4.0)
-
-    def test_duplicate_insert_rejected(self):
-        grid = SpatialHash({1: (0.0, 0.0)}, cell_size=5.0)
-        with pytest.raises(ValueError, match="already indexed"):
-            grid.insert(1, (1.0, 1.0))
-
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_cell_size_must_be_positive_finite(self, bad):
         with pytest.raises(ValueError):
@@ -61,30 +49,6 @@ class TestSpatialHashContainer:
         assert grid.cell_for((-0.1, 0.1)) == (-1, 0)
         assert grid.cell_for((-10.0, -10.0)) == (-1, -1)
         assert grid.cell_for((0.0, 0.0)) == (0, 0)
-
-    def test_bulk_init_matches_per_node_insert(self):
-        rng = np.random.default_rng(3)
-        positions = {
-            int(i): (float(x), float(y))
-            for i, (x, y) in enumerate(rng.uniform(-50, 50, (40, 2)))
-        }
-        bulk = SpatialHash(positions, cell_size=7.5)
-        singly = SpatialHash(cell_size=7.5)
-        for nid in sorted(positions):
-            singly.insert(nid, positions[nid])
-        assert list(bulk.items()) == list(singly.items())
-        assert bulk.cells() == singly.cells()
-
-    def test_sorted_drain_order(self):
-        grid = SpatialHash(
-            {5: (25.0, 5.0), 1: (5.0, 5.0), 3: (5.0, 6.0)}, cell_size=10.0
-        )
-        cells = grid.cells()
-        assert cells == sorted(cells)
-        assert grid.bucket((0, 0)) == [1, 3]
-        drained = list(grid.items())
-        assert [cell for cell, _ in drained] == cells
-        assert all(members == sorted(members) for _, members in drained)
 
 
 class TestSpatialHashQueries:

@@ -6,9 +6,9 @@ only per-event registry call is the guarded ``channel.fanout`` histogram.
 These tests pin that design by counting registry calls, not by timing
 them, so they cannot flake on a loaded host:
 
-* on the engine smoke-bench chain (the one ``benchmarks.bench_engine``
-  times), a metrics-enabled :class:`Simulator` executes the same events
-  and makes no registry call inside ``run()``;
+* on a chain of events that each schedule the next, a metrics-enabled
+  :class:`Simulator` executes the same events and makes no registry call
+  inside ``run()``;
 * on a real ATC trial, the run makes exactly one ``channel.fanout``
   observation per broadcast before the harvest, and no other call.
 """
@@ -42,7 +42,7 @@ def registry_calls(monkeypatch) -> Counter:
 
 
 def chained_events(instrumentation) -> Simulator:
-    """The engine smoke-bench workload: one event schedules the next."""
+    """A chain of ``NUM_EVENTS`` events: each one schedules the next."""
     sim = Simulator(instrumentation=instrumentation)
     count = 0
 

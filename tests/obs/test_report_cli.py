@@ -1,12 +1,11 @@
-"""The ``python -m repro.obs.report`` CLI."""
+"""``python -m repro trial``: one instrumented trial, rendered."""
 
 import json
 
 import pytest
 
-from repro.experiments.batch import config_hash
+from repro.__main__ import main
 from repro.experiments.campaign import preset
-from repro.obs import report
 from repro.obs.trace_export import validate_chrome_trace
 
 
@@ -16,7 +15,9 @@ def _isolate_cache_env(monkeypatch):
 
 
 @pytest.mark.parametrize("num_epochs,seed", [(300, 1), (120, 7)])
-def test_headline_alias_is_the_headline_presets_atc_trial(num_epochs, seed):
+def test_headline_alias_is_the_headline_presets_atc_trial(
+    num_epochs, seed, tmp_path
+):
     (atc,) = [
         trial
         for trial in preset(
@@ -24,8 +25,23 @@ def test_headline_alias_is_the_headline_presets_atc_trial(num_epochs, seed):
         ).trial_specs()
         if trial.tags["protocol"] == "atc"
     ]
-    config = report._build_trial_config(report.HEADLINE, num_epochs, seed, None)
-    assert config_hash(config) == atc.key
+    path = tmp_path / "headline.json"
+    rc = main(
+        [
+            "trial",
+            "headline",
+            "--epochs",
+            str(num_epochs),
+            "--seed",
+            str(seed),
+            "--instrument",
+            "metrics",
+            "--json",
+            str(path),
+        ]
+    )
+    assert rc == 0
+    assert json.loads(path.read_text())["key"] == atc.key
 
 
 class TestTrialMode:
@@ -34,9 +50,9 @@ class TestTrialMode:
         json_path = tmp_path / "t.json"
         md_path = tmp_path / "t.md"
         jsonl_path = tmp_path / "t.jsonl"
-        rc = report.main(
+        rc = main(
             [
-                "--scenario",
+                "trial",
                 "static-paper",
                 "--epochs",
                 "40",
@@ -70,9 +86,9 @@ class TestTrialMode:
     def test_json_export_is_reproducible(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:
-            rc = report.main(
+            rc = main(
                 [
-                    "--scenario",
+                    "trial",
                     "static-paper",
                     "--epochs",
                     "30",
@@ -86,15 +102,8 @@ class TestTrialMode:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_metrics_only_mode_skips_phase_table(self, tmp_path, capsys):
-        rc = report.main(
-            [
-                "--scenario",
-                "static-paper",
-                "--epochs",
-                "30",
-                "--instrument",
-                "metrics",
-            ]
+        rc = main(
+            ["trial", "static-paper", "--epochs", "30", "--instrument", "metrics"]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -103,8 +112,8 @@ class TestTrialMode:
 
 
 def test_scenario_is_required(capsys):
-    """The report runs one trial; a campaign summary is
-    ``campaign --status --campaign X``."""
+    """The command runs one trial; a campaign's stored results are
+    ``python -m repro report X``."""
     with pytest.raises(SystemExit):
-        report.main(["--epochs", "30"])
-    assert "required: --scenario" in capsys.readouterr().err
+        main(["trial", "--epochs", "30"])
+    assert "required: SCENARIO" in capsys.readouterr().err

@@ -70,7 +70,7 @@ class TestCancellation:
     def test_cancelled_event_does_not_fire(self, sim):
         fired = []
         handle = sim.schedule_at(1.0, lambda: fired.append("a"))
-        assert sim.cancel(handle) is True
+        assert handle.cancel() is True
         sim.run()
         assert fired == []
 
@@ -232,12 +232,3 @@ class TestIntrospection:
         sim.schedule_at(10.0, lambda: None)
         sim.run()
         assert sim.executed == 4
-
-    def test_step_executes_single_event(self, sim):
-        fired = []
-        sim.schedule_at(1.0, lambda: fired.append(1))
-        sim.schedule_at(2.0, lambda: fired.append(2))
-        assert sim.step() is True
-        assert fired == [1]
-        assert sim.step() is True
-        assert sim.step() is False

@@ -55,14 +55,7 @@ DOC_FILES = sorted(
 ) + [Path("README.md")]
 
 #: Modules with an argparse entry point: ``--help`` must exit 0.
-ARGPARSE_CLIS = {
-    "repro",
-    "repro.obs.report",
-    "benchmarks.bench_engine",
-    "benchmarks.bench_scenarios",
-    "benchmarks.bench_scale",
-    "tools.reprolint",
-}
+ARGPARSE_CLIS = {"repro", "tools.reprolint"}
 
 FENCE_RE = re.compile(r"^```")
 PYTHON_M_RE = re.compile(r"python\s+-m\s+([A-Za-z_][\w.]*)")

@@ -53,7 +53,6 @@ LAYERS: Sequence[Tuple[str, int]] = (
     ("repro.scenarios.static", 80),
     ("repro.scenarios.registry", 80),
     ("repro.experiments.campaign", 90),
-    ("repro.obs.report", 90),
     ("repro", 100),
 )
 
