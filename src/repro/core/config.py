@@ -57,10 +57,22 @@ class DirQConfig:
         unchanged.
     atc_delta_min_percent / atc_delta_max_percent:
         Clamp on the adaptive threshold, in percent of full scale.
-    query_payload_bytes / update_payload_bytes / estimate_payload_bytes:
-        Approximate message sizes used by byte-proportional energy models
-        (irrelevant to the unit-cost model used for the paper's figures).
+
+    Every message costs one unit to send and one to receive (paper §5), so
+    the configuration carries no message sizes.
     """
+
+    #: Deleted fields the canonical hash payload still carries at the one
+    #: value they ever took, so every cache key and fingerprint from before
+    #: their removal survives (``repro.experiments.batch._canonical``).
+    #: They were per-kind message sizes for a byte-proportional energy
+    #: model that no configuration could select.  Passing one raises
+    #: ``TypeError``, like any unknown field.
+    HASH_RETIRED = (
+        ("query_payload_bytes", 24),
+        ("update_payload_bytes", 20),
+        ("estimate_payload_bytes", 16),
+    )
 
     threshold_mode: str = ThresholdMode.FIXED
     delta_percent: float = 5.0
@@ -76,10 +88,6 @@ class DirQConfig:
     atc_delta_min_percent: float = 0.5
     atc_delta_max_percent: float = 25.0
     atc_initial_delta_percent: float = 3.0
-
-    query_payload_bytes: int = 24
-    update_payload_bytes: int = 20
-    estimate_payload_bytes: int = 16
 
     def __post_init__(self) -> None:
         if self.threshold_mode not in ThresholdMode.ALL:

@@ -20,7 +20,7 @@ dead on a lossy channel, which the tree still counts as a child.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..mac.lmac import LMACProtocol
 from ..network.addresses import NodeId
@@ -72,7 +72,6 @@ class DirQNode(DisseminationProtocol):
         self.updates_suppressed = 0
         self.queries_received = 0
         self.queries_forwarded = 0
-        self.estimates_relayed = 0
         self.current_epoch = 0
         self._last_estimate_hour = -1
         mac.on_neighbor_lost = self._handle_neighbor_lost
@@ -86,12 +85,6 @@ class DirQNode(DisseminationProtocol):
         if self.atc is not None:
             return self.atc.delta_absolute(sensor_type)
         return self.config.absolute_delta(sensor_type)
-
-    def current_delta_percent(self, sensor_type: str) -> float:
-        """Threshold in percent of full scale (for reporting)."""
-        if self.atc is not None:
-            return self.atc.delta_percent(sensor_type)
-        return self.config.delta_percent
 
     # ------------------------------------------------------------------
     # Epoch processing (sampling + range maintenance)
@@ -147,19 +140,7 @@ class DirQNode(DisseminationProtocol):
             # The root keeps its own aggregate current but has nobody to
             # report to.
             return
-        message = UpdateMessage(
-            sender=self.node_id,
-            sensor_type=sensor_type,
-            min_threshold=aggregate[0],
-            max_threshold=aggregate[1],
-            epoch=epoch,
-        )
-        self.mac.send(
-            self.parent, message, UPDATE_KIND, self.config.update_payload_bytes
-        )
-        self.updates_sent += 1
-        if self.atc is not None:
-            self.atc.on_update_sent()
+        self._send_update(sensor_type, epoch, aggregate)
         self.sim.tracer.record(
             self.now,
             "dirq.update",
@@ -170,19 +151,26 @@ class DirQNode(DisseminationProtocol):
 
     def _send_removal(self, sensor_type: str, epoch: int) -> None:
         """Withdraw a sensor type from the parent (subtree no longer has it)."""
-        if self.parent is None:
-            return
+        if self.parent is not None:
+            self._send_update(sensor_type, epoch, (0.0, 0.0), removed=True)
+
+    def _send_update(
+        self,
+        sensor_type: str,
+        epoch: int,
+        aggregate: Tuple[float, float],
+        removed: bool = False,
+    ) -> None:
+        """Send one Update Message to the parent; every update goes here."""
         message = UpdateMessage(
             sender=self.node_id,
             sensor_type=sensor_type,
-            min_threshold=0.0,
-            max_threshold=0.0,
+            min_threshold=aggregate[0],
+            max_threshold=aggregate[1],
             epoch=epoch,
-            removed=True,
+            removed=removed,
         )
-        self.mac.send(
-            self.parent, message, UPDATE_KIND, self.config.update_payload_bytes
-        )
+        self.mac.send(self.parent, message, UPDATE_KIND)
         self.updates_sent += 1
         if self.atc is not None:
             self.atc.on_update_sent()
@@ -201,20 +189,8 @@ class DirQNode(DisseminationProtocol):
             if aggregate is None or self.parent is None:
                 continue
             table.mark_transmitted(aggregate)
-            message = UpdateMessage(
-                sender=self.node_id,
-                sensor_type=table.sensor_type,
-                min_threshold=aggregate[0],
-                max_threshold=aggregate[1],
-                epoch=epoch,
-            )
-            self.mac.send(
-                self.parent, message, UPDATE_KIND, self.config.update_payload_bytes
-            )
-            self.updates_sent += 1
+            self._send_update(table.sensor_type, epoch, aggregate)
             sent += 1
-            if self.atc is not None:
-                self.atc.on_update_sent()
         return sent
 
     # ------------------------------------------------------------------
@@ -259,24 +235,28 @@ class DirQNode(DisseminationProtocol):
         )
         self._evaluate_and_forward(query)
 
-    def _evaluate_and_forward(self, query: RangeQuery) -> None:
-        """Source check + directed forwarding to overlapping children."""
+    def _evaluate_and_forward(self, query: RangeQuery) -> int:
+        """Source check + directed forwarding to overlapping children.
+
+        Returns the number of children the query was forwarded to.
+        """
         table = self.tables.table(query.sensor_type)
         if table is None:
-            return
+            return 0
         if table.own_entry is not None and query.overlaps(
             table.own_entry.min_threshold, table.own_entry.max_threshold
         ):
             self.record_source_claim(query.query_id)
+        forwarded = 0
         for child in self.children:
             entry = table.child_entry(child)
             if entry is None:
                 continue
             if query.overlaps(entry.min_threshold, entry.max_threshold):
-                self.mac.send(
-                    child, query, QUERY_KIND, self.config.query_payload_bytes
-                )
-                self.queries_forwarded += 1
+                self.mac.send(child, query, QUERY_KIND)
+                forwarded += 1
+        self.queries_forwarded += forwarded
+        return forwarded
 
     # -- estimates from the root ---------------------------------------------------
 
@@ -286,12 +266,12 @@ class DirQNode(DisseminationProtocol):
         self._last_estimate_hour = message.hour_index
         if self.atc is not None:
             self.atc.on_estimate(message.node_update_budget)
-        # Relay down the tree so every node receives the hourly estimate.
+        self._relay_estimate(message)
+
+    def _relay_estimate(self, message: EstimateMessage) -> None:
+        """Send the hourly estimate to every child, so it reaches every node."""
         for child in self.children:
-            self.mac.send(
-                child, message, ESTIMATE_KIND, self.config.estimate_payload_bytes
-            )
-            self.estimates_relayed += 1
+            self.mac.send(child, message, ESTIMATE_KIND)
 
     # ------------------------------------------------------------------
     # Cross-layer topology adaptation (paper §4.2)
@@ -336,11 +316,3 @@ class DirQNode(DisseminationProtocol):
         # Parent loss is repaired by the tree-maintenance machinery in the
         # experiment runner (a new parent is installed via set_tree_links and
         # the node re-advertises); nothing to do locally here.
-
-    # ------------------------------------------------------------------
-    # Introspection helpers used by tests and examples
-    # ------------------------------------------------------------------
-
-    def known_sensor_types(self) -> list[str]:
-        """Sensor types this node believes exist in its subtree."""
-        return self.tables.sensor_types

@@ -28,12 +28,7 @@ from ..simulation.engine import Simulator
 from .atc import BudgetPlan, RootBudgetPlanner
 from .config import DirQConfig
 from .dirq_node import DirQNode
-from .messages import (
-    ESTIMATE_KIND,
-    QUERY_KIND,
-    EstimateMessage,
-    RangeQuery,
-)
+from .messages import EstimateMessage, RangeQuery
 
 
 class DirQRoot(DirQNode):
@@ -66,7 +61,6 @@ class DirQRoot(DirQNode):
         self.predictor = predictor
         self.planner = RootBudgetPlanner(config)
         self.queries_injected = 0
-        self.estimates_sent = 0
         self.hour_index = -1
         self.last_plan: Optional[BudgetPlan] = None
         self._queries_this_hour = 0
@@ -130,29 +124,14 @@ class DirQRoot(DirQNode):
             raise RuntimeError("cannot inject a query at a dead root")
         self.queries_injected += 1
         self._queries_this_hour += 1
-        table = self.tables.table(query.sensor_type)
-        forwarded = 0
-        if table is None:
+        if self.tables.table(query.sensor_type) is None:
             # No node in the network (as far as the root knows) carries this
             # sensor type; the query dies at the root.
             self.sim.tracer.record(
                 self.now, "dirq.query_unroutable", self.node_id, query_id=query.query_id
             )
             return 0
-        if table.own_entry is not None and query.overlaps(
-            table.own_entry.min_threshold, table.own_entry.max_threshold
-        ):
-            self.record_source_claim(query.query_id)
-        for child in self.children:
-            entry = table.child_entry(child)
-            if entry is None:
-                continue
-            if query.overlaps(entry.min_threshold, entry.max_threshold):
-                self.mac.send(
-                    child, query, QUERY_KIND, self.config.query_payload_bytes
-                )
-                self.queries_forwarded += 1
-                forwarded += 1
+        forwarded = self._evaluate_and_forward(query)
         self.sim.tracer.record(
             self.now,
             "dirq.query_injected",
@@ -202,11 +181,7 @@ class DirQRoot(DirQNode):
         if self.atc is not None:
             self.atc.on_estimate(node_budget)
         self._last_estimate_hour = self.hour_index
-        for child in self.children:
-            self.mac.send(
-                child, message, ESTIMATE_KIND, self.config.estimate_payload_bytes
-            )
-            self.estimates_sent += 1
+        self._relay_estimate(message)
         self.sim.tracer.record(
             self.now,
             "dirq.estimate",

@@ -33,10 +33,8 @@ class FloodingNode(DisseminationProtocol):
         node: SensorNode,
         mac: LMACProtocol,
         audit=None,
-        payload_bytes: int = 24,
     ):
         super().__init__(sim, node, mac, audit)
-        self.payload_bytes = payload_bytes
         self.queries_received = 0
         self.queries_rebroadcast = 0
         self.current_epoch = 0
@@ -57,7 +55,7 @@ class FloodingNode(DisseminationProtocol):
         self._seen.add(payload.query_id)
         self.record_query_receipt(payload.query_id)
         self._evaluate_source(payload)
-        self.mac.broadcast(payload, FLOOD_KIND, self.payload_bytes)
+        self.mac.broadcast(payload, FLOOD_KIND)
         self.queries_rebroadcast += 1
 
     def _evaluate_source(self, query: RangeQuery) -> None:
@@ -82,11 +80,10 @@ class FloodingRoot(FloodingNode):
         node: SensorNode,
         mac: LMACProtocol,
         audit=None,
-        payload_bytes: int = 24,
     ):
         if not node.is_root:
             raise ValueError("FloodingRoot must run on the node marked is_root=True")
-        super().__init__(sim, node, mac, audit, payload_bytes)
+        super().__init__(sim, node, mac, audit)
         self.queries_injected = 0
         self._next_query_id = 0
 
@@ -102,5 +99,5 @@ class FloodingRoot(FloodingNode):
         self.queries_injected += 1
         self._seen.add(query.query_id)
         self._evaluate_source(query)
-        self.mac.broadcast(query, FLOOD_KIND, self.payload_bytes)
+        self.mac.broadcast(query, FLOOD_KIND)
         self.queries_rebroadcast += 1

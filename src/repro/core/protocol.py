@@ -48,7 +48,6 @@ class DisseminationProtocol(SimProcess):
         self.parent: Optional[NodeId] = None
         self.children: List[NodeId] = []
         mac.set_upper_handler(self._on_mac_payload)
-        node.app = self
 
     # -- identity ------------------------------------------------------------
 

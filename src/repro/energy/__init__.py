@@ -1,21 +1,11 @@
-"""Energy accounting substrate (the paper's §5 unit-cost bookkeeping)."""
+"""Energy accounting substrate: the paper's §5 unit-cost ledger and batteries."""
 
 from .battery import Battery
 from .ledger import EnergyEntry, NetworkLedger, NodeLedger
-from .model import (
-    DEFAULT_ENERGY_MODEL,
-    EnergyCostModel,
-    RadioEnergyModel,
-    UnitCostModel,
-)
 
 __all__ = [
     "Battery",
     "EnergyEntry",
     "NetworkLedger",
     "NodeLedger",
-    "DEFAULT_ENERGY_MODEL",
-    "EnergyCostModel",
-    "RadioEnergyModel",
-    "UnitCostModel",
 ]

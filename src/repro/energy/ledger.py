@@ -1,11 +1,15 @@
-"""Per-node and network-wide energy / message ledgers.
+"""Per-node and network-wide message ledgers.
 
-The ledgers are the measurement backbone of every reproduced figure: the
-paper's "cost" metric is the total of transmission and reception units, and
-its update/query breakdowns (Fig. 6, the 45–55 % claim) require attributing
-each unit to a message *kind*.  Every radio operation performed through the
-channel is recorded here, tagged with the node, the direction, and the kind
-of protocol message that caused it.
+The ledgers are the measurement backbone of every reproduced figure.  The
+paper's §5 prices radio operations in unit costs: "the cost of
+transmitting a message is assumed to be one unit while the cost of
+receiving a message is also assumed to be one unit".  A ledger therefore
+counts operations, and a bucket's cost is its count
+(:attr:`EnergyEntry.cost`, the one place that rule is written).  Its
+update/query breakdowns (Fig. 6, the 45–55 % claim) need each operation
+attributed to a message *kind*: every radio operation performed through
+the channel is recorded here, tagged with the node, the direction, and
+the kind of protocol message that caused it.
 """
 
 from __future__ import annotations
@@ -17,39 +21,35 @@ from typing import Dict, Iterable, Optional, Tuple
 
 @dataclasses.dataclass
 class EnergyEntry:
-    """Accumulated cost and count for one (direction, kind) bucket."""
+    """Operation count for one (direction, kind) bucket."""
 
     count: int = 0
-    cost: float = 0.0
 
-    def add(self, cost: float) -> None:
-        self.count += 1
-        self.cost += cost
+    @property
+    def cost(self) -> float:
+        """The bucket's cost: one unit per operation (paper §5)."""
+        return float(self.count)
 
 
 class NodeLedger:
-    """Energy and message bookkeeping for a single node."""
+    """Message bookkeeping for a single node."""
 
     def __init__(self, node_id: int):
         self.node_id = node_id
         self._entries: Dict[Tuple[str, str], EnergyEntry] = defaultdict(EnergyEntry)
 
-    def charge_tx(self, kind: str, cost: float) -> None:
+    def charge_tx(self, kind: str) -> None:
         """Record one transmission of a message of the given kind."""
-        entry = self._entries[("tx", kind)]
-        entry.count += 1
-        entry.cost += cost
+        self._entries[("tx", kind)].count += 1
 
-    def charge_rx(self, kind: str, cost: float) -> None:
+    def charge_rx(self, kind: str) -> None:
         """Record one reception of a message of the given kind."""
-        entry = self._entries[("rx", kind)]
-        entry.count += 1
-        entry.cost += cost
+        self._entries[("rx", kind)].count += 1
 
     # -- queries -----------------------------------------------------------
 
     def total_cost(self, kinds: Optional[Iterable[str]] = None) -> float:
-        """Total energy cost, optionally restricted to certain message kinds."""
+        """Total cost, optionally restricted to certain message kinds."""
         wanted = set(kinds) if kinds is not None else None
         return sum(
             e.cost
@@ -72,9 +72,6 @@ class NodeLedger:
         """Mapping of (direction, kind) -> (count, cost)."""
         return {key: (e.count, e.cost) for key, e in self._entries.items()}
 
-    def reset(self) -> None:
-        self._entries.clear()
-
 
 class NetworkLedger:
     """Aggregates :class:`NodeLedger` instances for a whole network.
@@ -86,8 +83,10 @@ class NetworkLedger:
     its own iteration order -- one flat tuple, far cheaper to unpickle than
     the node and entry objects -- and unpickles as an
     :class:`UnreadLedger`, which builds the :class:`NodeLedger` objects
-    from those rows only when something first reads them.  The live class
-    defines no attribute hooks, so its charge path is untouched.
+    from those rows only when something first reads them.  The cost slot
+    carries ``float(count)``, so rows keep the layout they had when costs
+    were stored, and is ignored on read.  The live class defines no
+    attribute hooks, so its charge path is untouched.
     """
 
     def __init__(self) -> None:
@@ -113,9 +112,6 @@ class NetworkLedger:
             ledger = self._nodes[node_id] = NodeLedger(node_id)
         return ledger
 
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._nodes
-
     @property
     def node_ids(self) -> list[int]:
         return sorted(self._nodes)
@@ -123,7 +119,7 @@ class NetworkLedger:
     # -- network-wide aggregation -------------------------------------------
 
     def total_cost(self, kinds: Optional[Iterable[str]] = None) -> float:
-        """Network-wide energy cost, optionally restricted to message kinds."""
+        """Network-wide cost, optionally restricted to message kinds."""
         return sum(ledger.total_cost(kinds) for ledger in self._nodes.values())
 
     def total_count(
@@ -136,14 +132,6 @@ class NetworkLedger:
         """Mapping node id -> total cost for that node."""
         return {nid: ledger.total_cost(kinds) for nid, ledger in self._nodes.items()}
 
-    def kinds(self) -> set[str]:
-        """All message kinds that have been charged so far."""
-        found: set[str] = set()
-        for ledger in self._nodes.values():
-            for (_, kind) in ledger.breakdown():
-                found.add(kind)
-        return found
-
     def breakdown_by_kind(self) -> Dict[str, Tuple[int, float]]:
         """Mapping kind -> (total operation count, total cost) network-wide."""
         agg: Dict[str, Tuple[int, float]] = {}
@@ -152,15 +140,6 @@ class NetworkLedger:
                 c0, e0 = agg.get(kind, (0, 0.0))
                 agg[kind] = (c0 + count, e0 + cost)
         return agg
-
-    def reset(self) -> None:
-        """Zero every node ledger (keeps the node set)."""
-        for ledger in self._nodes.values():
-            ledger.reset()
-
-    def snapshot(self) -> Dict[str, float]:
-        """Cheap network-wide snapshot: kind -> cost.  Useful for windowed series."""
-        return {kind: cost for kind, (_, cost) in self.breakdown_by_kind().items()}
 
 
 class UnreadLedger(NetworkLedger):
@@ -189,10 +168,10 @@ class UnreadLedger(NetworkLedger):
     def _rebuild(self) -> Dict[int, NodeLedger]:
         rows = iter(self._flat_rows)
         nodes: Dict[int, NodeLedger] = {}
-        for nid, direction, kind, count, cost in zip(rows, rows, rows, rows, rows):
+        for nid, direction, kind, count, _cost in zip(rows, rows, rows, rows, rows):
             ledger = nodes.get(nid)
             if ledger is None:
                 ledger = nodes[nid] = NodeLedger(nid)
             if direction is not None:
-                ledger._entries[direction, kind] = EnergyEntry(count, cost)
+                ledger._entries[direction, kind] = EnergyEntry(count)
         return nodes

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any
 
-from ..network.addresses import BROADCAST, NodeId
+from ..network.addresses import NodeId
 
 #: Ledger kind used for LMAC control traffic.  The paper's cost comparison
 #: (§5, §7) counts only query/update traffic, because the MAC layer's own
@@ -33,19 +33,8 @@ class MACFrame:
         Target node id, or :data:`~repro.network.addresses.BROADCAST`.
     payload:
         Upper-layer message, or ``None`` for a control-only beacon.
-    payload_kind:
-        Ledger kind for the payload (e.g. ``"query"``, ``"update"``); the
-        control-only kind is :data:`MAC_CONTROL_KIND`.
-    payload_bytes:
-        Approximate payload size used by byte-proportional energy models.
     """
 
     source: NodeId
     destination: NodeId
     payload: Any = None
-    payload_kind: str = MAC_CONTROL_KIND
-    payload_bytes: int = 16
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self.destination == BROADCAST

@@ -75,20 +75,10 @@ class _BeaconPlan:
     a re-link that leaves the sender's neighbourhood alone shares that dict
     (``Topology.with_positions_delta``), so the plan survives it.
     ``dead`` holds targets that were dead at build time (free while dead;
-    revival invalidates the plan), so ``targets`` -- and with it the
-    per-beacon transmit cost -- is a plan constant.
+    revival invalidates the plan), so ``targets`` is a plan constant.
     """
 
-    __slots__ = (
-        "adjacency",
-        "rows",
-        "charge",
-        "dead",
-        "targets",
-        "tx_entry",
-        "tx_cost",
-        "rx_cost",
-    )
+    __slots__ = ("adjacency", "rows", "charge", "dead", "targets", "tx_entry")
 
 
 class LMACProtocol(SimProcess):
@@ -144,7 +134,7 @@ class LMACProtocol(SimProcess):
         # an unconditional increment costs less than any enabled-check here.
         self.beacons_sent = 0
         # Beacons carry no state, so one immutable frame serves them all.
-        self._beacon = MACFrame(source=node_id, destination=BROADCAST, payload_bytes=8)
+        self._beacon = MACFrame(source=node_id, destination=BROADCAST)
         # Delivery plan of the beacon fast path (see _try_fast_beacon).
         self._beacon_plan: Optional[_BeaconPlan] = None
         self._mac_access_delay = 1e-4
@@ -182,13 +172,7 @@ class LMACProtocol(SimProcess):
 
     # -- sending ---------------------------------------------------------------------
 
-    def send(
-        self,
-        destination: NodeId,
-        payload: Any,
-        kind: str,
-        payload_bytes: int = 32,
-    ) -> None:
+    def send(self, destination: NodeId, payload: Any, kind: str) -> None:
         """Transmit an upper-layer payload after the MAC access delay.
 
         ``destination`` may be a one-hop neighbour id or
@@ -196,21 +180,15 @@ class LMACProtocol(SimProcess):
         """
         if not self.channel.is_alive(self.node_id):
             return
-        frame = MACFrame(
-            source=self.node_id,
-            destination=destination,
-            payload=payload,
-            payload_kind=kind,
-            payload_bytes=payload_bytes,
-        )
+        frame = MACFrame(source=self.node_id, destination=destination, payload=payload)
 
         def transmit() -> None:
             if not self.channel.is_alive(self.node_id):
                 return
             if destination == BROADCAST:
-                self.channel.broadcast(self.node_id, frame, kind, payload_bytes)
+                self.channel.broadcast(self.node_id, frame, kind)
             else:
-                self.channel.unicast(self.node_id, destination, frame, kind, payload_bytes)
+                self.channel.unicast(self.node_id, destination, frame, kind)
 
         # Waiting for the owned slot is modelled as a small constant latency.
         label = self._tx_labels.get(kind)
@@ -218,9 +196,9 @@ class LMACProtocol(SimProcess):
             label = self._tx_labels[kind] = f"{self.name}.tx[{kind}]"
         self.sim.schedule_after(self._mac_access_delay, transmit, label=label)
 
-    def broadcast(self, payload: Any, kind: str, payload_bytes: int = 32) -> None:
+    def broadcast(self, payload: Any, kind: str) -> None:
         """Convenience wrapper for a one-hop broadcast."""
-        self.send(BROADCAST, payload, kind, payload_bytes)
+        self.send(BROADCAST, payload, kind)
 
     # -- beaconing and neighbourhood maintenance ----------------------------------------
 
@@ -335,18 +313,11 @@ class LMACProtocol(SimProcess):
         stats.broadcasts += 1
         if channel.metrics.enabled:
             channel.metrics.observe("channel.fanout", plan.targets)
-        tx_entry = plan.tx_entry
-        tx_entry.count += 1
-        tx_entry.cost += plan.tx_cost
-        rx_cost = plan.rx_cost
+        plan.tx_entry.count += 1
         for row in plan.charge:
-            rx_entry = row.rx_entry
-            rx_entry.count += 1
-            rx_entry.cost += rx_cost
+            row.rx_entry.count += 1
         for row in rows:
-            rx_entry = row.rx_entry
-            rx_entry.count += 1
-            rx_entry.cost += rx_cost
+            row.rx_entry.count += 1
             row.neighbors[nid] = 0
         stats.deliveries += len(rows)
         return True
@@ -404,14 +375,12 @@ class LMACProtocol(SimProcess):
         plan.dead = dead
         plan.targets = len(rows) + len(charge)
         plan.tx_entry = ledger.node(nid)._entries[("tx", MAC_CONTROL_KIND)]
-        plan.tx_cost = channel.energy_model.transmit_cost(8, plan.targets)
-        plan.rx_cost = channel.energy_model.receive_cost(8)
         self._beacon_plan = plan
         return plan
 
     def _emit_beacon(self) -> None:
         self.beacons_sent += 1
-        self.channel.broadcast(self.node_id, self._beacon, MAC_CONTROL_KIND, 8)
+        self.channel.broadcast(self.node_id, self._beacon, MAC_CONTROL_KIND)
 
     def _check_dead_neighbors(self) -> None:
         """Count a missed beacon period per neighbour; declare the silent dead."""

@@ -1,6 +1,6 @@
 """Wireless network substrate: placement, connectivity, channel, tree."""
 
-from .addresses import BROADCAST, NodeId, is_broadcast, validate_node_id
+from .addresses import BROADCAST, NodeId, validate_node_id
 from .channel import ChannelStats, WirelessChannel
 from .node import SensorNode
 from .spanning_tree import SpanningTree, TreeError, build_bfs_tree
@@ -14,7 +14,6 @@ from .topology import (
 __all__ = [
     "BROADCAST",
     "NodeId",
-    "is_broadcast",
     "validate_node_id",
     "ChannelStats",
     "WirelessChannel",

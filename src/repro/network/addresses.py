@@ -47,8 +47,3 @@ def validate_node_id(node_id: NodeId, *, allow_broadcast: bool = False) -> NodeI
     if node_id < 0:
         raise ValueError(f"node id must be non-negative, got {node_id}")
     return node_id
-
-
-def is_broadcast(node_id: NodeId) -> bool:
-    """Whether ``node_id`` is the broadcast sentinel."""
-    return node_id == BROADCAST

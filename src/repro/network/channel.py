@@ -1,22 +1,24 @@
 """Wireless channel: broadcast/unicast delivery with unit-cost accounting.
 
 The channel is the only component allowed to charge energy: every MAC frame
-that is transmitted charges the sender one transmission cost and every
-receiver one reception cost, with the per-message *kind* recorded so the
-metrics layer can split costs into query / update / estimate / flood traffic
-exactly as §5 of the paper does.
+that is transmitted counts one transmission for the sender and one
+reception for every receiver in the ledger, which prices each at one unit
+(paper §5).  The per-message *kind* is recorded so the metrics layer can
+split costs into query / update / estimate / flood traffic exactly as §5
+does.
 
 Delivery is scheduled through the simulation engine with a small propagation
-plus MAC-access delay, so message interleaving within an epoch is modelled
-explicitly and deterministically.  A transmission's whole fan-out is carried
-by a *single* delivery event that walks the target list (loss already
-applied, in one vectorised draw per transmission), instead of one closure
-per receiver: the event-queue traffic per broadcast is O(1) rather than
-O(neighbours), which is where most of the hot-loop time used to go.
+(:data:`PROPAGATION_DELAY`) plus MAC-access delay, so message interleaving
+within an epoch is modelled explicitly and deterministically.  A
+transmission's whole fan-out is carried by a *single* delivery event that
+walks the target list (loss already applied, in one vectorised draw per
+transmission), instead of one closure per receiver: the event-queue
+traffic per broadcast is O(1) rather than O(neighbours), which is where
+most of the hot-loop time used to go.
 
-Reception cost is charged when the frame is *delivered*, not when it is
+A reception is charged when the frame is *delivered*, not when it is
 transmitted: a receiver that dies while the frame is in flight is recorded
-as a drop and is never charged, so the energy ledger and the channel stats
+as a drop and is never charged, so the ledger and the channel stats
 always agree about how many receptions actually happened.
 
 Determinism contract
@@ -46,7 +48,6 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from ..energy.ledger import NetworkLedger
-from ..energy.model import DEFAULT_ENERGY_MODEL, EnergyCostModel
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..simulation.engine import Simulator
 from ..simulation.events import EventPriority
@@ -56,6 +57,11 @@ from .topology import Topology
 
 ReceiveCallback = Callable[[NodeId, Any], None]
 """Signature of a node's receive hook: ``(sender_id, frame) -> None``."""
+
+#: Simulated delay between a transmission and its receptions.  Kept well
+#: below one epoch so all per-epoch protocol exchanges settle before the
+#: next sampling round.
+PROPAGATION_DELAY = 1e-3
 
 
 @dataclasses.dataclass
@@ -80,20 +86,14 @@ class WirelessChannel:
     topology:
         Connectivity (who can hear whom).  Its graph is shared by
         reference; node death is a liveness flag, not a graph edit.
-    energy_model:
-        Cost model used to charge transmissions/receptions; defaults to the
-        paper's unit-cost model.
     ledger:
-        Network-wide energy ledger.  A fresh one is created when omitted.
+        Network-wide ledger the channel counts every transmission and
+        reception in.  A fresh one is created when omitted.
     loss_probability:
         Independent probability that any individual reception fails.  The
         paper's evaluation uses an ideal channel (0.0), but tests and
         ablations exercise lossy settings -- including the ``1.0``
         "all receptions fail" ablation.
-    propagation_delay:
-        Simulated delay between transmission and reception.  Kept well below
-        one epoch so all per-epoch protocol exchanges settle before the next
-        sampling round.
     rng:
         Random generator for loss draws.  Required whenever
         ``loss_probability > 0`` (validated at construction time so a lossy
@@ -110,10 +110,8 @@ class WirelessChannel:
         self,
         sim: Simulator,
         topology: Topology,
-        energy_model: EnergyCostModel = DEFAULT_ENERGY_MODEL,
         ledger: Optional[NetworkLedger] = None,
         loss_probability: float = 0.0,
-        propagation_delay: float = 1e-3,
         rng: Optional[np.random.Generator] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -124,18 +122,15 @@ class WirelessChannel:
             raise ValueError(
                 "loss_probability > 0 requires an rng for the loss draws"
             )
-        if propagation_delay < 0:
-            raise ValueError("propagation_delay must be non-negative")
         self.sim = sim
         # Topology is immutable (a move returns a copy), so the channel
         # shares its graph by reference: at n=5000 this turns every
         # mobility re-link's update_topology from an O(V+E) graph copy into
         # a pointer swap.
         self.graph = topology.graph
-        self.energy_model = energy_model
         self.ledger = ledger if ledger is not None else NetworkLedger()
         self.loss_probability = float(loss_probability)
-        self.propagation_delay = float(propagation_delay)
+        self.propagation_delay = PROPAGATION_DELAY
         self.rng = rng
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
@@ -210,13 +205,7 @@ class WirelessChannel:
 
     # -- transmission -----------------------------------------------------------
 
-    def broadcast(
-        self,
-        sender: NodeId,
-        frame: Any,
-        kind: str,
-        payload_bytes: int = 32,
-    ) -> int:
+    def broadcast(self, sender: NodeId, frame: Any, kind: str) -> int:
         """One-hop MAC broadcast from ``sender``.
 
         Charges the sender one transmission; every alive neighbour whose
@@ -227,16 +216,9 @@ class WirelessChannel:
 
         Returns the number of receptions scheduled (loss already applied).
         """
-        return self._transmit(sender, BROADCAST, frame, kind, payload_bytes)
+        return self._transmit(sender, BROADCAST, frame, kind)
 
-    def unicast(
-        self,
-        sender: NodeId,
-        dest: NodeId,
-        frame: Any,
-        kind: str,
-        payload_bytes: int = 32,
-    ) -> int:
+    def unicast(self, sender: NodeId, dest: NodeId, frame: Any, kind: str) -> int:
         """Unicast from ``sender`` to a one-hop neighbour ``dest``.
 
         Charges one transmission and (at delivery) one reception.  Returns 1
@@ -244,18 +226,11 @@ class WirelessChannel:
         transmit time (dead node, missing link, channel loss).
         """
         validate_node_id(dest)
-        return self._transmit(sender, dest, frame, kind, payload_bytes)
+        return self._transmit(sender, dest, frame, kind)
 
     # -- internals ----------------------------------------------------------------
 
-    def _transmit(
-        self,
-        sender: NodeId,
-        dest: NodeId,
-        frame: Any,
-        kind: str,
-        payload_bytes: int,
-    ) -> int:
+    def _transmit(self, sender: NodeId, dest: NodeId, frame: Any, kind: str) -> int:
         validate_node_id(sender)
         alive = self._alive
         if sender not in self.graph:
@@ -282,8 +257,7 @@ class WirelessChannel:
                 targets = [dest]
             self.stats.unicasts += 1
 
-        tx_cost = self.energy_model.transmit_cost(payload_bytes, len(targets))
-        self.ledger.node(sender).charge_tx(kind, tx_cost)
+        self.ledger.node(sender).charge_tx(kind)
         if self.tracer.enabled:
             self.tracer.record(
                 self.sim.now,
@@ -307,25 +281,19 @@ class WirelessChannel:
             self.stats.drops_loss += len(targets) - len(survivors)
             targets = survivors
         if targets:
-            self._schedule_delivery(sender, targets, frame, kind, payload_bytes)
+            self._schedule_delivery(sender, targets, frame, kind)
         return len(targets)
 
     def _schedule_delivery(
-        self,
-        sender: NodeId,
-        targets: List[NodeId],
-        frame: Any,
-        kind: str,
-        payload_bytes: int,
+        self, sender: NodeId, targets: List[NodeId], frame: Any, kind: str
     ) -> None:
         """Schedule one batched delivery event for a transmission's fan-out.
 
-        Reception energy is charged here, per target, at delivery time: a
+        Receptions are charged here, per target, at delivery time: a
         target that died while the frame was in flight is counted as
         ``drops_dead_node`` and never charged, keeping the ledger and the
         delivery stats consistent.
         """
-        rx_cost = self.energy_model.receive_cost(payload_bytes)
 
         def deliver() -> None:
             alive = self._alive
@@ -341,15 +309,13 @@ class WirelessChannel:
                 if not alive.get(target):
                     stats.drops_dead_node += 1
                     continue
-                # Inlined ledger.node(target).charge_rx(kind, rx_cost): one
-                # reception is charged per frame per alive target, and this
-                # loop runs for every reception of a trial.
+                # Inlined ledger.node(target).charge_rx(kind): one reception
+                # is charged per frame per alive target, and this loop runs
+                # for every reception of a trial.
                 node_ledger = ledger_nodes.get(target)
                 if node_ledger is None:
                     node_ledger = ledger.node(target)
-                entry = node_ledger._entries[rx_key]
-                entry.count += 1
-                entry.cost += rx_cost
+                node_ledger._entries[rx_key].count += 1
                 receiver = receivers.get(target)
                 if receiver is None:
                     continue

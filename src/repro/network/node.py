@@ -1,9 +1,9 @@
 """Sensor node model.
 
-A :class:`SensorNode` bundles everything that belongs to one physical device:
-its identity and position, the sensors mounted on it, its battery, and
-references to the protocol layers stacked on it (MAC below, application /
-dissemination protocol above).  The paper's heterogeneity requirement
+A :class:`SensorNode` bundles what belongs to one physical device: its
+identity, its position and the sensors mounted on it.  (A finite energy
+budget, when a scenario sets one, lives in the runner's
+``SimulationWorld.batteries``.)  The paper's heterogeneity requirement
 (Fig. 4: different nodes may carry different combinations of sensor types)
 is modelled by each node owning an arbitrary subset of sensor types.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..energy.battery import Battery
 from .addresses import NodeId, validate_node_id
 
 
@@ -27,8 +26,6 @@ class SensorNode:
         (x, y) coordinates in the deployment field.
     is_root:
         Whether this node is the sink connected to the user-facing server.
-    battery:
-        Optional finite battery; infinite by default (the paper's setting).
     """
 
     def __init__(
@@ -36,13 +33,11 @@ class SensorNode:
         node_id: NodeId,
         position: Tuple[float, float],
         is_root: bool = False,
-        battery: Optional[Battery] = None,
     ):
         validate_node_id(node_id)
         self.node_id = node_id
         self.position = (float(position[0]), float(position[1]))
         self.is_root = bool(is_root)
-        self.battery = battery if battery is not None else Battery()
         self.alive = True
         self._sensors: Dict[str, Any] = {}
         self._sensor_types_cache: Optional[List[str]] = None
@@ -50,9 +45,6 @@ class SensorNode:
         #: Bumped on attach so protocol layers can cache sensor-derived
         #: state and cheaply detect when it must be rebuilt.
         self.sensors_version = 0
-        # Protocol stack; assigned by the experiment runner / examples.
-        self.mac: Any = None
-        self.app: Any = None
 
     # -- sensors -----------------------------------------------------------
 

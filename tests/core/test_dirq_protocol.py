@@ -201,7 +201,7 @@ class TestHeterogeneousSensorTypes:
         world.run_epochs(0, 2)
         # Humidity tables exist along the whole path 3 -> 2 -> 1 -> 0.
         for nid in (0, 1, 2, 3):
-            assert "humidity" in world.protocols[nid].known_sensor_types()
+            assert "humidity" in world.protocols[nid].tables.sensor_types
         # A humidity query is routable end to end.
         q = RangeQuery(0, "humidity", 55.0, 65.0, epoch=3)
         world.audit.register_query(q, {3}, {1, 2, 3}, 3, population=3)
@@ -226,11 +226,11 @@ class TestHeterogeneousSensorTypes:
         assignment = {0: ["temperature"], 1: ["temperature"], 2: ["temperature"]}
         world = build_mini_world(topo, data, sensor_assignment=assignment)
         world.run_epochs(0, 2)
-        assert "co2" not in world.root.known_sensor_types()
+        assert "co2" not in world.root.tables.sensor_types
         # A CO2 sensor is mounted on node 2 after deployment (paper §1).
         world.nodes[2].attach_sensor(Sensor(2, "co2", data))
         world.run_epochs(3, 5)
-        assert "co2" in world.root.known_sensor_types()
+        assert "co2" in world.root.tables.sensor_types
         q = RangeQuery(0, "co2", 390.0, 410.0, epoch=6)
         world.audit.register_query(q, {2}, {1, 2}, 6, population=2)
         world.root.inject_query(q)

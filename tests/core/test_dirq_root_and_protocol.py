@@ -146,15 +146,16 @@ class TestAdaptiveNodeBehaviour:
         world.root.predictor.record(10)
         world.root.start_new_hour(0)
         world.settle(0.99)
-        initial = world.protocols[1].current_delta_percent("temperature")
+        atc = world.protocols[1].atc
+        initial = atc.delta_percent("temperature")
         world.run_epochs(1, 40)
-        final = world.protocols[1].current_delta_percent("temperature")
+        final = atc.delta_percent("temperature")
         # Constant data -> almost no updates -> the controller narrows delta.
         assert final < initial
 
     def test_fixed_mode_exposes_config_delta(self, line_world):
         proto = line_world.protocols[1]
-        assert proto.current_delta_percent("temperature") == line_world.config.delta_percent
+        assert proto.atc is None
         assert proto.current_delta("temperature") == pytest.approx(
             line_world.config.absolute_delta("temperature")
         )

@@ -153,17 +153,16 @@ class PerReceiverChannel(WirelessChannel):
     receivers in the same order, the same loss draws, and the same ledger.
     """
 
-    def _schedule_delivery(self, sender, targets, frame, kind, payload_bytes):
-        rx_cost = self.energy_model.receive_cost(payload_bytes)
+    def _schedule_delivery(self, sender, targets, frame, kind):
         for target in targets:
-            self._schedule_one(sender, target, frame, kind, rx_cost)
+            self._schedule_one(sender, target, frame, kind)
 
-    def _schedule_one(self, sender, target, frame, kind, rx_cost):
+    def _schedule_one(self, sender, target, frame, kind):
         def deliver() -> None:
             if not self._alive.get(target):
                 self.stats.drops_dead_node += 1
                 return
-            self.ledger.node(target).charge_rx(kind, rx_cost)
+            self.ledger.node(target).charge_rx(kind)
             receiver = self._receivers.get(target)
             if receiver is None:
                 return

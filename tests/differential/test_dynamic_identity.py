@@ -13,7 +13,11 @@ under a new ``CACHE_VERSION``.  The ``area-blast``, ``energy-lognormal``,
 ``harsh-*`` and ``scale-500-churn`` cells and the ``atc`` and ``flooding``
 variants of ``churn-revive`` and ``energy-tiered`` joined later, when the
 pins grew to cover every registry scenario and every cell of the
-repository benchmark's workloads.  Each cell's work is pinned beside its
+repository benchmark's workloads.  The lossy cells, the ``loss`` preset's
+``channel_loss=0.2`` point on ``static-paper``, joined later still: a lossy
+channel drops frames through the per-transmission loss draw, sends every
+beacon as a frame (the fast path declines under loss), and lets LMAC
+declare live neighbours dead.  Each cell's work is pinned beside its
 digest (:mod:`tests.differential.work`).
 """
 
@@ -48,15 +52,22 @@ DYNAMIC_DIGESTS = {
     ("churn-revive", "flooding"): "11ac1af4ac9f89fec8f0fe9a1d50108ec3fcacfc424687cc4ce7887d3434ef13",
     ("energy-tiered", "atc"): "a4b7bca6128210e12fbfda0eae5968c88462186131d654f1e9c674dfc1183637",
     ("energy-tiered", "flooding"): "543b34e3c02341c958522bdd4e6a5690eb99e72223a9db4f83d63f78db4eb2f7",
+    ("static-paper channel_loss=0.2", "atc"): "e62d2aff532853fbf60cfc39f4550beb119d954a47bf78bd46ece61387bd93bb",
+    ("static-paper channel_loss=0.2", "flooding"): "4d976b1ce2d43f3b42b9ed96233943e6a99be5221f37d5d474d0d4be4eb95d6f",
 }
 
 #: Cells shorter than the default 400 epochs (the 500-node cells are slow).
 EPOCHS = {"scale-500-mobile": 60, "scale-500-churn": 60}
 
+#: Cells that change a field of their registry scenario, as a preset's
+#: sweep point does: cell -> (scenario, changed fields).
+SWEPT = {"static-paper channel_loss=0.2": ("static-paper", {"channel_loss": 0.2})}
+
 
 @pytest.mark.parametrize("cell,protocol", sorted(DYNAMIC_DIGESTS), ids=str)
 def test_dynamic_cell_measurements_are_pinned(cell, protocol):
-    config = PROTOCOLS[protocol](build_config(cell, EPOCHS.get(cell, 400), 1))
-    result, work = run_counting(config)
+    scenario, changes = SWEPT.get(cell, (cell, {}))
+    config = PROTOCOLS[protocol](build_config(scenario, EPOCHS.get(cell, 400), 1))
+    result, work = run_counting(config.replace(**changes))
     assert result.fingerprint(include_key=False) == DYNAMIC_DIGESTS[(cell, protocol)]
     assert_work(cell, protocol, work)

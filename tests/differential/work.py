@@ -54,6 +54,9 @@ WORK: Dict[Tuple[str, str], Tuple[int, ...]] = {
     ("static-paper", "dirq"): (9352, 0, 5676, 25036, 0, 2000, 0, 3079, 79908, 548, 0, 80000, 0, 1, 0),
     # Lossless static flooding: every beacon tick takes the fast path.
     ("static-paper", "flooding"): (3900, 0, 2950, 31506, 0, 2000, 0, 0, 0, 0, 0, 950, 20000, 0, 0),
+    # Lossy: frames are dropped, and the fast path declines every beacon.
+    ("static-paper channel_loss=0.2", "atc"): (13348, 0, 7219, 21292, 5287, 2000, 2000, 4821, 78963, 354, 0, 80000, 0, 1, 0),
+    ("static-paper channel_loss=0.2", "flooding"): (5885, 0, 2949, 25264, 6241, 2000, 2000, 0, 0, 0, 0, 949, 20000, 0, 0),
 }
 
 

@@ -124,12 +124,12 @@ class TestAccuracy:
 class TestCost:
     def make_ledger(self):
         ledger = NetworkLedger()
-        ledger.node(0).charge_tx("query", 1.0)
-        ledger.node(1).charge_rx("query", 1.0)
-        ledger.node(1).charge_tx("update", 1.0)
-        ledger.node(0).charge_rx("update", 1.0)
-        ledger.node(0).charge_tx("estimate", 1.0)
-        ledger.node(2).charge_tx("flood", 1.0)
+        ledger.node(0).charge_tx("query")
+        ledger.node(1).charge_rx("query")
+        ledger.node(1).charge_tx("update")
+        ledger.node(0).charge_rx("update")
+        ledger.node(0).charge_tx("estimate")
+        ledger.node(2).charge_tx("flood")
         return ledger
 
     def test_cost_breakdown(self):
@@ -172,10 +172,10 @@ class TestSeries:
     def test_update_rate_recorder_reads_ledger(self):
         ledger = NetworkLedger()
         recorder = UpdateRateRecorder(ledger, window_epochs=100)
-        ledger.node(1).charge_tx("update", 1.0)
-        ledger.node(2).charge_tx("update", 1.0)
+        ledger.node(1).charge_tx("update")
+        ledger.node(2).charge_tx("update")
         recorder.on_window_end(0)
-        ledger.node(1).charge_tx("update", 1.0)
+        ledger.node(1).charge_tx("update")
         recorder.on_window_end(100)
         assert [p.value for p in recorder.series] == [2.0, 1.0]
 

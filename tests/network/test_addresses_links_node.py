@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.energy.battery import Battery
-from repro.network.addresses import BROADCAST, is_broadcast, validate_node_id
+from repro.network.addresses import BROADCAST, validate_node_id
 from repro.network.node import SensorNode
 from repro.sensors.dataset import SensorDataset
 
@@ -27,10 +26,6 @@ class TestAddresses:
             validate_node_id("3")
         with pytest.raises(TypeError):
             validate_node_id(True)
-
-    def test_is_broadcast(self):
-        assert is_broadcast(BROADCAST)
-        assert not is_broadcast(0)
 
 
 class TestSensorNode:
@@ -68,16 +63,6 @@ class TestSensorNode:
         assert not node.alive
         node.revive()
         assert node.alive
-
-    def test_default_battery_is_infinite(self):
-        node = SensorNode(0, (0.0, 0.0))
-        assert node.battery.remaining == node.battery.capacity == float("inf")
-        assert not node.battery.depleted
-
-    def test_explicit_battery(self):
-        node = SensorNode(0, (0.0, 0.0), battery=Battery(10.0))
-        node.battery.draw(4.0)
-        assert node.battery.remaining == 6.0
 
     def test_invalid_node_id(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.energy.model import RadioEnergyModel
 from repro.network.channel import WirelessChannel
 from repro.network.topology import random_geometric_topology
 from repro.simulation.engine import Simulator
@@ -103,14 +102,6 @@ class TestCostAccounting:
         assert channel.ledger.total_cost(["query"]) == 5.0
         assert channel.ledger.total_cost(["update"]) == 2.0
         assert channel.ledger.total_cost() == 7.0
-
-    def test_radio_energy_model_scales_with_payload(self, star4):
-        sim, channel = make_channel(star4, energy_model=RadioEnergyModel())
-        channel.unicast(0, 1, "x", kind="data", payload_bytes=100)
-        sim.run()
-        tx = 10.0 + 2.0 * 100
-        rx = 8.0 + 1.5 * 100
-        assert channel.ledger.total_cost(["data"]) == pytest.approx(tx + rx)
 
 
 class TestDynamics:

@@ -56,12 +56,12 @@ class TestEngineProperties:
 
 
 class TestLedgerProperties:
+    kinds = ("query", "update", "estimate", "flood")
     charges = st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=20),          # node
-            st.sampled_from(["query", "update", "estimate", "flood"]),
+            st.sampled_from(kinds),
             st.booleans(),                                    # tx?
-            st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
         ),
         max_size=200,
     )
@@ -70,23 +70,20 @@ class TestLedgerProperties:
     @settings(max_examples=200)
     def test_totals_equal_sum_of_parts(self, charges):
         ledger = NetworkLedger()
-        for node, kind, is_tx, cost in charges:
+        for node, kind, is_tx in charges:
             if is_tx:
-                ledger.node(node).charge_tx(kind, cost)
+                ledger.node(node).charge_tx(kind)
             else:
-                ledger.node(node).charge_rx(kind, cost)
-        total = sum(cost for _, _, _, cost in charges)
-        assert ledger.total_cost() == np.float64(0) + sum(
-            c for *_rest, c in charges
-        ) or abs(ledger.total_cost() - total) < 1e-6
-        # Per-kind costs partition the total.
-        by_kind = sum(ledger.total_cost([k]) for k in ("query", "update", "estimate", "flood"))
-        assert abs(by_kind - total) < 1e-6
-        # Per-node costs partition the total as well.
-        per_node = sum(ledger.per_node_cost().values())
-        assert abs(per_node - total) < 1e-6
+                ledger.node(node).charge_rx(kind)
+        total = ledger.total_count()
         # Counts match the number of charges.
-        assert ledger.total_count() == len(charges)
+        assert total == len(charges)
+        # Per-kind and per-node counts partition the total.
+        assert sum(ledger.total_count(kind=k) for k in self.kinds) == total
+        assert sum(ledger.node(n).count() for n in ledger.node_ids) == total
+        # Unit costs (paper §5): the cost is the count.
+        assert ledger.total_cost() == float(total)
+        assert sum(ledger.per_node_cost().values()) == float(total)
 
 
 class TestPhenomenaProperties:
