@@ -141,13 +141,6 @@ class DirQNode(DisseminationProtocol):
             # report to.
             return
         self._send_update(sensor_type, epoch, aggregate)
-        self.sim.tracer.record(
-            self.now,
-            "dirq.update",
-            self.node_id,
-            sensor_type=sensor_type,
-            aggregate=aggregate,
-        )
 
     def _send_removal(self, sensor_type: str, epoch: int) -> None:
         """Withdraw a sensor type from the parent (subtree no longer has it)."""
@@ -174,6 +167,16 @@ class DirQNode(DisseminationProtocol):
         self.updates_sent += 1
         if self.atc is not None:
             self.atc.on_update_sent()
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.record(
+                self.now,
+                "dirq.update",
+                self.node_id,
+                sensor_type=sensor_type,
+                aggregate=aggregate,
+                removed=removed,
+            )
 
     def readvertise(self, epoch: Optional[int] = None) -> int:
         """Force a fresh Update Message for every non-empty table.

@@ -30,9 +30,9 @@ Statistical definitions
   level (default 95 %).  Degenerate groups (``n == 1``) report **no**
   interval (``ci_halfwidth is None``) instead of a zero-width or undefined
   one.
-* :func:`student_t_critical` is ``scipy.stats.t.ppf``.  The runner has
-  already imported ``scipy.stats`` (:mod:`repro.sensors.phenomena` uses
-  ``scipy.signal``, which loads it), so the call costs no import.
+* :func:`student_t_critical` is ``scipy.stats.t.ppf``.  It imports
+  ``scipy.stats`` on its first call: only reports with a confidence
+  interval need SciPy, so a trial process never loads it.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ import dataclasses
 import math
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
-
-import scipy.stats
 
 from .accuracy import delivery_completeness
 
@@ -60,6 +58,8 @@ def student_t_critical(df: int, confidence: float = DEFAULT_CONFIDENCE) -> float
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    import scipy.stats
+
     return float(scipy.stats.t.ppf(0.5 + confidence / 2.0, df))
 
 

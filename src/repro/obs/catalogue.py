@@ -43,9 +43,9 @@ METRIC_CATALOGUE: Dict[str, str] = {
     "runner.queries_injected": "workload queries injected at the root",
 }
 
-#: Every `Tracer` record category: category -> description.  The seed
-#: ring buffer predates this table; the names below are exactly the
-#: literals the simulation layers already record.
+#: Every `Tracer` record category: category -> description.  The names
+#: are exactly the literals the simulation layers record; the tracer keeps
+#: the newest ``max_records`` of them in a ring buffer.
 TRACE_CATALOGUE: Dict[str, str] = {
     "channel.tx": "a transmission enters the channel",
     "channel.rx": "a reception is delivered",

@@ -10,8 +10,8 @@ illustrate protocol behaviour.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
-from typing import Any, Dict, List, Optional
+from collections import Counter, deque
+from typing import Any, Deque, Dict, List, Optional
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,9 +47,9 @@ class Tracer:
         When ``False`` (the default for benchmark runs) every call is a
         near-no-op so tracing never distorts performance measurements.
     max_records:
-        Upper bound on retained records; the oldest records are dropped once
-        the bound is exceeded.  This keeps long (20 000 epoch) runs from
-        accumulating unbounded memory.
+        Upper bound on retained records; once the window is full, each new
+        record drops the oldest (a ring buffer, O(1) per record).  This
+        keeps long (20 000 epoch) runs from accumulating unbounded memory.
     categories:
         Optional whitelist; when given, only records whose category is in the
         set are retained.
@@ -66,7 +66,7 @@ class Tracer:
         self.enabled = enabled
         self.max_records = int(max_records)
         self.categories = set(categories) if categories is not None else None
-        self._records: List[TraceRecord] = []
+        self._records: Deque[TraceRecord] = deque(maxlen=self.max_records)
         self._counts: Counter[str] = Counter()
         self._dropped = 0
 
@@ -83,8 +83,7 @@ class Tracer:
         if self.categories is not None and category not in self.categories:
             return
         self._counts[category] += 1
-        if len(self._records) >= self.max_records:
-            self._records.pop(0)
+        if len(self._records) == self.max_records:
             self._dropped += 1
         self._records.append(TraceRecord(time, category, node, dict(detail)))
 

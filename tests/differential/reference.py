@@ -20,15 +20,21 @@ production path against them:
 * **Config hashing.**  :func:`canonical_walk` reads every dataclass's
   fields and hash attributes per value, where
   :func:`repro.experiments.batch._canonical` reads them once per type.
+* **Phenomena.**  :func:`lfilter_fields` generates the sensor types one
+  after another, each with its own distance matrix, diurnal sine and
+  ``scipy.signal.lfilter`` call, where
+  :func:`repro.sensors.phenomena.generate_fields` shares them and runs one
+  NumPy AR(1) loop over every type.  It imports SciPy only when called.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.experiments import runner as runner_module
 from repro.mac.lmac import LMACProtocol
@@ -37,6 +43,7 @@ from repro.network.addresses import NodeId
 from repro.network.channel import WirelessChannel
 from repro.network.links import Position, within_range
 from repro.network.topology import Topology
+from repro.sensors.types import SensorTypeSpec
 from repro.simulation.events import EventPriority
 
 
@@ -207,3 +214,65 @@ def canonical_walk(obj: object) -> object:
     if obj is None or isinstance(obj, (str, int, float, bool)):
         return obj
     return repr(obj)
+
+
+def lfilter_fields(
+    specs: Dict[str, SensorTypeSpec],
+    positions: np.ndarray,
+    num_epochs: int,
+    rng_for: Optional[Dict[str, np.random.Generator]] = None,
+    rng: Optional[np.random.Generator] = None,
+    epochs_per_day: int = 2000,
+    spatial_method: str = "exact",
+    num_features: int = 256,
+) -> Dict[str, np.ndarray]:
+    """:func:`~repro.sensors.phenomena.generate_fields`, one type at a time.
+
+    Each type builds its own covariance from the ``(n, n, 2)`` difference
+    array, draws, filters its innovations with ``scipy.signal.lfilter``
+    and sums its reading, before the next type draws anything.
+    """
+    from scipy.signal import lfilter
+
+    positions = np.asarray(positions, dtype=float)
+    n, t = positions.shape[0], int(num_epochs)
+    node_phase = (
+        2.0
+        * np.pi
+        * (positions[:, 0] + positions[:, 1])
+        / (np.ptp(positions) + 1e-9)
+        * 0.05
+    )
+    out: Dict[str, np.ndarray] = {}
+    for name, spec in specs.items():
+        gen = rng_for[name] if rng_for is not None else rng
+        if spatial_method == "exact":
+            diffs = positions[:, None, :] - positions[None, :, :]
+            sq_dist = (diffs**2).sum(axis=-1)
+            cov = np.exp(-sq_dist / (2.0 * spec.spatial_scale**2))
+            cov[np.diag_indices_from(cov)] += 1e-9
+            colour = np.linalg.cholesky(cov).T
+        else:
+            m = int(num_features)
+            omega = gen.standard_normal(size=(m, 2)) / spec.spatial_scale
+            phase = gen.uniform(0.0, 2.0 * np.pi, size=m)
+            features = np.sqrt(2.0 / m) * np.cos(positions @ omega.T + phase[None, :])
+            colour = features.T
+        spatial = gen.standard_normal(size=(t, colour.shape[0])) @ colour
+        rho = float(np.exp(-1.0 / spec.temporal_scale))
+        innovations = spatial * spec.amplitude * np.sqrt(1.0 - rho**2)
+        stochastic = lfilter([1.0], [1.0, -rho], innovations, axis=0)
+        initial = (gen.standard_normal(size=colour.shape[0]) @ colour) * spec.amplitude
+        decay = rho ** np.arange(1, t + 1)[:, None]
+        stochastic = stochastic + decay * initial[None, :]
+        epochs = np.arange(t)[:, None]
+        diurnal = spec.diurnal_amplitude * np.sin(
+            2.0 * np.pi * epochs / int(epochs_per_day) + node_phase[None, :]
+        )
+        noise = (
+            gen.standard_normal(size=(t, n)) * spec.noise_std
+            if spec.noise_std > 0
+            else 0.0
+        )
+        out[name] = spec.base_value + diurnal + stochastic + noise
+    return out

@@ -18,6 +18,7 @@ from repro.experiments.batch import (
     config_hash,
 )
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_experiment
 from repro.obs.instrumentation import (
     NULL_INSTRUMENTATION,
     build_instrumentation,
@@ -100,6 +101,17 @@ def test_full_instrumentation_keeps_fingerprints_bit_identical(
     assert r_full.telemetry["metrics"]["counters"]["runner.epochs"] == (
         num_epochs
     )
+
+
+def test_every_dirq_update_is_traced():
+    """Threshold updates, removals and re-advertisements all record one
+    ``dirq.update`` each, so the trace agrees with ``dirq.updates_sent``."""
+    cfg = build_config("mobile-40", num_epochs=200, seed=1)
+    telemetry = run_experiment(cfg.replace(instrument="full")).telemetry
+    counters = telemetry["metrics"]["counters"]
+    assert counters["runner.relinks"] > 0  # re-links trigger readvertise
+    assert counters["dirq.updates_sent"] > 0
+    assert telemetry["trace"]["dirq.update"] == counters["dirq.updates_sent"]
 
 
 class TestTelemetryNeverForksTheCache:

@@ -1,11 +1,12 @@
 """Property-based tests for the simulation engine, ledger, and phenomena."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.energy.ledger import NetworkLedger
-from repro.sensors.phenomena import spatial_covariance
+from repro.sensors.phenomena import _ar1_filter, spatial_covariance
 from repro.simulation.engine import Simulator
 from repro.simulation.rng import RandomStreams
 
@@ -103,3 +104,28 @@ class TestPhenomenaProperties:
         assert np.all(cov >= 0.0)
         # Positive definiteness (Cholesky succeeds).
         np.linalg.cholesky(cov)
+
+    @given(
+        num_epochs=st.integers(min_value=1, max_value=80),
+        rhos=st.lists(
+            st.floats(
+                min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        log_scale=st.floats(min_value=-6.0, max_value=6.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ar1_kernel_is_bit_identical_to_lfilter(
+        self, num_epochs, rhos, log_scale, seed
+    ):
+        lfilter = pytest.importorskip("scipy.signal").lfilter
+        x = np.random.default_rng(seed).standard_normal((num_epochs, len(rhos)))
+        x *= 10.0**log_scale
+        y = x.copy()
+        _ar1_filter(y, np.array(rhos))
+        for j, rho in enumerate(rhos):
+            expected = lfilter([1.0], [1.0, -rho], x[:, j])
+            assert np.array_equal(y[:, j].view(np.int64), expected.view(np.int64))

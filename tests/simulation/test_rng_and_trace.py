@@ -72,6 +72,22 @@ class TestTracer:
         # Counts still reflect every record ever seen.
         assert tracer.count("x") == 5
 
+    def test_window_overflowing_many_times_keeps_the_newest_tail(self):
+        tracer = Tracer(max_records=4)
+        for i in range(23):
+            tracer.record(float(i), "even" if i % 2 == 0 else "odd", node=i, i=i)
+        assert [r.node for r in tracer.records] == [19, 20, 21, 22]
+        assert [r.time for r in tracer.records] == [19.0, 20.0, 21.0, 22.0]
+        assert [r.detail for r in tracer.records] == [{"i": i} for i in range(19, 23)]
+        assert tracer.dropped == 19
+        assert tracer.summary() == {"even": 12, "odd": 11}
+        tracer.clear()
+        for i in range(6):
+            tracer.record(float(i), "x", node=i)
+        assert [r.node for r in tracer.records] == [2, 3, 4, 5]
+        assert tracer.dropped == 2
+        assert tracer.summary() == {"x": 6}
+
     def test_summary_and_clear(self):
         tracer = Tracer()
         tracer.record(1.0, "a")
