@@ -63,6 +63,7 @@ from .experiments.store import (
     METRIC_COLUMNS,
     STORE_METRICS,
     ResultsStore,
+    current_summary,
 )
 from .experiments.runner import ExperimentRunner
 from .metrics.report import (
@@ -152,9 +153,17 @@ def _emit(
     """Write the ``--json`` / ``--markdown`` files, then print the report.
 
     ``header`` precedes the report.  The files come first, so a closed
-    stdout (``| head``) cannot lose them.
+    stdout (``| head``) cannot lose them.  The replicate table reads each
+    store metric from the trial's summary, so a cache-served trial is
+    decoded only for what its figure or its recovery time reads.
     """
-    groups = replicate_groups(results, STORE_METRICS)
+    groups = replicate_groups(
+        results,
+        {
+            name: lambda result, name=name: current_summary(result).metrics[name]
+            for name in STORE_METRICS
+        },
+    )
     text = render_report(spec, groups)
     written = []
     if args.json:

@@ -10,13 +10,19 @@ update/query breakdowns (Fig. 6, the 45–55 % claim) need each operation
 attributed to a message *kind*: every radio operation performed through
 the channel is recorded here, tagged with the node, the direction, and
 the kind of protocol message that caused it.
+
+A network ledger pickles as one opaque ``bytes`` blob of plain rows and
+unpickles as an :class:`UnreadLedger`, which builds the node ledgers only
+when something first reads them, so a cache-served trial whose ledger
+nobody reads never builds it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import pickle
 from collections import defaultdict
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 
 @dataclasses.dataclass
@@ -79,23 +85,23 @@ class NetworkLedger:
     The channel holds one :class:`NetworkLedger`; protocols never write to it
     directly, they simply send messages and the channel charges the costs.
 
-    A ledger pickles as flat ``(node, direction, kind, count, cost)`` rows in
-    its own iteration order -- one flat tuple, far cheaper to unpickle than
-    the node and entry objects -- and unpickles as an
-    :class:`UnreadLedger`, which builds the :class:`NodeLedger` objects
-    from those rows only when something first reads them.  The cost slot
-    carries ``float(count)``, so rows keep the layout they had when costs
-    were stored, and is ignored on read.  The live class defines no
-    attribute hooks, so its charge path is untouched.
+    A ledger pickles as one ``bytes`` blob: the pickle of a flat tuple of
+    ``(node, direction, kind, count, cost)`` rows in its own iteration
+    order, far cheaper to unpickle than the node and entry objects.  It
+    unpickles as an :class:`UnreadLedger`, which builds the
+    :class:`NodeLedger` objects from those rows only when something first
+    reads them.  The cost slot carries ``float(count)``, so rows keep the
+    layout they had when costs were stored, and is ignored on read.  The
+    live class defines no attribute hooks, so its charge path is untouched.
     """
 
     def __init__(self) -> None:
         self._nodes: Dict[int, NodeLedger] = {}
 
     def __reduce__(self):
-        return UnreadLedger, (self._rows(),)
+        return UnreadLedger, (self._blob(),)
 
-    def _rows(self) -> tuple:
+    def _blob(self) -> bytes:
         flat: list = []
         for nid, ledger in self._nodes.items():
             if not ledger._entries:
@@ -103,7 +109,7 @@ class NetworkLedger:
                 flat += (nid, None, None, 0, 0.0)
             for (direction, kind), entry in ledger._entries.items():
                 flat += (nid, direction, kind, entry.count, entry.cost)
-        return tuple(flat)
+        return pickle.dumps(tuple(flat), pickle.HIGHEST_PROTOCOL)
 
     def node(self, node_id: int) -> NodeLedger:
         """Ledger for ``node_id``, created on first access."""
@@ -147,26 +153,28 @@ class UnreadLedger(NetworkLedger):
 
     The first read of ``_nodes`` -- through any ledger method -- builds the
     node ledgers and turns the object into a plain :class:`NetworkLedger`.
-    Pickling it before that emits the rows it holds.  (Ledgers pickled
-    before the row format unpickle as plain ledgers.)
+    Pickling or deep-copying it before that re-emits what it holds: the
+    blob, or the bare row tuple that rows written before the blob carry.
+    (Ledgers pickled before the row format unpickle as plain ledgers.)
     """
 
-    def __init__(self, rows: tuple) -> None:
-        self._flat_rows = rows
+    def __init__(self, rows: Union[bytes, tuple]) -> None:
+        self._unread = rows
 
-    def _rows(self) -> tuple:
-        return self._flat_rows
+    def _blob(self) -> Union[bytes, tuple]:
+        return self._unread
 
     @property
     def _nodes(self) -> Dict[int, NodeLedger]:
         nodes = self._rebuild()
-        del self._flat_rows
+        del self._unread
         self.__class__ = NetworkLedger
         self._nodes = nodes
         return nodes
 
     def _rebuild(self) -> Dict[int, NodeLedger]:
-        rows = iter(self._flat_rows)
+        flat = self._unread
+        rows = iter(pickle.loads(flat) if type(flat) is bytes else flat)
         nodes: Dict[int, NodeLedger] = {}
         for nid, direction, kind, count, _cost in zip(rows, rows, rows, rows, rows):
             ledger = nodes.get(nid)

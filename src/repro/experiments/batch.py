@@ -13,7 +13,8 @@ campaign runs its trials through this module:
   boundaries and be cached.  The worker that executes a trial also
   computes its store summary (fingerprint and store metrics) once, and
   the record carries it, so serving the trial from the cache reads one
-  row and unpickles it -- nothing is recomputed.
+  row and unpickles it -- nothing is recomputed, and the audit and the
+  ledger stay blobs until something reads them.
 * :class:`BatchRunner` -- fans a list of specs across worker processes via
   :mod:`concurrent.futures`, deduplicates identical configurations, and
   caches results keyed by :func:`config_hash` in the ``results`` table of

@@ -7,9 +7,10 @@ One file, ``<cache-dir>/campaigns.sqlite``, holds
   :class:`~repro.experiments.batch.TrialResult` per ``(config hash,
   CACHE_VERSION)``, with the spec's label, scenario and campaign beside it
   for ``python -m repro cache``.  It answers "have I simulated this exact
-  config?".  The pickle holds the ledger as flat rows and the trial's
-  :class:`StoreSummary`, so a cache hit costs one row read and a cheap
-  unpickle;
+  config?".  The pickle holds the query audit and the ledger as two
+  opaque blobs of plain rows, which decode only when something reads
+  them, and the trial's :class:`StoreSummary`, so a cache hit costs one
+  row read and an unpickle that builds neither;
 * a ``campaigns`` table -- one row per registered
   :class:`~repro.experiments.campaign.CampaignSpec` (its canonical JSON,
   its deterministic id, and the expanded trial count), and
@@ -88,6 +89,24 @@ def store_summary(result) -> StoreSummary:
             for name, extractor in STORE_METRICS.items()
         },
     )
+
+
+def current_summary(result) -> StoreSummary:
+    """``result``'s summary for its spec and today's :data:`STORE_METRICS`.
+
+    The carried summary when it was computed for this config hash and these
+    metric names; otherwise -- a row written before summaries existed, a
+    result rebound to another config, or a metric added since -- a fresh
+    one, which ``result`` then carries.
+    """
+    summary = result.summary
+    if (
+        summary is None
+        or summary.key != result.spec.key
+        or summary.metrics.keys() != STORE_METRICS.keys()
+    ):
+        summary = result.summary = store_summary(result)
+    return summary
 
 
 _SCHEMA = """
@@ -332,15 +351,7 @@ class ResultsStore:
         spec = result.spec
         tags = spec.tags
         sweep = tags.get("sweep") or {}
-        summary = result.summary
-        if (
-            summary is None
-            or summary.key != spec.key
-            or summary.metrics.keys() != STORE_METRICS.keys()
-        ):
-            # A row written before summaries existed, a result rebound to
-            # another config, or a metric added since it was computed.
-            summary = store_summary(result)
+        summary = current_summary(result)
         row = {
             "campaign_id": campaign_id,
             "key": spec.key,

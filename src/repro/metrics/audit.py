@@ -18,11 +18,19 @@ The audit records, for every injected query,
 Protocol code reports deliveries; the experiment runner registers ground
 truth; :mod:`repro.metrics.accuracy` turns the records into the published
 metrics.
+
+An audit pickles as one opaque ``bytes`` blob of plain rows (tuples, ints,
+floats and strs, no class reference) and unpickles as an
+:class:`UnreadAudit`, which builds the records only when something first
+reads them.  A cache-served trial that nobody reads the records of --
+recording it in a campaign, reporting its store metrics -- therefore never
+builds them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import pickle
 from typing import Dict, Iterable, List, Optional, Set
 
 from ..core.messages import RangeQuery
@@ -67,10 +75,41 @@ class QueryRecord:
 
 
 class QueryAudit:
-    """Collects :class:`QueryRecord` objects for a whole experiment."""
+    """Collects :class:`QueryRecord` objects for a whole experiment.
+
+    An audit pickles as the blob of one row per record, in the audit's own
+    insertion order: ``(query id, sensor type, low, high, epoch, injection
+    epoch, population, sources, should-receive, received, source claims)``,
+    with each set as a tuple in the set's iteration order, so the sets a
+    decode builds iterate as a plain pickle round trip's would.  The live
+    class defines no attribute hooks, so its record path is untouched.
+    """
 
     def __init__(self) -> None:
         self._records: Dict[int, QueryRecord] = {}
+
+    def __reduce__(self):
+        return UnreadAudit, (self._blob(),)
+
+    def _blob(self) -> bytes:
+        rows = tuple(
+            (
+                query.query_id,
+                query.sensor_type,
+                query.low,
+                query.high,
+                query.epoch,
+                record.injection_epoch,
+                record.population,
+                tuple(record.sources),
+                tuple(record.should_receive),
+                tuple(record.received),
+                tuple(record.source_claims),
+            )
+            for record in self._records.values()
+            for query in (record.query,)
+        )
+        return pickle.dumps(rows, pickle.HIGHEST_PROTOCOL)
 
     # -- registration (experiment runner) ------------------------------------
 
@@ -145,3 +184,44 @@ class QueryAudit:
 
     def clear(self) -> None:
         self._records.clear()
+
+
+class UnreadAudit(QueryAudit):
+    """An unpickled :class:`QueryAudit` that still holds only its blob.
+
+    The first read of ``_records`` -- through any audit method -- decodes
+    the blob and turns the object into a plain :class:`QueryAudit`.
+    Pickling or deep-copying it before that re-emits the blob it holds.
+    (Audits pickled before the blob format unpickle as plain audits.)
+    """
+
+    def __init__(self, blob: bytes) -> None:
+        self._unread = blob
+
+    def _blob(self) -> bytes:
+        return self._unread
+
+    @property
+    def _records(self) -> Dict[int, QueryRecord]:
+        records = self._rebuild()
+        del self._unread
+        self.__class__ = QueryAudit
+        self._records = records
+        return records
+
+    def _rebuild(self) -> Dict[int, QueryRecord]:
+        records: Dict[int, QueryRecord] = {}
+        for (
+            query_id, sensor_type, low, high, epoch, injection_epoch,
+            population, sources, should_receive, received, source_claims,
+        ) in pickle.loads(self._unread):
+            records[query_id] = QueryRecord(
+                RangeQuery(query_id, sensor_type, low, high, epoch),
+                set(sources),
+                set(should_receive),
+                set(received),
+                set(source_claims),
+                injection_epoch,
+                population,
+            )
+        return records

@@ -7,6 +7,7 @@ import pytest
 
 from repro.energy.battery import Battery
 from repro.energy.ledger import NetworkLedger, NodeLedger, UnreadLedger
+from tests.helpers import class_references
 
 
 class TestNodeLedger:
@@ -94,17 +95,41 @@ class TestLedgerPickle:
 
     def test_unread_ledger_re_emits_its_rows(self):
         once = pickle.loads(pickle.dumps(self.ledger()))
+        assert pickle.dumps(once) == pickle.dumps(self.ledger())
         twice = pickle.loads(pickle.dumps(once))
         assert type(once) is UnreadLedger
         assert vars(twice) == vars(once)
         assert self.contents(twice) == self.contents(self.ledger())
 
+    def test_blob_holds_plain_rows_only(self):
+        _cls, (blob,) = self.ledger().__reduce__()
+        assert type(blob) is bytes
+        assert not class_references(blob)
+        assert pickle.loads(blob) == (
+            5, "tx", "query", 2, 2.0,
+            2, "rx", "update", 1, 1.0,
+            2, "tx", "mac", 0, 0.0,
+            9, None, None, 0, 0.0,
+        )
+
+    def test_bare_row_tuple_of_older_rows_still_reads(self):
+        """Rows written before the blob carry the row tuple itself."""
+        _cls, (blob,) = self.ledger().__reduce__()
+        rows = pickle.loads(blob)
+        old = UnreadLedger(rows)
+        assert pickle.loads(pickle.dumps(old))._unread == rows
+        assert self.contents(old) == self.contents(self.ledger())
+        assert type(old) is NetworkLedger
+
     def test_copies_are_independent(self):
         net = self.ledger()
-        clone = copy.deepcopy(net)
-        clone.node(5).charge_tx("query")
-        assert net.node(5).count() == 2
-        assert clone.node(5).count() == 3
+        unread = pickle.loads(pickle.dumps(net))
+        for original, kind in ((net, NetworkLedger), (unread, UnreadLedger)):
+            clone = copy.deepcopy(original)
+            assert type(original) is kind  # copying decodes nothing
+            clone.node(5).charge_tx("query")
+            assert original.node(5).count() == 2
+            assert clone.node(5).count() == 3
 
 
 class TestBattery:

@@ -2,13 +2,17 @@
 
 * **Round trip** -- a trial saved to and loaded from the store measures
   what the executed trial measured: its fingerprint, its ledger's totals,
-  and the store summary it carries.
+  and the store summary it carries.  Its audit and ledger arrive as blobs
+  of plain data.
 * **Work per hit** -- a fully cache-served campaign computes no
-  fingerprint, calls no store-metric extractor and rebuilds no ledger.
-  These are counted, not timed, so the check holds on any host.
-* **Old rows** -- a results row written before trials carried a summary
-  (the committed ``fixtures/results_row_v8.json``) still serves with the
-  fingerprint it was written with.
+  fingerprint, calls no store-metric extractor and decodes no audit or
+  ledger; neither does a process pool's parent before it records, nor the
+  front door's report of a served campaign.  These are counted, not
+  timed, so the check holds on any host.
+* **Old rows** -- results rows written before trials carried a summary
+  (``fixtures/results_row_v8.json``) and before the audit and the ledger
+  travelled as blobs (``fixtures/results_row_v8_rows.json``) still serve
+  with the fingerprints and metrics they were written with.
 * **One connection** -- a runner whose cache file is the caller's open
   store reads and writes through that store.
 """
@@ -35,15 +39,19 @@ from repro.experiments.batch import (
     TrialSpec,
     _execute_trial,
 )
-from repro.experiments.campaign import CampaignSpec, run_missing
+from repro.experiments.campaign import CampaignSpec, run_missing, stored_results
 from repro.experiments.store import (
     DEFAULT_STORE_NAME,
     STORE_METRICS,
     ResultsStore,
     store_summary,
 )
+from repro.metrics.audit import QueryAudit, UnreadAudit
+from repro.metrics.resilience import replicate_groups
+from repro.metrics.stats import groups_to_jsonable
 from repro.scenarios.registry import scenario_spec
 from repro.scenarios.static import small_network
+from tests.helpers import class_references
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -76,7 +84,8 @@ def counting(counts: Counter, name: str, fn):
 
 
 def count_summary_work(monkeypatch) -> Counter:
-    """Count fingerprints, store-metric extractions and ledger rebuilds."""
+    """Count fingerprints, store-metric extractions and audit and ledger
+    decodes."""
     counts: Counter = Counter()
     monkeypatch.setattr(
         TrialResult,
@@ -87,11 +96,10 @@ def count_summary_work(monkeypatch) -> Counter:
         monkeypatch.setitem(
             STORE_METRICS, name, counting(counts, f"metric {name}", extractor)
         )
-    monkeypatch.setattr(
-        UnreadLedger,
-        "_rebuild",
-        counting(counts, "ledger rebuild", UnreadLedger._rebuild),
-    )
+    for member, cls in (("audit", UnreadAudit), ("ledger", UnreadLedger)):
+        monkeypatch.setattr(
+            cls, "_rebuild", counting(counts, f"{member} decode", cls._rebuild)
+        )
     return counts
 
 
@@ -118,10 +126,15 @@ class TestRoundTrip:
             store.save_result(executed)
             loaded = store.load_result(spec.key)
         assert loaded.from_cache
-        # The ledger arrives as rows; re-pickling it re-emits them.
-        assert type(loaded.ledger) is UnreadLedger
+        # The audit and the ledger arrive as blobs of plain data, and
+        # re-pickling them re-emits the blobs.
+        for member in (loaded.audit, loaded.ledger):
+            _cls, (blob,) = member.__reduce__()
+            assert type(blob) is bytes and not class_references(blob)
         again = pickle.loads(pickle.dumps(loaded.ledger))
+        assert type(loaded.audit) is UnreadAudit
         assert type(loaded.ledger) is UnreadLedger
+        assert loaded.audit.records == executed.audit.records
 
         assert loaded.fingerprint(include_key=False) == executed.fingerprint(
             include_key=False
@@ -167,10 +180,18 @@ class TestWorkPerHit:
 
             counts = count_summary_work(monkeypatch)
             served = small_campaign("served")
-            stats = run_missing(served, store, runner=runner)
+            results = []
+            stats = run_missing(
+                served, store, runner=runner, progress=results.append
+            )
             assert stats.executed == 0
             assert stats.cached == stats.stored == served.total_trials
+            # No fingerprint, no extractor, no audit or ledger decode: both
+            # members are still the blobs the rows carry.
             assert counts == Counter()
+            assert {(type(r.audit), type(r.ledger)) for r in results} == {
+                (UnreadAudit, UnreadLedger)
+            }
 
             # The rows written from the carried summaries are the executed
             # trials' rows.
@@ -197,6 +218,28 @@ class TestWorkPerHit:
         assert counts["fingerprint"] == spec.total_trials
         for name in STORE_METRICS:
             assert counts[f"metric {name}"] == spec.total_trials
+
+    def test_pool_results_are_recorded_undecoded(self, tmp_path, monkeypatch):
+        """Results cross the process pool as blobs; the parent caches and
+        records them without decoding either member."""
+        counts = count_summary_work(monkeypatch)
+        unread = []
+        record_trial = ResultsStore.record_trial
+
+        def recording(self, campaign_id, result):
+            unread.append(
+                (type(result.audit), type(result.ledger), sum(counts.values()))
+            )
+            record_trial(self, campaign_id, result)
+
+        monkeypatch.setattr(ResultsStore, "record_trial", recording)
+        spec = small_campaign("pool")
+        with ResultsStore(tmp_path / DEFAULT_STORE_NAME) as store:
+            runner = BatchRunner(max_workers=2, cache_dir=tmp_path)
+            stats = run_missing(spec, store, runner=runner)
+        assert stats.executed == stats.stored == spec.total_trials
+        assert unread == [(UnreadAudit, UnreadLedger, 0)] * spec.total_trials
+        assert counts == Counter()
 
     def test_a_stale_summary_is_recomputed(self, tmp_path):
         spec = scenario_spec("static-paper", num_epochs=40)
@@ -225,7 +268,17 @@ class TestWorkPerHit:
 
 class TestOldRows:
     def test_parent_row_serves_with_its_parent_fingerprint(self, tmp_path):
-        fixture = json.loads((FIXTURES / "results_row_v8.json").read_text())
+        """A row written before trials carried a summary."""
+        self.serve(tmp_path, "results_row_v8.json", NetworkLedger, carried=False)
+
+    def test_row_tuple_ledger_serves_with_its_fingerprint(self, tmp_path):
+        """A row written before the audit and the ledger travelled as
+        blobs: its ledger is an ``UnreadLedger`` over the bare row tuple."""
+        self.serve(tmp_path, "results_row_v8_rows.json", UnreadLedger, carried=True)
+
+    @staticmethod
+    def serve(tmp_path, fixture_name: str, ledger: type, carried: bool) -> None:
+        fixture = json.loads((FIXTURES / fixture_name).read_text())
         # A CACHE_VERSION bump retires this fixture: rows of another
         # version are executed again, never served.
         assert fixture["cache_version"] == CACHE_VERSION
@@ -253,8 +306,16 @@ class TestOldRows:
         runner = BatchRunner(max_workers=1, cache_dir=tmp_path)
         (served,) = runner.run([spec])
         assert runner.last_stats.executed == 0
-        assert served.from_cache and served.summary is None
-        assert type(served.ledger) is NetworkLedger  # the old ledger format
+        assert served.from_cache
+        assert (type(served.audit), type(served.ledger)) == (QueryAudit, ledger)
+        if ledger is UnreadLedger:
+            assert type(served.ledger._unread) is tuple
+        if carried:
+            assert served.summary.key == fixture["key"]
+            assert served.summary.fingerprint == fixture["fingerprint"]
+            assert served.summary.metrics == fixture["metrics"]
+        else:
+            assert served.summary is None
         assert served.fingerprint() == fixture["fingerprint"]
         assert served.fingerprint(include_key=False) == (
             fixture["fingerprint_without_key"]
@@ -347,3 +408,47 @@ class TestFrontDoorReadsEachTrialOnce:
         self.run(tmp_path, "static-paper,churn-heavy", "--require-cached")
         assert len(loads) == len(set(loads)) == 4
         assert "executed 0" in capsys.readouterr().out
+
+
+class TestFrontDoorReadsSummaries:
+    """The report of a served static campaign decodes no trial."""
+
+    def test_served_run_and_report_decode_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        argv = [
+            "run", "--scenarios", "static-paper", "--protocols", "dirq,atc",
+            "--replicates", "2", "--epochs", "60", "--workers", "1",
+            "--cache-dir", str(tmp_path),
+        ]
+        cold, served, report = (
+            tmp_path / f"{name}.json" for name in ("cold", "served", "report")
+        )
+        assert main(argv + ["--json", str(cold)]) == 0
+
+        counts = count_summary_work(monkeypatch)
+        assert main(argv + ["--require-cached", "--json", str(served)]) == 0
+        assert main([
+            "report", "campaign", "--cache-dir", str(tmp_path),
+            "--json", str(report),
+        ]) == 0
+        assert counts == Counter()
+        assert "executed 0" in capsys.readouterr().out
+        assert served.read_bytes() == cold.read_bytes()
+        assert report.read_bytes() == cold.read_bytes()
+
+        # The groups equal those of the store metrics recomputed from
+        # decoded results.
+        spec = CampaignSpec(
+            name="campaign", scenarios=("static-paper",),
+            protocols=("dirq", "atc"), replicates=2, num_epochs=60,
+        )
+        with ResultsStore(tmp_path / DEFAULT_STORE_NAME) as store:
+            results, lost = stored_results(spec, store)
+        assert lost == 0 and len(results) == spec.total_trials
+        recomputed = groups_to_jsonable(replicate_groups(results, STORE_METRICS))
+        assert counts["audit decode"] == counts["ledger decode"] == len(results)
+        exported = json.loads(served.read_text())["groups"]
+        assert json.dumps(exported, sort_keys=True) == json.dumps(
+            recomputed, sort_keys=True
+        )

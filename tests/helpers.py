@@ -9,7 +9,8 @@ dataset so protocol behaviour can be asserted node by node.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+import pickletools
+from typing import Dict, List, Optional, Sequence, Set
 
 import networkx as nx
 import numpy as np
@@ -29,6 +30,18 @@ from repro.sensors.dataset import SensorDataset
 from repro.sensors.sensor import Sensor
 from repro.simulation.engine import Simulator
 from repro.workload.predictor import QueryRatePredictor
+
+
+#: Pickle opcodes that name a class or call one.
+CLASS_OPCODES = frozenset({
+    "GLOBAL", "STACK_GLOBAL", "REDUCE", "BUILD", "INST", "OBJ", "NEWOBJ",
+    "NEWOBJ_EX", "EXT1", "EXT2", "EXT4",
+})
+
+
+def class_references(blob: bytes) -> Set[str]:
+    """The class-naming opcodes of a pickle: empty for plain data."""
+    return {op.name for op, _, _ in pickletools.genops(blob)} & CLASS_OPCODES
 
 
 def line_topology(num_nodes: int, spacing: float = 10.0) -> Topology:

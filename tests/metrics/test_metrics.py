@@ -1,5 +1,9 @@
 """Tests for the metrics layer: audit, accuracy, cost, series, reports."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.messages import RangeQuery
@@ -12,10 +16,11 @@ from repro.metrics.accuracy import (
     overshoot_series,
     query_accuracy,
 )
-from repro.metrics.audit import QueryAudit
+from repro.metrics.audit import QueryAudit, QueryRecord, UnreadAudit
 from repro.metrics.cost import compare_costs, cost_breakdown
 from repro.metrics.report import format_key_values, format_series, format_table
 from repro.metrics.series import SeriesSet, UpdateRateRecorder, WindowedCounter
+from tests.helpers import class_references
 
 
 def make_record(
@@ -57,6 +62,90 @@ class TestAudit:
         make_record(audit, 1, set(), set(), set(), epoch=50)
         make_record(audit, 2, set(), set(), set(), epoch=90)
         assert [r.query_id for r in audit.records_between(40, 95)] == [1, 2]
+
+
+RECORD_SETS = ("sources", "should_receive", "received", "source_claims")
+
+
+def blob_of(audit) -> bytes:
+    """The blob an audit pickles as."""
+    _cls, (blob,) = audit.__reduce__()
+    return blob
+
+
+class TestAuditPickle:
+    @staticmethod
+    def audit() -> QueryAudit:
+        """Records registered out of id order, with sets whose iteration
+        order is not their sorted order."""
+        audit = QueryAudit()
+        make_record(
+            audit, 7, {2**40, 16, 1000003}, {2**40, 16, 1000003, 5, 8},
+            [77, 5, 2**40, 16], epoch=40, population=49, claims=(16, 8),
+        )
+        make_record(audit, 3, set(), {1}, [], epoch=20, population=48)
+        query = RangeQuery(11, "humidity", -2.5, 31.25, epoch=60)
+        audit.register_query(query, range(40, 0, -3), range(40), injection_epoch=61)
+        for nid in (97, 64, 2, 1):
+            audit.record_receipt(11, nid)
+        return audit
+
+    def test_records_round_trip_in_insertion_order(self):
+        audit = self.audit()
+        loaded = pickle.loads(pickle.dumps(audit))
+        assert type(loaded) is UnreadAudit
+        assert list(loaded._records) == [7, 3, 11]
+        assert type(loaded) is QueryAudit
+        for qid, record in audit._records.items():
+            decoded = loaded.record(qid)
+            for field in dataclasses.fields(QueryRecord):
+                assert getattr(decoded, field.name) == getattr(record, field.name)
+                assert type(getattr(decoded, field.name)) is type(
+                    getattr(record, field.name)
+                )
+        assert loaded.records == audit.records
+
+    def test_sets_iterate_as_a_plain_pickle_round_trip(self):
+        audit = self.audit()
+        assert list(audit.record(7).sources) != sorted(audit.record(7).sources)
+        loaded = pickle.loads(pickle.dumps(audit))
+        for qid, record in audit._records.items():
+            for name in RECORD_SETS:
+                plain = pickle.loads(pickle.dumps(getattr(record, name)))
+                assert list(getattr(loaded.record(qid), name)) == list(plain)
+
+    def test_blob_holds_plain_data_only(self):
+        assert not class_references(blob_of(self.audit()))
+
+    def test_unread_audit_re_emits_its_blob(self):
+        audit = self.audit()
+        once = pickle.loads(pickle.dumps(audit))
+        assert pickle.dumps(once) == pickle.dumps(audit)
+        assert blob_of(once) is once._unread
+        assert type(once) is UnreadAudit
+        twice = pickle.loads(pickle.dumps(once))
+        assert twice.records == audit.records
+
+    def test_deep_copies_are_independent(self):
+        audit = self.audit()
+        unread = pickle.loads(pickle.dumps(audit))
+        for original, kind in ((audit, QueryAudit), (unread, UnreadAudit)):
+            clone = copy.deepcopy(original)
+            assert type(original) is kind  # copying decodes nothing
+            clone.record_receipt(3, 42)
+            assert 42 in clone.record(3).received
+            assert 42 not in original.record(3).received
+
+    def test_decoded_audit_records_on(self):
+        audit = self.audit()
+        loaded = pickle.loads(pickle.dumps(audit))
+        for target in (audit, loaded):
+            make_record(target, 12, {4}, {4, 0}, [4, 0, 9], epoch=80, claims=(9,))
+            target.record_receipt(7, 3)
+            target.record_source_claim(3, 1)
+        assert type(loaded) is QueryAudit
+        assert list(loaded._records) == list(audit._records)
+        assert loaded.records == audit.records
 
 
 class TestAccuracy:
