@@ -135,7 +135,8 @@ class DirQNode(DisseminationProtocol):
         if aggregate is None:
             self.updates_suppressed += 1
             return
-        table.mark_transmitted(aggregate)
+        # pending_update returned the current aggregate, so the memo holds.
+        table.mark_transmitted(aggregate, delta)
         if self.parent is None:
             # The root keeps its own aggregate current but has nobody to
             # report to.

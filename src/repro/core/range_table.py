@@ -235,10 +235,21 @@ class RangeTable:
         self._no_update_memo = (self._version, delta)
         return None
 
-    def mark_transmitted(self, aggregate: Tuple[float, float]) -> None:
-        """Record that ``aggregate`` has been sent upstream."""
+    def mark_transmitted(
+        self, aggregate: Tuple[float, float], delta: Optional[float] = None
+    ) -> None:
+        """Record that ``aggregate`` has been sent upstream.
+
+        ``delta``, when given, states that ``aggregate`` is the current
+        aggregate and that the trigger runs with that δ: :meth:`pending_update`
+        would then find no update due (nothing moved since the send), so
+        its "no update due" memo is armed here rather than by the next
+        evaluation.
+        """
         self.last_transmitted = (float(aggregate[0]), float(aggregate[1]))
         self._version += 1
+        if delta is not None:
+            self._no_update_memo = (self._version, delta)
         if self.observer is not None:
             self.observer()
 

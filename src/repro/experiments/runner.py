@@ -52,7 +52,7 @@ from ..scenarios.models import (
 from ..sensors.dataset import SensorDataset
 from ..sensors.sensor import SamplingCounter, Sensor
 from ..sensors.types import DEFAULT_SENSOR_TYPES, default_type_specs
-from ..simulation.engine import Simulator
+from ..simulation.engine import QUERY_DRAIN, SAMPLE_DRAIN, Simulator
 from ..simulation.rng import RandomStreams
 from ..workload.generator import QueryWorkloadGenerator
 from ..workload.ground_truth import evaluate_query
@@ -671,7 +671,7 @@ class ExperimentRunner:
                     proto.on_epoch(epoch)
             if profiling:
                 begin_phase("channel")
-            run_until(epoch + 0.5)
+            run_until(epoch + SAMPLE_DRAIN)
 
             # Query injections scheduled for this epoch.
             if profiling:
@@ -706,7 +706,7 @@ class ExperimentRunner:
                 root.inject_query(query)
                 if profiling:
                     begin_phase("channel")
-                run_until(epoch + 0.95)
+                run_until(epoch + QUERY_DRAIN)
                 if profiling:
                     begin_phase("protocol-tick")
                 after = world.ledger.total_cost([cost_kind])
@@ -806,9 +806,11 @@ class ExperimentRunner:
         metrics.inc("channel.drops_loss", stats.drops_loss)
         metrics.inc("channel.drops_dead_node", stats.drops_dead_node)
         metrics.inc("channel.drops_no_link", stats.drops_no_link)
+        metrics.inc("channel.frames_split", stats.frames_split)
         for nid in sorted(world.macs):
             mac = world.macs[nid]
             metrics.inc("mac.beacons_sent", mac.beacons_sent)
+            metrics.inc("mac.frame_beacons", mac.frame_beacons_sent)
         for nid in sorted(world.protocols):
             proto = world.protocols[nid]
             tables = getattr(proto, "tables", None)

@@ -26,17 +26,28 @@ constant ``_mac_access_delay``, and beacons -- which in LMAC ride in every
 owned slot -- are coarsened to one per ``beacon_interval`` epochs.  The
 per-node RNG draws exactly one value: the start-up beacon phase.
 
+A payload frame is therefore transmitted at ``send time + access delay``
+and a frame beacon at its tick; either way LMAC hands the frame and its
+transmit time to the channel (:meth:`WirelessChannel.send_frame`), which
+transmits and delivers it in one engine event when no runner checkpoint
+falls between the transmission and the delivery.  The transmit time is
+no event of its own: a sender alive at the send is alive at its
+transmission within one runner window, and a frame a checkpoint splits
+gets its transmit event from the channel.  The beacon timer re-arms
+itself (:meth:`LMACProtocol._beacon_tick`), one event per tick.
+
 Beacon fast path
 ----------------
 Every beacon tick first tries :meth:`LMACProtocol._try_fast_beacon`: when
 the beacon's effects are provably only the steady-state bookkeeping
-(lossless channel, tracer off, delivery inside the same runner window,
-LMAC receivers whose own beacons do not fire in the propagation window),
-it applies the charges and neighbour-table writes directly, with no frame
-and no delivery event.  Otherwise the tick sends a frame beacon
-(:meth:`LMACProtocol._emit_beacon`), the readable reference that the
-differential harness's oracle (``tests/differential/reference.py``)
-forces on every tick.
+(lossless channel, tracer off, delivery inside the same runner window --
+the predicate the channel's one-event frames use,
+:func:`~repro.simulation.engine.same_window` -- LMAC receivers whose own
+beacons do not fire in the propagation window), it applies the charges
+and neighbour-table writes directly, with no frame and no delivery event.
+Otherwise the tick sends a frame beacon (:meth:`LMACProtocol._emit_beacon`),
+the readable reference that the differential harness's oracle
+(``tests/differential/reference.py``) forces on every tick.
 """
 
 from __future__ import annotations
@@ -47,12 +58,15 @@ import numpy as np
 
 from ..network.addresses import BROADCAST, NodeId
 from ..network.channel import WirelessChannel
-from ..simulation.engine import Simulator
+from ..simulation.engine import Simulator, same_window
+from ..simulation.events import EventPriority
 from ..simulation.process import SimProcess
 from .frames import MAC_CONTROL_KIND, MACFrame
 
 UpperLayerHandler = Callable[[NodeId, Any], None]
 """Upper-layer receive hook: ``(sender_id, payload) -> None``."""
+
+_TIMER = int(EventPriority.TIMER)
 
 
 class _BeaconTarget:
@@ -130,17 +144,17 @@ class LMACProtocol(SimProcess):
         if self.death_threshold < 1:
             raise ValueError("death_threshold must be >= 1")
         self._upper_handler: Optional[UpperLayerHandler] = None
-        # Plain int counter harvested into obs metrics at trial end --
+        # Plain int counters harvested into obs metrics at trial end --
         # an unconditional increment costs less than any enabled-check here.
         self.beacons_sent = 0
+        #: Beacons sent as frames (the fast path declined the tick).
+        self.frame_beacons_sent = 0
         # Beacons carry no state, so one immutable frame serves them all.
         self._beacon = MACFrame(source=node_id, destination=BROADCAST)
         # Delivery plan of the beacon fast path (see _try_fast_beacon).
         self._beacon_plan: Optional[_BeaconPlan] = None
         self._mac_access_delay = 1e-4
-        # Per-kind transmit labels, built once: send() runs for every frame
-        # of a 20 000-epoch trial, so the label f-string is hoisted out.
-        self._tx_labels: dict[str, str] = {}
+        self._beacon_label = f"{self.name}.timer.beacon"
         channel.register(node_id, self._on_channel_receive)
 
     # -- wiring -----------------------------------------------------------------
@@ -178,23 +192,18 @@ class LMACProtocol(SimProcess):
         ``destination`` may be a one-hop neighbour id or
         :data:`~repro.network.addresses.BROADCAST`.
         """
-        if not self.channel.is_alive(self.node_id):
+        channel = self.channel
+        if not channel._alive.get(self.node_id):
             return
         frame = MACFrame(source=self.node_id, destination=destination, payload=payload)
-
-        def transmit() -> None:
-            if not self.channel.is_alive(self.node_id):
-                return
-            if destination == BROADCAST:
-                self.channel.broadcast(self.node_id, frame, kind)
-            else:
-                self.channel.unicast(self.node_id, destination, frame, kind)
-
         # Waiting for the owned slot is modelled as a small constant latency.
-        label = self._tx_labels.get(kind)
-        if label is None:
-            label = self._tx_labels[kind] = f"{self.name}.tx[{kind}]"
-        self.sim.schedule_after(self._mac_access_delay, transmit, label=label)
+        channel.send_frame(
+            self.node_id,
+            destination,
+            frame,
+            kind,
+            self.sim.clock.now + self._mac_access_delay,
+        )
 
     def broadcast(self, payload: Any, kind: str) -> None:
         """Convenience wrapper for a one-hop broadcast."""
@@ -204,11 +213,19 @@ class LMACProtocol(SimProcess):
 
     def _beacon_tick(self) -> None:
         if not self.channel.is_alive(self.node_id):
+            self._timers.pop("beacon", None)
             return
         if not self._try_fast_beacon():
             self._emit_beacon()
         self._check_dead_neighbors()
-        self.set_timer("beacon", self.beacon_interval, self._beacon_tick)
+        # The tick re-arms itself, as set_timer would, without its closure.
+        sim = self.sim
+        self._timers["beacon"] = sim.schedule_at(
+            sim.clock.now + self.beacon_interval,
+            self._beacon_tick,
+            _TIMER,
+            self._beacon_label,
+        )
 
     def _try_fast_beacon(self) -> bool:
         """Apply one beacon's emission and delivery without a frame.
@@ -225,9 +242,9 @@ class LMACProtocol(SimProcess):
           transmission order) and a disabled tracer (the direct path emits
           no ``channel.tx``/``channel.rx`` records);
         * the delivery instant ``now + propagation_delay`` falling in the
-          same runner processing window as ``now`` (the runner reads the
-          ledger at the epoch's 0.5 / 0.95 / boundary checkpoints, so a
-          reception charge must not migrate across one);
+          same runner window as ``now`` (:func:`same_window`: the runner
+          reads the ledger at its checkpoints, so a reception charge must
+          not migrate across one);
         * every alive receiver being a plain LMAC stack;
         * no receiver's own beacon timer firing inside the propagation
           window (its dead-neighbour sweep must order with this delivery
@@ -260,14 +277,8 @@ class LMACProtocol(SimProcess):
         if channel.loss_probability > 0.0 or channel.tracer.enabled:
             return False
         now = self.sim.clock.now
-        prop = channel.propagation_delay
-        frac = now - int(now)
-        rx_frac = frac + prop
-        if (
-            (frac < 0.5 and rx_frac >= 0.5)
-            or (frac < 0.95 and rx_frac >= 0.95)
-            or rx_frac >= 1.0
-        ):
+        rx_deadline = now + channel.propagation_delay
+        if not same_window(now, rx_deadline):
             return False
         nid = self.node_id
         adjacency = channel.graph._adj[nid]
@@ -280,7 +291,6 @@ class LMACProtocol(SimProcess):
                 return False
         alive_get = channel._alive.get
         receivers_get = channel._receivers.get
-        rx_deadline = now + prop
         # Any liveness or registration change among the planned targets
         # invalidates the plan (rare); in exchange the steady-state passes
         # below never re-derive the target count or re-check row kinds.
@@ -299,12 +309,14 @@ class LMACProtocol(SimProcess):
             if not alive_get(t) or receivers_get(t) is not row.callback:
                 self._beacon_plan = None
                 return False
-            handle = row.timers_get("beacon")
-            if handle is not None:
-                event = handle._event
-                if not event.cancelled and event.time <= rx_deadline:
-                    # Transient hazard: the plan itself is still valid.
-                    return False
+            event = row.timers_get("beacon")
+            if (
+                event is not None
+                and not event.cancelled
+                and event.time <= rx_deadline
+            ):
+                # Transient hazard: the plan itself is still valid.
+                return False
 
         # Eligible: commit the tick.  Sender-side effects happen at `now`,
         # exactly when _emit_beacon would apply them.
@@ -380,7 +392,15 @@ class LMACProtocol(SimProcess):
 
     def _emit_beacon(self) -> None:
         self.beacons_sent += 1
-        self.channel.broadcast(self.node_id, self._beacon, MAC_CONTROL_KIND)
+        self.frame_beacons_sent += 1
+        self.channel.send_frame(
+            self.node_id,
+            BROADCAST,
+            self._beacon,
+            MAC_CONTROL_KIND,
+            self.sim.clock.now,
+            _TIMER,
+        )
 
     def _check_dead_neighbors(self) -> None:
         """Count a missed beacon period per neighbour; declare the silent dead."""

@@ -7,14 +7,27 @@ reception for every receiver in the ledger, which prices each at one unit
 split costs into query / update / estimate / flood traffic exactly as §5
 does.
 
-Delivery is scheduled through the simulation engine with a small propagation
-(:data:`PROPAGATION_DELAY`) plus MAC-access delay, so message interleaving
-within an epoch is modelled explicitly and deterministically.  A
-transmission's whole fan-out is carried by a *single* delivery event that
-walks the target list (loss already applied, in one vectorised draw per
-transmission), instead of one closure per receiver: the event-queue
-traffic per broadcast is O(1) rather than O(neighbours), which is where
-most of the hot-loop time used to go.
+A frame has two halves.  The *transmit half* (:meth:`WirelessChannel.
+_transmit`, the one entry every transmission takes) checks the sender,
+picks the targets -- the alive neighbours of a broadcast, the addressee of
+a unicast -- and charges the sender's transmission.  The *delivery half*
+(:meth:`WirelessChannel._deliver`) runs :data:`PROPAGATION_DELAY` later:
+it draws the loss of every target in one vectorised draw and walks the
+surviving targets in one event, instead of one closure per receiver.
+
+LMAC hands the channel each frame with its transmit time
+(:meth:`WirelessChannel.send_frame`), and the channel runs both halves in
+*one* event at the delivery time whenever the two instants share a runner
+window (:func:`~repro.simulation.engine.same_window`).  Nothing inside a
+window changes liveness or links, and nothing reads the ledger or the
+stats, so the transmit half's effects cannot be seen to move from the
+transmit time to the delivery time.  A frame whose two halves a
+checkpoint separates runs its transmit half at the transmit time -- in
+its own transmit event, or inline when that time is now (a frame beacon)
+-- and its delivery half in a delivery event; so does every frame while
+the tracer is on, so that ``channel.tx`` records keep their time.
+``ChannelStats.frames_split`` counts the frames that needed a transmit
+event.
 
 A reception is charged when the frame is *delivered*, not when it is
 transmitted: a receiver that dies while the frame is in flight is recorded
@@ -23,14 +36,26 @@ always agree about how many receptions actually happened.
 
 Determinism contract
 --------------------
-Batched delivery is **stream-equivalent** to one event per receiver: the
-vectorised loss draw consumes exactly one uniform per target, in the same
-target order per-receiver draws would, from the same named channel stream.
-Batching therefore changes the event count but not a single loss outcome,
-delivery time, or ledger entry -- ``tests/differential/reference.py`` keeps
-the per-receiver formulation as a test oracle, and
-``tests/experiments/test_fastpath_determinism.py`` pins the two against
-each other by `TrialResult` fingerprint.  Lossy channels require an rng at
+*Draws at delivery.*  The loss draw runs in the delivery half, one uniform
+per target in target order, from the channel's named stream.  Deliveries
+run in transmit order (below), so the stream is consumed draw for draw
+as if every frame drew at its transmission.
+
+*The ordering rule.*  Every delivery is a ``MAC``-priority event whose
+last tie-breaker is the key of its transmission: ``(tx_time, priority,
+seq)``, with the priority of the event that transmits it (``DEFAULT``
+for a payload frame, whose transmission is LMAC's access-delay event;
+``TIMER`` for a frame beacon, sent from its beacon tick) and a sequence
+number taken when the frame is handed over.  Deliveries that share a
+delivery time therefore run in the order their transmissions did, even
+when a beacon tick lands exactly on a payload's transmit time.  A bare
+sequence number would put such a beacon behind the payload.
+
+Batched delivery is **stream-equivalent** to one event per receiver:
+``tests/differential/reference.py`` keeps the per-receiver formulation
+(and the two-event frame) as test oracles, and
+``tests/experiments/test_fastpath_determinism.py`` pins them against each
+other by `TrialResult` fingerprint.  Lossy channels require an rng at
 construction (there is no silent fallback RNG that could decouple a trial
 from its seed), and ``loss_probability`` accepts the full [0, 1] range
 including the 1.0 endpoint.
@@ -43,13 +68,14 @@ by activation, :meth:`WirelessChannel.set_alive`).
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..energy.ledger import NetworkLedger
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
-from ..simulation.engine import Simulator
+from ..simulation.engine import Simulator, same_window
 from ..simulation.events import EventPriority
 from ..simulation.trace import NULL_TRACER, Tracer
 from .addresses import BROADCAST, NodeId, validate_node_id
@@ -63,6 +89,9 @@ ReceiveCallback = Callable[[NodeId, Any], None]
 #: next sampling round.
 PROPAGATION_DELAY = 1e-3
 
+_MAC = int(EventPriority.MAC)
+_DEFAULT = int(EventPriority.DEFAULT)
+
 
 @dataclasses.dataclass
 class ChannelStats:
@@ -74,6 +103,10 @@ class ChannelStats:
     drops_dead_node: int = 0
     drops_loss: int = 0
     drops_no_link: int = 0
+    #: Frames handed over by :meth:`WirelessChannel.send_frame` that needed
+    #: a transmit event of their own (a checkpoint, or the tracer, split
+    #: their two halves).
+    frames_split: int = 0
 
 
 class WirelessChannel:
@@ -137,9 +170,10 @@ class WirelessChannel:
         self.stats = ChannelStats()
         self._receivers: Dict[NodeId, ReceiveCallback] = {}
         self._alive: Dict[NodeId, bool] = {nid: True for nid in self.graph.nodes}
-        # Per-kind delivery-event labels, built once (one delivery event per
-        # transmission makes the label f-string a per-frame cost otherwise).
+        # Per-kind event labels, built once (one event per frame makes the
+        # label f-string a per-frame cost otherwise).
         self._delivery_labels: Dict[str, str] = {}
+        self._transmit_labels: Dict[str, str] = {}
 
     # -- registration ---------------------------------------------------------
 
@@ -206,58 +240,152 @@ class WirelessChannel:
     # -- transmission -----------------------------------------------------------
 
     def broadcast(self, sender: NodeId, frame: Any, kind: str) -> int:
-        """One-hop MAC broadcast from ``sender``.
+        """One-hop broadcast from ``sender``, transmitted now.
 
-        Charges the sender one transmission; every alive neighbour whose
-        reception survives the loss draw is charged one reception when the
-        frame is delivered (whether or not the neighbour's protocol cares
-        about the frame), exactly matching the paper's flooding cost
-        accounting.
+        Charges the sender one transmission now; every alive neighbour
+        whose reception survives the loss draw is charged one reception
+        when the frame is delivered (whether or not the neighbour's
+        protocol cares about the frame), exactly matching the paper's
+        flooding cost accounting.
 
-        Returns the number of receptions scheduled (loss already applied).
+        Returns the number of receptions scheduled: the alive neighbours.
+        The loss draw happens at delivery.
         """
-        return self._transmit(sender, BROADCAST, frame, kind)
+        return self._transmit_now(sender, BROADCAST, frame, kind)
 
     def unicast(self, sender: NodeId, dest: NodeId, frame: Any, kind: str) -> int:
-        """Unicast from ``sender`` to a one-hop neighbour ``dest``.
+        """Unicast from ``sender`` to a one-hop neighbour ``dest``, transmitted now.
 
         Charges one transmission and (at delivery) one reception.  Returns 1
-        when a reception was scheduled, 0 if the frame was dropped at
-        transmit time (dead node, missing link, channel loss).
+        when a reception was scheduled, 0 if the frame reached nobody
+        (dead node, missing link); the loss draw happens at delivery.
         """
         validate_node_id(dest)
-        return self._transmit(sender, dest, frame, kind)
+        return self._transmit_now(sender, dest, frame, kind)
+
+    def send_frame(
+        self,
+        sender: NodeId,
+        dest: NodeId,
+        frame: Any,
+        kind: str,
+        tx_time: float,
+        priority: int = _DEFAULT,
+    ) -> None:
+        """Take a MAC frame that ``sender`` transmits at ``tx_time``.
+
+        ``sender`` is a registered node; ``dest`` a node id or
+        :data:`~repro.network.addresses.BROADCAST`; ``tx_time`` is now or
+        later; ``priority`` is that of the event that transmits the frame
+        (see the module docstring's ordering rule).  The frame is
+        delivered one propagation delay after ``tx_time``, in one event
+        when no runner checkpoint falls between.  A sender that is dead at
+        ``tx_time`` transmits nothing and costs nothing.
+        """
+        sim = self.sim
+        seq = sim.next_seq()
+        rx_time = tx_time + self.propagation_delay
+        order = (tx_time, priority, seq)
+        if not self.tracer.enabled and same_window(tx_time, rx_time):
+            label = self._delivery_labels.get(kind)
+            if label is None:
+                label = self._delivery_labels[kind] = f"deliver[{kind}]"
+            deliver = partial(self._frame, sender, dest, frame, kind)
+            sim.schedule_at(rx_time, deliver, _MAC, label, order)
+        elif tx_time == sim.clock.now:
+            self._frame_transmit(sender, dest, frame, kind, rx_time, order)
+        else:
+            self.stats.frames_split += 1
+            label = self._transmit_labels.get(kind)
+            if label is None:
+                label = self._transmit_labels[kind] = f"transmit[{kind}]"
+            transmit = partial(
+                self._frame_transmit, sender, dest, frame, kind, rx_time, order
+            )
+            sim.schedule_at(tx_time, transmit, priority, label, seq)
 
     # -- internals ----------------------------------------------------------------
 
-    def _transmit(self, sender: NodeId, dest: NodeId, frame: Any, kind: str) -> int:
+    def _transmit_now(self, sender: NodeId, dest: NodeId, frame: Any, kind: str) -> int:
+        """:meth:`broadcast`/:meth:`unicast`: check the sender, transmit now."""
         validate_node_id(sender)
-        alive = self._alive
         if sender not in self.graph:
             raise KeyError(f"unknown sender {sender}")
-        if not alive.get(sender):
+        if not self._alive.get(sender):
             self.stats.drops_dead_node += 1
             return 0
+        now = self.sim.clock.now
+        return self._frame_transmit(
+            sender,
+            dest,
+            frame,
+            kind,
+            now + self.propagation_delay,
+            (now, _DEFAULT, self.sim.next_seq()),
+        )
 
+    def _frame(self, sender: NodeId, dest: NodeId, frame: Any, kind: str) -> None:
+        """A frame's one event: its transmit half, then its delivery half."""
+        if not self._alive.get(sender):
+            return
+        targets = self._transmit(sender, dest, kind)
+        if targets:
+            self._deliver(sender, targets, frame, kind)
+
+    def _frame_transmit(
+        self,
+        sender: NodeId,
+        dest: NodeId,
+        frame: Any,
+        kind: str,
+        rx_time: float,
+        order: Tuple[float, int, int],
+    ) -> int:
+        """A transmit half on its own; the delivery half gets an event.
+
+        Returns the number of receptions scheduled.
+        """
+        if not self._alive.get(sender):
+            return 0
+        targets = self._transmit(sender, dest, kind)
+        if targets:
+            self._schedule_delivery(sender, targets, frame, kind, rx_time, order)
+        return len(targets)
+
+    def _transmit(self, sender: NodeId, dest: NodeId, kind: str) -> List[NodeId]:
+        """The transmit half of a live sender's transmission.
+
+        Picks the targets, counts the transmission, charges the sender's
+        transmission and records ``channel.tx``.  Returns the targets.
+        """
+        alive = self._alive
+        stats = self.stats
+        adjacency = self.graph._adj[sender]
         if dest == BROADCAST:
-            targets = [n for n in self.graph.neighbors(sender) if alive.get(n)]
-            self.stats.broadcasts += 1
+            targets = [n for n in adjacency if alive.get(n)]
+            stats.broadcasts += 1
             if self.metrics.enabled:
                 self.metrics.observe("channel.fanout", len(targets))
         else:
-            if not self.graph.has_edge(sender, dest):
-                self.stats.drops_no_link += 1
+            if dest not in adjacency:
+                stats.drops_no_link += 1
                 # The transmission still happens (and is still paid for); it
                 # simply reaches nobody, as on a real radio.
                 targets = []
             elif not alive.get(dest):
-                self.stats.drops_dead_node += 1
+                stats.drops_dead_node += 1
                 targets = []
             else:
                 targets = [dest]
-            self.stats.unicasts += 1
+            stats.unicasts += 1
 
-        self.ledger.node(sender).charge_tx(kind)
+        # Inlined ledger.node(sender).charge_tx(kind), as the delivery loop
+        # charges receptions.
+        ledger = self.ledger
+        node_ledger = ledger._nodes.get(sender)
+        if node_ledger is None:
+            node_ledger = ledger.node(sender)
+        node_ledger._entries[("tx", kind)].count += 1
         if self.tracer.enabled:
             self.tracer.record(
                 self.sim.now,
@@ -267,71 +395,69 @@ class WirelessChannel:
                 kind=kind,
                 targets=len(targets),
             )
-
-        if targets and self.loss_probability > 0.0:
-            # One vectorised draw per transmission; numpy's Generator yields
-            # the same stream as per-target random() calls, so lossy runs
-            # stay bit-identical to the per-receiver event formulation.
-            draws = self.rng.random(len(targets))
-            survivors = [
-                target
-                for target, draw in zip(targets, draws)
-                if draw >= self.loss_probability
-            ]
-            self.stats.drops_loss += len(targets) - len(survivors)
-            targets = survivors
-        if targets:
-            self._schedule_delivery(sender, targets, frame, kind)
-        return len(targets)
+        return targets
 
     def _schedule_delivery(
+        self,
+        sender: NodeId,
+        targets: List[NodeId],
+        frame: Any,
+        kind: str,
+        rx_time: float,
+        order: Tuple[float, int, int],
+    ) -> None:
+        """Schedule a transmitted frame's delivery half as its own event."""
+        label = self._delivery_labels.get(kind)
+        if label is None:
+            label = self._delivery_labels[kind] = f"deliver[{kind}]"
+        deliver = partial(self._deliver, sender, targets, frame, kind)
+        self.sim.schedule_at(rx_time, deliver, _MAC, label, order)
+
+    def _deliver(
         self, sender: NodeId, targets: List[NodeId], frame: Any, kind: str
     ) -> None:
-        """Schedule one batched delivery event for a transmission's fan-out.
+        """The delivery half: the loss draw, then every surviving reception.
 
         Receptions are charged here, per target, at delivery time: a
         target that died while the frame was in flight is counted as
         ``drops_dead_node`` and never charged, keeping the ledger and the
         delivery stats consistent.
         """
-
-        def deliver() -> None:
-            alive = self._alive
-            receivers = self._receivers
-            stats = self.stats
-            tracer = self.tracer
-            ledger = self.ledger
-            ledger_nodes = ledger._nodes
-            rx_key = ("rx", kind)
-            now = self.sim.now
-            traced = tracer.enabled
-            for target in targets:
-                if not alive.get(target):
-                    stats.drops_dead_node += 1
-                    continue
-                # Inlined ledger.node(target).charge_rx(kind): one reception
-                # is charged per frame per alive target, and this loop runs
-                # for every reception of a trial.
-                node_ledger = ledger_nodes.get(target)
-                if node_ledger is None:
-                    node_ledger = ledger.node(target)
-                node_ledger._entries[rx_key].count += 1
-                receiver = receivers.get(target)
-                if receiver is None:
-                    continue
-                stats.deliveries += 1
-                if traced:
-                    tracer.record(
-                        now, "channel.rx", target, sender=sender, kind=kind
-                    )
-                receiver(sender, frame)
-
-        label = self._delivery_labels.get(kind)
-        if label is None:
-            label = self._delivery_labels[kind] = f"deliver[{kind}]"
-        self.sim.schedule_after(
-            self.propagation_delay,
-            deliver,
-            priority=EventPriority.MAC,
-            label=label,
-        )
+        stats = self.stats
+        loss = self.loss_probability
+        if loss > 0.0:
+            # One vectorised draw per transmission; numpy's Generator yields
+            # the same stream as per-target random() calls.
+            draws = self.rng.random(len(targets))
+            survivors = [
+                target for target, draw in zip(targets, draws) if draw >= loss
+            ]
+            stats.drops_loss += len(targets) - len(survivors)
+            targets = survivors
+        alive = self._alive
+        receivers = self._receivers
+        tracer = self.tracer
+        ledger = self.ledger
+        ledger_nodes = ledger._nodes
+        rx_key = ("rx", kind)
+        traced = tracer.enabled
+        for target in targets:
+            if not alive.get(target):
+                stats.drops_dead_node += 1
+                continue
+            # Inlined ledger.node(target).charge_rx(kind): one reception
+            # is charged per frame per alive target, and this loop runs
+            # for every reception of a trial.
+            node_ledger = ledger_nodes.get(target)
+            if node_ledger is None:
+                node_ledger = ledger.node(target)
+            node_ledger._entries[rx_key].count += 1
+            receiver = receivers.get(target)
+            if receiver is None:
+                continue
+            stats.deliveries += 1
+            if traced:
+                tracer.record(
+                    self.sim.now, "channel.rx", target, sender=sender, kind=kind
+                )
+            receiver(sender, frame)

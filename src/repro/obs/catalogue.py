@@ -31,7 +31,9 @@ METRIC_CATALOGUE: Dict[str, str] = {
     "channel.drops_dead_node": "receptions dropped at a dead receiver",
     "channel.drops_no_link": "unicasts dropped for want of a link",
     "channel.fanout": "histogram of per-transmission broadcast fan-out",
+    "channel.frames_split": "MAC frames that needed a transmit event",
     "mac.beacons_sent": "LMAC control beacons transmitted",
+    "mac.frame_beacons": "LMAC beacons sent as frames (fast path declined)",
     "dirq.updates_sent": "range updates transmitted toward the root",
     "dirq.updates_suppressed": "epoch ticks ending with no update needed",
     "dirq.queries_received": "query packets received by DirQ nodes",

@@ -11,7 +11,7 @@ Public surface:
 
 from .clock import SimClock
 from .engine import SimulationError, Simulator
-from .events import Event, EventHandle, EventPriority
+from .events import Event, EventPriority
 from .process import SimProcess
 from .rng import RandomStreams
 from .trace import NULL_TRACER, TraceRecord, Tracer
@@ -21,7 +21,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Event",
-    "EventHandle",
     "EventPriority",
     "SimProcess",
     "RandomStreams",

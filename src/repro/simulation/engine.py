@@ -8,25 +8,39 @@ Design choices
 --------------
 * **Determinism.**  Events are ordered by ``(time, priority, sequence)``;
   the sequence counter makes insertion order the final tie-breaker, so a
-  simulation with the same seed replays identically.  The heap stores plain
-  ``(time, priority, seq, event)`` tuples: the unique sequence number means
-  comparisons never fall through to the :class:`Event` object, so ordering
-  is resolved entirely by C-level tuple comparison.
+  simulation with the same seed replays identically.  (A frame delivery
+  breaks its ties by its transmission's key instead, see
+  :data:`~repro.simulation.events.EventPriority.MAC`.)  The heap stores
+  plain ``(time, priority, seq, event)`` tuples: the unique sequence
+  number, which a transmission key holds too, means comparisons never
+  fall through to the :class:`Event` object, so ordering is resolved
+  entirely by C-level tuple comparison.
 * **Lazy cancellation with compaction.**  Cancelled events remain on the
-  heap and are skipped when popped; this keeps :meth:`EventHandle.cancel`
-  O(1).  Unlike a purely lazy scheme (which leaks one heap entry per
-  cancelled event for the whole run), the engine counts cancelled entries
-  and compacts the heap in place once they dominate it, so the queue size
+  heap and are skipped when popped; this keeps :meth:`Event.cancel` O(1).
+  Unlike a purely lazy scheme (which leaks one heap entry per cancelled
+  event for the whole run), the engine counts cancelled entries and
+  compacts the heap in place once they dominate it, so the queue size
   stays proportional to the number of *live* events.
+* **One object per event.**  :meth:`Simulator.schedule_at` allocates the
+  :class:`Event` and returns it; the event is its own cancellation handle.
 * **Cached head time.**  The earliest scheduled time is tracked as a cheap
   lower bound, making :meth:`run_until` O(1) when nothing is due before the
   boundary -- the common case for the experiment runner's per-epoch drains.
 * **Epoch-driven operation.**  The experiment runner advances the network one
   *epoch* at a time (the paper's sampling period).  Within an epoch, protocol
   messages are exchanged as ordinary events at fractional times; the runner
-  calls :meth:`Simulator.run_until` with the next epoch boundary to drain
-  them.  This hybrid keeps 20 000-epoch runs tractable in pure Python while
-  preserving event-level message ordering.
+  calls :meth:`Simulator.run_until` with each *checkpoint* in turn -- the
+  epoch boundary ``float(epoch)``, then ``epoch + SAMPLE_DRAIN`` after the
+  sampling pass and ``epoch + QUERY_DRAIN`` after each query injection --
+  and between two checkpoints changes liveness and links and reads the
+  ledger.  This hybrid keeps 20 000-epoch runs tractable in pure Python
+  while preserving event-level message ordering.
+* **Runner windows.**  The events one ``run_until`` call executes form a
+  *window*.  Two instants share a window when no checkpoint ``b``
+  satisfies ``start <= b < end`` (:func:`same_window`); an effect may move
+  between two such instants without anything outside the events seeing
+  it.  The channel's one-event frames and LMAC's beacon fast path both
+  rest on this one predicate.
 
 Determinism contract
 --------------------
@@ -45,10 +59,42 @@ live events, only skip or drop cancelled ones.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Optional
 
 from .clock import SimClock
-from .events import Event, EventHandle, EventPriority
+from .events import Event, EventPriority
+
+#: Offsets of the experiment runner's in-epoch checkpoints: it drains the
+#: queue to ``epoch + SAMPLE_DRAIN`` after the sampling pass and to
+#: ``epoch + QUERY_DRAIN`` after each query injection (besides every epoch
+#: boundary, ``float(epoch)``).
+SAMPLE_DRAIN = 0.5
+QUERY_DRAIN = 0.95
+
+
+def same_window(start: float, end: float) -> bool:
+    """Whether the instants ``start <= end`` fall in one runner window.
+
+    True when no checkpoint ``b`` satisfies ``start <= b < end``.  The
+    checkpoints are the very floats the runner passes to
+    :meth:`Simulator.run_until` (``float(epoch)``, ``epoch + SAMPLE_DRAIN``,
+    ``epoch + QUERY_DRAIN``), so an event at ``end`` runs in the same
+    ``run_until`` call as one at ``start``, with no runner work between
+    them.  ``end - start`` must be below the shortest gap between two
+    checkpoints (``1 - QUERY_DRAIN``): only the first checkpoint at or
+    after ``start`` is checked.
+    """
+    epoch = int(start)
+    if start <= epoch:
+        return end <= start
+    checkpoint = epoch + SAMPLE_DRAIN
+    if start <= checkpoint:
+        return end <= checkpoint
+    checkpoint = epoch + QUERY_DRAIN
+    if start <= checkpoint:
+        return end <= checkpoint
+    return end <= float(epoch + 1)
 
 
 class SimulationError(RuntimeError):
@@ -135,7 +181,7 @@ class Simulator:
 
     @property
     def executed(self) -> int:
-        """Total number of events executed so far."""
+        """Total number of events executed so far (counted when a run returns)."""
         return self._executed
 
     @property
@@ -156,8 +202,17 @@ class Simulator:
         callback: Callable[[], Any],
         priority: int = EventPriority.DEFAULT,
         label: str = "",
-    ) -> EventHandle:
+        order: Any = None,
+    ) -> Event:
         """Schedule ``callback`` to run at absolute simulated ``time``.
+
+        ``order`` is the event's last tie-breaker, after ``time`` and
+        ``priority``; by default a fresh sequence number (insertion
+        order).  A caller that must order an event by an earlier
+        decision passes its own: a sequence number it took with
+        :meth:`next_seq`, or for a frame delivery the transmission's key
+        (see :data:`EventPriority.MAC`).  Returns the event, which is its
+        own cancellation handle.
 
         Raises
         ------
@@ -165,25 +220,21 @@ class Simulator:
             If ``time`` is before the current simulated time.
         """
         time = float(time)
-        if time < self.clock.now:
+        if time < self.clock._now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before current time "
                 f"t={self.clock.now}"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(
-            time=time,
-            priority=int(priority),
-            seq=seq,
-            callback=callback,
-            label=label,
-        )
-        heapq.heappush(self._heap, (time, event.priority, seq, event))
+        if order is None:
+            order = self._seq
+            self._seq = order + 1
+        priority = int(priority)
+        event = Event(time, priority, order, callback, label, self)
+        heapq.heappush(self._heap, (time, priority, order, event))
         head = self._head_time
         if head is None or time < head:
             self._head_time = time
-        return EventHandle(event, self)
+        return event
 
     def schedule_after(
         self,
@@ -191,11 +242,21 @@ class Simulator:
         callback: Callable[[], Any],
         priority: int = EventPriority.DEFAULT,
         label: str = "",
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
         return self.schedule_at(self.clock.now + delay, callback, priority, label)
+
+    def next_seq(self) -> int:
+        """Take the next sequence number, as :meth:`schedule_at` would.
+
+        For a caller that decides an event's order now and schedules it
+        later, or orders another event by it.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
 
     # -- execution ---------------------------------------------------------
 
@@ -241,7 +302,7 @@ class Simulator:
     # -- internals ---------------------------------------------------------
 
     def _note_cancelled(self, event: Event) -> None:
-        """Bookkeeping hook invoked by :meth:`EventHandle.cancel`.
+        """Bookkeeping hook invoked by :meth:`Event.cancel`.
 
         Keeps :attr:`pending` exact without scanning the heap and triggers
         in-place compaction once cancelled entries dominate the queue.
@@ -269,31 +330,33 @@ class Simulator:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
         executed = 0
+        limit = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
         # The heap list object is stable: _compact rewrites it in place, so
         # this local alias stays valid even if a callback triggers compaction.
         heap = self._heap
         heappop = heapq.heappop
         clock = self.clock
         try:
-            while True:
-                if max_events is not None and executed >= max_events:
-                    break
-                while heap and heap[0][3].cancelled:
+            while heap and executed < budget:
+                entry = heap[0]
+                event = entry[3]
+                if event.cancelled:
                     heappop(heap)
                     self._cancelled_in_heap -= 1
-                if not heap:
-                    break
-                entry = heap[0]
-                if until is not None and entry[0] > until:
+                    continue
+                time = entry[0]
+                if time > limit:
                     break
                 heappop(heap)
-                event = entry[3]
-                clock._advance(entry[0])
-                self._executed += 1
+                # Heap order never moves time backwards, and schedule_at
+                # stored a float: set the clock without _advance's checks.
+                clock._now = time
                 executed += 1
                 event.executed = True
                 event.callback()
         finally:
+            self._executed += executed
             self._running = False
             self._head_time = heap[0][0] if heap else None
         return executed

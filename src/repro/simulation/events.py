@@ -8,12 +8,13 @@ scheduled at a simulated time.
 
 Events are ordered by ``(time, priority, sequence)`` so that simulations are
 fully deterministic: two events at the same simulated time are executed in
-priority order, and ties beyond that are broken by insertion order.
+priority order, and ties beyond that are broken by insertion order.  A
+frame delivery breaks its ties by the key of its transmission instead (see
+:data:`EventPriority.MAC`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from typing import Any, Callable
 
@@ -26,6 +27,11 @@ class EventPriority(enum.IntEnum):
     layer delivers frames, which happens before application-level timers
     fire.  This mirrors the bottom-up processing order of a real stack and
     keeps traces easy to reason about.
+
+    ``MAC`` is the band of frame deliveries, and its events share one key
+    shape: each breaks ties by its transmission's ``(time, priority,
+    sequence)`` tuple (:mod:`repro.network.channel`), never by a bare
+    sequence number, which a tuple cannot be compared with.
     """
 
     CONTROL = 0
@@ -36,9 +42,8 @@ class EventPriority(enum.IntEnum):
     DEFAULT = 50
 
 
-@dataclasses.dataclass(slots=True)
 class Event:
-    """A single scheduled occurrence in the simulation.
+    """A single scheduled occurrence in the simulation, and its own handle.
 
     Parameters
     ----------
@@ -47,78 +52,78 @@ class Event:
     priority:
         Tie-breaking priority; see :class:`EventPriority`.
     seq:
-        Monotonically increasing sequence number assigned by the scheduler;
-        guarantees deterministic FIFO ordering among equal ``(time,
-        priority)`` events.
+        The last tie-breaker: a monotonically increasing sequence number
+        assigned by the scheduler (deterministic FIFO ordering among equal
+        ``(time, priority)`` events), or for a frame delivery its
+        transmission's key.
     callback:
         Zero-argument callable invoked when the event fires.  Any payload
         should be bound into the callable (e.g. via ``functools.partial`` or
         a closure).
     label:
         Human-readable description used by the tracer.
+
+    The scheduler returns the event itself from
+    :meth:`~repro.simulation.engine.Simulator.schedule_at`; :meth:`cancel`
+    is the handle.  Cancellation is *lazy*: the event stays in the heap
+    but is skipped when it is popped.  This is O(1) and is the standard
+    approach for simulation kernels where cancelled events are a small
+    fraction of the total.  An event the scheduler created carries a
+    back-reference to it, so the scheduler can keep an exact pending-event
+    counter and compact the heap once too many cancelled entries
+    accumulate (lazy cancellation alone would leak heap entries for the
+    whole run).
     """
 
-    time: float
-    priority: int
-    seq: int
-    callback: Callable[[], Any]
-    label: str = ""
-    cancelled: bool = False
-    executed: bool = False
+    __slots__ = (
+        "time",
+        "priority",
+        "seq",
+        "callback",
+        "label",
+        "cancelled",
+        "executed",
+        "_scheduler",
+    )
 
-    def sort_key(self) -> tuple[float, int, int]:
+    def __init__(
+        self,
+        time: float,
+        priority: int,
+        seq: Any,
+        callback: Callable[[], Any],
+        label: str = "",
+        scheduler: Any = None,
+    ):
+        self.time = time
+        self.priority = priority
+        self.seq = seq
+        self.callback = callback
+        self.label = label
+        self.cancelled = False
+        self.executed = False
+        self._scheduler = scheduler
+
+    def sort_key(self) -> tuple:
         return (self.time, self.priority, self.seq)
 
     def __lt__(self, other: "Event") -> bool:  # heapq ordering
         return self.sort_key() < other.sort_key()
 
-
-class EventHandle:
-    """Opaque handle returned by the scheduler, used to cancel an event.
-
-    Cancellation is *lazy*: the event stays in the heap but is skipped when
-    it is popped.  This is O(1) and is the standard approach for simulation
-    kernels where cancelled events are a small fraction of the total.
-
-    Handles created by the :class:`~repro.simulation.engine.Simulator` carry
-    a back-reference to it so the scheduler can keep an exact pending-event
-    counter and compact the heap once too many cancelled entries accumulate
-    (lazy cancellation alone would leak heap entries for the whole run).
-    """
-
-    __slots__ = ("_event", "_scheduler")
-
-    def __init__(self, event: Event, scheduler: Any = None):
-        self._event = event
-        self._scheduler = scheduler
-
-    @property
-    def time(self) -> float:
-        """Simulated time at which the underlying event is scheduled."""
-        return self._event.time
-
-    @property
-    def label(self) -> str:
-        return self._event.label
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
     def cancel(self) -> bool:
         """Cancel the event.
 
-        Returns ``True`` if the event was still pending and is now
-        cancelled, ``False`` if it had already been cancelled.
+        Returns ``True`` if the event had not been cancelled before and is
+        now, ``False`` if it had already been cancelled.  Cancelling an
+        event that already ran marks it and changes no counter.
         """
-        event = self._event
-        if event.cancelled:
+        if self.cancelled:
             return False
-        event.cancelled = True
-        if self._scheduler is not None and not event.executed:
-            self._scheduler._note_cancelled(event)
+        self.cancelled = True
+        if self._scheduler is not None and not self.executed:
+            self._scheduler._note_cancelled(self)
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(t={self.time:.6g}, {self.label!r}, {state})"
+        return f"Event(t={self.time:.6g}, {self.label!r}, {state})"

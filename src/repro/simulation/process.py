@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional
 
 from .engine import Simulator
-from .events import EventHandle, EventPriority
+from .events import Event, EventPriority
 
 
 class SimProcess:
@@ -34,7 +34,7 @@ class SimProcess:
             raise ValueError("SimProcess requires a Simulator instance")
         self.sim = sim
         self.name = str(name)
-        self._timers: Dict[str, EventHandle] = {}
+        self._timers: Dict[str, Event] = {}
         self._timer_labels: Dict[str, str] = {}
         self._started = False
 
@@ -69,7 +69,7 @@ class SimProcess:
         delay: float,
         callback: Optional[Callable[[], Any]] = None,
         priority: int = EventPriority.TIMER,
-    ) -> EventHandle:
+    ) -> Event:
         """Arm (or re-arm) a named timer ``delay`` time units from now.
 
         If a timer with the same name is already pending it is cancelled
@@ -91,16 +91,16 @@ class SimProcess:
         label = self._timer_labels.get(name)
         if label is None:
             label = self._timer_labels[name] = f"{self.name}.timer.{name}"
-        handle = self.sim.schedule_after(delay, fire, priority=priority, label=label)
-        self._timers[name] = handle
-        return handle
+        event = self.sim.schedule_after(delay, fire, priority=priority, label=label)
+        self._timers[name] = event
+        return event
 
     def cancel_timer(self, name: str) -> bool:
         """Cancel the named timer if pending.  Returns ``True`` if cancelled."""
-        handle = self._timers.pop(name, None)
-        if handle is None:
+        event = self._timers.pop(name, None)
+        if event is None:
             return False
-        return handle.cancel()
+        return event.cancel()
 
     def cancel_all_timers(self) -> int:
         """Cancel every pending timer; returns how many were cancelled."""

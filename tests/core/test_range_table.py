@@ -135,6 +135,17 @@ class TestAggregationAndUpdateTrigger:
         table.update_child(1, 40.0, 60.0)
         assert table.pending_update(delta=5.0) == (40.0, 60.0)
 
+    def test_sending_the_current_aggregate_arms_the_no_update_memo(self):
+        """The memo mark_transmitted arms is the one the next evaluation
+        would store: no update is due until the table moves again."""
+        table = RangeTable(0, "t")
+        table.observe_reading(20.0, delta=1.0)
+        table.mark_transmitted(table.pending_update(delta=1.0), 1.0)
+        assert table._no_update_memo == (table._version, 1.0)
+        assert table.pending_update(delta=1.0) is None
+        table.update_child(1, 10.0, 20.0)
+        assert table.pending_update(delta=1.0) == (10.0, 21.0)
+
     def test_pending_update_rejects_negative_delta(self):
         table = RangeTable(0, "t")
         table.observe_reading(1.0, delta=1.0)

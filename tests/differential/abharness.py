@@ -92,7 +92,9 @@ def run_counting(
     deep copy so mutations during the build (``dirq.full_scale`` filled
     from the dataset) never leak between arms.  Counting a call only
     wraps the method, so it moves no measurement.  Every reception the
-    channel delivers must be charged to the ledger exactly once.
+    channel delivers must be charged to the ledger exactly once, and a
+    reference arm must have run the references, so that no A/B pair
+    passes because its oracle quietly ran the production path.
     """
     spec = TrialSpec(
         label="reference" if reference else "production", config=config
@@ -129,6 +131,15 @@ def run_counting(
         rebuilds=calls["rebuilds"],
         relinks=result.num_relinks,
     )
+    if reference:
+        # Every beacon went out as a frame, and every payload frame took
+        # a transmit event (frames_split also counts frames whose sender
+        # died before transmitting, hence >=).
+        assert work.rebuilds == 0, "the reference arm ran the columnar tick"
+        assert work.frame_beacons == work.beacons, "a reference beacon was fast"
+        assert stats.frames_split >= work.transmissions - work.beacons, (
+            "a reference frame took one event"
+        )
     return TrialResult.from_experiment(spec, result), work
 
 

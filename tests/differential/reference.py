@@ -4,19 +4,21 @@ Each mechanism has one production path in ``src/``.  The formulations it
 replaced survive here, or are selected from here, where tests compare the
 production path against them:
 
-* **Epoch tick and beacons.**  :func:`reference_tick` runs a whole trial
-  on the readable references that stay in ``src/``: the per-node
-  :meth:`DirQNode.on_epoch` loop (through :class:`PerNodeTick`) instead of
-  the columnar tick, and a frame beacon
+* **Epoch tick, beacons and frames.**  :func:`reference_tick` runs a
+  whole trial on the readable references that stay in ``src/``: the
+  per-node :meth:`DirQNode.on_epoch` loop (through :class:`PerNodeTick`)
+  instead of the columnar tick, a frame beacon
   (:meth:`LMACProtocol._emit_beacon`) on every beacon tick instead of the
-  beacon fast path.
+  beacon fast path, and every frame on the split path
+  (:func:`split_frames`: a transmit event, then a delivery event) instead
+  of one event per frame.
 * **Connectivity.**  :func:`all_pairs_graph` checks every pair with the
   shared :func:`~repro.network.links.within_range` predicate and inserts
   the edges through networkx's public API; :func:`full_rebuild_delta`
   re-derives every link after a move instead of only the moved nodes'.
   :func:`brute_network` routes a whole trial through both.
-* **Delivery.**  :class:`PerReceiverChannel` schedules one delivery event
-  per receiver instead of one per transmission.
+* **Delivery.**  :class:`PerReceiverChannel` delivers each reception in
+  its own event, with its own loss draw, instead of one event per frame.
 * **Config hashing.**  :func:`canonical_walk` reads every dataclass's
   fields and hash attributes per value, where
   :func:`repro.experiments.batch._canonical` reads them once per type.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
+from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
@@ -38,6 +41,7 @@ import numpy as np
 
 from repro.experiments import runner as runner_module
 from repro.mac.lmac import LMACProtocol
+from repro.network import channel as channel_module
 from repro.network import topology as topology_module
 from repro.network.addresses import NodeId
 from repro.network.channel import WirelessChannel
@@ -69,15 +73,30 @@ class PerNodeTick:
         pass
 
 
-def reference_tick(monkeypatch) -> None:
-    """Run every trial on the per-node tick and frame beacons.
+def split_frames(monkeypatch) -> None:
+    """Send every frame down the split path, as if a checkpoint split it.
 
-    Patches the runner's :class:`ColumnarTick` to :class:`PerNodeTick`
-    and makes every :meth:`LMACProtocol._try_fast_beacon` decline, for the
-    rest of the test (or ``MonkeyPatch`` context).
+    A payload frame then runs its transmit half in a transmit event at
+    its transmit time and its delivery half in a delivery event, and a
+    frame beacon transmits inline at its tick, which is how every frame
+    ran before frames took one event.  Patches the channel's window
+    predicate for the rest of the test (or ``MonkeyPatch`` context); the
+    beacon fast path keeps its own.
+    """
+    monkeypatch.setattr(channel_module, "same_window", lambda start, end: False)
+
+
+def reference_tick(monkeypatch) -> None:
+    """Run every trial on the per-node tick, frame beacons and split frames.
+
+    Patches the runner's :class:`ColumnarTick` to :class:`PerNodeTick`,
+    makes every :meth:`LMACProtocol._try_fast_beacon` decline and applies
+    :func:`split_frames`, for the rest of the test (or ``MonkeyPatch``
+    context).
     """
     monkeypatch.setattr(runner_module, "ColumnarTick", PerNodeTick)
     monkeypatch.setattr(LMACProtocol, "_try_fast_beacon", lambda mac: False)
+    split_frames(monkeypatch)
 
 
 def brute_edges(
@@ -156,36 +175,43 @@ def brute_network(monkeypatch) -> Counter:
 class PerReceiverChannel(WirelessChannel):
     """A channel that delivers each reception as its own event.
 
-    Batched delivery must be indistinguishable from this: the same
+    Every frame's delivery half goes through ``_deliver``, the one- and
+    the two-event frame alike; this one draws each target's loss with its
+    own scalar draw and hands each surviving reception to an event of its
+    own, at the delivery instant in the ``CONTROL`` band, so the
+    receptions run next, in target order, ahead of any other delivery then
+    due.  Batched delivery must be indistinguishable from this: the same
     receivers in the same order, the same loss draws, and the same ledger.
     """
 
-    def _schedule_delivery(self, sender, targets, frame, kind):
+    def _deliver(self, sender, targets, frame, kind):
+        loss = self.loss_probability
+        sim = self.sim
         for target in targets:
-            self._schedule_one(sender, target, frame, kind)
+            if loss > 0.0 and self.rng.random() < loss:
+                self.stats.drops_loss += 1
+                continue
+            sim.schedule_at(
+                sim.now,
+                partial(self._receive_one, sender, target, frame, kind),
+                EventPriority.CONTROL,
+                f"deliver[{kind}] {sender}->{target}",
+            )
 
-    def _schedule_one(self, sender, target, frame, kind):
-        def deliver() -> None:
-            if not self._alive.get(target):
-                self.stats.drops_dead_node += 1
-                return
-            self.ledger.node(target).charge_rx(kind)
-            receiver = self._receivers.get(target)
-            if receiver is None:
-                return
-            self.stats.deliveries += 1
-            if self.tracer.enabled:
-                self.tracer.record(
-                    self.sim.now, "channel.rx", target, sender=sender, kind=kind
-                )
-            receiver(sender, frame)
-
-        self.sim.schedule_after(
-            self.propagation_delay,
-            deliver,
-            priority=EventPriority.MAC,
-            label=f"deliver[{kind}] {sender}->{target}",
-        )
+    def _receive_one(self, sender, target, frame, kind):
+        if not self._alive.get(target):
+            self.stats.drops_dead_node += 1
+            return
+        self.ledger.node(target).charge_rx(kind)
+        receiver = self._receivers.get(target)
+        if receiver is None:
+            return
+        self.stats.deliveries += 1
+        if self.tracer.enabled:
+            self.tracer.record(
+                self.sim.now, "channel.rx", target, sender=sender, kind=kind
+            )
+        receiver(sender, frame)
 
 
 def canonical_walk(obj: object) -> object:

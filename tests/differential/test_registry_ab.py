@@ -19,7 +19,8 @@ from tests.differential.abharness import assert_bit_identical, run_arm
 #: (scenario, epochs): epochs are scaled to keep each arm in the seconds
 #: range while still crossing several ATC windows / churn cycles; the
 #: 500-node cells run shorter because their build dominates.  The two
-#: mobility cells cover re-links, which keep the columnar rows.
+#: mobility cells cover re-links, which keep the columnar rows; the lossy
+#: cell covers loss draws at delivery and frame beacons on both arms.
 REGISTRY_SLICE = (
     ("static-paper", 300),
     ("harsh-mixed", 300),
@@ -27,13 +28,20 @@ REGISTRY_SLICE = (
     ("energy-tiered", 300),
     ("mobile-40", 300),
     ("scale-500-mobile", 40),
+    ("static-paper channel_loss=0.2", 300),
 )
+
+#: Slice cells that change a field of their registry scenario, as a
+#: preset's sweep point does: cell -> (scenario, changed fields).
+SWEPT = {"static-paper channel_loss=0.2": ("static-paper", {"channel_loss": 0.2})}
 
 
 @pytest.mark.parametrize("name,epochs", REGISTRY_SLICE, ids=lambda v: str(v))
 def test_registry_scenario_bit_identical(name, epochs):
     """Fingerprint, ledger, and accuracy-series equality per scenario."""
-    assert_bit_identical(build_config(name, num_epochs=epochs), context=name)
+    scenario, changes = SWEPT.get(name, (name, {}))
+    config = build_config(scenario, num_epochs=epochs).replace(**changes)
+    assert_bit_identical(config, context=name)
 
 
 class TestWorkerInvariance:

@@ -8,6 +8,7 @@ from repro.mac.lmac import LMACProtocol
 from repro.network.channel import WirelessChannel
 from repro.simulation.engine import Simulator
 
+from ..differential.reference import split_frames
 from ..helpers import line_topology
 
 
@@ -322,3 +323,43 @@ class TestFastDeathSweep:
         assert [frame for frame in fast_frames if frame[1] < 12.0] == []
         assert fast_lost == frame_lost
         assert fast_state == frame_state
+
+
+class TestFrameOrder:
+    """Deliveries that share a time run in the order of their transmissions."""
+
+    @pytest.mark.parametrize("split", [False, True], ids=["one-event", "split"])
+    def test_a_beacon_ticking_on_a_payload_transmit_time_is_heard_first(
+        self, star4, split
+    ):
+        """Leaf 1 sends a payload at 0.3, so it transmits at 0.3 plus the
+        access delay -- the very instant leaf 2's first beacon ticks.  The
+        tick (a TIMER event) transmits before the payload's transmission
+        (a DEFAULT event), so the centre must hear the beacon first, though
+        the payload was handed over earlier."""
+        sim = Simulator()
+        channel = WirelessChannel(sim, star4)
+        heard = []
+        channel.register(
+            0, lambda sender, frame: heard.append((sender, frame.payload, sim.now))
+        )
+        macs = {
+            nid: LMACProtocol(
+                sim, channel, nid, rng=_FixedPhase(phase), beacon_interval=5.0
+            )
+            for nid, phase in ((1, 0.7), (2, 0.3))
+        }
+        with pytest.MonkeyPatch.context() as patch:
+            if split:
+                split_frames(patch)
+            for mac in macs.values():
+                mac.start()
+            sim.schedule_at(0.3, lambda: macs[1].send(0, "ping", kind="query"))
+            sim.run_until(0.5)
+        assert macs[2]._timers["beacon"].time == 0.3 + 0.0001 + 5.0
+        assert [(sender, payload) for sender, payload, _ in heard] == [
+            (2, None),
+            (1, "ping"),
+        ]
+        assert heard[0][2] == heard[1][2]
+        assert channel.stats.frames_split == (1 if split else 0)

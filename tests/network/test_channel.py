@@ -166,13 +166,19 @@ class TestDynamics:
         sim, channel = make_channel(
             star4, loss_probability=0.5, rng=np.random.default_rng(0)
         )
-        total = 0
-        for _ in range(200):
-            total += channel.broadcast(0, "x", kind="test")
+        for nid in star4.node_ids:
+            channel.register(nid, Collector())
+        scheduled = sum(channel.broadcast(0, "x", kind="test") for _ in range(200))
+        # The loss draw happens at delivery: every alive neighbour is
+        # scheduled, and nothing is drawn before the event loop runs.
+        assert scheduled == 800
+        assert channel.stats.drops_loss == 0
         sim.run()
         # 200 broadcasts x 4 neighbours = 800 potential receptions at 50% loss.
-        assert 300 < total < 500
-        assert channel.stats.drops_loss == 800 - total
+        delivered = channel.stats.deliveries
+        assert 300 < delivered < 500
+        assert channel.stats.drops_loss == 800 - delivered
+        assert channel.ledger.total_count(direction="rx") == delivered
 
     def test_invalid_loss_probability(self, star4):
         with pytest.raises(ValueError):
@@ -187,9 +193,11 @@ class TestLossValidation:
         )
         sink = Collector()
         channel.register(1, sink)
-        assert channel.broadcast(0, "x", kind="test") == 0
+        # Four receptions are scheduled; all four fail their draw at delivery.
+        assert channel.broadcast(0, "x", kind="test") == 4
         sim.run()
         assert sink.received == []
+        assert channel.stats.deliveries == 0
         assert channel.stats.drops_loss == 4
         # The transmission itself is still paid for; nothing is received.
         assert channel.ledger.total_count(direction="tx") == 1

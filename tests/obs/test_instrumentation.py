@@ -158,3 +158,34 @@ class TestWorkerCountDeterminism:
         serial = json.dumps(run(1), sort_keys=True)
         threaded = json.dumps(run(4), sort_keys=True)
         assert serial == threaded
+
+
+class TestFastPathCounters:
+    """The fast paths' hits and misses are counted, which moves no
+    measurement: ``mac.frame_beacons`` are the beacon ticks the beacon
+    fast path declined, ``channel.frames_split`` the frames that took a
+    transmit event and a delivery event instead of one event."""
+
+    def test_untraced_static_trial_splits_no_frame(self):
+        cfg = build_config("static-paper", num_epochs=400, seed=1)
+        counters = run_experiment(cfg.replace(instrument="metrics")).telemetry[
+            "metrics"
+        ]["counters"]
+        assert counters["channel.frames_split"] == 0
+        assert counters["mac.frame_beacons"] == 0
+        assert counters["mac.beacons_sent"] == 2_000
+
+    def test_traced_trial_counts_its_split_frames(self):
+        cfg = build_config("static-paper", num_epochs=400, seed=1)
+        plain = TrialSpec(label="static-paper", config=cfg)
+        runner = BatchRunner(max_workers=1, cache_dir=None)
+        r_plain = runner.run([plain])[0]
+        r_full = runner.run([instrumented(plain, "full")])[0]
+        counters = r_full.telemetry["metrics"]["counters"]
+        # The tracer is on: every beacon tick sends a frame, and every
+        # payload frame splits so that its channel.tx record keeps its time.
+        beacons = counters["mac.beacons_sent"]
+        frames = counters["channel.broadcasts"] + counters["channel.unicasts"]
+        assert counters["mac.frame_beacons"] == beacons == 2_000
+        assert counters["channel.frames_split"] == frames - beacons > 0
+        assert r_full.fingerprint() == r_plain.fingerprint()

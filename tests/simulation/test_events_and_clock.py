@@ -3,7 +3,8 @@
 import pytest
 
 from repro.simulation.clock import SimClock
-from repro.simulation.events import Event, EventHandle, EventPriority
+from repro.simulation.engine import Simulator
+from repro.simulation.events import Event, EventPriority
 
 
 class TestEventOrdering:
@@ -28,19 +29,28 @@ class TestEventOrdering:
 
 
 class TestEventHandle:
+    """An event is its own handle: the scheduler returns the event."""
+
     def test_handle_reports_time_and_label(self):
-        event = Event(time=3.5, priority=0, seq=0, callback=lambda: None, label="x")
-        handle = EventHandle(event)
-        assert handle.time == 3.5
-        assert handle.label == "x"
-        assert handle.cancelled is False
+        sim = Simulator()
+        event = sim.schedule_at(3.5, lambda: None, label="x")
+        assert type(event) is Event
+        assert event.time == 3.5
+        assert event.label == "x"
+        assert event.cancelled is False
 
     def test_cancel_marks_event(self):
-        event = Event(time=1.0, priority=0, seq=0, callback=lambda: None)
-        handle = EventHandle(event)
-        assert handle.cancel() is True
+        sim = Simulator()
+        event = sim.schedule_at(1.0, lambda: None)
+        assert event.cancel() is True
         assert event.cancelled is True
-        assert handle.cancel() is False
+        assert sim.cancelled_total == 1
+        assert event.cancel() is False
+        assert sim.cancelled_total == 1
+        # An event built outside a scheduler cancels without one.
+        loose = Event(time=1.0, priority=0, seq=0, callback=lambda: None)
+        assert loose.cancel() is True
+        assert loose.cancel() is False
 
 
 class TestSimClock:
