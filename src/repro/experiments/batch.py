@@ -3,8 +3,8 @@
 Every sweep is a campaign (:mod:`repro.experiments.campaign`), and a
 campaign runs its trials through this module:
 
-* :class:`TrialSpec` -- one declarative point of a sweep: a label, an
-  immutable snapshot of the experiment configuration, and free-form tags
+* :class:`TrialSpec` -- one declarative point of a sweep: a label, a
+  read-only experiment configuration, and free-form tags
   (``{"scenario": ..., "protocol": ...}``) the report groups by.
 * :class:`TrialResult` -- the picklable measurement record of one trial
   (audit, aggregated ledger, cost breakdown, windowed series).  It shares
@@ -24,10 +24,10 @@ campaign runs its trials through this module:
 Determinism contract
 --------------------
 Every trial builds its own :class:`~repro.simulation.rng.RandomStreams`
-from its config's seed, and the worker deep-copies the config before
-running, so a trial's result depends only on its declared configuration --
-never on worker count, execution order, or leftover mutations from sibling
-trials.  :meth:`TrialResult.fingerprint` condenses the deterministic
+from its config's seed, and the worker runs it on a private deep copy of
+the config, so a trial's result depends only on its declared configuration
+-- never on worker count, execution order, or leftover mutations from
+sibling trials.  :meth:`TrialResult.fingerprint` condenses the deterministic
 payload into a hash for bit-exactness assertions.  Replications
 (:func:`replicate_specs`) derive their seeds with
 :meth:`RandomStreams.derive_seed`, so replicate ``i`` of a spec is itself a
@@ -221,6 +221,22 @@ def _canonical(obj: object) -> object:
     return repr(obj)
 
 
+def _dumps(payload: object) -> str:
+    """Canonical JSON text of a :func:`_canonical` payload."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(text: str) -> str:
+    """The cache key of canonical JSON ``text``."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:20]
+
+
+def config_json(config: ExperimentConfig) -> str:
+    """The canonical JSON of ``config``: what :func:`config_hash` digests,
+    and the store's ``config_json`` column."""
+    return _dumps(_canonical(config))
+
+
 def config_hash(config: ExperimentConfig) -> str:
     """Stable digest of a config: the cache key of the trial it describes.
 
@@ -237,10 +253,7 @@ def config_hash(config: ExperimentConfig) -> str:
     fields existed -- old caches and fingerprints survive each extension
     unchanged.
     """
-    payload = json.dumps(
-        _canonical(config), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
+    return _digest(config_json(config))
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +266,15 @@ class TrialSpec:
     """One declarative point of a sweep.
 
     The constructor snapshots (deep-copies) the configuration and computes
-    the cache key immediately, so later mutation of the caller's config --
-    or the runner filling in ``dirq.full_scale`` during the build -- cannot
-    change the trial's identity.
+    the cache key immediately, so later mutation of the caller's config
+    cannot change the trial's identity.  A spec's config is read-only:
+    every trial runs on a private deep copy (the runner fills in
+    ``dirq.full_scale`` during the build), and the replicates of
+    :func:`replicate_specs` share one config's nested members.
+
+    :attr:`config_json`, the canonical JSON that ``key`` digests, is
+    derived state: it is never pickled, so a spec pickles exactly its
+    fields, and an unpickled spec rebuilds it on first read.
     """
 
     label: str
@@ -266,7 +285,44 @@ class TrialSpec:
 
     def __post_init__(self) -> None:
         self.config = copy.deepcopy(self.config)
-        self.key = config_hash(self.config)
+        self._set_identity(config_json(self.config))
+
+    @classmethod
+    def _owning(
+        cls,
+        label: str,
+        config: ExperimentConfig,
+        group: str,
+        tags: Dict[str, object],
+        text: str,
+    ) -> "TrialSpec":
+        """A spec that takes ``config`` as it is -- no snapshot -- with
+        ``text`` as its canonical JSON.  Only for a config that nothing
+        else holds."""
+        spec = cls.__new__(cls)
+        spec.label = label
+        spec.config = config
+        spec.group = group
+        spec.tags = tags
+        spec._set_identity(text)
+        return spec
+
+    def _set_identity(self, text: str) -> None:
+        self._config_json = text
+        self.key = _digest(text)
+
+    @property
+    def config_json(self) -> str:
+        """The canonical JSON of :attr:`config`, which :attr:`key` digests."""
+        text = self.__dict__.get("_config_json")
+        if text is None:  # unpickled: the pickle leaves it out
+            text = self._config_json = _dumps(_canonical(self.config))
+        return text
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_config_json", None)
+        return state
 
 
 def replicate_specs(
@@ -285,30 +341,50 @@ def replicate_specs(
     :meth:`RandomStreams.derive_seed` and are reproducible from the base
     alone.  Every spec is stamped with ``base_key`` / ``base_label`` /
     ``replicate`` tags on top of ``tags``, which is what
-    :func:`repro.metrics.stats.group_replicates` folds groups by.  Only
-    the replicates snapshot ``config``: no base spec is built.
+    :func:`repro.metrics.stats.group_replicates` folds groups by.  The
+    replicates share one deep copy of ``config``.
+    """
+    return _replicates(label, copy.deepcopy(config), count, group, tags)
+
+
+def _replicates(
+    label: str,
+    config: ExperimentConfig,
+    count: int,
+    group: str,
+    tags: Optional[Dict[str, object]],
+) -> List[TrialSpec]:
+    """:func:`replicate_specs` of a ``config`` that the specs may own:
+    replicate 0 takes it, and replicate ``i`` is its ``replace(seed=...)``.
+
+    ``config`` is canonicalised once; each replicate's canonical JSON is
+    that payload with the replicate's seed.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    base_key = config_hash(config)
+    payload = _canonical(config)
+    text = _dumps(payload)
+    base_key = _digest(text)
     specs = []
     for i in range(count):
-        seed = (
-            config.seed
-            if i == 0
-            else RandomStreams.derive_seed(config.seed, f"rep-{i}")
-        )
+        replicate = config
+        if i:
+            seed = RandomStreams.derive_seed(config.seed, f"rep-{i}")
+            replicate = config.replace(seed=seed)
+            payload["seed"] = seed
+            text = _dumps(payload)
         specs.append(
-            TrialSpec(
-                label=label if i == 0 else f"{label} rep={i}",
-                config=config.replace(seed=seed),
-                group=group,
-                tags={
+            TrialSpec._owning(
+                label if i == 0 else f"{label} rep={i}",
+                replicate,
+                group,
+                {
                     **(tags or {}),
                     "replicate": i,
                     "base_key": base_key,
                     "base_label": label,
                 },
+                text,
             )
         )
     return specs
@@ -458,7 +534,8 @@ def _execute_trial(spec: TrialSpec) -> TrialResult:
 
     The deep copy keeps the worker's mutations (the runner fills in
     ``dirq.full_scale`` from the generated dataset) away from the spec's
-    snapshot, so serial and parallel execution see identical inputs.
+    config -- which a campaign cell's replicates share -- so serial and
+    parallel execution see identical inputs.
     """
     config = copy.deepcopy(spec.config)
     start = time.perf_counter()
@@ -562,6 +639,7 @@ class BatchRunner:
         specs: Iterable[TrialSpec],
         progress: Optional[Callable[[TrialResult], None]] = None,
         store=None,
+        served: Optional[Callable[[List[TrialResult]], None]] = None,
     ) -> List[TrialResult]:
         """Execute a sweep and return one result per spec, in input order.
 
@@ -574,9 +652,13 @@ class BatchRunner:
         once and share a result.  ``progress`` is invoked exactly once per
         *input spec* (cache hits and deduplicated twins included), always
         with the result rebound to the spec it reports on -- a callback
-        never sees a twin's label or tags.  Executed results are cached
-        *before* their progress callback fires, so a callback that raises
-        (or an interruption during one) cannot lose finished work.
+        never sees a twin's label or tags.  Each result is rebound once,
+        and the returned list holds those same objects.  Executed results
+        are cached *before* their progress callback fires, so a callback
+        that raises (or an interruption during one) cannot lose finished
+        work.  ``served``, when given, receives every cache-served result
+        in one call, once the sweep is classified: before any progress
+        callback fires and before any trial executes.
 
         Interruption contract: if a trial fails or the run is interrupted
         (``KeyboardInterrupt``), every trial that already finished is still
@@ -592,17 +674,23 @@ class BatchRunner:
         if telemetry is not None:
             telemetry.on_start(len(spec_list), workers=self.max_workers)
         cache = own_cache = None
-        by_key: Dict[str, TrialResult] = {}
+        results: List[Optional[TrialResult]] = [None] * len(spec_list)
         pending: List[TrialSpec] = []
-        # key -> every input spec that asked for it, in input order; the
-        # progress callback fires once per waiter, rebound to that spec.
-        waiters: Dict[str, List[TrialSpec]] = {}
+        # key -> the index of every input spec that asked for it, in input
+        # order.  A result produced (or cached) under one spec reaches each
+        # of them rebound to that spec, so tag-based assembly never reads a
+        # twin's metadata.
+        waiters: Dict[str, List[int]] = {}
 
-        def notify(result: TrialResult) -> None:
-            if progress is None and telemetry is None:
-                return
-            for spec in waiters[result.spec.key]:
-                rebound = self._rebind(result, spec)
+        def bind(result: TrialResult) -> List[TrialResult]:
+            bound = []
+            for index in waiters[result.spec.key]:
+                results[index] = self._rebind(result, spec_list[index])
+                bound.append(results[index])
+            return bound
+
+        def notify(bound: List[TrialResult]) -> None:
+            for rebound in bound:
                 if telemetry is not None:
                     telemetry.on_result(rebound)
                 if progress is not None:
@@ -610,10 +698,9 @@ class BatchRunner:
 
         def on_result(result: TrialResult) -> None:
             stats.executed += 1
-            by_key[result.spec.key] = result
             if cache is not None:
                 cache.save_result(result)
-            notify(result)
+            notify(bind(result))
 
         try:
             if self.cache_dir is not None and spec_list:
@@ -626,23 +713,26 @@ class BatchRunner:
                     cache = store
                 else:
                     cache = own_cache = ResultsStore(path)
-            for spec in spec_list:
+            hits: List[TrialResult] = []
+            for index, spec in enumerate(spec_list):
                 if spec.key in waiters:
                     stats.deduplicated += 1
-                    waiters[spec.key].append(spec)
+                    waiters[spec.key].append(index)
                     continue
-                waiters[spec.key] = [spec]
+                waiters[spec.key] = [index]
                 cached = None if cache is None else cache.load_result(spec.key)
                 if cached is not None:
                     stats.cached += 1
-                    by_key[spec.key] = cached
+                    hits.append(cached)
                 else:
                     pending.append(spec)
-            # Cache hits report progress only after the whole sweep is
-            # classified, so a deduplicated twin of a cached spec is
-            # notified too (its key is only known to be a duplicate then).
-            for result in by_key.values():
-                notify(result)
+            # Cache hits are bound only after the whole sweep is classified,
+            # so a deduplicated twin of a cached spec gets its result too
+            # (its key is only known to be a duplicate then).
+            bound = [rebound for hit in hits for rebound in bind(hit)]
+            if served is not None and bound:
+                served(bound)
+            notify(bound)
 
             try:
                 self._execute(pending, on_result)
@@ -655,11 +745,7 @@ class BatchRunner:
                 own_cache.close()
             stats.runtime_seconds = time.perf_counter() - start
             self.last_stats = stats
-        # A result produced (or cached) under one spec may be consumed by a
-        # twin with a different label/tags -- e.g. two sweeps whose configs
-        # hash equally.  Rebind each returned result to the spec that asked
-        # for it so tag-based assembly never reads a sibling's metadata.
-        return [self._rebind(by_key[spec.key], spec) for spec in spec_list]
+        return results
 
     @staticmethod
     def _rebind(result: TrialResult, spec: TrialSpec) -> TrialResult:

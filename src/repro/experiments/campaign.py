@@ -12,14 +12,16 @@ repository's ablations; :func:`preset` builds one.
 :func:`run_missing` is the whole execution model: expand the spec, ask the
 :class:`~repro.experiments.store.ResultsStore` which trials are already
 recorded, and run only the gaps through a
-:class:`~repro.experiments.batch.BatchRunner`.  Every finished trial is
+:class:`~repro.experiments.batch.BatchRunner`.  Every executed trial is
 upserted into the store atomically the moment it completes (the runner's
 per-spec progress callback), so a killed process -- Ctrl-C, crash, a downed
 host -- loses at most the trials that were in flight, and re-running the
-campaign executes exactly the remainder.  The list of missing trials is
-taken once, when the run starts: a later or resumed run skips every trial
-already recorded, but two runs started together on one store repeat each
-other's work.
+campaign executes exactly the remainder.  The trials the runner serves from
+its cache are recorded together, in one transaction, before anything
+executes; an interruption there loses only rows that the next run serves
+again without simulating.  The list of missing trials is taken once, when
+the run starts: a later or resumed run skips every trial already recorded,
+but two runs started together on one store repeat each other's work.
 
 Determinism contract
 --------------------
@@ -37,12 +39,12 @@ The command line is ``python -m repro {run,status,report,cache}``
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
-import json
 import math
 import re
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..scenarios.registry import DEFAULT_SCENARIO_EPOCHS, get_scenario
 from .batch import (
@@ -50,7 +52,8 @@ from .batch import (
     TrialResult,
     TrialSpec,
     _canonical,
-    replicate_specs,
+    _dumps,
+    _replicates,
 )
 from .config import ExperimentConfig
 from .store import ResultsStore
@@ -258,14 +261,12 @@ class CampaignSpec:
             ),
         )
 
-    @property
+    @functools.cached_property
     def spec_json(self) -> str:
         """Canonical JSON of the spec (what the campaign id hashes)."""
-        return json.dumps(
-            _canonical(self.to_jsonable()), sort_keys=True, separators=(",", ":")
-        )
+        return _dumps(_canonical(self.to_jsonable()))
 
-    @property
+    @functools.cached_property
     def campaign_id(self) -> str:
         """``<name-slug>-<spec-hash>``: stable, content-addressed identity.
 
@@ -303,22 +304,27 @@ class CampaignSpec:
         )
 
     def trial_specs(self) -> List[TrialSpec]:
-        """The full expansion: one :class:`TrialSpec` per campaign cell.
+        """The full expansion: one :class:`TrialSpec` per replicate of
+        every campaign cell.
 
         Row-major over scenarios → protocols → sweep points → replicates.
         The ``dirq``, sweep-free cell of a scenario is byte-identical to
         what :func:`repro.scenarios.registry.scenario_spec` builds, so
         campaign trials share cache entries with it; the ``campaign`` tag
         rides along in the spec tags (never the config), leaving cache keys
-        untouched.
+        untouched.  Each cell builds one fresh config, which its replicates
+        share without a copy, and canonicalises it once.
         """
         campaign_id = self.campaign_id
+        transforms = [
+            (proto, protocol_transform(proto)) for proto in self.protocols
+        ]
+        points = self.sweep_points()
         specs: List[TrialSpec] = []
         for scenario in self.scenarios:
             definition = get_scenario(scenario)
-            for proto in self.protocols:
-                transform = protocol_transform(proto)
-                for point in self.sweep_points():
+            for proto, transform in transforms:
+                for point in points:
                     num_epochs = int(point.get("num_epochs", self.num_epochs))
                     config = transform(definition.factory(num_epochs, self.seed))
                     rest = {
@@ -332,7 +338,7 @@ class CampaignSpec:
                             f"{k}={v}" for k, v in point.items()
                         )
                     specs.extend(
-                        replicate_specs(
+                        _replicates(
                             label,
                             config,
                             self.replicates,
@@ -441,14 +447,16 @@ def run_missing(
 
     Registers the campaign (idempotent), diffs the deterministic expansion
     against :meth:`ResultsStore.completed_keys`, and runs only the missing
-    specs.  Each trial is upserted into the store the moment it finishes
-    (atomically, via the runner's per-spec progress hook -- *before* the
-    caller's ``progress`` fires), so interruption at any point loses at
-    most the in-flight trials; trials already present in the runner's
-    cache (e.g. run earlier by another campaign) are served from it
-    without re-execution and recorded in the store all the same.  When the
-    runner's cache file is ``store``'s, the runner uses ``store`` rather
-    than a second connection.
+    specs.  Trials already present in the runner's cache (e.g. run earlier
+    by another campaign) are served from it without re-execution and
+    recorded in the store all the same: all of them in one transaction,
+    before any of their progress callbacks fires and before any trial
+    executes.  Each executed trial is upserted the moment it finishes, in
+    its own transaction (via the runner's per-spec progress hook --
+    *before* the caller's ``progress`` fires), so interruption at any
+    point loses at most the in-flight trials, plus served rows that the
+    next run serves again.  When the runner's cache file is ``store``'s,
+    the runner uses ``store`` rather than a second connection.
 
     On interruption (``KeyboardInterrupt`` or a failing trial) the partial
     accounting is still written to ``runner.last_stats`` and every finished
@@ -469,16 +477,25 @@ def run_missing(
         complete_before=len(all_specs) - len(missing),
         scheduled=len(missing),
     )
+    served_keys: Set[str] = set()
 
-    def on_trial(result) -> None:
-        store.record_trial(campaign_id, result)
-        stats.stored += 1
+    def on_served(results: List[TrialResult]) -> None:
+        with store.transaction():
+            for result in results:
+                store.record_trial(campaign_id, result)
+        served_keys.update(result.spec.key for result in results)
+        stats.stored += len(results)
+
+    def on_trial(result: TrialResult) -> None:
+        if result.spec.key not in served_keys:
+            store.record_trial(campaign_id, result)
+            stats.stored += 1
         if progress is not None:
             progress(result)
 
     start = time.perf_counter()
     try:
-        runner.run(missing, progress=on_trial, store=store)
+        runner.run(missing, progress=on_trial, store=store, served=on_served)
     finally:
         batch_stats = runner.last_stats
         stats.executed = batch_stats.executed

@@ -23,11 +23,16 @@ One file, ``<cache-dir>/campaigns.sqlite``, holds
 Durability contract
 -------------------
 :meth:`ResultsStore.save_result` and :meth:`ResultsStore.record_trial`
-each write **one row in its own transaction**, so a killed process
-(crash, OOM, Ctrl-C) loses at most the trials that were in flight;
-everything written is immediately visible to the next run or resume.
-Rows are keyed ``(key, cache_version)`` and ``(campaign_id, key)``, and
-re-writing one is idempotent.
+each write **one row in its own transaction**, unless they are called
+inside :meth:`ResultsStore.transaction`, whose writes commit together or
+not at all.  ``run_missing`` records an executed trial in its own
+transaction, so a killed process (crash, OOM, Ctrl-C) loses at most the
+trials that were in flight; it records the trials served from the cache
+in one transaction, so an interruption there loses only rows that the next
+run serves again without simulating.  Everything committed is immediately
+visible to the next run or resume.  Rows are keyed ``(key,
+cache_version)`` and ``(campaign_id, key)``, and re-writing one is
+idempotent.
 
 Determinism contract
 --------------------
@@ -40,15 +45,16 @@ was interrupted and resumed, or in which order trials finished.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import pickle
 import sqlite3
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Iterator, List, Optional, Set
 
 from ..metrics.stats import DEFAULT_METRICS
-from .batch import CACHE_VERSION, _canonical
+from .batch import CACHE_VERSION, _canonical, _dumps
 
 #: The store's filename inside a cache directory: the one file that keeps
 #: both the trial cache and the campaigns.
@@ -171,7 +177,7 @@ class ResultsStore:
     """The trial cache and the campaign results of one SQLite file.
 
     A store is cheap to open and safe to share between processes (SQLite
-    WAL journal, one short transaction per finished trial).  Sharing it
+    WAL journal, short transactions).  Sharing it
     does not divide the work: ``run_missing`` lists the missing trials
     once, when it starts, so two runs started together both execute the
     trials neither had recorded yet.  What holds is that a later or
@@ -193,9 +199,26 @@ class ResultsStore:
         self._conn.execute("PRAGMA synchronous=NORMAL")
         with self._conn:
             self._conn.executescript(_SCHEMA)
+        self._in_transaction = False
 
     def close(self) -> None:
         self._conn.close()
+
+    @contextlib.contextmanager
+    def transaction(self) -> Iterator[None]:
+        """Make the writes inside the block one transaction: they commit
+        together when it ends, and roll back together if it raises.  A
+        write inside joins it rather than committing on its own, and so
+        does a nested block."""
+        if self._in_transaction:
+            yield
+            return
+        self._in_transaction = True
+        try:
+            with self._conn:
+                yield
+        finally:
+            self._in_transaction = False
 
     def __enter__(self) -> "ResultsStore":
         return self
@@ -225,7 +248,7 @@ class ResultsStore:
         return result
 
     def save_result(self, result) -> None:
-        """Cache one executed trial (one transaction).
+        """Cache one executed trial (one transaction, or the open one).
 
         Telemetry is stripped first, so an instrumented run serves
         uninstrumented re-runs and the other way round.
@@ -233,7 +256,7 @@ class ResultsStore:
         if result.telemetry is not None:
             result = dataclasses.replace(result, telemetry=None)
         spec = result.spec
-        with self._conn:
+        with self.transaction():
             self._conn.execute(
                 "INSERT OR REPLACE INTO results "
                 "(key, cache_version, label, scenario, campaign, result) "
@@ -296,7 +319,7 @@ class ResultsStore:
                     "different spec"
                 )
             return
-        with self._conn:
+        with self.transaction():
             self._conn.execute(
                 "INSERT INTO campaigns "
                 "(campaign_id, name, spec_json, total_trials, cache_version) "
@@ -340,13 +363,15 @@ class ResultsStore:
     # -- trials --------------------------------------------------------------
 
     def record_trial(self, campaign_id: str, result) -> None:
-        """Upsert one finished trial, atomically (one transaction per call).
+        """Upsert one finished trial, atomically: in its own transaction,
+        or in the open :meth:`transaction`.
 
         ``result`` is a :class:`~repro.experiments.batch.TrialResult` whose
         spec carries the campaign expansion tags (``scenario``,
         ``protocol``, ``sweep``, ``replicate``, ``base_key`` /
         ``base_label``); trials from un-tagged specs fall back to blank
-        identity columns but are stored all the same.
+        identity columns but are stored all the same.  ``config_json`` is
+        the spec's canonical JSON, which its key digests.
         """
         spec = result.spec
         tags = spec.tags
@@ -357,9 +382,7 @@ class ResultsStore:
             "key": spec.key,
             "scenario": str(tags.get("scenario", "")),
             "protocol": str(tags.get("protocol", "")),
-            "sweep_json": json.dumps(
-                _canonical(sweep), sort_keys=True, separators=(",", ":")
-            ),
+            "sweep_json": _dumps(_canonical(sweep)),
             "replicate": int(tags.get("replicate", 0)),
             "base_key": str(tags.get("base_key", spec.key)),
             "base_label": str(tags.get("base_label", spec.label)),
@@ -369,15 +392,13 @@ class ResultsStore:
             "fingerprint": summary.fingerprint,
             "runtime_seconds": float(result.runtime_seconds),
             "from_cache": int(bool(result.from_cache)),
-            "config_json": json.dumps(
-                _canonical(spec.config), sort_keys=True, separators=(",", ":")
-            ),
+            "config_json": spec.config_json,
         }
         row.update(summary.metrics)
         columns = list(row)
         placeholders = ", ".join("?" for _ in columns)
         quoted = ", ".join(f'"{c}"' for c in columns)
-        with self._conn:
+        with self.transaction():
             self._conn.execute(
                 f"INSERT OR REPLACE INTO trials ({quoted}) "
                 f"VALUES ({placeholders})",

@@ -22,6 +22,11 @@ production path against them:
 * **Config hashing.**  :func:`canonical_walk` reads every dataclass's
   fields and hash attributes per value, where
   :func:`repro.experiments.batch._canonical` reads them once per type.
+* **Campaign expansion.**  :func:`reference_trial_specs` builds every
+  replicate as a ``TrialSpec(...)`` of its own deep copy, hashed with
+  :func:`~repro.experiments.batch.config_hash`, where
+  :meth:`CampaignSpec.trial_specs` shares one config per cell and
+  canonicalises it once.
 * **Phenomena.**  :func:`lfilter_fields` generates the sensor types one
   after another, each with its own distance matrix, diurnal sine and
   ``scipy.signal.lfilter`` call, where
@@ -40,6 +45,8 @@ import networkx as nx
 import numpy as np
 
 from repro.experiments import runner as runner_module
+from repro.experiments.batch import TrialSpec, config_hash
+from repro.experiments.campaign import CampaignSpec, protocol_transform
 from repro.mac.lmac import LMACProtocol
 from repro.network import channel as channel_module
 from repro.network import topology as topology_module
@@ -47,8 +54,10 @@ from repro.network.addresses import NodeId
 from repro.network.channel import WirelessChannel
 from repro.network.links import Position, within_range
 from repro.network.topology import Topology
+from repro.scenarios.registry import get_scenario
 from repro.sensors.types import SensorTypeSpec
 from repro.simulation.events import EventPriority
+from repro.simulation.rng import RandomStreams
 
 
 class PerNodeTick:
@@ -240,6 +249,54 @@ def canonical_walk(obj: object) -> object:
     if obj is None or isinstance(obj, (str, int, float, bool)):
         return obj
     return repr(obj)
+
+
+def reference_trial_specs(campaign: CampaignSpec) -> List[TrialSpec]:
+    """``campaign``'s expansion, one ``TrialSpec(...)`` per replicate.
+
+    Each replicate deep-copies its config and hashes it on its own, and
+    every cell's ``base_key`` is the :func:`config_hash` of the cell's
+    config.
+    """
+    specs: List[TrialSpec] = []
+    for scenario in campaign.scenarios:
+        definition = get_scenario(scenario)
+        for proto in campaign.protocols:
+            transform = protocol_transform(proto)
+            for point in campaign.sweep_points():
+                num_epochs = int(point.get("num_epochs", campaign.num_epochs))
+                config = transform(definition.factory(num_epochs, campaign.seed))
+                rest = {k: v for k, v in point.items() if k != "num_epochs"}
+                if rest:
+                    config = config.replace(**rest)
+                label = f"{scenario}/{proto}"
+                if point:
+                    label += " " + " ".join(f"{k}={v}" for k, v in point.items())
+                base_key = config_hash(config)
+                for i in range(campaign.replicates):
+                    seed = (
+                        config.seed
+                        if i == 0
+                        else RandomStreams.derive_seed(config.seed, f"rep-{i}")
+                    )
+                    specs.append(
+                        TrialSpec(
+                            label=label if i == 0 else f"{label} rep={i}",
+                            config=config.replace(seed=seed),
+                            group="campaign",
+                            tags={
+                                "campaign": campaign.campaign_id,
+                                "scenario": scenario,
+                                "scenario_kind": definition.kind,
+                                "protocol": proto,
+                                "sweep": dict(point),
+                                "replicate": i,
+                                "base_key": base_key,
+                                "base_label": label,
+                            },
+                        )
+                    )
+    return specs
 
 
 def lfilter_fields(

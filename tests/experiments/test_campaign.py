@@ -124,8 +124,9 @@ class TestCampaignSpec:
         assert len({t.key for t in trials}) == 4
 
     def test_expansion_deep_copies_each_config_once(self, monkeypatch):
-        """Each trial snapshots its config once; replicates derive from the
-        fresh cell config, with no throwaway base spec."""
+        """A campaign deep-copies nothing: each cell builds one fresh
+        config, which its replicates share.  ``replicate_specs`` snapshots
+        a caller's config once per call, not once per replicate."""
         sweep = CampaignSpec(
             name="sweep",
             scenarios=(
@@ -147,11 +148,17 @@ class TestCampaignSpec:
         monkeypatch.setattr(batch_mod.copy, "deepcopy", deepcopy)
         trials = sweep.trial_specs()
         assert len(trials) == 30
-        assert calls == ["ExperimentConfig"] * 30
+        assert calls == []
         for trial in trials:
-            assert trial.tags["base_key"] == trials[
-                trials.index(trial) - trial.tags["replicate"]
-            ].key
+            base = trials[trials.index(trial) - trial.tags["replicate"]]
+            assert trial.tags["base_key"] == base.key
+            assert trial.config.dirq is base.config.dirq
+
+        config = trials[0].config
+        replicates = batch_mod.replicate_specs("caller", config, 3)
+        assert calls == ["ExperimentConfig"]
+        assert [r.key for r in replicates[:2]] == [t.key for t in trials[:2]]
+        assert all(r.config.dirq is not config.dirq for r in replicates)
 
     def test_jsonable_roundtrip_preserves_identity(self):
         spec = tiny_campaign(sweep={"target_coverage": (0.2, 0.4)})

@@ -15,31 +15,43 @@
   with the fingerprints and metrics they were written with.
 * **One connection** -- a runner whose cache file is the caller's open
   store reads and writes through that store.
+* **Per cell, not per trial** -- a served campaign canonicalises each
+  cell's config once, deep-copies none, rebinds each result once and
+  records its served rows in one transaction; a spec's canonical JSON is
+  derived state that no pickle carries.
 """
 
 from __future__ import annotations
 
 import base64
+import copy
 import dataclasses
+import hashlib
 import json
 import math
 import pickle
 import sqlite3
 from collections import Counter
 from pathlib import Path
+from typing import Dict, Optional
 
 import pytest
 
 from repro.__main__ import main
 from repro.energy.ledger import NetworkLedger, UnreadLedger
+from repro.experiments import batch as batch_mod
+from repro.experiments import campaign as campaign_mod
+from repro.experiments import store as store_mod
 from repro.experiments.batch import (
     CACHE_VERSION,
     BatchRunner,
     TrialResult,
     TrialSpec,
     _execute_trial,
+    config_json,
 )
 from repro.experiments.campaign import CampaignSpec, run_missing, stored_results
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.store import (
     DEFAULT_STORE_NAME,
     STORE_METRICS,
@@ -103,13 +115,40 @@ def count_summary_work(monkeypatch) -> Counter:
     return counts
 
 
-def small_campaign(name: str) -> CampaignSpec:
+def small_campaign(name: str, replicates: int = 1) -> CampaignSpec:
     return CampaignSpec(
         name=name,
         scenarios=("static-paper", "churn-heavy"),
         protocols=("dirq", "atc"),
+        replicates=replicates,
         num_epochs=40,
     )
+
+
+def sweep_campaign(name: str) -> CampaignSpec:
+    """The shape of the repository benchmark's ``sweep`` campaign (15
+    cells, 2 replicates each) at short epochs."""
+    return CampaignSpec(
+        name=name,
+        scenarios=(
+            "static-paper", "churn-revive", "mobile-40",
+            "energy-tiered", "bursty-20",
+        ),
+        protocols=("dirq", "atc", "flooding"),
+        replicates=2,
+        num_epochs=30,
+    )
+
+
+def write_of(statement: str) -> Optional[str]:
+    """``BEGIN``/``COMMIT``/``ROLLBACK``, the table an ``INSERT`` writes,
+    or ``None`` for a statement that writes nothing."""
+    words = statement.split()
+    if words[0] in ("BEGIN", "COMMIT", "ROLLBACK"):
+        return words[0]
+    if words[0] == "INSERT":
+        return words[words.index("INTO") + 1]
+    return None
 
 
 class TestRoundTrip:
@@ -323,8 +362,18 @@ class TestOldRows:
         with ResultsStore(path) as store:
             store.record_trial("old", served)
             (row,) = store.query("old")
+            # Recorded as it was unpickled: the row's spec left its
+            # canonical JSON out, and recording rebuilds it.
+            store.record_trial("unbound", store.load_result(spec.key))
+            (unbound,) = store.query("unbound")
         assert row["fingerprint"] == fixture["fingerprint"]
         assert {name: row[name] for name in STORE_METRICS} == fixture["metrics"]
+        for recorded in (row, unbound):
+            text = recorded["config_json"]
+            assert text == spec.config_json
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:20] == (
+                fixture["key"]
+            )
 
 
 class TestOneConnection:
@@ -452,3 +501,151 @@ class TestFrontDoorReadsSummaries:
         assert json.dumps(exported, sort_keys=True) == json.dumps(
             recomputed, sort_keys=True
         )
+
+
+class TestServedCampaignPaysPerCell:
+    """The served path's work is per cell: counted, not timed."""
+
+    @pytest.fixture(scope="class")
+    def warm(self, tmp_path_factory):
+        """A cache dir whose store holds every trial of the sweep shape."""
+        path = tmp_path_factory.mktemp("warm")
+        with ResultsStore(path / DEFAULT_STORE_NAME) as store:
+            runner = BatchRunner(max_workers=1, cache_dir=path)
+            stats = run_missing(sweep_campaign("cold"), store, runner=runner)
+        assert stats.executed == 30
+        return path
+
+    def test_served_campaign_work(self, warm, monkeypatch):
+        counts: Counter = Counter()
+        deepcopy = copy.deepcopy
+        canonical = batch_mod._canonical
+
+        def counting_deepcopy(obj, memo=None):
+            if memo is None and type(obj) is ExperimentConfig:
+                counts["deepcopy"] += 1
+            return deepcopy(obj, memo)
+
+        def counting_canonical(obj):
+            if type(obj) is ExperimentConfig:
+                counts["canonical"] += 1
+            return canonical(obj)
+
+        monkeypatch.setattr(copy, "deepcopy", counting_deepcopy)
+        for module in (batch_mod, campaign_mod, store_mod):
+            monkeypatch.setattr(module, "_canonical", counting_canonical)
+        monkeypatch.setattr(
+            BatchRunner,
+            "_rebind",
+            staticmethod(counting(counts, "rebind", BatchRunner._rebind)),
+        )
+        spec = sweep_campaign("served")
+        statements: list = []
+        with ResultsStore(warm / DEFAULT_STORE_NAME) as store:
+            store._conn.set_trace_callback(statements.append)
+            runner = BatchRunner(max_workers=1, cache_dir=warm)
+            stats = run_missing(spec, store, runner=runner)
+            store._conn.set_trace_callback(None)
+        assert (stats.executed, stats.cached, stats.stored) == (0, 30, 30)
+        # One canonical payload per cell (15), no deep copy, one rebind
+        # per trial.
+        assert counts == Counter(canonical=15, rebind=30)
+        # One transaction registers the campaign, one records its rows.
+        writes = [w for w in map(write_of, statements) if w is not None]
+        assert writes == (
+            ["BEGIN", "campaigns", "COMMIT", "BEGIN"]
+            + ["trials"] * 30
+            + ["COMMIT"]
+        )
+
+    def test_a_raising_callback_finds_the_served_rows_committed(self, warm):
+        """The served rows commit before any progress callback fires."""
+        spec = sweep_campaign("callback")
+        seen = []
+
+        def bomb(result):
+            seen.append(result)
+            if len(seen) == 3:
+                raise KeyboardInterrupt
+
+        path = warm / DEFAULT_STORE_NAME
+        runner = BatchRunner(max_workers=1, cache_dir=warm)
+        with ResultsStore(path) as store:
+            with pytest.raises(KeyboardInterrupt):
+                run_missing(spec, store, runner=runner, progress=bomb)
+        with ResultsStore(path) as store:
+            assert store.count(spec.campaign_id) == spec.total_trials
+            stats = run_missing(spec, store, runner=runner)
+        assert stats.complete_before == spec.total_trials
+        assert (stats.scheduled, stats.executed) == (0, 0)
+
+    def test_an_interrupted_batch_rolls_back_whole(self, warm, monkeypatch):
+        """A batch interrupted while recording leaves no row, and the next
+        run serves all of them again without simulating."""
+        spec = sweep_campaign("recording")
+        record_trial = ResultsStore.record_trial
+        recorded = []
+
+        def interrupted(self, campaign_id, result):
+            if len(recorded) == 3:
+                raise KeyboardInterrupt
+            record_trial(self, campaign_id, result)
+            recorded.append(result)
+
+        path = warm / DEFAULT_STORE_NAME
+        runner = BatchRunner(max_workers=1, cache_dir=warm)
+        with monkeypatch.context() as patch:
+            patch.setattr(ResultsStore, "record_trial", interrupted)
+            with ResultsStore(path) as store:
+                with pytest.raises(KeyboardInterrupt):
+                    run_missing(spec, store, runner=runner)
+        assert len(recorded) == 3
+        with ResultsStore(path) as store:
+            assert store.count(spec.campaign_id) == 0
+            stats = run_missing(spec, store, runner=runner)
+            assert store.count(spec.campaign_id) == spec.total_trials
+        assert (stats.executed, stats.cached) == (0, spec.total_trials)
+
+    def test_cached_rows_carry_no_canonical_json(self, warm):
+        """A spec pickles its five fields; its canonical JSON is rebuilt
+        on first read."""
+        with ResultsStore(warm / DEFAULT_STORE_NAME) as store:
+            blobs = [row["result"] for row in store._conn.execute(
+                "SELECT result FROM results"
+            )]
+        assert len(blobs) == 30
+        for blob in blobs:
+            spec = pickle.loads(blob).spec
+            assert list(vars(spec)) == ["label", "config", "group", "tags", "key"]
+            assert spec.config_json.encode("utf-8") not in blob
+            assert spec.config_json == config_json(spec.config)
+        (spec, *_) = sweep_campaign("pickle").trial_specs()
+        for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert "_config_json" not in vars(clone)
+            assert clone == spec
+            assert clone.config_json == spec.config_json
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_executed_specs_keep_their_canonical_json(self, tmp_path, workers):
+        """The runner fills ``dirq.full_scale`` on its private copy, never on
+        the config a cell's replicates share."""
+        spec = small_campaign(f"workers-{workers}", replicates=2)
+        results = []
+        with ResultsStore(tmp_path / DEFAULT_STORE_NAME) as store:
+            runner = BatchRunner(max_workers=workers, cache_dir=tmp_path)
+            stats = run_missing(spec, store, runner=runner, progress=results.append)
+            rows = {
+                row["key"]: row["config_json"]
+                for row in store.query(spec.campaign_id)
+            }
+        assert stats.executed == len(results) == spec.total_trials
+        cells: Dict[str, set] = {}
+        for result in results:
+            trial = result.spec
+            assert trial.config_json == config_json(trial.config)
+            assert rows[trial.key] == trial.config_json
+            cells.setdefault(trial.tags["base_key"], set()).add(
+                id(trial.config.dirq)
+            )
+        # Each cell's two replicates share one nested DirQ config.
+        assert [len(dirqs) for dirqs in cells.values()] == [1] * 4
