@@ -52,7 +52,10 @@ class ExperimentConfig:
     Attributes
     ----------
     num_nodes:
-        Total nodes including the root (the paper uses 50).
+        Total nodes including the root (the paper uses 50).  The node ids
+        are ``range(num_nodes)``, and ``root_id``, ``initially_dead``,
+        ``topology_events`` and a ``sensors_per_node`` mapping may name
+        no other.
     comm_range, area_size:
         Unit-disk deployment parameters.
     seed:
@@ -180,6 +183,21 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.num_nodes < 2:
             raise ValueError("num_nodes must be >= 2 (a root plus at least one node)")
+        # Node ids are range(num_nodes); a field naming any other node
+        # would otherwise be ignored, or grow the network past num_nodes.
+        mounts = self.sensors_per_node
+        named = (
+            ("root_id", [self.root_id]),
+            ("initially_dead", self.initially_dead),
+            ("topology_events", [event.node_id for event in self.topology_events]),
+            ("sensors_per_node", mounts if isinstance(mounts, dict) else ()),
+        )
+        for field, ids in named:
+            outside = sorted({nid for nid in ids if nid not in range(self.num_nodes)})
+            if outside:
+                raise ValueError(
+                    f"{field} names nodes outside range({self.num_nodes}): {outside}"
+                )
         if self.num_epochs < 1:
             raise ValueError("num_epochs must be >= 1")
         if self.query_period < 1:

@@ -26,6 +26,11 @@ constant ``_mac_access_delay``, and beacons -- which in LMAC ride in every
 owned slot -- are coarsened to one per ``beacon_interval`` epochs.  The
 per-node RNG draws exactly one value: the start-up beacon phase.
 
+With the slots goes the control section real LMAC frames carry, so a
+frame is just its upper-layer payload, and a beacon's is ``None``.  No
+addressing travels with it: the channel names the sender to every
+receiver and delivers a unicast to its addressee alone.
+
 A payload frame is therefore transmitted at ``send time + access delay``
 and a frame beacon at its tick; either way LMAC hands the frame and its
 transmit time to the channel (:meth:`WirelessChannel.send_frame`), which
@@ -61,7 +66,12 @@ from ..network.channel import WirelessChannel
 from ..simulation.engine import Simulator, same_window
 from ..simulation.events import EventPriority
 from ..simulation.process import SimProcess
-from .frames import MAC_CONTROL_KIND, MACFrame
+
+#: Ledger kind used for LMAC control traffic.  The paper's cost comparison
+#: (§5, §7) counts only query/update traffic, because the MAC layer's own
+#: overhead is identical whichever dissemination scheme runs on top of it;
+#: metrics exclude this kind from protocol-cost aggregation.
+MAC_CONTROL_KIND = "mac_control"
 
 UpperLayerHandler = Callable[[NodeId, Any], None]
 """Upper-layer receive hook: ``(sender_id, payload) -> None``."""
@@ -85,9 +95,10 @@ class _BeaconTarget:
 class _BeaconPlan:
     """Cached fast-beacon delivery plan for one sender (see _try_fast_beacon).
 
-    The plan is keyed by the sender's adjacency dict in the channel graph:
-    a re-link that leaves the sender's neighbourhood alone shares that dict
-    (``Topology.with_positions_delta``), so the plan survives it.
+    The plan is keyed by the sender's neighbour dict in the channel's
+    adjacency map: a re-link that leaves the sender's neighbourhood alone
+    shares that dict (``Topology.with_positions_delta``), so the plan
+    survives it.
     ``dead`` holds targets that were dead at build time (free while dead;
     revival invalidates the plan), so ``targets`` is a plan constant.
     """
@@ -149,8 +160,6 @@ class LMACProtocol(SimProcess):
         self.beacons_sent = 0
         #: Beacons sent as frames (the fast path declined the tick).
         self.frame_beacons_sent = 0
-        # Beacons carry no state, so one immutable frame serves them all.
-        self._beacon = MACFrame(source=node_id, destination=BROADCAST)
         # Delivery plan of the beacon fast path (see _try_fast_beacon).
         self._beacon_plan: Optional[_BeaconPlan] = None
         self._mac_access_delay = 1e-4
@@ -195,12 +204,11 @@ class LMACProtocol(SimProcess):
         channel = self.channel
         if not channel._alive.get(self.node_id):
             return
-        frame = MACFrame(source=self.node_id, destination=destination, payload=payload)
         # Waiting for the owned slot is modelled as a small constant latency.
         channel.send_frame(
             self.node_id,
             destination,
-            frame,
+            payload,
             kind,
             self.sim.clock.now + self._mac_access_delay,
         )
@@ -266,9 +274,9 @@ class LMACProtocol(SimProcess):
         reorders no other pair of events.
 
         The per-receiver eligibility data is cached in a *beacon plan*
-        (see :class:`_BeaconTarget`), keyed by this node's adjacency dict
-        in the channel graph (no graph is mutated in place, so the dict's
-        identity pins its contents): every object a row holds -- the
+        (see :class:`_BeaconTarget`), keyed by this node's neighbour dict
+        in the channel's adjacency map (no map is mutated in place, so the
+        dict's identity pins its contents): every object a row holds -- the
         receiver's bound method, its neighbour dict, its timer map, its
         ledger entry -- is identity stable, so each tick only revalidates
         identities and liveness instead of rebuilding the delivery list.
@@ -281,7 +289,7 @@ class LMACProtocol(SimProcess):
         if not same_window(now, rx_deadline):
             return False
         nid = self.node_id
-        adjacency = channel.graph._adj[nid]
+        adjacency = channel.adjacency[nid]
         plan = self._beacon_plan
         if plan is None or plan.adjacency is not adjacency:
             plan = self._build_beacon_plan(adjacency)
@@ -337,10 +345,10 @@ class LMACProtocol(SimProcess):
     def _build_beacon_plan(self, adjacency) -> Optional["_BeaconPlan"]:
         """Validate every current receiver and snapshot the delivery plan.
 
-        ``adjacency`` is this node's adjacency dict in the channel graph.
+        ``adjacency`` is this node's neighbour dict in the channel's map.
         Returns ``None`` -- before allocating any row -- when some alive
         receiver is not an LMAC stack (so the reference path must run).
-        Dead graph neighbours get a sentinel entry: they cost nothing while
+        Dead neighbours get a sentinel entry: they cost nothing while
         dead, and their revival invalidates the plan so the rebuilt one can
         validate their fresh state.
         """
@@ -393,10 +401,11 @@ class LMACProtocol(SimProcess):
     def _emit_beacon(self) -> None:
         self.beacons_sent += 1
         self.frame_beacons_sent += 1
+        # A beacon carries no payload.
         self.channel.send_frame(
             self.node_id,
             BROADCAST,
-            self._beacon,
+            None,
             MAC_CONTROL_KIND,
             self.sim.clock.now,
             _TIMER,
@@ -425,21 +434,20 @@ class LMACProtocol(SimProcess):
 
     # -- receiving -------------------------------------------------------------------------
 
-    def _on_channel_receive(self, sender: NodeId, frame: MACFrame) -> None:
+    def _on_channel_receive(self, sender: NodeId, payload: Any) -> None:
         # No liveness re-check here: the channel's delivery loop verifies the
         # receiver is alive immediately before invoking this hook, and the
         # alive map cannot change within one delivery event (death happens
         # via runner epochs / scripted events, never inside a receiver).
+        # Nor an address check: the channel delivers a unicast to its
+        # addressee alone.
         neighbors = self.neighbors
         if sender in neighbors:
             neighbors[sender] = 0
         else:
             self._observe_neighbor(sender)
-        if frame.payload is not None:
-            destination = frame.destination
-            if destination == self.node_id or destination == BROADCAST:
-                if self._upper_handler is not None:
-                    self._upper_handler(sender, frame.payload)
+        if payload is not None and self._upper_handler is not None:
+            self._upper_handler(sender, payload)
 
     def _observe_neighbor(self, sender: NodeId) -> None:
         """First frame from ``sender`` on the frame path: make it a neighbour."""

@@ -60,9 +60,9 @@ construction (there is no silent fallback RNG that could decouple a trial
 from its seed), and ``loss_probability`` accepts the full [0, 1] range
 including the 1.0 endpoint.
 
-The channel never mutates a graph: it shares the topology's graph by
-reference, and membership is fixed at construction (a node joins a trial
-by activation, :meth:`WirelessChannel.set_alive`).
+The channel never mutates the adjacency map: it shares the topology's
+map by reference, and membership is fixed at construction (a node joins
+a trial by activation, :meth:`WirelessChannel.set_alive`).
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ class WirelessChannel:
     sim:
         The simulation engine used to schedule deliveries.
     topology:
-        Connectivity (who can hear whom).  Its graph is shared by
-        reference; node death is a liveness flag, not a graph edit.
+        Connectivity (who can hear whom).  Its adjacency map is shared by
+        reference; node death is a liveness flag, not a map edit.
     ledger:
         Network-wide ledger the channel counts every transmission and
         reception in.  A fresh one is created when omitted.
@@ -157,10 +157,10 @@ class WirelessChannel:
             )
         self.sim = sim
         # Topology is immutable (a move returns a copy), so the channel
-        # shares its graph by reference: at n=5000 this turns every
-        # mobility re-link's update_topology from an O(V+E) graph copy into
-        # a pointer swap.
-        self.graph = topology.graph
+        # shares its adjacency map by reference: at n=5000 this turns every
+        # mobility re-link's update_topology from an O(V+E) copy into a
+        # pointer swap.
+        self.adjacency = topology.adjacency
         self.ledger = ledger if ledger is not None else NetworkLedger()
         self.loss_probability = float(loss_probability)
         self.propagation_delay = PROPAGATION_DELAY
@@ -169,7 +169,7 @@ class WirelessChannel:
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.stats = ChannelStats()
         self._receivers: Dict[NodeId, ReceiveCallback] = {}
-        self._alive: Dict[NodeId, bool] = {nid: True for nid in self.graph.nodes}
+        self._alive: Dict[NodeId, bool] = dict.fromkeys(self.adjacency, True)
         # Per-kind event labels, built once (one event per frame makes the
         # label f-string a per-frame cost otherwise).
         self._delivery_labels: Dict[str, str] = {}
@@ -180,7 +180,7 @@ class WirelessChannel:
     def register(self, node_id: NodeId, receiver: ReceiveCallback) -> None:
         """Attach the receive hook for ``node_id`` (normally its MAC layer)."""
         validate_node_id(node_id)
-        if node_id not in self.graph:
+        if node_id not in self.adjacency:
             raise KeyError(f"node {node_id} is not part of the channel topology")
         self._receivers[node_id] = receiver
 
@@ -188,7 +188,7 @@ class WirelessChannel:
 
     def set_alive(self, node_id: NodeId, alive: bool) -> None:
         """Mark a node dead (it no longer transmits or receives) or alive."""
-        if node_id not in self.graph:
+        if node_id not in self.adjacency:
             raise KeyError(f"unknown node {node_id}")
         self._alive[node_id] = bool(alive)
 
@@ -201,20 +201,19 @@ class WirelessChannel:
         The node set must be unchanged: mobility moves nodes, it never adds
         or removes them (use :meth:`set_alive` for that).  Liveness flags
         and registered receivers are preserved -- only who-can-hear-whom
-        changes.  The new graph is adopted by reference (see ``__init__``).
+        changes.  The new map is adopted by reference (see ``__init__``).
         """
-        if set(topology.graph.nodes) != set(self.graph.nodes):
+        if topology.adjacency.keys() != self.adjacency.keys():
             raise ValueError(
                 "update_topology requires the same node set; "
                 "use set_alive for membership changes"
             )
-        self.graph = topology.graph
+        self.adjacency = topology.adjacency
 
     def neighbors(self, node_id: NodeId) -> list[NodeId]:
-        """Alive one-hop neighbours of ``node_id``."""
-        if node_id not in self.graph:
-            return []
-        return sorted(n for n in self.graph.neighbors(node_id) if self._alive.get(n))
+        """Alive one-hop neighbours of ``node_id``, in ascending id order."""
+        alive = self._alive
+        return [n for n in self.adjacency.get(node_id, ()) if alive.get(n)]
 
     @property
     def num_links(self) -> int:
@@ -225,7 +224,7 @@ class WirelessChannel:
         every topology change.  Radio graphs carry no self-loops, so each
         edge appears exactly twice in the adjacency.
         """
-        adj = self.graph._adj
+        adj = self.adjacency
         alive = self._alive
         links = sum(map(len, adj.values())) // 2
         for nid, nbrs in adj.items():
@@ -309,7 +308,7 @@ class WirelessChannel:
     def _transmit_now(self, sender: NodeId, dest: NodeId, frame: Any, kind: str) -> int:
         """:meth:`broadcast`/:meth:`unicast`: check the sender, transmit now."""
         validate_node_id(sender)
-        if sender not in self.graph:
+        if sender not in self.adjacency:
             raise KeyError(f"unknown sender {sender}")
         if not self._alive.get(sender):
             self.stats.drops_dead_node += 1
@@ -360,7 +359,7 @@ class WirelessChannel:
         """
         alive = self._alive
         stats = self.stats
-        adjacency = self.graph._adj[sender]
+        adjacency = self.adjacency[sender]
         if dest == BROADCAST:
             targets = [n for n in adjacency if alive.get(n)]
             stats.broadcasts += 1

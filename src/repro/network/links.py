@@ -28,12 +28,11 @@ def within_range(pos_a: Position, pos_b: Position, comm_range: float) -> bool:
       ``np.sqrt(dx * dx + dy * dy)``.  Alternative formulations such as
       :func:`math.dist`/:func:`math.hypot` round differently in the last
       ulp, which historically let a node sit exactly on the range boundary
-      and be a neighbour on one code path but not on another.  Every
-      scalar caller (the spatial hash, and the all-pairs test oracle in
-      ``tests/differential/reference.py``) must route range checks through
-      this function, and the one vectorised pass,
-      :func:`repro.network.spatial.neighbors_of`, evaluates exactly this
-      expression in numpy, so the tie behaviour can never diverge again.
+      and be a neighbour on one code path but not on another.  The one
+      connectivity path, :func:`repro.network.spatial.neighbors_of`,
+      evaluates exactly this expression in numpy, and the all-pairs test
+      oracle in ``tests/differential/reference.py`` calls this function,
+      so the tie behaviour can never diverge again.
     """
     dx = float(pos_a[0]) - float(pos_b[0])
     dy = float(pos_a[1]) - float(pos_b[1])

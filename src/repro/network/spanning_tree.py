@@ -218,9 +218,10 @@ def build_bfs_tree(
     previous:
         The tree before the change; ``None`` builds from scratch.
     """
-    if not topology.has_node(root):
+    adjacency = topology.adjacency
+    if root not in adjacency:
         raise KeyError(f"root {root} not in topology")
-    members = set(topology.node_ids) if alive is None else set(alive)
+    members = set(adjacency) if alive is None else set(alive)
     kept = previous.parent if previous is not None else {}
     parent: Dict[NodeId, Optional[NodeId]] = {root: None}
     level = [root]
@@ -230,12 +231,12 @@ def build_bfs_tree(
         rank = {node: i for i, node in enumerate(level)}
         first: Dict[NodeId, NodeId] = {}
         for cur in level:
-            for nb in topology.neighbors(cur):
+            for nb in adjacency[cur]:
                 if nb in members and nb not in parent and nb not in first:
                     first[nb] = cur
         for node, found in first.items():
             old = kept.get(node)
-            sticky = old in rank and topology.has_link(node, old)
+            sticky = old in rank and old in adjacency[node]
             parent[node] = old if sticky else found
         level = sorted(first, key=lambda node: (rank[parent[node]], node))
     missing = members - set(parent)

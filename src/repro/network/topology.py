@@ -2,8 +2,8 @@
 
 The paper evaluates a 50-node network (one root) simulated in OMNeT++.  This
 module provides the placement/connectivity substrate: a :class:`Topology`
-value object (positions + an undirected connectivity graph) and generators
-for the deployment styles used by the experiments:
+value object (positions + an undirected adjacency map) and generators for
+the deployment styles used by the experiments:
 
 * :func:`random_geometric_topology` -- nodes scattered uniformly in a square
   field, connected when within radio range (unit-disk model).  This is the
@@ -13,28 +13,35 @@ for the deployment styles used by the experiments:
 * :func:`kary_tree_topology` -- a complete k-ary tree laid out in the plane,
   used to validate the analytical model of §5 against simulation.
 
+Every neighbour dict of the adjacency map lists its node's radio
+neighbours in ascending id order: broadcast fan-out walks it, so every
+fingerprint depends on that order.
+
 Topologies are immutable: node death and post-deployment joins are an
 alive set, not a topology edit, and a mobility copy
-(:meth:`Topology.with_positions_delta`) shares every unchanged adjacency
-dict with its source, so a topology's graph must never be mutated in
-place.  Unit-disk connectivity is derived one way, with the grid hash of
-:mod:`repro.network.spatial`; ``tests/differential/reference.py`` keeps
-the all-pairs derivation as its test oracle.
+(:meth:`Topology.with_positions_delta`) shares every unchanged neighbour
+dict with its source, so a topology's adjacency must never be mutated in
+place.  Unit-disk connectivity is derived one way, with the grid query
+:func:`repro.network.spatial.neighbors_of`;
+``tests/differential/reference.py`` keeps the all-pairs derivation as its
+test oracle.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .addresses import NodeId
-from .spatial import neighbors_of, unit_disk_edges
+from .spatial import neighbors_of
 
 Position = Tuple[float, float]
+
+#: Node id -> {neighbour id: None}, neighbours in ascending id order.
+Adjacency = Dict[NodeId, Dict[NodeId, None]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,9 +50,10 @@ class Topology:
 
     Attributes
     ----------
-    graph:
-        Undirected :class:`networkx.Graph` whose nodes are node ids and whose
-        edges are radio links.
+    adjacency:
+        Node id -> its radio neighbours, as a dict whose keys ascend (the
+        values are ``None``): a dict answers "is this a neighbour?" in
+        O(1) and iterates in a fixed order.  Links are symmetric.
     positions:
         Mapping node id -> (x, y) coordinates in metres.
     comm_range:
@@ -53,7 +61,7 @@ class Topology:
         topologies like the explicit k-ary tree).
     """
 
-    graph: nx.Graph
+    adjacency: Adjacency
     positions: Dict[NodeId, Position]
     comm_range: Optional[float] = None
 
@@ -62,31 +70,16 @@ class Topology:
     @property
     def node_ids(self) -> List[NodeId]:
         """Sorted list of node identifiers."""
-        return sorted(self.graph.nodes)
+        return sorted(self.adjacency)
 
     @property
     def num_nodes(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self.adjacency)
 
     @property
     def num_links(self) -> int:
         """Number of undirected radio links (edges)."""
-        return self.graph.number_of_edges()
-
-    def neighbors(self, node_id: NodeId) -> List[NodeId]:
-        """Sorted one-hop neighbours of ``node_id``."""
-        if node_id not in self.graph:
-            raise KeyError(f"unknown node {node_id}")
-        return sorted(self.graph.neighbors(node_id))
-
-    def degree(self, node_id: NodeId) -> int:
-        return self.graph.degree[node_id]
-
-    def has_node(self, node_id: NodeId) -> bool:
-        return node_id in self.graph
-
-    def has_link(self, a: NodeId, b: NodeId) -> bool:
-        return self.graph.has_edge(a, b)
+        return sum(map(len, self.adjacency.values())) // 2
 
     def position(self, node_id: NodeId) -> Position:
         return self.positions[node_id]
@@ -97,10 +90,16 @@ class Topology:
         return math.hypot(xa - xb, ya - yb)
 
     def is_connected(self) -> bool:
-        """Whether the connectivity graph is a single component."""
-        if self.num_nodes == 0:
-            return True
-        return nx.is_connected(self.graph)
+        """Whether every node reaches every other (true when empty)."""
+        adjacency = self.adjacency
+        reached = set()
+        frontier = list(adjacency)[:1]
+        while frontier:
+            node = frontier.pop()
+            if node not in reached:
+                reached.add(node)
+                frontier.extend(adjacency[node])
+        return len(reached) == len(adjacency)
 
     def position_array(self, order: Optional[Sequence[NodeId]] = None) -> np.ndarray:
         """Positions as an ``(n, 2)`` array, in ``order`` (default: sorted ids)."""
@@ -131,17 +130,17 @@ class Topology:
         endpoints of every link added or removed by the move -- exactly the
         nodes whose radio neighbourhood changed.
 
-        Only edges incident to moved nodes are recomputed (one vectorised
+        Only links incident to moved nodes are recomputed (one vectorised
         grid pass over the moved set,
-        :func:`~repro.network.spatial.neighbors_of`), and the new graph
-        shares every unchanged adjacency dict with this one: a node outside
-        ``dirty`` keeps its dict object, each dirty node gets a fresh dict
-        in ascending id order, and a surviving edge keeps its attribute
-        dict.  Beyond the grid pass a re-link costs O(n) pointer copies
-        plus O((m + d) k) for m moved and d dirty nodes.  Given the
-        ascending adjacency layout every full build here produces, the
-        graph is byte-identical to a full rebuild.  Sharing is safe because a
-        topology's graph is never mutated in place.
+        :func:`~repro.network.spatial.neighbors_of`), and the new
+        adjacency map shares every unchanged neighbour dict with this one:
+        a node outside ``dirty`` keeps its dict object, and each dirty node
+        gets a fresh dict in ascending id order.  Beyond the grid pass a
+        re-link costs O(n) pointer copies plus O((m + d) k) for m moved
+        and d dirty nodes.  The map equals a full rebuild's, neighbour
+        order included.  A move that changes no link keeps this map
+        itself.  Sharing is safe because a topology's adjacency is never
+        mutated in place.
         """
         if not updates:
             return self, set()
@@ -149,32 +148,30 @@ class Topology:
             raise ValueError(
                 "with_positions requires a comm_range to re-derive links"
             )
-        unknown = [nid for nid in updates if nid not in self.graph]
+        unknown = [nid for nid in updates if nid not in self.adjacency]
         if unknown:
             raise KeyError(f"unknown nodes {sorted(unknown)}")
         positions = dict(self.positions)
         for nid, (x, y) in updates.items():
             positions[nid] = (float(x), float(y))
 
-        # Spatial delta: edges between two unmoved nodes cannot have changed,
-        # so diff only the moved nodes' neighbourhoods.  ``added`` maps each
-        # endpoint of a new edge to {other end: attribute dict}, one dict
-        # per edge stored under both ends as ``nx.Graph.add_edge`` does;
-        # ``removed`` maps each endpoint of a lost edge to the other ends.
-        # An edge between two moved nodes is met from both ends, so each
-        # loop skips the edges the other end already recorded.
-        old_adj = self.graph._adj
-        added: Dict[NodeId, Dict[NodeId, Dict]] = {}
+        # Spatial delta: links between two unmoved nodes cannot have
+        # changed, so diff only the moved nodes' neighbourhoods.  ``added``
+        # and ``removed`` map each endpoint of a new or lost link to the
+        # other ends.  A link between two moved nodes is met from both
+        # ends, so each loop skips the links the other end already
+        # recorded.
+        old_adj = self.adjacency
+        added: Dict[NodeId, List[NodeId]] = {}
         removed: Dict[NodeId, List[NodeId]] = {}
         fresh_of = neighbors_of(positions, sorted(updates), self.comm_range)
         for nid, fresh in fresh_of.items():
             before = old_adj[nid]
-            new_here = added.get(nid, {})
+            new_here = added.get(nid, ())
             for other in fresh:
                 if other not in before and other not in new_here:
-                    shared: Dict = {}
-                    added.setdefault(nid, {})[other] = shared
-                    added.setdefault(other, {})[nid] = shared
+                    added.setdefault(nid, []).append(other)
+                    added.setdefault(other, []).append(nid)
             fresh_set = set(fresh)
             gone_here = removed.get(nid, ())
             for other in before:
@@ -183,26 +180,19 @@ class Topology:
                     removed.setdefault(other, []).append(nid)
         dirty = set(added)
         dirty.update(removed)
-        if not dirty:
-            graph = self.graph
-        else:
-            adj = dict(old_adj)
+        adjacency = old_adj
+        if dirty:
+            adjacency = dict(old_adj)
             for nid in sorted(dirty):
-                before = old_adj[nid]
-                new_here = added.get(nid, {})
                 gone_here = removed.get(nid, ())
-                order = [b for b in before if b not in gone_here]
-                order.extend(new_here)
+                order = [b for b in old_adj[nid] if b not in gone_here]
+                order.extend(added.get(nid, ()))
                 order.sort()
-                adj[nid] = {
-                    b: new_here[b] if b in new_here else before[b] for b in order
-                }
-            graph = nx.Graph()
-            # networkx's setters reset the cached adj/edges/degree/nodes views.
-            graph._adj = adj
-            graph._node = dict(self.graph._node)
+                adjacency[nid] = dict.fromkeys(order)
         return (
-            Topology(graph=graph, positions=positions, comm_range=self.comm_range),
+            Topology(
+                adjacency=adjacency, positions=positions, comm_range=self.comm_range
+            ),
             dirty,
         )
 
@@ -218,43 +208,22 @@ class Topology:
 # ---------------------------------------------------------------------------
 
 
-def _graph_from_lex_edges(
-    positions: Dict[NodeId, Position],
-    edges: Iterable[Tuple[NodeId, NodeId]],
-) -> nx.Graph:
-    """Assemble a graph from lexicographically sorted ``(low, high)`` edges.
-
-    Produces the exact structure ``add_edges_from(edges)`` would on a graph
-    seeded with ``add_nodes_from(positions)``: inserting lex-sorted pairs
-    gives every node its neighbours in ascending id order, the adjacency
-    layout the broadcast fan-out (and therefore experiment fingerprints)
-    is pinned to.  The adjacency dicts are filled directly -- one shared
-    attribute dict per edge, stored under both endpoints, exactly as
-    ``nx.Graph.add_edge`` does -- because networkx's per-edge bookkeeping
-    dominates a full build at scale; the bit-level equivalence with the
-    public API is pinned by the spatial equivalence tests.
-    """
-    g = nx.Graph()
-    g.add_nodes_from(positions)
-    adj = g._adj
-    for a, b in edges:
-        shared: Dict = {}
-        adj[a][b] = shared
-        adj[b][a] = shared
-    return g
-
-
-def _unit_disk_graph(
+def _unit_disk_adjacency(
     positions: Dict[NodeId, Position], comm_range: float
-) -> nx.Graph:
-    """Build the unit-disk connectivity graph for the given positions.
+) -> Adjacency:
+    """The unit-disk adjacency map of ``positions``, keyed in ascending id.
 
-    The grid hash finds the edges with the inclusive
-    :func:`~repro.network.links.within_range` predicate, and they are
-    inserted in lexicographic order, which pins the adjacency layout that
-    broadcast fan-out -- and therefore experiment fingerprints -- depend on.
+    One :func:`~repro.network.spatial.neighbors_of` query over every node
+    finds the links with the inclusive
+    :func:`~repro.network.links.within_range` predicate; its lists are
+    already sorted, which pins the neighbour order that broadcast
+    fan-out -- and therefore experiment fingerprints -- depend on.
     """
-    return _graph_from_lex_edges(positions, unit_disk_edges(positions, comm_range))
+    nodes = sorted(positions)
+    return {
+        nid: dict.fromkeys(found)
+        for nid, found in neighbors_of(positions, nodes, comm_range).items()
+    }
 
 
 def random_geometric_topology(
@@ -284,7 +253,7 @@ def random_geometric_topology(
         Re-draw placements until the topology is connected (the paper's
         network is connected by construction).
     root_id:
-        Identifier of the root/sink node.
+        Identifier of the root/sink node, one of ``range(num_nodes)``.
     root_position:
         Fixed position for the root (defaults to the field centre), which
         mimics a sink placed deliberately by the deployment team.
@@ -293,6 +262,8 @@ def random_geometric_topology(
 
     Raises
     ------
+    ValueError
+        If an argument is out of range, ``root_id`` included.
     RuntimeError
         If a connected deployment cannot be found within ``max_attempts``.
     """
@@ -300,6 +271,8 @@ def random_geometric_topology(
         raise ValueError("num_nodes must be >= 1")
     if comm_range <= 0:
         raise ValueError("comm_range must be positive")
+    if not 0 <= root_id < num_nodes:
+        raise ValueError(f"root_id {root_id} outside range({num_nodes})")
     if rng is None:
         # Unseeded by design: interactive convenience only.  Managed runs
         # always pass the "topology" stream (see docstring above).
@@ -316,8 +289,8 @@ def random_geometric_topology(
         positions[root_id] = (float(root_pos[0]), float(root_pos[1]))
         for idx, nid in enumerate(other_ids):
             positions[nid] = (float(coords[idx, 0]), float(coords[idx, 1]))
-        graph = _unit_disk_graph(positions, comm_range)
-        topo = Topology(graph=graph, positions=positions, comm_range=comm_range)
+        adjacency = _unit_disk_adjacency(positions, comm_range)
+        topo = Topology(adjacency=adjacency, positions=positions, comm_range=comm_range)
         if not ensure_connected or topo.is_connected():
             return topo
     raise RuntimeError(
@@ -351,8 +324,8 @@ def grid_topology(
         for c in range(cols):
             positions[nid] = (c * spacing, r * spacing)
             nid += 1
-    graph = _unit_disk_graph(positions, comm_range)
-    topo = Topology(graph=graph, positions=positions, comm_range=comm_range)
+    adjacency = _unit_disk_adjacency(positions, comm_range)
+    topo = Topology(adjacency=adjacency, positions=positions, comm_range=comm_range)
     if root_id not in positions:
         raise ValueError(f"root_id {root_id} outside grid of {rows * cols} nodes")
     return topo
@@ -377,10 +350,8 @@ def kary_tree_topology(
         raise ValueError("branching factor must be >= 1")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    graph = nx.Graph()
-    positions: Dict[NodeId, Position] = {}
-    graph.add_node(0)
-    positions[0] = (0.0, 0.0)
+    adjacency: Adjacency = {0: {}}
+    positions: Dict[NodeId, Position] = {0: (0.0, 0.0)}
     next_id = 1
     frontier = [0]
     for level in range(1, depth + 1):
@@ -389,8 +360,10 @@ def kary_tree_topology(
             for _ in range(branching):
                 child = next_id
                 next_id += 1
-                graph.add_node(child)
-                graph.add_edge(parent, child)
+                # Ids grow level by level, so each dict stays ascending:
+                # a node's parent comes first, then its children in order.
+                adjacency[parent][child] = None
+                adjacency[child] = {parent: None}
                 new_frontier.append(child)
         # Spread the level horizontally for a readable layout.
         width = max(len(new_frontier) - 1, 1)
@@ -398,4 +371,4 @@ def kary_tree_topology(
             x = (idx - width / 2.0) * spacing
             positions[child] = (x, -level * spacing)
         frontier = new_frontier
-    return Topology(graph=graph, positions=positions, comm_range=None)
+    return Topology(adjacency=adjacency, positions=positions, comm_range=None)

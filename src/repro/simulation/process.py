@@ -6,8 +6,13 @@ reproduction: a named component bound to a :class:`~repro.simulation.engine.
 Simulator` that can schedule timers on itself and receive messages delivered
 by lower layers.
 
-Protocol layers (LMAC, DirQ, flooding) and infrastructure components (the
-wireless channel, the experiment driver) all derive from this class.
+The protocol layers derive from this class: LMAC
+(:class:`~repro.mac.lmac.LMACProtocol`) and the dissemination protocols
+DirQ and flooding (through
+:class:`~repro.core.protocol.DisseminationProtocol`).  The wireless channel
+and the experiment runner are not processes: the channel schedules its
+frames on the simulator directly, and the runner advances the simulator
+with :meth:`~repro.simulation.engine.Simulator.run_until`.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from ..helpers import (
     constant_dataset,
     line_topology,
     ramp_dataset,
+    topology_from_edges,
 )
 
 
@@ -244,14 +245,9 @@ class TestTreeChanges:
     @staticmethod
     def diamond_world(sensor_assignment=None):
         # 0 - 1 - 3 and 0 - 2 - 3: node 3 starts under node 1.
-        import networkx as nx
-
-        from repro.network.topology import Topology
-
-        topo = Topology(
-            graph=nx.Graph([(0, 1), (0, 2), (1, 3), (2, 3)]),
-            positions={0: (0, 0), 1: (1, 1), 2: (1, -1), 3: (2, 0)},
-            comm_range=None,
+        topo = topology_from_edges(
+            {0: (0, 0), 1: (1, 1), 2: (1, -1), 3: (2, 0)},
+            [(0, 1), (0, 2), (1, 3), (2, 3)],
         )
         data = constant_dataset(
             topo.node_ids, {0: 0.0, 1: 10.0, 2: 20.0, 3: 50.0}, num_epochs=60

@@ -6,7 +6,13 @@ from repro.core.analytical import flooding_cost_general
 from repro.core.messages import RangeQuery
 from repro.workload.ground_truth import evaluate_query
 
-from ..helpers import build_mini_world, constant_dataset, line_topology, star_topology
+from ..helpers import (
+    build_mini_world,
+    constant_dataset,
+    line_topology,
+    star_topology,
+    topology_from_edges,
+)
 
 
 def make_flood_world(topology, values):
@@ -98,13 +104,8 @@ class TestFloodingCost:
 
     def test_duplicate_receptions_are_charged_but_not_rebroadcast(self):
         # In a triangle every node hears the query twice but rebroadcasts once.
-        import networkx as nx
-
-        from repro.network.topology import Topology
-
-        graph = nx.Graph([(0, 1), (1, 2), (0, 2)])
-        topo = Topology(
-            graph=graph, positions={0: (0, 0), 1: (1, 0), 2: (0, 1)}, comm_range=None
+        topo = topology_from_edges(
+            {0: (0, 0), 1: (1, 0), 2: (0, 1)}, [(0, 1), (1, 2), (0, 2)]
         )
         world = make_flood_world(topo, {0: 1.0, 1: 1.0, 2: 1.0})
         world.run_epoch(0)

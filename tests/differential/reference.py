@@ -13,9 +13,9 @@ production path against them:
   (:func:`split_frames`: a transmit event, then a delivery event) instead
   of one event per frame.
 * **Connectivity.**  :func:`all_pairs_graph` checks every pair with the
-  shared :func:`~repro.network.links.within_range` predicate and inserts
-  the edges through networkx's public API; :func:`full_rebuild_delta`
-  re-derives every link after a move instead of only the moved nodes'.
+  shared :func:`~repro.network.links.within_range` predicate instead of
+  one grid query per node; :func:`full_rebuild_delta` re-derives every
+  link after a move instead of only the moved nodes'.
   :func:`brute_network` routes a whole trial through both.
 * **Delivery.**  :class:`PerReceiverChannel` delivers each reception in
   its own event, with its own loss draw, instead of one event per frame.
@@ -41,7 +41,6 @@ from collections import Counter
 from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.experiments import runner as runner_module
@@ -53,7 +52,7 @@ from repro.network import topology as topology_module
 from repro.network.addresses import NodeId
 from repro.network.channel import WirelessChannel
 from repro.network.links import Position, within_range
-from repro.network.topology import Topology
+from repro.network.topology import Adjacency, Topology
 from repro.scenarios.registry import get_scenario
 from repro.sensors.types import SensorTypeSpec
 from repro.simulation.events import EventPriority
@@ -121,12 +120,18 @@ def brute_edges(
     ]
 
 
-def all_pairs_graph(positions: Dict[NodeId, Position], comm_range: float) -> nx.Graph:
-    """The unit-disk graph the grid hash must reproduce, adjacency order included."""
-    graph = nx.Graph()
-    graph.add_nodes_from(positions)
-    graph.add_edges_from(brute_edges(positions, comm_range))
-    return graph
+def all_pairs_graph(positions: Dict[NodeId, Position], comm_range: float) -> Adjacency:
+    """The unit-disk adjacency map the grid query must reproduce.
+
+    Keyed in ascending id, like the production map.  Lex-sorted edges
+    reach every node's neighbours in ascending order, so each neighbour
+    dict ascends without a sort.
+    """
+    adjacency: Adjacency = {nid: {} for nid in sorted(positions)}
+    for a, b in brute_edges(positions, comm_range):
+        adjacency[a][b] = None
+        adjacency[b][a] = None
+    return adjacency
 
 
 def full_rebuild_delta(
@@ -144,15 +149,17 @@ def full_rebuild_delta(
     positions = dict(topology.positions)
     for nid, (x, y) in updates.items():
         positions[nid] = (float(x), float(y))
-    graph = all_pairs_graph(positions, topology.comm_range)
+    adjacency = all_pairs_graph(positions, topology.comm_range)
     dirty: Set[NodeId] = set()
     for nid in updates:
-        changed = set(topology.graph[nid]) ^ set(graph[nid])
+        changed = set(topology.adjacency[nid]) ^ set(adjacency[nid])
         if changed:
             dirty.add(nid)
             dirty.update(changed)
     return (
-        Topology(graph=graph, positions=positions, comm_range=topology.comm_range),
+        Topology(
+            adjacency=adjacency, positions=positions, comm_range=topology.comm_range
+        ),
         dirty,
     )
 
@@ -160,7 +167,7 @@ def full_rebuild_delta(
 def brute_network(monkeypatch) -> Counter:
     """Build and re-link every topology through the all-pairs oracles.
 
-    Patches the unit-disk graph construction and
+    Patches the unit-disk adjacency construction and
     :meth:`Topology.with_positions_delta` for the rest of the test (or
     ``MonkeyPatch`` context), so a whole trial can run a brute arm.
     Returns call counts per oracle, so a caller can check the patch was
@@ -168,7 +175,7 @@ def brute_network(monkeypatch) -> Counter:
     """
     calls: Counter = Counter()
 
-    def graph(positions, comm_range):
+    def adjacency(positions, comm_range):
         calls["graph"] += 1
         return all_pairs_graph(positions, comm_range)
 
@@ -176,7 +183,7 @@ def brute_network(monkeypatch) -> Counter:
         calls["delta"] += 1
         return full_rebuild_delta(topology, updates)
 
-    monkeypatch.setattr(topology_module, "_unit_disk_graph", graph)
+    monkeypatch.setattr(topology_module, "_unit_disk_adjacency", adjacency)
     monkeypatch.setattr(Topology, "with_positions_delta", delta)
     return calls
 

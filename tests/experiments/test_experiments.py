@@ -65,6 +65,19 @@ class TestExperimentConfig:
             ExperimentConfig(initially_dead={0})
         with pytest.raises(ValueError):
             TopologyEvent(epoch=1, kind="explode", node_id=2)
+        # A field naming a node outside range(num_nodes) names it back.
+        kill, activate = TopologyEvent(5, "kill", 99), TopologyEvent(5, "activate", 99)
+        for field, value, bad in [
+            ("root_id", 20, 20),
+            ("root_id", -1, -1),
+            ("initially_dead", {3, 99}, 99),
+            ("topology_events", [kill], 99),
+            ("topology_events", [activate], 99),
+            ("sensors_per_node", {99: ["temperature"]}, 99),
+        ]:
+            message = rf"{field} names nodes outside range\(10\): \[{bad}\]"
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig(num_nodes=10, **{field: value})
 
 
 class TestRunnerDirQ:

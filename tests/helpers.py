@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import pickletools
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.core.config import DirQConfig
@@ -25,7 +24,7 @@ from repro.metrics.audit import QueryAudit
 from repro.network.channel import WirelessChannel
 from repro.network.node import SensorNode
 from repro.network.spanning_tree import SpanningTree, build_bfs_tree
-from repro.network.topology import Topology
+from repro.network.topology import Position, Topology
 from repro.sensors.dataset import SensorDataset
 from repro.sensors.sensor import Sensor
 from repro.simulation.engine import Simulator
@@ -44,29 +43,38 @@ def class_references(blob: bytes) -> Set[str]:
     return {op.name for op, _, _ in pickletools.genops(blob)} & CLASS_OPCODES
 
 
+def topology_from_edges(
+    positions: Dict[int, Position],
+    edges: Iterable[Tuple[int, int]],
+    comm_range: Optional[float] = None,
+) -> Topology:
+    """A topology over ``positions`` whose links are exactly ``edges``.
+
+    Each neighbour dict ascends, as every production build's does.
+    """
+    neighbours: Dict[int, List[int]] = {nid: [] for nid in sorted(positions)}
+    for a, b in edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    adjacency = {nid: dict.fromkeys(sorted(nbrs)) for nid, nbrs in neighbours.items()}
+    return Topology(adjacency=adjacency, positions=positions, comm_range=comm_range)
+
+
 def line_topology(num_nodes: int, spacing: float = 10.0) -> Topology:
     """A simple path 0 - 1 - 2 - ... with node 0 as the root."""
-    graph = nx.Graph()
-    positions = {}
-    for i in range(num_nodes):
-        graph.add_node(i)
-        positions[i] = (i * spacing, 0.0)
-        if i > 0:
-            graph.add_edge(i - 1, i)
-    return Topology(graph=graph, positions=positions, comm_range=spacing * 1.2)
+    positions = {i: (i * spacing, 0.0) for i in range(num_nodes)}
+    edges = [(i - 1, i) for i in range(1, num_nodes)]
+    return topology_from_edges(positions, edges, comm_range=spacing * 1.2)
 
 
 def star_topology(num_leaves: int, spacing: float = 10.0) -> Topology:
     """Node 0 at the centre connected to ``num_leaves`` leaves."""
-    graph = nx.Graph()
     positions = {0: (0.0, 0.0)}
-    graph.add_node(0)
     for i in range(1, num_leaves + 1):
         angle = 2 * np.pi * i / num_leaves
         positions[i] = (spacing * np.cos(angle), spacing * np.sin(angle))
-        graph.add_node(i)
-        graph.add_edge(0, i)
-    return Topology(graph=graph, positions=positions, comm_range=spacing * 1.2)
+    edges = [(0, i) for i in range(1, num_leaves + 1)]
+    return topology_from_edges(positions, edges, comm_range=spacing * 1.2)
 
 
 def constant_dataset(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mac.frames import MAC_CONTROL_KIND
+from repro.mac import MAC_CONTROL_KIND
 from repro.mac.lmac import LMACProtocol
 from repro.network.channel import WirelessChannel
 from repro.simulation.engine import Simulator
@@ -197,15 +197,16 @@ class TestValidation:
 
 class TestBeaconPlan:
     def test_failed_plan_rebuild_keeps_no_superseded_graph(self):
-        """A re-link replaces the channel graph; a sender whose next plan
-        build fails (its new neighbour is a plain callback, not an LMAC
-        stack) must drop its old plan, which pins a superseded adjacency."""
+        """A re-link replaces the channel's adjacency map; a sender whose
+        next plan build fails (its new neighbour is a plain callback, not
+        an LMAC stack) must drop its old plan, which pins a superseded
+        neighbour dict."""
         topology = line_topology(6)
         sim, channel, macs = build_macs(topology)
         sim.run_until(40.0)
-        old_graph = channel.graph
+        old_adjacency = channel.adjacency
         assert all(
-            mac._beacon_plan.adjacency is old_graph._adj[nid]
+            mac._beacon_plan.adjacency is old_adjacency[nid]
             for nid, mac in macs.items()
         )
 
@@ -229,7 +230,7 @@ class TestBeaconPlan:
         assert failed == [0]
         for nid, mac in macs.items():
             plan = mac._beacon_plan
-            assert plan is None or plan.adjacency is channel.graph._adj[nid], nid
+            assert plan is None or plan.adjacency is channel.adjacency[nid], nid
         assert macs[0]._beacon_plan is None
 
     def test_relink_that_spares_a_sender_keeps_its_plan(self):
@@ -257,7 +258,7 @@ class TestBeaconPlan:
             assert macs[nid]._beacon_plan is plans[nid], nid
             assert nid not in frames, nid
         assert macs[4]._beacon_plan is not plans[4]
-        assert macs[4]._beacon_plan.adjacency is channel.graph._adj[4]
+        assert macs[4]._beacon_plan.adjacency is channel.adjacency[4]
 
 
 class TestFastDeathSweep:
@@ -341,7 +342,7 @@ class TestFrameOrder:
         channel = WirelessChannel(sim, star4)
         heard = []
         channel.register(
-            0, lambda sender, frame: heard.append((sender, frame.payload, sim.now))
+            0, lambda sender, payload: heard.append((sender, payload, sim.now))
         )
         macs = {
             nid: LMACProtocol(

@@ -140,7 +140,12 @@ class TestDynamics:
 
         def scanned():
             alive = channel.is_alive
-            return sum(1 for a, b in channel.graph.edges if alive(a) and alive(b))
+            return sum(
+                1
+                for a, nbrs in channel.adjacency.items()
+                for b in nbrs
+                if a < b and alive(a) and alive(b)
+            )
 
         rng = np.random.default_rng(5)
         relinked = 0
@@ -148,19 +153,19 @@ class TestDynamics:
             nid = int(rng.choice(topology.node_ids))
             if step % 7 == 6:
                 # A move re-links around a possibly dead node.
-                before = channel.graph
+                before = channel.adjacency
                 topology = topology.with_positions(
                     {nid: (float(rng.uniform(0, 100)), float(rng.uniform(0, 100)))}
                 )
                 channel.update_topology(topology)
-                relinked += channel.graph is not before
+                relinked += channel.adjacency is not before
             else:
                 channel.set_alive(nid, not channel.is_alive(nid))
             assert channel.num_links == scanned(), step
         assert relinked
         # Adjacent dead pairs were exercised, not just isolated deaths.
-        dead = {n for n in channel.graph.nodes if not channel.is_alive(n)}
-        assert any(b in dead for a in dead for b in channel.graph[a])
+        dead = {n for n in channel.adjacency if not channel.is_alive(n)}
+        assert any(b in dead for a in dead for b in channel.adjacency[a])
 
     def test_channel_loss_drops_fraction_of_receptions(self, star4):
         sim, channel = make_channel(
@@ -325,12 +330,12 @@ class TestBatchedDeliveryEquivalence:
 
 
 class TestCopyOnWriteGraph:
-    """The channel adopts the topology's graph by reference and never
-    mutates it."""
+    """The channel adopts the topology's adjacency map by reference and
+    never mutates it."""
 
     def test_init_shares_graph_by_reference(self, line5):
         _, channel = make_channel(line5)
-        assert channel.graph is line5.graph
+        assert channel.adjacency is line5.adjacency
 
     def test_update_topology_adopts_by_reference(self, line5):
         _, channel = make_channel(line5)
@@ -338,4 +343,4 @@ class TestCopyOnWriteGraph:
             {nid: (float(nid) * 4.0, 0.0) for nid in line5.node_ids}
         )
         channel.update_topology(moved)
-        assert channel.graph is moved.graph
+        assert channel.adjacency is moved.adjacency

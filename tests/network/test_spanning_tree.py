@@ -1,8 +1,11 @@
 """Tests for spanning-tree construction, traversal, and repair."""
 
+import networkx as nx
 import pytest
 
 from repro.network.spanning_tree import SpanningTree, TreeError, build_bfs_tree
+
+from ..helpers import topology_from_edges
 
 
 class TestConstruction:
@@ -28,13 +31,12 @@ class TestConstruction:
         for node in tree.node_ids:
             parent = tree.parent_of(node)
             if parent is not None:
-                assert small_topology.has_link(node, parent)
+                assert parent in small_topology.adjacency[node]
 
     def test_bfs_paths_are_shortest(self, small_topology):
-        import networkx as nx
-
         tree = build_bfs_tree(small_topology, root=0)
-        lengths = nx.single_source_shortest_path_length(small_topology.graph, 0)
+        graph = nx.from_dict_of_lists(small_topology.adjacency)
+        lengths = nx.single_source_shortest_path_length(graph, 0)
         for node in tree.node_ids:
             assert tree.depth_of(node) == lengths[node]
 
@@ -75,15 +77,9 @@ class TestTraversal:
 class TestRepair:
     def test_repair_reattaches_orphans_through_surviving_links(self):
         # 0 - 1 - 2 and 0 - 3 - 2: killing 1 must reattach 2 via 3.
-        import networkx as nx
-
-        from repro.network.topology import Topology
-
-        graph = nx.Graph([(0, 1), (1, 2), (0, 3), (3, 2)])
-        topo = Topology(
-            graph=graph,
-            positions={0: (0, 0), 1: (1, 0), 2: (2, 0), 3: (1, 1)},
-            comm_range=None,
+        topo = topology_from_edges(
+            {0: (0, 0), 1: (1, 0), 2: (2, 0), 3: (1, 1)},
+            [(0, 1), (1, 2), (0, 3), (3, 2)],
         )
         tree = build_bfs_tree(topo, root=0)
         assert tree.parent_of(2) == 1

@@ -1,12 +1,13 @@
-"""Tests for the grid-bucket spatial hash (``repro.network.spatial``).
+"""Tests for the grid-bucket neighbour query (``repro.network.spatial``).
 
-Two layers: unit tests of the ``SpatialHash`` contract (sorted query
-results, inclusive range predicate, cell geometry)
-and randomized equivalence properties pinning the spatial neighbour
-derivation to the all-pairs oracles of ``tests/differential/reference.py``
--- same edge sets, same adjacency insertion order, same dirty sets, same
-inclusive boundary behaviour -- because experiment fingerprints depend on
-that byte-level agreement.
+Two layers: unit tests of the query contract of
+:func:`~repro.network.spatial.neighbors_of`, the spatial hash every
+topology build and re-link runs (sorted results, inclusive range
+predicate, cell geometry), and randomized equivalence properties pinning
+built topologies to the all-pairs oracles of
+``tests/differential/reference.py`` -- same links, same neighbour order,
+same dirty sets, same inclusive boundary behaviour -- because experiment
+fingerprints depend on that byte-level agreement.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import numpy as np
 import pytest
 
 from repro.network.links import within_range
-from repro.network.spatial import SpatialHash, neighbors_of, unit_disk_edges
+from repro.network.spatial import neighbors_of
 from repro.network.topology import (
     Topology,
-    _unit_disk_graph,
+    _unit_disk_adjacency,
+    grid_topology,
     random_geometric_topology,
 )
 
@@ -31,67 +33,104 @@ from ..differential.reference import (
 )
 
 #: The two ways to move nodes: the production delta and the full-rebuild
-#: oracle.  Both must match the all-pairs graph and the exact dirty set.
+#: oracle.  Both must match the all-pairs map and the exact dirty set.
 DELTAS = {
     "spatial": Topology.with_positions_delta,
     "brute": full_rebuild_delta,
 }
 
 
+def ordered(adjacency):
+    """An adjacency map as lists, so comparing two compares every order."""
+    return [(nid, list(nbrs)) for nid, nbrs in adjacency.items()]
+
+
+def all_pairs_neighbors(positions, nodes, radius):
+    """Each of ``nodes``' neighbours by an all-pairs ``within_range`` scan."""
+    return {
+        nid: [
+            other
+            for other in sorted(positions)
+            if other != nid
+            and within_range(positions[nid], positions[other], radius)
+        ]
+        for nid in nodes
+    }
+
+
+def random_positions(rng, n, low, high, ids=None):
+    ids = range(n) if ids is None else ids
+    return {
+        int(nid): (float(x), float(y))
+        for nid, (x, y) in zip(ids, rng.uniform(low, high, (n, 2)))
+    }
+
+
 class TestSpatialHashContainer:
+    """A full build's grid cells have the side of its radio range."""
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_cell_size_must_be_positive_finite(self, bad):
         with pytest.raises(ValueError):
-            SpatialHash(cell_size=bad)
+            grid_topology(2, 2, comm_range=bad)
 
     def test_cell_for_uses_floor_on_negative_coordinates(self):
-        grid = SpatialHash(cell_size=10.0)
-        assert grid.cell_for((-0.1, 0.1)) == (-1, 0)
-        assert grid.cell_for((-10.0, -10.0)) == (-1, -1)
-        assert grid.cell_for((0.0, 0.0)) == (0, 0)
+        # Floor, not truncation, puts -0.1 and 9.9 in two cells and -10.0
+        # on the border of cell -1: every pair within 10 is still found.
+        positions = {
+            0: (-0.1, 0.1),
+            1: (9.9, 0.1),
+            2: (-10.0, -10.0),
+            3: (-10.0, 0.0),
+            4: (-19.99, 0.0),
+            5: (0.0, 0.0),
+        }
+        got = neighbors_of(positions, sorted(positions), 10.0)
+        assert got == {
+            0: [1, 3, 5],
+            1: [0, 5],
+            2: [3],
+            3: [0, 2, 4, 5],
+            4: [3],
+            5: [0, 1, 3],
+        }
+        assert got == all_pairs_neighbors(positions, sorted(positions), 10.0)
 
 
 class TestSpatialHashQueries:
     def test_query_returns_sorted_ids(self):
-        grid = SpatialHash(
-            {9: (1.0, 0.0), 2: (0.0, 1.0), 5: (1.0, 1.0)}, cell_size=3.0
-        )
-        assert grid.query((0.0, 0.0), 2.0) == [2, 5, 9]
+        positions = {9: (1.0, 0.0), 2: (0.0, 1.0), 5: (1.0, 1.0), 0: (0.0, 0.0)}
+        assert neighbors_of(positions, [0], 2.0) == {0: [2, 5, 9]}
+        adjacency = _unit_disk_adjacency(positions, 2.0)
+        assert list(adjacency) == [0, 2, 5, 9]
+        assert list(adjacency[0]) == [2, 5, 9]
 
     def test_query_exclude_and_zero_radius(self):
-        grid = SpatialHash({1: (0.0, 0.0), 2: (0.5, 0.0)}, cell_size=2.0)
-        assert grid.query((0.0, 0.0), 1.0, exclude=1) == [2]
-        assert grid.query((0.0, 0.0), 0.0) == [1]
+        # A node is never its own neighbour, not even beside a twin.
+        positions = {1: (0.0, 0.0), 2: (0.5, 0.0), 3: (0.0, 0.0)}
+        assert neighbors_of(positions, [1, 3], 1.0) == {1: [2, 3], 3: [1, 2]}
+        with pytest.raises(ValueError):
+            neighbors_of(positions, [1], 0.0)
 
     def test_query_inclusive_at_exact_range(self):
         # 3-4-5 triangle: the distance is exactly representable, so the
         # inclusive predicate must include the boundary node.
-        grid = SpatialHash({1: (0.0, 0.0), 2: (3.0, 4.0)}, cell_size=5.0)
-        assert grid.query((0.0, 0.0), 5.0) == [1, 2]
-        assert grid.neighbors_within(1, 5.0) == [2]
-        assert grid.query((0.0, 0.0), np.nextafter(5.0, 0.0)) == [1]
+        positions = {1: (0.0, 0.0), 2: (3.0, 4.0)}
+        assert neighbors_of(positions, [1, 2], 5.0) == {1: [2], 2: [1]}
+        assert neighbors_of(positions, [1], np.nextafter(5.0, 0.0)) == {1: []}
+        assert ordered(_unit_disk_adjacency(positions, 5.0)) == [(1, [2]), (2, [1])]
+        assert 1 in grid_topology(1, 2, spacing=5.0, comm_range=5.0).adjacency[0]
 
     def test_query_spans_cell_boundaries(self):
-        # Node sitting exactly on a cell border must be found from the
-        # neighbouring cell's perspective.
-        grid = SpatialHash({1: (10.0, 0.0), 2: (9.999, 0.0)}, cell_size=10.0)
-        assert grid.cell_for((10.0, 0.0)) == (1, 0)
-        assert grid.query((0.5, 0.0), 9.6) == [1, 2]
-
-    def test_query_radius_larger_than_cell(self):
-        rng = np.random.default_rng(11)
-        positions = {
-            int(i): (float(x), float(y))
-            for i, (x, y) in enumerate(rng.uniform(0, 100, (60, 2)))
+        # Nodes sitting exactly on cell borders are found from the
+        # neighbouring cells, at exactly the range.
+        positions = {0: (0.0, 0.0), 1: (10.0, 0.0), 2: (9.999, 0.0), 3: (20.0, 0.0)}
+        assert neighbors_of(positions, sorted(positions), 10.0) == {
+            0: [1, 2],
+            1: [0, 2, 3],
+            2: [0, 1],
+            3: [1],
         }
-        grid = SpatialHash(positions, cell_size=4.0)
-        centre = (50.0, 50.0)
-        expected = sorted(
-            nid
-            for nid, pos in positions.items()
-            if within_range(centre, pos, 37.0)
-        )
-        assert grid.query(centre, 37.0) == expected
 
 
 class TestUnitDiskEquivalence:
@@ -101,37 +140,22 @@ class TestUnitDiskEquivalence:
             n = int(rng.integers(2, 90))
             area = float(rng.uniform(10, 200))
             comm = float(rng.uniform(3, 90))
-            positions = {
-                int(i): (float(x), float(y))
-                for i, (x, y) in enumerate(rng.uniform(0, area, (n, 2)))
-            }
-            assert unit_disk_edges(positions, comm) == brute_edges(
-                positions, comm
-            )
+            positions = random_positions(rng, n, 0, area)
+            adjacency = _unit_disk_adjacency(positions, comm)
+            edges = [(a, b) for a, nbrs in adjacency.items() for b in nbrs if a < b]
+            assert edges == brute_edges(positions, comm)
 
     def test_graph_builders_agree_including_adjacency_order(self):
         rng = np.random.default_rng(22)
         for _ in range(15):
             n = int(rng.integers(2, 80))
             comm = float(rng.uniform(5, 60))
-            positions = {
-                int(i): (float(x), float(y))
-                for i, (x, y) in enumerate(rng.uniform(0, 100, (n, 2)))
-            }
-            spatial = _unit_disk_graph(positions, comm)
-            brute = all_pairs_graph(positions, comm)
-            assert list(spatial.nodes) == list(brute.nodes)
-            assert sorted(spatial.edges) == sorted(brute.edges)
-            for node in spatial.nodes:
-                # Adjacency *order* feeds broadcast fan-out order, which
-                # feeds fingerprints -- it must match exactly.
-                assert list(spatial[node]) == list(brute[node])
-
-    def test_shared_edge_attribute_invariant(self):
-        positions = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0)}
-        g = _unit_disk_graph(positions, 2.0)
-        for a, b in g.edges:
-            assert g[a][b] is g[b][a]
+            positions = random_positions(rng, n, 0, 100)
+            # Neighbour *order* feeds broadcast fan-out order, which
+            # feeds fingerprints -- it must match exactly.
+            assert ordered(_unit_disk_adjacency(positions, comm)) == ordered(
+                all_pairs_graph(positions, comm)
+            )
 
     def test_grid_aligned_positions(self):
         # Nodes exactly on cell corners and cell-size-equal spacing: the
@@ -141,20 +165,15 @@ class TestUnitDiskEquivalence:
             for i in range(4)
             for j in range(4)
         }
-        assert unit_disk_edges(positions, 10.0) == brute_edges(
-            positions, 10.0
+        assert ordered(_unit_disk_adjacency(positions, 10.0)) == ordered(
+            all_pairs_graph(positions, 10.0)
         )
 
 
 class TestNeighborsOf:
-    """The vectorised batch query returns exactly the hash's answers."""
+    """The vectorised batch query returns exactly the all-pairs answers."""
 
-    @staticmethod
-    def _by_hash(positions, nodes, radius):
-        grid = SpatialHash(positions, cell_size=radius)
-        return {nid: grid.neighbors_within(nid, radius) for nid in nodes}
-
-    def test_matches_the_hash_randomized(self):
+    def test_matches_all_pairs_randomized(self):
         rng = np.random.default_rng(51)
         for _ in range(25):
             n = int(rng.integers(2, 120))
@@ -162,13 +181,10 @@ class TestNeighborsOf:
             high = low + float(rng.uniform(10, 200))
             radius = float(rng.uniform(3, 90))
             ids = sorted(int(i) for i in rng.choice(1000, n, replace=False))
-            positions = {
-                nid: (float(x), float(y))
-                for nid, (x, y) in zip(ids, rng.uniform(low, high, (n, 2)))
-            }
+            positions = random_positions(rng, n, low, high, ids)
             k = int(rng.integers(1, n + 1))
             nodes = sorted(int(i) for i in rng.choice(ids, k, replace=False))
-            assert neighbors_of(positions, nodes, radius) == self._by_hash(
+            assert neighbors_of(positions, nodes, radius) == all_pairs_neighbors(
                 positions, nodes, radius
             )
 
@@ -184,7 +200,7 @@ class TestNeighborsOf:
             6: (np.nextafter(5.0, 6.0), 0.0),
         }
         got = neighbors_of(positions, [0, 3], 5.0)
-        assert got == self._by_hash(positions, [0, 3], 5.0)
+        assert got == all_pairs_neighbors(positions, [0, 3], 5.0)
         assert got[0] == [1, 2, 3, 4]
 
     def test_results_follow_query_order_and_empty_query(self):
@@ -206,6 +222,15 @@ class TestWithPositionsDelta:
             n, comm_range=30.0, area_size=120.0, rng=np.random.default_rng(seed)
         )
 
+    @staticmethod
+    def _random_moves(topo, rng, k):
+        ids = sorted(topo.positions)
+        chosen = rng.choice(len(ids), size=k, replace=False)
+        return {
+            ids[int(i)]: (float(rng.uniform(0, 120)), float(rng.uniform(0, 120)))
+            for i in sorted(chosen)
+        }
+
     def test_empty_updates_is_identity(self):
         topo = self._random_topology(1)
         new, dirty = topo.with_positions_delta({})
@@ -219,7 +244,7 @@ class TestWithPositionsDelta:
     def test_requires_comm_range(self):
         topo = self._random_topology(3)
         bare = Topology(
-            graph=topo.graph, positions=topo.positions, comm_range=None
+            adjacency=topo.adjacency, positions=topo.positions, comm_range=None
         )
         with pytest.raises(ValueError, match="comm_range"):
             bare.with_positions_delta({0: (1.0, 1.0)})
@@ -227,55 +252,26 @@ class TestWithPositionsDelta:
     @pytest.mark.parametrize("method", sorted(DELTAS))
     def test_chained_moves_match_full_rebuild(self, method):
         topo = self._random_topology(5)
-        reference = topo
+        positions = dict(topo.positions)
         rng = np.random.default_rng(17)
         for _ in range(12):
-            ids = sorted(topo.positions)
-            k = int(rng.integers(1, 10))
-            chosen = rng.choice(len(ids), size=k, replace=False)
-            updates = {
-                ids[int(i)]: (
-                    float(rng.uniform(0, 120)),
-                    float(rng.uniform(0, 120)),
-                )
-                for i in sorted(chosen)
-            }
+            updates = self._random_moves(topo, rng, int(rng.integers(1, 10)))
             topo, _ = DELTAS[method](topo, updates)
-            moved_positions = {
-                nid: updates.get(nid, pos)
-                for nid, pos in reference.positions.items()
-            }
-            reference = Topology(
-                graph=all_pairs_graph(moved_positions, 30.0),
-                positions=moved_positions,
-                comm_range=30.0,
-            )
-            assert sorted(topo.graph.edges) == sorted(reference.graph.edges)
-            for node in topo.graph.nodes:
-                assert list(topo.graph[node]) == list(reference.graph[node])
+            positions.update(updates)
+            assert ordered(topo.adjacency) == ordered(all_pairs_graph(positions, 30.0))
 
     @pytest.mark.parametrize("method", sorted(DELTAS))
     def test_dirty_set_is_exactly_the_changed_neighbourhoods(self, method):
         topo = self._random_topology(7)
         rng = np.random.default_rng(23)
         for _ in range(10):
-            ids = sorted(topo.positions)
-            chosen = rng.choice(len(ids), size=4, replace=False)
-            updates = {
-                ids[int(i)]: (
-                    float(rng.uniform(0, 120)),
-                    float(rng.uniform(0, 120)),
-                )
-                for i in sorted(chosen)
-            }
-            old_neighbours = {
-                nid: set(topo.graph.neighbors(nid)) for nid in topo.graph
-            }
+            updates = self._random_moves(topo, rng, 4)
+            old_neighbours = {nid: set(nbrs) for nid, nbrs in topo.adjacency.items()}
             topo, dirty = DELTAS[method](topo, updates)
             expected = {
                 nid
-                for nid in topo.graph
-                if set(topo.graph.neighbors(nid)) != old_neighbours[nid]
+                for nid, nbrs in topo.adjacency.items()
+                if set(nbrs) != old_neighbours[nid]
             }
             assert dirty == expected
 
@@ -283,36 +279,18 @@ class TestWithPositionsDelta:
         topo = self._random_topology(11)
         rng = np.random.default_rng(43)
         for _ in range(8):
-            ids = sorted(topo.positions)
-            chosen = rng.choice(len(ids), size=8, replace=False)
-            updates = {
-                ids[int(i)]: (
-                    float(rng.uniform(0, 120)),
-                    float(rng.uniform(0, 120)),
-                )
-                for i in sorted(chosen)
-            }
-            old_adj = topo.graph._adj
-            snapshot = {
-                nid: [(b, attrs) for b, attrs in nbrs.items()]
-                for nid, nbrs in old_adj.items()
-            }
+            updates = self._random_moves(topo, rng, 8)
+            old_adj = topo.adjacency
+            snapshot = ordered(old_adj)
             new, dirty = topo.with_positions_delta(updates)
             assert dirty
-            new_adj = new.graph._adj
+            new_adj = new.adjacency
             assert list(new_adj) == list(old_adj)
             for nid in new_adj:
                 assert (new_adj[nid] is old_adj[nid]) == (nid not in dirty), nid
-            for a, b in new.graph.edges:
-                assert new_adj[a][b] is new_adj[b][a]
-                if b in old_adj[a]:
-                    assert new_adj[a][b] is old_adj[a][b]
-            # The source topology is untouched, down to the attribute dicts.
-            assert topo.graph._adj is old_adj
-            for nid, pairs in snapshot.items():
-                now = list(old_adj[nid].items())
-                assert [b for b, _ in now] == [b for b, _ in pairs]
-                assert all(x is y for (_, x), (_, y) in zip(now, pairs))
+            # The source topology is untouched.
+            assert topo.adjacency is old_adj
+            assert ordered(old_adj) == snapshot
             topo = new
 
     def test_delta_that_changes_no_link_reuses_the_graph(self):
@@ -320,28 +298,16 @@ class TestWithPositionsDelta:
         x, y = topo.positions[5]
         new, dirty = topo.with_positions_delta({5: (x, y)})
         assert dirty == set()
-        assert new.graph is topo.graph
+        assert new.adjacency is topo.adjacency
         assert new is not topo
 
     def test_methods_agree_on_dirty_and_graph(self):
         topo = self._random_topology(9)
-        rng = np.random.default_rng(31)
-        ids = sorted(topo.positions)
-        chosen = rng.choice(len(ids), size=6, replace=False)
-        updates = {
-            ids[int(i)]: (float(rng.uniform(0, 120)), float(rng.uniform(0, 120)))
-            for i in sorted(chosen)
-        }
+        updates = self._random_moves(topo, np.random.default_rng(31), 6)
         spatial_topo, spatial_dirty = topo.with_positions_delta(updates)
         brute_topo, brute_dirty = full_rebuild_delta(topo, updates)
         assert spatial_dirty == brute_dirty
-        assert sorted(spatial_topo.graph.edges) == sorted(
-            brute_topo.graph.edges
-        )
-        for node in spatial_topo.graph.nodes:
-            assert list(spatial_topo.graph[node]) == list(
-                brute_topo.graph[node]
-            )
+        assert ordered(spatial_topo.adjacency) == ordered(brute_topo.adjacency)
 
 
 class TestInclusiveRangeContract:
@@ -353,8 +319,8 @@ class TestInclusiveRangeContract:
 
     def test_predicate_matches_numpy_rounding(self):
         # The predicate must round exactly like numpy (same
-        # sqrt(dx*dx + dy*dy) evaluation order), or the scalar hash and the
-        # vectorised neighbors_of would disagree on knife-edge pairs.
+        # sqrt(dx*dx + dy*dy) evaluation order), or the scalar oracle and
+        # the vectorised neighbors_of would disagree on knife-edge pairs.
         rng = np.random.default_rng(41)
         pts = rng.uniform(0, 100, (200, 2))
         comm = 30.0

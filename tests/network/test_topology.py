@@ -21,14 +21,15 @@ class TestRandomGeometric:
 
     def test_links_respect_radio_range(self, rng):
         topo = random_geometric_topology(25, comm_range=30.0, area_size=100.0, rng=rng)
-        for a, b in topo.graph.edges:
-            assert topo.distance(a, b) <= 30.0 + 1e-9
+        for a in topo.node_ids:
+            for b in topo.adjacency[a]:
+                assert topo.distance(a, b) <= 30.0 + 1e-9
         # And no pair within range is missing a link.
         ids = topo.node_ids
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
                 if topo.distance(a, b) <= 30.0:
-                    assert topo.has_link(a, b)
+                    assert b in topo.adjacency[a]
 
     def test_root_placed_at_field_centre_by_default(self, rng):
         topo = random_geometric_topology(20, comm_range=40.0, area_size=100.0, rng=rng)
@@ -40,7 +41,7 @@ class TestRandomGeometric:
         a = random_geometric_topology(20, 35.0, rng=np.random.default_rng(5))
         b = random_geometric_topology(20, 35.0, rng=np.random.default_rng(5))
         assert a.positions == b.positions
-        assert set(a.graph.edges) == set(b.graph.edges)
+        assert a.adjacency == b.adjacency
 
     def test_impossible_connectivity_raises(self, rng):
         with pytest.raises(RuntimeError):
@@ -53,6 +54,9 @@ class TestRandomGeometric:
             random_geometric_topology(0, 10.0, rng=rng)
         with pytest.raises(ValueError):
             random_geometric_topology(5, -1.0, rng=rng)
+        for root_id in (5, -1):
+            with pytest.raises(ValueError, match="root_id"):
+                random_geometric_topology(5, 10.0, rng=rng, root_id=root_id)
 
 
 class TestGridAndTree:
@@ -68,9 +72,9 @@ class TestGridAndTree:
             grid_topology(3, 3, spacing=10.0),
         ):
             # Interior node 4 has exactly 4 neighbours.
-            assert topo.neighbors(4) == [1, 3, 5, 7]
+            assert list(topo.adjacency[4]) == [1, 3, 5, 7]
             # Corner node 0 has exactly 2.
-            assert topo.neighbors(0) == [1, 3]
+            assert list(topo.adjacency[0]) == [1, 3]
 
     def test_kary_tree_node_count(self):
         topo = kary_tree_topology(branching=2, depth=3)
@@ -84,7 +88,7 @@ class TestGridAndTree:
 
     def test_kary_tree_root_degree_is_branching(self):
         topo = kary_tree_topology(branching=4, depth=2)
-        assert topo.degree(0) == 4
+        assert len(topo.adjacency[0]) == 4
 
     def test_invalid_tree_parameters(self):
         with pytest.raises(ValueError):
@@ -95,9 +99,9 @@ class TestGridAndTree:
 
 class TestTopologyEditing:
     def test_degree_and_neighbors(self, star4):
-        assert star4.degree(0) == 4
-        assert star4.neighbors(0) == [1, 2, 3, 4]
-        assert star4.neighbors(3) == [0]
+        assert len(star4.adjacency[0]) == 4
+        assert list(star4.adjacency[0]) == [1, 2, 3, 4]
+        assert list(star4.adjacency[3]) == [0]
 
     def test_position_array_order(self, line5):
         arr = line5.position_array([4, 0])

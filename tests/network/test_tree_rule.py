@@ -39,8 +39,9 @@ def make_topology(seed: int, n: int = 60, area: float = AREA) -> Topology:
 
 def bfs_depths(topology: Topology, members: Set[NodeId], root: NodeId = 0):
     """Hop counts from ``root`` over the subgraph induced by ``members``."""
+    graph = nx.from_dict_of_lists(topology.adjacency)
     return nx.single_source_shortest_path_length(
-        topology.graph.subgraph(members | {root}), root
+        graph.subgraph(members | {root}), root
     )
 
 
@@ -58,7 +59,7 @@ def oracle_parents(
     for node in sorted(depth, key=lambda n: (depth[n], n)):
         if node == root:
             continue
-        up = [u for u in topology.neighbors(node) if depth.get(u) == depth[node] - 1]
+        up = [u for u in topology.adjacency[node] if depth.get(u) == depth[node] - 1]
         old = previous.parent.get(node) if previous is not None else None
         parent[node] = old if old in up else min(up, key=lambda u: path[u])
         path[node] = path[parent[node]] + (node,)
@@ -78,14 +79,14 @@ def assert_rule_invariants(
         if node == tree.root:
             continue
         # Every parent is an alive radio neighbour exactly one level up.
-        assert par in alive and topology.has_link(node, par)
+        assert par in alive and par in topology.adjacency[node]
         assert depth[par] == depth[node] - 1
         if previous is not None and node in previous:
             old = previous.parent_of(node)
             still_qualifies = (
                 old is not None
                 and depth.get(old) == depth[node] - 1
-                and topology.has_link(node, old)
+                and old in topology.adjacency[node]
             )
             if still_qualifies:
                 assert par == old, f"node {node} dropped a parent that qualifies"

@@ -19,7 +19,8 @@ from repro.core.analytical import (
     tree_num_nodes,
 )
 from repro.network.spanning_tree import build_bfs_tree
-from repro.network.topology import Topology
+
+from ..helpers import topology_from_edges
 
 small_k = st.integers(min_value=2, max_value=5)
 small_d = st.integers(min_value=1, max_value=4)
@@ -63,18 +64,15 @@ def random_connected_graph(draw):
     """Build a random connected graph via a random tree plus extra edges."""
     n = draw(st.integers(min_value=2, max_value=20))
     parent_choices = [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, n)]
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    for child, parent in enumerate(parent_choices, start=1):
-        graph.add_edge(child, parent)
+    edges = {
+        (parent, child) for child, parent in enumerate(parent_choices, start=1)
+    }
     extra = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=15
     ))
-    for a, b in extra:
-        if a != b:
-            graph.add_edge(a, b)
+    edges.update((min(a, b), max(a, b)) for a, b in extra if a != b)
     positions = {i: (float(i), 0.0) for i in range(n)}
-    return Topology(graph=graph, positions=positions, comm_range=None)
+    return topology_from_edges(positions, sorted(edges))
 
 
 connected_topologies = st.builds(lambda: None).flatmap(
@@ -100,7 +98,8 @@ class TestSpanningTreeProperties:
     @settings(max_examples=100, deadline=None)
     def test_tree_depths_are_shortest_path_lengths(self, topo):
         tree = build_bfs_tree(topo, root=0)
-        lengths = nx.single_source_shortest_path_length(topo.graph, 0)
+        graph = nx.from_dict_of_lists(topo.adjacency)
+        lengths = nx.single_source_shortest_path_length(graph, 0)
         for node in tree.node_ids:
             assert tree.depth_of(node) == lengths[node]
 
@@ -125,7 +124,8 @@ class TestSpanningTreeProperties:
         repaired = tree.repair(topo, alive)
         assert victim not in repaired
         assert repaired.root == 0
-        depth = nx.single_source_shortest_path_length(topo.graph.subgraph(alive), 0)
+        graph = nx.from_dict_of_lists(topo.adjacency)
+        depth = nx.single_source_shortest_path_length(graph.subgraph(alive), 0)
         # Exactly the survivors the root can still reach stay attached.
         assert set(repaired.node_ids) == set(depth)
         for node in repaired.node_ids:
@@ -134,7 +134,7 @@ class TestSpanningTreeProperties:
                 continue
             # Every parent is a surviving radio neighbour one level up, and
             # a parent that still qualifies is kept.
-            assert topo.has_link(node, parent)
+            assert parent in topo.adjacency[node]
             assert depth[parent] == depth[node] - 1
             old = tree.parent_of(node)
             if old in alive and depth.get(old) == depth[node] - 1:

@@ -2,11 +2,13 @@
 
 A fresh interpreter imports ``repro``, runs a small campaign through
 ``run_missing``, fingerprints its results and runs ``python -m repro
-trial``.  No ``scipy`` module may be loaded afterwards: the only SciPy
-import in ``src/repro`` sits inside
-:func:`repro.metrics.stats.student_t_critical`, which a report calls when
-it prints a confidence interval.  This file imports neither SciPy nor
-hypothesis, so it also runs where SciPy is not installed.
+trial``.  No ``scipy`` or ``networkx`` module may be loaded afterwards:
+``src/repro`` never imports networkx, and its only SciPy import sits
+inside :func:`repro.metrics.stats.student_t_critical`, which a report
+calls when it prints a confidence interval.  This file (and the
+``conftest.py`` and ``helpers.py`` that pytest loads with it) imports
+none of SciPy, networkx and hypothesis, so it also runs where only NumPy
+and pytest are installed.
 """
 
 import json
@@ -52,12 +54,16 @@ SCRIPT = textwrap.dedent(
         "scipy": sorted(
             m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
         ),
+        "networkx": sorted(
+            m for m in sys.modules if m == "networkx" or m.startswith("networkx.")
+        ),
     }))
     """
 )
 
 
 def test_campaign_and_trial_never_load_scipy():
+    """Nor networkx: the simulator needs NumPy alone."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -76,3 +82,4 @@ def test_campaign_and_trial_never_load_scipy():
     assert len(set(report["fingerprints"])) == 3
     assert report["trial_exit"] == 0
     assert report["scipy"] == []
+    assert report["networkx"] == []
