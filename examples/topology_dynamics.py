@@ -46,7 +46,7 @@ def record_losses(mac, lost_at) -> None:
     dirq_hook = mac.on_neighbor_lost
 
     def hook(neighbor) -> None:
-        lost_at.setdefault(neighbor, mac.now)
+        lost_at.setdefault(neighbor, mac.sim.now)
         dirq_hook(neighbor)
 
     mac.on_neighbor_lost = hook

@@ -171,7 +171,7 @@ class DirQNode(DisseminationProtocol):
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.record(
-                self.now,
+                self.sim.now,
                 "dirq.update",
                 self.node_id,
                 sensor_type=sensor_type,
@@ -235,7 +235,7 @@ class DirQNode(DisseminationProtocol):
         self.queries_received += 1
         self.record_query_receipt(query.query_id)
         self.sim.tracer.record(
-            self.now, "dirq.query_received", self.node_id, query_id=query.query_id
+            self.sim.now, "dirq.query_received", self.node_id, query_id=query.query_id
         )
         self._evaluate_and_forward(query)
 
@@ -308,7 +308,7 @@ class DirQNode(DisseminationProtocol):
         if not self.alive:
             return
         self.sim.tracer.record(
-            self.now, "dirq.neighbor_lost", self.node_id, neighbor=neighbor
+            self.sim.now, "dirq.neighbor_lost", self.node_id, neighbor=neighbor
         )
         if neighbor in self.children:
             self.children = [c for c in self.children if c != neighbor]

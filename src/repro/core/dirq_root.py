@@ -128,12 +128,15 @@ class DirQRoot(DirQNode):
             # No node in the network (as far as the root knows) carries this
             # sensor type; the query dies at the root.
             self.sim.tracer.record(
-                self.now, "dirq.query_unroutable", self.node_id, query_id=query.query_id
+                self.sim.now,
+                "dirq.query_unroutable",
+                self.node_id,
+                query_id=query.query_id,
             )
             return 0
         forwarded = self._evaluate_and_forward(query)
         self.sim.tracer.record(
-            self.now,
+            self.sim.now,
             "dirq.query_injected",
             self.node_id,
             query_id=query.query_id,
@@ -183,7 +186,7 @@ class DirQRoot(DirQNode):
         self._last_estimate_hour = self.hour_index
         self._relay_estimate(message)
         self.sim.tracer.record(
-            self.now,
+            self.sim.now,
             "dirq.estimate",
             self.node_id,
             hour=self.hour_index,

@@ -14,10 +14,9 @@ from ..mac.lmac import LMACProtocol
 from ..network.addresses import NodeId
 from ..network.node import SensorNode
 from ..simulation.engine import Simulator
-from ..simulation.process import SimProcess
 
 
-class DisseminationProtocol(SimProcess):
+class DisseminationProtocol:
     """Per-node application-layer protocol instance.
 
     Parameters
@@ -41,10 +40,12 @@ class DisseminationProtocol(SimProcess):
         mac: LMACProtocol,
         audit=None,
     ):
-        super().__init__(sim, name=f"{type(self).__name__.lower()}[{node.node_id}]")
+        self.sim = sim
         self.node = node
         self.mac = mac
         self.audit = audit
+        # The channel's alive set: the one record of who is alive.
+        self._alive_ids = mac.channel.alive
         self.parent: Optional[NodeId] = None
         self.children: List[NodeId] = []
         mac.set_upper_handler(self._on_mac_payload)
@@ -61,7 +62,7 @@ class DisseminationProtocol(SimProcess):
 
     @property
     def alive(self) -> bool:
-        return self.node.alive
+        return self.node.node_id in self._alive_ids
 
     # -- tree wiring -----------------------------------------------------------
 

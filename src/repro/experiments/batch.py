@@ -24,11 +24,11 @@ campaign runs its trials through this module:
 Determinism contract
 --------------------
 Every trial builds its own :class:`~repro.simulation.rng.RandomStreams`
-from its config's seed, and the worker runs it on a private deep copy of
-the config, so a trial's result depends only on its declared configuration
--- never on worker count, execution order, or leftover mutations from
-sibling trials.  :meth:`TrialResult.fingerprint` condenses the deterministic
-payload into a hash for bit-exactness assertions.  Replications
+from its config's seed, and running a trial writes nothing to its config,
+so a trial's result depends only on its declared configuration -- never
+on worker count, execution order, or sibling trials.
+:meth:`TrialResult.fingerprint` condenses the deterministic payload into
+a hash for bit-exactness assertions.  Replications
 (:func:`replicate_specs`) derive their seeds with
 :meth:`RandomStreams.derive_seed`, so replicate ``i`` of a spec is itself a
 pure function of the base config; replicate 0 keeps the base seed, which is
@@ -267,10 +267,9 @@ class TrialSpec:
 
     The constructor snapshots (deep-copies) the configuration and computes
     the cache key immediately, so later mutation of the caller's config
-    cannot change the trial's identity.  A spec's config is read-only:
-    every trial runs on a private deep copy (the runner fills in
-    ``dirq.full_scale`` during the build), and the replicates of
-    :func:`replicate_specs` share one config's nested members.
+    cannot change the trial's identity.  A spec's config is read-only,
+    and the replicates of :func:`replicate_specs` share one config's
+    nested members.
 
     :attr:`config_json`, the canonical JSON that ``key`` digests, is
     derived state: it is never pickled, so a spec pickles exactly its
@@ -530,16 +529,9 @@ class TrialResult(HeadlineSummaries):
 
 
 def _execute_trial(spec: TrialSpec) -> TrialResult:
-    """Worker entry point: run one trial on a private copy of its config.
-
-    The deep copy keeps the worker's mutations (the runner fills in
-    ``dirq.full_scale`` from the generated dataset) away from the spec's
-    config -- which a campaign cell's replicates share -- so serial and
-    parallel execution see identical inputs.
-    """
-    config = copy.deepcopy(spec.config)
+    """Worker entry point: run one trial and distil its record."""
     start = time.perf_counter()
-    result = run_experiment(config)
+    result = run_experiment(spec.config)
     trial = TrialResult.from_experiment(
         spec, result, runtime_seconds=time.perf_counter() - start
     )

@@ -51,7 +51,7 @@ own row first), so the deferral is unobservable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -87,18 +87,15 @@ class ColumnarTick:
     protocol list at start-up and whenever that list changes, and
     :meth:`finalize` once after the last simulated event, before metrics
     are harvested.  Rows are rebuilt only on an alive-list, sensor-suite
-    or table-set change (and, for a fixed δ, a changed ``delta_percent``);
-    :meth:`tick` detects all but the first itself.
+    or table-set change; :meth:`tick` detects all but the first itself.
     """
 
     def __init__(self, dataset: SensorDataset, dirq_config: DirQConfig):
         self._dataset = dataset
-        self._cfg = dirq_config
         self._adaptive = dirq_config.adaptive
         self._window = dirq_config.atc_window_epochs
         self._protos: List = []
         self._scan: List[Tuple] = []  # (proto, node, tables, sv, tv) rows
-        self._delta_percent_seen: Optional[float] = None
         self._needs_rebuild = True
         # Row-major state (filled by _rebuild); rows are type-major so each
         # sensor type occupies one contiguous segment of every array.
@@ -291,7 +288,6 @@ class ColumnarTick:
             (p, p.node, p.tables, p.node.sensors_version, p.tables.version)
             for p in protos
         ]
-        self._delta_percent_seen = self._cfg.delta_percent
         self._needs_rebuild = False
 
     # -- cached-row maintenance ----------------------------------------------------
@@ -371,11 +367,6 @@ class ColumnarTick:
                 p.current_epoch = epoch
                 if node.sensors_version != sv or tables.version != tv:
                     stale = True
-            if (
-                not self._adaptive
-                and self._delta_percent_seen != self._cfg.delta_percent
-            ):
-                stale = True
         if stale:
             self._rebuild()
 

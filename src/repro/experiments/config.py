@@ -98,7 +98,7 @@ class ExperimentConfig:
         modelled (slot access is a constant delay), so there is no frame
         length to configure.
     topology_events:
-        Scripted node deaths / activations.
+        Scripted node deaths / activations.  None may kill the root.
     scenario:
         Optional dynamic-scenario bundle (churn, mobility, time-varying
         traffic, heterogeneous energy budgets); ``None`` reproduces the
@@ -214,6 +214,11 @@ class ExperimentConfig:
             raise ValueError("channel_loss must be in [0, 1]")
         if self.root_id in self.initially_dead:
             raise ValueError("the root cannot start dead")
+        if any(
+            event.kind == TopologyEvent.KILL and event.node_id == self.root_id
+            for event in self.topology_events
+        ):
+            raise ValueError("the root cannot be killed")
         if self.phenomena_method not in (None, "exact", "lowrank"):
             raise ValueError(
                 "phenomena_method must be None, 'exact', or 'lowrank', "

@@ -146,7 +146,8 @@ class SimulationWorld:
         self.audit = QueryAudit()
         self.sampling = SamplingCounter()
         self.sensor_owners: Dict[str, Set[NodeId]] = {}
-        self.alive: Set[NodeId] = set()
+        #: The channel's alive set itself (``WirelessChannel.alive``).
+        self.alive: Set[NodeId]
         #: Scenario-assigned finite batteries (empty for static runs).
         self.batteries: Dict[NodeId, Battery] = {}
 
@@ -191,6 +192,7 @@ class ExperimentRunner:
             tracer=tracer,
             metrics=instrumentation.metrics,
         )
+        world.alive = world.channel.alive
 
         # Dataset and sensors ---------------------------------------------------
         specs = dict(default_type_specs())
@@ -218,8 +220,9 @@ class ExperimentRunner:
         # The nominal range from the type spec is preferred (so "δ = 3 %"
         # means the same thing regardless of run length); types without a
         # nominal range fall back to the empirical range of the generated
-        # dataset.
-        full_scale = {}
+        # dataset.  The trial's DirQ config is a copy that carries them:
+        # the runner never writes to its config.
+        full_scale = dict(cfg.dirq.full_scale)
         for stype in world.dataset.sensor_types:
             spec = specs.get(stype)
             if spec is not None and spec.full_scale is not None:
@@ -227,7 +230,7 @@ class ExperimentRunner:
             else:
                 lo, hi = world.dataset.value_range(stype)
                 full_scale[stype] = max(1e-9, hi - lo)
-        cfg.dirq.full_scale.update(full_scale)
+        dirq = cfg.dirq.replace(full_scale=full_scale)
 
         sensor_assignment = self._assign_sensors(node_ids, wanted_types)
         world.sensor_owners = {
@@ -268,16 +271,14 @@ class ExperimentRunner:
                         world.sim,
                         node,
                         mac,
-                        cfg.dirq,
+                        dirq,
                         audit=world.audit,
                         predictor=QueryRatePredictor(
-                            initial_estimate=cfg.dirq.epochs_per_hour / cfg.query_period
+                            initial_estimate=dirq.epochs_per_hour / cfg.query_period
                         ),
                     )
                 else:
-                    proto = DirQNode(
-                        world.sim, node, mac, cfg.dirq, audit=world.audit
-                    )
+                    proto = DirQNode(world.sim, node, mac, dirq, audit=world.audit)
             else:
                 if nid == cfg.root_id:
                     proto = FloodingRoot(world.sim, node, mac, audit=world.audit)
@@ -288,7 +289,6 @@ class ExperimentRunner:
         self._install_tree_links(world, world.tree)
 
         # Initial liveness --------------------------------------------------------
-        world.alive = set(node_ids)
         # Sorted: two configs whose initially_dead sets compare equal can
         # still iterate in different orders (insertion history), and kill
         # order is observable through the audit log.
@@ -308,11 +308,10 @@ class ExperimentRunner:
                 node_ids, cfg.root_id, self.streams.get("scenario-energy")
             )
 
-        # Start the MAC and application layers.
+        # Start the MAC layer.
         for nid in node_ids:
             if nid in world.alive:
                 world.macs[nid].start()
-                world.protocols[nid].start()
 
         self.world = world
         return world
@@ -384,12 +383,10 @@ class ExperimentRunner:
     def _apply_kill(
         self, world: SimulationWorld, node_id: NodeId, rebuild_tree: bool = True
     ) -> None:
-        if node_id == self.config.root_id:
-            raise ValueError("the root cannot be killed")
+        # Never the root: ExperimentConfig rejects a scripted root kill,
+        # and churn and batteries spare it.
         if node_id not in world.alive:
             return
-        world.alive.discard(node_id)
-        world.nodes[node_id].kill()
         world.channel.set_alive(node_id, False)
         world.macs[node_id].shutdown()
         if rebuild_tree:
@@ -398,18 +395,18 @@ class ExperimentRunner:
     def _apply_activation(self, world: SimulationWorld, node_id: NodeId) -> None:
         if node_id in world.alive:
             return
-        world.alive.add(node_id)
         # Reactivation models a battery swap / reboot: a node whose finite
         # budget was exhausted comes back with a fresh one, otherwise the
         # energy check would kill it again at the very next period.
         battery = world.batteries.get(node_id)
         if battery is not None:
             battery.recharge()
-        world.nodes[node_id].revive()
         world.channel.set_alive(node_id, True)
+        # A node dead from the start has never started its MAC: start()
+        # arms its first beacon, and wake() replaces it with one an access
+        # delay from now.
         world.macs[node_id].start()
         world.macs[node_id].wake()
-        world.protocols[node_id].start()
         self._maintain_tree(world)
 
     def _apply_relink(self, world: SimulationWorld, mobility: MobilityModel) -> None:
@@ -549,7 +546,8 @@ class ExperimentRunner:
         # sampling loop to vectorise.
         columnar: Optional[ColumnarTick] = None
         if is_dirq:
-            columnar = ColumnarTick(world.dataset, cfg.dirq)
+            # The trial's DirQ config, which every DirQ node holds.
+            columnar = ColumnarTick(world.dataset, root.config)
             columnar.set_protocols(alive_protocols)
 
         # Phase profiling ("full" instrumentation only).  ``begin`` both

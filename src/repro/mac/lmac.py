@@ -38,8 +38,10 @@ transmits and delivers it in one engine event when no runner checkpoint
 falls between the transmission and the delivery.  The transmit time is
 no event of its own: a sender alive at the send is alive at its
 transmission within one runner window, and a frame a checkpoint splits
-gets its transmit event from the channel.  The beacon timer re-arms
-itself (:meth:`LMACProtocol._beacon_tick`), one event per tick.
+gets its transmit event from the channel.  The beacon timer is one
+pending event at a time, held in ``LMACProtocol._beacon``: each tick
+(:meth:`LMACProtocol._beacon_tick`) schedules the next, and only
+:meth:`LMACProtocol.wake` and :meth:`LMACProtocol.shutdown` cancel one.
 
 Beacon fast path
 ----------------
@@ -64,8 +66,7 @@ import numpy as np
 from ..network.addresses import BROADCAST, NodeId
 from ..network.channel import WirelessChannel
 from ..simulation.engine import Simulator, same_window
-from ..simulation.events import EventPriority
-from ..simulation.process import SimProcess
+from ..simulation.events import Event, EventPriority
 
 #: Ledger kind used for LMAC control traffic.  The paper's cost comparison
 #: (§5, §7) counts only query/update traffic, because the MAC layer's own
@@ -89,7 +90,7 @@ class _BeaconTarget:
     checks only.
     """
 
-    __slots__ = ("target", "callback", "neighbors", "timers_get", "rx_entry")
+    __slots__ = ("target", "callback", "neighbors", "mac", "rx_entry")
 
 
 class _BeaconPlan:
@@ -106,7 +107,7 @@ class _BeaconPlan:
     __slots__ = ("adjacency", "rows", "charge", "dead", "targets", "tx_entry")
 
 
-class LMACProtocol(SimProcess):
+class LMACProtocol:
     """LMAC instance running on one node.
 
     Parameters
@@ -134,7 +135,7 @@ class LMACProtocol(SimProcess):
         beacon_interval: float = 10.0,
         death_threshold: int = 3,
     ):
-        super().__init__(sim, name=f"lmac[{node_id}]")
+        self.sim = sim
         self.channel = channel
         self.node_id = node_id
         # Fallback is seeded from the node id, so even unmanaged
@@ -163,7 +164,10 @@ class LMACProtocol(SimProcess):
         # Delivery plan of the beacon fast path (see _try_fast_beacon).
         self._beacon_plan: Optional[_BeaconPlan] = None
         self._mac_access_delay = 1e-4
-        self._beacon_label = f"{self.name}.timer.beacon"
+        self._started = False
+        #: The pending beacon tick, ``None`` while none is scheduled.
+        self._beacon: Optional[Event] = None
+        self._beacon_label = f"lmac[{node_id}].timer.beacon"
         channel.register(node_id, self._on_channel_receive)
 
     # -- wiring -----------------------------------------------------------------
@@ -174,24 +178,42 @@ class LMACProtocol(SimProcess):
 
     # -- lifecycle ----------------------------------------------------------------
 
+    def start(self) -> None:
+        """Start the MAC: :meth:`on_start` runs on the first call only."""
+        if self._started:
+            return
+        self._started = True
+        self.on_start()
+
     def on_start(self) -> None:
-        """Start the periodic beacon timer."""
+        """Arm the first beacon, at a random start-up phase."""
         # Desynchronise the first beacon slightly per node so that start-up
         # beacons do not all land on the same simulated instant.
         offset = float(self.rng.uniform(0.0, self.beacon_interval * 0.1))
-        self.set_timer("beacon", offset + self._mac_access_delay, self._beacon_tick)
+        self._arm_beacon(offset + self._mac_access_delay)
 
     def shutdown(self) -> None:
         """Stop all MAC activity (used when the node dies)."""
-        self.cancel_all_timers()
+        if self._beacon is not None:
+            self._beacon.cancel()
+            self._beacon = None
 
     def wake(self) -> None:
         """(Re)start beaconing, e.g. for a node added after deployment.
 
-        Safe to call on an already-running instance: the beacon timer is
-        simply re-armed.
+        Safe to call on an already-running instance: a pending beacon is
+        cancelled and the next one armed one access delay from now.
         """
-        self.set_timer("beacon", self._mac_access_delay, self._beacon_tick)
+        self._arm_beacon(self._mac_access_delay)
+
+    def _arm_beacon(self, delay: float) -> None:
+        """Schedule the next beacon tick ``delay`` from now, replacing any."""
+        if self._beacon is not None:
+            self._beacon.cancel()
+        sim = self.sim
+        self._beacon = sim.schedule_at(
+            sim.now + delay, self._beacon_tick, _TIMER, self._beacon_label
+        )
 
     # -- sending ---------------------------------------------------------------------
 
@@ -202,7 +224,7 @@ class LMACProtocol(SimProcess):
         :data:`~repro.network.addresses.BROADCAST`.
         """
         channel = self.channel
-        if not channel._alive.get(self.node_id):
+        if self.node_id not in channel._alive:
             return
         # Waiting for the owned slot is modelled as a small constant latency.
         channel.send_frame(
@@ -210,7 +232,7 @@ class LMACProtocol(SimProcess):
             destination,
             payload,
             kind,
-            self.sim.clock.now + self._mac_access_delay,
+            self.sim.now + self._mac_access_delay,
         )
 
     def broadcast(self, payload: Any, kind: str) -> None:
@@ -220,16 +242,16 @@ class LMACProtocol(SimProcess):
     # -- beaconing and neighbourhood maintenance ----------------------------------------
 
     def _beacon_tick(self) -> None:
-        if not self.channel.is_alive(self.node_id):
-            self._timers.pop("beacon", None)
+        if self.node_id not in self.channel._alive:
+            self._beacon = None
             return
         if not self._try_fast_beacon():
             self._emit_beacon()
         self._check_dead_neighbors()
-        # The tick re-arms itself, as set_timer would, without its closure.
+        # The event that fired is the pending beacon: nothing to cancel.
         sim = self.sim
-        self._timers["beacon"] = sim.schedule_at(
-            sim.clock.now + self.beacon_interval,
+        self._beacon = sim.schedule_at(
+            sim.now + self.beacon_interval,
             self._beacon_tick,
             _TIMER,
             self._beacon_label,
@@ -277,14 +299,14 @@ class LMACProtocol(SimProcess):
         (see :class:`_BeaconTarget`), keyed by this node's neighbour dict
         in the channel's adjacency map (no map is mutated in place, so the
         dict's identity pins its contents): every object a row holds -- the
-        receiver's bound method, its neighbour dict, its timer map, its
-        ledger entry -- is identity stable, so each tick only revalidates
-        identities and liveness instead of rebuilding the delivery list.
+        receiver's bound method, its neighbour dict, its ledger entry, its
+        MAC -- is identity stable, so each tick only revalidates identities
+        and liveness instead of rebuilding the delivery list.
         """
         channel = self.channel
         if channel.loss_probability > 0.0 or channel.tracer.enabled:
             return False
-        now = self.sim.clock.now
+        now = self.sim.now
         rx_deadline = now + channel.propagation_delay
         if not same_window(now, rx_deadline):
             return False
@@ -297,27 +319,27 @@ class LMACProtocol(SimProcess):
                 # Drop the stale plan as well: it pins a superseded dict.
                 self._beacon_plan = None
                 return False
-        alive_get = channel._alive.get
+        alive = channel._alive
         receivers_get = channel._receivers.get
         # Any liveness or registration change among the planned targets
         # invalidates the plan (rare); in exchange the steady-state passes
         # below never re-derive the target count or re-check row kinds.
         for t in plan.dead:
-            if alive_get(t):
+            if t in alive:
                 self._beacon_plan = None
                 return False
         for row in plan.charge:
             t = row.target
-            if not alive_get(t) or receivers_get(t) is not None:
+            if t not in alive or receivers_get(t) is not None:
                 self._beacon_plan = None
                 return False
         rows = plan.rows
         for row in rows:
             t = row.target
-            if not alive_get(t) or receivers_get(t) is not row.callback:
+            if t not in alive or receivers_get(t) is not row.callback:
                 self._beacon_plan = None
                 return False
-            event = row.timers_get("beacon")
+            event = row.mac._beacon
             if (
                 event is not None
                 and not event.cancelled
@@ -358,7 +380,7 @@ class LMACProtocol(SimProcess):
         receivers = channel._receivers
         lmac_receive = LMACProtocol._on_channel_receive
         for t in adjacency:
-            receiver = receivers.get(t) if alive.get(t) else None
+            receiver = receivers.get(t) if t in alive else None
             if (
                 receiver is not None
                 and getattr(receiver, "__func__", None) is not lmac_receive
@@ -370,7 +392,7 @@ class LMACProtocol(SimProcess):
         charge = []
         dead = []
         for t in adjacency:
-            if not alive.get(t):
+            if t not in alive:
                 # No ledger access: the reference path never charges a dead
                 # target, so materialising its (zero) rx entry here would
                 # perturb the per-kind energy breakdown.
@@ -386,7 +408,7 @@ class LMACProtocol(SimProcess):
             mac = receiver.__self__
             row.callback = receiver
             row.neighbors = mac.neighbors
-            row.timers_get = mac._timers.get
+            row.mac = mac
             rows.append(row)
         plan = _BeaconPlan()
         plan.adjacency = adjacency
@@ -407,7 +429,7 @@ class LMACProtocol(SimProcess):
             BROADCAST,
             None,
             MAC_CONTROL_KIND,
-            self.sim.clock.now,
+            self.sim.now,
             _TIMER,
         )
 
@@ -427,7 +449,7 @@ class LMACProtocol(SimProcess):
     def _declare_dead(self, neighbor: NodeId) -> None:
         del self.neighbors[neighbor]
         self.sim.tracer.record(
-            self.now, "lmac.neighbor_lost", self.node_id, neighbor=neighbor
+            self.sim.now, "lmac.neighbor_lost", self.node_id, neighbor=neighbor
         )
         if self.on_neighbor_lost is not None:
             self.on_neighbor_lost(neighbor)
@@ -453,5 +475,5 @@ class LMACProtocol(SimProcess):
         """First frame from ``sender`` on the frame path: make it a neighbour."""
         self.neighbors[sender] = 0
         self.sim.tracer.record(
-            self.sim.clock.now, "lmac.neighbor_found", self.node_id, neighbor=sender
+            self.sim.now, "lmac.neighbor_found", self.node_id, neighbor=sender
         )

@@ -63,13 +63,19 @@ including the 1.0 endpoint.
 The channel never mutates the adjacency map: it shares the topology's
 map by reference, and membership is fixed at construction (a node joins
 a trial by activation, :meth:`WirelessChannel.set_alive`).
+
+Liveness is one set, :attr:`WirelessChannel.alive`, written only by
+:meth:`WirelessChannel.set_alive`.  It is the trial's one liveness
+record: the runner's ``SimulationWorld.alive`` is this very set, LMAC
+checks its senders and receivers against it, and the protocols read
+their own liveness from it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -118,7 +124,7 @@ class WirelessChannel:
         The simulation engine used to schedule deliveries.
     topology:
         Connectivity (who can hear whom).  Its adjacency map is shared by
-        reference; node death is a liveness flag, not a map edit.
+        reference; node death leaves the alive set, not the map.
     ledger:
         Network-wide ledger the channel counts every transmission and
         reception in.  A fresh one is created when omitted.
@@ -169,7 +175,7 @@ class WirelessChannel:
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.stats = ChannelStats()
         self._receivers: Dict[NodeId, ReceiveCallback] = {}
-        self._alive: Dict[NodeId, bool] = dict.fromkeys(self.adjacency, True)
+        self._alive: Set[NodeId] = set(self.adjacency)
         # Per-kind event labels, built once (one event per frame makes the
         # label f-string a per-frame cost otherwise).
         self._delivery_labels: Dict[str, str] = {}
@@ -190,17 +196,26 @@ class WirelessChannel:
         """Mark a node dead (it no longer transmits or receives) or alive."""
         if node_id not in self.adjacency:
             raise KeyError(f"unknown node {node_id}")
-        self._alive[node_id] = bool(alive)
+        if alive:
+            self._alive.add(node_id)
+        else:
+            self._alive.discard(node_id)
 
-    def is_alive(self, node_id: NodeId) -> bool:
-        return self._alive.get(node_id, False)
+    @property
+    def alive(self) -> Set[NodeId]:
+        """The ids of the alive nodes: the set itself, to read, not to edit.
+
+        The set is fixed for the channel's life, so a reader may keep it;
+        :meth:`set_alive` is its one writer.
+        """
+        return self._alive
 
     def update_topology(self, topology: Topology) -> None:
         """Adopt the new links after node movement (mobility scenarios).
 
         The node set must be unchanged: mobility moves nodes, it never adds
-        or removes them (use :meth:`set_alive` for that).  Liveness flags
-        and registered receivers are preserved -- only who-can-hear-whom
+        or removes them (use :meth:`set_alive` for that).  The alive set
+        and the registered receivers are kept -- only who-can-hear-whom
         changes.  The new map is adopted by reference (see ``__init__``).
         """
         if topology.adjacency.keys() != self.adjacency.keys():
@@ -209,11 +224,6 @@ class WirelessChannel:
                 "use set_alive for membership changes"
             )
         self.adjacency = topology.adjacency
-
-    def neighbors(self, node_id: NodeId) -> list[NodeId]:
-        """Alive one-hop neighbours of ``node_id``, in ascending id order."""
-        alive = self._alive
-        return [n for n in self.adjacency.get(node_id, ()) if alive.get(n)]
 
     @property
     def num_links(self) -> int:
@@ -228,11 +238,11 @@ class WirelessChannel:
         alive = self._alive
         links = sum(map(len, adj.values())) // 2
         for nid, nbrs in adj.items():
-            if alive.get(nid):
+            if nid in alive:
                 continue
             for other in nbrs:
                 # A dead-dead edge is met from both ends; count it once.
-                if alive.get(other) or nid < other:
+                if other in alive or nid < other:
                     links -= 1
         return links
 
@@ -291,7 +301,7 @@ class WirelessChannel:
                 label = self._delivery_labels[kind] = f"deliver[{kind}]"
             deliver = partial(self._frame, sender, dest, frame, kind)
             sim.schedule_at(rx_time, deliver, _MAC, label, order)
-        elif tx_time == sim.clock.now:
+        elif tx_time == sim.now:
             self._frame_transmit(sender, dest, frame, kind, rx_time, order)
         else:
             self.stats.frames_split += 1
@@ -310,10 +320,10 @@ class WirelessChannel:
         validate_node_id(sender)
         if sender not in self.adjacency:
             raise KeyError(f"unknown sender {sender}")
-        if not self._alive.get(sender):
+        if sender not in self._alive:
             self.stats.drops_dead_node += 1
             return 0
-        now = self.sim.clock.now
+        now = self.sim.now
         return self._frame_transmit(
             sender,
             dest,
@@ -325,7 +335,7 @@ class WirelessChannel:
 
     def _frame(self, sender: NodeId, dest: NodeId, frame: Any, kind: str) -> None:
         """A frame's one event: its transmit half, then its delivery half."""
-        if not self._alive.get(sender):
+        if sender not in self._alive:
             return
         targets = self._transmit(sender, dest, kind)
         if targets:
@@ -344,7 +354,7 @@ class WirelessChannel:
 
         Returns the number of receptions scheduled.
         """
-        if not self._alive.get(sender):
+        if sender not in self._alive:
             return 0
         targets = self._transmit(sender, dest, kind)
         if targets:
@@ -361,7 +371,7 @@ class WirelessChannel:
         stats = self.stats
         adjacency = self.adjacency[sender]
         if dest == BROADCAST:
-            targets = [n for n in adjacency if alive.get(n)]
+            targets = [n for n in adjacency if n in alive]
             stats.broadcasts += 1
             if self.metrics.enabled:
                 self.metrics.observe("channel.fanout", len(targets))
@@ -371,7 +381,7 @@ class WirelessChannel:
                 # The transmission still happens (and is still paid for); it
                 # simply reaches nobody, as on a real radio.
                 targets = []
-            elif not alive.get(dest):
+            elif dest not in alive:
                 stats.drops_dead_node += 1
                 targets = []
             else:
@@ -441,7 +451,7 @@ class WirelessChannel:
         rx_key = ("rx", kind)
         traced = tracer.enabled
         for target in targets:
-            if not alive.get(target):
+            if target not in alive:
                 stats.drops_dead_node += 1
                 continue
             # Inlined ledger.node(target).charge_rx(kind): one reception

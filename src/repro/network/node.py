@@ -1,9 +1,11 @@
 """Sensor node model.
 
 A :class:`SensorNode` bundles what belongs to one physical device: its
-identity, its position and the sensors mounted on it.  (A finite energy
-budget, when a scenario sets one, lives in the runner's
-``SimulationWorld.batteries``.)  The paper's heterogeneity requirement
+identity, its position and the sensors mounted on it.  Whether it is
+alive is recorded in the channel's alive set
+(:attr:`~repro.network.channel.WirelessChannel.alive`), and a finite
+energy budget, when a scenario sets one, in the runner's
+``SimulationWorld.batteries``.  The paper's heterogeneity requirement
 (Fig. 4: different nodes may carry different combinations of sensor types)
 is modelled by each node owning an arbitrary subset of sensor types.
 """
@@ -38,7 +40,6 @@ class SensorNode:
         self.node_id = node_id
         self.position = (float(position[0]), float(position[1]))
         self.is_root = bool(is_root)
-        self.alive = True
         self._sensors: Dict[str, Any] = {}
         self._sensor_types_cache: Optional[List[str]] = None
         self._sensors_sorted_cache: Optional[List[Tuple[str, Any]]] = None
@@ -107,18 +108,9 @@ class SensorNode:
         value = sensor.sample(epoch)
         return value if type(value) is float else float(value)
 
-    # -- lifecycle ------------------------------------------------------------
-
-    def kill(self) -> None:
-        """Mark the node dead (it stops sensing and communicating)."""
-        self.alive = False
-
-    def revive(self) -> None:
-        self.alive = True
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         role = "root" if self.is_root else "node"
         return (
             f"SensorNode({role} {self.node_id}, pos={self.position}, "
-            f"sensors={self.sensor_types}, alive={self.alive})"
+            f"sensors={self.sensor_types})"
         )

@@ -30,7 +30,6 @@ test oracle.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -84,11 +83,6 @@ class Topology:
     def position(self, node_id: NodeId) -> Position:
         return self.positions[node_id]
 
-    def distance(self, a: NodeId, b: NodeId) -> float:
-        """Euclidean distance between two nodes' positions."""
-        (xa, ya), (xb, yb) = self.positions[a], self.positions[b]
-        return math.hypot(xa - xb, ya - yb)
-
     def is_connected(self) -> bool:
         """Whether every node reaches every other (true when empty)."""
         adjacency = self.adjacency
@@ -108,23 +102,16 @@ class Topology:
 
     # -- topology edits (return copies) ---------------------------------------
 
-    def with_positions(self, updates: Dict[NodeId, Position]) -> "Topology":
-        """Copy of this topology with some nodes moved.
+    def with_positions_delta(
+        self, updates: Dict[NodeId, Position]
+    ) -> Tuple["Topology", Set[NodeId]]:
+        """Move nodes and report which nodes' neighbourhoods changed.
 
         Connectivity is re-derived from the unit-disk rule over the updated
         placement, so this is the substrate of the mobility scenarios: node
         movement changes links, never the node set.  Requires a
         ``comm_range`` (synthetic topologies without one have no rule to
-        re-derive links from).  Callers that also need the set of nodes
-        whose neighbourhood changed should use :meth:`with_positions_delta`
-        instead.
-        """
-        return self.with_positions_delta(updates)[0]
-
-    def with_positions_delta(
-        self, updates: Dict[NodeId, Position]
-    ) -> Tuple["Topology", Set[NodeId]]:
-        """Move nodes and report which nodes' neighbourhoods changed.
+        re-derive links from).
 
         Returns ``(new topology, dirty)`` where ``dirty`` is the set of
         endpoints of every link added or removed by the move -- exactly the
@@ -146,7 +133,7 @@ class Topology:
             return self, set()
         if self.comm_range is None:
             raise ValueError(
-                "with_positions requires a comm_range to re-derive links"
+                "with_positions_delta requires a comm_range to re-derive links"
             )
         unknown = [nid for nid in updates if nid not in self.adjacency]
         if unknown:

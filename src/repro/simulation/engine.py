@@ -1,8 +1,11 @@
 """Discrete-event simulation engine.
 
 This module is the reproduction's substitute for OMNeT++ [11 in the paper]:
-a deterministic event-driven kernel with a simulated clock, a priority event
-queue, and named processes (see :mod:`repro.simulation.process`).
+a deterministic event-driven kernel made of a priority event queue and the
+simulated time, :attr:`Simulator.now`, which only the event loop and
+:meth:`Simulator.run_until` move.  Time is a ``float`` in *epoch* units:
+the paper samples every sensor once per epoch, so one epoch is 1.0, and
+sub-epoch activity (a MAC frame, a query hop) runs at fractional times.
 
 Design choices
 --------------
@@ -62,7 +65,6 @@ import heapq
 import math
 from typing import Any, Callable, Optional
 
-from .clock import SimClock
 from .events import Event, EventPriority
 
 #: Offsets of the experiment runner's in-epoch checkpoints: it drains the
@@ -106,8 +108,6 @@ class Simulator:
 
     Parameters
     ----------
-    start_time:
-        Initial simulated time (defaults to 0.0).
     instrumentation:
         Optional :class:`~repro.obs.instrumentation.Instrumentation`
         bundling tracer + metrics + phase timer behind one handle; when
@@ -131,8 +131,10 @@ class Simulator:
     #: ``queue_size < 2 * pending + COMPACT_MIN_CANCELLED``.
     COMPACT_MIN_CANCELLED = 64
 
-    def __init__(self, start_time: float = 0.0, instrumentation=None):
-        self.clock = SimClock(start_time)
+    def __init__(self, instrumentation=None):
+        #: Current simulated time.  Only the event loop and
+        #: :meth:`run_until` set it, and neither moves it backwards.
+        self.now = 0.0
         # Imported lazily: repro.simulation/__init__ eagerly imports this
         # module, and repro.obs.instrumentation imports simulation.trace,
         # so a module-level import here would cycle during package init.
@@ -158,11 +160,6 @@ class Simulator:
         self._head_time: Optional[float] = None
 
     # -- inspection --------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self.clock.now
 
     @property
     def pending(self) -> int:
@@ -220,10 +217,10 @@ class Simulator:
             If ``time`` is before the current simulated time.
         """
         time = float(time)
-        if time < self.clock._now:
+        if time < self.now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before current time "
-                f"t={self.clock.now}"
+                f"t={self.now}"
             )
         if order is None:
             order = self._seq
@@ -235,18 +232,6 @@ class Simulator:
         if head is None or time < head:
             self._head_time = time
         return event
-
-    def schedule_after(
-        self,
-        delay: float,
-        callback: Callable[[], Any],
-        priority: int = EventPriority.DEFAULT,
-        label: str = "",
-    ) -> Event:
-        """Schedule ``callback`` to run ``delay`` time units from now."""
-        if delay < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay}")
-        return self.schedule_at(self.clock.now + delay, callback, priority, label)
 
     def next_seq(self) -> int:
         """Take the next sequence number, as :meth:`schedule_at` would.
@@ -260,43 +245,34 @@ class Simulator:
 
     # -- execution ---------------------------------------------------------
 
-    def run(self, max_events: Optional[int] = None) -> int:
+    def run(self) -> int:
         """Run until the event queue is exhausted.
 
-        Parameters
-        ----------
-        max_events:
-            Optional safety bound on the number of events to execute; useful
-            in tests to catch runaway event storms.
-
-        Returns
-        -------
-        int
-            Number of events executed by this call.
+        Returns the number of events executed by this call.
         """
-        return self._run_loop(until=None, max_events=max_events)
+        return self._run_loop(None)
 
-    def run_until(self, until: float, max_events: Optional[int] = None) -> int:
+    def run_until(self, until: float) -> int:
         """Run all events scheduled at times ``<= until``.
 
-        The clock is left at ``until`` (or later if an executed event pushed
-        it exactly there), so subsequent :meth:`schedule_after` calls are
-        relative to the epoch boundary even if no event fired at it.
+        :attr:`now` is left at ``until`` when that is later than the last
+        executed event, so events scheduled next are relative to the epoch
+        boundary even if no event fired at it.  Returns the number of
+        events executed.
 
         When nothing is due at or before ``until`` this is O(1): the cached
         head time lets the call skip the event loop entirely and just
-        advance the clock (the experiment runner's epoch fast path).
+        advance the time (the experiment runner's epoch fast path).
         """
         head = self._head_time
-        if head is None or head > until:
-            if self._running:
-                raise SimulationError("Simulator.run is not reentrant")
-            if self.clock.now < until:
-                self.clock._advance(until)
-            return 0
-        executed = self._run_loop(until=until, max_events=max_events)
-        if self.clock.now < until:
-            self.clock._advance(until)
+        if head is not None and head <= until:
+            executed = self._run_loop(until)
+        elif self._running:
+            raise SimulationError("Simulator.run is not reentrant")
+        else:
+            executed = 0
+        if self.now < until:
+            self.now = float(until)
         return executed
 
     # -- internals ---------------------------------------------------------
@@ -325,20 +301,18 @@ class Simulator:
         self._compactions += 1
         self._head_time = heap[0][0] if heap else None
 
-    def _run_loop(self, until: Optional[float], max_events: Optional[int]) -> int:
+    def _run_loop(self, until: Optional[float]) -> int:
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
         executed = 0
         limit = math.inf if until is None else until
-        budget = math.inf if max_events is None else max_events
         # The heap list object is stable: _compact rewrites it in place, so
         # this local alias stays valid even if a callback triggers compaction.
         heap = self._heap
         heappop = heapq.heappop
-        clock = self.clock
         try:
-            while heap and executed < budget:
+            while heap:
                 entry = heap[0]
                 event = entry[3]
                 if event.cancelled:
@@ -350,8 +324,8 @@ class Simulator:
                     break
                 heappop(heap)
                 # Heap order never moves time backwards, and schedule_at
-                # stored a float: set the clock without _advance's checks.
-                clock._now = time
+                # stored a float.
+                self.now = time
                 executed += 1
                 event.executed = True
                 event.callback()

@@ -6,8 +6,9 @@ a simulation -- a MAC frame being delivered, a node sampling its sensor, a
 query being injected at the root -- is represented as an :class:`Event`
 scheduled at a simulated time.
 
-Events are ordered by ``(time, priority, sequence)`` so that simulations are
-fully deterministic: two events at the same simulated time are executed in
+The scheduler orders events by ``(time, priority, sequence)`` -- its heap
+compares those tuples, never two events -- so that simulations are fully
+deterministic: two events at the same simulated time are executed in
 priority order, and ties beyond that are broken by insertion order.  A
 frame delivery breaks its ties by the key of its transmission instead (see
 :data:`EventPriority.MAC`).
@@ -103,12 +104,6 @@ class Event:
         self.cancelled = False
         self.executed = False
         self._scheduler = scheduler
-
-    def sort_key(self) -> tuple:
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:  # heapq ordering
-        return self.sort_key() < other.sort_key()
 
     def cancel(self) -> bool:
         """Cancel the event.

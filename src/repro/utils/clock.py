@@ -8,7 +8,8 @@ parameter and lets its *entry point* default it from :func:`wall_now`,
 which keeps the core logic deterministic and testable with a frozen
 clock.
 
-Simulated time is unrelated: that is :mod:`repro.simulation.clock`.
+Simulated time is unrelated: that is
+:attr:`repro.simulation.engine.Simulator.now`.
 """
 
 from __future__ import annotations

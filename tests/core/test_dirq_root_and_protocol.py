@@ -51,7 +51,7 @@ class TestDirQRoot:
 
     def test_injecting_at_dead_root_raises(self, line_world):
         world = line_world
-        world.nodes[0].kill()
+        world.kill(0)
         with pytest.raises(RuntimeError):
             world.root.inject_query(RangeQuery(0, "temperature", 0.0, 1.0))
 
@@ -108,10 +108,13 @@ class TestDisseminationProtocolBase:
     def test_dead_node_ignores_mac_payloads(self, line_world):
         world = line_world
         world.run_epoch(0)
-        world.nodes[2].kill()
+        world.kill(2)
         before = world.protocols[2].queries_received
         world.protocols[2]._on_mac_payload(1, RangeQuery(3, "temperature", 0.0, 99.0))
         assert world.protocols[2].queries_received == before
+        world.revive(2)
+        world.protocols[2]._on_mac_payload(1, RangeQuery(4, "temperature", 0.0, 99.0))
+        assert world.protocols[2].queries_received == before + 1
 
     def test_audit_helpers_tolerate_missing_audit(self, line5):
         data = constant_dataset(line5.node_ids, {i: 1.0 for i in line5.node_ids})

@@ -26,7 +26,6 @@ that leaves the fast path) leaves every digest alone and moves these.
 
 from __future__ import annotations
 
-import copy
 from collections import Counter
 from typing import List, NamedTuple, Tuple
 
@@ -88,9 +87,8 @@ def run_counting(
 
     ``reference=True`` runs the trial under :func:`reference_tick`; the
     default runs the production path.  Mirrors the batch worker entry
-    point: the spec snapshots the config, and the runner gets a private
-    deep copy so mutations during the build (``dirq.full_scale`` filled
-    from the dataset) never leak between arms.  Counting a call only
+    point: the spec snapshots the config, and the runner runs the spec's
+    config, to which it writes nothing.  Counting a call only
     wraps the method, so it moves no measurement.  Every reception the
     channel delivers must be charged to the ledger exactly once, and a
     reference arm must have run the references, so that no A/B pair
@@ -105,7 +103,7 @@ def run_counting(
             patch.setattr(owner, attr, _counting(calls, field, getattr(owner, attr)))
         if reference:
             reference_tick(patch)
-        runner = ExperimentRunner(copy.deepcopy(spec.config))
+        runner = ExperimentRunner(spec.config)
         result = runner.run()
     world = runner.world
     stats = world.channel.stats

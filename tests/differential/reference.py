@@ -215,7 +215,7 @@ class PerReceiverChannel(WirelessChannel):
             )
 
     def _receive_one(self, sender, target, frame, kind):
-        if not self._alive.get(target):
+        if target not in self._alive:
             self.stats.drops_dead_node += 1
             return
         self.ledger.node(target).charge_rx(kind)

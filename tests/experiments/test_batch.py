@@ -30,7 +30,7 @@ from repro.experiments.batch import (
     replicate_specs,
 )
 from repro.experiments.campaign import preset
-from repro.experiments.config import ExperimentConfig, TopologyEvent
+from repro.experiments.config import ExperimentConfig
 from repro.scenarios.static import smoke_sweep
 from repro.experiments.store import DEFAULT_STORE_NAME, STORE_METRICS, ResultsStore
 from repro.metrics.resilience import replicate_groups
@@ -170,17 +170,15 @@ class TestBatchRunnerDeterminism:
         assert result.mean_accuracy > 0
 
     def test_worker_failure_is_reported_with_trial_label(self):
-        # Killing the root passes config validation but raises at run time.
+        # A sensor type with no spec passes config validation but fails the
+        # worker's build.
         bad = TrialSpec(
-            label="kills-the-root",
+            label="unknown-sensor-type",
             config=tiny_config(
-                num_epochs=50,
-                topology_events=[
-                    TopologyEvent(epoch=10, kind=TopologyEvent.KILL, node_id=0)
-                ],
+                num_epochs=50, sensor_types=["no-such-type"]
             ).with_fixed_delta(5.0),
         )
-        with pytest.raises(RuntimeError, match="kills-the-root"):
+        with pytest.raises(RuntimeError, match="unknown-sensor-type"):
             BatchRunner(max_workers=2, executor="process").run([bad])
 
 

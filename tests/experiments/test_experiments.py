@@ -12,6 +12,7 @@ import pytest
 from repro.__main__ import main
 
 from repro.core.config import ThresholdMode
+from repro.experiments.batch import config_json
 from repro.experiments.config import ExperimentConfig, ProtocolName, TopologyEvent
 from repro.experiments.runner import ExperimentRunner, run_experiment
 from repro.scenarios.static import paper_network
@@ -121,6 +122,35 @@ class TestRunnerDirQ:
         runner = ExperimentRunner(tiny_config)
         assert runner.build() is runner.build()
 
+    @pytest.mark.parametrize("threshold", ["fixed", "atc"])
+    def test_running_a_config_writes_nothing_to_it(self, threshold):
+        # A fresh config: the module's fixture shares its nested DirQ
+        # config with every config derived from it.
+        base = ExperimentConfig(num_nodes=15, comm_range=40.0, num_epochs=60, seed=5)
+        cfg = base.with_fixed_delta(5.0) if threshold == "fixed" else base.with_atc()
+        before = config_json(cfg)
+        ExperimentRunner(cfg).run()
+        assert config_json(cfg) == before
+
+    def test_world_alive_is_the_channel_alive_set(self, tiny_config):
+        cfg = tiny_config.replace(
+            num_epochs=40,
+            initially_dead={3},
+            topology_events=[
+                TopologyEvent(epoch=10, kind="activate", node_id=3),
+                TopologyEvent(epoch=20, kind="kill", node_id=4),
+            ],
+        )
+        runner = ExperimentRunner(cfg)
+        world = runner.build()
+        assert world.alive is world.channel.alive
+        assert world.alive == set(range(15)) - {3}
+        assert [nid for nid, p in world.protocols.items() if not p.alive] == [3]
+        result = runner.run()
+        assert world.alive is world.channel.alive
+        assert result.alive_at_end == world.alive == set(range(15)) - {4}
+        assert [nid for nid, p in world.protocols.items() if not p.alive] == [4]
+
 
 class TestRunnerFlooding:
     def test_flooding_cost_matches_analytic_reference(self, tiny_config):
@@ -156,14 +186,13 @@ class TestRunnerDynamics:
         assert delivery_completeness(late_records) > 0.8
 
     def test_killing_root_is_rejected(self):
-        cfg = ExperimentConfig(
-            num_nodes=10,
-            comm_range=45.0,
-            num_epochs=100,
-            topology_events=[TopologyEvent(epoch=10, kind="kill", node_id=0)],
-        )
         with pytest.raises(ValueError):
-            run_experiment(cfg)
+            ExperimentConfig(
+                num_nodes=10,
+                comm_range=45.0,
+                num_epochs=100,
+                topology_events=[TopologyEvent(epoch=10, kind="kill", node_id=0)],
+            )
 
     def test_initially_dead_node_can_be_activated(self):
         cfg = ExperimentConfig(

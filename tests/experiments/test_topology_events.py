@@ -69,13 +69,12 @@ class TestKillRootsOnlyChild:
         assert result.tree.parent_of(1) == 0
 
     def test_killing_the_root_is_rejected(self):
-        cfg = two_node_config(
-            topology_events=[
-                TopologyEvent(epoch=10, kind=TopologyEvent.KILL, node_id=0)
-            ]
-        )
         with pytest.raises(ValueError, match="root"):
-            run_experiment(cfg)
+            two_node_config(
+                topology_events=[
+                    TopologyEvent(epoch=10, kind=TopologyEvent.KILL, node_id=0)
+                ]
+            )
 
 
 class TestActivateAlreadyAlive:

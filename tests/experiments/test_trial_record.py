@@ -627,8 +627,8 @@ class TestServedCampaignPaysPerCell:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_executed_specs_keep_their_canonical_json(self, tmp_path, workers):
-        """The runner fills ``dirq.full_scale`` on its private copy, never on
-        the config a cell's replicates share."""
+        """Running a trial writes nothing to the config a cell's replicates
+        share."""
         spec = small_campaign(f"workers-{workers}", replicates=2)
         results = []
         with ResultsStore(tmp_path / DEFAULT_STORE_NAME) as store:

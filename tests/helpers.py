@@ -128,10 +128,25 @@ class MiniWorld:
     def run_epoch(self, epoch: int) -> None:
         """Advance one epoch: drain, sample, drain again."""
         self.sim.run_until(float(epoch))
+        alive = self.channel.alive
         for nid in sorted(self.protocols):
-            if self.nodes[nid].alive:
+            if nid in alive:
                 self.protocols[nid].on_epoch(epoch)
         self.sim.run_until(epoch + 0.9)
+
+    def kill(self, nid: int) -> None:
+        """Kill a node as the runner does: channel first, then its MAC.
+
+        Unlike the runner, this accepts the root.
+        """
+        self.channel.set_alive(nid, False)
+        self.macs[nid].shutdown()
+
+    def revive(self, nid: int) -> None:
+        """Activate a node as the runner does, leaving the tree alone."""
+        self.channel.set_alive(nid, True)
+        self.macs[nid].start()
+        self.macs[nid].wake()
 
     def run_epochs(self, first: int, last: int) -> None:
         for epoch in range(first, last + 1):
@@ -220,7 +235,6 @@ def build_mini_world(
     if start:
         for nid in topology.node_ids:
             macs[nid].start()
-            protocols[nid].start()
 
     return MiniWorld(
         sim=sim,

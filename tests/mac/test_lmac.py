@@ -34,7 +34,7 @@ def build_macs(topology, beacon_interval=5.0, death_threshold=3):
 def record_losses(mac):
     """Log ``(neighbour, time)`` for every death ``mac`` declares."""
     lost = []
-    mac.on_neighbor_lost = lambda neighbor: lost.append((neighbor, mac.now))
+    mac.on_neighbor_lost = lambda neighbor: lost.append((neighbor, mac.sim.now))
     return lost
 
 
@@ -137,7 +137,7 @@ class TestMacContract:
         sim, _, macs = build_macs(star4, beacon_interval=5.0, death_threshold=3)
         sim.run_until(12.0)
         lost = record_losses(macs[0])
-        macs[1].cancel_timer("beacon")
+        macs[1].shutdown()
         # One data frame every two beacon periods: without the reset it
         # would be declared dead after three.
         for t in range(15, 100, 10):
@@ -183,6 +183,58 @@ class TestMacContract:
         assert mac.beacons_sent == 0
         sim.run_until(expected)
         assert mac.beacons_sent == 1
+
+
+def live_beacons(sim, mac):
+    """The beacon ticks of ``mac`` still pending in the event queue."""
+    label = f"lmac[{mac.node_id}].timer.beacon"
+    return [
+        event
+        for *_, event in sim._heap
+        if event.label == label and not event.cancelled
+    ]
+
+
+class TestBeaconLifecycle:
+    """One pending beacon per MAC; only wake() and shutdown() cancel one."""
+
+    def test_activating_a_never_started_mac_leaves_one_beacon(self, star4):
+        # The runner's path for a node dead from the start: start(), then
+        # wake() at the activation.
+        sim = Simulator()
+        channel = WirelessChannel(sim, star4)
+        mac = LMACProtocol(
+            sim, channel, 1, rng=np.random.default_rng(3), beacon_interval=5.0
+        )
+        sim.run_until(7.0)
+        cancelled = sim.cancelled_total
+        mac.start()
+        mac.wake()
+        mac.start()
+        assert live_beacons(sim, mac) == [mac._beacon]
+        assert mac._beacon.time == 7.0 + mac._mac_access_delay
+        assert sim.pending == 1
+        assert sim.cancelled_total == cancelled + 1
+
+    def test_shutdown_leaves_no_beacon_and_a_later_wake_cancels_nothing(
+        self, star4
+    ):
+        sim, channel, macs = build_macs(star4)
+        sim.run_until(12.0)
+        mac = macs[1]
+        assert live_beacons(sim, mac) == [mac._beacon]
+        cancelled = sim.cancelled_total
+        channel.set_alive(1, False)
+        mac.shutdown()
+        assert mac._beacon is None
+        assert live_beacons(sim, mac) == []
+        assert sim.cancelled_total == cancelled + 1
+        sim.run_until(20.0)
+        channel.set_alive(1, True)
+        mac.wake()
+        assert sim.cancelled_total == cancelled + 1
+        assert live_beacons(sim, mac) == [mac._beacon]
+        assert mac._beacon.time == 20.0 + mac._mac_access_delay
 
 
 class TestValidation:
@@ -281,7 +333,7 @@ class TestFastDeathSweep:
         emit = LMACProtocol._emit_beacon
 
         def recording_emit(mac):
-            frames.append((mac.node_id, mac.now))
+            frames.append((mac.node_id, mac.sim.now))
             emit(mac)
 
         with pytest.MonkeyPatch.context() as patch:
@@ -357,7 +409,7 @@ class TestFrameOrder:
                 mac.start()
             sim.schedule_at(0.3, lambda: macs[1].send(0, "ping", kind="query"))
             sim.run_until(0.5)
-        assert macs[2]._timers["beacon"].time == 0.3 + 0.0001 + 5.0
+        assert macs[2]._beacon.time == 0.3 + 0.0001 + 5.0
         assert [(sender, payload) for sender, payload, _ in heard] == [
             (2, None),
             (1, "ping"),

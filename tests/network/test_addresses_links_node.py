@@ -56,14 +56,6 @@ class TestSensorNode:
         with pytest.raises(ValueError):
             node.attach_sensor(Broken())
 
-    def test_kill_and_revive(self):
-        node = SensorNode(3, (1.0, 2.0))
-        assert node.alive
-        node.kill()
-        assert not node.alive
-        node.revive()
-        assert node.alive
-
     def test_invalid_node_id(self):
         with pytest.raises(ValueError):
             SensorNode(-2, (0.0, 0.0))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.network.links import within_range
 from repro.network.topology import (
     grid_topology,
     kary_tree_topology,
@@ -21,15 +22,14 @@ class TestRandomGeometric:
 
     def test_links_respect_radio_range(self, rng):
         topo = random_geometric_topology(25, comm_range=30.0, area_size=100.0, rng=rng)
+        # A pair is linked exactly when the unit-disk predicate holds.
         for a in topo.node_ids:
-            for b in topo.adjacency[a]:
-                assert topo.distance(a, b) <= 30.0 + 1e-9
-        # And no pair within range is missing a link.
-        ids = topo.node_ids
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                if topo.distance(a, b) <= 30.0:
-                    assert b in topo.adjacency[a]
+            for b in topo.node_ids:
+                if a != b:
+                    linked = b in topo.adjacency[a]
+                    assert linked == within_range(
+                        topo.position(a), topo.position(b), 30.0
+                    ), (a, b)
 
     def test_root_placed_at_field_centre_by_default(self, rng):
         topo = random_geometric_topology(20, comm_range=40.0, area_size=100.0, rng=rng)

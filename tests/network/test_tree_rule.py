@@ -123,7 +123,7 @@ class TestNoPrevious:
 
     def test_unreachable_nodes_raise_when_not_partial(self):
         positions = {0: (0.0, 0.0), 1: (25.0, 0.0), 2: (200.0, 200.0)}
-        topo = make_topology(1, n=3).with_positions(positions)
+        topo = make_topology(1, n=3).with_positions_delta(positions)[0]
         with pytest.raises(TreeError, match=r"unreachable nodes: \[2\]"):
             build_bfs_tree(topo, root=0, partial=False)
         previous = build_bfs_tree(topo, root=0, partial=True)
@@ -184,7 +184,7 @@ class TestHandPicked:
             2: (50.0, 0.0),
             3: (75.0, 0.0),
         }
-        topo = make_topology(1, n=4).with_positions(positions)
+        topo = make_topology(1, n=4).with_positions_delta(positions)[0]
         tree = build_bfs_tree(topo, root=0, partial=True)
         assert tree.parent[3] == 2
         moved, _ = topo.with_positions_delta({3: (10.0, 10.0)})
@@ -202,7 +202,7 @@ class TestHandPicked:
             2: (20.0, -10.0),
             3: (40.0, 0.0),
         }
-        topo = make_topology(1, n=4).with_positions(positions)
+        topo = make_topology(1, n=4).with_positions_delta(positions)[0]
         tree = build_bfs_tree(topo, root=0, alive={0, 2, 3}, partial=True)
         assert tree.parent[3] == 2
         revived = tree.repair(topo, {0, 1, 2, 3})
@@ -219,7 +219,7 @@ class TestHandPicked:
             2: (50.0, 0.0),
             3: (60.0, 10.0),
         }
-        topo = make_topology(1, n=4).with_positions(positions)
+        topo = make_topology(1, n=4).with_positions_delta(positions)[0]
         alive = {0, 1, 2, 3}
         tree = build_bfs_tree(topo, root=0, alive=alive, partial=True)
         alive.discard(1)

@@ -50,7 +50,7 @@ def chained_events(instrumentation) -> Simulator:
         nonlocal count
         count += 1
         if count < NUM_EVENTS:
-            sim.schedule_after(0.001, tick)
+            sim.schedule_at(sim.now + 0.001, tick)
 
     sim.schedule_at(0.0, tick)
     sim.run()
