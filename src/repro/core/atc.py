@@ -152,6 +152,9 @@ class AdaptiveThresholdController:
         self._delta_percent: Dict[str, float] = {}
         for stype in sensor_types or []:
             self._delta_percent[stype] = config.atc_initial_delta_percent
+        #: :meth:`delta_absolute` per type, cleared wherever
+        #: ``_delta_percent`` changes (the node's full scale never does).
+        self._delta_absolute: Dict[str, float] = {}
         #: Per-node update budget for one hour, from the latest estimate.
         self._hour_budget: Optional[float] = None
         #: Updates sent in the current adaptation window (all types).
@@ -167,11 +170,17 @@ class AdaptiveThresholdController:
         """Current threshold for ``sensor_type`` in percent of full scale."""
         if sensor_type not in self._delta_percent:
             self._delta_percent[sensor_type] = self.config.atc_initial_delta_percent
+            self._delta_absolute.pop(sensor_type, None)
         return self._delta_percent[sensor_type]
 
     def delta_absolute(self, sensor_type: str) -> float:
         """Current threshold converted to an absolute reading delta."""
-        return self.config.absolute_delta(sensor_type, self.delta_percent(sensor_type))
+        delta = self._delta_absolute.get(sensor_type)
+        if delta is None:
+            delta = self._delta_absolute[sensor_type] = self.config.absolute_delta(
+                sensor_type, self.delta_percent(sensor_type)
+            )
+        return delta
 
     def on_estimate(self, node_update_budget: Optional[float]) -> None:
         """Process the hourly EHr broadcast (new per-node budget)."""
@@ -213,6 +222,7 @@ class AdaptiveThresholdController:
         full_scale = self.config.full_scale_of(sensor_type)
         target_pct = 100.0 * target_abs / full_scale
         self._delta_percent[sensor_type] = self._clamp(target_pct)
+        self._delta_absolute.pop(sensor_type, None)
         self._seeded[sensor_type] = True
 
     def on_update_sent(self) -> None:
@@ -261,6 +271,7 @@ class AdaptiveThresholdController:
                 self._delta_percent[stype] = self._clamp(
                     self._delta_percent[stype] * factor
                 )
+            self._delta_absolute.clear()
         return dict(self._delta_percent)
 
     def _clamp(self, pct: float) -> float:

@@ -128,5 +128,10 @@ class DirQConfig:
         return self.threshold_mode == ThresholdMode.ADAPTIVE
 
     def replace(self, **changes) -> "DirQConfig":
-        """Return a copy of this configuration with the given fields replaced."""
+        """Return a copy of this configuration with the given fields replaced.
+
+        The copy gets its own ``full_scale`` dict unless ``changes`` gives
+        one, so no derived config shares that dict with its base.
+        """
+        changes.setdefault("full_scale", dict(self.full_scale))
         return dataclasses.replace(self, **changes)

@@ -20,7 +20,7 @@ dead on a lossy channel, which the tree still counts as a child.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..mac.lmac import LMACProtocol
 from ..network.addresses import NodeId
@@ -74,6 +74,9 @@ class DirQNode(DisseminationProtocol):
         self.queries_forwarded = 0
         self.current_epoch = 0
         self._last_estimate_hour = -1
+        # The fixed δ per type: the config's full scales never change
+        # under a node.
+        self._fixed_delta: Dict[str, float] = {}
         mac.on_neighbor_lost = self._handle_neighbor_lost
 
     # ------------------------------------------------------------------
@@ -84,7 +87,12 @@ class DirQNode(DisseminationProtocol):
         """Absolute threshold δ currently in force for ``sensor_type``."""
         if self.atc is not None:
             return self.atc.delta_absolute(sensor_type)
-        return self.config.absolute_delta(sensor_type)
+        delta = self._fixed_delta.get(sensor_type)
+        if delta is None:
+            delta = self._fixed_delta[sensor_type] = self.config.absolute_delta(
+                sensor_type
+            )
+        return delta
 
     # ------------------------------------------------------------------
     # Epoch processing (sampling + range maintenance)

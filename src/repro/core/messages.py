@@ -86,7 +86,7 @@ class RangeQuery:
         return self.low <= max_value and min_value <= self.high
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class UpdateMessage:
     """Range update sent from a node to its parent (§4.1, Fig. 3).
 
@@ -94,6 +94,10 @@ class UpdateMessage:
     sensor type.  ``removed`` marks the withdrawal of a sensor type (the
     sender's subtree no longer contains any sensor of this type), which the
     parent uses to delete the corresponding child entry.
+
+    Slotted but not frozen: every update a trial sends builds one, and a
+    frozen dataclass sets each field through ``object.__setattr__``.  No
+    one writes a message after building it.
     """
 
     sender: NodeId

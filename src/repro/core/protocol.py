@@ -48,7 +48,9 @@ class DisseminationProtocol:
         self._alive_ids = mac.channel.alive
         self.parent: Optional[NodeId] = None
         self.children: List[NodeId] = []
-        mac.set_upper_handler(self._on_mac_payload)
+        # No liveness check on the way up: the channel delivers a frame
+        # only to an alive receiver, in the event that hands it to LMAC.
+        mac.set_upper_handler(self.on_payload)
 
     # -- identity ------------------------------------------------------------
 
@@ -79,11 +81,6 @@ class DisseminationProtocol:
         """Called once per epoch by the experiment runner.  Default: no-op."""
 
     # -- MAC interface ---------------------------------------------------------------
-
-    def _on_mac_payload(self, sender: NodeId, payload) -> None:
-        if not self.alive:
-            return
-        self.on_payload(sender, payload)
 
     def on_payload(self, sender: NodeId, payload) -> None:
         """Handle an upper-layer payload delivered by the MAC."""

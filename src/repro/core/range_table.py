@@ -122,13 +122,17 @@ class RangeTable:
     ) -> bool:
         """Install or replace the entry advertised by an immediate child.
 
-        Returns ``True`` if the stored entry changed.
+        Returns ``True`` if the stored entry changed.  An unchanged
+        advertisement builds no entry.
         """
-        new_entry = RangeEntry(min_threshold, max_threshold)
         old = self._children.get(child)
-        if old is not None and old.as_tuple == new_entry.as_tuple:
+        if (
+            old is not None
+            and old.min_threshold == min_threshold
+            and old.max_threshold == max_threshold
+        ):
             return False
-        self._children[child] = new_entry
+        self._children[child] = RangeEntry(min_threshold, max_threshold)
         self._touch()
         return True
 
@@ -273,16 +277,18 @@ class RangeTableSet:
     def __init__(self, owner: NodeId):
         self.owner = owner
         self._tables: Dict[str, RangeTable] = {}
-        #: Bumped whenever a table is created or dropped, so protocol layers
-        #: can cache table references and detect staleness with one compare.
-        self.version = 0
+        #: Optional zero-argument callback fired after a table is created
+        #: or dropped.  The columnar tick registers one to rebuild its rows,
+        #: which hold table references, before its next pass.
+        self.observer = None
 
     def table(self, sensor_type: str, create: bool = False) -> Optional[RangeTable]:
         """Table for ``sensor_type``; optionally create it if missing."""
         tbl = self._tables.get(sensor_type)
         if tbl is None and create:
             tbl = self._tables[sensor_type] = RangeTable(self.owner, sensor_type)
-            self.version += 1
+            if self.observer is not None:
+                self.observer()
         return tbl
 
     def __contains__(self, sensor_type: str) -> bool:
@@ -303,8 +309,8 @@ class RangeTableSet:
     def drop(self, sensor_type: str) -> bool:
         """Remove a table entirely (its sensor type left the subtree)."""
         dropped = self._tables.pop(sensor_type, None) is not None
-        if dropped:
-            self.version += 1
+        if dropped and self.observer is not None:
+            self.observer()
         return dropped
 
     def remove_child_everywhere(self, child: NodeId) -> List[str]:

@@ -125,8 +125,21 @@ class NetworkLedger:
     # -- network-wide aggregation -------------------------------------------
 
     def total_cost(self, kinds: Optional[Iterable[str]] = None) -> float:
-        """Network-wide cost, optionally restricted to message kinds."""
-        return sum(ledger.total_cost(kinds) for ledger in self._nodes.values())
+        """Network-wide cost, optionally restricted to message kinds.
+
+        One pass over every entry.  With no matching entry the sum is the
+        int ``0``, as :meth:`NodeLedger.total_cost`'s is: the runner
+        prices a query by the difference of two readings, and a query
+        fingerprinted as ``0`` must not become ``0.0``.
+        """
+        wanted = set(kinds) if kinds is not None else None
+        counts = [
+            entry.count
+            for ledger in self._nodes.values()
+            for (_, kind), entry in ledger._entries.items()
+            if wanted is None or kind in wanted
+        ]
+        return float(sum(counts)) if counts else 0
 
     def total_count(
         self, direction: Optional[str] = None, kind: Optional[str] = None

@@ -87,7 +87,10 @@ class ColumnarTick:
     protocol list at start-up and whenever that list changes, and
     :meth:`finalize` once after the last simulated event, before metrics
     are harvested.  Rows are rebuilt only on an alive-list, sensor-suite
-    or table-set change; :meth:`tick` detects all but the first itself.
+    or table-set change, at the start of the next :meth:`tick`: the
+    runner reports the first, and the ``observer`` hooks the tick sets on
+    each protocol's :class:`~repro.network.node.SensorNode` and
+    :class:`~repro.core.range_table.RangeTableSet` report the others.
     """
 
     def __init__(self, dataset: SensorDataset, dirq_config: DirQConfig):
@@ -95,7 +98,6 @@ class ColumnarTick:
         self._adaptive = dirq_config.adaptive
         self._window = dirq_config.atc_window_epochs
         self._protos: List = []
-        self._scan: List[Tuple] = []  # (proto, node, tables, sv, tv) rows
         self._needs_rebuild = True
         # Row-major state (filled by _rebuild); rows are type-major so each
         # sensor type occupies one contiguous segment of every array.
@@ -133,14 +135,26 @@ class ColumnarTick:
     def set_protocols(self, protocols: List) -> None:
         """Install the (sorted, alive) protocol list; flushes and rebuilds."""
         self._flush()
+        self._hook(None)
         self._protos = list(protocols)
         self._needs_rebuild = True
 
     def finalize(self) -> None:
         """Flush deferred state; must run before any metrics harvest."""
         self._flush()
+        self._hook(None)
         for table in self._row_tables:
             table.observer = None
+
+    def _hook(self, observer) -> None:
+        """Set every protocol's sensor-suite and table-set observer."""
+        for proto in self._protos:
+            proto.node.observer = observer
+            proto.tables.observer = observer
+
+    def _invalidate(self) -> None:
+        """A sensor was attached or a table created or dropped."""
+        self._needs_rebuild = True
 
     def _flush(self) -> None:
         """Fold deferred counters and ATC arrays back into their objects."""
@@ -283,11 +297,8 @@ class ColumnarTick:
             table.observer = lambda i=i, dirty=dirty: dirty.add(i)
             self._refresh_row(i)
 
-        protos = self._protos
-        self._scan = [
-            (p, p.node, p.tables, p.node.sensors_version, p.tables.version)
-            for p in protos
-        ]
+        # Hooked after the table creations above, which the rows cover.
+        self._hook(self._invalidate)
         self._needs_rebuild = False
 
     # -- cached-row maintenance ----------------------------------------------------
@@ -358,16 +369,9 @@ class ColumnarTick:
 
     def tick(self, epoch: int) -> None:
         """Run one epoch of sensing + range maintenance for every node."""
-        stale = self._needs_rebuild
-        if stale:
-            for p in self._protos:
-                p.current_epoch = epoch
-        else:
-            for p, node, tables, sv, tv in self._scan:
-                p.current_epoch = epoch
-                if node.sensors_version != sv or tables.version != tv:
-                    stale = True
-        if stale:
+        for p in self._protos:
+            p.current_epoch = epoch
+        if self._needs_rebuild:
             self._rebuild()
 
         n = self._n

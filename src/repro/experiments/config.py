@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Set
 from ..core.config import DirQConfig, ThresholdMode
 from ..network.addresses import NodeId
 from ..scenarios.spec import ScenarioConfig
+from ..sensors.types import DEFAULT_SENSOR_TYPES
 
 
 class ProtocolName:
@@ -198,6 +199,28 @@ class ExperimentConfig:
                 raise ValueError(
                     f"{field} names nodes outside range({self.num_nodes}): {outside}"
                 )
+        # The trial's sensor types, as the runner resolves them; named
+        # against the default names and the overridden specs, so checking
+        # them builds no spec.
+        types = (
+            list(self.sensor_types) if self.sensor_types else list(DEFAULT_SENSOR_TYPES)
+        )
+        known = set(DEFAULT_SENSOR_TYPES).union(self.phenomena_specs or ())
+        unknown = [stype for stype in types if stype not in known]
+        if unknown:
+            raise ValueError(
+                f"sensor_types names types with no spec: {unknown} "
+                "(neither a default type nor a phenomena_specs key)"
+            )
+        if isinstance(mounts, int) and not 1 <= mounts <= len(types):
+            raise ValueError(
+                f"sensors_per_node must be in [1, {len(types)}], got {mounts}"
+            )
+        if self.query_sensor_type is not None and self.query_sensor_type not in types:
+            raise ValueError(
+                f"query_sensor_type {self.query_sensor_type!r} is not one of "
+                f"the trial's sensor types {types}"
+            )
         if self.num_epochs < 1:
             raise ValueError("num_epochs must be >= 1")
         if self.query_period < 1:

@@ -80,14 +80,19 @@ UpperLayerHandler = Callable[[NodeId, Any], None]
 _TIMER = int(EventPriority.TIMER)
 
 
+def _beacon_due(mac: "LMACProtocol", deadline: float) -> bool:
+    """Whether ``mac``'s pending beacon tick fires at or before ``deadline``."""
+    event = mac._beacon
+    return event is not None and not event.cancelled and event.time <= deadline
+
+
 class _BeaconTarget:
     """One receiver's slice of a cached fast-beacon delivery plan.
 
     Full rows (``_BeaconPlan.rows``) are LMAC receivers; charge-only rows
     (``_BeaconPlan.charge``) are targets with no registered receiver and
     use only ``target``/``rx_entry``.  Every referenced object is
-    identity-stable, so per-tick revalidation is identity and liveness
-    checks only.
+    identity-stable, so revalidation is identity and liveness checks only.
     """
 
     __slots__ = ("target", "callback", "neighbors", "mac", "rx_entry")
@@ -102,9 +107,14 @@ class _BeaconPlan:
     survives it.
     ``dead`` holds targets that were dead at build time (free while dead;
     revival invalidates the plan), so ``targets`` is a plan constant.
+    ``membership`` is the channel's membership counter when the targets
+    were last found as planned: liveness and registration can only have
+    changed since if the counter moved.
     """
 
-    __slots__ = ("adjacency", "rows", "charge", "dead", "targets", "tx_entry")
+    __slots__ = (
+        "adjacency", "rows", "charge", "dead", "targets", "tx_entry", "membership"
+    )
 
 
 class LMACProtocol:
@@ -300,8 +310,13 @@ class LMACProtocol:
         in the channel's adjacency map (no map is mutated in place, so the
         dict's identity pins its contents): every object a row holds -- the
         receiver's bound method, its neighbour dict, its ledger entry, its
-        MAC -- is identity stable, so each tick only revalidates identities
-        and liveness instead of rebuilding the delivery list.
+        MAC -- is identity stable, so a tick revalidates identities and
+        liveness instead of rebuilding the delivery list, and only when
+        :attr:`WirelessChannel.membership` moved since the plan last
+        passed.  The receivers' beacons are looked at only when some
+        event is due inside the propagation window
+        (:meth:`Simulator.next_time`, a lower bound, is at or before the
+        delivery instant): a pending beacon sits in the event queue.
         """
         channel = self.channel
         if channel.loss_probability > 0.0 or channel.tracer.enabled:
@@ -319,34 +334,43 @@ class LMACProtocol:
                 # Drop the stale plan as well: it pins a superseded dict.
                 self._beacon_plan = None
                 return False
-        alive = channel._alive
-        receivers_get = channel._receivers.get
-        # Any liveness or registration change among the planned targets
-        # invalidates the plan (rare); in exchange the steady-state passes
-        # below never re-derive the target count or re-check row kinds.
-        for t in plan.dead:
-            if t in alive:
-                self._beacon_plan = None
-                return False
-        for row in plan.charge:
-            t = row.target
-            if t not in alive or receivers_get(t) is not None:
-                self._beacon_plan = None
-                return False
         rows = plan.rows
-        for row in rows:
-            t = row.target
-            if t not in alive or receivers_get(t) is not row.callback:
-                self._beacon_plan = None
-                return False
-            event = row.mac._beacon
-            if (
-                event is not None
-                and not event.cancelled
-                and event.time <= rx_deadline
-            ):
-                # Transient hazard: the plan itself is still valid.
-                return False
+        membership = channel.membership
+        if plan.membership != membership:
+            # Some node died, revived or registered since the plan last
+            # passed (rare).  Any liveness or registration change among
+            # the planned targets invalidates the plan; in exchange the
+            # steady-state ticks never re-derive the target count or
+            # re-check row kinds.  The receivers' beacons are checked in
+            # the same pass, row by row, so a plan declines, and is
+            # dropped, on exactly the ticks it would be if every tick
+            # checked it.
+            alive = channel._alive
+            receivers_get = channel._receivers.get
+            for t in plan.dead:
+                if t in alive:
+                    self._beacon_plan = None
+                    return False
+            for row in plan.charge:
+                t = row.target
+                if t not in alive or receivers_get(t) is not None:
+                    self._beacon_plan = None
+                    return False
+            for row in rows:
+                t = row.target
+                if t not in alive or receivers_get(t) is not row.callback:
+                    self._beacon_plan = None
+                    return False
+                if _beacon_due(row.mac, rx_deadline):
+                    # Transient hazard: the plan itself is still valid.
+                    return False
+            plan.membership = membership
+        elif self.sim.next_time() <= rx_deadline:
+            # Some event is due inside the propagation window: it may be a
+            # receiver's beacon tick.
+            for row in rows:
+                if _beacon_due(row.mac, rx_deadline):
+                    return False
 
         # Eligible: commit the tick.  Sender-side effects happen at `now`,
         # exactly when _emit_beacon would apply them.
@@ -417,6 +441,7 @@ class LMACProtocol:
         plan.dead = dead
         plan.targets = len(rows) + len(charge)
         plan.tx_entry = ledger.node(nid)._entries[("tx", MAC_CONTROL_KIND)]
+        plan.membership = channel.membership
         self._beacon_plan = plan
         return plan
 

@@ -176,6 +176,10 @@ class WirelessChannel:
         self.stats = ChannelStats()
         self._receivers: Dict[NodeId, ReceiveCallback] = {}
         self._alive: Set[NodeId] = set(self.adjacency)
+        #: Bumped by every :meth:`set_alive` and :meth:`register` call, so a
+        #: cache of who is alive and who listens (LMAC's beacon plans)
+        #: revalidates only after one of them ran.
+        self.membership = 0
         # Per-kind event labels, built once (one event per frame makes the
         # label f-string a per-frame cost otherwise).
         self._delivery_labels: Dict[str, str] = {}
@@ -189,6 +193,7 @@ class WirelessChannel:
         if node_id not in self.adjacency:
             raise KeyError(f"node {node_id} is not part of the channel topology")
         self._receivers[node_id] = receiver
+        self.membership += 1
 
     # -- topology dynamics ------------------------------------------------------
 
@@ -200,6 +205,7 @@ class WirelessChannel:
             self._alive.add(node_id)
         else:
             self._alive.discard(node_id)
+        self.membership += 1
 
     @property
     def alive(self) -> Set[NodeId]:

@@ -43,9 +43,10 @@ class SensorNode:
         self._sensors: Dict[str, Any] = {}
         self._sensor_types_cache: Optional[List[str]] = None
         self._sensors_sorted_cache: Optional[List[Tuple[str, Any]]] = None
-        #: Bumped on attach so protocol layers can cache sensor-derived
-        #: state and cheaply detect when it must be rebuilt.
-        self.sensors_version = 0
+        #: Optional zero-argument callback fired after a sensor is
+        #: attached, so a layer that caches sensor-derived state (the
+        #: columnar tick's rows) learns that it must rebuild it.
+        self.observer = None
 
     # -- sensors -----------------------------------------------------------
 
@@ -64,7 +65,8 @@ class SensorNode:
         self._sensors[str(stype)] = sensor
         self._sensor_types_cache = None
         self._sensors_sorted_cache = None
-        self.sensors_version += 1
+        if self.observer is not None:
+            self.observer()
 
     def has_sensor(self, sensor_type: str) -> bool:
         return sensor_type in self._sensors

@@ -181,6 +181,15 @@ class Simulator:
         """Total number of events executed so far (counted when a run returns)."""
         return self._executed
 
+    def next_time(self) -> float:
+        """Time of the queue's head entry; ``inf`` when the queue is empty.
+
+        The head may be a cancelled event, so this is a lower bound on the
+        next event to run: no pending event is due before it.
+        """
+        heap = self._heap
+        return heap[0][0] if heap else math.inf
+
     @property
     def cancelled_total(self) -> int:
         """Events ever cancelled (lifetime count, survives compaction)."""

@@ -3,7 +3,6 @@
 from .generator import GeneratedQuery, QueryWorkloadGenerator
 from .ground_truth import (
     evaluate_query,
-    involvement_fraction,
     relevant_nodes,
     source_nodes,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "GeneratedQuery",
     "QueryWorkloadGenerator",
     "evaluate_query",
-    "involvement_fraction",
     "relevant_nodes",
     "source_nodes",
     "burst_schedule",

@@ -12,14 +12,23 @@ ground truth: it picks a random centre value from the current readings of
 the queried sensor type and then searches for the interval half-width whose
 involvement fraction is closest to the requested coverage.  The search is a
 bisection over the half-width (involvement is monotone non-decreasing in the
-half-width), so generation is deterministic given the RNG stream and cheap
-enough to run every 20 epochs for 20 000-epoch experiments.
+half-width), so generation is deterministic given the RNG stream.
+
+A bisection evaluates about 22 candidate intervals per query on a tree that
+rarely changes, so the generator keeps one *root-path bitset* per dataset
+column for its current tree: the nodes on the column's root path, root left
+out, as bits of a Python int (0 for a node outside the tree).  A candidate's
+involved set is then the OR of the bitsets of the columns whose reading lies
+in the interval and whose node carries the type and is alive, and its size
+is that OR's popcount -- the integer that
+:func:`~repro.workload.ground_truth.evaluate_query`'s should-receive set
+would count.  :meth:`QueryWorkloadGenerator.set_tree` drops the bitsets.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -27,7 +36,6 @@ from ..core.messages import RangeQuery
 from ..network.addresses import NodeId
 from ..network.spanning_tree import SpanningTree
 from ..sensors.dataset import SensorDataset
-from .ground_truth import involvement_fraction
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,12 +89,16 @@ class QueryWorkloadGenerator:
         self.max_bisection_steps = int(max_bisection_steps)
         self._next_query_id = 0
         self.alive: Optional[Set[NodeId]] = None
+        #: Root-path bitset per dataset column for ``tree``; built on first
+        #: use, dropped by :meth:`set_tree`.
+        self._paths: Optional[List[int]] = None
 
     # -- configuration hooks ----------------------------------------------------
 
     def set_tree(self, tree: SpanningTree) -> None:
         """Follow topology repairs so coverage stays calibrated."""
         self.tree = tree
+        self._paths = None
 
     def set_alive(self, alive: Optional[Set[NodeId]]) -> None:
         """Restrict ground-truth sources to currently alive nodes."""
@@ -132,23 +144,7 @@ class QueryWorkloadGenerator:
         # Centre the interval on the reading of a randomly chosen node so
         # queries land in populated regions of the value space.
         centre = float(values[int(self.rng.integers(0, len(values)))])
-
-        def coverage_for(half_width: float) -> float:
-            candidate = RangeQuery(
-                query_id=-1,
-                sensor_type=sensor_type,
-                low=centre - half_width,
-                high=centre + half_width,
-                epoch=epoch,
-            )
-            return involvement_fraction(
-                self.dataset,
-                self.tree,
-                candidate,
-                epoch,
-                self.sensor_owners,
-                self.alive,
-            )
+        coverage_for = self._coverage_for(sensor_type, epoch, centre)
 
         # Bisection over the half-width.  Involvement is monotone in the
         # half-width, from the coverage of the singleton interval up to the
@@ -179,3 +175,65 @@ class QueryWorkloadGenerator:
             target_coverage=float(target_coverage),
             achieved_coverage=float(achieved),
         )
+
+    # -- calibration ---------------------------------------------------------------
+
+    def _coverage_for(
+        self, sensor_type: str, epoch: int, centre: float
+    ) -> Callable[[float], float]:
+        """Involvement of ``[centre - hw, centre + hw]``, as a function of ``hw``.
+
+        Equals :func:`~repro.workload.ground_truth.evaluate_query`'s
+        should-receive count over ``max(1, tree.num_nodes - 1)``: the range
+        test is :meth:`SensorDataset.matching_nodes`' expression, and the
+        eligibility mask keeps the sources that carry the type and are
+        alive.
+        """
+        values = self.dataset.epoch_slice(sensor_type, epoch)
+        paths = self._root_paths()
+        owners = (
+            self.sensor_owners.get(sensor_type, set())
+            if self.sensor_owners is not None
+            else None
+        )
+        alive = self.alive
+        eligible = np.array(
+            [
+                (owners is None or nid in owners) and (alive is None or nid in alive)
+                for nid in self.dataset.node_ids
+            ],
+            dtype=bool,
+        )
+        denominator = max(1, self.tree.num_nodes - 1)
+
+        def coverage_for(half_width: float) -> float:
+            low = centre - half_width
+            high = centre + half_width
+            mask = (values >= low) & (values <= high) & eligible
+            involved = 0
+            for column in np.flatnonzero(mask).tolist():
+                involved |= paths[column]
+            return involved.bit_count() / denominator
+
+        return coverage_for
+
+    def _root_paths(self) -> List[int]:
+        """The tree's root-path bitset of every dataset column (memoised)."""
+        paths = self._paths
+        if paths is None:
+            parent = self.tree.parent
+            bit = {node: 1 << i for i, node in enumerate(parent)}
+            # Each node's path is its own bit plus its parent's path.
+            memo: Dict[NodeId, int] = {self.tree.root: 0}
+            for node in parent:
+                chain = []
+                cur = node
+                while cur not in memo:
+                    chain.append(cur)
+                    cur = parent[cur]
+                path = memo[cur]
+                for cur in reversed(chain):
+                    path |= bit[cur]
+                    memo[cur] = path
+            paths = self._paths = [memo.get(nid, 0) for nid in self.dataset.node_ids]
+        return paths

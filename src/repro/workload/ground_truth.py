@@ -87,21 +87,3 @@ def evaluate_query(
     sources = source_nodes(dataset, query, epoch, sensor_owners, alive)
     should = relevant_nodes(tree, sources, include_root=False)
     return sources, should
-
-
-def involvement_fraction(
-    dataset: SensorDataset,
-    tree: SpanningTree,
-    query: RangeQuery,
-    epoch: int,
-    sensor_owners: Optional[Dict[str, Set[NodeId]]] = None,
-    alive: Optional[Iterable[NodeId]] = None,
-) -> float:
-    """Fraction of (non-root) nodes involved in answering the query.
-
-    This is the quantity the workload generator calibrates to hit the
-    paper's 20 % / 40 % / 60 % "percentage of relevant nodes" targets.
-    """
-    _, should = evaluate_query(dataset, tree, query, epoch, sensor_owners, alive)
-    denominator = max(1, tree.num_nodes - 1)
-    return len(should) / denominator

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import DirQConfig, ThresholdMode
 from repro.core.dirq_root import DirQRoot
-from repro.core.messages import RangeQuery
+from repro.core.messages import QUERY_KIND, RangeQuery
 from repro.core.protocol import DisseminationProtocol
 
 from ..helpers import build_mini_world, constant_dataset, star_topology
@@ -106,14 +106,18 @@ class TestDisseminationProtocolBase:
         assert proto.children == [2, 3, 4]
 
     def test_dead_node_ignores_mac_payloads(self, line_world):
+        """A query frame from node 1 reaches node 2's protocol only while
+        node 2 is alive: the channel, not the protocol, checks liveness."""
         world = line_world
         world.run_epoch(0)
         world.kill(2)
         before = world.protocols[2].queries_received
-        world.protocols[2]._on_mac_payload(1, RangeQuery(3, "temperature", 0.0, 99.0))
+        world.macs[1].send(2, RangeQuery(3, "temperature", 0.0, 99.0), QUERY_KIND)
+        world.settle(world.sim.now + 0.01)
         assert world.protocols[2].queries_received == before
         world.revive(2)
-        world.protocols[2]._on_mac_payload(1, RangeQuery(4, "temperature", 0.0, 99.0))
+        world.macs[1].send(2, RangeQuery(4, "temperature", 0.0, 99.0), QUERY_KIND)
+        world.settle(world.sim.now + 0.01)
         assert world.protocols[2].queries_received == before + 1
 
     def test_audit_helpers_tolerate_missing_audit(self, line5):

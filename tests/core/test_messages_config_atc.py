@@ -9,6 +9,10 @@ from repro.core.messages import (
     RangeQuery,
     UpdateMessage,
 )
+from repro.experiments.batch import config_json
+from repro.experiments.config import ExperimentConfig
+
+from ..helpers import build_mini_world, constant_dataset, line_topology
 
 
 class TestRangeQuery:
@@ -65,6 +69,28 @@ class TestDirQConfig:
         adaptive = cfg.replace(threshold_mode=ThresholdMode.ADAPTIVE)
         assert adaptive.adaptive
         assert not cfg.adaptive
+
+    def test_derived_configs_share_no_full_scale(self):
+        base = ExperimentConfig(num_nodes=10)
+        derived = [
+            base.with_atc(),
+            base.with_fixed_delta(3.0),
+            base.with_atc().with_fixed_delta(7.0),
+        ]
+        scales = [base.dirq.full_scale] + [cfg.dirq.full_scale for cfg in derived]
+        assert len({id(scale) for scale in scales}) == len(scales)
+
+    def test_building_a_mini_world_writes_nothing_to_its_config(self):
+        cfg = ExperimentConfig(num_nodes=5).with_atc()
+        cfg.dirq.full_scale["humidity"] = 40.0
+        before = config_json(cfg)
+        topology = line_topology(5)
+        data = constant_dataset(topology.node_ids, {n: float(n) for n in range(5)})
+        world = build_mini_world(topology, data, config=cfg.dirq)
+        assert config_json(cfg) == before
+        # The world runs a copy carrying the dataset's full scales, and the
+        # caller's values win.
+        assert world.config.full_scale == {"humidity": 40.0, "temperature": 10.0}
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -215,3 +241,36 @@ class TestAdaptiveThresholdController:
     def test_snapshot(self):
         _, atc = self.make()
         assert atc.snapshot() == {"temperature": 3.0}
+
+    def test_absolute_delta_follows_every_percent_change(self):
+        """``delta_absolute`` is memoised; each way the percentage moves
+        must show in it: a window adjustment, seeding, and a type the
+        controller first meets late."""
+        cfg, atc = self.make()
+
+        def agrees(stype):
+            return atc.delta_absolute(stype) == cfg.absolute_delta(
+                stype, atc.delta_percent(stype)
+            )
+
+        assert agrees("temperature")
+        atc.on_estimate(node_update_budget=4.0)
+        for _ in range(20):
+            atc.on_update_sent()
+        atc.end_window()  # over budget: factor > 1
+        assert atc.delta_percent("temperature") != 3.0 and agrees("temperature")
+        widened = atc.delta_percent("temperature")
+        atc.end_window()  # nothing sent: factor < 1
+        assert atc.delta_percent("temperature") < widened and agrees("temperature")
+
+        # A type first seen late starts at the initial threshold.
+        assert agrees("humidity")
+        assert atc.delta_percent("humidity") == cfg.atc_initial_delta_percent
+        # Seeding sets it from the observed drift.
+        for epoch in range(5):
+            atc.on_reading("humidity", 50.0 + 2.0 * epoch)
+        assert atc._seeded.get("humidity")
+        assert atc.delta_percent("humidity") != cfg.atc_initial_delta_percent
+        assert agrees("humidity")
+        atc.end_window()
+        assert agrees("humidity") and agrees("temperature")

@@ -27,6 +27,11 @@ production path against them:
   :func:`~repro.experiments.batch.config_hash`, where
   :meth:`CampaignSpec.trial_specs` shares one config per cell and
   canonicalises it once.
+* **Query calibration.**  :func:`coverage_for` prices a candidate
+  interval through :func:`involvement_fraction`: a ``RangeQuery``, the
+  ground-truth source and should-receive sets, and a tree walk per
+  source, where :class:`~repro.workload.generator.QueryWorkloadGenerator`
+  ORs per-tree root-path bitsets.
 * **Phenomena.**  :func:`lfilter_fields` generates the sensor types one
   after another, each with its own distance matrix, diurnal sine and
   ``scipy.signal.lfilter`` call, where
@@ -39,10 +44,11 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from functools import partial
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.core.messages import RangeQuery
 from repro.experiments import runner as runner_module
 from repro.experiments.batch import TrialSpec, config_hash
 from repro.experiments.campaign import CampaignSpec, protocol_transform
@@ -52,11 +58,15 @@ from repro.network import topology as topology_module
 from repro.network.addresses import NodeId
 from repro.network.channel import WirelessChannel
 from repro.network.links import Position, within_range
+from repro.network.spanning_tree import SpanningTree
 from repro.network.topology import Adjacency, Topology
 from repro.scenarios.registry import get_scenario
+from repro.sensors.dataset import SensorDataset
 from repro.sensors.types import SensorTypeSpec
 from repro.simulation.events import EventPriority
 from repro.simulation.rng import RandomStreams
+from repro.workload.generator import QueryWorkloadGenerator
+from repro.workload.ground_truth import evaluate_query
 
 
 class PerNodeTick:
@@ -105,6 +115,49 @@ def reference_tick(monkeypatch) -> None:
     monkeypatch.setattr(runner_module, "ColumnarTick", PerNodeTick)
     monkeypatch.setattr(LMACProtocol, "_try_fast_beacon", lambda mac: False)
     split_frames(monkeypatch)
+
+
+def involvement_fraction(
+    dataset: SensorDataset,
+    tree: SpanningTree,
+    query: RangeQuery,
+    epoch: int,
+    sensor_owners: Optional[Dict[str, Set[NodeId]]] = None,
+    alive: Optional[Iterable[NodeId]] = None,
+) -> float:
+    """Fraction of (non-root) nodes involved in answering the query.
+
+    This is the quantity the workload generator calibrates to hit the
+    paper's 20 % / 40 % / 60 % "percentage of relevant nodes" targets.
+    """
+    _, should = evaluate_query(dataset, tree, query, epoch, sensor_owners, alive)
+    denominator = max(1, tree.num_nodes - 1)
+    return len(should) / denominator
+
+
+def coverage_for(
+    generator: QueryWorkloadGenerator,
+    sensor_type: str,
+    epoch: int,
+    centre: float,
+    half_width: float,
+) -> float:
+    """The involvement of one bisection candidate of ``generator``'s query."""
+    candidate = RangeQuery(
+        query_id=-1,
+        sensor_type=sensor_type,
+        low=centre - half_width,
+        high=centre + half_width,
+        epoch=epoch,
+    )
+    return involvement_fraction(
+        generator.dataset,
+        generator.tree,
+        candidate,
+        epoch,
+        generator.sensor_owners,
+        generator.alive,
+    )
 
 
 def brute_edges(

@@ -5,20 +5,32 @@ on topology change; these tests pin the awkward boundaries against the
 per-node reference: nodes dying and reviving mid-run (scripted and
 churn-driven), nodes that mount no sensor of the queried type, the minimal
 legal network, the lowrank phenomena field (the large-N synthesis path)
-under columnar reads, and a sensor the columnar pass cannot read.
+under columnar reads, a sensor attached mid-run, and a sensor the
+columnar pass cannot read.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.experiments.batch import TrialResult, TrialSpec
+from repro.experiments.columnar import ColumnarTick
 from repro.experiments.config import ExperimentConfig, TopologyEvent
 from repro.experiments.runner import ExperimentRunner
 from repro.scenarios.spec import ChurnConfig, ScenarioConfig
 from repro.scenarios.static import small_network
+from repro.sensors.sensor import Sensor
 from repro.sensors.types import HUMIDITY, LIGHT, TEMPERATURE
 
-from tests.differential.abharness import assert_bit_identical, run_arm
+from tests.differential.abharness import (
+    OBSERVABLES,
+    _counting,
+    assert_bit_identical,
+    run_arm,
+)
+from tests.differential.reference import reference_tick
 
 
 class TestDeadAndRevivingNodes:
@@ -82,6 +94,48 @@ class TestMinimalNetworks:
         both arms would run is refused before either runs."""
         with pytest.raises(ValueError, match="num_nodes"):
             ExperimentConfig(num_nodes=1)
+
+
+def run_with_late_sensor(config, reference):
+    """Run ``config``, mounting a humidity sensor on node 4 at t = 60.97.
+
+    Returns the trial's result and how often the columnar rows were
+    built.  The sensor is attached by an event of the trial's own engine,
+    between epoch 60's last checkpoint and epoch 61's tick.
+    """
+    calls: Counter = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        rebuild = ColumnarTick._rebuild
+        patch.setattr(ColumnarTick, "_rebuild", _counting(calls, "rebuilds", rebuild))
+        if reference:
+            reference_tick(patch)
+        runner = ExperimentRunner(config)
+        world = runner.build()
+        node = world.nodes[4]
+        sensor = Sensor(4, HUMIDITY, world.dataset, counter=world.sampling)
+        world.sim.schedule_at(60.97, lambda: node.attach_sensor(sensor))
+        result = runner.run()
+    assert node.has_sensor(HUMIDITY)
+    spec = TrialSpec(label="late-sensor", config=config)
+    return TrialResult.from_experiment(spec, result), calls["rebuilds"]
+
+
+@pytest.mark.parametrize("variant", ["dirq", "atc"])
+def test_a_sensor_attached_mid_run_rebuilds_the_rows_once(variant):
+    """The node's observer hook tells the columnar tick to rebuild its
+    rows at the next tick, exactly once, and the trial stays identical to
+    the per-node reference, which samples the new sensor from then on."""
+    config = small_network(num_nodes=10, num_epochs=160).replace(
+        sensors_per_node={4: [TEMPERATURE]}
+    )
+    if variant == "atc":
+        config = config.with_atc()
+    production, rebuilds = run_with_late_sensor(config, reference=False)
+    reference, reference_rebuilds = run_with_late_sensor(config, reference=True)
+    assert (rebuilds, reference_rebuilds) == (2, 0)
+    for name, extract in OBSERVABLES:
+        assert extract(production) == extract(reference), name
+    assert production.fingerprint() == reference.fingerprint()
 
 
 class _ScaledSensor:

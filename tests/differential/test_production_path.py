@@ -24,6 +24,7 @@ from repro.experiments.columnar import ColumnarTick
 from repro.network.channel import WirelessChannel
 from repro.scenarios.registry import build_config
 from repro.scenarios.static import small_network
+from repro.sensors.sensor import Sensor
 
 from ..helpers import build_mini_world, constant_dataset, line_topology
 from .abharness import Work, _counting, run_counting
@@ -135,6 +136,46 @@ def test_a_row_that_just_sent_its_update_is_not_fired_again():
             world.sim.run_until(epoch + 0.9)
     tick.finalize()
     assert fired == [4, 0, 0, 0]
+
+
+def test_a_node_outside_the_rows_rebuilds_nothing():
+    """The tick hooks only the protocols of its rows: ``set_protocols``
+    and ``finalize`` take the hooks off, so a sensor attached to a node
+    the rows left rebuilds nothing, and one attached to a node in the rows
+    rebuilds them once."""
+    topology = line_topology(4)
+    world = build_mini_world(
+        topology,
+        constant_dataset(topology.node_ids, {0: 20.0, 1: 21.0, 2: 22.0, 3: 23.0}),
+    )
+    protocols = [world.protocols[nid] for nid in sorted(world.protocols)]
+    tick = ColumnarTick(world.dataset, world.config)
+    calls: Counter = Counter()
+
+    def attach(nid):
+        world.nodes[nid].attach_sensor(Sensor(nid, "temperature", world.dataset))
+
+    with pytest.MonkeyPatch.context() as patch:
+        rebuild = ColumnarTick._rebuild
+        patch.setattr(ColumnarTick, "_rebuild", _counting(calls, "rows", rebuild))
+        rebuilds = []
+        for epoch, change in enumerate(
+            [
+                lambda: tick.set_protocols(protocols),
+                lambda: tick.set_protocols(protocols[:3]),
+                lambda: attach(3),
+                lambda: attach(2),
+                lambda: None,
+            ]
+        ):
+            world.sim.run_until(float(epoch))
+            change()
+            tick.tick(epoch)
+            rebuilds.append(calls["rows"])
+            world.sim.run_until(epoch + 0.9)
+    tick.finalize()
+    assert rebuilds == [1, 2, 2, 3, 3]
+    assert all(p.node.observer is None and p.tables.observer is None for p in protocols)
 
 
 #: The cells whose every frame and every beacon tick is one event: the

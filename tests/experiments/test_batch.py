@@ -170,15 +170,14 @@ class TestBatchRunnerDeterminism:
         assert result.mean_accuracy > 0
 
     def test_worker_failure_is_reported_with_trial_label(self):
-        # A sensor type with no spec passes config validation but fails the
-        # worker's build.
+        # A radio range far below the node spacing passes config
+        # validation, but no connected deployment exists, so the worker's
+        # build fails.
         bad = TrialSpec(
-            label="unknown-sensor-type",
-            config=tiny_config(
-                num_epochs=50, sensor_types=["no-such-type"]
-            ).with_fixed_delta(5.0),
+            label="disconnected-deployment",
+            config=ExperimentConfig(num_nodes=15, comm_range=1.0),
         )
-        with pytest.raises(RuntimeError, match="unknown-sensor-type"):
+        with pytest.raises(RuntimeError, match="disconnected-deployment"):
             BatchRunner(max_workers=2, executor="process").run([bad])
 
 

@@ -18,6 +18,7 @@ from repro.experiments.runner import ExperimentRunner, run_experiment
 from repro.scenarios.static import paper_network
 from repro.experiments import table_analytical
 from repro.metrics.accuracy import delivery_completeness
+from repro.sensors.types import SensorTypeSpec
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,48 @@ class TestExperimentConfig:
             message = rf"{field} names nodes outside range\(10\): \[{bad}\]"
             with pytest.raises(ValueError, match=message):
                 ExperimentConfig(num_nodes=10, **{field: value})
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"sensor_types": ["no-such-type"]}, r"with no spec: \['no-such-type'\]"),
+            ({"sensors_per_node": 5}, r"sensors_per_node must be in \[1, 4\], got 5"),
+            (
+                {"sensor_types": ["light", "pressure"], "sensors_per_node": 3},
+                r"sensors_per_node must be in \[1, 2\], got 3",
+            ),
+            ({"sensors_per_node": 0}, r"sensors_per_node must be in \[1, 4\], got 0"),
+            (
+                {"sensor_types": ["humidity"], "query_sensor_type": "temperature"},
+                r"query_sensor_type 'temperature' is not one of",
+            ),
+            ({"query_sensor_type": "no-such-type"}, r"query_sensor_type 'no-such-type'"),
+        ],
+        ids=[
+            "unknown-type",
+            "mounts-above-default-types",
+            "mounts-above-chosen-types",
+            "no-mounts",
+            "query-type-not-chosen",
+            "query-type-unknown",
+        ],
+    )
+    def test_sensor_type_fields_fail_at_construction(self, changes, message):
+        """A trial whose sensor types its build would reject is rejected
+        when the config is made, not in a worker."""
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(num_nodes=10, **changes)
+
+    def test_sensor_types_named_by_phenomena_specs_are_accepted(self):
+        spec = SensorTypeSpec("salinity", full_scale=5.0)
+        cfg = ExperimentConfig(
+            num_nodes=10,
+            sensor_types=["salinity", "temperature"],
+            phenomena_specs={"salinity": spec},
+            sensors_per_node=2,
+            query_sensor_type="salinity",
+        )
+        assert cfg.sensors_per_node == 2
 
 
 class TestRunnerDirQ:

@@ -184,11 +184,15 @@ def build_mini_world(
     )
     tree = build_bfs_tree(topology, root=root_id)
     audit = QueryAudit()
-    cfg = config if config is not None else DirQConfig(epochs_per_hour=100)
-    # Percentage thresholds need a full-scale reference for each type.
+    base = config if config is not None else DirQConfig(epochs_per_hour=100)
+    # Percentage thresholds need a full-scale reference for each type.  The
+    # world runs a copy that carries them; the caller's values win.
+    full_scale = {}
     for stype in dataset.sensor_types:
         lo, hi = dataset.value_range(stype)
-        cfg.full_scale.setdefault(stype, max(hi - lo, 10.0))
+        full_scale[stype] = max(hi - lo, 10.0)
+    full_scale.update(base.full_scale)
+    cfg = base.replace(full_scale=full_scale)
 
     nodes: Dict[int, SensorNode] = {}
     macs: Dict[int, LMACProtocol] = {}

@@ -285,6 +285,20 @@ class TestBeaconPlan:
             assert plan is None or plan.adjacency is channel.adjacency[nid], nid
         assert macs[0]._beacon_plan is None
 
+    def test_a_receiver_registering_anew_is_seen_by_the_next_tick(self):
+        """Registration moves the channel's membership counter, so a
+        sender's plan checks its receivers again: once node 2 hands its
+        receptions to a plain callback, node 1's beacons reach it as
+        frames."""
+        sim, channel, macs = build_macs(line_topology(3))
+        sim.run_until(40.0)
+        assert macs[1]._beacon_plan is not None
+        heard = []
+        channel.register(2, lambda sender, frame: heard.append(sender))
+        sim.run_until(60.0)
+        assert heard.count(1) == 4
+        assert macs[1]._beacon_plan is None
+
     def test_relink_that_spares_a_sender_keeps_its_plan(self):
         topology = line_topology(6)
         sim, channel, macs = build_macs(topology)

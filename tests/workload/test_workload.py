@@ -8,7 +8,6 @@ from repro.network.spanning_tree import build_bfs_tree
 from repro.workload.generator import QueryWorkloadGenerator
 from repro.workload.ground_truth import (
     evaluate_query,
-    involvement_fraction,
     relevant_nodes,
     source_nodes,
 )
@@ -19,6 +18,7 @@ from repro.workload.injection import (
 )
 from repro.workload.predictor import QueryRatePredictor
 
+from ..differential.reference import involvement_fraction
 from ..helpers import constant_dataset, line_topology
 
 
