@@ -41,7 +41,7 @@ EPOCHS = 1200
 def run_preset(benchmark, name):
     """Time preset ``name`` without the trial cache; its replicate groups."""
     spec = preset(name, num_epochs=EPOCHS, replicates=1, seed=BENCH_SEED)
-    runner = BatchRunner(cache_dir="")
+    runner = BatchRunner()
     groups = benchmark.pedantic(
         lambda: replicate_groups(runner.run(spec.trial_specs()), STORE_METRICS),
         rounds=1,

@@ -72,7 +72,6 @@ class DirQNode(DisseminationProtocol):
         self.updates_suppressed = 0
         self.queries_received = 0
         self.queries_forwarded = 0
-        self.current_epoch = 0
         self._last_estimate_hour = -1
         # The fixed δ per type: the config's full scales never change
         # under a node.
@@ -109,7 +108,6 @@ class DirQNode(DisseminationProtocol):
         """
         if not self.alive:
             return
-        self.current_epoch = epoch
         atc = self.atc
         for sensor_type, sensor in self.node.sensors_sorted():
             table = self.tables.table(sensor_type, create=True)
@@ -187,14 +185,14 @@ class DirQNode(DisseminationProtocol):
                 removed=removed,
             )
 
-    def readvertise(self, epoch: Optional[int] = None) -> int:
+    def readvertise(self) -> int:
         """Force a fresh Update Message for every non-empty table.
 
         Used after the node is re-parented (tree repair) so the new parent
         learns the ranges of the re-attached subtree.  Returns the number of
         updates sent.
         """
-        epoch = self.current_epoch if epoch is None else epoch
+        epoch = int(self.sim.now)
         sent = 0
         for table in self.tables.tables():
             aggregate = table.aggregate()
@@ -304,13 +302,14 @@ class DirQNode(DisseminationProtocol):
     def _forget_child(self, child: NodeId) -> None:
         """Drop ``child``'s entries and propagate any range change (§4.2)."""
         changed_types = self.tables.remove_child_everywhere(child)
+        epoch = int(self.sim.now)
         for sensor_type in changed_types:
             table = self.tables.table(sensor_type)
             if table is not None and table.is_empty:
                 self.tables.drop(sensor_type)
-                self._send_removal(sensor_type, self.current_epoch)
+                self._send_removal(sensor_type, epoch)
             else:
-                self._maybe_send_update(sensor_type, self.current_epoch)
+                self._maybe_send_update(sensor_type, epoch)
 
     def _handle_neighbor_lost(self, neighbor: NodeId) -> None:
         if not self.alive:

@@ -37,12 +37,14 @@ class FloodingNode(DisseminationProtocol):
         super().__init__(sim, node, mac, audit)
         self.queries_received = 0
         self.queries_rebroadcast = 0
-        self.current_epoch = 0
         self._seen: Set[int] = set()
 
     def on_epoch(self, epoch: int) -> None:
-        """Flooding keeps no per-epoch state; only the epoch counter advances."""
-        self.current_epoch = epoch
+        """Flooding keeps no per-epoch state: a no-op the runner never calls.
+
+        It stays in this class body while perfbench's ``tick.on_epoch``
+        span wraps it there.
+        """
 
     def on_payload(self, sender: NodeId, payload) -> None:
         if not isinstance(payload, RangeQuery):
@@ -62,11 +64,13 @@ class FloodingNode(DisseminationProtocol):
         """Source check against the node's *current* reading.
 
         Flooding reaches every node, so unlike DirQ the check uses the live
-        sensor value rather than stored range state.
+        sensor value rather than stored range state: the reading of the
+        epoch under way, in which the runner injects the query and the
+        flood settles.
         """
         if not self.node.has_sensor(query.sensor_type):
             return
-        value = self.node.sample(query.sensor_type, self.current_epoch)
+        value = self.node.sample(query.sensor_type, int(self.sim.now))
         if query.matches(value):
             self.record_source_claim(query.query_id)
 

@@ -75,11 +75,6 @@ class DisseminationProtocol:
         self.parent = parent
         self.children = sorted(children)
 
-    # -- epoch hook ---------------------------------------------------------------
-
-    def on_epoch(self, epoch: int) -> None:
-        """Called once per epoch by the experiment runner.  Default: no-op."""
-
     # -- MAC interface ---------------------------------------------------------------
 
     def on_payload(self, sender: NodeId, payload) -> None:

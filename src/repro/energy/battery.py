@@ -28,6 +28,8 @@ class Battery:
             raise ValueError("battery capacity must be positive")
         self.capacity = float(capacity)
         self.remaining = float(capacity)
+        #: The node's ledger total as of the last draw or recharge.
+        self.spent_at = 0.0
 
     @property
     def depleted(self) -> bool:
@@ -40,9 +42,21 @@ class Battery:
             raise ValueError("cannot draw negative energy")
         self.remaining = max(0.0, self.remaining - amount)
 
-    def recharge(self) -> None:
-        """Restore the full capacity (a battery swap)."""
+    def drain_to(self, total: float) -> None:
+        """Draw ``total - spent_at``, the node's spend since the checkpoint."""
+        amount = total - self.spent_at
+        if amount > 0:
+            self.spent_at = total
+            self.draw(amount)
+
+    def recharge(self, spent: float) -> None:
+        """Restore the full capacity at the node's ledger total ``spent``.
+
+        A battery swap: the fresh battery owes nothing the node spent
+        before it, including the old battery's spend since its last draw.
+        """
         self.remaining = self.capacity
+        self.spent_at = spent
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Battery(remaining={self.remaining:.3g}/{self.capacity:.3g})"

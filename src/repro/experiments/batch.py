@@ -576,9 +576,7 @@ class BatchRunner:
         executes inline (no pool), which is also the fallback for
         single-trial batches.
     cache_dir:
-        Directory of the result cache.  ``None`` consults the
-        ``REPRO_CACHE_DIR`` environment variable; an empty string
-        force-disables caching (ignoring the environment).  Results are
+        Directory of the result cache, or ``None`` for no cache.  Results are
         stored in the ``results`` table of ``<cache_dir>/campaigns.sqlite``
         (:class:`~repro.experiments.store.ResultsStore`), the file that
         also keeps the campaigns; a re-run of a sweep only executes trials
@@ -616,8 +614,6 @@ class BatchRunner:
             max_workers = os.cpu_count() or 1
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if cache_dir is None:
-            cache_dir = os.environ.get(CACHE_ENV_VAR) or None
         self.max_workers = int(max_workers)
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.executor = executor

@@ -51,6 +51,7 @@ own row first), so the deferral is unobservable.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -107,8 +108,8 @@ class ColumnarTick:
         self._row_tables: List = []
         self._row_stypes: List[str] = []
         self._row_atcs: List = []
-        self._count_buckets: List[Tuple] = []
-        self._offsets = None
+        # (sampling counter, rows that count in it), one pair per counter.
+        self._row_counters: List[Tuple] = []
         self._lo = None
         self._hi = None
         self._delta = None
@@ -161,8 +162,8 @@ class ColumnarTick:
         pe = self._pending_epochs
         if pe:
             self._pending_epochs = 0
-            for counts, key in self._count_buckets:
-                counts[key] += pe
+            for counter, rows in self._row_counters:
+                counter.total += rows * pe
         ps = self._pending_suppressed
         if ps is not None and ps.any():
             protos = self._row_protos
@@ -245,13 +246,8 @@ class ColumnarTick:
             sorted(range(n), key=keys.__getitem__), dtype=np.intp
         )
         self._notsup = np.ones(n, dtype=bool)
-        self._count_buckets = [
-            (s._counts, s._count_key)
-            for s in row_sensors
-            if s._counts is not None
-        ]
-        self._offsets = np.array(
-            [s.calibration_offset for s in row_sensors], dtype=float
+        self._row_counters = list(
+            Counter(s.counter for s in row_sensors if s.counter is not None).items()
         )
         self._lo = np.empty(n, dtype=float)
         self._hi = np.empty(n, dtype=float)
@@ -369,8 +365,6 @@ class ColumnarTick:
 
     def tick(self, epoch: int) -> None:
         """Run one epoch of sensing + range maintenance for every node."""
-        for p in self._protos:
-            p.current_epoch = epoch
         if self._needs_rebuild:
             self._rebuild()
 
@@ -394,9 +388,6 @@ class ColumnarTick:
                 np.take(
                     seg.matrix[epoch], seg.cols, out=cur[seg.start : seg.end]
                 )
-            # Bit-identical to Sensor.sample: column value + calibration
-            # offset (always added, so signed zeros match the brute path).
-            cur += self._offsets
             if self._adaptive:
                 prev = self._last
                 tmp = self._tmp

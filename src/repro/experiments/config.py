@@ -80,7 +80,8 @@ class ExperimentConfig:
         ``None`` mounts every type on every node (the paper's setting);
         an integer ``k`` mounts a random subset of ``k`` types per node
         (heterogeneous networks, Fig. 4); an explicit mapping node -> list
-        of types gives full control.
+        of the trial's types gives full control (an unlisted node mounts
+        every type).  Anything else fails at construction.
     phenomena_specs:
         Optional overrides of the synthetic phenomena
         (:class:`~repro.sensors.types.SensorTypeSpec` per type name); the
@@ -212,10 +213,21 @@ class ExperimentConfig:
                 f"sensor_types names types with no spec: {unknown} "
                 "(neither a default type nor a phenomena_specs key)"
             )
-        if isinstance(mounts, int) and not 1 <= mounts <= len(types):
-            raise ValueError(
-                f"sensors_per_node must be in [1, {len(types)}], got {mounts}"
-            )
+        if isinstance(mounts, dict):
+            for nid, given in mounts.items():
+                outside = [stype for stype in given if stype not in types]
+                if outside:
+                    raise ValueError(
+                        f"sensors_per_node mounts types outside {types} "
+                        f"on node {nid}: {outside}"
+                    )
+        elif isinstance(mounts, int):
+            if not 1 <= mounts <= len(types):
+                raise ValueError(
+                    f"sensors_per_node must be in [1, {len(types)}], got {mounts}"
+                )
+        elif mounts is not None:
+            raise TypeError("sensors_per_node must be None, an int, or a mapping")
         if self.query_sensor_type is not None and self.query_sensor_type not in types:
             raise ValueError(
                 f"query_sensor_type {self.query_sensor_type!r} is not one of "

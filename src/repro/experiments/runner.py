@@ -20,7 +20,7 @@ ExperimentConfig` it
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -193,6 +193,10 @@ class ExperimentRunner:
             metrics=instrumentation.metrics,
         )
         world.alive = world.channel.alive
+        # Nodes dead from the start leave the alive set before the tree is
+        # built, in sorted order: two equal sets can iterate differently.
+        for nid in sorted(cfg.initially_dead):
+            world.channel.set_alive(nid, False)
 
         # Dataset and sensors ---------------------------------------------------
         specs = dict(default_type_specs())
@@ -201,10 +205,7 @@ class ExperimentRunner:
         wanted_types = list(cfg.sensor_types) if cfg.sensor_types else list(
             DEFAULT_SENSOR_TYPES
         )
-        specs = {t: specs[t] for t in wanted_types if t in specs}
-        missing = [t for t in wanted_types if t not in specs]
-        if missing:
-            raise KeyError(f"no spec available for sensor types {missing}")
+        specs = {t: specs[t] for t in wanted_types}
         node_ids = world.topology.node_ids
         world.dataset = SensorDataset.generate(
             node_ids=node_ids,
@@ -239,7 +240,9 @@ class ExperimentRunner:
         }
 
         # Nodes, MAC, tree, protocols -----------------------------------------------
-        world.tree = build_bfs_tree(world.topology, root=cfg.root_id)
+        world.tree = build_bfs_tree(
+            world.topology, root=cfg.root_id, alive=world.alive
+        )
         mac_rng = self.streams.get("mac")
         for nid in node_ids:
             node = SensorNode(
@@ -288,18 +291,6 @@ class ExperimentRunner:
 
         self._install_tree_links(world, world.tree)
 
-        # Initial liveness --------------------------------------------------------
-        # Sorted: two configs whose initially_dead sets compare equal can
-        # still iterate in different orders (insertion history), and kill
-        # order is observable through the audit log.
-        for nid in sorted(cfg.initially_dead):
-            self._apply_kill(world, nid, rebuild_tree=False)
-        if cfg.initially_dead:
-            world.tree = build_bfs_tree(
-                world.topology, root=cfg.root_id, alive=world.alive
-            )
-            self._install_tree_links(world, world.tree)
-
         # Heterogeneous energy budgets (scenario-driven).  Capacities come
         # from the dedicated "scenario-energy" stream, so assigning them
         # perturbs no draw of the static components.
@@ -321,33 +312,21 @@ class ExperimentRunner:
     def _assign_sensors(
         self, node_ids: List[NodeId], types: List[str]
     ) -> Dict[NodeId, List[str]]:
+        # ExperimentConfig checked the spec and the mapping's types.
         cfg = self.config
-        assignment: Dict[NodeId, List[str]] = {}
         spec = cfg.sensors_per_node
         if spec is None:
-            for nid in node_ids:
-                assignment[nid] = list(types)
-        elif isinstance(spec, int):
-            if not (1 <= spec <= len(types)):
-                raise ValueError(
-                    f"sensors_per_node must be in [1, {len(types)}], got {spec}"
-                )
-            rng = self.streams.get("sensor-assignment")
-            for nid in node_ids:
-                chosen = rng.choice(len(types), size=spec, replace=False)
-                assignment[nid] = sorted(types[i] for i in chosen)
-            # The root keeps every type so queries of any type remain routable
-            # through its tables once children advertise them.
-            assignment[cfg.root_id] = list(types)
-        elif isinstance(spec, dict):
-            for nid in node_ids:
-                given = spec.get(nid, types)
-                unknown = [t for t in given if t not in types]
-                if unknown:
-                    raise ValueError(f"node {nid} assigned unknown types {unknown}")
-                assignment[nid] = list(given)
-        else:
-            raise TypeError("sensors_per_node must be None, an int, or a mapping")
+            return {nid: list(types) for nid in node_ids}
+        if isinstance(spec, dict):
+            return {nid: list(spec.get(nid, types)) for nid in node_ids}
+        rng = self.streams.get("sensor-assignment")
+        assignment: Dict[NodeId, List[str]] = {}
+        for nid in node_ids:
+            chosen = rng.choice(len(types), size=spec, replace=False)
+            assignment[nid] = sorted(types[i] for i in chosen)
+        # The root keeps every type so queries of any type remain routable
+        # through its tables once children advertise them.
+        assignment[cfg.root_id] = list(types)
         return assignment
 
     def _install_tree_links(self, world: SimulationWorld, tree: SpanningTree) -> None:
@@ -380,27 +359,28 @@ class ExperimentRunner:
                 if hasattr(proto, "readvertise"):
                     proto.readvertise()
 
-    def _apply_kill(
-        self, world: SimulationWorld, node_id: NodeId, rebuild_tree: bool = True
-    ) -> None:
+    def _apply_kill(self, world: SimulationWorld, node_id: NodeId) -> bool:
+        """Kill an alive node; whether it was alive."""
         # Never the root: ExperimentConfig rejects a scripted root kill,
         # and churn and batteries spare it.
         if node_id not in world.alive:
-            return
+            return False
         world.channel.set_alive(node_id, False)
         world.macs[node_id].shutdown()
-        if rebuild_tree:
-            self._maintain_tree(world)
+        self._maintain_tree(world)
+        return True
 
-    def _apply_activation(self, world: SimulationWorld, node_id: NodeId) -> None:
+    def _apply_activation(self, world: SimulationWorld, node_id: NodeId) -> bool:
+        """Revive a dead node; whether it was dead."""
         if node_id in world.alive:
-            return
+            return False
         # Reactivation models a battery swap / reboot: a node whose finite
-        # budget was exhausted comes back with a fresh one, otherwise the
-        # energy check would kill it again at the very next period.
+        # budget was exhausted comes back with a fresh one, which owes only
+        # what the node spends from now on, otherwise the energy check
+        # would kill it again at the very next period.
         battery = world.batteries.get(node_id)
         if battery is not None:
-            battery.recharge()
+            battery.recharge(world.ledger.node(node_id).total_cost())
         world.channel.set_alive(node_id, True)
         # A node dead from the start has never started its MAC: start()
         # arms its first beacon, and wake() replaces it with one an access
@@ -408,6 +388,7 @@ class ExperimentRunner:
         world.macs[node_id].start()
         world.macs[node_id].wake()
         self._maintain_tree(world)
+        return True
 
     def _apply_relink(self, world: SimulationWorld, mobility: MobilityModel) -> None:
         """Advance mobile nodes one re-link period and repair the overlay.
@@ -441,8 +422,8 @@ class ExperimentRunner:
                 [cfg.query_sensor_type] if cfg.query_sensor_type else None
             ),
             sensor_owners=world.sensor_owners,
+            alive=world.alive,
         )
-        generator.set_alive(world.alive)
 
         # Dynamic-scenario models.  Each draws from its own named stream,
         # so a scenario perturbs no draw of the static components and a
@@ -460,13 +441,15 @@ class ExperimentRunner:
         for epoch in schedule:
             injections[epoch] = injections.get(epoch, 0) + 1
 
-        events_by_epoch: Dict[int, List[TopologyEvent]] = {}
+        # Every scheduled kill and revival, epoch -> (kind, node, recorded):
+        # the scripted ones first, then churn's pre-sampled timeline.  Only
+        # churn's are recorded as scenario telemetry: recording scripted
+        # ones would move the fingerprint of every scripted trial.
+        timeline: Dict[int, List[Tuple[str, NodeId, bool]]] = {}
         for event in cfg.topology_events:
-            events_by_epoch.setdefault(event.epoch, []).append(event)
-
-        # Churn: the whole death/reactivation timeline is pre-sampled, then
-        # applied through the same kill/activate path as scripted events.
-        scenario_events_by_epoch: Dict[int, List[TopologyEvent]] = {}
+            timeline.setdefault(event.epoch, []).append(
+                (event.kind, event.node_id, False)
+            )
         if scenario is not None and scenario.churn is not None:
             churn_events = ChurnModel(scenario.churn).events(
                 sorted(world.alive),
@@ -479,9 +462,7 @@ class ExperimentRunner:
                 positions=world.topology.positions,
             )
             for epoch, kind, nid in churn_events:
-                scenario_events_by_epoch.setdefault(epoch, []).append(
-                    TopologyEvent(epoch=epoch, kind=kind, node_id=nid)
-                )
+                timeline.setdefault(epoch, []).append((kind, nid, True))
 
         mobility: Optional[MobilityModel] = None
         if scenario is not None and scenario.mobility is not None:
@@ -493,26 +474,22 @@ class ExperimentRunner:
             )
 
         energy_cfg = scenario.energy if scenario is not None else None
-        drained: Dict[NodeId, float] = {nid: 0.0 for nid in world.batteries}
-
-        def activate(node_id: NodeId) -> None:
-            """Reactivate a node, checkpointing its ledger for the fresh battery.
-
-            Without the checkpoint, energy the node spent between the last
-            energy check and its death would be debited from the *new*
-            battery at the next check -- a battery swap must not inherit
-            the old battery's tail spend.  Activating an already-alive node
-            is a complete no-op (no recharge, no checkpoint): its unchanged
-            battery still owes every unit since the last check.
-            """
-            if node_id in world.alive:
-                return
-            self._apply_activation(world, node_id)
-            if node_id in drained:
-                drained[node_id] = world.ledger.node(node_id).total_cost()
-
         applied_events: List[tuple] = []
         num_relinks = 0
+
+        def change(epoch: int, kind: str, node_id: NodeId, recorded: bool) -> bool:
+            """Kill or revive one node; whether the alive set changed.
+
+            A kill of a dead node or a revival of an alive one is a no-op,
+            and only an effective change is recorded.
+            """
+            if kind == TopologyEvent.KILL:
+                effective = self._apply_kill(world, node_id)
+            else:
+                effective = self._apply_activation(world, node_id)
+            if effective and recorded:
+                applied_events.append((epoch, kind, node_id))
+            return effective
 
         # Reference costs ---------------------------------------------------------------
         flooding_per_query = flooding_cost_general(
@@ -527,25 +504,24 @@ class ExperimentRunner:
         atc_history: Dict[int, List[float]] = {}
         num_queries = 0
 
-        # Hot-loop caches.  The alive set only changes on scripted topology
-        # events, so the sorted protocol list is rebuilt there instead of
+        # Hot-loop caches.  The alive set only changes on kills and
+        # revivals, so the sorted protocol list is rebuilt there instead of
         # re-sorting (and re-indexing the protocol dict) every epoch.  The
         # boundary drains go through Simulator.run_until, whose cached head
         # time makes the no-pending-events case O(1) -- the common case for
         # epochs without protocol traffic.
         run_until = sim.run_until
-        alive_protocols = [
-            world.protocols[nid] for nid in sorted(world.alive)
-        ]
         epochs_per_hour = cfg.dirq.epochs_per_hour
         window_epochs = cfg.window_epochs
 
         # Every DirQ trial ticks columnar: one numpy pass per sensor type
         # instead of the per-node on_epoch loop, bit-identical by
-        # construction (see repro.experiments.columnar).  Flooding has no
-        # sampling loop to vectorise.
+        # construction (see repro.experiments.columnar).  Flooding keeps
+        # no per-epoch state, so its trials tick nothing.
         columnar: Optional[ColumnarTick] = None
+        alive_protocols: List = []
         if is_dirq:
+            alive_protocols = [world.protocols[nid] for nid in sorted(world.alive)]
             # The trial's DirQ config, which every DirQ node holds.
             columnar = ColumnarTick(world.dataset, root.config)
             columnar.set_protocols(alive_protocols)
@@ -567,35 +543,9 @@ class ExperimentRunner:
                 begin_phase("scenario-hooks")
             topology_changed = False
 
-            # Scripted topology dynamics (from the config).
-            events_now = events_by_epoch.get(epoch)
-            if events_now:
-                for event in events_now:
-                    if event.kind == TopologyEvent.KILL:
-                        self._apply_kill(world, event.node_id)
-                    else:
-                        activate(event.node_id)
-                topology_changed = True
-
-            # Scenario churn events; only *effective* transitions (a kill of
-            # an alive node, an activation of a dead one) are recorded as
-            # scenario telemetry.
-            scenario_now = scenario_events_by_epoch.get(epoch)
-            if scenario_now:
-                for event in scenario_now:
-                    if event.kind == TopologyEvent.KILL:
-                        if event.node_id in world.alive:
-                            self._apply_kill(world, event.node_id)
-                            applied_events.append(
-                                (epoch, TopologyEvent.KILL, event.node_id)
-                            )
-                            topology_changed = True
-                    elif event.node_id not in world.alive:
-                        activate(event.node_id)
-                        applied_events.append(
-                            (epoch, TopologyEvent.ACTIVATE, event.node_id)
-                        )
-                        topology_changed = True
+            for kind, nid, recorded in timeline.get(epoch, ()):
+                if change(epoch, kind, nid, recorded):
+                    topology_changed = True
 
             # Mobility: advance positions and re-derive links and tree.
             if (
@@ -611,8 +561,8 @@ class ExperimentRunner:
                 if profiling:
                     begin_phase("scenario-hooks")
 
-            # Heterogeneous energy: drain each battery by its node's ledger
-            # cost since the last check; depletion kills the node exactly
+            # Heterogeneous energy: each battery draws its node's ledger
+            # spend since its checkpoint; depletion kills the node exactly
             # like a scripted failure.
             if (
                 world.batteries
@@ -620,37 +570,32 @@ class ExperimentRunner:
                 and epoch % energy_cfg.check_period == 0
             ):
                 for nid in sorted(world.alive):
-                    if nid == cfg.root_id:
-                        continue
                     battery = world.batteries.get(nid)
-                    if battery is None:
+                    if battery is None or nid == cfg.root_id:
                         continue
-                    total = world.ledger.node(nid).total_cost()
-                    delta = total - drained[nid]
-                    if delta > 0:
-                        drained[nid] = total
-                        battery.draw(delta)
-                    if battery.depleted:
-                        self._apply_kill(world, nid)
-                        applied_events.append((epoch, TopologyEvent.KILL, nid))
+                    battery.drain_to(world.ledger.node(nid).total_cost())
+                    if battery.depleted and change(
+                        epoch, TopologyEvent.KILL, nid, True
+                    ):
                         topology_changed = True
 
             if topology_changed:
                 generator.set_tree(world.tree)
-                generator.set_alive(world.alive)
                 if is_dirq:
                     root.set_network_size(len(world.alive))
+                    # DirQ trials only: flooding trials report their
+                    # deployment's value, which their pinned digests hold.
                     flooding_per_query = flooding_cost_general(
                         len(world.alive), world.channel.num_links
                     )
                     root.set_flooding_cost(flooding_per_query)
-                now_alive = [world.protocols[nid] for nid in sorted(world.alive)]
-                # The columnar rows depend only on the alive list (the tick
-                # itself detects sensor-suite and table-set changes), so a
-                # re-link, which moves nodes but kills none, keeps them.
-                if now_alive != alive_protocols:
-                    alive_protocols = now_alive
-                    if columnar is not None:
+                    now_alive = [world.protocols[nid] for nid in sorted(world.alive)]
+                    # The columnar rows depend only on the alive list (the
+                    # tick itself detects sensor-suite and table-set
+                    # changes), so a re-link, which moves nodes but kills
+                    # none, keeps them.
+                    if now_alive != alive_protocols:
+                        alive_protocols = now_alive
                         columnar.set_protocols(alive_protocols)
 
             # Hourly EHr estimate (DirQ only).
@@ -664,9 +609,6 @@ class ExperimentRunner:
                 begin_phase("sample")
             if columnar is not None:
                 columnar.tick(epoch)
-            else:
-                for proto in alive_protocols:
-                    proto.on_epoch(epoch)
             if profiling:
                 begin_phase("channel")
             run_until(epoch + SAMPLE_DRAIN)

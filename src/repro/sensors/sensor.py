@@ -2,46 +2,31 @@
 
 A :class:`Sensor` is the bridge between a node and the ground-truth
 :class:`~repro.sensors.dataset.SensorDataset`: sampling it at an epoch
-returns the dataset value for that node (plus optional calibration error),
-so the protocol under test observes exactly the synthetic phenomena the
-experiment generated.
+returns the dataset value for that node, so the protocol under test
+observes exactly the synthetic phenomena the experiment generated.
 
 The paper notes as future work that continuous sampling is energy-hungry;
-:class:`SamplingCounter` tracks how many acquisitions each sensor performed
+:class:`SamplingCounter` counts the acquisitions of every sensor sharing it
 so that ablations can quantify that cost.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Optional
+from typing import Optional
 
 from ..network.addresses import NodeId
 from .dataset import SensorDataset
 
 
 class SamplingCounter:
-    """Counts sensor acquisitions per (node, sensor type)."""
+    """Counts sensor acquisitions, summed over the sensors that share it."""
 
     def __init__(self) -> None:
-        self._counts: Dict[tuple[NodeId, str], int] = defaultdict(int)
+        self.total = 0
 
-    def record(self, node_id: NodeId, sensor_type: str) -> None:
-        self._counts[(node_id, sensor_type)] += 1
-
-    def count(self, node_id: Optional[NodeId] = None, sensor_type: Optional[str] = None) -> int:
-        """Total acquisitions matching the given filters."""
-        total = 0
-        for (nid, stype), c in self._counts.items():
-            if node_id is not None and nid != node_id:
-                continue
-            if sensor_type is not None and stype != sensor_type:
-                continue
-            total += c
-        return total
-
-    def reset(self) -> None:
-        self._counts.clear()
+    def count(self) -> int:
+        """Acquisitions so far."""
+        return self.total
 
 
 class Sensor:
@@ -55,9 +40,6 @@ class Sensor:
         Which phenomenon it measures (must exist in the dataset).
     dataset:
         Ground-truth dataset backing the readings.
-    calibration_offset:
-        Constant additive error of this particular sensor unit (defaults to
-        a perfectly calibrated sensor).
     counter:
         Optional :class:`SamplingCounter` to record acquisitions in.
     """
@@ -67,7 +49,6 @@ class Sensor:
         node_id: NodeId,
         sensor_type: str,
         dataset: SensorDataset,
-        calibration_offset: float = 0.0,
         counter: Optional[SamplingCounter] = None,
     ):
         if not dataset.has_type(sensor_type):
@@ -76,30 +57,25 @@ class Sensor:
         self.node_id = node_id
         self.sensor_type = sensor_type
         self.dataset = dataset
-        self.calibration_offset = float(calibration_offset)
         self.counter = counter
         # Sampling happens once per epoch for the whole run, so the node's
         # ground-truth column is resolved once here instead of going through
         # dataset.reading's per-call type/column lookups.
         self._series = dataset.node_series(sensor_type, node_id)
         self._num_epochs = len(self._series)
-        # Pre-bound acquisition-counter bucket: record() is one dict update,
-        # but at nodes x types x 20 000 epochs even the method call shows up.
-        self._counts = counter._counts if counter is not None else None
-        self._count_key = (node_id, sensor_type)
 
     def sample(self, epoch: int) -> float:
         """Acquire a reading for the given epoch."""
-        counts = self._counts
-        if counts is not None:
-            counts[self._count_key] += 1
+        counter = self.counter
+        if counter is not None:
+            counter.total += 1
         if not 0 <= epoch < self._num_epochs:
             raise IndexError(
                 f"epoch {epoch} out of range [0, {self._num_epochs})"
             )
         # ndarray.item() returns a Python float directly, skipping the
         # intermediate numpy scalar that float(arr[i]) would build.
-        return self._series.item(epoch) + self.calibration_offset
+        return self._series.item(epoch)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Sensor(node={self.node_id}, type={self.sensor_type!r})"

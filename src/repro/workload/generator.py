@@ -62,6 +62,10 @@ class QueryWorkloadGenerator:
         Types to draw queries over; defaults to every type in the dataset.
     sensor_owners:
         Mapping sensor type -> nodes that carry it (heterogeneous networks).
+    alive:
+        The alive nodes, the only eligible sources; ``None`` counts every
+        node.  The generator reads the set it is given (a trial passes the
+        channel's), so it follows every kill and revival.
     max_bisection_steps:
         Iterations of the half-width bisection; 20 gives sub-0.1 % width
         resolution over the full value range.
@@ -74,6 +78,7 @@ class QueryWorkloadGenerator:
         rng: np.random.Generator,
         sensor_types: Optional[Sequence[str]] = None,
         sensor_owners: Optional[Dict[str, Set[NodeId]]] = None,
+        alive: Optional[Set[NodeId]] = None,
         max_bisection_steps: int = 20,
     ):
         self.dataset = dataset
@@ -88,7 +93,7 @@ class QueryWorkloadGenerator:
         self.sensor_owners = sensor_owners
         self.max_bisection_steps = int(max_bisection_steps)
         self._next_query_id = 0
-        self.alive: Optional[Set[NodeId]] = None
+        self.alive = alive
         #: Root-path bitset per dataset column for ``tree``; built on first
         #: use, dropped by :meth:`set_tree`.
         self._paths: Optional[List[int]] = None
@@ -99,10 +104,6 @@ class QueryWorkloadGenerator:
         """Follow topology repairs so coverage stays calibrated."""
         self.tree = tree
         self._paths = None
-
-    def set_alive(self, alive: Optional[Set[NodeId]]) -> None:
-        """Restrict ground-truth sources to currently alive nodes."""
-        self.alive = set(alive) if alive is not None else None
 
     # -- generation --------------------------------------------------------------
 

@@ -80,9 +80,12 @@ def test_candidates_leave_out_dead_nodes_and_nodes_without_the_type():
         stype: {nid for nid in node_ids if nid % 3} for stype in dataset.sensor_types
     }
     generator = QueryWorkloadGenerator(
-        dataset, build_bfs_tree(topology), rng, sensor_owners=owners
+        dataset,
+        build_bfs_tree(topology),
+        rng,
+        sensor_owners=owners,
+        alive=set(node_ids) - {4, 7, 11, 20},
     )
-    generator.set_alive(set(node_ids) - {4, 7, 11, 20})
     evaluated = 0
     for stype in dataset.sensor_types:
         for epoch in range(dataset.num_epochs):

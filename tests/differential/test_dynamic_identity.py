@@ -17,8 +17,12 @@ repository benchmark's workloads.  The lossy cells, the ``loss`` preset's
 ``channel_loss=0.2`` point on ``static-paper``, joined later still: a lossy
 channel drops frames through the per-transmission loss draw, sends every
 beacon as a frame (the fast path declines under loss), and lets LMAC
-declare live neighbours dead.  Each cell's work is pinned beside its
-digest (:mod:`tests.differential.work`).
+declare live neighbours dead.  The scripted cell, ``harsh-mixed`` with
+``initially_dead`` and ``topology_events`` on top of its churn, re-links
+and batteries, joined when every kill and revival came to share one path
+in the runner: its digests were recorded on the runner before that
+change.  Each cell's work is pinned beside its digest
+(:mod:`tests.differential.work`).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.campaign import PROTOCOLS
+from repro.experiments.config import TopologyEvent
 from repro.scenarios.registry import build_config
 
 from .abharness import run_counting
@@ -54,14 +59,37 @@ DYNAMIC_DIGESTS = {
     ("energy-tiered", "flooding"): "543b34e3c02341c958522bdd4e6a5690eb99e72223a9db4f83d63f78db4eb2f7",
     ("static-paper channel_loss=0.2", "atc"): "e62d2aff532853fbf60cfc39f4550beb119d954a47bf78bd46ece61387bd93bb",
     ("static-paper channel_loss=0.2", "flooding"): "4d976b1ce2d43f3b42b9ed96233943e6a99be5221f37d5d474d0d4be4eb95d6f",
+    ("harsh-mixed scripted", "dirq"): "af36ab19d55f3c981e6c2a4792a072defacc35860547af8ad6ad33ebeedcf6ed",
+    ("harsh-mixed scripted", "atc"): "5dd6b1292dec636a6f1ba61de7dbbc52690a1ebc6d048c5859cb6c342197dd31",
+    ("harsh-mixed scripted", "flooding"): "6b7e4e3f4f2866b766d9a95e10e61858b3792a5ba5ef23ae38681b767f69ae9e",
 }
 
 #: Cells shorter than the default 400 epochs (the 500-node cells are slow).
 EPOCHS = {"scale-500-mobile": 60, "scale-500-churn": 60}
 
+#: Scripted liveness on top of churn: two nodes start dead, then a kill,
+#: a kill of the now-dead node, an activation of an alive node, the
+#: revival of a node dead from the start and of a scripted kill, and, in
+#: one epoch, the revival of a node churn killed at 118 plus a kill.
+SCRIPTED = {
+    "initially_dead": {11, 23},
+    "topology_events": [
+        TopologyEvent(40, TopologyEvent.KILL, 7),
+        TopologyEvent(60, TopologyEvent.KILL, 7),
+        TopologyEvent(80, TopologyEvent.ACTIVATE, 3),
+        TopologyEvent(150, TopologyEvent.ACTIVATE, 11),
+        TopologyEvent(220, TopologyEvent.ACTIVATE, 7),
+        TopologyEvent(300, TopologyEvent.ACTIVATE, 13),
+        TopologyEvent(300, TopologyEvent.KILL, 40),
+    ],
+}
+
 #: Cells that change a field of their registry scenario, as a preset's
 #: sweep point does: cell -> (scenario, changed fields).
-SWEPT = {"static-paper channel_loss=0.2": ("static-paper", {"channel_loss": 0.2})}
+SWEPT = {
+    "static-paper channel_loss=0.2": ("static-paper", {"channel_loss": 0.2}),
+    "harsh-mixed scripted": ("harsh-mixed", SCRIPTED),
+}
 
 
 @pytest.mark.parametrize("cell,protocol", sorted(DYNAMIC_DIGESTS), ids=str)

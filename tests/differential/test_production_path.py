@@ -59,14 +59,15 @@ class TestProductionPath:
         assert calls["split"] == 0
         assert calls["one_event"] == work.transmissions - work.beacons > 0
 
-    def test_flooding_trials_tick_per_node_on_the_beacon_fast_path(self):
-        """Flooding has no sampling loop to vectorise, but its MAC takes
-        the same beacon fast path as DirQ's."""
+    def test_flooding_trials_skip_the_tick_and_take_the_beacon_fast_path(self):
+        """Flooding keeps no per-epoch state, so its trials run no epoch
+        tick at all, but its MAC takes the same beacon fast path as
+        DirQ's."""
         _, work = run_counting(
             small_network(num_nodes=8, num_epochs=40).with_flooding()
         )
         assert work.rebuilds == 0
-        assert work.on_epoch == 8 * 40
+        assert work.on_epoch == 0
         assert work.beacons > 0
         assert work.frame_beacons == 0
 

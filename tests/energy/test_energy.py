@@ -149,12 +149,25 @@ class TestBattery:
         b.draw(1.0)
         assert b.remaining == 0.0
 
-    def test_recharge(self):
+    def test_drain_to_draws_the_spend_since_the_checkpoint(self):
         b = Battery(10.0)
-        b.draw(8.0)
-        b.recharge()
+        b.drain_to(3.0)
+        assert (b.remaining, b.spent_at) == (7.0, 3.0)
+        b.drain_to(3.0)  # nothing spent since
+        assert (b.remaining, b.spent_at) == (7.0, 3.0)
+        b.drain_to(5.0)
+        assert (b.remaining, b.spent_at) == (5.0, 5.0)
+
+    def test_recharge(self):
+        # A swap at ledger total 15: the fresh battery owes only what the
+        # node spends after it, not the old one's spend since its draw.
+        b = Battery(10.0)
+        b.drain_to(8.0)
+        b.recharge(15.0)
         assert b.remaining == 10.0
         assert not b.depleted
+        b.drain_to(18.0)
+        assert b.remaining == 7.0
 
     def test_invalid_values(self):
         with pytest.raises(ValueError):

@@ -37,12 +37,6 @@ from repro.metrics.resilience import replicate_groups
 from repro.simulation.rng import RandomStreams
 
 
-@pytest.fixture(autouse=True)
-def _isolate_cache_env(monkeypatch):
-    """Keep a developer's REPRO_CACHE_DIR from leaking into executed counts."""
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-
-
 def tiny_config(seed: int = 3, **changes) -> ExperimentConfig:
     cfg = ExperimentConfig(
         num_nodes=12,

@@ -104,7 +104,7 @@ class TestScanAndPrune:
         """A ``<key>.pkl`` + ``<key>.json`` pair that an older build left in
         the cache dir is neither read nor deleted."""
         spec = tiny_spec()
-        result = BatchRunner(max_workers=1, cache_dir="").run([spec])[0]
+        result = BatchRunner(max_workers=1).run([spec])[0]
         pkl = tmp_path / f"{spec.key}.pkl"
         pkl.write_bytes(pickle.dumps({"version": CACHE_VERSION, "result": result}))
         manifest = tmp_path / f"{spec.key}.json"

@@ -80,6 +80,14 @@ class TestExperimentConfig:
             message = rf"{field} names nodes outside range\(10\): \[{bad}\]"
             with pytest.raises(ValueError, match=message):
                 ExperimentConfig(num_nodes=10, **{field: value})
+        # A sensor mount fails at construction, not when the trial builds.
+        for value, error, message in [
+            ({1: ["nope"]}, ValueError, r"on node 1: \['nope'\]"),
+            ("x", TypeError, "None, an int, or a mapping"),
+            (2.5, TypeError, "None, an int, or a mapping"),
+        ]:
+            with pytest.raises(error, match=message):
+                ExperimentConfig(num_nodes=10, sensors_per_node=value)
 
     @pytest.mark.parametrize(
         "changes,message",

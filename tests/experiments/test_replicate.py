@@ -73,7 +73,7 @@ class TestRunReplicated:
             assert group.metrics["cost_ratio"].n == 3
 
     def test_accepts_a_single_spec(self):
-        runner = BatchRunner(max_workers=1, cache_dir="")
+        runner = BatchRunner(max_workers=1)
         (group,) = run_replicated(runner, tiny_spec(), n=2)
         assert group.n == 2
 
@@ -94,10 +94,10 @@ class TestRunReplicated:
     def test_groups_bit_identical_across_worker_counts(self):
         specs = [tiny_spec("a"), tiny_spec("b", seed=11)]
         serial = run_replicated(
-            BatchRunner(max_workers=1, cache_dir=""), specs, n=2
+            BatchRunner(max_workers=1), specs, n=2
         )
         threaded = run_replicated(
-            BatchRunner(max_workers=3, cache_dir="", executor="thread"),
+            BatchRunner(max_workers=3, executor="thread"),
             specs,
             n=2,
         )
@@ -108,7 +108,7 @@ class TestRunReplicated:
         assert fingerprints(serial) == fingerprints(threaded)
 
     def test_replicate_summaries_have_intervals(self):
-        runner = BatchRunner(max_workers=1, cache_dir="")
+        runner = BatchRunner(max_workers=1)
         (group,) = run_replicated(runner, tiny_spec(), n=3)
         summary = group.metrics["total_dirq_cost"]
         assert summary.n == 3

@@ -52,7 +52,7 @@ GOLDEN_SCENARIO_HASHES = {
 
 
 def serial_runner() -> BatchRunner:
-    return BatchRunner(max_workers=1, cache_dir="")
+    return BatchRunner(max_workers=1)
 
 
 class TestHashCompatibility:
@@ -383,7 +383,7 @@ class TestScenarioRuns:
         serial = [r.fingerprint() for r in serial_runner().run(specs)]
         parallel = [
             r.fingerprint()
-            for r in BatchRunner(max_workers=2, cache_dir="").run(specs)
+            for r in BatchRunner(max_workers=2).run(specs)
         ]
         assert serial == parallel
 

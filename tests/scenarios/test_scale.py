@@ -37,7 +37,7 @@ SCALE_TEST_EPOCHS = 40
 
 
 def serial_runner() -> BatchRunner:
-    return BatchRunner(max_workers=1, cache_dir="")
+    return BatchRunner(max_workers=1)
 
 
 class TestScaledNetwork:
@@ -154,6 +154,6 @@ class TestLargeNDeterminism:
         serial = [r.fingerprint() for r in serial_runner().run(specs)]
         parallel = [
             r.fingerprint()
-            for r in BatchRunner(max_workers=4, cache_dir="").run(specs)
+            for r in BatchRunner(max_workers=4).run(specs)
         ]
         assert serial == parallel
