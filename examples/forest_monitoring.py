@@ -94,7 +94,7 @@ def main() -> None:
     for epoch in range(NUM_EPOCHS):
         sim.run_until(float(epoch))
         if epoch % EPOCHS_PER_HOUR == 0:
-            message = root.start_new_hour(epoch)
+            message = root.start_new_hour()
             hourly_forecast.append(message.expected_queries)
             hourly_actual.append(0)
         for nid in sorted(world.alive):

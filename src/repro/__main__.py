@@ -82,7 +82,6 @@ from .metrics.resilience import (
 )
 from .metrics.stats import DEFAULT_CONFIDENCE, groups_to_jsonable
 from .obs.catalogue import METRIC_CATALOGUE
-from .obs.progress import RunTelemetry
 from .obs.trace_export import chrome_trace, write_chrome_trace, write_jsonl
 from .scenarios.registry import build_config, scenario_defs, scenario_names
 
@@ -326,8 +325,8 @@ def cmd_run(args, store_path: Path) -> int:
         _print_catalogue()
         return 0
     with contextlib.ExitStack() as stack:
-        # One connection serves the whole command: the runner below reuses
-        # it.  A run refused before it has trials creates no store.
+        # One connection serves the whole command: it is the runner's cache
+        # too.  A run refused before it has trials creates no store.
         store = None
         if store_path.is_file():
             store = stack.enter_context(ResultsStore(store_path))
@@ -339,14 +338,8 @@ def cmd_run(args, store_path: Path) -> int:
             return 2
         if store is None:
             store = stack.enter_context(ResultsStore(store_path))
-        cache_dir = store_path.parent
-        telemetry = RunTelemetry()
-        runner = BatchRunner(
-            max_workers=args.workers, cache_dir=cache_dir, telemetry=telemetry
-        )
-        # Each trial is read once: run_missing hands over the ones it runs
-        # or serves, and the runner then reads the ones recorded before
-        # this run (a trial whose cached result was pruned executes again).
+        runner = BatchRunner(max_workers=args.workers)
+        # run_missing hands over every trial of the campaign once.
         by_key: Dict[str, TrialResult] = {}
 
         def keep(result: TrialResult) -> None:
@@ -354,9 +347,6 @@ def cmd_run(args, store_path: Path) -> int:
 
         try:
             stats = run_missing(spec, store, runner=runner, progress=keep)
-            recorded = [trial for trial in trials if trial.key not in by_key]
-            runner.telemetry = None  # the header's line reports the run alone
-            runner.run(recorded, progress=keep, store=store)
         except KeyboardInterrupt:
             print(
                 f"\ninterrupted: campaign {spec.campaign_id} has "
@@ -366,20 +356,25 @@ def cmd_run(args, store_path: Path) -> int:
                 file=sys.stderr,
             )
             return 130
-        executed = stats.executed + runner.last_stats.executed
         results = [by_key[trial.key] for trial in trials]
+        wall = stats.runtime_seconds
+        # Worker utilisation: the executed trials' own runtimes over the
+        # time the workers had.
+        busy = sum(r.runtime_seconds for r in results if not r.from_cache)
+        capacity = wall * runner.max_workers
         header = (
             f"campaign {spec.campaign_id}: {stats.complete_before}/"
             f"{stats.total} trials already stored | scheduled "
-            f"{stats.scheduled}: executed {executed}, cache-served "
+            f"{stats.scheduled}: executed {stats.executed}, cache-served "
             f"{stats.cached}, deduplicated {stats.deduplicated} | workers "
-            f"{runner.max_workers} | wall {stats.runtime_seconds:.2f}s\n"
-            f"{telemetry.render()}"
+            f"{runner.max_workers} | wall {wall:.2f}s, "
+            f"{stats.scheduled / wall if wall else 0.0:.2f} trials/s, "
+            f"util {busy / capacity if capacity else 0.0:.0%}"
         )
         _emit(args, spec, store, results, header)
-    if args.require_cached and executed:
+    if args.require_cached and stats.executed:
         print(
-            f"FAIL: --require-cached but {executed} trials executed "
+            f"FAIL: --require-cached but {stats.executed} trials executed "
             "(expected 0)",
             file=sys.stderr,
         )

@@ -116,7 +116,7 @@ class DirQNode(DisseminationProtocol):
                 atc.on_reading(sensor_type, reading)
             delta = self.current_delta(sensor_type)
             table.observe_reading(reading, delta)
-            self._maybe_send_update(sensor_type, epoch, table=table, delta=delta)
+            self._maybe_send_update(sensor_type, table=table, delta=delta)
         if atc is not None and epoch > 0 and epoch % self.config.atc_window_epochs == 0:
             atc.end_window()
 
@@ -127,7 +127,6 @@ class DirQNode(DisseminationProtocol):
     def _maybe_send_update(
         self,
         sensor_type: str,
-        epoch: int,
         table=None,
         delta: Optional[float] = None,
     ) -> None:
@@ -147,17 +146,16 @@ class DirQNode(DisseminationProtocol):
             # The root keeps its own aggregate current but has nobody to
             # report to.
             return
-        self._send_update(sensor_type, epoch, aggregate)
+        self._send_update(sensor_type, aggregate)
 
-    def _send_removal(self, sensor_type: str, epoch: int) -> None:
+    def _send_removal(self, sensor_type: str) -> None:
         """Withdraw a sensor type from the parent (subtree no longer has it)."""
         if self.parent is not None:
-            self._send_update(sensor_type, epoch, (0.0, 0.0), removed=True)
+            self._send_update(sensor_type, (0.0, 0.0), removed=True)
 
     def _send_update(
         self,
         sensor_type: str,
-        epoch: int,
         aggregate: Tuple[float, float],
         removed: bool = False,
     ) -> None:
@@ -167,7 +165,6 @@ class DirQNode(DisseminationProtocol):
             sensor_type=sensor_type,
             min_threshold=aggregate[0],
             max_threshold=aggregate[1],
-            epoch=epoch,
             removed=removed,
         )
         self.mac.send(self.parent, message, UPDATE_KIND)
@@ -192,14 +189,13 @@ class DirQNode(DisseminationProtocol):
         learns the ranges of the re-attached subtree.  Returns the number of
         updates sent.
         """
-        epoch = int(self.sim.now)
         sent = 0
         for table in self.tables.tables():
             aggregate = table.aggregate()
             if aggregate is None or self.parent is None:
                 continue
             table.mark_transmitted(aggregate)
-            self._send_update(table.sensor_type, epoch, aggregate)
+            self._send_update(table.sensor_type, aggregate)
             sent += 1
         return sent
 
@@ -227,13 +223,13 @@ class DirQNode(DisseminationProtocol):
             if table.is_empty:
                 # The whole subtree (including this node) lost the type.
                 self.tables.drop(message.sensor_type)
-                self._send_removal(message.sensor_type, message.epoch)
+                self._send_removal(message.sensor_type)
                 return
         else:
             table.update_child(
                 sender, message.min_threshold, message.max_threshold
             )
-        self._maybe_send_update(message.sensor_type, message.epoch)
+        self._maybe_send_update(message.sensor_type)
 
     # -- queries from the parent -------------------------------------------------
 
@@ -302,14 +298,13 @@ class DirQNode(DisseminationProtocol):
     def _forget_child(self, child: NodeId) -> None:
         """Drop ``child``'s entries and propagate any range change (§4.2)."""
         changed_types = self.tables.remove_child_everywhere(child)
-        epoch = int(self.sim.now)
         for sensor_type in changed_types:
             table = self.tables.table(sensor_type)
             if table is not None and table.is_empty:
                 self.tables.drop(sensor_type)
-                self._send_removal(sensor_type, epoch)
+                self._send_removal(sensor_type)
             else:
-                self._maybe_send_update(sensor_type, epoch)
+                self._maybe_send_update(sensor_type)
 
     def _handle_neighbor_lost(self, neighbor: NodeId) -> None:
         if not self.alive:

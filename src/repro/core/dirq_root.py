@@ -25,7 +25,7 @@ from typing import Optional
 from ..mac.lmac import LMACProtocol
 from ..network.node import SensorNode
 from ..simulation.engine import Simulator
-from .atc import BudgetPlan, RootBudgetPlanner
+from .atc import RootBudgetPlanner
 from .config import DirQConfig
 from .dirq_node import DirQNode
 from .messages import EstimateMessage, RangeQuery
@@ -60,13 +60,10 @@ class DirQRoot(DirQNode):
         super().__init__(sim, node, mac, config, audit)
         self.predictor = predictor
         self.planner = RootBudgetPlanner(config)
-        self.queries_injected = 0
         self.hour_index = -1
-        self.last_plan: Optional[BudgetPlan] = None
         self._queries_this_hour = 0
         self._network_size = 1
         self._flooding_cost_per_query: Optional[float] = None
-        self._next_query_id = 0
 
     # ------------------------------------------------------------------
     # Deployment-time calibration hooks (set by the experiment runner)
@@ -106,12 +103,6 @@ class DirQRoot(DirQNode):
     # Query injection
     # ------------------------------------------------------------------
 
-    def next_query_id(self) -> int:
-        """Allocate a fresh query identifier."""
-        qid = self._next_query_id
-        self._next_query_id += 1
-        return qid
-
     def inject_query(self, query: RangeQuery) -> int:
         """Inject a one-shot range query at the root.
 
@@ -122,7 +113,6 @@ class DirQRoot(DirQNode):
         """
         if not self.alive:
             raise RuntimeError("cannot inject a query at a dead root")
-        self.queries_injected += 1
         self._queries_this_hour += 1
         if self.tables.table(query.sensor_type) is None:
             # No node in the network (as far as the root knows) carries this
@@ -148,7 +138,7 @@ class DirQRoot(DirQNode):
     # Hourly estimate broadcast (EHr) and ATC budgeting
     # ------------------------------------------------------------------
 
-    def start_new_hour(self, epoch: int) -> EstimateMessage:
+    def start_new_hour(self) -> EstimateMessage:
         """Begin a new hour: predict the load and disseminate the estimate."""
         self.hour_index += 1
         if self.predictor is not None:
@@ -170,7 +160,6 @@ class DirQRoot(DirQNode):
                 flooding_cost_per_query=self._flooding_cost_per_query,
                 network_size=self._network_size,
             )
-            self.last_plan = plan
             node_budget = plan.node_update_budget
 
         message = EstimateMessage(
@@ -178,7 +167,6 @@ class DirQRoot(DirQNode):
             hour_index=self.hour_index,
             network_size=self._network_size,
             node_update_budget=node_budget,
-            epoch=epoch,
         )
         # The root participates in ATC like everyone else.
         if self.atc is not None:

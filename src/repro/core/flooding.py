@@ -36,7 +36,6 @@ class FloodingNode(DisseminationProtocol):
     ):
         super().__init__(sim, node, mac, audit)
         self.queries_received = 0
-        self.queries_rebroadcast = 0
         self._seen: Set[int] = set()
 
     def on_epoch(self, epoch: int) -> None:
@@ -58,7 +57,6 @@ class FloodingNode(DisseminationProtocol):
         self.record_query_receipt(payload.query_id)
         self._evaluate_source(payload)
         self.mac.broadcast(payload, FLOOD_KIND)
-        self.queries_rebroadcast += 1
 
     def _evaluate_source(self, query: RangeQuery) -> None:
         """Source check against the node's *current* reading.
@@ -88,20 +86,11 @@ class FloodingRoot(FloodingNode):
         if not node.is_root:
             raise ValueError("FloodingRoot must run on the node marked is_root=True")
         super().__init__(sim, node, mac, audit)
-        self.queries_injected = 0
-        self._next_query_id = 0
-
-    def next_query_id(self) -> int:
-        qid = self._next_query_id
-        self._next_query_id += 1
-        return qid
 
     def inject_query(self, query: RangeQuery) -> None:
         """Inject a query: the root broadcasts it and marks it as seen."""
         if not self.alive:
             raise RuntimeError("cannot inject a query at a dead root")
-        self.queries_injected += 1
         self._seen.add(query.query_id)
         self._evaluate_source(query)
         self.mac.broadcast(query, FLOOD_KIND)
-        self.queries_rebroadcast += 1

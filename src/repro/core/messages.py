@@ -104,7 +104,6 @@ class UpdateMessage:
     sensor_type: str
     min_threshold: float
     max_threshold: float
-    epoch: int = 0
     removed: bool = False
 
     def __post_init__(self) -> None:
@@ -131,15 +130,12 @@ class EstimateMessage:
         Per-node update budget (messages per hour) derived by the root's
         Adaptive Threshold Control from ``expected_queries`` and the cost
         model; ``None`` when fixed thresholds are in use.
-    epoch:
-        Epoch at which the estimate was issued.
     """
 
     expected_queries: float
     hour_index: int
     network_size: int = 0
     node_update_budget: Optional[float] = None
-    epoch: int = 0
 
     def __post_init__(self) -> None:
         if self.expected_queries < 0:

@@ -547,13 +547,6 @@ def _execute_trial(spec: TrialSpec) -> TrialResult:
 # ---------------------------------------------------------------------------
 
 
-def _same_file(a: Path, b: Path) -> bool:
-    try:
-        return os.path.samefile(a, b)
-    except OSError:  # ``b`` does not exist yet, so it is not ``a``
-        return False
-
-
 @dataclasses.dataclass
 class BatchStats:
     """Execution accounting for one :meth:`BatchRunner.run` call."""
@@ -576,8 +569,9 @@ class BatchRunner:
         executes inline (no pool), which is also the fallback for
         single-trial batches.
     cache_dir:
-        Directory of the result cache, or ``None`` for no cache.  Results are
-        stored in the ``results`` table of ``<cache_dir>/campaigns.sqlite``
+        Directory of the result cache for a :meth:`run` that is given no
+        store, or ``None`` for no cache.  Results are stored in the
+        ``results`` table of ``<cache_dir>/campaigns.sqlite``
         (:class:`~repro.experiments.store.ResultsStore`), the file that
         also keeps the campaigns; a re-run of a sweep only executes trials
         missing from the cache.  Every read and write
@@ -587,14 +581,6 @@ class BatchRunner:
         ``"process"`` (default) or ``"thread"``.  Threads exist for
         debugging (shared tracebacks); the simulator is pure Python, so
         real speed-ups need processes.
-    telemetry:
-        Optional run-telemetry sink (duck-typed to
-        :class:`repro.obs.progress.RunTelemetry`): ``on_start(total,
-        workers=...)`` fires when a sweep is classified, ``on_result(result)``
-        once per input spec (cache hits and deduplicated twins included,
-        rebound like the ``progress`` callback), ``on_failure()`` when a
-        sweep aborts.  Purely observational -- it sees results after they
-        are cached and cannot affect execution.
     """
 
     EXECUTORS = ("process", "thread")
@@ -604,7 +590,6 @@ class BatchRunner:
         max_workers: Optional[int] = None,
         cache_dir: Optional[os.PathLike] = None,
         executor: str = "process",
-        telemetry=None,
     ):
         if executor not in self.EXECUTORS:
             raise ValueError(
@@ -617,7 +602,6 @@ class BatchRunner:
         self.max_workers = int(max_workers)
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.executor = executor
-        self.telemetry = telemetry
         self.last_stats = BatchStats()
 
     # -- execution -----------------------------------------------------------
@@ -632,9 +616,9 @@ class BatchRunner:
         """Execute a sweep and return one result per spec, in input order.
 
         ``store`` is an open :class:`~repro.experiments.store.ResultsStore`
-        of the caller's: when it is this runner's cache file, the runner
-        reads and writes the cache through it (and leaves it open) instead
-        of opening the file a second time.
+        of the caller's.  When given, it is the cache: the runner reads and
+        writes through it (and leaves it open), and :attr:`cache_dir` is
+        not read.
 
         Identical configurations (equal :attr:`TrialSpec.key`) are executed
         once and share a result.  ``progress`` is invoked exactly once per
@@ -658,10 +642,7 @@ class BatchRunner:
         spec_list = list(specs)
         start = time.perf_counter()
         stats = BatchStats(total=len(spec_list), workers=self.max_workers)
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.on_start(len(spec_list), workers=self.max_workers)
-        cache = own_cache = None
+        cache, own_cache = store, None
         results: List[Optional[TrialResult]] = [None] * len(spec_list)
         pending: List[TrialSpec] = []
         # key -> the index of every input spec that asked for it, in input
@@ -678,10 +659,8 @@ class BatchRunner:
             return bound
 
         def notify(bound: List[TrialResult]) -> None:
-            for rebound in bound:
-                if telemetry is not None:
-                    telemetry.on_result(rebound)
-                if progress is not None:
+            if progress is not None:
+                for rebound in bound:
                     progress(rebound)
 
         def on_result(result: TrialResult) -> None:
@@ -691,16 +670,14 @@ class BatchRunner:
             notify(bind(result))
 
         try:
-            if self.cache_dir is not None and spec_list:
+            if cache is None and self.cache_dir is not None and spec_list:
                 # Lazy: the store imports CACHE_VERSION and _canonical from
                 # this module.
                 from .store import DEFAULT_STORE_NAME, ResultsStore
 
-                path = self.cache_dir / DEFAULT_STORE_NAME
-                if store is not None and _same_file(store.path, path):
-                    cache = store
-                else:
-                    cache = own_cache = ResultsStore(path)
+                cache = own_cache = ResultsStore(
+                    self.cache_dir / DEFAULT_STORE_NAME
+                )
             hits: List[TrialResult] = []
             for index, spec in enumerate(spec_list):
                 if spec.key in waiters:
@@ -722,12 +699,7 @@ class BatchRunner:
                 served(bound)
             notify(bound)
 
-            try:
-                self._execute(pending, on_result)
-            except BaseException:
-                if telemetry is not None:
-                    telemetry.on_failure()
-                raise
+            self._execute(pending, on_result)
         finally:
             if own_cache is not None:
                 own_cache.close()

@@ -9,10 +9,11 @@ registry builds, so every campaign that names a cell shares its cache key
 :data:`PRESETS` names the campaigns behind the paper's figures and this
 repository's ablations; :func:`preset` builds one.
 
-:func:`run_missing` is the whole execution model: expand the spec, ask the
-:class:`~repro.experiments.store.ResultsStore` which trials are already
-recorded, and run only the gaps through a
-:class:`~repro.experiments.batch.BatchRunner`.  Every executed trial is
+:func:`run_missing` is the whole execution model: expand the spec and
+hand every trial to one :class:`~repro.experiments.batch.BatchRunner` pass
+whose cache is the :class:`~repro.experiments.store.ResultsStore`, so only
+the trials the store holds no result for execute, and only the trials it
+has not recorded are recorded.  Every executed trial is
 upserted into the store atomically the moment it completes (the runner's
 per-spec progress callback), so a killed process -- Ctrl-C, crash, a downed
 host -- loses at most the trials that were in flight, and re-running the
@@ -44,7 +45,7 @@ import hashlib
 import math
 import re
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..scenarios.registry import DEFAULT_SCENARIO_EPOCHS, get_scenario
 from .batch import (
@@ -424,7 +425,13 @@ def preset(
 
 @dataclasses.dataclass
 class CampaignStats:
-    """Accounting for one :func:`run_missing` call."""
+    """Accounting for one :func:`run_missing` call.
+
+    ``scheduled`` counts the trials the store had not recorded, ``cached``
+    those of them the cache served, ``executed`` every trial that ran (a
+    recorded one whose cached result was pruned included) and ``stored``
+    the rows written.
+    """
 
     campaign_id: str
     total: int
@@ -443,20 +450,20 @@ def run_missing(
     runner: Optional[BatchRunner] = None,
     progress=None,
 ) -> CampaignStats:
-    """Execute exactly the campaign trials the store has no record of.
+    """Record every campaign trial the store has no record of.
 
-    Registers the campaign (idempotent), diffs the deterministic expansion
-    against :meth:`ResultsStore.completed_keys`, and runs only the missing
-    specs.  Trials already present in the runner's cache (e.g. run earlier
-    by another campaign) are served from it without re-execution and
-    recorded in the store all the same: all of them in one transaction,
-    before any of their progress callbacks fires and before any trial
-    executes.  Each executed trial is upserted the moment it finishes, in
-    its own transaction (via the runner's per-spec progress hook --
-    *before* the caller's ``progress`` fires), so interruption at any
-    point loses at most the in-flight trials, plus served rows that the
-    next run serves again.  When the runner's cache file is ``store``'s,
-    the runner uses ``store`` rather than a second connection.
+    Registers the campaign (idempotent) and hands the whole deterministic
+    expansion to one ``runner.run`` call whose cache is ``store``.  A trial
+    in the cache -- recorded by this campaign or run earlier by another --
+    is served without re-execution; a recorded trial whose cached result
+    was pruned executes again.  Only the trials missing from
+    :meth:`ResultsStore.completed_keys` are recorded: the served ones all
+    in one transaction, before any progress callback fires and before any
+    trial executes, and each executed one the moment it finishes, in its
+    own transaction (via the runner's per-spec progress hook -- *before*
+    the caller's ``progress`` fires).  Interruption at any point therefore
+    loses at most the in-flight trials, plus served rows that the next run
+    serves again.  ``progress`` sees every trial of the campaign once.
 
     On interruption (``KeyboardInterrupt`` or a failing trial) the partial
     accounting is still written to ``runner.last_stats`` and every finished
@@ -469,25 +476,26 @@ def run_missing(
     store.register_campaign(
         campaign_id, spec.name, spec.spec_json, spec.total_trials
     )
-    done = store.completed_keys(campaign_id)
-    missing = [s for s in all_specs if s.key not in done]
+    recorded = store.completed_keys(campaign_id)
+    scheduled = sum(trial.key not in recorded for trial in all_specs)
     stats = CampaignStats(
         campaign_id=campaign_id,
         total=len(all_specs),
-        complete_before=len(all_specs) - len(missing),
-        scheduled=len(missing),
+        complete_before=len(all_specs) - scheduled,
+        scheduled=scheduled,
     )
-    served_keys: Set[str] = set()
 
     def on_served(results: List[TrialResult]) -> None:
+        fresh = [result for result in results if result.spec.key not in recorded]
         with store.transaction():
-            for result in results:
+            for result in fresh:
                 store.record_trial(campaign_id, result)
-        served_keys.update(result.spec.key for result in results)
-        stats.stored += len(results)
+        recorded.update(result.spec.key for result in fresh)
+        stats.cached += len(fresh)
+        stats.stored += len(fresh)
 
     def on_trial(result: TrialResult) -> None:
-        if result.spec.key not in served_keys:
+        if result.spec.key not in recorded:
             store.record_trial(campaign_id, result)
             stats.stored += 1
         if progress is not None:
@@ -495,11 +503,10 @@ def run_missing(
 
     start = time.perf_counter()
     try:
-        runner.run(missing, progress=on_trial, store=store, served=on_served)
+        runner.run(all_specs, progress=on_trial, store=store, served=on_served)
     finally:
         batch_stats = runner.last_stats
         stats.executed = batch_stats.executed
-        stats.cached = batch_stats.cached
         stats.deduplicated = batch_stats.deduplicated
         stats.runtime_seconds = time.perf_counter() - start
     return stats

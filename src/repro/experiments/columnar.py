@@ -457,9 +457,7 @@ class ColumnarTick:
                 d = delta[i]
                 if not rins[pos]:
                     table.observe_reading(reading, d)
-                proto._maybe_send_update(
-                    row_stypes[i], epoch, table=table, delta=d
-                )
+                proto._maybe_send_update(row_stypes[i], table=table, delta=d)
                 refresh(i)
                 discard(i)
 

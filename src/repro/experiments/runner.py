@@ -422,7 +422,6 @@ class ExperimentRunner:
                 [cfg.query_sensor_type] if cfg.query_sensor_type else None
             ),
             sensor_owners=world.sensor_owners,
-            alive=world.alive,
         )
 
         # Dynamic-scenario models.  Each draws from its own named stream,
@@ -602,7 +601,7 @@ class ExperimentRunner:
             if is_dirq and epoch % epochs_per_hour == 0:
                 if profiling:
                     begin_phase("protocol-tick")
-                root.start_new_hour(epoch)
+                root.start_new_hour()
 
             # Per-epoch sensing and range maintenance.
             if profiling:

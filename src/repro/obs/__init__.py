@@ -1,16 +1,14 @@
 """repro.obs -- determinism-preserving observability.
 
-Three pillars, all optional and all excluded from result hashing:
+Two pillars, both optional and both excluded from result hashing:
 
 * :mod:`repro.obs.metrics` -- named counters/gauges/histograms
   (:class:`MetricsRegistry`) with a zero-overhead disabled default
   (:data:`NULL_METRICS`);
 * :mod:`repro.obs.phases` -- a :class:`PhaseTimer` decomposing the epoch
-  tick into named phases using injectable monotonic time;
-* :mod:`repro.obs.progress` -- :class:`RunTelemetry` structured progress
-  events for batch/campaign runs.
+  tick into named phases using injectable monotonic time.
 
-:class:`repro.obs.instrumentation.Instrumentation` bundles the three
+:class:`repro.obs.instrumentation.Instrumentation` bundles the two
 (plus the :class:`~repro.simulation.trace.Tracer` ring buffer) behind one
 handle; :mod:`repro.obs.trace_export` renders tracer records and phase
 spans as JSONL / Chrome trace-event JSON (loadable in Perfetto).
@@ -33,7 +31,6 @@ from .instrumentation import (
 )
 from .metrics import NULL_METRICS, MetricsRegistry
 from .phases import NULL_PHASES, PhaseTimer
-from .progress import RunTelemetry
 
 __all__ = [
     "METRIC_CATALOGUE",
@@ -46,5 +43,4 @@ __all__ = [
     "Instrumentation",
     "NULL_INSTRUMENTATION",
     "build_instrumentation",
-    "RunTelemetry",
 ]

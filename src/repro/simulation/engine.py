@@ -26,9 +26,6 @@ Design choices
   stays proportional to the number of *live* events.
 * **One object per event.**  :meth:`Simulator.schedule_at` allocates the
   :class:`Event` and returns it; the event is its own cancellation handle.
-* **Cached head time.**  The earliest scheduled time is tracked as a cheap
-  lower bound, making :meth:`run_until` O(1) when nothing is due before the
-  boundary -- the common case for the experiment runner's per-epoch drains.
 * **Epoch-driven operation.**  The experiment runner advances the network one
   *epoch* at a time (the paper's sampling period).  Within an epoch, protocol
   messages are exchanged as ordinary events at fractional times; the runner
@@ -154,10 +151,6 @@ class Simulator:
         #: loop pays one int increment, never a registry call.
         self._cancelled_total = 0
         self._compactions = 0
-        #: Lower bound on the next pending event time (exact when the head
-        #: entry is live; conservative -- never *above* the true head --
-        #: when the head was cancelled).  ``None`` iff the heap is empty.
-        self._head_time: Optional[float] = None
 
     # -- inspection --------------------------------------------------------
 
@@ -237,9 +230,6 @@ class Simulator:
         priority = int(priority)
         event = Event(time, priority, order, callback, label, self)
         heapq.heappush(self._heap, (time, priority, order, event))
-        head = self._head_time
-        if head is None or time < head:
-            self._head_time = time
         return event
 
     def next_seq(self) -> int:
@@ -269,12 +259,12 @@ class Simulator:
         boundary even if no event fired at it.  Returns the number of
         events executed.
 
-        When nothing is due at or before ``until`` this is O(1): the cached
+        When nothing is due at or before ``until`` this is O(1): the heap's
         head time lets the call skip the event loop entirely and just
         advance the time (the experiment runner's epoch fast path).
         """
-        head = self._head_time
-        if head is not None and head <= until:
+        heap = self._heap
+        if heap and heap[0][0] <= until:
             executed = self._run_loop(until)
         elif self._running:
             raise SimulationError("Simulator.run is not reentrant")
@@ -308,7 +298,6 @@ class Simulator:
         heapq.heapify(heap)
         self._cancelled_in_heap = 0
         self._compactions += 1
-        self._head_time = heap[0][0] if heap else None
 
     def _run_loop(self, until: Optional[float]) -> int:
         if self._running:
@@ -341,7 +330,6 @@ class Simulator:
         finally:
             self._executed += executed
             self._running = False
-            self._head_time = heap[0][0] if heap else None
         return executed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -28,10 +28,9 @@ def wall_now() -> float:
 def mono_now() -> float:
     """Monotonic host time in seconds, for measuring durations.
 
-    The sanctioned accessor behind profiling code (``repro.obs.phases``,
-    run-telemetry throughput/ETA).  Profilers accept an injectable
-    ``now`` callable defaulting to this function, so phase tables and
-    progress snapshots are testable with a scripted clock -- and so no
+    The sanctioned accessor behind profiling code (``repro.obs.phases``).
+    Profilers accept an injectable ``now`` callable defaulting to this
+    function, so phase tables are testable with a scripted clock -- and so no
     measured duration ever reaches a result fingerprint (the obs layer
     keeps timings in the hash-exempt ``telemetry`` payload only).
     """

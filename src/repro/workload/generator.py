@@ -19,8 +19,8 @@ rarely changes, so the generator keeps one *root-path bitset* per dataset
 column for its current tree: the nodes on the column's root path, root left
 out, as bits of a Python int (0 for a node outside the tree).  A candidate's
 involved set is then the OR of the bitsets of the columns whose reading lies
-in the interval and whose node carries the type and is alive, and its size
-is that OR's popcount -- the integer that
+in the interval and whose node carries the type, and its size is that OR's
+popcount -- the integer that
 :func:`~repro.workload.ground_truth.evaluate_query`'s should-receive set
 would count.  :meth:`QueryWorkloadGenerator.set_tree` drops the bitsets.
 """
@@ -62,10 +62,6 @@ class QueryWorkloadGenerator:
         Types to draw queries over; defaults to every type in the dataset.
     sensor_owners:
         Mapping sensor type -> nodes that carry it (heterogeneous networks).
-    alive:
-        The alive nodes, the only eligible sources; ``None`` counts every
-        node.  The generator reads the set it is given (a trial passes the
-        channel's), so it follows every kill and revival.
     max_bisection_steps:
         Iterations of the half-width bisection; 20 gives sub-0.1 % width
         resolution over the full value range.
@@ -78,7 +74,6 @@ class QueryWorkloadGenerator:
         rng: np.random.Generator,
         sensor_types: Optional[Sequence[str]] = None,
         sensor_owners: Optional[Dict[str, Set[NodeId]]] = None,
-        alive: Optional[Set[NodeId]] = None,
         max_bisection_steps: int = 20,
     ):
         self.dataset = dataset
@@ -93,7 +88,6 @@ class QueryWorkloadGenerator:
         self.sensor_owners = sensor_owners
         self.max_bisection_steps = int(max_bisection_steps)
         self._next_query_id = 0
-        self.alive = alive
         #: Root-path bitset per dataset column for ``tree``; built on first
         #: use, dropped by :meth:`set_tree`.
         self._paths: Optional[List[int]] = None
@@ -187,8 +181,9 @@ class QueryWorkloadGenerator:
         Equals :func:`~repro.workload.ground_truth.evaluate_query`'s
         should-receive count over ``max(1, tree.num_nodes - 1)``: the range
         test is :meth:`SensorDataset.matching_nodes`' expression, and the
-        eligibility mask keeps the sources that carry the type and are
-        alive.
+        eligibility mask keeps the sources that carry the type.  A node
+        outside the tree -- a dead one, in a trial -- has root-path bitset
+        0, so it involves no node.
         """
         values = self.dataset.epoch_slice(sensor_type, epoch)
         paths = self._root_paths()
@@ -197,12 +192,8 @@ class QueryWorkloadGenerator:
             if self.sensor_owners is not None
             else None
         )
-        alive = self.alive
         eligible = np.array(
-            [
-                (owners is None or nid in owners) and (alive is None or nid in alive)
-                for nid in self.dataset.node_ids
-            ],
+            [owners is None or nid in owners for nid in self.dataset.node_ids],
             dtype=bool,
         )
         denominator = max(1, self.tree.num_nodes - 1)

@@ -33,12 +33,6 @@ class TestDirQRoot:
                 world.config,
             )
 
-    def test_next_query_id_monotone(self, line_world):
-        root = line_world.root
-        ids = [root.next_query_id() for _ in range(5)]
-        assert ids == sorted(ids)
-        assert len(set(ids)) == 5
-
     def test_calibration_setters_validate(self, line_world):
         root = line_world.root
         with pytest.raises(ValueError):
@@ -59,27 +53,26 @@ class TestDirQRoot:
         # Fixed-threshold root: no budget in the estimate.
         line_world.run_epoch(0)
         line_world.root.set_network_size(5)
-        msg_fixed = line_world.root.start_new_hour(1)
+        msg_fixed = line_world.root.start_new_hour()
         assert msg_fixed.node_update_budget is None
 
         # Adaptive root with flooding cost installed: budget present.
         atc_world.run_epoch(0)
         atc_world.root.set_network_size(5)
         atc_world.root.set_flooding_cost(40.0)
-        msg_atc = atc_world.root.start_new_hour(1)
+        msg_atc = atc_world.root.start_new_hour()
         assert msg_atc.node_update_budget is not None
         assert msg_atc.node_update_budget >= 0.0
-        assert atc_world.root.last_plan is not None
 
     def test_hour_index_increments_and_queries_counted_per_hour(self, atc_world):
         world = atc_world
         world.run_epoch(0)
         world.root.set_network_size(5)
         world.root.set_flooding_cost(40.0)
-        first = world.root.start_new_hour(0)
+        first = world.root.start_new_hour()
         world.root.inject_query(RangeQuery(10, "temperature", 0.0, 100.0, epoch=1))
         world.settle(2.0)
-        second = world.root.start_new_hour(20)
+        second = world.root.start_new_hour()
         assert second.hour_index == first.hour_index + 1
         # The completed hour's realised count (1 query) feeds the predictor.
         assert world.root.predictor.history[-1] == 1
@@ -151,7 +144,7 @@ class TestAdaptiveNodeBehaviour:
         # Prime the predictor with a realistic load so the hourly plan hands
         # every node a non-zero update budget.
         world.root.predictor.record(10)
-        world.root.start_new_hour(0)
+        world.root.start_new_hour()
         world.settle(0.99)
         atc = world.protocols[1].atc
         initial = atc.delta_percent("temperature")

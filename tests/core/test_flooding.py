@@ -46,8 +46,8 @@ class TestFloodingDelivery:
         world.run_epoch(0)
         world.root.inject_query(RangeQuery(0, "temperature", 0.0, 2.0, epoch=1))
         world.settle(3.0)
-        for proto in world.protocols.values():
-            assert proto.queries_rebroadcast == 1
+        for n in world.protocols:
+            assert world.ledger.node(n).count("tx", "flood") == 1
 
     def test_source_evaluation_uses_live_reading(self, star4):
         world = make_flood_world(star4, {0: 0.0, 1: 10.0, 2: 20.0, 3: 30.0, 4: 40.0})
@@ -113,4 +113,6 @@ class TestFloodingCost:
         world.settle(3.0)
         # N + 2L = 3 + 6 = 9.
         assert world.ledger.total_cost(["flood"]) == pytest.approx(9.0)
-        assert all(p.queries_rebroadcast == 1 for p in world.protocols.values())
+        assert all(
+            world.ledger.node(n).count("tx", "flood") == 1 for n in world.protocols
+        )

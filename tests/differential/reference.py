@@ -141,8 +141,10 @@ def coverage_for(
     epoch: int,
     centre: float,
     half_width: float,
+    alive: Optional[Iterable[NodeId]] = None,
 ) -> float:
-    """The involvement of one bisection candidate of ``generator``'s query."""
+    """The involvement of one bisection candidate of ``generator``'s query,
+    counting only ``alive`` sources (``None``: every node)."""
     candidate = RangeQuery(
         query_id=-1,
         sensor_type=sensor_type,
@@ -156,7 +158,7 @@ def coverage_for(
         candidate,
         epoch,
         generator.sensor_owners,
-        generator.alive,
+        alive,
     )
 
 

@@ -7,9 +7,11 @@ candidate through :func:`~tests.differential.reference.involvement_fraction`:
 a ``RangeQuery``, the source and should-receive sets, and a tree walk per
 source.  Every candidate a trial's generator evaluates must get the same
 coverage from both, bit for bit, so the bisection takes the same steps.
-The scenarios cover a static tree, bursty traffic, kills and revivals
-(the alive set changes under the generator), and mobility re-links (the
-tree changes under it), at 50 and at 500 nodes.
+The reference counts only the trial's alive nodes as sources, while the
+generator has no alive set: a dead node is outside its tree.  The
+scenarios cover a static tree, bursty traffic, kills and revivals (the
+alive set changes under the generator), and mobility re-links (the tree
+changes under it), at 50 and at 500 nodes.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ CELLS = (
 def test_every_candidate_coverage_matches_the_reference(scenario, epochs):
     pairs: List[Tuple[float, float]] = []
     production = QueryWorkloadGenerator._coverage_for
+    runner = ExperimentRunner(build_config(scenario, epochs, 1))
 
     def checked(generator, sensor_type, epoch, centre):
         coverage_for = production(generator, sensor_type, epoch, centre)
@@ -49,7 +52,8 @@ def test_every_candidate_coverage_matches_the_reference(scenario, epochs):
         def both(half_width):
             got = coverage_for(half_width)
             expected = reference.coverage_for(
-                generator, sensor_type, epoch, centre, half_width
+                generator, sensor_type, epoch, centre, half_width,
+                runner.world.alive,
             )
             pairs.append((got, expected))
             return got
@@ -58,7 +62,7 @@ def test_every_candidate_coverage_matches_the_reference(scenario, epochs):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(QueryWorkloadGenerator, "_coverage_for", checked)
-        ExperimentRunner(build_config(scenario, epochs, 1)).run()
+        runner.run()
     # The oracle ran: every query evaluates at least the full range and
     # the chosen width.
     assert len(pairs) >= 2 * (epochs // 20 - 1) > 0
@@ -67,9 +71,9 @@ def test_every_candidate_coverage_matches_the_reference(scenario, epochs):
 
 
 def test_candidates_leave_out_dead_nodes_and_nodes_without_the_type():
-    """In a trial a dead node has left the tree as well; here the tree
-    keeps every node, some are dead and a third carry no sensor, so only
-    the eligibility mask can leave them out."""
+    """The tree spans the alive nodes, as a trial's does, and a third of
+    the nodes carry no sensor, so only the eligibility mask can leave
+    those out."""
     rng = np.random.default_rng(5)
     topology = random_geometric_topology(30, 35.0, rng=rng)
     node_ids = topology.node_ids
@@ -79,12 +83,12 @@ def test_candidates_leave_out_dead_nodes_and_nodes_without_the_type():
     owners = {
         stype: {nid for nid in node_ids if nid % 3} for stype in dataset.sensor_types
     }
+    alive = set(node_ids) - {4, 7, 11, 20}
     generator = QueryWorkloadGenerator(
         dataset,
-        build_bfs_tree(topology),
+        build_bfs_tree(topology, alive=alive, partial=True),
         rng,
         sensor_owners=owners,
-        alive=set(node_ids) - {4, 7, 11, 20},
     )
     evaluated = 0
     for stype in dataset.sensor_types:
@@ -95,7 +99,7 @@ def test_candidates_leave_out_dead_nodes_and_nodes_without_the_type():
                 coverage_for = generator._coverage_for(stype, epoch, centre)
                 for half_width in np.linspace(0.0, span, 9).tolist():
                     expected = reference.coverage_for(
-                        generator, stype, epoch, centre, half_width
+                        generator, stype, epoch, centre, half_width, alive
                     )
                     assert coverage_for(half_width).hex() == expected.hex()
                     evaluated += expected > 0

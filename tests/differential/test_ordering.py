@@ -62,7 +62,8 @@ def _crossing_sequence(monkeypatch, config, reference=False, tick_only=False):
     calls = []
     original = DirQNode._maybe_send_update
 
-    def spy(self, sensor_type, epoch, **kwargs):
+    def spy(self, sensor_type, **kwargs):
+        epoch = int(self.sim.now)
         table = kwargs.get("table")
         if table is None:
             if not tick_only:
@@ -71,7 +72,7 @@ def _crossing_sequence(monkeypatch, config, reference=False, tick_only=False):
             memo = table._no_update_memo
             if memo != (table._version, kwargs["delta"]):
                 calls.append((epoch, self.node_id, sensor_type))
-        return original(self, sensor_type, epoch, **kwargs)
+        return original(self, sensor_type, **kwargs)
 
     monkeypatch.setattr(DirQNode, "_maybe_send_update", spy)
     if reference:

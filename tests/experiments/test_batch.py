@@ -213,6 +213,34 @@ class TestBatchRunnerCache:
         rerun.run([spec])
         assert rerun.last_stats.executed == 1
 
+    @pytest.mark.parametrize("runner_dir", ["other", None])
+    def test_a_given_store_is_the_cache_whatever_cache_dir_says(
+        self, tmp_path, runner_dir
+    ):
+        """``run(store=...)`` caches in the store and never reads
+        ``cache_dir``, even when that directory holds the same trials."""
+        specs = tiny_specs()[:2]
+        cache_dir = None if runner_dir is None else tmp_path / runner_dir
+        if cache_dir is not None:
+            BatchRunner(max_workers=1, cache_dir=cache_dir).run(specs)
+            before = (cache_dir / DEFAULT_STORE_NAME).read_bytes()
+        with ResultsStore(tmp_path / "store" / DEFAULT_STORE_NAME) as store:
+            runner = BatchRunner(max_workers=1, cache_dir=cache_dir)
+            runner.run(specs, store=store)
+            assert runner.last_stats.executed == len(specs)
+            assert runner.last_stats.cached == 0
+            assert {row["key"] for row in store.cached_results()} == {
+                spec.key for spec in specs
+            }
+            again = runner.run(specs, store=store)
+            assert runner.last_stats.executed == 0
+            assert runner.last_stats.cached == len(specs)
+            assert all(result.from_cache for result in again)
+        if cache_dir is not None:
+            assert (cache_dir / DEFAULT_STORE_NAME).read_bytes() == before
+        else:
+            assert [path.name for path in tmp_path.iterdir()] == ["store"]
+
     def test_sweep_leaves_only_the_store_in_the_cache_dir(self, tmp_path):
         """One persistence layer: no per-trial file is written."""
         specs = smoke_sweep(num_nodes=10, num_epochs=60)

@@ -14,12 +14,15 @@ The two properties this layer exists for:
 import copy
 import dataclasses
 import hashlib
+import itertools
 import json
+import types
 
 import pytest
 
 from repro.__main__ import main
 from repro.experiments import batch as batch_mod
+from repro.experiments import campaign as campaign_mod
 from repro.experiments.batch import BatchRunner
 from repro.experiments.campaign import (
     PRESETS,
@@ -382,7 +385,8 @@ class TestRunMissingResume:
 
     def run(self, spec, store, template, workers=1, progress=None,
             counter=None):
-        """run_missing with a fake executor (threads, no trial cache)."""
+        """run_missing with a fake executor, on threads; the store is the
+        trial cache."""
         runner = BatchRunner(
             max_workers=workers, executor="thread", cache_dir=None
         )
@@ -510,6 +514,56 @@ class TestRunMissingResume:
         ]
 
 
+class TestCampaignProgressAccounting:
+    def test_totals_match_store_rows_across_interrupt_and_resume(
+        self, tmp_path
+    ):
+        """``progress`` and :class:`CampaignStats` never disagree with the
+        rows the store holds."""
+        spec = CampaignSpec(
+            name="obs-resume",
+            scenarios=("static-paper",),
+            protocols=("dirq", "flooding"),
+            replicates=3,
+            num_epochs=40,
+            seed=1,
+        )
+        total = spec.total_trials
+        assert total == 6
+        interrupt_at = 3
+        seen = []
+
+        def interrupting(result):
+            seen.append(result)
+            if len(seen) == interrupt_at:
+                raise KeyboardInterrupt
+
+        with ResultsStore(tmp_path / "s.sqlite") as store:
+            runner = BatchRunner(max_workers=1)
+            with pytest.raises(KeyboardInterrupt):
+                run_missing(spec, store, runner=runner, progress=interrupting)
+            # Every trial the callback saw is a stored row.
+            assert len(seen) == store.count(spec.campaign_id) == interrupt_at
+            first = runner.last_stats.executed
+            assert first == interrupt_at
+
+            resumed = []
+            stats = run_missing(
+                spec, store, runner=runner, progress=resumed.append
+            )
+            # The resume sees every trial once, serves the recorded ones
+            # and executes only the rest: together the two runs execute
+            # the campaign exactly once.
+            assert len(resumed) == total
+            assert stats.complete_before == interrupt_at
+            assert stats.scheduled == stats.executed == stats.stored == (
+                total - interrupt_at
+            )
+            assert stats.cached == 0
+            assert store.count(spec.campaign_id) == total
+            assert first + stats.executed == total
+
+
 class TestCampaignCli:
     """``python -m repro run/status/report`` over one campaign store."""
 
@@ -533,7 +587,7 @@ class TestCampaignCli:
         md = tmp_path / "out.md"
         assert main(["run"] + args) == 0
         out = capsys.readouterr().out
-        assert "executed 2," in out and "2/2 trials" in out
+        assert "executed 2," in out and "0/2 trials already stored" in out
 
         # Re-running the same command resumes: nothing is left to execute.
         assert main(
@@ -561,6 +615,29 @@ class TestCampaignCli:
         # run <campaign> re-opens a registered campaign by name or id.
         assert main(["run", campaign_id, "--workers", "1"] + cache_dir) == 0
         assert "executed 0," in capsys.readouterr().out
+
+    def test_header_reports_throughput_and_utilisation(
+        self, tmp_path, capsys, trial_template, monkeypatch
+    ):
+        """The header's trials/s is scheduled trials over wall time, and its
+        utilisation is executed trials' runtimes over wall time × workers."""
+        def half_second_trial(spec):
+            return dataclasses.replace(
+                trial_template, spec=spec, runtime_seconds=0.5
+            )
+
+        ticks = itertools.count(10.0, 2.0)
+        monkeypatch.setattr(batch_mod, "_execute_trial", half_second_trial)
+        monkeypatch.setattr(
+            campaign_mod, "time",
+            types.SimpleNamespace(perf_counter=lambda: next(ticks)),
+        )
+        args = self.base_args(tmp_path)
+        assert main(["run"] + args) == 0
+        assert "wall 2.00s, 1.00 trials/s, util 50%" in capsys.readouterr().out
+        # A served re-run schedules and executes nothing.
+        assert main(["run"] + args) == 0
+        assert "wall 2.00s, 0.00 trials/s, util 0%" in capsys.readouterr().out
 
     def test_resume_unknown_campaign_fails(self, tmp_path, capsys):
         cache_dir = ["--cache-dir", str(tmp_path / "cache")]

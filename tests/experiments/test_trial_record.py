@@ -13,8 +13,9 @@
   (``fixtures/results_row_v8.json``) and before the audit and the ledger
   travelled as blobs (``fixtures/results_row_v8_rows.json``) still serve
   with the fingerprints and metrics they were written with.
-* **One connection** -- a runner whose cache file is the caller's open
-  store reads and writes through that store.
+* **One connection, one pass** -- a runner given the caller's open store
+  reads and writes through that store, whatever its ``cache_dir``, and
+  the front door hands a campaign to one runner pass.
 * **Per cell, not per trial** -- a served campaign canonicalises each
   cell's config once, deep-copies none, rebinds each result once and
   records its served rows in one transaction; a spec's canonical JSON is
@@ -389,18 +390,21 @@ class TestOneConnection:
         monkeypatch.setattr(sqlite3, "connect", connect)
         return opened
 
-    @pytest.mark.parametrize("runner_dir, expected", [(".", 1), ("cache", 2)])
-    def test_run_missing_connects_once_per_file(
-        self, tmp_path, connects, runner_dir, expected
-    ):
+    @pytest.mark.parametrize("runner_dir", [".", "cache", None])
+    def test_run_missing_connects_once(self, tmp_path, connects, runner_dir):
         spec = CampaignSpec(
             name="one", scenarios=("static-paper",), num_epochs=30
         )
+        cache_dir = None if runner_dir is None else tmp_path / runner_dir
         with ResultsStore(tmp_path / DEFAULT_STORE_NAME) as store:
-            runner = BatchRunner(max_workers=1, cache_dir=tmp_path / runner_dir)
+            runner = BatchRunner(max_workers=1, cache_dir=cache_dir)
             stats = run_missing(spec, store, runner=runner)
+            assert [row["key"] for row in store.cached_results()] == [
+                trial.key for trial in spec.trial_specs()
+            ]
         assert stats.executed == stats.stored == 1
-        assert len(connects) == expected
+        assert len(connects) == 1
+        assert [p.name for p in tmp_path.iterdir()] == [DEFAULT_STORE_NAME]
 
     def test_front_door_run_connects_once(self, tmp_path, connects):
         argv = [
@@ -419,6 +423,42 @@ class TestOneConnection:
             "--cache-dir", str(tmp_path),
         ]) == 0
         assert len(connects) == 3
+
+
+class TestFrontDoorRunsOnePass:
+    def test_a_partly_recorded_campaign_takes_one_runner_pass(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        argv = [
+            "run", "--scenarios", "static-paper", "--protocols", "dirq,atc",
+            "--replicates", "1", "--epochs", "30", "--workers", "1",
+            "--cache-dir", str(tmp_path),
+        ]
+        execute = batch_mod._execute_trial
+
+        def interrupt_atc(spec):
+            if spec.tags["protocol"] == "atc":
+                raise KeyboardInterrupt
+            return execute(spec)
+
+        monkeypatch.setattr(batch_mod, "_execute_trial", interrupt_atc)
+        assert main(argv) == 130
+        monkeypatch.setattr(batch_mod, "_execute_trial", execute)
+        passes = []
+        run = BatchRunner.run
+
+        def counted(runner, specs, *args, **kwargs):
+            specs = list(specs)
+            passes.append(len(specs))
+            return run(runner, specs, *args, **kwargs)
+
+        monkeypatch.setattr(BatchRunner, "run", counted)
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert passes == [2]
+        out = capsys.readouterr().out
+        assert "1/2 trials already stored" in out
+        assert "scheduled 1: executed 1, cache-served 0" in out
 
 
 class TestFrontDoorReadsEachTrialOnce:
